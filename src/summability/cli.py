@@ -99,7 +99,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="report file (stdout when omitted)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; results do not depend on this")
+                   help="accepted and echoed in the report config; has no "
+                        "effect (the search runs single-threaded)")
     p.add_argument("--jmax", type=int, default=16, help="largest random family length")
     p.add_argument("--field", choices=["real", "complex"], default=None,
                    help="scalar field override for generated instances")
@@ -465,7 +466,7 @@ def cmd_search(args) -> int:
         )
     cert = random_family_search(
         A, exps, budget=config.budget, seed=config.seed,
-        j_max=config.j_max, threads=config.threads,
+        j_max=config.j_max,
     )
     report = _certificate_report("search", cert)
     doc = _document("search", config, [report],
@@ -485,7 +486,6 @@ def cmd_experiment(args) -> int:
         seed=config.seed,
         j_max=config.j_max,
         field=config.field or ScalarField.COMPLEX,
-        threads=config.threads,
     )
     doc = {
         "tool": "summability",

@@ -1,14 +1,19 @@
 """Dense multilinear forms: evaluation, operator norms, composition, currying.
 
-A form is held as its coefficient tensor A(e_i1, ..., e_in). Operator norms
-over products of unit balls are exact by extreme-point enumeration on real
-sup-norm and l_1 domains, and otherwise estimated by multi-start alternating
-maximization (the free slot is optimized in closed form against the partial
-contraction), always flagged with their provenance.
+A form is held as its coefficient tensor A(e_i1, ..., e_in). One kernel,
+``_ball_sup``, computes the supremum of |form| over a product of unit balls;
+it serves operator norms here and weak norms in ``norms`` (the weak-l_p norm
+of a sequence in l_s is the norm of its coefficient matrix on l_p' x l_s').
+It is exact when all slots but one have a finite norming set (basis vectors
+of dim-1 and l_1 balls, sign vectors of real sup balls) and the remaining
+slot is solved in closed form; otherwise multi-start alternating maximization
+gives a lower bound. Every result is flagged with its provenance.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import string
 from dataclasses import dataclass
 
@@ -16,8 +21,8 @@ import numpy as np
 
 from ._codec import decode_exponent, decode_values, encode_exponent, encode_values
 from ._signs import sign_matrix
-from .norms import NormEstimate
-from .spaces import ScalarField, SpaceSpec
+from .norms import NormEstimate, _axis_norms
+from .spaces import Exponent, ScalarField, SpaceSpec
 
 __all__ = ["FormTensor", "CurriedForm", "evaluate", "op_norm", "compose_beta", "curry"]
 
@@ -110,20 +115,6 @@ def compose_beta(beta, a) -> np.ndarray:
     return b @ m
 
 
-def _candidate_rows(space: SpaceSpec) -> np.ndarray:
-    if space.is_sup:
-        return sign_matrix(space.dim)
-    return np.eye(space.dim)
-
-
-def _enumeration_work(A: FormTensor, free: int) -> int:
-    work = A.dims[free]
-    for i, d in enumerate(A.domains):
-        if i != free:
-            work *= (1 << d.dim) if d.is_sup else d.dim
-    return work
-
-
 def op_norm(
     A: FormTensor,
     *,
@@ -135,60 +126,124 @@ def op_norm(
 ) -> NormEstimate:
     """Supremum of |A(x1, ..., xn)| over the product of unit balls.
 
-    Exact paths: every domain an l_1 space (maximal coefficient magnitude,
-    either field), or a real form whose domains are sup-norm or l_1 spaces
-    with the extreme-point enumeration inside ``budget``; one sup-norm slot
-    is always maximized in closed form. Everything else falls back to
-    multi-start alternating maximization and is flagged ``exact=False``.
+    Exact when every slot but one has a finite norming set (see
+    :func:`_ball_sup`) and the enumeration fits in ``budget``; otherwise
+    multi-start alternating maximization, flagged ``exact=False``.
     """
-    if all(d.exponent.recip == 1 for d in A.domains):
-        flat = int(np.argmax(np.abs(A.coeffs)))
-        idx = np.unravel_index(flat, A.dims)
-        witness = []
-        for i, k in enumerate(idx):
-            e = np.zeros(A.dims[i])
-            e[k] = 1.0
-            witness.append(e)
-        return NormEstimate(
-            float(np.abs(A.coeffs[idx])), True, witness=tuple(witness)
-        )
+    balls = tuple(d.exponent for d in A.domains)
+    return _ball_sup(A.coeffs, balls, budget=budget, starts=starts, seed=seed,
+                     sweeps=sweeps, allow_heuristic=allow_heuristic)
 
-    enumerable = not A.field.is_complex and all(
-        d.is_sup or d.exponent.recip == 1 for d in A.domains
-    )
-    if enumerable:
-        sup_slots = [i for i, d in enumerate(A.domains) if d.is_sup]
-        free = max(sup_slots, key=lambda i: A.dims[i])
-        if _enumeration_work(A, free) <= budget:
-            return _op_norm_enumerate(A, free)
+
+def _candidate_count(dim: int, ball: Exponent, is_complex: bool) -> int | None:
+    """Extreme points enumerated for one slot, or None when it has no finite set.
+
+    Basis vectors (count ``dim``) norm a dim-1 ball and an l_1 ball of either
+    field, their phases being absorbed by |.|; sign vectors (count 2^dim)
+    norm a real sup ball.
+    """
+    if dim == 1 or ball.recip == 1:
+        return dim
+    if ball.is_inf and not is_complex:
+        return 1 << dim
+    return None
+
+
+def _contract_signs(t: np.ndarray) -> np.ndarray:
+    """Contract axis 0 of ``t`` with every sign vector; the sign axis goes last."""
+    dim = t.shape[0]
+    signs = _sign_rows(dim)
+    moved = t.transpose(tuple(range(1, t.ndim)) + (0,))
+    return (moved.reshape(-1, dim) @ signs.T).reshape(moved.shape[:-1] + (len(signs),))
+
+
+def _sign_rows(dim: int) -> np.ndarray:
+    """All 2^dim sign vectors; the small tables are kept, read-only."""
+    return _small_sign_rows(dim) if dim <= 12 else sign_matrix(dim)
+
+
+@functools.lru_cache(maxsize=None)
+def _small_sign_rows(dim: int) -> np.ndarray:
+    rows = sign_matrix(dim)
+    rows.setflags(write=False)
+    return rows
+
+
+def _candidate(dim: int, count: int, k: int) -> np.ndarray:
+    """Extreme point ``k`` of a slot with ``count`` of them: a basis or sign vector."""
+    if count == dim:
+        e = np.zeros(dim)
+        e[k] = 1.0
+        return e
+    return _sign_rows(dim)[k].copy()
+
+
+def _ball_sup(
+    coeffs: np.ndarray,
+    balls: tuple[Exponent, ...],
+    *,
+    budget: int = 1 << 22,
+    starts: int = 32,
+    seed: int = 0,
+    sweeps: int = 200,
+    allow_heuristic: bool = True,
+    witness: bool = True,
+) -> NormEstimate:
+    """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of l_(balls[k]).
+
+    Exact path: every slot but one ("free") is enumerated over its extreme
+    points (:func:`_candidate_count`), and the free slot contributes the
+    dual norm of the partial contraction in closed form. The free slot is
+    the one with the least work, dim(free) * prod(candidate counts of the
+    others), the lowest index on ties. Contraction with basis vectors is
+    indexing, so only sign slots are contracted. Without such a plan inside
+    ``budget``, multi-start alternating maximization returns a lower bound.
+    The witness is the tuple of maximizing vectors, one per slot; callers
+    that do not need it pass ``witness=False`` and get None.
+    The field is that of the array: forms and sequences hold complex data as
+    complex128 exactly when their field is complex.
+    """
+    is_complex = coeffs.dtype.kind == "c"
+    dims = coeffs.shape
+    counts = [_candidate_count(m, b, is_complex) for m, b in zip(dims, balls)]
+    free, least = None, budget + 1
+    for i, m in enumerate(dims):
+        rest = counts[:i] + counts[i + 1:]
+        if None not in rest:
+            work = m * math.prod(rest)
+            if work < least:
+                free, least = i, work
+    if free is None:
         if not allow_heuristic:
-            raise ValueError(
-                "enumeration budget exceeded and heuristic fallback disabled"
-            )
-    elif not allow_heuristic:
-        raise ValueError(
-            "no exact enumeration for these domains and heuristic fallback disabled"
-        )
-    return _op_norm_alternating(A, starts=starts, seed=seed, sweeps=sweeps)
+            raise ValueError("no exact enumeration within the budget and "
+                             "heuristic fallback disabled")
+        est = _ball_sup_alternating(coeffs, balls, is_complex, starts=starts,
+                                    seed=seed, sweeps=sweeps)
+        return est if witness else NormEstimate(est.value, False)
 
+    basis, signed = [], []
+    for i, k in enumerate(counts):
+        if i != free:
+            (basis if k == dims[i] else signed).append(i)
+    # (the order is already the identity when slot 0 is free and no slot
+    # needs signs, the usual weak-norm case)
+    t = coeffs.transpose(signed + [free] + basis) if signed or free else coeffs
+    for _ in signed:
+        t = _contract_signs(t)
+    # t now has shape (m_free, basis dims..., sign counts...); the free slot
+    # is closed form
+    values = _axis_norms(np.abs(t), balls[free].dual, axis=0)
+    flat = int(values.argmax())
+    if not witness:
+        return NormEstimate(values.item(flat), True)
 
-def _op_norm_enumerate(A: FormTensor, free: int) -> NormEstimate:
-    t = np.moveaxis(A.coeffs, free, -1)
-    others = [i for i in range(A.order) if i != free]
-    candidates = [_candidate_rows(A.domains[i]) for i in others]
-    for C in candidates:
-        t = np.tensordot(t, C, axes=([0], [1]))
-    # t now has shape (m_free, K_1, ..., K_r); the free slot is closed form
-    values = np.abs(t).sum(axis=0)
-    flat = int(np.argmax(values))
-    value = float(values.reshape(-1)[flat])
     combo = np.unravel_index(flat, values.shape) if values.ndim else ()
-    witness: list[np.ndarray | None] = [None] * A.order
-    for slot, C, k in zip(others, candidates, combo):
-        witness[slot] = C[k]
+    vectors = [None] * len(dims)
+    for slot, k in zip(basis + signed, combo):
+        vectors[slot] = _candidate(dims[slot], counts[slot], int(k))
     partial = t[(slice(None),) + tuple(combo)]
-    witness[free] = np.where(partial >= 0, 1.0, -1.0)
-    return NormEstimate(value, True, witness=tuple(witness))
+    vectors[free] = _dual_step(partial[None, :], balls[free], is_complex)[0]
+    return NormEstimate(values.item(flat), True, witness=tuple(vectors))
 
 
 def _letters(n: int) -> list[str]:
@@ -211,14 +266,13 @@ def _batch_contract(coeffs: np.ndarray, vectors: list[np.ndarray],
     return np.einsum(",".join(subs) + "->" + out, *operands)
 
 
-def _dual_step(c: np.ndarray, space: SpaceSpec, is_complex: bool) -> np.ndarray:
-    """Batched closed-form maximizer of |<c, x>| over the unit ball, per row."""
+def _dual_step(c: np.ndarray, s: Exponent, is_complex: bool) -> np.ndarray:
+    """Batched closed-form maximizer of |<c, x>| over the l_s unit ball, per row."""
     mag = np.abs(c)
     if is_complex:
         phase = np.where(mag == 0, 1.0 + 0j, np.conj(c) / np.where(mag == 0, 1.0, mag))
     else:
         phase = np.where(c >= 0, 1.0, -1.0)
-    s = space.exponent
     if s.is_inf:
         return phase
     if s.recip == 1:
@@ -239,45 +293,44 @@ def _dual_step(c: np.ndarray, space: SpaceSpec, is_complex: bool) -> np.ndarray:
     return out
 
 
-def _op_norm_alternating(A: FormTensor, *, starts: int, seed: int,
-                         sweeps: int) -> NormEstimate:
+def _ball_sup_alternating(coeffs: np.ndarray, balls: tuple[Exponent, ...],
+                          is_complex: bool, *, starts: int, seed: int,
+                          sweeps: int) -> NormEstimate:
     rng = np.random.default_rng(seed)
-    is_complex = A.field.is_complex
     dtype = np.complex128 if is_complex else np.float64
     S = max(2, starts)
 
     vectors = []
-    argmax_idx = np.unravel_index(int(np.argmax(np.abs(A.coeffs))), A.dims)
-    for i, d in enumerate(A.domains):
-        V = rng.standard_normal((S, d.dim))
+    argmax_idx = np.unravel_index(int(np.argmax(np.abs(coeffs))), coeffs.shape)
+    for i, (m, s) in enumerate(zip(coeffs.shape, balls)):
+        V = rng.standard_normal((S, m))
         if is_complex:
-            V = V + 1j * rng.standard_normal((S, d.dim))
+            V = V + 1j * rng.standard_normal((S, m))
         V = V.astype(dtype)
         V[0] = 1.0  # flat start
         V[1] = 0.0
         V[1, argmax_idx[i]] = 1.0  # largest-coefficient start
-        nrm = np.array([max(_ball_norm(v, d), 1e-300) for v in V])
+        nrm = np.array([max(_ball_norm(v, s), 1e-300) for v in V])
         vectors.append(V / nrm[:, None])
 
     prev = np.zeros(S)
     values = prev
     for _ in range(sweeps):
-        for i in range(A.order):
-            c = _batch_contract(A.coeffs, vectors, skip=i)
-            vectors[i] = _dual_step(c, A.domains[i], is_complex)
-        values = np.abs(_batch_contract(A.coeffs, vectors))
+        for i, s in enumerate(balls):
+            c = _batch_contract(coeffs, vectors, skip=i)
+            vectors[i] = _dual_step(c, s, is_complex)
+        values = np.abs(_batch_contract(coeffs, vectors))
         gain = float((values - prev).max())
         prev = np.maximum(prev, values)
         if gain <= 1e-12 * max(float(prev.max()), 1e-300):
             break
     k = int(np.argmax(prev))
-    witness = tuple(vectors[i][k] for i in range(A.order))
+    witness = tuple(v[k] for v in vectors)
     return NormEstimate(float(prev[k]), False, witness=witness)
 
 
-def _ball_norm(v: np.ndarray, space: SpaceSpec) -> float:
+def _ball_norm(v: np.ndarray, s: Exponent) -> float:
     a = np.abs(v)
-    s = space.exponent
     if s.is_inf:
         return float(a.max())
     return float((a ** s.value).sum() ** (1.0 / s.value))

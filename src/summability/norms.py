@@ -1,10 +1,11 @@
 """Sequence p-norms, mixed matrix norms, and weak norms of vector sequences.
 
-Weak norms are computed exactly where a norming set is available (coordinate
-functionals on sup-norm spaces, sign vectors on real l_1 spaces) and by
-multi-start projected ascent on the dual sphere otherwise; every result
-carries an ``exact`` flag so downstream inequality checks know whether they
-hold a certified value or a lower bound.
+A weak-l_p norm (p >= 1) is the operator norm of the sequence's coefficient
+matrix on l_p' x l_s', computed by the supremum-over-balls kernel of
+``forms``: exact where all but one slot has a finite norming set, and a
+multi-start alternating lower bound otherwise. Every result carries an
+``exact`` flag so downstream inequality checks know whether they hold a
+certified value or a lower bound.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Any
 import numpy as np
 
 from ._codec import decode_exponent, decode_values, encode_exponent, encode_values
-from ._signs import sign_matrix
-from .spaces import Exponent, ExponentLike, ScalarField, SpaceSpec
+from .spaces import INF, Exponent, ExponentLike, ScalarField, SpaceSpec
 
 __all__ = ["lp_norm", "mixed_norm", "weak_lp_norm", "NormEstimate", "VectorSeq"]
 
@@ -38,10 +38,13 @@ def lp_norm(v, p: ExponentLike) -> float:
 
 
 def _axis_norms(a: np.ndarray, e: Exponent, axis: int) -> np.ndarray:
+    # the ufunc reductions, which a.max/a.sum wrap: this runs once per weak norm
     if e.is_inf:
-        return a.max(axis=axis)
+        return np.maximum.reduce(a, axis=axis)
+    if e.recip == 1:
+        return np.add.reduce(a, axis=axis)
     pv = e.value
-    return (a ** pv).sum(axis=axis) ** (1.0 / pv)
+    return np.add.reduce(a ** pv, axis=axis) ** (1.0 / pv)
 
 
 def mixed_norm(M, p: ExponentLike, q: ExponentLike) -> float:
@@ -62,8 +65,9 @@ def mixed_norm(M, p: ExponentLike, q: ExponentLike) -> float:
 class NormEstimate:
     """A norm value together with its provenance.
 
-    ``exact=False`` marks a certified lower bound obtained by ascent; exact
-    values come from norming-set or extreme-point enumeration.
+    ``exact=False`` marks a certified lower bound obtained by alternating
+    maximization; exact values come from norming-set or extreme-point
+    enumeration.
     """
 
     value: float
@@ -129,6 +133,9 @@ class VectorSeq:
         field = ScalarField(data["field"])
         space = SpaceSpec(int(data["dim"]), decode_exponent(data["exponent"]))
         vectors = decode_values(data["vectors"], field.is_complex)
+        # at the file boundary only: the search loop builds sequences per trial
+        if not np.all(np.isfinite(vectors)):
+            raise ValueError("vectors must be finite")
         return cls(vectors, space)
 
 
@@ -138,16 +145,26 @@ def weak_lp_norm(
     *,
     starts: int = 32,
     seed: int = 0,
-    max_iter: int = 10_000,
     sign_budget: int = 1 << 22,
     method: str = "auto",
 ) -> NormEstimate:
     """sup over the dual unit ball of (sum_j |phi(x_j)|^p)^(1/p).
 
-    Exact on sup-norm spaces via the coordinate functionals
-    sup_k (sum_j |x_j(k)|^p)^(1/p), and on real l_1 spaces by enumerating the
-    2^m sign functionals. Otherwise multi-start projected ascent on the dual
-    sphere returns the best value found, flagged as a certified lower bound.
+    For p >= 1 this is the norm of the coefficient matrix X (one row per
+    vector) as a bilinear form on l_p'^J x l_s'^m, so the operator-norm
+    kernel of ``forms`` computes it: exact on sup-norm spaces (coordinate
+    functionals), on real l_1 spaces (sign functionals), for weak-l_1 in any
+    real space (signs over the J slot), for weak-l_inf and for single
+    vectors; otherwise an alternating-maximization lower bound.
+    ``sign_budget`` bounds the enumeration work and ``method="ascent"``
+    forces the alternating path. Weak norms carry no witness.
+
+    For p < 1 (no longer a bilinear norm) the value is the best over the
+    coordinate functionals of sup-norm spaces and the sign functionals of
+    real l_1 spaces, or ||x||_s for a single vector, and is flagged exact
+    although the supremum can lie off those vertices; in other spaces it is
+    taken at the functional that maximizes the weak-l_1 norm and flagged as
+    a lower bound.
     """
     pe = Exponent.of(p)
     X = seq.vectors
@@ -156,111 +173,24 @@ def weak_lp_norm(
     if method not in ("auto", "ascent"):
         raise ValueError(f"unknown method {method!r}")
     s = seq.space.exponent
+    budget = sign_budget if method == "auto" else 0
+
+    if pe.recip.numerator <= pe.recip.denominator:  # p >= 1
+        return forms._ball_sup(X, (pe.dual, s.dual), budget=budget,
+                               starts=starts, seed=seed, witness=False)
 
     if method == "auto":
-        if s.is_inf:
-            per_coord = _axis_norms(np.abs(X), pe, axis=0)
-            k = int(np.argmax(per_coord))
-            return NormEstimate(float(per_coord[k]), True, witness=("coordinate", k))
-        if s.recip == 1 and not seq.is_complex and (1 << seq.dim) <= sign_budget:
-            Phi = sign_matrix(seq.dim)
-            values = _axis_norms(np.abs(X @ Phi.T), pe, axis=0)
-            b = int(np.argmax(values))
-            return NormEstimate(float(values[b]), True, witness=("signs", Phi[b]))
+        if s.is_inf or (s.recip == 1 and not seq.is_complex
+                        and (1 << seq.dim) <= budget):
+            V = X if s.is_inf else forms._contract_signs(X.T)
+            return NormEstimate(float(_axis_norms(np.abs(V), pe, axis=0).max()), True)
         if seq.length == 1:
-            return NormEstimate(lp_norm(X[0], s), True, witness=("single",))
-    return _dual_ascent(seq, pe, starts=starts, seed=seed, max_iter=max_iter)
+            return NormEstimate(lp_norm(X[0], s), True)
+    phi = forms._ball_sup(X, (INF, s.dual), budget=budget, starts=starts,
+                          seed=seed).witness[1]
+    return NormEstimate(lp_norm(X @ phi, pe), False)
 
 
-def _normalize_dual(phi: np.ndarray, sd: Exponent) -> np.ndarray:
-    nrm = lp_norm(phi, sd)
-    if nrm == 0.0:
-        out = np.zeros_like(phi)
-        out[0] = 1.0
-        return out
-    return phi / nrm
-
-
-def _weak_objective(X: np.ndarray, phi: np.ndarray, pe: Exponent) -> float:
-    d = np.abs(X @ phi)
-    if pe.is_inf:
-        return float(d.max())
-    return float((d ** pe.value).sum())
-
-
-def _weak_gradient(X: np.ndarray, phi: np.ndarray, pe: Exponent) -> np.ndarray:
-    d = X @ phi
-    mag = np.abs(d)
-    if pe.is_inf:
-        w = np.zeros_like(d)
-        j = int(np.argmax(mag))
-        w[j] = 1.0 if mag[j] == 0 else d[j] / mag[j]
-    else:
-        pv = pe.value
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.where(mag > 1e-300, pv * mag ** (pv - 2.0) * d, 0.0)
-    if np.iscomplexobj(X) or np.iscomplexobj(phi):
-        return w @ X.conj()
-    return w @ X
-
-
-def _dual_ascent(seq: VectorSeq, pe: Exponent, *, starts: int, seed: int,
-                 max_iter: int) -> NormEstimate:
-    X = seq.vectors
-    m = seq.dim
-    sd = seq.space.exponent.dual
-    is_complex = seq.is_complex
-    rng = np.random.default_rng(seed)
-
-    init = []
-    col_energy = np.sqrt((np.abs(X) ** 2).sum(axis=0))
-    e_best = np.zeros(m, dtype=np.complex128 if is_complex else np.float64)
-    e_best[int(np.argmax(col_energy))] = 1.0
-    init.append(e_best)
-    init.append(col_energy.astype(e_best.dtype) + 0.0)
-    while len(init) < starts:
-        g = rng.standard_normal(m)
-        if is_complex:
-            g = g + 1j * rng.standard_normal(m)
-        init.append(g)
-
-    best_val = -np.inf
-    best_phi = init[0]
-    for phi0 in init:
-        phi = _normalize_dual(phi0, sd)
-        g = _weak_objective(X, phi, pe)
-        step = 0.5
-        for _ in range(max_iter):
-            grad = _weak_gradient(X, phi, pe)
-            cand = _normalize_dual(phi + step * grad, sd)
-            g_cand = _weak_objective(X, cand, pe)
-            if g_cand > g:
-                improvement = (g_cand - g) / max(g, 1e-300)
-                phi, g = cand, g_cand
-                step = min(step * 1.5, 8.0)
-                if improvement < 1e-12:
-                    break
-            else:
-                step *= 0.5
-                if step < 1e-18:
-                    break
-        # snap to an extreme candidate when the dual sphere has corners
-        if sd.is_inf:
-            corner = np.where(np.abs(phi) == 0, 1.0, np.sign(phi.real))
-            if is_complex:
-                mag = np.abs(phi)
-                corner = np.where(mag == 0, 1.0, phi / np.where(mag == 0, 1.0, mag))
-            g_corner = _weak_objective(X, corner, pe)
-            if g_corner > g:
-                phi, g = corner, g_corner
-        elif sd.recip == 1:
-            k = int(np.argmax(np.abs(phi)))
-            corner = np.zeros_like(phi)
-            corner[k] = 1.0
-            g_corner = _weak_objective(X, corner, pe)
-            if g_corner > g:
-                phi, g = corner, g_corner
-        if g > best_val:
-            best_val, best_phi = g, phi
-    value = best_val if pe.is_inf else best_val ** (1.0 / pe.value)
-    return NormEstimate(float(value), False, witness=("functional", best_phi))
+# The kernel lives in forms, which imports this module: bind it last, once
+# the names forms needs exist (a per-call import costs a tenth of a weak norm).
+from . import forms  # noqa: E402

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
+from functools import cached_property, total_ordering
 from typing import Union
 
 import numpy as np
@@ -65,6 +65,12 @@ class Exponent:
             object.__setattr__(self, "recip", Fraction(self.recip))
         if self.recip < 0:
             raise ValueError(f"exponent reciprocal must be >= 0, got {self.recip}")
+        # the float is read in every norm kernel; compute it once
+        try:
+            value = math.inf if self.recip == 0 else float(1 / self.recip)
+        except OverflowError:
+            raise ValueError("exponent too large for a float; use inf") from None
+        object.__setattr__(self, "_value", value)
 
     @classmethod
     def of(cls, s: "ExponentLike") -> "Exponent":
@@ -90,13 +96,13 @@ class Exponent:
 
     @property
     def is_inf(self) -> bool:
-        return self.recip == 0
+        return self._value == math.inf
 
     @property
     def value(self) -> float:
-        return math.inf if self.is_inf else float(1 / self.recip)
+        return self._value
 
-    @property
+    @cached_property
     def dual(self) -> "Exponent":
         """The conjugate exponent s' with 1/s + 1/s' = 1; requires s >= 1."""
         if self.recip > 1:

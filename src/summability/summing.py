@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
@@ -253,14 +252,13 @@ def random_family_search(
     *,
     j_max: int = 16,
     workers: int = 8,
-    threads: int = 1,
 ) -> RatioCertificate:
     """Best ratio certificate over structured plus seeded random families.
 
     The random budget is split over a fixed number of workers with seeds
     derived from the master seed, and the reduction keeps the maximal ratio
-    with ties broken by lowest worker then lowest trial, so the result is
-    identical no matter how many threads execute the workers.
+    with ties broken by lowest worker then lowest trial, so the result
+    depends only on the seed, the budget and the worker count.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -274,7 +272,7 @@ def random_family_search(
     shares = [budget // workers + (1 if w < budget % workers else 0)
               for w in range(workers)]
 
-    def run_worker(w: int):
+    for w in range(workers):
         rng = np.random.default_rng(seeds[w])
         top = None
         for _ in range(shares[w]):
@@ -282,16 +280,8 @@ def random_family_search(
             cert = summing_lower_bound(A, exps, fam)
             if top is None or cert.ratio > top.ratio:
                 top = cert
-        return top
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_worker, range(workers)))
-    else:
-        results = [run_worker(w) for w in range(workers)]
-    for cert in results:
-        if cert is not None and cert.ratio > best.ratio:
-            best = cert
+        if top is not None and top.ratio > best.ratio:
+            best = top
     return best
 
 
@@ -973,7 +963,6 @@ def summing_experiment(
     j_max: int = 8,
     field: ScalarField = ScalarField.COMPLEX,
     target: ExponentTuple | None = None,
-    threads: int = 1,
 ) -> list[dict]:
     """Empirical (p; 2, 1) ratios for bilinear forms on l_p x l_q domains.
 
@@ -989,7 +978,6 @@ def summing_experiment(
         A = random_form(rng, (m, m), field, exponents=(dp, dq))
         cert = random_family_search(
             A, exps, budget=budget, seed=seed + 7919 * i, j_max=j_max,
-            threads=threads,
         )
         opn = op_norm(A)
         records.append(

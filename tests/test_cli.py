@@ -63,6 +63,17 @@ def test_norm_weak_command(tmp_path, capsys):
     assert float(out.split()[0]) == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_norm_weak_non_finite_file_exits_3(tmp_path, capsys, bad):
+    path = tmp_path / "seq.json"
+    path.write_text('{"field": "real", "dim": 2, "exponent": "inf", '
+                    f'"vectors": [[1.0, {bad}], [0.0, 1.0]]}}')
+    assert main(["norm", "weak", str(path), "--p", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_malformed_input_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
