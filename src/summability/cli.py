@@ -3,7 +3,13 @@
 JSON in, JSON or CSV out. Identical configuration and inputs produce byte
 identical report bodies (reports carry no timestamps), and exit codes follow
 a fixed contract: 0 when nothing hard-failed, 2 on any hard failure, 3 on
-IO or schema errors.
+IO or schema errors, negative counts, non-finite input values, or a report
+holding a non-finite number (reports are strict JSON).
+
+A verify suite runs the summing verifiers on the given files or on seeded
+random instances; instance i of a random suite is drawn from the i-th child
+of the master seed, so ``--random 0`` runs none. Every command writes its
+document through one renderer.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .summing import (
     RatioCertificate,
     TestFamily,
     VerificationReport,
+    _random_family,
     lift_family,
     random_family_search,
     random_form,
@@ -170,13 +177,27 @@ def load_matrix(path: str) -> np.ndarray:
     try:
         if "entries" in data:
             field = ScalarField(data.get("field", "real"))
-            return decode_values(data["entries"], field.is_complex)
+            entries = decode_values(data["entries"], field.is_complex)
+            if not np.all(np.isfinite(entries)):
+                raise ValueError("entries must be finite")
+            return entries
         form = FormTensor.from_json(data)
         if form.order != 2:
             raise ValueError("matrix file must be 2-d")
         return form.coeffs
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: bad matrix: {exc}") from exc
+
+
+def _count(text: str) -> int:
+    """argparse type of the instance, record and sample counts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
 
 
 def _parse_exponent(text: str) -> Exponent:
@@ -212,17 +233,28 @@ def _document(command: str, config: RunConfig, reports: list[VerificationReport]
     return doc
 
 
+def _strict_json(doc: dict, **kwargs) -> str:
+    try:
+        return json.dumps(doc, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"report holds a non-finite number ({exc})") from exc
+
+
 def _render(doc: dict, fmt: str) -> str:
+    """JSON, or CSV of the reports (fixed columns) or records (their keys)."""
     if fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        return _strict_json(doc, indent=2) + "\n"
+    _strict_json(doc)  # the CSV cells come from the same numbers
+    if "records" in doc:
+        rows = doc["records"]
+        columns = list(rows[0]) if rows else []
+    else:
+        rows, columns = doc["reports"], CSV_COLUMNS
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for rep in doc.get("reports", []):
-        writer.writerow([
-            rep.get(col, "") if rep.get(col) is not None else ""
-            for col in CSV_COLUMNS
-        ])
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(["" if row.get(col) is None else row[col] for col in columns])
     return buf.getvalue()
 
 
@@ -234,9 +266,9 @@ def _emit(doc: dict, args) -> None:
                 fh.write(text)
         except OSError as exc:
             raise SchemaError(f"cannot write {args.out}: {exc}") from exc
-        summary = doc.get("summary")
-        if summary:
-            print(f"wrote {args.out}: {summary}")
+        summary = (doc["summary"] if "summary" in doc
+                   else f"{len(doc['records'])} records")
+        print(f"wrote {args.out}: {summary}")
     else:
         sys.stdout.write(text)
 
@@ -288,99 +320,81 @@ def _random_dims(rng, order, m):
     return tuple(int(rng.integers(2, m + 1)) for _ in range(order))
 
 
-def _verify_littlewood_like(args, config, verifier, check_field) -> list[VerificationReport]:
+def _seeded_reports(config, count, build) -> list[VerificationReport]:
+    """Instance i is ``build`` run on the i-th child of the master seed."""
     reports = []
-    if args.files:
-        for path in args.files:
-            reports.append(verifier(load_form(path), constants=config.constants))
-        return reports
-    field = config.field or check_field
-    seeds = np.random.SeedSequence(config.seed).spawn(args.random)
-    for i in range(args.random):
-        rng = np.random.default_rng(seeds[i])
-        A = random_form(rng, _random_dims(rng, 2, args.m), field)
-        rep = verifier(A, constants=config.constants)
+    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(count)):
+        rep = build(np.random.default_rng(child))
         rep.witness["instance"] = i
         reports.append(rep)
     return reports
 
 
+_FORM_VERIFIERS = {
+    "littlewood": verify_littlewood_43,
+    "general": verify_general_littlewood,
+    "bh": verify_bh,
+}
+
+
 def cmd_verify(args) -> int:
     config = _config(args)
+    constants = config.constants
     suite = args.suite
-    reports: list[VerificationReport] = []
-
-    if suite == "littlewood":
-        reports = _verify_littlewood_like(args, config, verify_littlewood_43,
-                                          ScalarField.REAL)
-    elif suite == "general":
-        reports = _verify_littlewood_like(args, config, verify_general_littlewood,
-                                          ScalarField.REAL)
+    if suite in _FORM_VERIFIERS:
+        verifier = _FORM_VERIFIERS[suite]
+        if args.files:
+            reports = [verifier(load_form(path), constants=constants)
+                       for path in args.files]
+        else:
+            field = config.field or ScalarField.REAL
+            order = args.order if suite == "bh" else 2
+            reports = _seeded_reports(config, args.random, lambda rng: verifier(
+                random_form(rng, _random_dims(rng, order, args.m), field),
+                constants=constants))
     elif suite == "extended":
         p = _parse_exponent(args.p or "4/3")
+
+        def extended(A, beta):
+            return verify_extended_littlewood(
+                A, beta, p, constants=constants,
+                allow_real_experimental=config.allow_real_experimental)
+
         if args.files:
             A = load_form(args.files[0])
             beta = (np.eye(A.dims[0]) if args.beta == "identity"
                     else load_matrix(args.beta))
-            reports = [verify_extended_littlewood(
-                A, beta, p, constants=config.constants,
-                allow_real_experimental=config.allow_real_experimental)]
+            reports = [extended(A, beta)]
         else:
             field = config.field or ScalarField.COMPLEX
-            seeds = np.random.SeedSequence(config.seed).spawn(args.random)
-            for i in range(args.random):
-                rng = np.random.default_rng(seeds[i])
+
+            def build(rng):
                 dims = _random_dims(rng, 2, args.m)
                 A = random_form(rng, dims, field)
                 rows = int(rng.integers(1, args.m + 1))
                 beta = rng.standard_normal((rows, dims[0]))
                 if field.is_complex:
                     beta = beta + 1j * rng.standard_normal((rows, dims[0]))
-                rep = verify_extended_littlewood(
-                    A, beta, p, constants=config.constants,
-                    allow_real_experimental=config.allow_real_experimental)
-                rep.witness["instance"] = i
-                reports.append(rep)
-    elif suite == "bh":
-        if args.files:
-            reports = [verify_bh(load_form(path), constants=config.constants)
-                       for path in args.files]
-        else:
-            field = config.field or ScalarField.REAL
-            seeds = np.random.SeedSequence(config.seed).spawn(args.random)
-            for i in range(args.random):
-                rng = np.random.default_rng(seeds[i])
-                A = random_form(rng, _random_dims(rng, args.order, args.m), field)
-                rep = verify_bh(A, constants=config.constants)
-                rep.witness["instance"] = i
-                reports.append(rep)
+                return extended(A, beta)
+
+            reports = _seeded_reports(config, args.random, build)
     elif suite == "dv":
         if args.files:
             if len(args.files) != 2:
                 raise SchemaError("dv expects a form file and a family file")
             A = load_form(args.files[0])
             fam = load_family(args.files[1])
-            reports = [verify_defant_voigt(A, fam, constants=config.constants)]
+            reports = [verify_defant_voigt(A, fam, constants=constants)]
         else:
             field = config.field or ScalarField.REAL
-            seeds = np.random.SeedSequence(config.seed).spawn(args.random)
-            for i in range(args.random):
-                rng = np.random.default_rng(seeds[i])
+
+            def build(rng):
                 A = random_form(rng, _random_dims(rng, args.order, args.m), field)
-                J = int(rng.integers(1, min(config.j_max, 8) + 1))
-                cols = []
-                for d in A.domains:
-                    V = rng.standard_normal((J, d.dim))
-                    if field.is_complex:
-                        V = V + 1j * rng.standard_normal((J, d.dim))
-                    cols.append(VectorSeq(V, d))
-                rep = verify_defant_voigt(A, TestFamily(tuple(cols)),
-                                          constants=config.constants)
-                rep.witness["instance"] = i
-                reports.append(rep)
+                fam = _random_family(rng, A, min(config.j_max, 8))
+                return verify_defant_voigt(A, fam, constants=constants)
+
+            reports = _seeded_reports(config, args.random, build)
     elif suite == "almost":
-        if not args.files:
-            raise SchemaError("almost expects a form file and a family file")
         if len(args.files) != 2:
             raise SchemaError("almost expects a form file and a family file")
         A = load_form(args.files[0])
@@ -418,21 +432,14 @@ def _certificate_report(check: str, cert: RatioCertificate) -> VerificationRepor
 
 def _inclusion_suite(args, config) -> list[VerificationReport]:
     """Random certificate lifts; status is the monotonicity of the lift."""
-    reports = []
-    seeds = np.random.SeedSequence(config.seed).spawn(max(args.random, 1))
-    count = args.random if args.random else 25
-    for i in range(count):
-        rng = np.random.default_rng(seeds[i % len(seeds)])
-        dims = _random_dims(rng, 2, args.m)
-        A = random_form(rng, dims, ScalarField.REAL)
-        source = ExponentTuple(2, (2, 2))
-        target = ExponentTuple(1, (Exponent.of(1), Exponent.of(2)))
-        J = int(rng.integers(1, 5))
-        fam = TestFamily(tuple(
-            VectorSeq(rng.standard_normal((J, d.dim)), d) for d in A.domains
-        ))
+    source = ExponentTuple(2, (2, 2))
+    target = ExponentTuple(1, (Exponent.of(1), Exponent.of(2)))
+
+    def build(rng):
+        A = random_form(rng, _random_dims(rng, 2, args.m), ScalarField.REAL)
+        fam = _random_family(rng, A, 4)
         res = lift_family(A, fam, source, target)
-        reports.append(VerificationReport(
+        return VerificationReport(
             check="inclusion_lift",
             field=str(A.field),
             p=str(source),
@@ -444,9 +451,11 @@ def _inclusion_suite(args, config) -> list[VerificationReport]:
             bound=None,
             exact_norm=res.source.exact and res.derived.exact,
             status="pass" if res.monotone else "fail",
-            witness={"instance": i, "length": J},
-        ))
-    return reports
+            # _seeded_reports fills in the instance; the key leads
+            witness={"instance": None, "length": fam.length},
+        )
+
+    return _seeded_reports(config, args.random, build)
 
 
 # ---------------------------------------------------------------------------
@@ -487,32 +496,13 @@ def cmd_experiment(args) -> int:
         j_max=config.j_max,
         field=config.field or ScalarField.COMPLEX,
     )
-    doc = {
+    _emit({
         "tool": "summability",
         "version": __version__,
         "command": "experiment",
         "config": config.to_dict(),
         "records": records,
-    }
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        cols = list(records[0].keys()) if records else []
-        writer.writerow(cols)
-        for rec in records:
-            writer.writerow([rec[c] for c in cols])
-        text = buf.getvalue()
-    else:
-        text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise SchemaError(f"cannot write {args.out}: {exc}") from exc
-        print(f"wrote {args.out}: {len(records)} records")
-    else:
-        sys.stdout.write(text)
+    }, args)
     return EXIT_OK
 
 
@@ -534,7 +524,7 @@ def build_parser() -> Parser:
     p_norm.add_argument("--p", default="2", help="exponent (decimal or fraction)")
     p_norm.add_argument("--q", default="2", help="inner exponent for mixed norms")
     p_norm.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p_norm.add_argument("--samples", type=int, default=100_000)
+    p_norm.add_argument("--samples", type=_count, default=100_000)
     p_norm.add_argument("--starts", type=int, default=32)
     p_norm.add_argument("--seed", type=int, default=0)
     p_norm.set_defaults(handler=cmd_norm)
@@ -551,7 +541,7 @@ def build_parser() -> Parser:
     ])
     p_verify.add_argument("files", nargs="*", help="input files; omit to use "
                           "seeded random instances")
-    p_verify.add_argument("--random", type=int, default=100,
+    p_verify.add_argument("--random", type=_count, default=100,
                           help="number of random instances when no files given")
     p_verify.add_argument("--m", type=int, default=4, help="largest dimension")
     p_verify.add_argument("--order", type=int, default=3,
@@ -577,7 +567,7 @@ def build_parser() -> Parser:
     p_exp.add_argument("--p", default="4/3", help="domain and outer exponent")
     p_exp.add_argument("--q", default="2", help="second domain exponent")
     p_exp.add_argument("--m", type=int, default=3)
-    p_exp.add_argument("--count", type=int, default=5)
+    p_exp.add_argument("--count", type=_count, default=5)
     _add_common(p_exp)
     p_exp.set_defaults(handler=cmd_experiment)
 

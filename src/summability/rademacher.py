@@ -113,6 +113,8 @@ def rademacher_average(
         return float(mean ** (1.0 / pv))
 
     if mode == "mc":
+        if samples < 1:
+            raise ValueError("mc mode needs at least one sample")
         gen = np.random.Generator(np.random.Philox(key=seed))
         if pe.is_inf:
             worst = 0.0

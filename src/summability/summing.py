@@ -3,9 +3,11 @@
 A test family (one finite vector sequence per slot) witnesses a ratio
 lhs / prod(weak norms) that certifies a lower bound on the corresponding
 summing norm whenever every weak norm on the right is exact or an
-over-estimate. The verifiers compare coefficient norms against constant
-times operator norm bounds, with a slack policy that downgrades violations
-to "inconclusive" when the operator norm is only a heuristic lower bound.
+over-estimate. The coefficient verifiers (the 4/3 inequality, its general
+and mixed-norm forms, Bohnenblust-Hille) compute their coefficient side and
+hand it to one check against constant times the operator norm, with a slack
+policy that downgrades violations to "inconclusive" when the operator norm
+is only a heuristic lower bound.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from ._signs import sign_matrix
-from .forms import FormTensor, curry, op_norm, compose_beta
-from .norms import NormEstimate, VectorSeq, lp_norm, mixed_norm, weak_lp_norm
+from .forms import FormTensor, _ball_sup, curry, op_norm, compose_beta
+from .norms import NormEstimate, VectorSeq, _axis_norms, lp_norm, mixed_norm, weak_lp_norm
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
     ConstantsConfig,
@@ -470,6 +472,47 @@ def _require_sup_bilinear(A: FormTensor, who: str) -> None:
 _FOUR_THIRDS = Exponent(Fraction(3, 4))
 
 
+def _versus_op_norm(
+    check: str,
+    A: FormTensor,
+    lhs: float,
+    const: float | None,
+    p: str,
+    q: str | None,
+    constants: ConstantsConfig,
+    op_kwargs: dict,
+    *,
+    factor: float = 1.0,
+    **witness,
+) -> VerificationReport:
+    """Report lhs <= const * ||A|| * factor, the shape of every coefficient check.
+
+    ``const=None`` asserts no bound: the report fails only if lhs or the
+    ratio is not finite. ``witness`` entries follow the operator norm.
+    """
+    opn = op_norm(A, **op_kwargs)
+    ratio = _ratio(lhs, opn.value * factor)
+    if const is None:
+        rhs = None
+        status = "pass" if math.isfinite(lhs) and math.isfinite(ratio) else "fail"
+    else:
+        rhs = const * opn.value * factor
+        status = _status(lhs, rhs, opn.exact, constants.tolerance)
+    return VerificationReport(
+        check=check,
+        field=str(A.field),
+        p=p,
+        q=q,
+        lhs=lhs,
+        rhs=rhs,
+        ratio=ratio,
+        bound=const,
+        exact_norm=opn.exact,
+        status=status,
+        witness={"op_norm": opn.value, **witness},
+    )
+
+
 def verify_littlewood_43(
     A: FormTensor,
     *,
@@ -480,22 +523,8 @@ def verify_littlewood_43(
     constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_littlewood_43")
     lhs = lp_norm(A.coeffs.reshape(-1), _FOUR_THIRDS)
-    opn = op_norm(A, **op_kwargs)
-    const = constants.littlewood(A.field)
-    rhs = const * opn.value
-    return VerificationReport(
-        check="littlewood_43",
-        field=str(A.field),
-        p="4/3",
-        q=None,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, opn.value),
-        bound=const,
-        exact_norm=opn.exact,
-        status=_status(lhs, rhs, opn.exact, constants.tolerance),
-        witness={"op_norm": opn.value},
-    )
+    return _versus_op_norm("littlewood_43", A, lhs, constants.littlewood(A.field),
+                           "4/3", None, constants, op_kwargs)
 
 
 def verify_general_littlewood(
@@ -508,22 +537,8 @@ def verify_general_littlewood(
     constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_general_littlewood")
     lhs = mixed_norm(A.coeffs, 1, 2)
-    opn = op_norm(A, **op_kwargs)
-    const = constants.kg(A.field)
-    rhs = const * opn.value
-    return VerificationReport(
-        check="general_littlewood",
-        field=str(A.field),
-        p="1",
-        q="2",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, opn.value),
-        bound=const,
-        exact_norm=opn.exact,
-        status=_status(lhs, rhs, opn.exact, constants.tolerance),
-        witness={"op_norm": opn.value},
-    )
+    return _versus_op_norm("general_littlewood", A, lhs, constants.kg(A.field),
+                           "1", "2", constants, op_kwargs)
 
 
 def verify_extended_littlewood(
@@ -553,29 +568,14 @@ def verify_extended_littlewood(
         )
     qe = Exponent(Fraction(1, 2) + (1 - pe.recip))
     b = np.asarray(beta)
-    composed = compose_beta(b, A.coeffs)
-    lhs = mixed_norm(composed, pe, qe)
+    lhs = mixed_norm(compose_beta(b, A.coeffs), pe, qe)
     beta_norm = mixed_norm(b, INF, 2)
-    opn = op_norm(A, **op_kwargs)
-    const = constants.kg(A.field)
-    rhs = const * opn.value * beta_norm
-    if A.field.is_complex:
-        status = _status(lhs, rhs, opn.exact, constants.tolerance)
-    else:
-        status = "inconclusive"
-    return VerificationReport(
-        check="extended_littlewood",
-        field=str(A.field),
-        p=str(pe),
-        q=str(qe),
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, opn.value * beta_norm),
-        bound=const,
-        exact_norm=opn.exact,
-        status=status,
-        witness={"op_norm": opn.value, "beta_norm": beta_norm},
-    )
+    report = _versus_op_norm("extended_littlewood", A, lhs, constants.kg(A.field),
+                             str(pe), str(qe), constants, op_kwargs,
+                             factor=beta_norm, beta_norm=beta_norm)
+    if not A.field.is_complex:
+        report.status = "inconclusive"
+    return report
 
 
 def verify_bh(
@@ -598,29 +598,9 @@ def verify_bh(
         raise ValueError("verify_bh expects sup-norm domains")
     t = Exponent(Fraction(n + 1, 2 * n))
     lhs = lp_norm(A.coeffs.reshape(-1), t)
-    opn = op_norm(A, **op_kwargs)
-    ratio = _ratio(lhs, opn.value)
-    if n == 2:
-        const = constants.littlewood(A.field)
-        rhs = const * opn.value
-        status = _status(lhs, rhs, opn.exact, constants.tolerance)
-    else:
-        const = None
-        rhs = None
-        status = "pass" if math.isfinite(lhs) and math.isfinite(ratio) else "fail"
-    return VerificationReport(
-        check="bohnenblust_hille",
-        field=str(A.field),
-        p=str(t),
-        q=None,
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        bound=const,
-        exact_norm=opn.exact,
-        status=status,
-        witness={"op_norm": opn.value, "order": n},
-    )
+    const = constants.littlewood(A.field) if n == 2 else None
+    return _versus_op_norm("bohnenblust_hille", A, lhs, const, str(t), None,
+                           constants, op_kwargs, order=n)
 
 
 def verify_defant_voigt(
@@ -683,63 +663,41 @@ def verify_almost_summing(
     The ratio is a certified lower bound on the almost-summing norm when the
     weak norms are exact. With ``k`` set, the form is curried after slot k,
     the family feeds the head, and the values are the tail forms measured in
-    their operator norm.
+    their operator norm. Without it every slot is in the head and the values
+    are scalars measured by |.|.
     """
-    if k is None:
-        values = fam.values(A)
-        rad = rademacher_average(
-            values.reshape(-1, 1),
-            lambda rows: np.abs(rows[:, 0]),
-            2,
-            "exact",
-            budget=rad_budget,
-        )
-        head_cols = fam.columns
-        lhs_exact = True
+    k = A.order if k is None else curry(A, k).k  # curry checks 1 <= k < order
+    if fam.n != k:
+        raise ValueError(f"head family needs {k} columns, got {fam.n}")
+    for i, col in enumerate(fam.columns):
+        if col.space != A.domains[i]:
+            raise ValueError(f"column {i} does not match head domain")
+    ls = string.ascii_lowercase[: A.order]
+    subs = ls + "," + ",".join("J" + c for c in ls[:k]) + "->J" + ls[k:]
+    tails = np.einsum(subs, A.coeffs, *[c.vectors for c in fam.columns])
+    balls = tuple(d.exponent for d in A.domains[k:])
+    flags = []
+    if len(balls) <= 1:
+        # with no tail slot the values are scalars: |.| is every l_s norm
+        sd = balls[0].dual if balls else INF
+
+        def norm_fn(rows: np.ndarray) -> np.ndarray:
+            return _axis_norms(np.abs(rows.reshape(len(rows), -1)), sd, axis=1)
     else:
-        cur = curry(A, k)
-        if fam.n != k:
-            raise ValueError(f"head family needs {k} columns, got {fam.n}")
-        for i, col in enumerate(fam.columns):
-            if col.space != A.domains[i]:
-                raise ValueError(f"column {i} does not match head domain")
-        ls = string.ascii_lowercase[: A.order]
-        subs = (
-            ls + "," + ",".join("J" + c for c in ls[:k]) + "->J" + ls[k:]
-        )
-        tails = np.einsum(subs, A.coeffs, *[c.vectors for c in fam.columns])
-        tail_domains = cur.tail_domains
-        lhs_exact = True
-        if len(tail_domains) == 1:
-            sd = tail_domains[0].exponent.dual
+        def norm_fn(rows: np.ndarray) -> np.ndarray:
+            out = np.empty(rows.shape[0])
+            for i, row in enumerate(rows):
+                est = _ball_sup(row, balls, witness=False)
+                flags.append(est.exact)
+                out[i] = est.value
+            return out
 
-            def norm_fn(rows: np.ndarray) -> np.ndarray:
-                a = np.abs(rows)
-                if sd.is_inf:
-                    return a.max(axis=1)
-                return (a ** sd.value).sum(axis=1) ** (1.0 / sd.value)
-        else:
-            flags = []
-
-            def norm_fn(rows: np.ndarray) -> np.ndarray:
-                out = np.empty(rows.shape[0])
-                for i in range(rows.shape[0]):
-                    field = (ScalarField.COMPLEX if np.iscomplexobj(rows)
-                             else A.field)
-                    est = op_norm(FormTensor(rows[i], tail_domains, field))
-                    flags.append(est.exact)
-                    out[i] = est.value
-                return out
-
-        rad = rademacher_average(tails, norm_fn, 2, "exact", budget=rad_budget)
-        if len(tail_domains) > 1:
-            lhs_exact = all(flags)
-        head_cols = fam.columns
-    rhs = tuple(weak_lp_norm(col, 2, seed=weak_seed) for col in head_cols)
+    rad = rademacher_average(tails, norm_fn, 2, "exact", budget=rad_budget)
+    rhs = tuple(weak_lp_norm(col, 2, seed=weak_seed) for col in fam.columns)
     denom = math.prod(r.value for r in rhs)
     ratio = rad / denom if denom > 0 else 0.0
-    exps = ExponentTuple(Exponent.of(2), tuple(Exponent.of(2) for _ in head_cols))
-    return RatioCertificate(rad, rhs, ratio, fam, exps, lhs_exact=lhs_exact)
+    exps = ExponentTuple(Exponent.of(2), tuple(Exponent.of(2) for _ in fam.columns))
+    return RatioCertificate(rad, rhs, ratio, fam, exps, lhs_exact=all(flags))
 
 
 # ---------------------------------------------------------------------------

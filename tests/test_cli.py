@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -72,6 +74,66 @@ def test_norm_weak_non_finite_file_exits_3(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def test_norm_mixed_non_finite_file_exits_3(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"field": "real", "entries": [[1.0, NaN], [0.0, 1.0]]}')
+    assert main(["norm", "mixed", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_verify_extended_non_finite_beta_exits_3(littlewood_complex_file,
+                                                   tmp_path, capsys):
+    beta = tmp_path / "beta.json"
+    beta.write_text('{"field": "real", "entries": [[1.0, Infinity], [0.0, 1.0]]}')
+    assert main(["verify", "extended", littlewood_complex_file,
+                 "--beta", str(beta)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "littlewood", "--random", "-1"],
+    ["verify", "inclusion", "--random", "-3"],
+    ["experiment", "--count", "-1"],
+    ["norm", "rad", "seq.json", "--mode", "mc", "--samples", "-1"],
+])
+def test_negative_count_exits_3(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "non-negative" in capsys.readouterr().err
+
+
+def test_norm_rad_zero_samples_exits_3(tmp_path, capsys):
+    seq = VectorSeq(np.eye(2), SpaceSpec.linf(2))
+    path = write_json(tmp_path / "seq.json", seq.to_json())
+    assert main(["norm", "rad", path, "--mode", "mc", "--samples", "0"]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_report_exits_3(littlewood_file, tmp_path, capsys, fmt):
+    # finite inputs whose products overflow: the report would hold NaN/inf
+    space = SpaceSpec.linf(2)
+    huge = np.array([[1e308, -1e308], [-1e308, 1e308]])
+    fam = TestFamily((VectorSeq(huge, space), VectorSeq(huge, space)))
+    family = write_json(tmp_path / "fam.json", fam.to_json())
+    out = tmp_path / f"dv.{fmt}"
+    assert main(["verify", "dv", littlewood_file, family, "--format", fmt,
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "non-finite" in captured.err
+    assert not out.exists()
+    assert main(["verify", "dv", littlewood_file, family, "--format", fmt]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_malformed_input_exits_3(tmp_path, capsys):
@@ -166,6 +228,15 @@ def test_verify_inclusion_battery(tmp_path):
                  "--seed", "5", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["summary"]["fail"] == 0
+    assert list(doc["reports"][0]["witness"]) == ["instance", "length"]
+
+
+def test_verify_random_zero_runs_nothing(capsys):
+    for suite in ("inclusion", "littlewood", "dv"):
+        assert main(["verify", suite, "--random", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["reports"] == []
+        assert doc["summary"]["total"] == 0
 
 
 def test_search_command(littlewood_file, tmp_path):
@@ -214,6 +285,21 @@ def test_experiment_command(tmp_path):
     doc = json.loads(out1.read_text())
     assert len(doc["records"]) == 2
     assert all(math.isfinite(r["best_ratio"]) for r in doc["records"])
+
+
+def test_experiment_csv(tmp_path, capsys):
+    base = ["experiment", "--p", "1", "--q", "2", "--m", "2", "--count", "3",
+            "--budget", "4", "--jmax", "3", "--field", "real", "--seed", "2"]
+    assert main(base) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    out = tmp_path / "e.csv"
+    assert main(base + ["--format", "csv", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"wrote {out}: ")
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == list(records[0])
+    assert len(rows) == 1 + len(records)
+    for row, rec in zip(rows[1:], records):
+        assert row == [str(v) for v in rec.values()]
 
 
 def test_demos_command(capsys):
