@@ -3,8 +3,9 @@
 JSON in, JSON or CSV out. Identical configuration and inputs produce byte
 identical report bodies (reports carry no timestamps), and exit codes follow
 a fixed contract: 0 when nothing hard-failed, 2 on any hard failure, 3 on
-IO or schema errors, negative counts, non-finite input values, or a report
-holding a non-finite number (reports are strict JSON).
+IO or schema errors, negative counts, non-finite input values, a report or
+norm holding a non-finite number (reports are strict JSON), or a random
+suite whose forms could exceed the coefficient budget.
 
 A verify suite runs the summing verifiers on the given files or on seeded
 random instances; instance i of a random suite is drawn from the i-th child
@@ -18,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -51,6 +53,9 @@ EXIT_OK = 0
 EXIT_FAIL = 2
 EXIT_SCHEMA = 3
 
+# random verify suites draw at most this many coefficients per form
+RANDOM_COEFF_BUDGET = 1 << 22
+
 CSV_COLUMNS = ["check", "field", "p", "q", "lhs", "rhs", "ratio", "bound",
                "exact_norm", "status"]
 
@@ -73,7 +78,6 @@ class RunConfig:
     tolerance: float = 1e-6
     constants: ConstantsConfig | None = None
     field: ScalarField | None = None
-    threads: int = 1
     j_max: int = 16
     allow_real_experimental: bool = False
 
@@ -90,7 +94,6 @@ class RunConfig:
             "kg_complex": self.constants.kg_complex,
             "littlewood_real": self.constants.littlewood_real,
             "field": str(self.field) if self.field else None,
-            "threads": self.threads,
             "j_max": self.j_max,
             "allow_real_experimental": self.allow_real_experimental,
         }
@@ -105,9 +108,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--kg-complex", type=float, default=1.40491)
     p.add_argument("--out", help="report file (stdout when omitted)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted and echoed in the report config; has no "
-                        "effect (the search runs single-threaded)")
     p.add_argument("--jmax", type=int, default=16, help="largest random family length")
     p.add_argument("--field", choices=["real", "complex"], default=None,
                    help="scalar field override for generated instances")
@@ -127,7 +127,6 @@ def _config(args) -> RunConfig:
         tolerance=args.tol,
         constants=constants,
         field=field,
-        threads=args.threads,
         j_max=args.jmax,
         allow_real_experimental=args.allow_real_experimental,
     )
@@ -288,27 +287,28 @@ def cmd_norm(args) -> int:
         if seq.length != 1:
             raise SchemaError("lp expects a single-vector sequence file")
         value = lp_norm(seq.vectors[0], _parse_exponent(args.p))
-        print(f"{value!r} exact")
+        label = "exact"
     elif kind == "mixed":
         M = load_matrix(args.file)
         value = mixed_norm(M, _parse_exponent(args.p), _parse_exponent(args.q))
-        print(f"{value!r} exact")
+        label = "exact"
     elif kind == "weak":
-        seq = load_vector_seq(args.file)
-        est = weak_lp_norm(seq, _parse_exponent(args.p),
+        est = weak_lp_norm(load_vector_seq(args.file), _parse_exponent(args.p),
                            starts=args.starts, seed=args.seed)
-        print(f"{est.value!r} {'exact' if est.exact else 'lower-bound'}")
+        value, label = est.value, "exact" if est.exact else "lower-bound"
     elif kind == "rad":
         seq = load_vector_seq(args.file)
         value = rad_p_norm(seq, _parse_exponent(args.p), args.mode,
                            samples=args.samples, seed=args.seed)
-        print(f"{value!r} {'exact' if args.mode == 'exact' else 'monte-carlo'}")
+        label = "exact" if args.mode == "exact" else "monte-carlo"
     elif kind == "opnorm":
-        form = load_form(args.file)
-        est = op_norm(form, starts=args.starts, seed=args.seed)
-        print(f"{est.value!r} {'exact' if est.exact else 'lower-bound'}")
+        est = op_norm(load_form(args.file), starts=args.starts, seed=args.seed)
+        value, label = est.value, "exact" if est.exact else "lower-bound"
     else:  # unreachable behind argparse choices
         raise SchemaError(f"unknown norm kind {kind!r}")
+    if not math.isfinite(value):
+        raise SchemaError(f"the {kind} norm is not finite ({value!r})")
+    print(f"{value!r} {label}")
     return EXIT_OK
 
 
@@ -341,6 +341,14 @@ def cmd_verify(args) -> int:
     config = _config(args)
     constants = config.constants
     suite = args.suite
+    if suite == "inclusion" or (suite != "almost" and not args.files):
+        order = args.order if suite in ("bh", "dv") else 2
+        # order * log2(m), not m ** order: a huge --order stays cheap
+        if args.m > 1 and order * math.log2(args.m) > math.log2(RANDOM_COEFF_BUDGET):
+            raise SchemaError(
+                f"random {suite} forms of order {order} and dimension up to "
+                f"{args.m} need up to {args.m}^{order} coefficients, over the "
+                f"budget {RANDOM_COEFF_BUDGET}")
     if suite in _FORM_VERIFIERS:
         verifier = _FORM_VERIFIERS[suite]
         if args.files:
@@ -533,7 +541,7 @@ def build_parser() -> Parser:
     p_op.add_argument("file")
     p_op.add_argument("--starts", type=int, default=32)
     p_op.add_argument("--seed", type=int, default=0)
-    p_op.set_defaults(handler=lambda a: cmd_norm(_as_opnorm(a)))
+    p_op.set_defaults(handler=cmd_norm, kind="opnorm")
 
     p_verify = sub.add_parser("verify", help="run an inequality suite")
     p_verify.add_argument("suite", choices=[
@@ -575,11 +583,6 @@ def build_parser() -> Parser:
     p_demos.set_defaults(handler=lambda a: EXIT_FAIL if run_demos() else EXIT_OK)
 
     return parser
-
-
-def _as_opnorm(args):
-    args.kind = "opnorm"
-    return args
 
 
 def main(argv=None) -> int:

@@ -3,13 +3,16 @@
 For a finite sequence the defining supremum collapses to a single term, so
 the exact value is the plain average over all 2^n sign patterns (each dyadic
 cell of the unit interval realizes one pattern with equal weight). Monte
-Carlo sampling uses a counter-based generator so results are reproducible
-regardless of how the work is scheduled.
+Carlo sampling draws seeded patterns from a counter-based generator. Both
+modes reduce the pattern norms the same way: the maximum for p = inf, an
+exactly rounded sum of the p-th powers otherwise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -27,8 +30,7 @@ __all__ = [
     "kahane_ratio",
 ]
 
-_BLOCK = 1 << 13
-_PARTITIONS = 64
+_BLOCK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -47,17 +49,6 @@ class SignPattern:
         return cls(tuple(int(s) for s in row))
 
 
-def _kahan_total(values) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        y = v - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def rademacher_average(
     items: np.ndarray,
     norm_fn: Callable[[np.ndarray], np.ndarray],
@@ -72,8 +63,9 @@ def rademacher_average(
 
     ``items`` has one summand per leading index; ``norm_fn`` maps a batch of
     sign combinations (same trailing shape) to their norms. Exact mode runs
-    all 2^n patterns in fixed partitions with compensated summation, so the
-    result does not depend on scheduling; mc mode averages seeded samples.
+    all 2^n patterns, mc mode ``samples`` seeded patterns, in blocks. For
+    p = inf the result is the largest norm; otherwise the norm^p terms go
+    into one exactly rounded sum, so the block size cannot change it.
     """
     v = np.asarray(items)
     n = v.shape[0]
@@ -82,60 +74,41 @@ def rademacher_average(
     pe = Exponent.of(p)
     flat = v.reshape(n, -1)
 
-    def block_norms(signs: np.ndarray) -> np.ndarray:
-        combos = signs @ flat
-        return np.asarray(norm_fn(combos.reshape((signs.shape[0],) + v.shape[1:])))
-
     if mode == "exact":
-        total = 1 << n
-        if total > budget:
+        count = 1 << n
+        if count > budget:
             raise ValueError(
                 f"exact mode needs 2^{n} patterns, over the budget {budget}"
             )
-        if pe.is_inf:
-            worst = 0.0
-            for start in range(0, total, _BLOCK):
-                count = min(_BLOCK, total - start)
-                worst = max(worst, float(block_norms(sign_block(n, start, count)).max()))
-            return worst
-        pv = pe.value
-        bounds = np.linspace(0, total, _PARTITIONS + 1, dtype=np.int64)
-        partition_sums = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            block_sums = []
-            for start in range(int(lo), int(hi), _BLOCK):
-                count = min(_BLOCK, int(hi) - start)
-                if count <= 0:
-                    continue
-                block_sums.append(float((block_norms(sign_block(n, start, count)) ** pv).sum()))
-            partition_sums.append(_kahan_total(block_sums))
-        mean = _kahan_total(partition_sums) / total
-        return float(mean ** (1.0 / pv))
 
-    if mode == "mc":
+        def block(start, size):
+            return sign_block(n, start, size)
+    elif mode == "mc":
         if samples < 1:
             raise ValueError("mc mode needs at least one sample")
+        count = samples
         gen = np.random.Generator(np.random.Philox(key=seed))
-        if pe.is_inf:
-            worst = 0.0
-        else:
-            pv = pe.value
-            acc = []
-        remaining = samples
-        while remaining > 0:
-            count = min(_BLOCK, remaining)
-            signs = 1.0 - 2.0 * gen.integers(0, 2, size=(count, n)).astype(np.float64)
-            norms = block_norms(signs)
-            if pe.is_inf:
-                worst = max(worst, float(norms.max()))
-            else:
-                acc.append(float((norms ** pv).sum()))
-            remaining -= count
-        if pe.is_inf:
-            return worst
-        return float((_kahan_total(acc) / samples) ** (1.0 / pv))
 
-    raise ValueError(f"unknown mode {mode!r}")
+        def block(start, size):
+            return 1.0 - 2.0 * gen.integers(0, 2, size=(size, n)).astype(np.float64)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    def block_norms():
+        for start in range(0, count, _BLOCK):
+            signs = block(start, min(_BLOCK, count - start))
+            combos = (signs @ flat).reshape((len(signs),) + v.shape[1:])
+            yield np.asarray(norm_fn(combos))
+
+    if pe.is_inf:
+        return max(0.0, *(float(norms.max()) for norms in block_norms()))
+    pv = pe.value
+    try:
+        mean = math.fsum(chain.from_iterable(
+            (norms ** pv).tolist() for norms in block_norms())) / count
+        return mean ** (1.0 / pv)
+    except OverflowError:  # the exact sum or the root leaves the float range
+        return math.inf
 
 
 def rad_p_norm(

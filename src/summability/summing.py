@@ -16,6 +16,7 @@ import math
 import string
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -246,6 +247,9 @@ def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestF
     return TestFamily(tuple(cols))
 
 
+_SEARCH_STREAMS = 8
+
+
 def random_family_search(
     A: FormTensor,
     exps: ExponentTuple,
@@ -253,37 +257,28 @@ def random_family_search(
     seed: int = 0,
     *,
     j_max: int = 16,
-    workers: int = 8,
 ) -> RatioCertificate:
     """Best ratio certificate over structured plus seeded random families.
 
-    The random budget is split over a fixed number of workers with seeds
-    derived from the master seed, and the reduction keeps the maximal ratio
-    with ties broken by lowest worker then lowest trial, so the result
-    depends only on the seed, the budget and the worker count.
+    The random budget is split over a fixed number of streams seeded from
+    the master seed (the first ``budget % streams`` streams take one trial
+    more). The structured families are tried first, then each stream in
+    order, and the first maximal ratio wins, so the result depends only on
+    the seed and the budget.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    streams = np.random.SeedSequence(seed).spawn(_SEARCH_STREAMS)
+    random_families = (
+        _random_family(rng, A, j_max)
+        for w, rng in enumerate(map(np.random.default_rng, streams))
+        for _ in range(budget // _SEARCH_STREAMS + (w < budget % _SEARCH_STREAMS))
+    )
     best = None
-    for fam in _structured_families(A, j_max):
+    for fam in chain(_structured_families(A, j_max), random_families):
         cert = summing_lower_bound(A, exps, fam)
         if best is None or cert.ratio > best.ratio:
             best = cert
-
-    seeds = np.random.SeedSequence(seed).spawn(workers)
-    shares = [budget // workers + (1 if w < budget % workers else 0)
-              for w in range(workers)]
-
-    for w in range(workers):
-        rng = np.random.default_rng(seeds[w])
-        top = None
-        for _ in range(shares[w]):
-            fam = _random_family(rng, A, j_max)
-            cert = summing_lower_bound(A, exps, fam)
-            if top is None or cert.ratio > top.ratio:
-                top = cert
-        if top is not None and top.ratio > best.ratio:
-            best = top
     return best
 
 
@@ -620,34 +615,17 @@ def verify_defant_voigt(
     fam.check_against(A)
     if (1 << fam.length) > rad_budget:
         raise ValueError("family too long for exact Rademacher averaging")
-    values = fam.values(A)
-    lhs = float(np.abs(values).sum())
+    lhs = float(np.abs(fam.values(A)).sum())
     rads = [rad_p_norm(col, 2, "exact", budget=rad_budget) for col in fam.columns]
-    opn = op_norm(A, **op_kwargs)
-    rad_prod = math.prod(rads)
-    rhs = opn.value * rad_prod
+    report = _versus_op_norm("defant_voigt", A, lhs, 1.0, "1", "2", constants,
+                             op_kwargs, factor=math.prod(rads), rad2_norms=rads)
     weak1 = [weak_lp_norm(col, 1) for col in fam.columns]
-    weak_prod = math.prod(w.value for w in weak1)
-    weak_rhs = opn.value * weak_prod
-    weak_exact = opn.exact and all(w.exact for w in weak1)
-    return VerificationReport(
-        check="defant_voigt",
-        field=str(A.field),
-        p="1",
-        q="2",
-        lhs=lhs,
-        rhs=rhs,
-        ratio=_ratio(lhs, rhs),
-        bound=1.0,
-        exact_norm=opn.exact,
-        status=_status(lhs, rhs, opn.exact, constants.tolerance),
-        witness={
-            "op_norm": opn.value,
-            "rad2_norms": rads,
-            "weak_l1_rhs": weak_rhs,
-            "weak_l1_status": _status(lhs, weak_rhs, weak_exact, constants.tolerance),
-        },
-    )
+    weak_rhs = report.witness["op_norm"] * math.prod(w.value for w in weak1)
+    weak_exact = report.exact_norm and all(w.exact for w in weak1)
+    report.witness["weak_l1_rhs"] = weak_rhs
+    report.witness["weak_l1_status"] = _status(lhs, weak_rhs, weak_exact,
+                                               constants.tolerance)
+    return report
 
 
 def verify_almost_summing(

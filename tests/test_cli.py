@@ -85,6 +85,31 @@ def test_norm_mixed_non_finite_file_exits_3(tmp_path, capsys):
     assert "finite" in captured.err
 
 
+_HUGE = [[1e308, 1e308], [1e308, 1e308]]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("argv, data", [
+    (["norm", "mixed", "--p", "1", "--q", "2"],
+     {"field": "real", "entries": _HUGE}),
+    (["norm", "rad", "--p", "2"],
+     {"field": "real", "dim": 2, "exponent": "2", "vectors": _HUGE}),
+    (["norm", "rad", "--p", "1", "--mode", "mc", "--samples", "50"],
+     {"field": "real", "dim": 2, "exponent": "inf", "vectors": _HUGE}),
+    (["norm", "weak", "--p", "1"],
+     {"field": "real", "dim": 2, "exponent": "inf", "vectors": _HUGE}),
+    (["opnorm"], FormTensor.on_linf(_HUGE).to_json()),
+])
+def test_norm_non_finite_result_exits_3(tmp_path, capsys, argv, data):
+    # finite inputs whose norm overflows: no value is printed
+    path = write_json(tmp_path / "in.json", data)
+    assert main(argv + [path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "not finite" in captured.err
+
+
 def test_verify_extended_non_finite_beta_exits_3(littlewood_complex_file,
                                                    tmp_path, capsys):
     beta = tmp_path / "beta.json"
@@ -214,6 +239,19 @@ def test_verify_bh_random_deterministic(tmp_path):
     assert all(math.isfinite(r["ratio"]) for r in doc["reports"])
 
 
+@pytest.mark.parametrize("suite", ["bh", "dv"])
+def test_verify_random_coefficient_budget(suite, capsys):
+    # 2^30 coefficients per form are refused before anything is drawn
+    base = ["verify", suite, "--m", "2"]
+    assert main(base + ["--random", "1", "--order", "30"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "budget" in captured.err
+    # the check is on m ** order alone: 2^23 is refused, 2^22 is allowed
+    assert main(base + ["--random", "0", "--order", "23"]) == 3
+    assert main(base + ["--random", "0", "--order", "22"]) == 0
+
+
 def test_verify_almost_files(littlewood_file, family_file, tmp_path):
     out = tmp_path / "almost.json"
     assert main(["verify", "almost", littlewood_file, family_file,
@@ -248,17 +286,12 @@ def test_search_command(littlewood_file, tmp_path):
     assert "family" in doc["certificate"]
 
 
-def test_search_thread_invariance(littlewood_file, tmp_path):
-    out1, out2 = tmp_path / "s1.json", tmp_path / "s2.json"
-    base = ["search", littlewood_file, "--p", "1", "--qs", "2,2",
-            "--budget", "48", "--seed", "2"]
-    assert main(base + ["--threads", "1", "--out", str(out1)]) == 0
-    assert main(base + ["--threads", "4", "--out", str(out2)]) == 0
-    d1 = json.loads(out1.read_text())
-    d2 = json.loads(out2.read_text())
-    d1["config"].pop("threads")
-    d2["config"].pop("threads")
-    assert d1 == d2
+def test_threads_flag_is_rejected(littlewood_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", littlewood_file, "--p", "1", "--qs", "2,2",
+              "--threads", "2"])
+    assert exc.value.code == 3
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_search_exponent_mismatch(littlewood_file):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -143,12 +144,13 @@ def test_sign_pattern():
         SignPattern((1, 0))
 
 
-def test_partitioned_sum_matches_direct():
-    # the fixed-partition compensated sum equals a brute-force average
+@pytest.mark.parametrize("n", [9, 12])  # 2^12 patterns span several blocks
+@pytest.mark.parametrize("p", [1, 2])
+def test_exact_average_matches_rational_mean(n, p):
+    # reference: the exact rational mean of the same float terms, then the root
     rng = np.random.default_rng(16)
-    seq = VectorSeq(rng.standard_normal((9, 2)), SpaceSpec.lp(2, 2))
-    val = rad_p_norm(seq, 2)
-    signs = sign_matrix(9)
-    norms = np.sqrt(((signs @ seq.vectors) ** 2).sum(axis=1))
-    want = (norms ** 2).mean() ** 0.5
-    assert val == pytest.approx(want, abs=1e-13)
+    seq = VectorSeq(rng.standard_normal((n, 2)), SpaceSpec.lp(2, 2))
+    norms = np.sqrt(((sign_matrix(n) @ seq.vectors) ** 2).sum(axis=1))
+    mean = sum(map(Fraction, (norms ** p).tolist())) / (1 << n)
+    want = float(mean) ** (1.0 / p)
+    assert abs(rad_p_norm(seq, p) - want) <= np.spacing(want)

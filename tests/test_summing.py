@@ -103,6 +103,14 @@ def test_search_deterministic(littlewood):
     assert a.to_dict() == b.to_dict()
 
 
+def test_search_golden_certificate():
+    # a length-1 random family wins; budget 37 splits unevenly over the streams
+    A = random_form(np.random.default_rng(1), (2, 2, 2), ScalarField.COMPLEX)
+    cert = random_family_search(A, ExponentTuple(2, (2, 2, 2)), budget=37, seed=9)
+    assert cert.ratio.hex() == "0x1.09e445d5a8969p+1"
+    assert cert.family.length == 1
+
+
 # ---------------------------------------------------------------------------
 # inclusion machinery
 
