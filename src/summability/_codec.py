@@ -1,13 +1,12 @@
 """Scalar and array encoding shared by the JSON file schemas.
 
-Complex entries travel as [re, im] pairs; "inf" encodes the infinite exponent.
+Complex entries travel as [re, im] pairs; exponents encode themselves
+(``Exponent.to_json``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .spaces import Exponent
 
 
 def encode_values(arr: np.ndarray):
@@ -26,17 +25,3 @@ def decode_values(data, is_complex: bool) -> np.ndarray:
         return a[..., 0] + 1j * a[..., 1]
     return a
 
-
-def encode_exponent(e: Exponent):
-    if e.is_inf:
-        return "inf"
-    v = 1 / e.recip
-    if v.denominator == 1:
-        return v.numerator
-    if v.denominator <= 10_000:
-        return f"{v.numerator}/{v.denominator}"
-    return float(v)
-
-
-def decode_exponent(data) -> Exponent:
-    return Exponent.of(data)

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from ._codec import decode_values
 from .demos import run_demos
-from .forms import FormTensor, op_norm
+from .forms import FormTensor, _gaussian, op_norm
 from .norms import VectorSeq, lp_norm, mixed_norm, weak_lp_norm
 from .rademacher import rad_p_norm
 from .spaces import ConstantsConfig, Exponent, ExponentTuple, ScalarField
@@ -136,56 +136,49 @@ def _config(args) -> RunConfig:
 # input files
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, what: str, parse):
+    """``parse`` applied to the JSON document in ``path``; any failure is a SchemaError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    try:
+        return parse(data)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: bad {what}: {exc}") from exc
 
 
 def load_form(path: str) -> FormTensor:
-    data = _load_json(path)
-    try:
-        return FormTensor.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad form tensor: {exc}") from exc
+    return _load(path, "form tensor", FormTensor.from_json)
 
 
 def load_family(path: str) -> TestFamily:
-    data = _load_json(path)
-    try:
-        return TestFamily.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad test family: {exc}") from exc
+    return _load(path, "test family", TestFamily.from_json)
 
 
 def load_vector_seq(path: str) -> VectorSeq:
-    data = _load_json(path)
-    try:
-        return VectorSeq.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad vector sequence: {exc}") from exc
+    return _load(path, "vector sequence", VectorSeq.from_json)
+
+
+def _parse_matrix(data: dict) -> np.ndarray:
+    """Matrix files: {"field": "real"|"complex", "entries": [[row], ...]}."""
+    if "entries" in data:
+        field = ScalarField(data.get("field", "real"))
+        entries = decode_values(data["entries"], field.is_complex)
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("entries must be finite")
+        return entries
+    form = FormTensor.from_json(data)
+    if form.order != 2:
+        raise ValueError("matrix file must be 2-d")
+    return form.coeffs
 
 
 def load_matrix(path: str) -> np.ndarray:
-    """Matrix files: {"field": "real"|"complex", "entries": [[row], ...]}."""
-    data = _load_json(path)
-    try:
-        if "entries" in data:
-            field = ScalarField(data.get("field", "real"))
-            entries = decode_values(data["entries"], field.is_complex)
-            if not np.all(np.isfinite(entries)):
-                raise ValueError("entries must be finite")
-            return entries
-        form = FormTensor.from_json(data)
-        if form.order != 2:
-            raise ValueError("matrix file must be 2-d")
-        return form.coeffs
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: bad matrix: {exc}") from exc
+    return _load(path, "matrix", _parse_matrix)
 
 
 def _count(text: str) -> int:
@@ -380,10 +373,7 @@ def cmd_verify(args) -> int:
                 dims = _random_dims(rng, 2, args.m)
                 A = random_form(rng, dims, field)
                 rows = int(rng.integers(1, args.m + 1))
-                beta = rng.standard_normal((rows, dims[0]))
-                if field.is_complex:
-                    beta = beta + 1j * rng.standard_normal((rows, dims[0]))
-                return extended(A, beta)
+                return extended(A, _gaussian(rng, (rows, dims[0]), field.is_complex))
 
             reports = _seeded_reports(config, args.random, build)
     elif suite == "dv":
@@ -420,16 +410,13 @@ def cmd_verify(args) -> int:
 
 
 def _certificate_report(check: str, cert: RatioCertificate) -> VerificationReport:
-    denom = 1.0
-    for r in cert.rhs_norms:
-        denom *= r.value
     return VerificationReport(
         check=check,
         field=str(cert.family.columns[0].field),
         p=str(cert.exponents.p),
         q=",".join(str(q) for q in cert.exponents.qs),
         lhs=cert.lhs,
-        rhs=denom,
+        rhs=cert.denominator,
         ratio=cert.ratio,
         bound=None,
         exact_norm=cert.exact,

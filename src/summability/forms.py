@@ -7,7 +7,8 @@ of a sequence in l_s is the norm of its coefficient matrix on l_p' x l_s').
 It is exact when all slots but one have a finite norming set (basis vectors
 of dim-1 and l_1 balls, sign vectors of real sup balls) and the remaining
 slot is solved in closed form; otherwise multi-start alternating maximization
-gives a lower bound. Every result is flagged with its provenance.
+gives a lower bound. Every result is flagged with its provenance, and a
+result that over- or underflowed is redone on rescaled coefficients.
 """
 
 from __future__ import annotations
@@ -19,12 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._codec import decode_exponent, decode_values, encode_exponent, encode_values
+from ._codec import decode_values, encode_values
 from ._signs import sign_matrix
-from .norms import NormEstimate, _axis_norms
+from .norms import _SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _rescaled
 from .spaces import Exponent, ScalarField, SpaceSpec
 
 __all__ = ["FormTensor", "CurriedForm", "evaluate", "op_norm", "compose_beta", "curry"]
+
+# default bound on the kernel's exact work, dim(free) * prod(candidate counts)
+_ENUM_BUDGET = 1 << 22
+# alternating-maximization sweeps per run
+_SWEEPS = 200
 
 
 @dataclass
@@ -71,7 +77,7 @@ class FormTensor:
         return {
             "field": str(self.field),
             "dims": list(self.dims),
-            "domain_exponents": [encode_exponent(d.exponent) for d in self.domains],
+            "domain_exponents": [d.exponent.to_json() for d in self.domains],
             "coeffs": encode_values(self.coeffs.reshape(-1)),
         }
 
@@ -83,24 +89,30 @@ class FormTensor:
         if len(exponents) != len(dims):
             raise ValueError("domain_exponents must match dims")
         domains = tuple(
-            SpaceSpec(m, decode_exponent(s)) for m, s in zip(dims, exponents)
+            SpaceSpec(m, Exponent.of(s)) for m, s in zip(dims, exponents)
         )
         flat = decode_values(data["coeffs"], field.is_complex)
-        if flat.shape[0] != int(np.prod(dims)):
+        if flat.shape != (math.prod(dims),):
             raise ValueError("coeffs length does not match dims")
         return cls(flat.reshape(dims), domains, field)
 
 
-def evaluate(A: FormTensor, xs) -> float | complex:
-    """Contract the coefficient tensor with one vector per slot."""
-    if len(xs) != A.order:
-        raise ValueError(f"expected {A.order} vectors, got {len(xs)}")
+def _contract_head(A: FormTensor, xs, count: int) -> np.ndarray:
+    """Contract the first ``count`` slots of ``A`` with the vectors ``xs``."""
+    if len(xs) != count:
+        raise ValueError(f"expected {count} vectors, got {len(xs)}")
     t = A.coeffs
     for i, x in enumerate(xs):
         v = np.asarray(x)
         if v.shape != (A.dims[i],):
             raise ValueError(f"slot {i}: vector shape {v.shape} != ({A.dims[i]},)")
         t = np.tensordot(t, v, axes=([0], [0]))
+    return t
+
+
+def evaluate(A: FormTensor, xs) -> float | complex:
+    """Contract the coefficient tensor with one vector per slot."""
+    t = _contract_head(A, xs, A.order)
     return complex(t) if np.iscomplexobj(t) else float(t)
 
 
@@ -118,10 +130,9 @@ def compose_beta(beta, a) -> np.ndarray:
 def op_norm(
     A: FormTensor,
     *,
-    budget: int = 1 << 22,
+    budget: int = _ENUM_BUDGET,
     starts: int = 32,
     seed: int = 0,
-    sweeps: int = 200,
     allow_heuristic: bool = True,
 ) -> NormEstimate:
     """Supremum of |A(x1, ..., xn)| over the product of unit balls.
@@ -132,7 +143,7 @@ def op_norm(
     """
     balls = tuple(d.exponent for d in A.domains)
     return _ball_sup(A.coeffs, balls, budget=budget, starts=starts, seed=seed,
-                     sweeps=sweeps, allow_heuristic=allow_heuristic)
+                     allow_heuristic=allow_heuristic)
 
 
 def _candidate_count(dim: int, ball: Exponent, is_complex: bool) -> int | None:
@@ -182,10 +193,9 @@ def _ball_sup(
     coeffs: np.ndarray,
     balls: tuple[Exponent, ...],
     *,
-    budget: int = 1 << 22,
+    budget: int = _ENUM_BUDGET,
     starts: int = 32,
     seed: int = 0,
-    sweeps: int = 200,
     allow_heuristic: bool = True,
     witness: bool = True,
 ) -> NormEstimate:
@@ -201,8 +211,21 @@ def _ball_sup(
     The witness is the tuple of maximizing vectors, one per slot; callers
     that do not need it pass ``witness=False`` and get None.
     The field is that of the array: forms and sequences hold complex data as
-    complex128 exactly when their field is complex.
+    complex128 exactly when their field is complex. A value that is 0, not
+    finite or outside [2^-500, 2^500] is computed again on the coefficients
+    scaled by a power of two (:func:`norms._rescaled`); in range that costs
+    one comparison.
     """
+    est = _ball_sup_unscaled(coeffs, balls, budget, starts, seed, allow_heuristic,
+                             witness)
+    if _SAFE_LOW <= est.value <= _SAFE_HIGH:
+        return est
+    return _rescaled(est, lambda c: _ball_sup_unscaled(
+        c, balls, budget, starts, seed, allow_heuristic, witness), coeffs)
+
+
+def _ball_sup_unscaled(coeffs, balls, budget, starts, seed, allow_heuristic,
+                       witness) -> NormEstimate:
     is_complex = coeffs.dtype.kind == "c"
     dims = coeffs.shape
     counts = [_candidate_count(m, b, is_complex) for m, b in zip(dims, balls)]
@@ -218,7 +241,7 @@ def _ball_sup(
             raise ValueError("no exact enumeration within the budget and "
                              "heuristic fallback disabled")
         est = _ball_sup_alternating(coeffs, balls, is_complex, starts=starts,
-                                    seed=seed, sweeps=sweeps)
+                                    seed=seed)
         return est if witness else NormEstimate(est.value, False)
 
     basis, signed = [], []
@@ -242,37 +265,46 @@ def _ball_sup(
     for slot, k in zip(basis + signed, combo):
         vectors[slot] = _candidate(dims[slot], counts[slot], int(k))
     partial = t[(slice(None),) + tuple(combo)]
-    vectors[free] = _dual_step(partial[None, :], balls[free], is_complex)[0]
+    vectors[free] = _dual_step(partial[None, :], balls[free])[0]
     return NormEstimate(values.item(flat), True, witness=tuple(vectors))
 
 
-def _letters(n: int) -> list[str]:
-    return list(string.ascii_lowercase[:n])
+def _gaussian(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarray:
+    """Standard normal entries; complex ones draw all real parts, then all imaginary parts."""
+    g = rng.standard_normal(shape)
+    return g + 1j * rng.standard_normal(shape) if is_complex else g
 
 
-def _batch_contract(coeffs: np.ndarray, vectors: list[np.ndarray],
-                    skip: int | None = None) -> np.ndarray:
-    """Contract every slot except ``skip`` with batched vectors (S, m_i)."""
-    n = coeffs.ndim
-    ls = _letters(n)
-    operands = [coeffs]
-    subs = ["".join(ls)]
-    for i in range(n):
-        if i == skip:
-            continue
-        operands.append(vectors[i])
-        subs.append("S" + ls[i])
-    out = "S" if skip is None else "S" + ls[skip]
-    return np.einsum(",".join(subs) + "->" + out, *operands)
+def _polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|a|, u) with a = |a| u and |u| = 1: u = 1 where a = 0; real u is -1
+    where a < 0 and +1 elsewhere."""
+    mag = np.abs(a)
+    if a.dtype.kind == "c":
+        return mag, np.where(mag == 0, 1.0 + 0j, a / np.where(mag == 0, 1.0, mag))
+    return mag, np.where(a < 0, -1.0, 1.0)
 
 
-def _dual_step(c: np.ndarray, s: Exponent, is_complex: bool) -> np.ndarray:
+def _batch_contract(coeffs: np.ndarray, vectors, keep=()) -> np.ndarray:
+    """Contract slot i with the batch vectors[i] of shape (S, m_i) for every
+    i not in ``keep``; the result has shape (S, m_k for k in keep)."""
+    subs, contracted = _contraction(coeffs.ndim, tuple(keep))
+    return np.einsum(subs, coeffs, *[vectors[i] for i in contracted])
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction(n: int, keep: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
+    """einsum subscripts of :func:`_batch_contract`, and the contracted slots."""
+    ls = string.ascii_lowercase[:n]
+    contracted = tuple(i for i in range(n) if i not in keep)
+    inputs = ",".join([ls] + ["S" + ls[i] for i in contracted])
+    return inputs + "->S" + "".join(ls[k] for k in keep), contracted
+
+
+def _dual_step(c: np.ndarray, s: Exponent) -> np.ndarray:
     """Batched closed-form maximizer of |<c, x>| over the l_s unit ball, per row."""
-    mag = np.abs(c)
-    if is_complex:
-        phase = np.where(mag == 0, 1.0 + 0j, np.conj(c) / np.where(mag == 0, 1.0, mag))
-    else:
-        phase = np.where(c >= 0, 1.0, -1.0)
+    mag, phase = _polar(c)
+    if c.dtype.kind == "c":
+        phase = np.conj(phase)
     if s.is_inf:
         return phase
     if s.recip == 1:
@@ -283,7 +315,7 @@ def _dual_step(c: np.ndarray, s: Exponent, is_complex: bool) -> np.ndarray:
         return out
     sd = s.dual
     w = mag ** (sd.value / s.value)
-    nrm = (w ** s.value).sum(axis=1) ** (1.0 / s.value)
+    nrm = _axis_norms(w, s, axis=1)
     nrm = np.where(nrm == 0, 1.0, nrm)
     out = phase * w / nrm[:, None]
     dead = (mag.sum(axis=1) == 0)
@@ -294,31 +326,26 @@ def _dual_step(c: np.ndarray, s: Exponent, is_complex: bool) -> np.ndarray:
 
 
 def _ball_sup_alternating(coeffs: np.ndarray, balls: tuple[Exponent, ...],
-                          is_complex: bool, *, starts: int, seed: int,
-                          sweeps: int) -> NormEstimate:
+                          is_complex: bool, *, starts: int, seed: int) -> NormEstimate:
     rng = np.random.default_rng(seed)
-    dtype = np.complex128 if is_complex else np.float64
     S = max(2, starts)
 
     vectors = []
     argmax_idx = np.unravel_index(int(np.argmax(np.abs(coeffs))), coeffs.shape)
     for i, (m, s) in enumerate(zip(coeffs.shape, balls)):
-        V = rng.standard_normal((S, m))
-        if is_complex:
-            V = V + 1j * rng.standard_normal((S, m))
-        V = V.astype(dtype)
+        V = _gaussian(rng, (S, m), is_complex)
         V[0] = 1.0  # flat start
         V[1] = 0.0
         V[1, argmax_idx[i]] = 1.0  # largest-coefficient start
-        nrm = np.array([max(_ball_norm(v, s), 1e-300) for v in V])
+        nrm = np.maximum(_axis_norms(np.abs(V), s, axis=1), 1e-300)
         vectors.append(V / nrm[:, None])
 
     prev = np.zeros(S)
     values = prev
-    for _ in range(sweeps):
+    for _ in range(_SWEEPS):
         for i, s in enumerate(balls):
-            c = _batch_contract(coeffs, vectors, skip=i)
-            vectors[i] = _dual_step(c, s, is_complex)
+            c = _batch_contract(coeffs, vectors, keep=(i,))
+            vectors[i] = _dual_step(c, s)
         values = np.abs(_batch_contract(coeffs, vectors))
         gain = float((values - prev).max())
         prev = np.maximum(prev, values)
@@ -329,13 +356,6 @@ def _ball_sup_alternating(coeffs: np.ndarray, balls: tuple[Exponent, ...],
     return NormEstimate(float(prev[k]), False, witness=witness)
 
 
-def _ball_norm(v: np.ndarray, s: Exponent) -> float:
-    a = np.abs(v)
-    if s.is_inf:
-        return float(a.max())
-    return float((a ** s.value).sum() ** (1.0 / s.value))
-
-
 @dataclass
 class CurriedForm:
     """A form viewed as a k-linear map into the forms on the remaining slots."""
@@ -344,23 +364,12 @@ class CurriedForm:
     k: int
 
     @property
-    def head_domains(self) -> tuple[SpaceSpec, ...]:
-        return self.base.domains[: self.k]
-
-    @property
     def tail_domains(self) -> tuple[SpaceSpec, ...]:
         return self.base.domains[self.k:]
 
     def apply(self, xs) -> FormTensor:
         """Evaluate the head on k vectors; the result is the tail form."""
-        if len(xs) != self.k:
-            raise ValueError(f"expected {self.k} head vectors, got {len(xs)}")
-        t = self.base.coeffs
-        for i, x in enumerate(xs):
-            v = np.asarray(x)
-            if v.shape != (self.base.dims[i],):
-                raise ValueError(f"head slot {i}: bad vector shape {v.shape}")
-            t = np.tensordot(t, v, axes=([0], [0]))
+        t = _contract_head(self.base, xs, self.k)
         field = ScalarField.COMPLEX if np.iscomplexobj(t) else self.base.field
         return FormTensor(t, self.tail_domains, field)
 

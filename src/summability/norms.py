@@ -10,12 +10,13 @@ certified value or a lower bound.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from ._codec import decode_exponent, decode_values, encode_exponent, encode_values
+from ._codec import decode_values, encode_values
 from .spaces import INF, Exponent, ExponentLike, ScalarField, SpaceSpec
 
 __all__ = ["lp_norm", "mixed_norm", "weak_lp_norm", "NormEstimate", "VectorSeq"]
@@ -27,23 +28,23 @@ def lp_norm(v, p: ExponentLike) -> float:
     Defined for every p > 0; values with 0 < p < 1 are the usual p-norm
     expression (no triangle inequality implied).
     """
-    e = Exponent.of(p)
-    a = np.abs(np.asarray(v, dtype=None))
+    a = np.abs(np.asarray(v))
     if a.size == 0:
         return 0.0
-    if e.is_inf:
-        return float(a.max())
-    pv = e.value
-    return float((a.astype(np.float64) ** pv).sum() ** (1.0 / pv))
+    return float(_axis_norms(a.astype(np.float64, copy=False), Exponent.of(p), None))
 
 
-def _axis_norms(a: np.ndarray, e: Exponent, axis: int) -> np.ndarray:
+def _axis_norms(a: np.ndarray, e: Exponent, axis: int | None) -> np.ndarray:
+    """l_e norms along ``axis`` (all axes for None) of an array of moduli.
+
+    Every l_s norm of the package is taken here.
+    """
     # the ufunc reductions, which a.max/a.sum wrap: this runs once per weak norm
     if e.is_inf:
         return np.maximum.reduce(a, axis=axis)
-    if e.recip == 1:
-        return np.add.reduce(a, axis=axis)
     pv = e.value
+    if pv == 1.0:  # the general formula at pv = 1, without the powers
+        return np.add.reduce(a, axis=axis)
     return np.add.reduce(a ** pv, axis=axis) ** (1.0 / pv)
 
 
@@ -76,6 +77,43 @@ class NormEstimate:
 
     def __float__(self) -> float:
         return self.value
+
+
+# results outside [2^-500, 2^500] may have lost digits to over- or underflow
+_SAFE_LOW, _SAFE_HIGH = 2.0 ** -500, 2.0 ** 500
+
+
+def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
+    """a * 2^k, exact for both parts of complex entries (barring underflow)."""
+    if a.dtype.kind == "c":
+        return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+    return np.ldexp(a, k)
+
+
+def _rescaled(result, fn, a: np.ndarray):
+    """``result`` = fn(a), computed again on ``a`` scaled by a power of two.
+
+    Callers pass a result that is 0, not finite or outside [2^-500, 2^500]:
+    for a nonzero finite ``a`` it may have lost its digits to over- or
+    underflow in an intermediate step. fn must be positively homogeneous,
+    fn(c a) = c fn(a) for c > 0, as every norm of a form or of a sum of
+    vectors is. It runs on ``a`` times the power of two that brings max |a|
+    into [1/2, 1), and its value is scaled back (to inf if it does not fit
+    in a float). Results are floats or NormEstimates.
+    """
+    a = np.asarray(a)
+    # the exponent is 0 for a zero, non-finite or already scaled array
+    shift = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    if shift == 0:
+        return result
+    result = fn(_ldexp(a, -shift))
+    try:
+        value = math.ldexp(getattr(result, "value", result), shift)
+    except OverflowError:
+        value = math.inf
+    if isinstance(result, NormEstimate):
+        return NormEstimate(value, result.exact, result.witness)
+    return value
 
 
 @dataclass
@@ -124,14 +162,14 @@ class VectorSeq:
         return {
             "field": str(self.field),
             "dim": self.dim,
-            "exponent": encode_exponent(self.space.exponent),
+            "exponent": self.space.exponent.to_json(),
             "vectors": encode_values(self.vectors),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "VectorSeq":
         field = ScalarField(data["field"])
-        space = SpaceSpec(int(data["dim"]), decode_exponent(data["exponent"]))
+        space = SpaceSpec(int(data["dim"]), Exponent.of(data["exponent"]))
         vectors = decode_values(data["vectors"], field.is_complex)
         # at the file boundary only: the search loop builds sequences per trial
         if not np.all(np.isfinite(vectors)):
@@ -145,7 +183,6 @@ def weak_lp_norm(
     *,
     starts: int = 32,
     seed: int = 0,
-    sign_budget: int = 1 << 22,
     method: str = "auto",
 ) -> NormEstimate:
     """sup over the dual unit ball of (sum_j |phi(x_j)|^p)^(1/p).
@@ -156,8 +193,8 @@ def weak_lp_norm(
     functionals), on real l_1 spaces (sign functionals), for weak-l_1 in any
     real space (signs over the J slot), for weak-l_inf and for single
     vectors; otherwise an alternating-maximization lower bound.
-    ``sign_budget`` bounds the enumeration work and ``method="ascent"``
-    forces the alternating path. Weak norms carry no witness.
+    ``method="ascent"`` forces the alternating path. Weak norms carry no
+    witness.
 
     For p < 1 (no longer a bilinear norm) the value is the best over the
     coordinate functionals of sup-norm spaces and the sign functionals of
@@ -173,7 +210,7 @@ def weak_lp_norm(
     if method not in ("auto", "ascent"):
         raise ValueError(f"unknown method {method!r}")
     s = seq.space.exponent
-    budget = sign_budget if method == "auto" else 0
+    budget = forms._ENUM_BUDGET if method == "auto" else 0
 
     if pe.recip.numerator <= pe.recip.denominator:  # p >= 1
         return forms._ball_sup(X, (pe.dual, s.dual), budget=budget,

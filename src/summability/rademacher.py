@@ -5,7 +5,9 @@ the exact value is the plain average over all 2^n sign patterns (each dyadic
 cell of the unit interval realizes one pattern with equal weight). Monte
 Carlo sampling draws seeded patterns from a counter-based generator. Both
 modes reduce the pattern norms the same way: the maximum for p = inf, an
-exactly rounded sum of the p-th powers otherwise.
+exactly rounded sum of the p-th powers otherwise. An average that over- or
+underflowed is computed again on rescaled items, which the positive
+homogeneity of the norm allows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from ._signs import sign_block
-from .norms import VectorSeq, _axis_norms
+from .norms import _SAFE_HIGH, _SAFE_LOW, VectorSeq, _axis_norms, _rescaled
 from .spaces import Exponent, ExponentLike
 
 __all__ = [
@@ -62,7 +64,10 @@ def rademacher_average(
     """(E ||sum_j eps_j v_j||^p)^(1/p) for arbitrary items and norm.
 
     ``items`` has one summand per leading index; ``norm_fn`` maps a batch of
-    sign combinations (same trailing shape) to their norms. Exact mode runs
+    sign combinations (same trailing shape) to their norms and must be
+    positively homogeneous, norm_fn(c v) = c norm_fn(v) for c > 0: a result
+    that over- or underflowed is computed again on the items scaled by a
+    power of two and scaled back (``norms._rescaled``). Exact mode runs
     all 2^n patterns, mc mode ``samples`` seeded patterns, in blocks. For
     p = inf the result is the largest norm; otherwise the norm^p terms go
     into one exactly rounded sum, so the block size cannot change it.
@@ -101,14 +106,19 @@ def rademacher_average(
             yield np.asarray(norm_fn(combos))
 
     if pe.is_inf:
-        return max(0.0, *(float(norms.max()) for norms in block_norms()))
-    pv = pe.value
-    try:
-        mean = math.fsum(chain.from_iterable(
-            (norms ** pv).tolist() for norms in block_norms())) / count
-        return mean ** (1.0 / pv)
-    except OverflowError:  # the exact sum or the root leaves the float range
-        return math.inf
+        value = max(0.0, *(float(norms.max()) for norms in block_norms()))
+    else:
+        pv = pe.value
+        try:
+            mean = math.fsum(chain.from_iterable(
+                (norms ** pv).tolist() for norms in block_norms())) / count
+            value = mean ** (1.0 / pv)
+        except OverflowError:  # the exact sum or the root leaves the float range
+            value = math.inf
+    if _SAFE_LOW <= value <= _SAFE_HIGH:
+        return value
+    return _rescaled(value, lambda w: rademacher_average(
+        w, norm_fn, p, mode, samples=samples, seed=seed, budget=budget), v)
 
 
 def rad_p_norm(

@@ -41,10 +41,6 @@ class ScalarField(Enum):
     def is_complex(self) -> bool:
         return self is ScalarField.COMPLEX
 
-    @property
-    def dtype(self):
-        return np.complex128 if self.is_complex else np.float64
-
     def __str__(self) -> str:
         return self.value
 
@@ -115,15 +111,19 @@ class Exponent:
     def __lt__(self, other) -> bool:
         return self.recip > Exponent.of(other).recip
 
-    def __str__(self) -> str:
+    def to_json(self) -> int | str | float:
+        """The JSON value: "inf", an integer, "n/d" with d <= 10000, or a float."""
         if self.is_inf:
             return "inf"
         v = 1 / self.recip
         if v.denominator == 1:
-            return str(v.numerator)
+            return v.numerator
         if v.denominator <= 10_000:
             return f"{v.numerator}/{v.denominator}"
-        return repr(float(v))
+        return float(v)
+
+    def __str__(self) -> str:
+        return str(self.to_json())
 
 
 ExponentLike = Union[Exponent, int, float, str, Fraction]
@@ -208,14 +208,6 @@ class ExponentTuple:
     @property
     def n(self) -> int:
         return len(self.qs)
-
-    @property
-    def p_dual(self) -> Exponent:
-        return self.p.dual
-
-    @property
-    def qs_dual(self) -> tuple[Exponent, ...]:
-        return tuple(q.dual for q in self.qs)
 
     def defect(self) -> Fraction:
         """sum_i 1/q_i - 1/p, exact. The quantity the inclusion arithmetic compares."""

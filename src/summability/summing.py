@@ -13,7 +13,6 @@ is only a heuristic lower bound.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from itertools import chain
@@ -21,7 +20,8 @@ from itertools import chain
 import numpy as np
 
 from ._signs import sign_matrix
-from .forms import FormTensor, _ball_sup, curry, op_norm, compose_beta
+from .forms import (FormTensor, _ball_sup, _batch_contract, _gaussian, _polar,
+                    compose_beta, curry, op_norm)
 from .norms import NormEstimate, VectorSeq, _axis_norms, lp_norm, mixed_norm, weak_lp_norm
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
@@ -96,9 +96,7 @@ class TestFamily:
     def values(self, A: FormTensor) -> np.ndarray:
         """The value sequence (A(x_j^1, ..., x_j^n))_j."""
         self.check_against(A)
-        ls = string.ascii_lowercase[: self.n]
-        subs = ls + "," + ",".join("J" + c for c in ls) + "->J"
-        return np.einsum(subs, A.coeffs, *[c.vectors for c in self.columns])
+        return _batch_contract(A.coeffs, [c.vectors for c in self.columns])
 
     def scaled(self, factors) -> "TestFamily":
         """Scale column i row-wise by factors[i]."""
@@ -122,10 +120,16 @@ class RatioCertificate:
 
     lhs: float
     rhs_norms: tuple[NormEstimate, ...]
-    ratio: float
     family: TestFamily
     exponents: ExponentTuple
     lhs_exact: bool = True
+    denominator: float = dataclass_field(init=False)
+    ratio: float = dataclass_field(init=False)
+
+    def __post_init__(self):
+        self.denominator = math.prod(r.value for r in self.rhs_norms)
+        # a vanishing weak norm certifies nothing
+        self.ratio = self.lhs / self.denominator if self.denominator > 0 else 0.0
 
     @property
     def exact(self) -> bool:
@@ -149,22 +153,14 @@ def summing_lower_bound(
     A: FormTensor,
     exps: ExponentTuple,
     fam: TestFamily,
-    *,
-    weak_seed: int = 0,
-    weak_starts: int = 32,
 ) -> RatioCertificate:
     """Evaluate one family: lhs at the outer exponent over weak norms at the inner ones."""
     if exps.n != A.order:
         raise ValueError(f"exponent tuple has {exps.n} slots, form has {A.order}")
     values = fam.values(A)
     lhs = lp_norm(values, exps.p)
-    rhs = tuple(
-        weak_lp_norm(col, q, seed=weak_seed, starts=weak_starts)
-        for col, q in zip(fam.columns, exps.qs)
-    )
-    denom = math.prod(r.value for r in rhs)
-    ratio = lhs / denom if denom > 0 else 0.0
-    return RatioCertificate(lhs, rhs, ratio, fam, exps)
+    rhs = tuple(weak_lp_norm(col, q) for col, q in zip(fam.columns, exps.qs))
+    return RatioCertificate(lhs, rhs, fam, exps)
 
 
 def _basis(dim: int, k: int) -> np.ndarray:
@@ -227,9 +223,7 @@ def random_form(
 ) -> FormTensor:
     """Gaussian-coefficient form; sup-norm domains unless exponents given."""
     shape = tuple(int(m) for m in dims)
-    coeffs = rng.standard_normal(shape)
-    if field.is_complex:
-        coeffs = coeffs + 1j * rng.standard_normal(shape)
+    coeffs = _gaussian(rng, shape, field.is_complex)
     if exponents is None:
         exponents = [INF] * len(shape)
     domains = tuple(SpaceSpec(m, Exponent.of(s)) for m, s in zip(shape, exponents))
@@ -238,13 +232,8 @@ def random_form(
 
 def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestFamily:
     J = int(rng.integers(1, j_max + 1))
-    cols = []
-    for d in A.domains:
-        V = rng.standard_normal((J, d.dim))
-        if A.field.is_complex:
-            V = V + 1j * rng.standard_normal((J, d.dim))
-        cols.append(VectorSeq(V, d))
-    return TestFamily(tuple(cols))
+    return TestFamily(tuple(VectorSeq(_gaussian(rng, (J, d.dim), A.field.is_complex), d)
+                            for d in A.domains))
 
 
 _SEARCH_STREAMS = 8
@@ -303,12 +292,8 @@ def factor_sequence(alpha, r: ExponentLike, rs, *, tol: float = 1e-12) -> list[n
         raise ValueError(
             f"exponent identity violated: sum 1/r_k = {total} but 1/r = {re.recip}"
         )
-    a = np.asarray(alpha)
-    mag = np.abs(a).astype(np.float64)
-    if np.iscomplexobj(a):
-        phase = np.where(mag == 0, 1.0 + 0j, a / np.where(mag == 0, 1.0, mag))
-    else:
-        phase = np.where(a < 0, -1.0, 1.0)
+    mag, phase = _polar(np.asarray(alpha))
+    mag = mag.astype(np.float64)
     if re.recip == 0:
         shares = [Fraction(1)] + [Fraction(0)] * (len(res) - 1)
     else:
@@ -361,19 +346,14 @@ def lift_family(
         )
 
     source_cert = summing_lower_bound(A, source, fam)
-    values = fam.values(A)
-    mag = np.abs(values)
+    mag, phase = _polar(fam.values(A))
     recip_r = target.p.recip - source.p.recip
 
     if not np.any(mag > 0):
         derived_cert = summing_lower_bound(A, target, fam)
         return LiftResult(fam, source_cert, derived_cert, True)
 
-    if np.iscomplexobj(values):
-        phase = np.where(mag == 0, 1.0 + 0j, values / np.where(mag == 0, 1.0, mag))
-        align = np.conj(phase)
-    else:
-        align = np.where(values < 0, -1.0, 1.0)
+    align = np.conj(phase)
 
     if recip_r == 0:
         alpha = np.ones_like(mag)
@@ -383,7 +363,7 @@ def lift_family(
         alpha[j] = align[j]
     else:
         p_over_r = float(recip_r / source.p.recip)
-        norm_p = lp_norm(values, source.p)
+        norm_p = lp_norm(mag, source.p)
         alpha = align * (mag / norm_p) ** p_over_r
 
     slot_recips = [qt.recip - qs_.recip for qt, qs_ in zip(target.qs, source.qs)]
@@ -475,7 +455,6 @@ def _versus_op_norm(
     p: str,
     q: str | None,
     constants: ConstantsConfig,
-    op_kwargs: dict,
     *,
     factor: float = 1.0,
     **witness,
@@ -485,7 +464,7 @@ def _versus_op_norm(
     ``const=None`` asserts no bound: the report fails only if lhs or the
     ratio is not finite. ``witness`` entries follow the operator norm.
     """
-    opn = op_norm(A, **op_kwargs)
+    opn = op_norm(A)
     ratio = _ratio(lhs, opn.value * factor)
     if const is None:
         rhs = None
@@ -512,28 +491,26 @@ def verify_littlewood_43(
     A: FormTensor,
     *,
     constants: ConstantsConfig | None = None,
-    **op_kwargs,
 ) -> VerificationReport:
     """(sum |a_jk|^{4/3})^{3/4} <= c ||A|| with c = sqrt(2) real, K_G complex."""
     constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_littlewood_43")
     lhs = lp_norm(A.coeffs.reshape(-1), _FOUR_THIRDS)
     return _versus_op_norm("littlewood_43", A, lhs, constants.littlewood(A.field),
-                           "4/3", None, constants, op_kwargs)
+                           "4/3", None, constants)
 
 
 def verify_general_littlewood(
     A: FormTensor,
     *,
     constants: ConstantsConfig | None = None,
-    **op_kwargs,
 ) -> VerificationReport:
     """sum_k (sum_j |a_jk|^2)^{1/2} <= K_G ||A|| (the p = 1, q = 2 case)."""
     constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_general_littlewood")
     lhs = mixed_norm(A.coeffs, 1, 2)
     return _versus_op_norm("general_littlewood", A, lhs, constants.kg(A.field),
-                           "1", "2", constants, op_kwargs)
+                           "1", "2", constants)
 
 
 def verify_extended_littlewood(
@@ -543,7 +520,6 @@ def verify_extended_littlewood(
     *,
     constants: ConstantsConfig | None = None,
     allow_real_experimental: bool = False,
-    **op_kwargs,
 ) -> VerificationReport:
     """Mixed-norm bound ||beta o a||_{l_p(l_q)} <= K_G ||A|| ||beta||_{l_inf(l_2)}.
 
@@ -566,7 +542,7 @@ def verify_extended_littlewood(
     lhs = mixed_norm(compose_beta(b, A.coeffs), pe, qe)
     beta_norm = mixed_norm(b, INF, 2)
     report = _versus_op_norm("extended_littlewood", A, lhs, constants.kg(A.field),
-                             str(pe), str(qe), constants, op_kwargs,
+                             str(pe), str(qe), constants,
                              factor=beta_norm, beta_norm=beta_norm)
     if not A.field.is_complex:
         report.status = "inconclusive"
@@ -577,7 +553,6 @@ def verify_bh(
     A: FormTensor,
     *,
     constants: ConstantsConfig | None = None,
-    **op_kwargs,
 ) -> VerificationReport:
     """Coefficient sum at exponent 2n/(n+1) against the operator norm.
 
@@ -595,7 +570,7 @@ def verify_bh(
     lhs = lp_norm(A.coeffs.reshape(-1), t)
     const = constants.littlewood(A.field) if n == 2 else None
     return _versus_op_norm("bohnenblust_hille", A, lhs, const, str(t), None,
-                           constants, op_kwargs, order=n)
+                           constants, order=n)
 
 
 def verify_defant_voigt(
@@ -604,21 +579,24 @@ def verify_defant_voigt(
     *,
     constants: ConstantsConfig | None = None,
     rad_budget: int = 1 << 22,
-    **op_kwargs,
 ) -> VerificationReport:
     """sum_j |A(x_j^1, ..., x_j^n)| <= ||A|| prod_i Rad_2(column_i).
 
     Also records the weaker classical bound with weak-l_1 norms on the right
-    (the worst-case sign combination equals the weak-l_1 norm).
+    (the worst-case sign combination equals the weak-l_1 norm). Linear forms
+    are refused: for them the Rad_2 bound is false (e_1* on J copies of e_1
+    gives J on the left and sqrt(J) on the right).
     """
     constants = constants or ConstantsConfig()
+    if A.order < 2:
+        raise ValueError("verify_defant_voigt needs a form of order at least 2")
     fam.check_against(A)
     if (1 << fam.length) > rad_budget:
         raise ValueError("family too long for exact Rademacher averaging")
     lhs = float(np.abs(fam.values(A)).sum())
     rads = [rad_p_norm(col, 2, "exact", budget=rad_budget) for col in fam.columns]
     report = _versus_op_norm("defant_voigt", A, lhs, 1.0, "1", "2", constants,
-                             op_kwargs, factor=math.prod(rads), rad2_norms=rads)
+                             factor=math.prod(rads), rad2_norms=rads)
     weak1 = [weak_lp_norm(col, 1) for col in fam.columns]
     weak_rhs = report.witness["op_norm"] * math.prod(w.value for w in weak1)
     weak_exact = report.exact_norm and all(w.exact for w in weak1)
@@ -633,8 +611,6 @@ def verify_almost_summing(
     fam: TestFamily,
     *,
     k: int | None = None,
-    rad_budget: int = 1 << 22,
-    weak_seed: int = 0,
 ) -> RatioCertificate:
     """Rad_2 of the value sequence over weak-l_2 norms of the inputs.
 
@@ -650,9 +626,8 @@ def verify_almost_summing(
     for i, col in enumerate(fam.columns):
         if col.space != A.domains[i]:
             raise ValueError(f"column {i} does not match head domain")
-    ls = string.ascii_lowercase[: A.order]
-    subs = ls + "," + ",".join("J" + c for c in ls[:k]) + "->J" + ls[k:]
-    tails = np.einsum(subs, A.coeffs, *[c.vectors for c in fam.columns])
+    tails = _batch_contract(A.coeffs, [c.vectors for c in fam.columns],
+                            keep=range(k, A.order))
     balls = tuple(d.exponent for d in A.domains[k:])
     flags = []
     if len(balls) <= 1:
@@ -670,12 +645,10 @@ def verify_almost_summing(
                 out[i] = est.value
             return out
 
-    rad = rademacher_average(tails, norm_fn, 2, "exact", budget=rad_budget)
-    rhs = tuple(weak_lp_norm(col, 2, seed=weak_seed) for col in fam.columns)
-    denom = math.prod(r.value for r in rhs)
-    ratio = rad / denom if denom > 0 else 0.0
+    rad = rademacher_average(tails, norm_fn, 2, "exact")
+    rhs = tuple(weak_lp_norm(col, 2) for col in fam.columns)
     exps = ExponentTuple(Exponent.of(2), tuple(Exponent.of(2) for _ in fam.columns))
-    return RatioCertificate(rad, rhs, ratio, fam, exps, lhs_exact=all(flags))
+    return RatioCertificate(rad, rhs, fam, exps, lhs_exact=all(flags))
 
 
 # ---------------------------------------------------------------------------
@@ -688,16 +661,14 @@ def tensor_weak_norm_estimate(
     p: ExponentLike,
     *,
     budget: int = 64,
-    seed: int = 0,
-    starts: int = 8,
-    iters: int = 150,
 ) -> tuple[float, float]:
     """Weak-l_p norm of (x_j^1 (x) x_j^2)_j in the projective tensor product.
 
     The dual unit ball is the set of bilinear forms B with ||B|| <= 1, so the
     target is sup_B (sum_j |B(x_j^1, x_j^2)|^p)^{1/p}. Returns a certified
     lower bound (structured and sampled B, normalized by an exact norm or a
-    coefficient upper bound) and a heuristic ascent value.
+    coefficient upper bound) and a heuristic ascent value: 150 projected
+    ascent steps from each of the 8 best candidates.
     """
     if seq1.length != seq2.length:
         raise ValueError("sequences must have a common length")
@@ -721,7 +692,7 @@ def tensor_weak_norm_estimate(
             return est.value, True
         return float(np.abs(B).sum()), True  # coefficient sum dominates the norm
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     candidates: list[np.ndarray] = []
     for a in range(m1):
         for b in range(m2):
@@ -739,10 +710,7 @@ def tensor_weak_norm_estimate(
         eye[i, i] = 1.0
     candidates.append(eye)
     for _ in range(64):
-        G = rng.standard_normal((m1, m2))
-        if is_complex:
-            G = G + 1j * rng.standard_normal((m1, m2))
-        candidates.append(G)
+        candidates.append(_gaussian(rng, (m1, m2), is_complex))
 
     lower = 0.0
     scored: list[tuple[float, np.ndarray]] = []
@@ -758,10 +726,10 @@ def tensor_weak_norm_estimate(
     scored.sort(key=lambda t: -t[0])
     heuristic = lower
     pv = pe.value if not pe.is_inf else None
-    for _, B0 in scored[:starts]:
+    for _, B0 in scored[:8]:
         B = B0.astype(np.complex128 if is_complex else np.float64).copy()
         step = 0.25
-        for _ in range(iters):
+        for _ in range(150):
             est = op_norm(FormTensor(B, domains, field))
             nrm = est.value if est.value > 0 else 1.0
             B = B / nrm

@@ -233,3 +233,31 @@ def test_weak_norm_below_one_exact_flag_is_a_supremum(space, X, phi):
     assert lp_norm(phi, space.exponent.dual) <= 1.0
     assert est.exact
     assert est.value >= lp_norm(seq.vectors @ np.asarray(phi), p) - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# values whose intermediate sums over- or underflow
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled attempt
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+def test_op_norm_of_scaled_identity_on_l2(scale):
+    l2 = SpaceSpec.lp(2, 2)
+    est = op_norm(FormTensor(scale * np.eye(2), (l2, l2)))
+    assert est.value == pytest.approx(scale, rel=1e-9, abs=0)
+
+
+def test_exact_op_norm_with_underflowing_free_slot():
+    # sup x l_2 is enumerated over signs; the l_2 slot squares 1e-200
+    A = FormTensor(1e-200 * np.array([[1.0, 1.0], [1.0, -1.0]]),
+                   (SpaceSpec.linf(2), SpaceSpec.lp(2, 2)))
+    est = op_norm(A)
+    assert est.exact
+    assert est.value == pytest.approx(2e-200, rel=1e-12, abs=0)
+    assert abs(evaluate(A, est.witness)) == pytest.approx(est.value, rel=1e-12, abs=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled attempt
+def test_weak_l2_norm_with_overflowing_products():
+    seq = VectorSeq(np.full((2, 2), 1e300), SpaceSpec.lp(2, 2))
+    assert weak_lp_norm(seq, 2).value == pytest.approx(2e300, rel=1e-9)

@@ -94,8 +94,9 @@ _HUGE = [[1e308, 1e308], [1e308, 1e308]]
      {"field": "real", "entries": _HUGE}),
     (["norm", "rad", "--p", "2"],
      {"field": "real", "dim": 2, "exponent": "2", "vectors": _HUGE}),
-    (["norm", "rad", "--p", "1", "--mode", "mc", "--samples", "50"],
-     {"field": "real", "dim": 2, "exponent": "inf", "vectors": _HUGE}),
+    (["norm", "rad", "--p", "2", "--mode", "mc", "--samples", "50"],
+     {"field": "real", "dim": 2, "exponent": "inf",
+      "vectors": [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]}),
     (["norm", "weak", "--p", "1"],
      {"field": "real", "dim": 2, "exponent": "inf", "vectors": _HUGE}),
     (["opnorm"], FormTensor.on_linf(_HUGE).to_json()),
@@ -108,6 +109,27 @@ def test_norm_non_finite_result_exits_3(tmp_path, capsys, argv, data):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert "not finite" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled attempt
+def test_norm_weak_overflowing_value_exits_3(tmp_path, capsys):
+    # the weak-l_2 norm is 2e308: the rescaled kernel finds it is not a float
+    path = write_json(tmp_path / "seq.json", {"field": "real", "dim": 2,
+                                              "exponent": "2", "vectors": _HUGE})
+    assert main(["norm", "weak", path, "--p", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled attempt
+def test_norm_rad_finite_value_of_overflowing_sums(tmp_path, capsys):
+    # Rad_1 = 1.5e308, although the ++ sign sum is 3e308
+    path = write_json(tmp_path / "seq.json", {"field": "real", "dim": 1,
+                                              "exponent": "2",
+                                              "vectors": [[1.5e308], [1.5e308]]})
+    assert main(["norm", "rad", path, "--p", "1"]) == 0
+    assert capsys.readouterr().out == "1.5e+308 exact\n"
 
 
 def test_verify_extended_non_finite_beta_exits_3(littlewood_complex_file,

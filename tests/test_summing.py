@@ -341,6 +341,14 @@ def test_dv_budget_gate(littlewood):
         verify_defant_voigt(littlewood, fam, rad_budget=1 << 10)
 
 
+def test_dv_refuses_linear_forms():
+    # e_1* on four copies of e_1: 4 on the left, Rad_2 = 2 on the right
+    space = SpaceSpec.linf(2)
+    fam = TestFamily((VectorSeq(np.tile([1.0, 0.0], (4, 1)), space),))
+    with pytest.raises(ValueError, match="order at least 2"):
+        verify_defant_voigt(FormTensor.on_linf([1.0, 0.0]), fam)
+
+
 def test_almost_summing_scalar(diag_family):
     cert = verify_almost_summing(FormTensor.on_linf(np.eye(2)), diag_family)
     assert cert.ratio == pytest.approx(SQRT2, abs=1e-12)
