@@ -43,6 +43,8 @@ class FormTensor:
 
     def __post_init__(self):
         self.domains = tuple(self.domains)
+        if not self.domains:
+            raise ValueError("a form needs at least one slot")
         arr = np.asarray(self.coeffs)
         if self.field.is_complex:
             arr = arr.astype(np.complex128)
@@ -142,8 +144,8 @@ def op_norm(
     multi-start alternating maximization, flagged ``exact=False``.
     """
     balls = tuple(d.exponent for d in A.domains)
-    return _ball_sup(A.coeffs, balls, budget=budget, starts=starts, seed=seed,
-                     allow_heuristic=allow_heuristic)
+    return _one(_ball_sup(A.coeffs[None], balls, budget=budget, starts=starts,
+                          seed=seed, allow_heuristic=allow_heuristic))
 
 
 def _candidate_count(dim: int, ball: Exponent, is_complex: bool) -> int | None:
@@ -161,10 +163,10 @@ def _candidate_count(dim: int, ball: Exponent, is_complex: bool) -> int | None:
 
 
 def _contract_signs(t: np.ndarray) -> np.ndarray:
-    """Contract axis 0 of ``t`` with every sign vector; the sign axis goes last."""
-    dim = t.shape[0]
+    """Contract axis 1 of a stack ``t`` with every sign vector; the sign axis goes last."""
+    dim = t.shape[1]
     signs = _sign_rows(dim)
-    moved = t.transpose(tuple(range(1, t.ndim)) + (0,))
+    moved = t.transpose((0,) + tuple(range(2, t.ndim)) + (1,))
     return (moved.reshape(-1, dim) @ signs.T).reshape(moved.shape[:-1] + (len(signs),))
 
 
@@ -189,8 +191,9 @@ def _candidate(dim: int, count: int, k: int) -> np.ndarray:
     return _sign_rows(dim)[k].copy()
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
 def _ball_sup(
-    coeffs: np.ndarray,
+    stack: np.ndarray,
     balls: tuple[Exponent, ...],
     *,
     budget: int = _ENUM_BUDGET,
@@ -198,75 +201,94 @@ def _ball_sup(
     seed: int = 0,
     allow_heuristic: bool = True,
     witness: bool = True,
-) -> NormEstimate:
-    """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of l_(balls[k]).
+) -> tuple[np.ndarray, bool, list | None]:
+    """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of
+    l_(balls[k]), for each array a of a stack of shape (T, *dims).
 
-    Exact path: every slot but one ("free") is enumerated over its extreme
-    points (:func:`_candidate_count`), and the free slot contributes the
-    dual norm of the partial contraction in closed form. The free slot is
-    the one with the least work, dim(free) * prod(candidate counts of the
-    others), the lowest index on ties. Contraction with basis vectors is
-    indexing, so only sign slots are contracted. Without such a plan inside
-    ``budget``, multi-start alternating maximization returns a lower bound.
-    The witness is the tuple of maximizing vectors, one per slot; callers
-    that do not need it pass ``witness=False`` and get None.
-    The field is that of the array: forms and sequences hold complex data as
-    complex128 exactly when their field is complex. A value that is 0, not
-    finite or outside [2^-500, 2^500] is computed again on the coefficients
-    scaled by a power of two (:func:`norms._rescaled`); in range that costs
-    one comparison.
+    Exact path (:func:`_plan`): every slot but one ("free") is enumerated over
+    its extreme points and the free slot is the dual norm of the partial
+    contraction; both run on the whole stack, which gives each item the
+    value it gets alone. Otherwise multi-start alternating maximization gives
+    each item a lower bound. Returns the T values, whether they are exact,
+    and per item the maximizing vectors (None for ``witness=False``). The
+    field is that of the array (complex128 exactly for complex data). It runs
+    with numpy's over-, underflow and invalid-value warnings off: a value that
+    is 0, not finite or outside [2^-500, 2^500] is computed again, alone, on
+    its item scaled by a power of two (:func:`norms._rescaled`).
     """
-    est = _ball_sup_unscaled(coeffs, balls, budget, starts, seed, allow_heuristic,
-                             witness)
-    if _SAFE_LOW <= est.value <= _SAFE_HIGH:
-        return est
-    return _rescaled(est, lambda c: _ball_sup_unscaled(
-        c, balls, budget, starts, seed, allow_heuristic, witness), coeffs)
+    values, exact, witnesses = _ball_sup_unscaled(
+        stack, balls, budget, starts, seed, allow_heuristic, witness)
+    for k, v in enumerate(values.tolist()):
+        if not _SAFE_LOW <= v <= _SAFE_HIGH:
+            est = _rescaled(NormEstimate(v, exact, witnesses and witnesses[k]),
+                            lambda c: _one(_ball_sup_unscaled(
+                                c[None], balls, budget, starts, seed,
+                                allow_heuristic, witness)), stack[k])
+            values[k] = est.value
+            if witness:
+                witnesses[k] = est.witness
+    return values, exact, witnesses
 
 
-def _ball_sup_unscaled(coeffs, balls, budget, starts, seed, allow_heuristic,
-                       witness) -> NormEstimate:
-    is_complex = coeffs.dtype.kind == "c"
-    dims = coeffs.shape
+def _one(result) -> NormEstimate:
+    """The first item of a :func:`_ball_sup` result."""
+    values, exact, witnesses = result
+    return NormEstimate(values.item(0), exact, witnesses and witnesses[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool,
+          budget: int):
+    """The exact plan of :func:`_ball_sup` for arrays of shape ``dims``, or None:
+    the candidate counts, the free slot (the least work dim(free) * prod(counts
+    of the others), the lowest index on ties), the basis slots, which are
+    indexed, the sign slots, which are contracted, and the axis order of a
+    stack that puts the sign slots first, then the free and the basis slots."""
     counts = [_candidate_count(m, b, is_complex) for m, b in zip(dims, balls)]
     free, least = None, budget + 1
     for i, m in enumerate(dims):
         rest = counts[:i] + counts[i + 1:]
-        if None not in rest:
-            work = m * math.prod(rest)
-            if work < least:
-                free, least = i, work
+        if None not in rest and m * math.prod(rest) < least:
+            free, least = i, m * math.prod(rest)
     if free is None:
+        return None
+    others = [i for i in range(len(dims)) if i != free]
+    basis = tuple(i for i in others if counts[i] == dims[i])
+    signed = tuple(i for i in others if counts[i] != dims[i])
+    order = (0,) + tuple(1 + i for i in signed + (free,) + basis)
+    return counts, free, basis, signed, order
+
+
+def _ball_sup_unscaled(stack, balls, budget, starts, seed, allow_heuristic, witness):
+    is_complex = stack.dtype.kind == "c"
+    dims = stack.shape[1:]
+    plan = _plan(dims, balls, is_complex, budget)
+    if plan is None:
         if not allow_heuristic:
             raise ValueError("no exact enumeration within the budget and "
                              "heuristic fallback disabled")
-        est = _ball_sup_alternating(coeffs, balls, is_complex, starts=starts,
-                                    seed=seed)
-        return est if witness else NormEstimate(est.value, False)
+        ests = [_ball_sup_alternating(c, balls, is_complex, starts=starts, seed=seed)
+                for c in stack]
+        return (np.array([e.value for e in ests]), False,
+                [e.witness for e in ests] if witness else None)
 
-    basis, signed = [], []
-    for i, k in enumerate(counts):
-        if i != free:
-            (basis if k == dims[i] else signed).append(i)
-    # (the order is already the identity when slot 0 is free and no slot
-    # needs signs, the usual weak-norm case)
-    t = coeffs.transpose(signed + [free] + basis) if signed or free else coeffs
+    counts, free, basis, signed, order = plan
+    t = stack.transpose(order)
     for _ in signed:
         t = _contract_signs(t)
-    # t now has shape (m_free, basis dims..., sign counts...); the free slot
-    # is closed form
-    values = _axis_norms(np.abs(t), balls[free].dual, axis=0)
-    flat = int(values.argmax())
+    # t: (T, m_free, basis dims..., sign counts...); the free slot is closed form
+    values = _axis_norms(np.abs(t), balls[free].dual, axis=1).reshape(len(t), -1)
     if not witness:
-        return NormEstimate(values.item(flat), True)
-
-    combo = np.unravel_index(flat, values.shape) if values.ndim else ()
-    vectors = [None] * len(dims)
-    for slot, k in zip(basis + signed, combo):
-        vectors[slot] = _candidate(dims[slot], counts[slot], int(k))
-    partial = t[(slice(None),) + tuple(combo)]
-    vectors[free] = _dual_step(partial[None, :], balls[free])[0]
-    return NormEstimate(values.item(flat), True, witness=tuple(vectors))
+        return np.maximum.reduce(values, axis=1), True, None
+    witnesses = []
+    for k, flat in enumerate(values.argmax(axis=1)):
+        combo = np.unravel_index(flat, t.shape[2:])
+        vectors = [None] * len(dims)
+        for slot, c in zip(basis + signed, combo):
+            vectors[slot] = _candidate(dims[slot], counts[slot], int(c))
+        vectors[free] = _dual_step(t[(k, slice(None)) + combo][None, :], balls[free])[0]
+        witnesses.append(tuple(vectors))
+    return np.maximum.reduce(values, axis=1), True, witnesses
 
 
 def _gaussian(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarray:

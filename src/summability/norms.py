@@ -213,18 +213,18 @@ def weak_lp_norm(
     budget = forms._ENUM_BUDGET if method == "auto" else 0
 
     if pe.recip.numerator <= pe.recip.denominator:  # p >= 1
-        return forms._ball_sup(X, (pe.dual, s.dual), budget=budget,
-                               starts=starts, seed=seed, witness=False)
+        return forms._one(forms._ball_sup(X[None], (pe.dual, s.dual), budget=budget,
+                                          starts=starts, seed=seed, witness=False))
 
     if method == "auto":
         if s.is_inf or (s.recip == 1 and not seq.is_complex
                         and (1 << seq.dim) <= budget):
-            V = X if s.is_inf else forms._contract_signs(X.T)
+            V = X if s.is_inf else forms._contract_signs(X.T[None])[0]
             return NormEstimate(float(_axis_norms(np.abs(V), pe, axis=0).max()), True)
         if seq.length == 1:
             return NormEstimate(lp_norm(X[0], s), True)
-    phi = forms._ball_sup(X, (INF, s.dual), budget=budget, starts=starts,
-                          seed=seed).witness[1]
+    phi = forms._one(forms._ball_sup(X[None], (INF, s.dual), budget=budget,
+                                     starts=starts, seed=seed)).witness[1]
     return NormEstimate(lp_norm(X @ phi, pe), False)
 
 

@@ -51,6 +51,7 @@ class SignPattern:
         return cls(tuple(int(s) for s in row))
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
 def rademacher_average(
     items: np.ndarray,
     norm_fn: Callable[[np.ndarray], np.ndarray],
@@ -67,7 +68,8 @@ def rademacher_average(
     sign combinations (same trailing shape) to their norms and must be
     positively homogeneous, norm_fn(c v) = c norm_fn(v) for c > 0: a result
     that over- or underflowed is computed again on the items scaled by a
-    power of two and scaled back (``norms._rescaled``). Exact mode runs
+    power of two and scaled back (``norms._rescaled``), so it runs with
+    numpy's over-, underflow and invalid-value warnings off. Exact mode runs
     all 2^n patterns, mc mode ``samples`` seeded patterns, in blocks. For
     p = inf the result is the largest norm; otherwise the norm^p terms go
     into one exactly rounded sum, so the block size cannot change it.

@@ -68,6 +68,13 @@ class Exponent:
             raise ValueError("exponent too large for a float; use inf") from None
         object.__setattr__(self, "_value", value)
 
+    @cached_property
+    def _hash(self) -> int:  # the kernel's plan cache hashes exponents on every call
+        return hash(self.recip)
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def of(cls, s: "ExponentLike") -> "Exponent":
         """Coerce a number, fraction string such as ``"4/3"``, or ``"inf"``."""

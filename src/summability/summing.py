@@ -15,13 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import chain
+from itertools import islice
 
 import numpy as np
 
 from ._signs import sign_matrix
-from .forms import (FormTensor, _ball_sup, _batch_contract, _gaussian, _polar,
-                    compose_beta, curry, op_norm)
+from .forms import (_ENUM_BUDGET, FormTensor, _ball_sup, _batch_contract, _gaussian,
+                    _plan, _polar, compose_beta, curry, op_norm)
 from .norms import NormEstimate, VectorSeq, _axis_norms, lp_norm, mixed_norm, weak_lp_norm
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
@@ -163,56 +163,19 @@ def summing_lower_bound(
     return RatioCertificate(lhs, rhs, fam, exps)
 
 
-def _basis(dim: int, k: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[k] = 1.0
-    return e
-
-
 def _structured_families(A: FormTensor, j_max: int) -> list[TestFamily]:
     dims = A.dims
-    fams = []
-    # spike at the largest coefficient
     idx = np.unravel_index(int(np.argmax(np.abs(A.coeffs))), dims)
-    fams.append(
-        TestFamily(
-            tuple(
-                VectorSeq(_basis(d.dim, k)[None, :], d)
-                for d, k in zip(A.domains, idx)
-            )
-        )
-    )
-    # basis diagonal
-    dmin = min(dims)
-    fams.append(
-        TestFamily(
-            tuple(
-                VectorSeq(np.eye(d.dim)[:dmin], d)
-                for d in A.domains
-            )
-        )
-    )
-    # full basis grid, capped
-    if int(np.prod(dims)) <= 4096:
-        grid = np.indices(dims).reshape(A.order, -1).T
-        fams.append(
-            TestFamily(
-                tuple(
-                    VectorSeq(np.eye(d.dim)[grid[:, i]], d)
-                    for i, d in enumerate(A.domains)
-                )
-            )
-        )
-    # repeated flat vector
-    for reps in (1, min(4, max(1, j_max))):
-        fams.append(
-            TestFamily(
-                tuple(
-                    VectorSeq(np.ones((reps, d.dim)), d) for d in A.domains
-                )
-            )
-        )
-    return fams
+    families = [
+        [np.eye(m)[[k]] for m, k in zip(dims, idx)],  # spike at the largest coefficient
+        [np.eye(m)[:min(dims)] for m in dims],  # basis diagonal
+    ]
+    if math.prod(dims) <= 4096:  # full basis grid, capped
+        grid = np.indices(dims).reshape(A.order, -1)
+        families.append([np.eye(m)[g] for m, g in zip(dims, grid)])
+    for reps in (1, min(4, max(1, j_max))):  # repeated flat vector
+        families.append([np.ones((reps, m)) for m in dims])
+    return [_as_family(A, columns) for columns in families]
 
 
 def random_form(
@@ -230,13 +193,37 @@ def random_form(
     return FormTensor(coeffs, domains, field)
 
 
-def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestFamily:
+def _draw(rng: np.random.Generator, A: FormTensor, j_max: int) -> tuple[int, np.ndarray]:
+    """A random family's length J, then all its entries from one normal draw."""
     J = int(rng.integers(1, j_max + 1))
-    return TestFamily(tuple(VectorSeq(_gaussian(rng, (J, d.dim), A.field.is_complex), d)
-                            for d in A.domains))
+    return J, rng.standard_normal((2 if A.field.is_complex else 1) * J * sum(A.dims))
+
+
+def _columns(A: FormTensor, J: int, g: np.ndarray) -> list[np.ndarray]:
+    """Split draws g (..., size) into the columns (..., J, m): slot by slot, each
+    column's entries (real parts, then imaginary parts for complex forms), the
+    order in which drawing the columns one at a time consumes the stream."""
+    columns, at = [], 0
+    for m in A.dims:
+        col = g[..., at:at + J * m].reshape(g.shape[:-1] + (J, m))
+        at += J * m
+        if A.field.is_complex:
+            col = col + 1j * g[..., at:at + J * m].reshape(g.shape[:-1] + (J, m))
+            at += J * m
+        columns.append(col)
+    return columns
+
+
+def _as_family(A: FormTensor, columns) -> TestFamily:
+    return TestFamily(tuple(VectorSeq(c, d) for c, d in zip(columns, A.domains)))
+
+
+def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestFamily:
+    return _as_family(A, _columns(A, *_draw(rng, A, j_max)))
 
 
 _SEARCH_STREAMS = 8
+_SEARCH_CHUNK = 1 << 10  # random trials scored at once; bounds the draws' memory
 
 
 def random_family_search(
@@ -253,22 +240,50 @@ def random_family_search(
     the master seed (the first ``budget % streams`` streams take one trial
     more). The structured families are tried first, then each stream in
     order, and the first maximal ratio wins, so the result depends only on
-    the seed and the budget.
+    the seed and the budget. Each trial draws its length, then its columns
+    (:func:`_draw`). Trials of one length are stacked on a batch axis: one
+    contraction gives their values, one norm their lhs and, where the plan
+    is exact, one kernel call a column's weak norms (heuristic ones run per
+    family). Only the winner is certified, by :func:`summing_lower_bound`.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    # the first maximal ratio wins, as in a loop of ">" comparisons
+    best = max((summing_lower_bound(A, exps, fam)
+                for fam in _structured_families(A, j_max)), key=lambda c: c.ratio)
     streams = np.random.SeedSequence(seed).spawn(_SEARCH_STREAMS)
-    random_families = (
-        _random_family(rng, A, j_max)
+    draws = (
+        _draw(rng, A, j_max)
         for w, rng in enumerate(map(np.random.default_rng, streams))
         for _ in range(budget // _SEARCH_STREAMS + (w < budget % _SEARCH_STREAMS))
     )
-    best = None
-    for fam in chain(_structured_families(A, j_max), random_families):
-        cert = summing_lower_bound(A, exps, fam)
-        if best is None or cert.ratio > best.ratio:
-            best = cert
+    while chunk := list(islice(draws, _SEARCH_CHUNK)):
+        ratios = _family_ratios(A, exps, chunk)
+        k = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))  # NaN never wins
+        if ratios[k] > best.ratio:
+            best = summing_lower_bound(A, exps, _as_family(A, _columns(A, *chunk[k])))
     return best
+
+
+def _family_ratios(A: FormTensor, exps: ExponentTuple, draws) -> np.ndarray:
+    """The ratio of each drawn family, computed as its certificate computes it."""
+    ratios = np.empty(len(draws))
+    lengths = np.array([J for J, _ in draws])
+    for J in np.unique(lengths).tolist():
+        idx = np.flatnonzero(lengths == J)
+        stacks = _columns(A, J, np.stack([draws[i][1] for i in idx]))
+        values = _batch_contract(A.coeffs, [s.reshape(-1, s.shape[2]) for s in stacks])
+        lhs = _axis_norms(np.abs(values.reshape(len(idx), J)), exps.p, axis=1)
+        denominator = np.ones(len(idx))
+        for stack, q, d in zip(stacks, exps.qs, A.domains):
+            balls = (q.dual, d.exponent.dual) if q.recip <= 1 else None
+            if balls and _plan(stack.shape[1:], balls, A.field.is_complex, _ENUM_BUDGET):
+                denominator *= _ball_sup(stack, balls, witness=False)[0]
+            else:
+                denominator *= [weak_lp_norm(VectorSeq(X, d), q).value for X in stack]
+        ratios[idx] = np.divide(lhs, denominator, out=np.zeros(len(idx)),
+                                where=denominator > 0)
+    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -629,21 +644,14 @@ def verify_almost_summing(
     tails = _batch_contract(A.coeffs, [c.vectors for c in fam.columns],
                             keep=range(k, A.order))
     balls = tuple(d.exponent for d in A.domains[k:])
+    if not balls:  # the values are scalars, and |.| is the norm of l_inf^1
+        tails, balls = tails[:, None], (INF,)
     flags = []
-    if len(balls) <= 1:
-        # with no tail slot the values are scalars: |.| is every l_s norm
-        sd = balls[0].dual if balls else INF
 
-        def norm_fn(rows: np.ndarray) -> np.ndarray:
-            return _axis_norms(np.abs(rows.reshape(len(rows), -1)), sd, axis=1)
-    else:
-        def norm_fn(rows: np.ndarray) -> np.ndarray:
-            out = np.empty(rows.shape[0])
-            for i, row in enumerate(rows):
-                est = _ball_sup(row, balls, witness=False)
-                flags.append(est.exact)
-                out[i] = est.value
-            return out
+    def norm_fn(rows: np.ndarray) -> np.ndarray:
+        values, exact, _ = _ball_sup(rows, balls, witness=False)
+        flags.append(exact)
+        return values
 
     rad = rademacher_average(tails, norm_fn, 2, "exact")
     rhs = tuple(weak_lp_norm(col, 2) for col in fam.columns)

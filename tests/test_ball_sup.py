@@ -19,7 +19,7 @@ from summability import (
     op_norm,
     weak_lp_norm,
 )
-from summability.forms import _ball_sup
+from summability.forms import _ball_sup, _one
 from summability.spaces import Exponent
 
 
@@ -160,7 +160,7 @@ def test_weak_norm_kernel_witness_attains_value(space, p, J):
     rng = np.random.default_rng(17)
     X = rng.standard_normal((J, space.dim))
     pe, sd = Exponent.of(p), space.exponent.dual
-    est = _ball_sup(X, (pe.dual, sd))
+    est = _one(_ball_sup(X[None], (pe.dual, sd)))
     assert est.value == weak_lp_norm(VectorSeq(X, space), p).value
     alpha, phi = est.witness
     assert lp_norm(alpha, pe.dual) <= 1 + 1e-12
@@ -239,7 +239,6 @@ def test_weak_norm_below_one_exact_flag_is_a_supremum(space, X, phi):
 # values whose intermediate sums over- or underflow
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled attempt
 @pytest.mark.parametrize("scale", [1e308, 1e-200])
 def test_op_norm_of_scaled_identity_on_l2(scale):
     l2 = SpaceSpec.lp(2, 2)
@@ -257,7 +256,38 @@ def test_exact_op_norm_with_underflowing_free_slot():
     assert abs(evaluate(A, est.witness)) == pytest.approx(est.value, rel=1e-12, abs=0)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled attempt
 def test_weak_l2_norm_with_overflowing_products():
     seq = VectorSeq(np.full((2, 2), 1e300), SpaceSpec.lp(2, 2))
     assert weak_lp_norm(seq, 2).value == pytest.approx(2e300, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the batch axis
+
+
+@pytest.mark.parametrize("dims,exps,field", [
+    ((3, 4), ("inf", "inf"), ScalarField.REAL),  # sign slot, free sup slot
+    ((2, 3, 3), ("inf", 1, 2), ScalarField.REAL),  # basis and sign slots
+    ((4, 3), (1, "inf"), ScalarField.COMPLEX),  # basis slot only
+    ((3, 3), (2, "4/3"), ScalarField.REAL),  # no plan: alternating
+    ((2, 3), ("inf", "inf"), ScalarField.COMPLEX),  # no plan: alternating
+])
+def test_batch_gives_each_item_its_value_alone(dims, exps, field):
+    # items at 2^600 and 2^-600 are rescaled one by one, the rest not at all
+    rng = np.random.default_rng(31)
+    stack = rng.standard_normal((6,) + dims)
+    if field.is_complex:
+        stack = stack + 1j * rng.standard_normal((6,) + dims)
+    stack[1] *= 2.0 ** 600
+    stack[4] *= 2.0 ** -600
+    balls = tuple(Exponent.of(s) for s in exps)
+    values, exact, witnesses = _ball_sup(stack, balls)
+    for k, item in enumerate(stack):
+        alone = op_norm(FormTensor(item, tuple(SpaceSpec.lp(m, s)
+                                               for m, s in zip(dims, balls)), field))
+        assert values[k] == alone.value
+        assert exact == alone.exact
+        assert all(np.array_equal(w, a) for w, a in zip(witnesses[k], alone.witness))
+    assert values[1] > 2.0 ** 500 and values[4] < 2.0 ** -500
+    quiet, _, none = _ball_sup(stack, balls, witness=False)
+    assert np.array_equal(quiet, values) and none is None

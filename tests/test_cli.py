@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import summability
 from summability import FormTensor, ScalarField, SpaceSpec, TestFamily, VectorSeq
 from summability.cli import main
 
@@ -111,7 +117,6 @@ def test_norm_non_finite_result_exits_3(tmp_path, capsys, argv, data):
     assert "not finite" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled attempt
 def test_norm_weak_overflowing_value_exits_3(tmp_path, capsys):
     # the weak-l_2 norm is 2e308: the rescaled kernel finds it is not a float
     path = write_json(tmp_path / "seq.json", {"field": "real", "dim": 2,
@@ -122,7 +127,6 @@ def test_norm_weak_overflowing_value_exits_3(tmp_path, capsys):
     assert "not finite" in captured.err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the unscaled attempt
 def test_norm_rad_finite_value_of_overflowing_sums(tmp_path, capsys):
     # Rad_1 = 1.5e308, although the ++ sign sum is 3e308
     path = write_json(tmp_path / "seq.json", {"field": "real", "dim": 1,
@@ -130,6 +134,51 @@ def test_norm_rad_finite_value_of_overflowing_sums(tmp_path, capsys):
                                               "vectors": [[1.5e308], [1.5e308]]})
     assert main(["norm", "rad", path, "--p", "1"]) == 0
     assert capsys.readouterr().out == "1.5e+308 exact\n"
+
+
+@pytest.mark.parametrize("argv,data,expected", [
+    # Rad_1 = 1.5e308, although the ++ sign sum is 3e308
+    (["norm", "rad", "--p", "1"], {"field": "real", "dim": 1, "exponent": "2",
+                                   "vectors": [[1.5e308], [1.5e308]]},
+     "1.5e+308 exact"),
+    (["opnorm"], FormTensor(1e308 * np.eye(2), (SpaceSpec.lp(2, 2),) * 2).to_json(),
+     None),
+])
+def test_rescaled_norm_prints_no_warning(tmp_path, capsys, argv, data, expected):
+    # the first, unscaled attempt over- and underflows without a word
+    path = write_json(tmp_path / "in.json", data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+        assert main(argv + [path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if expected is None:
+        value, label = captured.out.split()
+        assert float(value) == pytest.approx(1e308, rel=1e-9)
+        assert label == "lower-bound"
+    else:
+        assert captured.out == expected + "\n"
+
+
+def test_form_with_no_slot_exits_3(tmp_path, capsys):
+    path = write_json(tmp_path / "form.json", {"field": "real", "dims": [], "coeffs": [2.0]})
+    assert main(["opnorm", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert "a form needs at least one slot" in captured.err
+    with pytest.raises(ValueError, match="a form needs at least one slot"):
+        FormTensor(np.array(2.0), ())
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(summability.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "summability", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: summability")
 
 
 def test_verify_extended_non_finite_beta_exits_3(littlewood_complex_file,

@@ -30,6 +30,18 @@ def _lp_form():
                       ScalarField.COMPLEX)
 
 
+def _sup3_form():
+    rng = np.random.default_rng(14)
+    shape = (3, 2, 3)
+    return FormTensor.on_linf(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                              ScalarField.COMPLEX)
+
+
+def _l1l2_form():
+    rng = np.random.default_rng(15)
+    return FormTensor(rng.standard_normal((3, 4)), (SpaceSpec.lp(3, 1), SpaceSpec.lp(4, 2)))
+
+
 def _family(form):
     rng = np.random.default_rng(13)
     return TestFamily(tuple(VectorSeq(rng.standard_normal((5, d.dim)), d)
@@ -49,6 +61,10 @@ COMMANDS = {
                    "--seed", "9"],
     "search-lp": ["search", "{lp}", "--p", "4/3", "--qs", "2,1", "--budget", "6",
                   "--jmax", "4", "--seed", "10"],
+    "search-sup3-complex": ["search", "{sup3}", "--p", "2", "--qs", "2,2,2",
+                            "--budget", "37", "--jmax", "5", "--seed", "16"],
+    "search-l1l2": ["search", "{l1l2}", "--p", "1", "--qs", "2,1", "--budget", "24",
+                    "--jmax", "6", "--seed", "17"],
     "experiment": ["experiment", "--p", "4/3", "--q", "2", "--m", "3", "--count", "2",
                    "--budget", "6", "--jmax", "4", "--seed", "2"],
     "demos": ["demos"],
@@ -65,7 +81,9 @@ DIGESTS = {
     "inclusion": "05c8e1a4409b249c5d6700692db9c034e6a27737acb99a37dd784cf357729e2c",
     "littlewood": "e5d6adc2756a090d8ee5c9ef8db4e269a87ef083893450cfd502223f81c69867",
     "search-lp": "d92ebdebcae65092378afc60e12def87e875f82a0bc085342ac7f80ced3fbe1a",
+    "search-l1l2": "cacbe967810dc8fc92a5578808fd297a61e37c22230247b33806ed353e458412",
     "search-sup": "7c0cb44bba6c84dd25eea2fada434eef1e6b056503f64ad98e877a9038e4a9a7",
+    "search-sup3-complex": "96ef9de55df3e90e70122722009196126d91303ec7571d65d54bf71893fe5900",
 }
 
 
@@ -74,6 +92,7 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     sup = _sup_form()
     docs = {"sup": sup.to_json(), "lp": _lp_form().to_json(),
+            "sup3": _sup3_form().to_json(), "l1l2": _l1l2_form().to_json(),
             "family": _family(sup).to_json()}
     paths = {}
     for name, doc in docs.items():

@@ -29,6 +29,9 @@ from summability import (
     verify_general_littlewood,
     verify_littlewood_43,
 )
+from summability.rademacher import rademacher_average
+from summability import summing
+from summability.summing import _structured_families
 from conftest import basis_family
 
 SQRT2 = math.sqrt(2)
@@ -109,6 +112,80 @@ def test_search_golden_certificate():
     cert = random_family_search(A, ExponentTuple(2, (2, 2, 2)), budget=37, seed=9)
     assert cert.ratio.hex() == "0x1.09e445d5a8969p+1"
     assert cert.family.length == 1
+
+
+def _reference_search(A, exps, budget, seed, j_max):
+    """The search as a plain loop: each family drawn column by column and
+    certified through summing_lower_bound, the structured families first,
+    then the 8 streams in order; the first maximal ratio wins."""
+    streams = np.random.SeedSequence(seed).spawn(8)
+
+    def families():
+        yield from _structured_families(A, j_max)
+        for w, rng in enumerate(map(np.random.default_rng, streams)):
+            for _ in range(budget // 8 + (w < budget % 8)):
+                J = int(rng.integers(1, j_max + 1))
+                columns = []
+                for d in A.domains:
+                    x = rng.standard_normal((J, d.dim))
+                    if A.field.is_complex:
+                        x = x + 1j * rng.standard_normal((J, d.dim))
+                    columns.append(VectorSeq(x, d))
+                yield TestFamily(tuple(columns))
+
+    best = None
+    for fam in families():
+        cert = summing_lower_bound(A, exps, fam)
+        if best is None or cert.ratio > best.ratio:
+            best = cert
+    return best
+
+
+_SEARCH_FORMS = [
+    # (field, dims, domain exponents, p, qs, scale)
+    (ScalarField.REAL, (3, 4), ("inf", "inf"), 1, (2, 2), 1.0),
+    (ScalarField.COMPLEX, (3, 3), ("inf", "inf"), 1, (2, 2), 1.0),
+    (ScalarField.REAL, (2, 3, 2), ("inf",) * 3, 1, (2, 2, 2), 1.0),
+    (ScalarField.REAL, (2, 3, 2), ("inf",) * 3, 1, (1, 2, 1), 2.0 ** 600),
+    (ScalarField.COMPLEX, (2, 2, 3), ("inf",) * 3, 2, (2, 2, 2), 1.0),
+    (ScalarField.REAL, (3, 4), (1, 2), 1, (2, 1), 1.0),
+    (ScalarField.COMPLEX, (3, 3), (1, "inf"), 1, (1, 2), 1.0),
+    (ScalarField.COMPLEX, (3, 3), ("4/3", 2), "4/3", (2, 1), 1.0),
+    (ScalarField.REAL, (2, 3, 2), (1, 2, "inf"), 1, (2, "inf", 1), 1.0),
+]
+
+
+@pytest.mark.parametrize("budget,j_max", [(1, 16), (5, 1), (8, 16), (37, 16), (37, 1)])
+@pytest.mark.parametrize("case", range(len(_SEARCH_FORMS)))
+def test_search_matches_the_family_loop(case, budget, j_max):
+    field, dims, domains, p, qs, scale = _SEARCH_FORMS[case]
+    A = random_form(np.random.default_rng(case), dims, field, exponents=domains)
+    A = FormTensor(A.coeffs * scale, A.domains, field)
+    exps = ExponentTuple(p, qs)
+    seed = 100 * case + budget + j_max
+    got = random_family_search(A, exps, budget=budget, seed=seed, j_max=j_max)
+    ref = _reference_search(A, exps, budget, seed, j_max)
+    assert got.ratio == ref.ratio and got.lhs == ref.lhs
+    assert [w.value for w in got.rhs_norms] == [w.value for w in ref.rhs_norms]
+    assert [w.exact for w in got.rhs_norms] == [w.exact for w in ref.rhs_norms]
+    assert got.lhs_exact == ref.lhs_exact and got.exponents == ref.exponents
+    assert got.family.length == ref.family.length
+    for a, b in zip(got.family.columns, ref.family.columns):
+        assert a.space == b.space and np.array_equal(a.vectors, b.vectors)
+
+
+@pytest.mark.parametrize("case", [0, 4, 7])
+def test_search_chunks_keep_the_first_maximum(case, monkeypatch):
+    # 37 trials in chunks of 4: the best is carried from chunk to chunk
+    monkeypatch.setattr(summing, "_SEARCH_CHUNK", 4)
+    field, dims, domains, p, qs, _ = _SEARCH_FORMS[case]
+    A = random_form(np.random.default_rng(case), dims, field, exponents=domains)
+    exps = ExponentTuple(p, qs)
+    got = random_family_search(A, exps, budget=37, seed=case, j_max=6)
+    ref = _reference_search(A, exps, 37, case, 6)
+    assert got.ratio == ref.ratio and got.lhs == ref.lhs
+    assert all(np.array_equal(a.vectors, b.vectors)
+               for a, b in zip(got.family.columns, ref.family.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +451,30 @@ def test_almost_summing_curried_order3():
     head = TestFamily((VectorSeq(np.eye(2), SpaceSpec.linf(2)),))
     cert = verify_almost_summing(A, head, k=1)
     assert cert.lhs_exact and cert.ratio > 0
+
+
+@pytest.mark.parametrize("field,scale", [
+    (ScalarField.REAL, 1.0),  # exact tails, sign slots
+    (ScalarField.REAL, 2.0 ** 600),  # every tail norm is rescaled
+    (ScalarField.COMPLEX, 1.0),  # heuristic tails
+])
+def test_almost_summing_tails_match_a_loop(field, scale):
+    rng = np.random.default_rng(22)
+    A = random_form(rng, (3, 3, 4), field)
+    A = FormTensor(A.coeffs * scale, A.domains, field)
+    head = TestFamily((VectorSeq(rng.standard_normal((4, 3)), SpaceSpec.linf(3)),))
+    cert = verify_almost_summing(A, head, k=1)
+    # Rad_2 of the tail forms, each sign combination measured alone by op_norm
+    flags = []
+
+    def loop(rows):
+        norms = [op_norm(FormTensor(row, A.domains[1:], field)) for row in rows]
+        flags.extend(n.exact for n in norms)
+        return np.array([n.value for n in norms])
+
+    tails = np.einsum("abc,ja->jbc", A.coeffs, head.columns[0].vectors)
+    assert cert.lhs == rademacher_average(tails, loop, 2, "exact")
+    assert cert.lhs_exact == all(flags) == (not field.is_complex)
 
 
 def test_almost_summing_head_mismatch(littlewood, diag_family):
