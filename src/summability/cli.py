@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -505,6 +506,7 @@ def cmd_experiment(args) -> int:
 # parser
 
 
+@functools.lru_cache(maxsize=None)  # parsing leaves the parser as it was
 def build_parser() -> Parser:
     parser = Parser(
         prog="summability",

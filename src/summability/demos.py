@@ -262,18 +262,20 @@ def demo_almost_curried():
 
 def demo_tensor_single():
     e1 = np.array([1.0, 0.0])
-    lo, heur = tensor_weak_norm_estimate(
+    est = tensor_weak_norm_estimate(
         VectorSeq(e1, SpaceSpec.linf(2)), VectorSeq(e1, SpaceSpec.linf(2)), 1
     )
-    return _close(lo, 1.0, 1e-9) and heur >= lo - 1e-12, f"lower = {lo}, heuristic = {heur:.6f}"
+    return est.exact and _close(est.value, 1.0, 1e-12), f"weak l1 = {est.value}, exact = {est.exact}"
 
 
 def demo_tensor_basis_l1():
     space = SpaceSpec.lp(2, 1)
-    lo, heur = tensor_weak_norm_estimate(
+    est = tensor_weak_norm_estimate(
         VectorSeq(np.eye(2), space), VectorSeq(np.eye(2), space), 1
     )
-    return lo >= 2.0 - 1e-9, f"lower = {lo} (identity coefficients attain)"
+    return est.exact and _close(est.value, 2.0, 1e-12), (
+        f"weak l1 = {est.value}, exact = {est.exact} (a sign sum of e_j (x) e_j)"
+    )
 
 
 def demo_dv2_region():

@@ -22,16 +22,24 @@ from .spaces import INF, Exponent, ExponentLike, ScalarField, SpaceSpec
 __all__ = ["lp_norm", "mixed_norm", "weak_lp_norm", "NormEstimate", "VectorSeq"]
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
 def lp_norm(v, p: ExponentLike) -> float:
     """(sum |v_i|^p)^(1/p); max |v_i| for p = inf.
 
     Defined for every p > 0; values with 0 < p < 1 are the usual p-norm
-    expression (no triangle inequality implied).
+    expression (no triangle inequality implied). A value that is 0, not
+    finite or outside [2^-500, 2^500] is computed again on ``v`` scaled by a
+    power of two (:func:`_rescaled`).
     """
     a = np.abs(np.asarray(v))
     if a.size == 0:
         return 0.0
-    return float(_axis_norms(a.astype(np.float64, copy=False), Exponent.of(p), None))
+    pe = Exponent.of(p)
+    a = a.astype(np.float64, copy=False)
+    value = float(_axis_norms(a, pe, None))
+    if _SAFE_LOW <= value <= _SAFE_HIGH:
+        return value
+    return _rescaled(value, lambda w: float(_axis_norms(w, pe, None)), a)
 
 
 def _axis_norms(a: np.ndarray, e: Exponent, axis: int | None) -> np.ndarray:

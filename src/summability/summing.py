@@ -22,7 +22,8 @@ import numpy as np
 from ._signs import sign_matrix
 from .forms import (_ENUM_BUDGET, FormTensor, _ball_sup, _batch_contract, _gaussian,
                     _plan, _polar, compose_beta, curry, op_norm)
-from .norms import NormEstimate, VectorSeq, _axis_norms, lp_norm, mixed_norm, weak_lp_norm
+from .norms import (_SAFE_HIGH, _SAFE_LOW, NormEstimate, VectorSeq, _axis_norms, lp_norm,
+                    mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
     ConstantsConfig,
@@ -265,15 +266,20 @@ def random_family_search(
     return best
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
 def _family_ratios(A: FormTensor, exps: ExponentTuple, draws) -> np.ndarray:
-    """The ratio of each drawn family, computed as its certificate computes it."""
+    """The ratio of each drawn family, computed as its certificate computes it:
+    an lhs outside [2^-500, 2^500] is computed again by :func:`lp_norm`."""
     ratios = np.empty(len(draws))
     lengths = np.array([J for J, _ in draws])
     for J in np.unique(lengths).tolist():
         idx = np.flatnonzero(lengths == J)
         stacks = _columns(A, J, np.stack([draws[i][1] for i in idx]))
         values = _batch_contract(A.coeffs, [s.reshape(-1, s.shape[2]) for s in stacks])
-        lhs = _axis_norms(np.abs(values.reshape(len(idx), J)), exps.p, axis=1)
+        values = values.reshape(len(idx), J)
+        lhs = _axis_norms(np.abs(values), exps.p, axis=1)
+        for k in np.flatnonzero(~((lhs >= _SAFE_LOW) & (lhs <= _SAFE_HIGH))).tolist():
+            lhs[k] = lp_norm(values[k], exps.p)
         denominator = np.ones(len(idx))
         for stack, q, d in zip(stacks, exps.qs, A.domains):
             balls = (q.dual, d.exponent.dual) if q.recip <= 1 else None
@@ -459,7 +465,9 @@ def _require_sup_bilinear(A: FormTensor, who: str) -> None:
         raise ValueError(f"{who} expects sup-norm domains")
 
 
-_FOUR_THIRDS = Exponent(Fraction(3, 4))
+# module constants: Exponent.of costs Fraction arithmetic, and the plan
+# cache of the kernel finds the same exponent object fastest
+_ONE, _TWO, _FOUR_THIRDS = Exponent.of(1), Exponent.of(2), Exponent(Fraction(3, 4))
 
 
 def _versus_op_norm(
@@ -523,7 +531,7 @@ def verify_general_littlewood(
     """sum_k (sum_j |a_jk|^2)^{1/2} <= K_G ||A|| (the p = 1, q = 2 case)."""
     constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_general_littlewood")
-    lhs = mixed_norm(A.coeffs, 1, 2)
+    lhs = mixed_norm(A.coeffs, _ONE, _TWO)
     return _versus_op_norm("general_littlewood", A, lhs, constants.kg(A.field),
                            "1", "2", constants)
 
@@ -555,7 +563,7 @@ def verify_extended_littlewood(
     qe = Exponent(Fraction(1, 2) + (1 - pe.recip))
     b = np.asarray(beta)
     lhs = mixed_norm(compose_beta(b, A.coeffs), pe, qe)
-    beta_norm = mixed_norm(b, INF, 2)
+    beta_norm = mixed_norm(b, INF, _TWO)
     report = _versus_op_norm("extended_littlewood", A, lhs, constants.kg(A.field),
                              str(pe), str(qe), constants,
                              factor=beta_norm, beta_norm=beta_norm)
@@ -609,10 +617,10 @@ def verify_defant_voigt(
     if (1 << fam.length) > rad_budget:
         raise ValueError("family too long for exact Rademacher averaging")
     lhs = float(np.abs(fam.values(A)).sum())
-    rads = [rad_p_norm(col, 2, "exact", budget=rad_budget) for col in fam.columns]
+    rads = [rad_p_norm(col, _TWO, "exact", budget=rad_budget) for col in fam.columns]
     report = _versus_op_norm("defant_voigt", A, lhs, 1.0, "1", "2", constants,
                              factor=math.prod(rads), rad2_norms=rads)
-    weak1 = [weak_lp_norm(col, 1) for col in fam.columns]
+    weak1 = [weak_lp_norm(col, _ONE) for col in fam.columns]
     weak_rhs = report.witness["op_norm"] * math.prod(w.value for w in weak1)
     weak_exact = report.exact_norm and all(w.exact for w in weak1)
     report.witness["weak_l1_rhs"] = weak_rhs
@@ -653,14 +661,27 @@ def verify_almost_summing(
         flags.append(exact)
         return values
 
-    rad = rademacher_average(tails, norm_fn, 2, "exact")
-    rhs = tuple(weak_lp_norm(col, 2) for col in fam.columns)
-    exps = ExponentTuple(Exponent.of(2), tuple(Exponent.of(2) for _ in fam.columns))
+    rad = rademacher_average(tails, norm_fn, _TWO, "exact")
+    rhs = tuple(weak_lp_norm(col, _TWO) for col in fam.columns)
+    exps = ExponentTuple(_TWO, (_TWO,) * fam.n)
     return RatioCertificate(rad, rhs, fam, exps, lhs_exact=all(flags))
 
 
 # ---------------------------------------------------------------------------
-# projective tensor weak norm (dual-ball estimate)
+# weak norms of elementary tensors in the projective tensor product
+
+
+def _projective_norm(s1: Exponent, s2: Exponent):
+    """The norm of l_s1 (x)_pi l_s2 on a stack of coefficient matrices, where it
+    has a closed form, else None: l_1(l_s2) takes the l_1 sum of the rows'
+    norms, l_s1 (x) l_1 that of the columns', l_2 (x) l_2 the nuclear norm."""
+    if s1.recip == 1:
+        return lambda U: _axis_norms(np.abs(U), s2, axis=2).sum(axis=1)
+    if s2.recip == 1:
+        return lambda U: _axis_norms(np.abs(U), s1, axis=1).sum(axis=1)
+    if s1 == s2 == _TWO:
+        return lambda U: np.linalg.svd(U, compute_uv=False).sum(axis=1)
+    return None
 
 
 def tensor_weak_norm_estimate(
@@ -669,98 +690,63 @@ def tensor_weak_norm_estimate(
     p: ExponentLike,
     *,
     budget: int = 64,
-) -> tuple[float, float]:
-    """Weak-l_p norm of (x_j^1 (x) x_j^2)_j in the projective tensor product.
+) -> NormEstimate:
+    """Weak-l_p norm of (x_j (x) y_j)_j in the projective tensor product.
 
     The dual unit ball is the set of bilinear forms B with ||B|| <= 1, so the
-    target is sup_B (sum_j |B(x_j^1, x_j^2)|^p)^{1/p}. Returns a certified
-    lower bound (structured and sampled B, normalized by an exact norm or a
-    coefficient upper bound) and a heuristic ascent value: 150 projected
-    ascent steps from each of the 8 best candidates.
+    value is sup_B (sum_j |B(x_j, y_j)|^p)^(1/p). ``budget`` bounds the
+    dimension product m1 * m2. What the result certifies:
+
+    - p = inf or J = 1, either field: exact, max_j ||x_j|| ||y_j||, since the
+      projective norm is a cross norm.
+    - real data, p = 1, a pair with a closed-form projective norm (l_1 (x) F,
+      F (x) l_1 or l_2 (x) l_2, see :func:`_projective_norm`) and 2^J within
+      ``forms._ENUM_BUDGET``: exact, the largest ||sum_j eps_j x_j (x) y_j||_pi
+      over all sign vectors eps.
+    - otherwise a lower bound, ``exact=False`` (:func:`_candidate_bound`).
     """
     if seq1.length != seq2.length:
         raise ValueError("sequences must have a common length")
+    if seq1.length == 0:
+        raise ValueError("empty sequence")
     m1, m2 = seq1.dim, seq2.dim
     if m1 * m2 > budget:
         raise ValueError(f"dimension product {m1 * m2} exceeds the budget {budget}")
     pe = Exponent.of(p)
+    balls = (seq1.space.exponent, seq2.space.exponent)
     X1, X2 = seq1.vectors, seq2.vectors
-    is_complex = seq1.is_complex or seq2.is_complex
-    field = ScalarField.COMPLEX if is_complex else ScalarField.REAL
-    domains = (seq1.space, seq2.space)
+    if pe.is_inf or seq1.length == 1:
+        cross = (_axis_norms(np.abs(X1), balls[0], axis=1)
+                 * _axis_norms(np.abs(X2), balls[1], axis=1))
+        return NormEstimate(float(cross.max()), True)
+    U = X1[:, :, None] * X2[:, None, :]  # the tensors x_j (x) y_j as matrices
+    norm = None if U.dtype.kind == "c" or pe.recip != 1 else _projective_norm(*balls)
+    if norm is not None and (1 << seq1.length) <= _ENUM_BUDGET:
+        return NormEstimate(rademacher_average(U, norm, INF, "exact"), True)
+    return NormEstimate(_candidate_bound(U, balls, pe), False)
 
-    def seq_value(B: np.ndarray) -> float:
-        v = np.einsum("ab,ja,jb->j", B, X1, X2)
-        return lp_norm(v, pe)
 
-    def certified_norm(B: np.ndarray) -> tuple[float, bool]:
-        est = op_norm(FormTensor(B, domains,
-                                 ScalarField.COMPLEX if np.iscomplexobj(B) else field))
-        if est.exact:
-            return est.value, True
-        return float(np.abs(B).sum()), True  # coefficient sum dominates the norm
-
+def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
+                     pe: Exponent) -> float:
+    """The best (sum_j |B(U_j)|^p)^(1/p) / N(B) over seeded bilinear forms B:
+    the basis matrices, every sign matrix (256 random ones above 16 entries),
+    the identity and 64 Gaussian matrices. N(B) >= ||B|| is the kernel's
+    exact norm where :func:`forms._plan` has one, else the coefficient sum."""
+    J, m1, m2 = U.shape
+    is_complex = U.dtype.kind == "c"
     rng = np.random.default_rng(0)
-    candidates: list[np.ndarray] = []
-    for a in range(m1):
-        for b in range(m2):
-            E = np.zeros((m1, m2))
-            E[a, b] = 1.0
-            candidates.append(E)
     if m1 * m2 <= 16:
-        for row in sign_matrix(m1 * m2):
-            candidates.append(row.reshape(m1, m2))
+        signs = sign_matrix(m1 * m2).reshape(-1, m1, m2)
     else:
-        for _ in range(256):
-            candidates.append(rng.choice([-1.0, 1.0], size=(m1, m2)))
-    eye = np.zeros((m1, m2))
-    for i in range(min(m1, m2)):
-        eye[i, i] = 1.0
-    candidates.append(eye)
-    for _ in range(64):
-        candidates.append(_gaussian(rng, (m1, m2), is_complex))
-
-    lower = 0.0
-    scored: list[tuple[float, np.ndarray]] = []
-    for B in candidates:
-        nrm, _ = certified_norm(B)
-        if nrm == 0:
-            continue
-        val = seq_value(B) / nrm
-        scored.append((val, B))
-        lower = max(lower, val)
-
-    # heuristic refinement: ascent on coefficients with norm renormalization
-    scored.sort(key=lambda t: -t[0])
-    heuristic = lower
-    pv = pe.value if not pe.is_inf else None
-    for _, B0 in scored[:8]:
-        B = B0.astype(np.complex128 if is_complex else np.float64).copy()
-        step = 0.25
-        for _ in range(150):
-            est = op_norm(FormTensor(B, domains, field))
-            nrm = est.value if est.value > 0 else 1.0
-            B = B / nrm
-            v = np.einsum("ab,ja,jb->j", B, X1, X2)
-            val = lp_norm(v, pe)
-            heuristic = max(heuristic, val)
-            mag = np.abs(v)
-            if pv is None:
-                w = np.zeros_like(v)
-                j = int(np.argmax(mag))
-                w[j] = 1.0 if mag[j] == 0 else v[j] / mag[j]
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    w = np.where(mag > 1e-300, pv * mag ** (pv - 2.0) * v, 0.0)
-            G = np.einsum("j,ja,jb->ab", w, X1.conj(), X2.conj())
-            gn = float(np.abs(G).max())
-            if gn == 0:
-                break
-            B = B + step * G / gn
-        est = op_norm(FormTensor(B, domains, field))
-        if est.value > 0:
-            heuristic = max(heuristic, seq_value(B) / est.value)
-    return lower, heuristic
+        signs = [rng.choice([-1.0, 1.0], size=(m1, m2)) for _ in range(256)]
+    B = np.concatenate([np.eye(m1 * m2).reshape(-1, m1, m2), signs, np.eye(m1, m2)[None],
+                        [_gaussian(rng, (m1, m2), is_complex) for _ in range(64)]])
+    if _plan((m1, m2), balls, is_complex, _ENUM_BUDGET):
+        norms = _ball_sup(B, balls, witness=False)[0]
+    else:  # the coefficient sum bounds the norm on any domains
+        norms = np.abs(B).sum(axis=(1, 2))
+    values = _axis_norms(np.abs(B.reshape(len(B), -1) @ U.reshape(J, -1).T), pe, axis=1)
+    return float(np.divide(values, norms, out=np.zeros(len(B)), where=norms > 0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -882,7 +868,7 @@ def summing_experiment(
     (heuristic) operator norm, and their quotient, deterministically per seed.
     """
     dp, dq = Exponent.of(domain_p), Exponent.of(domain_q)
-    exps = target or ExponentTuple(dp, (Exponent.of(2), Exponent.of(1)))
+    exps = target or ExponentTuple(dp, (_TWO, _ONE))
     seeds = np.random.SeedSequence(seed).spawn(count)
     records = []
     for i in range(count):

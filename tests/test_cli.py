@@ -160,6 +160,21 @@ def test_rescaled_norm_prints_no_warning(tmp_path, capsys, argv, data, expected)
         assert captured.out == expected + "\n"
 
 
+def test_search_with_overflowing_lhs_scales_the_ratio(tmp_path, capsys):
+    # the squares of the values overflow; the ratio is 1e200 times the unscaled one
+    ratios = []
+    for scale in (1.0, 1e200):
+        form = {"field": "real", "dims": [2, 2], "coeffs": [scale, 0, 0, scale]}
+        path = write_json(tmp_path / "form.json", form)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            assert main(["search", path, "--p", "2", "--qs", "2,2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        ratios.append(json.loads(captured.out)["certificate"]["ratio"])
+    assert ratios[1] == pytest.approx(1e200 * ratios[0], rel=1e-12)
+
+
 def test_form_with_no_slot_exits_3(tmp_path, capsys):
     path = write_json(tmp_path / "form.json", {"field": "real", "dims": [], "coeffs": [2.0]})
     assert main(["opnorm", path]) == 3

@@ -72,7 +72,7 @@ COMMANDS = {
 
 DIGESTS = {
     "bh": "7559431661ae3b16ae28e2279d5f1255d257c8d13924b75c975582facf96e72b",
-    "demos": "3b855d6f2f43cb07f463512f00809957539a93de67cdd55a6a36fcef916abc54",
+    "demos": "6949653ee285a554f7ae91b257e8cae73ab72315b6c52831e87bb47959a89601",
     "dv": "1560372be5c82e15df843cde46a56d60e3496ac656378c59907b4490bb408e61",
     "dv-files": "48a3fab700072c1f7c0ad076d040e95688e7cfa88f39e0a833a0851ef9f5becc",
     "experiment": "7b25bfbbfe624b0da0619be95454a1fceee837f8663aa3d5b77589c2fe400cf6",

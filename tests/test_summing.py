@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from summability import (
     verify_general_littlewood,
     verify_littlewood_43,
 )
+from summability.forms import _gaussian
 from summability.rademacher import rademacher_average
 from summability import summing
 from summability.summing import _structured_families
@@ -488,31 +490,110 @@ def test_almost_summing_head_mismatch(littlewood, diag_family):
 
 def test_tensor_weak_single_pair():
     e1 = np.array([1.0, 0.0])
-    lo, heur = tensor_weak_norm_estimate(
+    est = tensor_weak_norm_estimate(
         VectorSeq(e1, SpaceSpec.linf(2)), VectorSeq(e1, SpaceSpec.linf(2)), 1
     )
-    assert lo == pytest.approx(1.0, abs=1e-12)
-    assert heur >= lo - 1e-12
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+    assert est.exact
 
 
 def test_tensor_weak_zero():
     z = VectorSeq(np.zeros((2, 2)), SpaceSpec.linf(2))
-    lo, heur = tensor_weak_norm_estimate(z, z, 1)
-    assert lo == 0.0 and heur == 0.0
+    assert tensor_weak_norm_estimate(z, z, 1).value == 0.0
 
 
 def test_tensor_weak_l1_basis_pairs():
     space = SpaceSpec.lp(2, 1)
     seq = VectorSeq(np.eye(2), space)
-    lo, heur = tensor_weak_norm_estimate(seq, seq, 1)
-    assert lo >= 2.0 - 1e-12
-    assert heur >= lo - 1e-12
+    est = tensor_weak_norm_estimate(seq, seq, 1)
+    assert est.value >= 2.0 - 1e-12
+    assert est.exact
 
 
 def test_tensor_weak_budget():
     seq = VectorSeq(np.zeros((1, 9)), SpaceSpec.linf(9))
     with pytest.raises(ValueError):
         tensor_weak_norm_estimate(seq, seq, 1, budget=64)
+
+
+def _worst_sign_sum(X, Y, norm):
+    """max over every sign vector eps of norm(sum_j eps_j x_j (x) y_j), by a plain loop."""
+    return max(norm(sum(e * np.outer(x, y) for e, x, y in zip(eps, X, Y)))
+               for eps in itertools.product((1.0, -1.0), repeat=len(X)))
+
+
+# projective norms with a closed form, written out independently of the package
+_PROJECTIVE = {
+    (1, 2): lambda M: np.linalg.norm(M, axis=1).sum(),  # l_1(l_2), by rows
+    (1, 3): lambda M: np.linalg.norm(M, 3, axis=1).sum(),
+    (2, 1): lambda M: np.linalg.norm(M, axis=0).sum(),  # by columns
+    ("inf", 1): lambda M: np.abs(M).max(axis=0).sum(),
+    (2, 2): lambda M: np.linalg.norm(M, "nuc"),
+}
+
+
+def _pair(X, Y, s1, s2):
+    return (VectorSeq(X, SpaceSpec.lp(X.shape[1], s1)),
+            VectorSeq(Y, SpaceSpec.lp(Y.shape[1], s2)))
+
+
+@pytest.mark.parametrize("s1, s2", sorted(_PROJECTIVE, key=str))
+@pytest.mark.parametrize("J, m1, m2, seed", [(2, 2, 3, 1), (5, 3, 2, 2), (7, 3, 3, 3)])
+def test_tensor_weak_l1_real_matches_sign_loop(s1, s2, J, m1, m2, seed):
+    rng = np.random.default_rng(seed)
+    X, Y = rng.standard_normal((J, m1)), rng.standard_normal((J, m2))
+    est = tensor_weak_norm_estimate(*_pair(X, Y, s1, s2), 1)
+    assert est.exact
+    want = _worst_sign_sum(X, Y, _PROJECTIVE[s1, s2])
+    assert est.value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("s, want", [(2, 15.224635313639135), (1, 27.206665708243243)])
+def test_tensor_weak_l1_six_pairs_in_dimension_three(s, want):
+    h = np.random.default_rng(101).standard_normal((6, 6))
+    X, Y = h[:, :3], h[:, 3:]
+    est = tensor_weak_norm_estimate(*_pair(X, Y, s, s), 1)
+    assert est.exact
+    assert est.value == pytest.approx(want, rel=1e-12)
+    norm = _PROJECTIVE[2, 2] if s == 2 else (lambda M: np.abs(M).sum())
+    assert est.value == pytest.approx(_worst_sign_sum(X, Y, norm), rel=1e-12)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("s1, s2", [("inf", "inf"), (2, "4/3"), (1, 3)])
+def test_tensor_weak_linf_and_single_pairs_are_cross_norms(s1, s2, is_complex):
+    rng = np.random.default_rng(4)
+    X, Y = (_gaussian(rng, (4, m), is_complex) for m in (3, 2))
+    lengths = [lp_norm(x, s1) * lp_norm(y, s2) for x, y in zip(X, Y)]
+    est = tensor_weak_norm_estimate(*_pair(X, Y, s1, s2), "inf")
+    assert est.exact
+    assert est.value == pytest.approx(max(lengths), rel=1e-12)
+    single = tensor_weak_norm_estimate(*_pair(X[1:2], Y[1:2], s1, s2), 2)
+    assert single.exact
+    assert single.value == pytest.approx(lengths[1], rel=1e-12)
+
+
+def test_tensor_weak_l1_complex_is_a_lower_bound():
+    rng = np.random.default_rng(6)
+    X, Y = _gaussian(rng, (4, 2), True), _gaussian(rng, (4, 3), True)
+    est = tensor_weak_norm_estimate(*_pair(X, Y, 2, 2), 1)
+    assert not est.exact
+    # the triangle inequality bounds the weak-l_1 norm by the sum of the cross norms
+    assert 0 < est.value <= sum(lp_norm(x, 2) * lp_norm(y, 2) for x, y in zip(X, Y))
+
+
+@pytest.mark.parametrize("s1, s2", sorted(_PROJECTIVE, key=str))
+def test_tensor_candidate_bound_stays_below_the_exact_value(s1, s2):
+    rng = np.random.default_rng(8)
+    for J, m1, m2 in [(2, 2, 2), (4, 3, 2), (6, 3, 3)]:
+        X, Y = rng.standard_normal((J, m1)), rng.standard_normal((J, m2))
+        seq1, seq2 = _pair(X, Y, s1, s2)
+        exact = tensor_weak_norm_estimate(seq1, seq2, 1)
+        U = X[:, :, None] * Y[:, None, :]
+        bound = summing._candidate_bound(U, (seq1.space.exponent, seq2.space.exponent),
+                                         Exponent.of(1))
+        assert exact.exact
+        assert 0 < bound <= exact.value * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
