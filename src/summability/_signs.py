@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# the work any exact computation may do: the kernel's enumeration,
+# dim(free) * prod(candidate counts), and exact Rademacher patterns, 2^n
+_ENUM_BUDGET = 1 << 22
+
 
 def sign_block(n: int, start: int, count: int) -> np.ndarray:
     """Rows ``start .. start+count`` of the 2^n sign matrix.

@@ -74,26 +74,21 @@ class Parser(argparse.ArgumentParser):
 class RunConfig:
     """Reproducibility knobs shared by the batch commands."""
 
+    constants: ConstantsConfig
     seed: int = 0
     budget: int = 256
-    tolerance: float = 1e-6
-    constants: ConstantsConfig | None = None
     field: ScalarField | None = None
     j_max: int = 16
     allow_real_experimental: bool = False
-
-    def __post_init__(self):
-        if self.constants is None:
-            self.constants = ConstantsConfig(tolerance=self.tolerance)
 
     def to_dict(self) -> dict:
         return {
             "seed": self.seed,
             "budget": self.budget,
-            "tolerance": self.tolerance,
+            "tolerance": self.constants.tolerance,
             "kg_real": self.constants.kg_real,
             "kg_complex": self.constants.kg_complex,
-            "littlewood_real": self.constants.littlewood_real,
+            "littlewood_real": self.constants.littlewood(ScalarField.REAL),
             "field": str(self.field) if self.field else None,
             "j_max": self.j_max,
             "allow_real_experimental": self.allow_real_experimental,
@@ -125,7 +120,6 @@ def _config(args) -> RunConfig:
     return RunConfig(
         seed=args.seed,
         budget=args.budget,
-        tolerance=args.tol,
         constants=constants,
         field=field,
         j_max=args.jmax,
@@ -516,7 +510,7 @@ def build_parser() -> Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_norm = sub.add_parser("norm", help="compute one norm from a file")
-    p_norm.add_argument("kind", choices=["lp", "mixed", "weak", "rad", "opnorm"])
+    p_norm.add_argument("kind", choices=["lp", "mixed", "weak", "rad"])
     p_norm.add_argument("file")
     p_norm.add_argument("--p", default="2", help="exponent (decimal or fraction)")
     p_norm.add_argument("--q", default="2", help="inner exponent for mixed norms")

@@ -21,14 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._codec import decode_values, encode_values
-from ._signs import sign_matrix
+from ._signs import _ENUM_BUDGET, sign_matrix
 from .norms import _SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _rescaled
 from .spaces import Exponent, ScalarField, SpaceSpec
 
 __all__ = ["FormTensor", "CurriedForm", "evaluate", "op_norm", "compose_beta", "curry"]
 
-# default bound on the kernel's exact work, dim(free) * prod(candidate counts)
-_ENUM_BUDGET = 1 << 22
 # alternating-maximization sweeps per run
 _SWEEPS = 200
 
@@ -129,23 +127,15 @@ def compose_beta(beta, a) -> np.ndarray:
     return b @ m
 
 
-def op_norm(
-    A: FormTensor,
-    *,
-    budget: int = _ENUM_BUDGET,
-    starts: int = 32,
-    seed: int = 0,
-    allow_heuristic: bool = True,
-) -> NormEstimate:
+def op_norm(A: FormTensor, *, starts: int = 32, seed: int = 0) -> NormEstimate:
     """Supremum of |A(x1, ..., xn)| over the product of unit balls.
 
     Exact when every slot but one has a finite norming set (see
-    :func:`_ball_sup`) and the enumeration fits in ``budget``; otherwise
-    multi-start alternating maximization, flagged ``exact=False``.
+    :func:`_ball_sup`) and the enumeration fits in ``_ENUM_BUDGET``;
+    otherwise multi-start alternating maximization, flagged ``exact=False``.
     """
     balls = tuple(d.exponent for d in A.domains)
-    return _one(_ball_sup(A.coeffs[None], balls, budget=budget, starts=starts,
-                          seed=seed, allow_heuristic=allow_heuristic))
+    return _one(_ball_sup(A.coeffs[None], balls, starts=starts, seed=seed))
 
 
 def _candidate_count(dim: int, ball: Exponent, is_complex: bool) -> int | None:
@@ -196,10 +186,8 @@ def _ball_sup(
     stack: np.ndarray,
     balls: tuple[Exponent, ...],
     *,
-    budget: int = _ENUM_BUDGET,
     starts: int = 32,
     seed: int = 0,
-    allow_heuristic: bool = True,
     witness: bool = True,
 ) -> tuple[np.ndarray, bool, list | None]:
     """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of
@@ -216,14 +204,12 @@ def _ball_sup(
     is 0, not finite or outside [2^-500, 2^500] is computed again, alone, on
     its item scaled by a power of two (:func:`norms._rescaled`).
     """
-    values, exact, witnesses = _ball_sup_unscaled(
-        stack, balls, budget, starts, seed, allow_heuristic, witness)
+    values, exact, witnesses = _ball_sup_unscaled(stack, balls, starts, seed, witness)
     for k, v in enumerate(values.tolist()):
         if not _SAFE_LOW <= v <= _SAFE_HIGH:
             est = _rescaled(NormEstimate(v, exact, witnesses and witnesses[k]),
                             lambda c: _one(_ball_sup_unscaled(
-                                c[None], balls, budget, starts, seed,
-                                allow_heuristic, witness)), stack[k])
+                                c[None], balls, starts, seed, witness)), stack[k])
             values[k] = est.value
             if witness:
                 witnesses[k] = est.witness
@@ -237,15 +223,15 @@ def _one(result) -> NormEstimate:
 
 
 @functools.lru_cache(maxsize=None)
-def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool,
-          budget: int):
-    """The exact plan of :func:`_ball_sup` for arrays of shape ``dims``, or None:
-    the candidate counts, the free slot (the least work dim(free) * prod(counts
-    of the others), the lowest index on ties), the basis slots, which are
-    indexed, the sign slots, which are contracted, and the axis order of a
-    stack that puts the sign slots first, then the free and the basis slots."""
+def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool):
+    """The exact plan of :func:`_ball_sup` for arrays of shape ``dims``, or None
+    when no plan fits in ``_ENUM_BUDGET``: the candidate counts, the free slot
+    (the least work dim(free) * prod(counts of the others), the lowest index
+    on ties), the basis slots, which are indexed, the sign slots, which are
+    contracted, and the axis order of a stack that puts the sign slots first,
+    then the free and the basis slots."""
     counts = [_candidate_count(m, b, is_complex) for m, b in zip(dims, balls)]
-    free, least = None, budget + 1
+    free, least = None, _ENUM_BUDGET + 1
     for i, m in enumerate(dims):
         rest = counts[:i] + counts[i + 1:]
         if None not in rest and m * math.prod(rest) < least:
@@ -259,14 +245,11 @@ def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool,
     return counts, free, basis, signed, order
 
 
-def _ball_sup_unscaled(stack, balls, budget, starts, seed, allow_heuristic, witness):
+def _ball_sup_unscaled(stack, balls, starts, seed, witness):
     is_complex = stack.dtype.kind == "c"
     dims = stack.shape[1:]
-    plan = _plan(dims, balls, is_complex, budget)
+    plan = _plan(dims, balls, is_complex)
     if plan is None:
-        if not allow_heuristic:
-            raise ValueError("no exact enumeration within the budget and "
-                             "heuristic fallback disabled")
         ests = [_ball_sup_alternating(c, balls, is_complex, starts=starts, seed=seed)
                 for c in stack]
         return (np.array([e.value for e in ests]), False,

@@ -17,6 +17,7 @@ from typing import Any
 import numpy as np
 
 from ._codec import decode_values, encode_values
+from ._signs import _ENUM_BUDGET
 from .spaces import INF, Exponent, ExponentLike, ScalarField, SpaceSpec
 
 __all__ = ["lp_norm", "mixed_norm", "weak_lp_norm", "NormEstimate", "VectorSeq"]
@@ -56,18 +57,24 @@ def _axis_norms(a: np.ndarray, e: Exponent, axis: int | None) -> np.ndarray:
     return np.add.reduce(a ** pv, axis=axis) ** (1.0 / pv)
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
 def mixed_norm(M, p: ExponentLike, q: ExponentLike) -> float:
     """Outer p-norm over columns k of the inner q-norms over rows j.
 
     For a matrix m_jk this is (sum_k (sum_j |m_jk|^q)^(p/q))^(1/p), with the
-    infinite exponents handled as suprema.
+    infinite exponents handled as suprema. A value that is 0, not finite or
+    outside [2^-500, 2^500] is computed again on ``M`` scaled by a power of
+    two (:func:`_rescaled`).
     """
     pe, qe = Exponent.of(p), Exponent.of(q)
     A = np.abs(np.asarray(M))
     if A.ndim != 2 or A.size == 0:
         raise ValueError("mixed_norm expects a nonempty 2-d matrix")
-    inner = _axis_norms(A.astype(np.float64), qe, axis=0)
-    return lp_norm(inner, pe)
+    A = A.astype(np.float64)
+    value = lp_norm(_axis_norms(A, qe, axis=0), pe)
+    if _SAFE_LOW <= value <= _SAFE_HIGH:
+        return value
+    return _rescaled(value, lambda a: lp_norm(_axis_norms(a, qe, axis=0), pe), A)
 
 
 @dataclass(frozen=True)
@@ -185,14 +192,8 @@ class VectorSeq:
         return cls(vectors, space)
 
 
-def weak_lp_norm(
-    seq: VectorSeq,
-    p: ExponentLike,
-    *,
-    starts: int = 32,
-    seed: int = 0,
-    method: str = "auto",
-) -> NormEstimate:
+def weak_lp_norm(seq: VectorSeq, p: ExponentLike, *, starts: int = 32,
+                 seed: int = 0) -> NormEstimate:
     """sup over the dual unit ball of (sum_j |phi(x_j)|^p)^(1/p).
 
     For p >= 1 this is the norm of the coefficient matrix X (one row per
@@ -200,9 +201,8 @@ def weak_lp_norm(
     kernel of ``forms`` computes it: exact on sup-norm spaces (coordinate
     functionals), on real l_1 spaces (sign functionals), for weak-l_1 in any
     real space (signs over the J slot), for weak-l_inf and for single
-    vectors; otherwise an alternating-maximization lower bound.
-    ``method="ascent"`` forces the alternating path. Weak norms carry no
-    witness.
+    vectors; otherwise an alternating-maximization lower bound. Weak norms
+    carry no witness.
 
     For p < 1 (no longer a bilinear norm) the value is the best over the
     coordinate functionals of sup-norm spaces and the sign functionals of
@@ -215,23 +215,19 @@ def weak_lp_norm(
     X = seq.vectors
     if seq.length == 0:
         raise ValueError("empty sequence")
-    if method not in ("auto", "ascent"):
-        raise ValueError(f"unknown method {method!r}")
     s = seq.space.exponent
-    budget = forms._ENUM_BUDGET if method == "auto" else 0
 
     if pe.recip.numerator <= pe.recip.denominator:  # p >= 1
-        return forms._one(forms._ball_sup(X[None], (pe.dual, s.dual), budget=budget,
+        return forms._one(forms._ball_sup(X[None], (pe.dual, s.dual),
                                           starts=starts, seed=seed, witness=False))
 
-    if method == "auto":
-        if s.is_inf or (s.recip == 1 and not seq.is_complex
-                        and (1 << seq.dim) <= budget):
-            V = X if s.is_inf else forms._contract_signs(X.T[None])[0]
-            return NormEstimate(float(_axis_norms(np.abs(V), pe, axis=0).max()), True)
-        if seq.length == 1:
-            return NormEstimate(lp_norm(X[0], s), True)
-    phi = forms._one(forms._ball_sup(X[None], (INF, s.dual), budget=budget,
+    if s.is_inf or (s.recip == 1 and not seq.is_complex
+                    and (1 << seq.dim) <= _ENUM_BUDGET):
+        V = X if s.is_inf else forms._contract_signs(X.T[None])[0]
+        return NormEstimate(float(_axis_norms(np.abs(V), pe, axis=0).max()), True)
+    if seq.length == 1:
+        return NormEstimate(lp_norm(X[0], s), True)
+    phi = forms._one(forms._ball_sup(X[None], (INF, s.dual),
                                      starts=starts, seed=seed)).witness[1]
     return NormEstimate(lp_norm(X @ phi, pe), False)
 

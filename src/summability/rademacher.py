@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._signs import sign_block
+from ._signs import _ENUM_BUDGET, sign_block
 from .norms import _SAFE_HIGH, _SAFE_LOW, VectorSeq, _axis_norms, _rescaled
 from .spaces import Exponent, ExponentLike
 
@@ -60,7 +60,6 @@ def rademacher_average(
     *,
     samples: int = 100_000,
     seed: int = 0,
-    budget: int = 1 << 22,
 ) -> float:
     """(E ||sum_j eps_j v_j||^p)^(1/p) for arbitrary items and norm.
 
@@ -70,9 +69,10 @@ def rademacher_average(
     that over- or underflowed is computed again on the items scaled by a
     power of two and scaled back (``norms._rescaled``), so it runs with
     numpy's over-, underflow and invalid-value warnings off. Exact mode runs
-    all 2^n patterns, mc mode ``samples`` seeded patterns, in blocks. For
-    p = inf the result is the largest norm; otherwise the norm^p terms go
-    into one exactly rounded sum, so the block size cannot change it.
+    all 2^n patterns (refused above ``_ENUM_BUDGET``), mc mode ``samples``
+    seeded patterns, in blocks. For p = inf the result is the largest norm;
+    otherwise the norm^p terms go into one exactly rounded sum, so the block
+    size cannot change it.
     """
     v = np.asarray(items)
     n = v.shape[0]
@@ -83,9 +83,9 @@ def rademacher_average(
 
     if mode == "exact":
         count = 1 << n
-        if count > budget:
+        if count > _ENUM_BUDGET:
             raise ValueError(
-                f"exact mode needs 2^{n} patterns, over the budget {budget}"
+                f"exact mode needs 2^{n} patterns, over the budget {_ENUM_BUDGET}"
             )
 
         def block(start, size):
@@ -120,32 +120,24 @@ def rademacher_average(
     if _SAFE_LOW <= value <= _SAFE_HIGH:
         return value
     return _rescaled(value, lambda w: rademacher_average(
-        w, norm_fn, p, mode, samples=samples, seed=seed, budget=budget), v)
+        w, norm_fn, p, mode, samples=samples, seed=seed), v)
 
 
-def rad_p_norm(
-    seq: VectorSeq,
-    p: ExponentLike = 2,
-    mode: str = "exact",
-    *,
-    samples: int = 100_000,
-    seed: int = 0,
-    budget: int = 1 << 22,
-) -> float:
+def rad_p_norm(seq: VectorSeq, p: ExponentLike = 2, mode: str = "exact", *,
+               samples: int = 100_000, seed: int = 0) -> float:
     """Rad_p norm of a vector sequence in its own space norm.
 
     Exact mode averages over all 2^n sign patterns (n = sequence length and
-    2^n <= budget); for p = inf it is the worst-case sign combination. mc
-    mode is the empirical mean over ``samples`` seeded patterns.
+    2^n <= ``_ENUM_BUDGET``); for p = inf it is the worst-case sign
+    combination. mc mode is the empirical mean over ``samples`` seeded
+    patterns.
     """
     s = seq.space.exponent
 
     def norm_fn(rows: np.ndarray) -> np.ndarray:
         return _axis_norms(np.abs(rows), s, axis=1)
 
-    return rademacher_average(
-        seq.vectors, norm_fn, p, mode, samples=samples, seed=seed, budget=budget
-    )
+    return rademacher_average(seq.vectors, norm_fn, p, mode, samples=samples, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -158,16 +150,10 @@ class ContractionCheck:
         return self.passed
 
 
-def contraction_check(
-    seq: VectorSeq,
-    alphas,
-    p: ExponentLike,
-    mode: str = "exact",
-    *,
-    tol: float = 1e-12,
-    **kwargs,
-) -> ContractionCheck:
-    """Rad_p of (alpha_j x_j) against Rad_p of (x_j) for |alpha_j| <= 1."""
+def contraction_check(seq: VectorSeq, alphas, p: ExponentLike, mode: str = "exact",
+                      **kwargs) -> ContractionCheck:
+    """Rad_p of (alpha_j x_j) against Rad_p of (x_j) for |alpha_j| <= 1, with
+    a slack of 1e-12."""
     a = np.asarray(alphas)
     if a.shape != (seq.length,):
         raise ValueError("need one multiplier per vector")
@@ -177,7 +163,7 @@ def contraction_check(
         raise ValueError("exact mode expects real multipliers")
     scaled = rad_p_norm(seq.scaled(a), p, mode, **kwargs)
     unscaled = rad_p_norm(seq, p, mode, **kwargs)
-    return ContractionCheck(scaled <= unscaled + tol, scaled, unscaled)
+    return ContractionCheck(scaled <= unscaled + 1e-12, scaled, unscaled)
 
 
 def kahane_ratio(seq: VectorSeq, p: ExponentLike, q: ExponentLike,

@@ -191,14 +191,13 @@ class SpaceSpec:
 
 @dataclass(frozen=True)
 class ExponentTuple:
-    """A summing signature (p; q_1, ..., q_n), optionally tagged with theta.
+    """A summing signature (p; q_1, ..., q_n).
 
     Validity requires 1/p <= sum_i 1/q_i, checked exactly in reciprocal space.
     """
 
     p: Exponent
     qs: tuple[Exponent, ...]
-    theta: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", Exponent.of(self.p))
@@ -209,8 +208,6 @@ class ExponentTuple:
             raise ValueError(
                 f"summing validity requires 1/p <= sum(1/q_i); got {self}"
             )
-        if self.theta is not None and not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta!r}")
 
     @property
     def n(self) -> int:
@@ -230,16 +227,16 @@ class ConstantsConfig:
     """Best published constants and the relative slack for heuristic norms.
 
     The Grothendieck constants are configuration, not code constants: only
-    upper bounds are known, and the defaults are the published ones.
+    upper bounds are known, and the defaults are the published ones. The
+    real constant of the 4/3 inequality is sqrt(2), exact and optimal.
     """
 
     kg_real: float = 1.78221
     kg_complex: float = 1.40491
-    littlewood_real: float = math.sqrt(2.0)
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        for name in ("kg_real", "kg_complex", "littlewood_real", "tolerance"):
+        for name in ("kg_real", "kg_complex", "tolerance"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.kg_complex >= math.sqrt(2.0):
@@ -249,4 +246,4 @@ class ConstantsConfig:
         return self.kg_complex if field.is_complex else self.kg_real
 
     def littlewood(self, field: ScalarField) -> float:
-        return self.kg_complex if field.is_complex else self.littlewood_real
+        return self.kg_complex if field.is_complex else math.sqrt(2.0)

@@ -19,9 +19,9 @@ from itertools import islice
 
 import numpy as np
 
-from ._signs import sign_matrix
-from .forms import (_ENUM_BUDGET, FormTensor, _ball_sup, _batch_contract, _gaussian,
-                    _plan, _polar, compose_beta, curry, op_norm)
+from ._signs import _ENUM_BUDGET, sign_matrix
+from .forms import (FormTensor, _ball_sup, _batch_contract, _gaussian, _plan, _polar,
+                    compose_beta, curry, op_norm)
 from .norms import (_SAFE_HIGH, _SAFE_LOW, NormEstimate, VectorSeq, _axis_norms, lp_norm,
                     mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
@@ -283,7 +283,7 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws) -> np.ndarray:
         denominator = np.ones(len(idx))
         for stack, q, d in zip(stacks, exps.qs, A.domains):
             balls = (q.dual, d.exponent.dual) if q.recip <= 1 else None
-            if balls and _plan(stack.shape[1:], balls, A.field.is_complex, _ENUM_BUDGET):
+            if balls and _plan(stack.shape[1:], balls, A.field.is_complex):
                 denominator *= _ball_sup(stack, balls, witness=False)[0]
             else:
                 denominator *= [weak_lp_norm(VectorSeq(X, d), q).value for X in stack]
@@ -296,7 +296,7 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws) -> np.ndarray:
 # inclusion machinery
 
 
-def factor_sequence(alpha, r: ExponentLike, rs, *, tol: float = 1e-12) -> list[np.ndarray]:
+def factor_sequence(alpha, r: ExponentLike, rs) -> list[np.ndarray]:
     """Split a scalar sequence into a pointwise product of n sequences.
 
     With sum_k 1/r_k = 1/r the factors are |alpha_j|^(r/r_k), the phase going
@@ -309,7 +309,7 @@ def factor_sequence(alpha, r: ExponentLike, rs, *, tol: float = 1e-12) -> list[n
     if not res:
         raise ValueError("need at least one factor exponent")
     total = sum(x.recip for x in res)
-    if total != re.recip and abs(float(total - re.recip)) > tol:
+    if total != re.recip and abs(float(total - re.recip)) > 1e-12:
         raise ValueError(
             f"exponent identity violated: sum 1/r_k = {total} but 1/r = {re.recip}"
         )
@@ -342,8 +342,6 @@ def lift_family(
     fam: TestFamily,
     source: ExponentTuple,
     target: ExponentTuple,
-    *,
-    tol: float = 1e-10,
 ) -> LiftResult:
     """Transport a ratio certificate from a weaker exponent tuple to a stronger one.
 
@@ -351,7 +349,8 @@ def lift_family(
     than the source defect. The value sequence is turned into a unit-norm
     scalar sequence alpha with ||(alpha_j A_j)||_q = ||(A_j)||_p, alpha is
     factored across the slots, and the scaled family certifies a ratio at
-    the target tuple at least the source ratio (up to rounding).
+    the target tuple at least the source ratio (up to a rounding slack of
+    1e-10).
     """
     if source.n != target.n or source.n != A.order:
         raise ValueError("exponent tuples must match the form order")
@@ -398,7 +397,7 @@ def lift_family(
 
     derived_fam = fam.scaled(factors)
     derived_cert = summing_lower_bound(A, target, derived_fam)
-    monotone = derived_cert.ratio >= source_cert.ratio - tol
+    monotone = derived_cert.ratio >= source_cert.ratio - 1e-10
     if not monotone and source_cert.exact and derived_cert.exact:
         raise ArithmeticError(
             "lift produced a smaller ratio with exact weak norms: "
@@ -601,7 +600,6 @@ def verify_defant_voigt(
     fam: TestFamily,
     *,
     constants: ConstantsConfig | None = None,
-    rad_budget: int = 1 << 22,
 ) -> VerificationReport:
     """sum_j |A(x_j^1, ..., x_j^n)| <= ||A|| prod_i Rad_2(column_i).
 
@@ -614,10 +612,10 @@ def verify_defant_voigt(
     if A.order < 2:
         raise ValueError("verify_defant_voigt needs a form of order at least 2")
     fam.check_against(A)
-    if (1 << fam.length) > rad_budget:
+    if (1 << fam.length) > _ENUM_BUDGET:
         raise ValueError("family too long for exact Rademacher averaging")
     lhs = float(np.abs(fam.values(A)).sum())
-    rads = [rad_p_norm(col, _TWO, "exact", budget=rad_budget) for col in fam.columns]
+    rads = [rad_p_norm(col, _TWO, "exact") for col in fam.columns]
     report = _versus_op_norm("defant_voigt", A, lhs, 1.0, "1", "2", constants,
                              factor=math.prod(rads), rad2_norms=rads)
     weak1 = [weak_lp_norm(col, _ONE) for col in fam.columns]
@@ -684,24 +682,23 @@ def _projective_norm(s1: Exponent, s2: Exponent):
     return None
 
 
-def tensor_weak_norm_estimate(
-    seq1: VectorSeq,
-    seq2: VectorSeq,
-    p: ExponentLike,
-    *,
-    budget: int = 64,
-) -> NormEstimate:
+# the largest dimension product m1 * m2 of a tensor weak norm
+_TENSOR_DIMS = 64
+
+
+def tensor_weak_norm_estimate(seq1: VectorSeq, seq2: VectorSeq,
+                              p: ExponentLike) -> NormEstimate:
     """Weak-l_p norm of (x_j (x) y_j)_j in the projective tensor product.
 
     The dual unit ball is the set of bilinear forms B with ||B|| <= 1, so the
-    value is sup_B (sum_j |B(x_j, y_j)|^p)^(1/p). ``budget`` bounds the
-    dimension product m1 * m2. What the result certifies:
+    value is sup_B (sum_j |B(x_j, y_j)|^p)^(1/p), for m1 * m2 up to
+    ``_TENSOR_DIMS``. What the result certifies:
 
     - p = inf or J = 1, either field: exact, max_j ||x_j|| ||y_j||, since the
       projective norm is a cross norm.
     - real data, p = 1, a pair with a closed-form projective norm (l_1 (x) F,
       F (x) l_1 or l_2 (x) l_2, see :func:`_projective_norm`) and 2^J within
-      ``forms._ENUM_BUDGET``: exact, the largest ||sum_j eps_j x_j (x) y_j||_pi
+      ``_ENUM_BUDGET``: exact, the largest ||sum_j eps_j x_j (x) y_j||_pi
       over all sign vectors eps.
     - otherwise a lower bound, ``exact=False`` (:func:`_candidate_bound`).
     """
@@ -710,8 +707,9 @@ def tensor_weak_norm_estimate(
     if seq1.length == 0:
         raise ValueError("empty sequence")
     m1, m2 = seq1.dim, seq2.dim
-    if m1 * m2 > budget:
-        raise ValueError(f"dimension product {m1 * m2} exceeds the budget {budget}")
+    if m1 * m2 > _TENSOR_DIMS:
+        raise ValueError(
+            f"dimension product {m1 * m2} exceeds the budget {_TENSOR_DIMS}")
     pe = Exponent.of(p)
     balls = (seq1.space.exponent, seq2.space.exponent)
     X1, X2 = seq1.vectors, seq2.vectors
@@ -741,7 +739,7 @@ def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
         signs = [rng.choice([-1.0, 1.0], size=(m1, m2)) for _ in range(256)]
     B = np.concatenate([np.eye(m1 * m2).reshape(-1, m1, m2), signs, np.eye(m1, m2)[None],
                         [_gaussian(rng, (m1, m2), is_complex) for _ in range(64)]])
-    if _plan((m1, m2), balls, is_complex, _ENUM_BUDGET):
+    if _plan((m1, m2), balls, is_complex):
         norms = _ball_sup(B, balls, witness=False)[0]
     else:  # the coefficient sum bounds the norm on any domains
         norms = np.abs(B).sum(axis=(1, 2))
@@ -860,7 +858,6 @@ def summing_experiment(
     seed: int = 0,
     j_max: int = 8,
     field: ScalarField = ScalarField.COMPLEX,
-    target: ExponentTuple | None = None,
 ) -> list[dict]:
     """Empirical (p; 2, 1) ratios for bilinear forms on l_p x l_q domains.
 
@@ -868,7 +865,7 @@ def summing_experiment(
     (heuristic) operator norm, and their quotient, deterministically per seed.
     """
     dp, dq = Exponent.of(domain_p), Exponent.of(domain_q)
-    exps = target or ExponentTuple(dp, (_TWO, _ONE))
+    exps = ExponentTuple(dp, (_TWO, _ONE))
     seeds = np.random.SeedSequence(seed).spawn(count)
     records = []
     for i in range(count):

@@ -175,6 +175,29 @@ def test_search_with_overflowing_lhs_scales_the_ratio(tmp_path, capsys):
     assert ratios[1] == pytest.approx(1e200 * ratios[0], rel=1e-12)
 
 
+def test_mixed_norm_with_overflowing_squares_scales_the_value(tmp_path, capsys):
+    # the squares of the entries overflow; each value is 1e200 times the unscaled one
+    runs = []
+    for scale in (1.0, 1e200):
+        matrix = write_json(tmp_path / "m.json",
+                            {"field": "real", "entries": [[scale, scale], [scale, scale]]})
+        form = write_json(tmp_path / "form.json", {"field": "real", "dims": [2, 2],
+                                                   "coeffs": [scale, scale, scale, -scale]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            assert main(["norm", "mixed", matrix, "--p", "1", "--q", "2"]) == 0
+            mixed = capsys.readouterr()
+            assert main(["verify", "general", form]) == 0
+            general = capsys.readouterr()
+        assert mixed.err == "" and general.err == ""
+        value, label = mixed.out.split()
+        report = json.loads(general.out)["reports"][0]
+        assert label == "exact" and report["status"] == "pass"
+        runs.append([float(value), report["lhs"], report["rhs"], report["witness"]["op_norm"]])
+    for unscaled, scaled in zip(*runs):
+        assert scaled == pytest.approx(1e200 * unscaled, rel=1e-12)
+
+
 def test_form_with_no_slot_exits_3(tmp_path, capsys):
     path = write_json(tmp_path / "form.json", {"field": "real", "dims": [], "coeffs": [2.0]})
     assert main(["opnorm", path]) == 3

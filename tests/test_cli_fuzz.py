@@ -139,8 +139,7 @@ QS = (st.one_of(st.lists(EXPONENT_TEXT[0], min_size=2, max_size=2),
 # options sometimes given), each option with (valid, invalid) values
 COMMANDS = {
     **{f"norm {kind} {file}": NORM for kind, file in [
-        ("lp", "SEQ"), ("weak", "SEQ"), ("rad", "SEQ"), ("mixed", "MATRIX"),
-        ("opnorm", "FORM")]},
+        ("lp", "SEQ"), ("weak", "SEQ"), ("rad", "SEQ"), ("mixed", "MATRIX")]},
     "opnorm FORM": ({}, {"--starts": _counts(0, 8), "--seed": SEED}),
     **{f"verify {suite}": VERIFY for suite in [
         "littlewood", "general", "bh", "extended", "dv", "inclusion"]},

@@ -38,9 +38,10 @@ def test_rad_single_vector_any_p():
 
 
 def test_rad_budget_error():
-    seq = VectorSeq(np.ones((8, 1)), SpaceSpec.linf(1))
-    with pytest.raises(ValueError):
-        rad_p_norm(seq, 2, budget=64)
+    # 2^23 exact patterns are over the enumeration budget
+    seq = VectorSeq(np.ones((23, 1)), SpaceSpec.linf(1))
+    with pytest.raises(ValueError, match="over the budget"):
+        rad_p_norm(seq, 2)
 
 
 def test_rad_empty_error():

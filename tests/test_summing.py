@@ -417,7 +417,7 @@ def test_dv_budget_gate(littlewood):
         VectorSeq(np.ones((30, 2)), space) for _ in range(2)
     ))
     with pytest.raises(ValueError):
-        verify_defant_voigt(littlewood, fam, rad_budget=1 << 10)
+        verify_defant_voigt(littlewood, fam)
 
 
 def test_dv_refuses_linear_forms():
@@ -513,7 +513,7 @@ def test_tensor_weak_l1_basis_pairs():
 def test_tensor_weak_budget():
     seq = VectorSeq(np.zeros((1, 9)), SpaceSpec.linf(9))
     with pytest.raises(ValueError):
-        tensor_weak_norm_estimate(seq, seq, 1, budget=64)
+        tensor_weak_norm_estimate(seq, seq, 1)
 
 
 def _worst_sign_sum(X, Y, norm):
