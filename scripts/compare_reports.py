@@ -1,0 +1,148 @@
+"""Compare the report bodies of two source trees over the benchmark's commands.
+
+    python3 scripts/compare_reports.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold a ``summability`` package
+(for example ``src`` of two checkouts). The script runs the seeded batches of
+every workload for seeds 1, 2 and 3, from ``perfbench/workloads.py`` (read, never edited) through
+``summability.cli.main`` in this process, first with the old package, then
+with the new one, and prints:
+
+- per workload, how many commands give identical exit code, stdout and
+  stderr, and per command kind how many do not;
+- every report whose ``status`` changed;
+- per JSON key, how many numbers went up and down, and the largest relative
+  rise and fall; numbers of a record flagged exact are counted apart.
+
+It exits 1 when a status changed or an exit code differs, else 0. Run it
+with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``) for the same
+bytes the benchmark sees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
+
+def run_all(src: Path, seeds, workdir: Path) -> dict:
+    """(workload, seed, index) -> (exit code, stdout, stderr) with the package in ``src``."""
+    for name in [m for m in sys.modules if m == "summability" or m.startswith("summability.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        import summability.cli as cli
+        if Path(cli.__file__).resolve().parent.parent != src.resolve():
+            raise SystemExit(f"{src} holds no summability package")
+        results = {}
+        for wname, workload in WORKLOADS.items():
+            for seed in seeds:
+                for i, cmd in enumerate(workload.batch(seed)):
+                    for fname, doc in cmd.files.items():
+                        (workdir / fname).write_text(json.dumps(doc), encoding="utf-8")
+                    argv = [str(workdir / a) if a in cmd.files else a for a in cmd.argv]
+                    out, err = io.StringIO(), io.StringIO()
+                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                        try:
+                            code = cli.main(argv)
+                        except SystemExit as exc:
+                            code = exc.code
+                    results[wname, seed, i] = (code, out.getvalue(), err.getvalue(),
+                                               cmd.kind)
+        return results
+    finally:
+        sys.path.remove(str(src))
+
+
+def _walk(old, new, key: str, exact: bool, out: list) -> None:
+    """Append (key, old, new, exact) for every pair of differing numbers."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        exact = exact or old.get("exact_norm") is True or old.get("exact") is True
+        for k in old.keys() & new.keys():
+            flag = old.get(f"{k}_exact")
+            if isinstance(flag, list):
+                for j, (a, b) in enumerate(zip(old[k], new[k])):
+                    _walk(a, b, k, exact or flag[j] is True, out)
+            else:
+                _walk(old[k], new[k], k, exact or flag is True, out)
+    elif isinstance(old, list) and isinstance(new, list):
+        for a, b in zip(old, new):
+            _walk(a, b, key, exact, out)
+    elif isinstance(old, float) and isinstance(new, float) and old != new:
+        out.append((key, old, new, exact))
+
+
+def _statuses(doc) -> list:
+    return [r.get("status") for r in doc.get("reports", [])] if isinstance(doc, dict) else []
+
+
+def compare(old: dict, new: dict) -> int:
+    identical = defaultdict(lambda: [0, 0])
+    changed = defaultdict(int)
+    status_changes, code_changes, drifts = [], [], []
+    for cid, (code, text, err, kind) in old.items():
+        ncode, ntext, nerr, _ = new[cid]
+        identical[cid[0]][1] += 1
+        if (code, text, err) == (ncode, ntext, nerr):
+            identical[cid[0]][0] += 1
+            continue
+        changed[kind] += 1
+        if code != ncode:
+            code_changes.append((cid, kind, code, ncode))
+        try:
+            a, b = json.loads(text), json.loads(ntext)
+        except json.JSONDecodeError:
+            continue
+        if _statuses(a) != _statuses(b):
+            status_changes.append((cid, kind, _statuses(a), _statuses(b)))
+        _walk(a, b, "", False, drifts)
+
+    for wname, (same, total) in identical.items():
+        print(f"{wname}: {same}/{total} bodies identical")
+    for kind, count in sorted(changed.items()):
+        print(f"  changed: {count} x {kind}")
+    print(f"exit-code changes: {len(code_changes)}")
+    for change in code_changes:
+        print("  ", *change)
+    print(f"status changes: {len(status_changes)}")
+    for change in status_changes:
+        print("  ", *change)
+    per_key = defaultdict(lambda: [0, 0, 0.0, 0.0])
+    flagged_exact = 0
+    for key, a, b, exact in drifts:
+        flagged_exact += exact
+        rel = (b - a) / abs(a) if a else float("inf")
+        row = per_key[key]
+        row[0 if rel > 0 else 1] += 1
+        row[2], row[3] = max(row[2], rel), min(row[3], rel)
+    print(f"changed numbers: {len(drifts)}, of them flagged exact: {flagged_exact}")
+    for key, (up, down, rise, fall) in sorted(per_key.items()):
+        print(f"  {key}: {up} up (largest {rise:+.3e}), {down} down (largest {fall:+.3e})")
+    return 1 if status_changes or code_changes else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path)
+    parser.add_argument("new_src", type=Path)
+    args = parser.parse_args(argv)
+    seeds = (1, 2, 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        old = run_all(args.old_src, seeds, Path(tmp))
+        new = run_all(args.new_src, seeds, Path(tmp))
+    return compare(old, new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -104,7 +104,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--kg-complex", type=float, default=1.40491)
     p.add_argument("--out", help="report file (stdout when omitted)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--jmax", type=int, default=16, help="largest random family length")
+    p.add_argument("--jmax", type=_at_least(1), default=16,
+                   help="largest random family length")
     p.add_argument("--field", choices=["real", "complex"], default=None,
                    help="scalar field override for generated instances")
     p.add_argument("--allow-real-experimental", action="store_true",
@@ -176,15 +177,21 @@ def load_matrix(path: str) -> np.ndarray:
     return _load(path, "matrix", _parse_matrix)
 
 
-def _count(text: str) -> int:
-    """argparse type of the instance, record and sample counts."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _at_least(low: int):
+    """argparse type of an integer option whose smallest value is ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            wanted = "a non-negative integer" if low == 0 else f"an integer >= {low}"
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _at_least(0)  # instance, record and sample counts
 
 
 def _parse_exponent(text: str) -> Exponent:
@@ -500,6 +507,11 @@ def cmd_experiment(args) -> int:
 # parser
 
 
+_STARTS_HELP = ("random starts of the alternating maximization, used where a "
+                "norm has neither an exact plan nor a roots-of-unity grid on "
+                "its complex sup slots")
+
+
 @functools.lru_cache(maxsize=None)  # parsing leaves the parser as it was
 def build_parser() -> Parser:
     parser = Parser(
@@ -516,13 +528,13 @@ def build_parser() -> Parser:
     p_norm.add_argument("--q", default="2", help="inner exponent for mixed norms")
     p_norm.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p_norm.add_argument("--samples", type=_count, default=100_000)
-    p_norm.add_argument("--starts", type=int, default=32)
+    p_norm.add_argument("--starts", type=int, default=32, help=_STARTS_HELP)
     p_norm.add_argument("--seed", type=int, default=0)
     p_norm.set_defaults(handler=cmd_norm)
 
     p_op = sub.add_parser("opnorm", help="operator norm of a form file")
     p_op.add_argument("file")
-    p_op.add_argument("--starts", type=int, default=32)
+    p_op.add_argument("--starts", type=int, default=32, help=_STARTS_HELP)
     p_op.add_argument("--seed", type=int, default=0)
     p_op.set_defaults(handler=cmd_norm, kind="opnorm")
 
@@ -534,7 +546,7 @@ def build_parser() -> Parser:
                           "seeded random instances")
     p_verify.add_argument("--random", type=_count, default=100,
                           help="number of random instances when no files given")
-    p_verify.add_argument("--m", type=int, default=4, help="largest dimension")
+    p_verify.add_argument("--m", type=_at_least(2), default=4, help="largest dimension")
     p_verify.add_argument("--order", type=int, default=3,
                           help="form order for bh and dv random instances")
     p_verify.add_argument("--p", default=None, help="outer exponent (extended)")
@@ -557,7 +569,7 @@ def build_parser() -> Parser:
                            help="empirical (p;2,1) ratios on l_p x l_q domains")
     p_exp.add_argument("--p", default="4/3", help="domain and outer exponent")
     p_exp.add_argument("--q", default="2", help="second domain exponent")
-    p_exp.add_argument("--m", type=int, default=3)
+    p_exp.add_argument("--m", type=_at_least(1), default=3)
     p_exp.add_argument("--count", type=_count, default=5)
     _add_common(p_exp)
     p_exp.set_defaults(handler=cmd_experiment)

@@ -6,9 +6,14 @@ it serves operator norms here and weak norms in ``norms`` (the weak-l_p norm
 of a sequence in l_s is the norm of its coefficient matrix on l_p' x l_s').
 It is exact when all slots but one have a finite norming set (basis vectors
 of dim-1 and l_1 balls, sign vectors of real sup balls) and the remaining
-slot is solved in closed form; otherwise multi-start alternating maximization
-gives a lower bound. Every result is flagged with its provenance, and a
-result that over- or underflowed is redone on rescaled coefficients.
+slot is solved in closed form. A complex sup slot has no finite norming set,
+but its ball lies within sec(pi/8) of the vectors of 8th roots of unity: when
+no exact plan fits, and the enumeration with such phase slots does at most
+``_GRID_CAP`` units of work, the kernel enumerates them and polishes its best
+grid points by alternating maximization, a lower bound. Otherwise
+multi-start alternating maximization from random starts gives a lower bound.
+Every result is flagged with its provenance, and a result that over- or
+underflowed is redone on rescaled coefficients.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import functools
 import math
 import string
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +35,12 @@ __all__ = ["FormTensor", "CurriedForm", "evaluate", "op_norm", "compose_beta", "
 
 # alternating-maximization sweeps per run
 _SWEEPS = 200
+# a complex sup slot is enumerated over the vectors of _PHASES-th roots of unity
+_PHASES = 8
+# the most work, dim(free) * prod(candidate counts), of a plan with phase slots
+_GRID_CAP = 1 << 17
+# the best grid points of each item that start the alternating maximizer
+_GRID_STARTS = 8
 
 
 @dataclass
@@ -132,7 +144,10 @@ def op_norm(A: FormTensor, *, starts: int = 32, seed: int = 0) -> NormEstimate:
 
     Exact when every slot but one has a finite norming set (see
     :func:`_ball_sup`) and the enumeration fits in ``_ENUM_BUDGET``;
-    otherwise multi-start alternating maximization, flagged ``exact=False``.
+    otherwise a lower bound flagged ``exact=False``: alternating maximization
+    from the best points of the roots-of-unity grid on complex sup slots
+    where that grid fits in ``_GRID_CAP``, else from ``starts`` random starts
+    drawn from ``seed``.
     """
     balls = tuple(d.exponent for d in A.domains)
     return _one(_ball_sup(A.coeffs[None], balls, starts=starts, seed=seed))
@@ -143,21 +158,27 @@ def _candidate_count(dim: int, ball: Exponent, is_complex: bool) -> int | None:
 
     Basis vectors (count ``dim``) norm a dim-1 ball and an l_1 ball of either
     field, their phases being absorbed by |.|; sign vectors (count 2^dim)
-    norm a real sup ball.
+    norm a real sup ball. A complex sup ball is approximated by its phase
+    vectors, 1 then roots of unity (count _PHASES^(dim-1); |.| absorbs a
+    common rotation).
     """
     if dim == 1 or ball.recip == 1:
         return dim
-    if ball.is_inf and not is_complex:
-        return 1 << dim
+    if ball.is_inf:
+        return _PHASES ** (dim - 1) if is_complex else 1 << dim
     return None
 
 
-def _contract_signs(t: np.ndarray) -> np.ndarray:
-    """Contract axis 1 of a stack ``t`` with every sign vector; the sign axis goes last."""
+def _contract_rows(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Contract axis 1 of a stack ``t`` with every row of ``rows``; the row axis goes last."""
     dim = t.shape[1]
-    signs = _sign_rows(dim)
     moved = t.transpose((0,) + tuple(range(2, t.ndim)) + (1,))
-    return (moved.reshape(-1, dim) @ signs.T).reshape(moved.shape[:-1] + (len(signs),))
+    return (moved.reshape(-1, dim) @ rows.T).reshape(moved.shape[:-1] + (len(rows),))
+
+
+def _rows(dim: int, is_complex: bool) -> np.ndarray:
+    """The enumerated vectors of a sup slot: phase vectors for complex, sign vectors for real."""
+    return _phase_rows(dim) if is_complex else _sign_rows(dim)
 
 
 def _sign_rows(dim: int) -> np.ndarray:
@@ -172,13 +193,26 @@ def _small_sign_rows(dim: int) -> np.ndarray:
     return rows
 
 
-def _candidate(dim: int, count: int, k: int) -> np.ndarray:
-    """Extreme point ``k`` of a slot with ``count`` of them: a basis or sign vector."""
-    if count == dim:
-        e = np.zeros(dim)
-        e[k] = 1.0
-        return e
-    return _sign_rows(dim)[k].copy()
+@functools.lru_cache(maxsize=None)  # _GRID_CAP bounds the dims
+def _phase_rows(dim: int) -> np.ndarray:
+    """All _PHASES^(dim-1) vectors (1, w_2, ..., w_dim) of _PHASES-th roots of
+    unity, the last coordinate fastest; read-only."""
+    roots = np.exp(2j * np.pi * np.arange(_PHASES) / _PHASES)
+    powers = np.indices((_PHASES,) * (dim - 1)).reshape(dim - 1, -1).T
+    rows = np.concatenate([np.ones((len(powers), 1), complex), roots[powers]], axis=1)
+    rows.setflags(write=False)
+    return rows
+
+
+class _Plan(NamedTuple):
+    """How :func:`_ball_sup` enumerates arrays of one shape (see :func:`_plan`)."""
+
+    dims: tuple[int, ...]
+    free: int
+    basis: tuple[int, ...]
+    contracted: tuple[int, ...]
+    order: tuple[int, ...]
+    exact: bool
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
@@ -193,16 +227,23 @@ def _ball_sup(
     """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of
     l_(balls[k]), for each array a of a stack of shape (T, *dims).
 
-    Exact path (:func:`_plan`): every slot but one ("free") is enumerated over
-    its extreme points and the free slot is the dual norm of the partial
-    contraction; both run on the whole stack, which gives each item the
-    value it gets alone. Otherwise multi-start alternating maximization gives
-    each item a lower bound. Returns the T values, whether they are exact,
-    and per item the maximizing vectors (None for ``witness=False``). The
-    field is that of the array (complex128 exactly for complex data). It runs
-    with numpy's over-, underflow and invalid-value warnings off: a value that
-    is 0, not finite or outside [2^-500, 2^500] is computed again, alone, on
-    its item scaled by a power of two (:func:`norms._rescaled`).
+    Enumeration (:func:`_plan`): every slot but one ("free") is enumerated
+    over its candidate vectors and the free slot is the dual norm of the
+    partial contraction. With basis and sign slots only the plan is exact and
+    runs on the whole stack. With phase slots (complex sup slots on the grid
+    of 8th roots of unity) the grid maximum L of an item is a lower bound
+    within sec(pi/8)^k of the supremum, k the number of phase slots; the
+    ``_GRID_STARTS`` best grid points start alternating maximization, and the
+    item's value is the larger of the polished value and L.
+    Without a plan, alternating maximization from ``starts`` random starts
+    drawn from ``seed`` gives each item a lower bound (``starts`` and
+    ``seed`` act on this path alone). Each item gets the value it gets
+    alone. Returns the T values, whether they are exact, and per item the
+    maximizing vectors (None for ``witness=False``). The field is that of the
+    array (complex128 exactly for complex data). It runs with numpy's over-,
+    underflow and invalid-value warnings off: a value that is 0, not finite
+    or outside [2^-500, 2^500] is computed again, alone, on its item scaled
+    by a power of two (:func:`norms._rescaled`).
     """
     values, exact, witnesses = _ball_sup_unscaled(stack, balls, starts, seed, witness)
     for k, v in enumerate(values.tolist()):
@@ -224,54 +265,100 @@ def _one(result) -> NormEstimate:
 
 @functools.lru_cache(maxsize=None)
 def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool):
-    """The exact plan of :func:`_ball_sup` for arrays of shape ``dims``, or None
-    when no plan fits in ``_ENUM_BUDGET``: the candidate counts, the free slot
-    (the least work dim(free) * prod(counts of the others), the lowest index
-    on ties), the basis slots, which are indexed, the sign slots, which are
-    contracted, and the axis order of a stack that puts the sign slots first,
-    then the free and the basis slots."""
+    """The enumeration plan of :func:`_ball_sup` for arrays of shape ``dims``,
+    or None: the exact plan when one fits in ``_ENUM_BUDGET``, else a plan
+    with phase slots when one fits in ``_GRID_CAP``. A plan holds the dims,
+    the free slot (the least work dim(free) * prod(counts of the others), the
+    lowest index on ties), the basis slots, which are indexed, the sign or
+    phase slots, which are contracted, the axis order of a stack that puts
+    the contracted slots first, then the free and the basis slots, and
+    whether it is exact (no phase slots)."""
     counts = [_candidate_count(m, b, is_complex) for m, b in zip(dims, balls)]
-    free, least = None, _ENUM_BUDGET + 1
-    for i, m in enumerate(dims):
-        rest = counts[:i] + counts[i + 1:]
-        if None not in rest and m * math.prod(rest) < least:
-            free, least = i, m * math.prod(rest)
+    exact_counts = [None if is_complex and c != m else c for m, c in zip(dims, counts)]
+    free = _cheapest_free(dims, exact_counts, _ENUM_BUDGET)
+    if free is None:
+        free = _cheapest_free(dims, counts, _GRID_CAP)
+    else:
+        counts = exact_counts
     if free is None:
         return None
     others = [i for i in range(len(dims)) if i != free]
     basis = tuple(i for i in others if counts[i] == dims[i])
-    signed = tuple(i for i in others if counts[i] != dims[i])
-    order = (0,) + tuple(1 + i for i in signed + (free,) + basis)
-    return counts, free, basis, signed, order
+    contracted = tuple(i for i in others if counts[i] != dims[i])
+    order = (0,) + tuple(1 + i for i in contracted + (free,) + basis)
+    return _Plan(dims, free, basis, contracted, order, not (is_complex and contracted))
+
+
+def _cheapest_free(dims, counts, budget: int) -> int | None:
+    """The free slot of least work within ``budget``, or None."""
+    free, least = None, budget + 1
+    for i, m in enumerate(dims):
+        rest = counts[:i] + counts[i + 1:]
+        if None not in rest and m * math.prod(rest) < least:
+            free, least = i, m * math.prod(rest)
+    return free
+
+
+def _exact(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool) -> bool:
+    """Whether :func:`_ball_sup` computes arrays of shape ``dims`` exactly."""
+    plan = _plan(dims, balls, is_complex)
+    return plan is not None and plan.exact
 
 
 def _ball_sup_unscaled(stack, balls, starts, seed, witness):
     is_complex = stack.dtype.kind == "c"
-    dims = stack.shape[1:]
-    plan = _plan(dims, balls, is_complex)
-    if plan is None:
-        ests = [_ball_sup_alternating(c, balls, is_complex, starts=starts, seed=seed)
+    plan = _plan(stack.shape[1:], balls, is_complex)
+    if plan is None or not plan.exact:  # lower bounds, item by item
+        ests = [_grid_polished(c, balls, plan) if plan else
+                _ball_sup_alternating(c, balls, is_complex, starts=starts, seed=seed)
                 for c in stack]
         return (np.array([e.value for e in ests]), False,
                 [e.witness for e in ests] if witness else None)
-
-    counts, free, basis, signed, order = plan
-    t = stack.transpose(order)
-    for _ in signed:
-        t = _contract_signs(t)
-    # t: (T, m_free, basis dims..., sign counts...); the free slot is closed form
-    values = _axis_norms(np.abs(t), balls[free].dual, axis=1).reshape(len(t), -1)
+    t, values = _enumerate(stack, balls, plan)
+    best = np.maximum.reduce(values, axis=1)
     if not witness:
-        return np.maximum.reduce(values, axis=1), True, None
-    witnesses = []
-    for k, flat in enumerate(values.argmax(axis=1)):
-        combo = np.unravel_index(flat, t.shape[2:])
-        vectors = [None] * len(dims)
-        for slot, c in zip(basis + signed, combo):
-            vectors[slot] = _candidate(dims[slot], counts[slot], int(c))
-        vectors[free] = _dual_step(t[(k, slice(None)) + combo][None, :], balls[free])[0]
-        witnesses.append(tuple(vectors))
-    return np.maximum.reduce(values, axis=1), True, witnesses
+        return best, True, None
+    return best, True, [tuple(v[0] for v in _grid_points(t[k], [flat], plan, balls))
+                        for k, flat in enumerate(values.argmax(axis=1))]
+
+
+def _enumerate(stack, balls, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """The stack contracted with the candidates of the enumerated slots, with
+    axes (T, m_free, basis dims..., candidate counts...), and the values of
+    every enumerated point, the free slot in closed form, shape (T, points)."""
+    t = stack.transpose(plan.order)
+    for slot in plan.contracted:
+        t = _contract_rows(t, _rows(plan.dims[slot], stack.dtype.kind == "c"))
+    return t, _axis_norms(np.abs(t), balls[plan.free].dual, axis=1).reshape(len(t), -1)
+
+
+def _grid_polished(a: np.ndarray, balls, plan: _Plan) -> NormEstimate:
+    """The grid maximum of one array, or the alternating maximization from its
+    ``_GRID_STARTS`` best grid points where that is larger."""
+    t, values = (r[0] for r in _enumerate(a[None], balls, plan))
+    top = np.argpartition(-values, min(_GRID_STARTS, len(values)) - 1)[:_GRID_STARTS]
+    points = _grid_points(t, top, plan, balls)
+    polished = _ascend(a, balls, list(points))
+    k = int(np.argmax(values[top]))
+    if polished.value >= values[top[k]]:
+        return polished
+    return NormEstimate(float(values[top[k]]), False, tuple(v[k] for v in points))
+
+
+def _grid_points(t: np.ndarray, flats, plan: _Plan, balls) -> list[np.ndarray]:
+    """Per slot, the (K, m) vectors of the K enumerated points ``flats`` of one
+    contracted item ``t`` (axes as in :func:`_enumerate`), the free slot set
+    by :func:`_dual_step`."""
+    flats = np.asarray(flats)
+    combo = np.unravel_index(flats, t.shape[1:]) if t.ndim > 1 else ()
+    vectors = [None] * len(plan.dims)
+    for slot, c in zip(plan.basis, combo):
+        vectors[slot] = np.eye(plan.dims[slot])[c]
+    for slot, c in zip(plan.contracted, combo[len(plan.basis):]):
+        vectors[slot] = _rows(plan.dims[slot], t.dtype.kind == "c")[c]
+    partial = t[(slice(None),) + combo].reshape(len(t), -1).T
+    vectors[plan.free] = _dual_step(np.ascontiguousarray(partial), balls[plan.free])
+    return vectors
 
 
 def _gaussian(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarray:
@@ -285,7 +372,7 @@ def _polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     where a < 0 and +1 elsewhere."""
     mag = np.abs(a)
     if a.dtype.kind == "c":
-        return mag, np.where(mag == 0, 1.0 + 0j, a / np.where(mag == 0, 1.0, mag))
+        return mag, np.divide(a, mag, out=np.ones_like(a), where=mag != 0)
     return mag, np.where(a < 0, -1.0, 1.0)
 
 
@@ -332,6 +419,9 @@ def _dual_step(c: np.ndarray, s: Exponent) -> np.ndarray:
 
 def _ball_sup_alternating(coeffs: np.ndarray, balls: tuple[Exponent, ...],
                           is_complex: bool, *, starts: int, seed: int) -> NormEstimate:
+    """Alternating maximization from max(2, starts) starts: the flat vectors,
+    the basis vectors of the largest coefficient, then Gaussian vectors drawn
+    from ``seed``."""
     rng = np.random.default_rng(seed)
     S = max(2, starts)
 
@@ -344,9 +434,14 @@ def _ball_sup_alternating(coeffs: np.ndarray, balls: tuple[Exponent, ...],
         V[1, argmax_idx[i]] = 1.0  # largest-coefficient start
         nrm = np.maximum(_axis_norms(np.abs(V), s, axis=1), 1e-300)
         vectors.append(V / nrm[:, None])
+    return _ascend(coeffs, balls, vectors)
 
-    prev = np.zeros(S)
-    values = prev
+
+def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list) -> NormEstimate:
+    """Alternating maximization from the (S, m_i) start vectors of each slot,
+    which it overwrites: a sweep sets each slot in turn to its closed-form
+    maximizer, until a sweep gains at most 1e-12 relative or after _SWEEPS."""
+    prev = np.zeros(len(vectors[0]))
     for _ in range(_SWEEPS):
         for i, s in enumerate(balls):
             c = _batch_contract(coeffs, vectors, keep=(i,))

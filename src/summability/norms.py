@@ -201,7 +201,9 @@ def weak_lp_norm(seq: VectorSeq, p: ExponentLike, *, starts: int = 32,
     kernel of ``forms`` computes it: exact on sup-norm spaces (coordinate
     functionals), on real l_1 spaces (sign functionals), for weak-l_1 in any
     real space (signs over the J slot), for weak-l_inf and for single
-    vectors; otherwise an alternating-maximization lower bound. Weak norms
+    vectors; otherwise an alternating-maximization lower bound, started from
+    the kernel's roots-of-unity grid for complex sequences where it fits and
+    from ``starts`` random starts drawn from ``seed`` elsewhere. Weak norms
     carry no witness.
 
     For p < 1 (no longer a bilinear norm) the value is the best over the
@@ -223,7 +225,7 @@ def weak_lp_norm(seq: VectorSeq, p: ExponentLike, *, starts: int = 32,
 
     if s.is_inf or (s.recip == 1 and not seq.is_complex
                     and (1 << seq.dim) <= _ENUM_BUDGET):
-        V = X if s.is_inf else forms._contract_signs(X.T[None])[0]
+        V = X if s.is_inf else forms._contract_rows(X.T[None], forms._sign_rows(seq.dim))[0]
         return NormEstimate(float(_axis_norms(np.abs(V), pe, axis=0).max()), True)
     if seq.length == 1:
         return NormEstimate(lp_norm(X[0], s), True)

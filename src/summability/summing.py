@@ -20,7 +20,7 @@ from itertools import islice
 import numpy as np
 
 from ._signs import _ENUM_BUDGET, sign_matrix
-from .forms import (FormTensor, _ball_sup, _batch_contract, _gaussian, _plan, _polar,
+from .forms import (FormTensor, _ball_sup, _batch_contract, _exact, _gaussian, _polar,
                     compose_beta, curry, op_norm)
 from .norms import (_SAFE_HIGH, _SAFE_LOW, NormEstimate, VectorSeq, _axis_norms, lp_norm,
                     mixed_norm, weak_lp_norm)
@@ -283,7 +283,7 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws) -> np.ndarray:
         denominator = np.ones(len(idx))
         for stack, q, d in zip(stacks, exps.qs, A.domains):
             balls = (q.dual, d.exponent.dual) if q.recip <= 1 else None
-            if balls and _plan(stack.shape[1:], balls, A.field.is_complex):
+            if balls and _exact(stack.shape[1:], balls, A.field.is_complex):
                 denominator *= _ball_sup(stack, balls, witness=False)[0]
             else:
                 denominator *= [weak_lp_norm(VectorSeq(X, d), q).value for X in stack]
@@ -729,7 +729,7 @@ def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
     """The best (sum_j |B(U_j)|^p)^(1/p) / N(B) over seeded bilinear forms B:
     the basis matrices, every sign matrix (256 random ones above 16 entries),
     the identity and 64 Gaussian matrices. N(B) >= ||B|| is the kernel's
-    exact norm where :func:`forms._plan` has one, else the coefficient sum."""
+    norm where it is exact (:func:`forms._exact`), else the coefficient sum."""
     J, m1, m2 = U.shape
     is_complex = U.dtype.kind == "c"
     rng = np.random.default_rng(0)
@@ -739,7 +739,7 @@ def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
         signs = [rng.choice([-1.0, 1.0], size=(m1, m2)) for _ in range(256)]
     B = np.concatenate([np.eye(m1 * m2).reshape(-1, m1, m2), signs, np.eye(m1, m2)[None],
                         [_gaussian(rng, (m1, m2), is_complex) for _ in range(64)]])
-    if _plan((m1, m2), balls, is_complex):
+    if _exact((m1, m2), balls, is_complex):
         norms = _ball_sup(B, balls, witness=False)[0]
     else:  # the coefficient sum bounds the norm on any domains
         norms = np.abs(B).sum(axis=(1, 2))

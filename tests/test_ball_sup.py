@@ -121,6 +121,65 @@ def test_complex_l1_space_weak_linf_is_exact():
 
 
 # ---------------------------------------------------------------------------
+# complex sup slots on the grid of 8th roots of unity
+
+
+ROOTS = np.exp(2j * np.pi * np.arange(8) / 8)
+
+
+def phase_grid_max(a):
+    """Best |A| over vectors (1, w, ...) of 8th roots of unity in every slot but
+    the free one, which is solved in closed form (the l_1 norm of the partial
+    contraction). The free slot is the one of least work dim * prod(8^(dim-1)
+    of the others), the lowest index on ties."""
+    dims = a.shape
+    work = [m * math.prod(8 ** (d - 1) for j, d in enumerate(dims) if j != i)
+            for i, m in enumerate(dims)]
+    free = work.index(min(work))
+    moved = np.moveaxis(a, free, -1)
+    best = 0.0
+    grids = [itertools.product(ROOTS, repeat=d - 1)
+             for j, d in enumerate(dims) if j != free]
+    for combo in itertools.product(*grids):
+        c = moved
+        for w in combo:
+            c = np.tensordot(np.array((1.0,) + w), c, axes=([0], [0]))
+        best = max(best, float(np.abs(c).sum()))
+    return best
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 5), (3, 4), (5, 5), (4, 3),
+                                  (2, 2, 2), (3, 3, 3), (2, 3, 5), (2, 4, 4)])
+def test_complex_sup_op_norm_is_within_the_roots_of_unity_bounds(dims):
+    # the 8-gon through the roots contains the disc of radius cos(pi/8), so
+    # grid <= ||A|| <= sec(pi/8)^k grid with k = order - 1 enumerated slots
+    rng = np.random.default_rng(sum(dims) + 100 * len(dims))
+    a = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    A = FormTensor.on_linf(a, ScalarField.COMPLEX)
+    est = op_norm(A)
+    grid = phase_grid_max(a)
+    assert not est.exact
+    assert grid * (1 - 1e-12) <= est.value
+    assert est.value <= grid / math.cos(math.pi / 8) ** (len(dims) - 1) * (1 + 1e-12)
+    for x in est.witness:
+        assert lp_norm(x, "inf") <= 1 + 1e-12
+    assert abs(evaluate(A, est.witness)) == pytest.approx(est.value, rel=1e-12)
+
+
+def test_complex_sup_by_l1_form_keeps_its_exact_plan():
+    # basis vectors of the l_1 slot, the sup slot in closed form: the value is
+    # the largest column l_1 norm, the same bits as before the grid existed
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    A = FormTensor(a, (SpaceSpec.linf(5), SpaceSpec.lp(4, 1)), ScalarField.COMPLEX)
+    est = op_norm(A)
+    assert est.exact
+    assert est.value == 7.569359507528324
+    assert est.value == float(np.abs(a).sum(axis=0).max())
+    assert abs(evaluate(A, est.witness)) == pytest.approx(est.value, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # witnesses attain the value
 
 
@@ -270,7 +329,11 @@ def test_weak_l2_norm_with_overflowing_products():
     ((2, 3, 3), ("inf", 1, 2), ScalarField.REAL),  # basis and sign slots
     ((4, 3), (1, "inf"), ScalarField.COMPLEX),  # basis slot only
     ((3, 3), (2, "4/3"), ScalarField.REAL),  # no plan: alternating
-    ((2, 3), ("inf", "inf"), ScalarField.COMPLEX),  # no plan: alternating
+    ((2, 3), ("inf", "inf"), ScalarField.COMPLEX),  # phase slot: grid starts
+    ((3, 2, 3), ("inf", "inf", "inf"), ScalarField.COMPLEX),  # two phase slots
+    ((3, 2, 3), (1, "inf", "inf"), ScalarField.COMPLEX),  # basis and phase slots
+    ((2, 3), ("inf", 2), ScalarField.COMPLEX),  # phase slot, free l_2 slot
+    ((7, 7), ("inf", "inf"), ScalarField.COMPLEX),  # grid too large: alternating
 ])
 def test_batch_gives_each_item_its_value_alone(dims, exps, field):
     # items at 2^600 and 2^-600 are rescaled one by one, the rest not at all

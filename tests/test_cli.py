@@ -243,6 +243,22 @@ def test_negative_count_exits_3(argv, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,option,low", [
+    (["search", "form.json", "--p", "1", "--qs", "2,2", "--jmax", "0"], "--jmax", 1),
+    (["experiment", "--jmax", "0"], "--jmax", 1),
+    (["verify", "dv", "--random", "1", "--jmax", "0"], "--jmax", 1),
+    (["verify", "littlewood", "--random", "1", "--m", "1"], "--m", 2),
+    (["experiment", "--m", "0"], "--m", 1),
+])
+def test_option_below_its_least_value_exits_3(argv, option, low, capsys):
+    # the parser rejects it, before numpy fails with "low >= high"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected an integer >= {low}" in err
+
+
 def test_norm_rad_zero_samples_exits_3(tmp_path, capsys):
     seq = VectorSeq(np.eye(2), SpaceSpec.linf(2))
     path = write_json(tmp_path / "seq.json", seq.to_json())

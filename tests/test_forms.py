@@ -12,6 +12,7 @@ from summability import (
     evaluate,
     op_norm,
 )
+from summability import forms
 
 
 def phase_grid_opnorm_2x2(a, resolution=1e-3):
@@ -208,3 +209,19 @@ def test_form_json_schema_errors():
             {"field": "real", "dims": [2], "domain_exponents": ["inf", "inf"],
              "coeffs": [1, 2]}
         )
+
+
+def test_complex_polar_matches_the_guarded_division_bit_for_bit():
+    # u = a/|a| off the zeros and 1 on them, as a guarded division gives it
+    rng = np.random.default_rng(51)
+    a = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    a[0, :] = 0
+    a[1, 2] = 0j
+    a[2, 3] = complex(0.0, -0.0)
+    mag, phase = forms._polar(a)
+    safe = np.where(mag == 0, 1.0, mag)
+    want = np.where(mag == 0, 1.0 + 0j, a / safe)
+    assert np.array_equal(mag, np.abs(a))
+    assert phase.dtype == want.dtype
+    assert np.array_equal(phase.view(np.float64), want.view(np.float64))
+    assert np.all(phase[0] == 1.0)

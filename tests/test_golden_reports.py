@@ -76,8 +76,8 @@ DIGESTS = {
     "dv": "1560372be5c82e15df843cde46a56d60e3496ac656378c59907b4490bb408e61",
     "dv-files": "48a3fab700072c1f7c0ad076d040e95688e7cfa88f39e0a833a0851ef9f5becc",
     "experiment": "7b25bfbbfe624b0da0619be95454a1fceee837f8663aa3d5b77589c2fe400cf6",
-    "extended": "e5ef2252ee567c01a840dd9b268316834a2cc03a2dfcb5207a77b39ba5edb96c",
-    "general": "2d2c0cf9d098b9b295ec7b45515aaea7c3b6cac64af01c86879ef36a7c96f6e3",
+    "extended": "729c3e1b91d4a7fd50a1812a4bab493396fd26dfef67f871ebb4de9c538f116a",
+    "general": "e9d476e32e298565fa0db39f3700cf12334e6a9e44722da8e0b1af804fadaf2d",
     "inclusion": "05c8e1a4409b249c5d6700692db9c034e6a27737acb99a37dd784cf357729e2c",
     "littlewood": "e5d6adc2756a090d8ee5c9ef8db4e269a87ef083893450cfd502223f81c69867",
     "search-lp": "d92ebdebcae65092378afc60e12def87e875f82a0bc085342ac7f80ced3fbe1a",
