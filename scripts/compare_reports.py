@@ -4,15 +4,16 @@
 
 OLD_SRC and NEW_SRC are directories that hold a ``summability`` package
 (for example ``src`` of two checkouts). The script runs the seeded batches of
-every workload for seeds 1, 2 and 3, from ``perfbench/workloads.py`` (read, never edited) through
-``summability.cli.main`` in this process, first with the old package, then
-with the new one, and prints:
+every workload for seeds 1, 2 and 3, from ``perfbench/workloads.py`` (read, never edited),
+and ``summability demos`` through ``summability.cli.main`` in this process,
+first with the old package, then with the new one, and prints:
 
 - per workload, how many commands give identical exit code, stdout and
   stderr, and per command kind how many do not;
 - every report whose ``status`` changed;
 - per JSON key, how many numbers went up and down, and the largest relative
-  rise and fall; numbers of a record flagged exact are counted apart.
+  rise and fall; numbers of a record flagged exact are counted apart;
+- last, one line saying whether every body is identical.
 
 It exits 1 when a status changed or an exit code differs, else 0. Run it
 with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``) for the same
@@ -37,7 +38,8 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 def run_all(src: Path, seeds, workdir: Path) -> dict:
-    """(workload, seed, index) -> (exit code, stdout, stderr) with the package in ``src``."""
+    """(workload, seed, index) -> (exit code, stdout, stderr, kind) with the
+    package in ``src``; ``demos`` is the workload "demos" of seed 0."""
     for name in [m for m in sys.modules if m == "summability" or m.startswith("summability.")]:
         del sys.modules[name]
     sys.path.insert(0, str(src))
@@ -45,24 +47,28 @@ def run_all(src: Path, seeds, workdir: Path) -> dict:
         import summability.cli as cli
         if Path(cli.__file__).resolve().parent.parent != src.resolve():
             raise SystemExit(f"{src} holds no summability package")
-        results = {}
+        results = {("demos", 0, 0): _run(cli, ["demos"]) + ("demos",)}
         for wname, workload in WORKLOADS.items():
             for seed in seeds:
                 for i, cmd in enumerate(workload.batch(seed)):
                     for fname, doc in cmd.files.items():
                         (workdir / fname).write_text(json.dumps(doc), encoding="utf-8")
                     argv = [str(workdir / a) if a in cmd.files else a for a in cmd.argv]
-                    out, err = io.StringIO(), io.StringIO()
-                    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                        try:
-                            code = cli.main(argv)
-                        except SystemExit as exc:
-                            code = exc.code
-                    results[wname, seed, i] = (code, out.getvalue(), err.getvalue(),
-                                               cmd.kind)
+                    results[wname, seed, i] = _run(cli, argv) + (cmd.kind,)
         return results
     finally:
         sys.path.remove(str(src))
+
+
+def _run(cli, argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def _walk(old, new, key: str, exact: bool, out: list) -> None:
@@ -129,6 +135,9 @@ def compare(old: dict, new: dict) -> int:
     print(f"changed numbers: {len(drifts)}, of them flagged exact: {flagged_exact}")
     for key, (up, down, rise, fall) in sorted(per_key.items()):
         print(f"  {key}: {up} up (largest {rise:+.3e}), {down} down (largest {fall:+.3e})")
+    same = sum(s for s, _ in identical.values())
+    total = sum(t for _, t in identical.values())
+    print(f"every body identical: {'yes' if same == total else 'no'} ({same}/{total})")
     return 1 if status_changes or code_changes else 0
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._codec import decode_values
 from .demos import run_demos
-from .forms import FormTensor, _gaussian, op_norm
+from .forms import FormTensor, _gaussian, _op_norms, op_norm
 from .norms import VectorSeq, lp_norm, mixed_norm, weak_lp_norm
 from .rademacher import rad_p_norm
 from .spaces import ConstantsConfig, Exponent, ExponentTuple, ScalarField
@@ -37,24 +37,26 @@ from .summing import (
     RatioCertificate,
     TestFamily,
     VerificationReport,
+    _bh,
+    _defant_voigt,
+    _extended_littlewood,
+    _general_littlewood,
+    _littlewood_43,
     _random_family,
     lift_family,
     random_family_search,
     random_form,
     summing_experiment,
     verify_almost_summing,
-    verify_bh,
     verify_defant_voigt,
-    verify_extended_littlewood,
-    verify_general_littlewood,
-    verify_littlewood_43,
 )
 
 EXIT_OK = 0
 EXIT_FAIL = 2
 EXIT_SCHEMA = 3
 
-# random verify suites draw at most this many coefficients per form
+# random verify suites draw at most this many coefficients per form, and
+# hold at most this many in a chunk of drawn instances
 RANDOM_COEFF_BUDGET = 1 << 22
 
 CSV_COLUMNS = ["check", "field", "p", "q", "lhs", "rhs", "ratio", "bound",
@@ -315,20 +317,46 @@ def _random_dims(rng, order, m):
     return tuple(int(rng.integers(2, m + 1)) for _ in range(order))
 
 
-def _seeded_reports(config, count, build) -> list[VerificationReport]:
-    """Instance i is ``build`` run on the i-th child of the master seed."""
-    reports = []
-    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(count)):
-        rep = build(np.random.default_rng(child))
+def _seeded_reports(config, count, draw, report=None) -> list[VerificationReport]:
+    """Instance i is ``draw`` run on the i-th child of the master seed.
+
+    Without ``report`` an instance is its report. With it, an instance is a
+    tuple that starts with a form and its report is ``report(*instance,
+    opn)``, ``opn`` being the form's operator norm: instances are drawn in
+    chunks of at most RANDOM_COEFF_BUDGET form coefficients (and at least
+    one instance), and the norms of a chunk come from one kernel call.
+    """
+    reports, chunk, size = [], [], 0
+
+    def flush():
+        opns = _op_norms([instance[0] for instance in chunk])
+        reports.extend(report(*instance, opn) for instance, opn in zip(chunk, opns))
+        chunk.clear()
+
+    root = np.random.SeedSequence(config.seed)
+    for i in range(count):  # root.spawn(count)[i], made when needed
+        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
+                                       pool_size=root.pool_size)
+        instance = draw(np.random.default_rng(child))
+        if report is None:
+            reports.append(instance)
+            continue
+        if chunk and size + instance[0].coeffs.size > RANDOM_COEFF_BUDGET:
+            flush()
+            size = 0
+        chunk.append(instance)
+        size += instance[0].coeffs.size
+    if chunk:
+        flush()
+    for i, rep in enumerate(reports):
         rep.witness["instance"] = i
-        reports.append(rep)
     return reports
 
 
 _FORM_VERIFIERS = {
-    "littlewood": verify_littlewood_43,
-    "general": verify_general_littlewood,
-    "bh": verify_bh,
+    "littlewood": _littlewood_43,
+    "general": _general_littlewood,
+    "bh": _bh,
 }
 
 
@@ -347,21 +375,20 @@ def cmd_verify(args) -> int:
     if suite in _FORM_VERIFIERS:
         verifier = _FORM_VERIFIERS[suite]
         if args.files:
-            reports = [verifier(load_form(path), constants=constants)
-                       for path in args.files]
+            reports = [verifier(load_form(path), constants) for path in args.files]
         else:
             field = config.field or ScalarField.REAL
             order = args.order if suite == "bh" else 2
-            reports = _seeded_reports(config, args.random, lambda rng: verifier(
-                random_form(rng, _random_dims(rng, order, args.m), field),
-                constants=constants))
+            reports = _seeded_reports(
+                config, args.random,
+                lambda rng: (random_form(rng, _random_dims(rng, order, args.m), field),),
+                lambda A, opn: verifier(A, constants, opn))
     elif suite == "extended":
         p = _parse_exponent(args.p or "4/3")
 
-        def extended(A, beta):
-            return verify_extended_littlewood(
-                A, beta, p, constants=constants,
-                allow_real_experimental=config.allow_real_experimental)
+        def extended(A, beta, opn=None):
+            return _extended_littlewood(A, beta, p, constants,
+                                        config.allow_real_experimental, opn)
 
         if args.files:
             A = load_form(args.files[0])
@@ -371,13 +398,13 @@ def cmd_verify(args) -> int:
         else:
             field = config.field or ScalarField.COMPLEX
 
-            def build(rng):
+            def draw(rng):
                 dims = _random_dims(rng, 2, args.m)
                 A = random_form(rng, dims, field)
                 rows = int(rng.integers(1, args.m + 1))
-                return extended(A, _gaussian(rng, (rows, dims[0]), field.is_complex))
+                return A, _gaussian(rng, (rows, dims[0]), field.is_complex)
 
-            reports = _seeded_reports(config, args.random, build)
+            reports = _seeded_reports(config, args.random, draw, extended)
     elif suite == "dv":
         if args.files:
             if len(args.files) != 2:
@@ -388,12 +415,12 @@ def cmd_verify(args) -> int:
         else:
             field = config.field or ScalarField.REAL
 
-            def build(rng):
+            def draw(rng):
                 A = random_form(rng, _random_dims(rng, args.order, args.m), field)
-                fam = _random_family(rng, A, min(config.j_max, 8))
-                return verify_defant_voigt(A, fam, constants=constants)
+                return A, _random_family(rng, A, min(config.j_max, 8))
 
-            reports = _seeded_reports(config, args.random, build)
+            reports = _seeded_reports(config, args.random, draw,
+                                      lambda A, fam, opn: _defant_voigt(A, fam, constants, opn))
     elif suite == "almost":
         if len(args.files) != 2:
             raise SchemaError("almost expects a form file and a family file")

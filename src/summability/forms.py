@@ -1,19 +1,22 @@
 """Dense multilinear forms: evaluation, operator norms, composition, currying.
 
 A form is held as its coefficient tensor A(e_i1, ..., e_in). One kernel,
-``_ball_sup``, computes the supremum of |form| over a product of unit balls;
-it serves operator norms here and weak norms in ``norms`` (the weak-l_p norm
-of a sequence in l_s is the norm of its coefficient matrix on l_p' x l_s').
-It is exact when all slots but one have a finite norming set (basis vectors
-of dim-1 and l_1 balls, sign vectors of real sup balls) and the remaining
-slot is solved in closed form. A complex sup slot has no finite norming set,
-but its ball lies within sec(pi/8) of the vectors of 8th roots of unity: when
-no exact plan fits, and the enumeration with such phase slots does at most
-``_GRID_CAP`` units of work, the kernel enumerates them and polishes its best
-grid points by alternating maximization, a lower bound. Otherwise
-multi-start alternating maximization from random starts gives a lower bound.
-Every result is flagged with its provenance, and a result that over- or
-underflowed is redone on rescaled coefficients.
+``_ball_sup``, computes the supremum of |form| over a product of unit balls
+for a batch of arrays, of one shape or of several; it serves operator norms
+here and weak norms in ``norms`` (the weak-l_p norm of a sequence in l_s is
+the norm of its coefficient matrix on l_p' x l_s'). It is exact when all
+slots but one have a finite norming set (basis vectors of dim-1 and l_1
+balls, sign vectors of real sup balls) and the remaining slot is solved in
+closed form. A complex sup slot has no finite norming set, but its ball lies
+within sec(pi/8) of the vectors of 8th roots of unity: when no exact plan
+fits, and the enumeration with such phase slots does at most ``_GRID_CAP``
+units of work, the kernel enumerates them and polishes its best grid points
+by alternating maximization, a lower bound. Otherwise alternating
+maximization from random starts gives a lower bound. The alternating
+maximization of all inexact items of a call runs on one batch axis, and
+each item gets the bits it gets alone. Every result is flagged with its
+provenance, and a result that over- or underflowed is redone on rescaled
+coefficients.
 """
 
 from __future__ import annotations
@@ -26,9 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+try:  # np.einsum without its dispatch layer, which costs as much as a small contraction
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
+
 from ._codec import decode_values, encode_values
 from ._signs import _ENUM_BUDGET, sign_matrix
-from .norms import _SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _rescaled
+from .norms import _SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _ldexp, _rescaled
 from .spaces import Exponent, ScalarField, SpaceSpec
 
 __all__ = ["FormTensor", "CurriedForm", "evaluate", "op_norm", "compose_beta", "curry"]
@@ -41,6 +49,13 @@ _PHASES = 8
 _GRID_CAP = 1 << 17
 # the best grid points of each item that start the alternating maximizer
 _GRID_STARTS = 8
+# 1 / |a| overflows at and below this modulus
+_PHASE_LOW = 2.0 ** -1024
+# the most S * prod(dims) of a padded batch of the alternating maximizer:
+# beyond it padding costs more arithmetic than the calls it saves, and (at
+# 8192 coefficients, numpy's buffer size) einsum would sum a padded item in
+# other chunks
+_PAD_WORK = 1 << 12
 
 
 @dataclass
@@ -153,6 +168,20 @@ def op_norm(A: FormTensor, *, starts: int = 32, seed: int = 0) -> NormEstimate:
     return _one(_ball_sup(A.coeffs[None], balls, starts=starts, seed=seed))
 
 
+def _op_norms(forms) -> list[NormEstimate]:
+    """``op_norm(A)`` of each form, bit for bit, from one kernel call per
+    tuple of domain exponents and field; the shapes of a call may differ."""
+    groups: dict = {}
+    for k, A in enumerate(forms):
+        groups.setdefault((tuple(d.exponent for d in A.domains), A.field), []).append(k)
+    estimates = [None] * len(forms)
+    for (balls, _), idx in groups.items():
+        result = _ball_sup([forms[k].coeffs for k in idx], balls)
+        for j, k in enumerate(idx):
+            estimates[k] = _one(result, j)
+    return estimates
+
+
 def _candidate_count(dim: int, ball: Exponent, is_complex: bool) -> int | None:
     """Extreme points enumerated for one slot, or None when it has no finite set.
 
@@ -213,54 +242,60 @@ class _Plan(NamedTuple):
     contracted: tuple[int, ...]
     order: tuple[int, ...]
     exact: bool
+    chunk: int
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
 def _ball_sup(
-    stack: np.ndarray,
+    items,
     balls: tuple[Exponent, ...],
     *,
     starts: int = 32,
     seed: int = 0,
     witness: bool = True,
-) -> tuple[np.ndarray, bool, list | None]:
+) -> tuple[np.ndarray, list[bool], list | None]:
     """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of
-    l_(balls[k]), for each array a of a stack of shape (T, *dims).
+    l_(balls[k]), for each array a of ``items``: a stack of shape (T, *dims),
+    or a list of T arrays of one order and one dtype whose shapes may differ.
 
-    Enumeration (:func:`_plan`): every slot but one ("free") is enumerated
-    over its candidate vectors and the free slot is the dual norm of the
-    partial contraction. With basis and sign slots only the plan is exact and
-    runs on the whole stack. With phase slots (complex sup slots on the grid
-    of 8th roots of unity) the grid maximum L of an item is a lower bound
-    within sec(pi/8)^k of the supremum, k the number of phase slots; the
-    ``_GRID_STARTS`` best grid points start alternating maximization, and the
-    item's value is the larger of the polished value and L.
-    Without a plan, alternating maximization from ``starts`` random starts
-    drawn from ``seed`` gives each item a lower bound (``starts`` and
-    ``seed`` act on this path alone). Each item gets the value it gets
-    alone. Returns the T values, whether they are exact, and per item the
-    maximizing vectors (None for ``witness=False``). The field is that of the
-    array (complex128 exactly for complex data). It runs with numpy's over-,
-    underflow and invalid-value warnings off: a value that is 0, not finite
-    or outside [2^-500, 2^500] is computed again, alone, on its item scaled
-    by a power of two (:func:`norms._rescaled`).
+    Enumeration (:func:`_plan`, one plan per shape): every slot but one
+    ("free") is enumerated over its candidate vectors and the free slot is
+    the dual norm of the partial contraction. With basis and sign slots only
+    the plan is exact and runs on the items of a shape together, at most
+    ``_ENUM_BUDGET`` units of work at a time. With phase slots (complex sup
+    slots on the grid of 8th roots of unity) the grid maximum L of an item is
+    a lower bound within sec(pi/8)^k of the supremum, k the number of phase
+    slots; the ``_GRID_STARTS`` best grid points start alternating
+    maximization, and the item's value is the larger of the polished value
+    and L. Without a plan, alternating maximization from ``starts`` random
+    starts drawn from ``seed`` gives each item a lower bound (``starts`` and
+    ``seed`` act on this path alone). The alternating maximization of all
+    inexact items runs on one batch axis (:func:`_polish`). Each item gets
+    the value it gets alone. Returns the T values, per item whether its value
+    is exact, and per item the maximizing vectors (None for
+    ``witness=False``). The field is that of the arrays (complex128 exactly
+    for complex data). It runs with numpy's over-, underflow and
+    invalid-value warnings off: a value that is 0, not finite or outside
+    [2^-500, 2^500] is computed again, alone, on its item scaled by a power
+    of two (:func:`norms._rescaled`).
     """
-    values, exact, witnesses = _ball_sup_unscaled(stack, balls, starts, seed, witness)
+    result = _ball_sup_unscaled(items, balls, starts, seed, witness)
+    values, _, witnesses = result
     for k, v in enumerate(values.tolist()):
         if not _SAFE_LOW <= v <= _SAFE_HIGH:
-            est = _rescaled(NormEstimate(v, exact, witnesses and witnesses[k]),
+            est = _rescaled(_one(result, k),
                             lambda c: _one(_ball_sup_unscaled(
-                                c[None], balls, starts, seed, witness)), stack[k])
+                                c[None], balls, starts, seed, witness)), items[k])
             values[k] = est.value
             if witness:
                 witnesses[k] = est.witness
-    return values, exact, witnesses
+    return result
 
 
-def _one(result) -> NormEstimate:
-    """The first item of a :func:`_ball_sup` result."""
+def _one(result, k: int = 0) -> NormEstimate:
+    """Item ``k`` of a :func:`_ball_sup` result."""
     values, exact, witnesses = result
-    return NormEstimate(values.item(0), exact, witnesses and witnesses[0])
+    return NormEstimate(values.item(k), exact[k], witnesses and witnesses[k])
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,8 +306,9 @@ def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool):
     the free slot (the least work dim(free) * prod(counts of the others), the
     lowest index on ties), the basis slots, which are indexed, the sign or
     phase slots, which are contracted, the axis order of a stack that puts
-    the contracted slots first, then the free and the basis slots, and
-    whether it is exact (no phase slots)."""
+    the contracted slots first, then the free and the basis slots, whether it
+    is exact (no phase slots), and how many items it enumerates at once
+    within ``_ENUM_BUDGET``."""
     counts = [_candidate_count(m, b, is_complex) for m, b in zip(dims, balls)]
     exact_counts = [None if is_complex and c != m else c for m, c in zip(dims, counts)]
     free = _cheapest_free(dims, exact_counts, _ENUM_BUDGET)
@@ -286,7 +322,9 @@ def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool):
     basis = tuple(i for i in others if counts[i] == dims[i])
     contracted = tuple(i for i in others if counts[i] != dims[i])
     order = (0,) + tuple(1 + i for i in contracted + (free,) + basis)
-    return _Plan(dims, free, basis, contracted, order, not (is_complex and contracted))
+    work = dims[free] * math.prod(counts[i] for i in others)
+    return _Plan(dims, free, basis, contracted, order, not (is_complex and contracted),
+                 max(1, _ENUM_BUDGET // work))
 
 
 def _cheapest_free(dims, counts, budget: int) -> int | None:
@@ -305,21 +343,51 @@ def _exact(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool)
     return plan is not None and plan.exact
 
 
-def _ball_sup_unscaled(stack, balls, starts, seed, witness):
-    is_complex = stack.dtype.kind == "c"
-    plan = _plan(stack.shape[1:], balls, is_complex)
-    if plan is None or not plan.exact:  # lower bounds, item by item
-        ests = [_grid_polished(c, balls, plan) if plan else
-                _ball_sup_alternating(c, balls, is_complex, starts=starts, seed=seed)
-                for c in stack]
-        return (np.array([e.value for e in ests]), False,
-                [e.witness for e in ests] if witness else None)
-    t, values = _enumerate(stack, balls, plan)
-    best = np.maximum.reduce(values, axis=1)
-    if not witness:
-        return best, True, None
-    return best, True, [tuple(v[0] for v in _grid_points(t[k], [flat], plan, balls))
-                        for k, flat in enumerate(values.argmax(axis=1))]
+def _ball_sup_unscaled(items, balls, starts, seed, witness):
+    # exact: (indices, values, witnesses); inexact: (index, array, starts, grid max, its vectors)
+    exact_parts, jobs = [], []
+    for idx, stack in _by_shape(items):
+        is_complex = stack.dtype.kind == "c"
+        plan = _plan(stack.shape[1:], balls, is_complex)
+        if plan is None or not plan.exact:
+            for k, a in zip(idx, stack):
+                if plan:
+                    jobs.append((k, a, *_grid_starts(a, balls, plan)))
+                else:
+                    jobs.append((k, a, _random_starts(a, balls, is_complex, starts, seed),
+                                 None, None))
+            continue
+        for lo in range(0, len(stack), plan.chunk):  # at most _ENUM_BUDGET work at a time
+            t, points = _enumerate(stack[lo:lo + plan.chunk], balls, plan)
+            exact_parts.append((idx[lo:lo + plan.chunk], np.maximum.reduce(points, axis=1), [
+                tuple(v[0] for v in _grid_points(tk, [flat], plan, balls))
+                for tk, flat in zip(t, points.argmax(axis=1))] if witness else None))
+    T = len(items)
+    if not jobs and len(exact_parts) == 1:  # one shape, in item order
+        _, values, witnesses = exact_parts[0]
+        return values, [True] * T, witnesses
+    values, exact, witnesses = np.empty(T), [False] * T, [None] * T
+    for idx, part, found in exact_parts:
+        values[list(idx)] = part
+        for j, k in enumerate(idx):
+            exact[k], witnesses[k] = True, found and found[j]
+    polished = _polish([(a, vectors) for _, a, vectors, _, _ in jobs], balls)
+    for (k, _, _, grid, at), (value, vectors) in zip(jobs, polished):
+        if grid is not None and not value >= grid:
+            value, vectors = grid, at
+        values[k], witnesses[k] = value, vectors
+    return values, exact, witnesses if witness else None
+
+
+def _by_shape(items) -> tuple:
+    """The indices and the (T, *dims) stack of the items of each shape; a
+    stack is one group as it is."""
+    if isinstance(items, np.ndarray):
+        return ((range(len(items)), items),)
+    groups: dict = {}
+    for k, a in enumerate(items):
+        groups.setdefault(a.shape, []).append(k)
+    return tuple((idx, np.stack([items[k] for k in idx])) for idx in groups.values())
 
 
 def _enumerate(stack, balls, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
@@ -332,17 +400,14 @@ def _enumerate(stack, balls, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     return t, _axis_norms(np.abs(t), balls[plan.free].dual, axis=1).reshape(len(t), -1)
 
 
-def _grid_polished(a: np.ndarray, balls, plan: _Plan) -> NormEstimate:
-    """The grid maximum of one array, or the alternating maximization from its
-    ``_GRID_STARTS`` best grid points where that is larger."""
+def _grid_starts(a: np.ndarray, balls, plan: _Plan) -> tuple[list, float, tuple]:
+    """The vectors of the ``_GRID_STARTS`` best grid points of one array, as
+    (S, m_i) start vectors per slot, the grid maximum and its vectors."""
     t, values = (r[0] for r in _enumerate(a[None], balls, plan))
     top = np.argpartition(-values, min(_GRID_STARTS, len(values)) - 1)[:_GRID_STARTS]
     points = _grid_points(t, top, plan, balls)
-    polished = _ascend(a, balls, list(points))
     k = int(np.argmax(values[top]))
-    if polished.value >= values[top[k]]:
-        return polished
-    return NormEstimate(float(values[top[k]]), False, tuple(v[k] for v in points))
+    return points, values[top[k]], tuple(v[k] for v in points)
 
 
 def _grid_points(t: np.ndarray, flats, plan: _Plan, balls) -> list[np.ndarray]:
@@ -369,18 +434,30 @@ def _gaussian(rng: np.random.Generator, shape, is_complex: bool) -> np.ndarray:
 
 def _polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|a|, u) with a = |a| u and |u| = 1: u = 1 where a = 0; real u is -1
-    where a < 0 and +1 elsewhere."""
+    where a < 0 and +1 elsewhere. numpy divides a complex a by |a| as
+    a * (1/|a|), which overflows for |a| <= 2^-1024: the phase of such an
+    entry is taken on 2^600 a."""
     mag = np.abs(a)
-    if a.dtype.kind == "c":
-        return mag, np.divide(a, mag, out=np.ones_like(a), where=mag != 0)
-    return mag, np.where(a < 0, -1.0, 1.0)
+    if a.dtype.kind != "c":
+        return mag, np.where(a < 0, -1.0, 1.0)
+    u = np.empty_like(a)
+    u.fill(1)
+    large = mag > _PHASE_LOW
+    np.divide(a, mag, out=u, where=large)
+    if np.count_nonzero(large) != np.count_nonzero(mag):
+        small = (mag != 0) & ~large
+        scaled = _ldexp(a[small], 600)
+        u[small] = scaled / np.abs(scaled)
+    return mag, u
 
 
 def _batch_contract(coeffs: np.ndarray, vectors, keep=()) -> np.ndarray:
-    """Contract slot i with the batch vectors[i] of shape (S, m_i) for every
-    i not in ``keep``; the result has shape (S, m_k for k in keep)."""
-    subs, contracted = _contraction(coeffs.ndim, tuple(keep))
-    return np.einsum(subs, coeffs, *[vectors[i] for i in contracted])
+    """Contract slot i with the batch vectors[i] of shape (..., S, m_i) for
+    every i not in ``keep``; coeffs has shape (..., m_1, ..., m_n), the
+    leading axes shared by all operands, and the result has shape
+    (..., S, m_k for k in keep)."""
+    subs, contracted = _contraction(coeffs.ndim + 2 - vectors[0].ndim, tuple(keep))
+    return _einsum(subs, coeffs, *[vectors[i] for i in contracted])
 
 
 @functools.lru_cache(maxsize=None)
@@ -388,40 +465,44 @@ def _contraction(n: int, keep: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
     """einsum subscripts of :func:`_batch_contract`, and the contracted slots."""
     ls = string.ascii_lowercase[:n]
     contracted = tuple(i for i in range(n) if i not in keep)
-    inputs = ",".join([ls] + ["S" + ls[i] for i in contracted])
-    return inputs + "->S" + "".join(ls[k] for k in keep), contracted
+    inputs = ",".join(["..." + ls] + ["...S" + ls[i] for i in contracted])
+    return inputs + "->...S" + "".join(ls[k] for k in keep), contracted
 
 
 def _dual_step(c: np.ndarray, s: Exponent) -> np.ndarray:
-    """Batched closed-form maximizer of |<c, x>| over the l_s unit ball, per row."""
+    """Batched closed-form maximizer of |<c, x>| over the l_s unit ball, along the last axis."""
+    is_complex = c.dtype.kind == "c"
+    if s.is_inf and not is_complex:
+        return np.where(c < 0, -1.0, 1.0)
     mag, phase = _polar(c)
-    if c.dtype.kind == "c":
-        phase = np.conj(phase)
+    if is_complex:
+        np.conjugate(phase, out=phase)
     if s.is_inf:
         return phase
-    if s.recip == 1:
-        out = np.zeros_like(c)
-        rows = np.arange(c.shape[0])
-        cols = np.argmax(mag, axis=1)
-        out[rows, cols] = phase[rows, cols]
-        return out
-    sd = s.dual
-    w = mag ** (sd.value / s.value)
-    nrm = _axis_norms(w, s, axis=1)
-    nrm = np.where(nrm == 0, 1.0, nrm)
-    out = phase * w / nrm[:, None]
-    dead = (mag.sum(axis=1) == 0)
-    if np.any(dead):
-        out[dead] = 0
-        out[dead, 0] = 1.0
+    power = s.dual.value / s.value
+    if power == math.inf:  # s = 1: the largest entry of each row
+        rows = mag.reshape(-1, c.shape[-1])
+        at = (np.arange(len(rows)), np.argmax(rows, axis=1))
+        out = np.zeros(rows.shape, c.dtype)
+        out[at] = phase.reshape(rows.shape)[at]
+        return out.reshape(c.shape)
+    w = mag ** power
+    nrm = _axis_norms(w, s, axis=-1)
+    zero = nrm == 0
+    if True not in zero.ravel().tolist():
+        return phase * w / nrm[..., None]
+    out = phase * w / np.where(zero, 1.0, nrm)[..., None]
+    dead = np.add.reduce(mag, axis=-1) == 0  # rows of zeros, not only of underflows
+    out[dead] = 0
+    out[dead, 0] = 1.0
     return out
 
 
-def _ball_sup_alternating(coeffs: np.ndarray, balls: tuple[Exponent, ...],
-                          is_complex: bool, *, starts: int, seed: int) -> NormEstimate:
-    """Alternating maximization from max(2, starts) starts: the flat vectors,
-    the basis vectors of the largest coefficient, then Gaussian vectors drawn
-    from ``seed``."""
+def _random_starts(coeffs: np.ndarray, balls: tuple[Exponent, ...], is_complex: bool,
+                   starts: int, seed: int) -> list[np.ndarray]:
+    """max(2, starts) start vectors per slot: the flat vectors, the basis
+    vectors of the largest coefficient, then Gaussian vectors drawn from
+    ``seed``."""
     rng = np.random.default_rng(seed)
     S = max(2, starts)
 
@@ -434,26 +515,106 @@ def _ball_sup_alternating(coeffs: np.ndarray, balls: tuple[Exponent, ...],
         V[1, argmax_idx[i]] = 1.0  # largest-coefficient start
         nrm = np.maximum(_axis_norms(np.abs(V), s, axis=1), 1e-300)
         vectors.append(V / nrm[:, None])
-    return _ascend(coeffs, balls, vectors)
+    return vectors
 
 
-def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list) -> NormEstimate:
-    """Alternating maximization from the (S, m_i) start vectors of each slot,
-    which it overwrites: a sweep sets each slot in turn to its closed-form
-    maximizer, until a sweep gains at most 1e-12 relative or after _SWEEPS."""
-    prev = np.zeros(len(vectors[0]))
-    for _ in range(_SWEEPS):
-        for i, s in enumerate(balls):
-            c = _batch_contract(coeffs, vectors, keep=(i,))
-            vectors[i] = _dual_step(c, s)
-        values = np.abs(_batch_contract(coeffs, vectors))
-        gain = float((values - prev).max())
-        prev = np.maximum(prev, values)
-        if gain <= 1e-12 * max(float(prev.max()), 1e-300):
+def _polish(jobs, balls) -> list[tuple[float, tuple]]:
+    """Alternating maximization (:func:`_ascend`) of each (array, start
+    vectors) job, all on one batch axis: jobs whose padding keeps every bit
+    (:func:`_pad_key`) are zero-padded to common dims, within ``_PAD_WORK``
+    and ``_ENUM_BUDGET``. Returns per job its value and its vectors."""
+    groups: dict = {}
+    for j, (a, vectors) in enumerate(jobs):
+        S = len(vectors[0])
+        groups.setdefault((S, a.dtype, _pad_key(a.shape, S, balls, a.dtype.kind == "c")),
+                          []).append(j)
+    out = [None] * len(jobs)
+    for (S, dtype, _), members in groups.items():
+        members.sort(key=lambda j: jobs[j][0].shape)
+        for run, dims in _runs([jobs[j][0].shape for j in members], S):
+            batch = [jobs[members[r]] for r in run]
+            coeffs = np.zeros((len(batch),) + dims, dtype)
+            vectors = [np.zeros((len(batch), S, m), dtype) for m in dims]
+            for b, (a, starts) in enumerate(batch):
+                coeffs[(b,) + tuple(map(slice, a.shape))] = a
+                for V, v in zip(vectors, starts):
+                    V[b, :, :v.shape[1]] = v
+            values, best = _ascend(coeffs, balls, vectors)
+            for r, (a, _), value, w in zip(run, batch, values.tolist(), best):
+                out[members[r]] = (value, tuple(x[:m] for x, m in zip(w, a.shape)))
+    return out
+
+
+def _pad_key(dims, S: int, balls, is_complex: bool):
+    """Jobs of one key can be zero-padded to common dims without changing a
+    bit of their results. A real contraction over the last axis (einsum's
+    vector lanes) and the norm of a finite-p slot (numpy's pairwise sum) add
+    in blocks of 8, so such an axis stays in its block of 8. einsum orders
+    its loops by the dims where an axis has length 1 and for a full
+    contraction with two starts, so such jobs are not padded."""
+    if 1 in dims or S < 3:
+        return "shape", dims
+    last = len(dims) - 1
+    return "blocks", tuple(m // 8 if 0 < s.recip < 1 or (i == last and not is_complex)
+                           else -1 for i, (m, s) in enumerate(zip(dims, balls)))
+
+
+def _runs(shapes, S: int):
+    """Split jobs sorted by shape into runs padded to common dims: a run's
+    dims grow only while S * prod(dims) stays within ``_PAD_WORK``, and a run
+    holds at most ``_ENUM_BUDGET`` coefficients and vector entries. Yields
+    each run's positions and dims."""
+    run, dims = [], ()
+    for k, shape in enumerate(shapes):
+        grown = tuple(map(max, dims, shape)) if run else shape
+        size = math.prod(grown) + S * sum(grown)
+        if run and ((grown != dims and S * math.prod(grown) > _PAD_WORK)
+                    or (len(run) + 1) * size > _ENUM_BUDGET):
+            yield run, dims
+            run, grown = [], shape
+        run.append(k)
+        dims = grown
+    if run:
+        yield run, dims
+
+
+def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list):
+    """Alternating maximization of each array of a (T, *M) stack from its
+    (T, S, M_i) start vectors of each slot, which it overwrites: a sweep sets
+    each slot in turn to its closed-form maximizer. An item stops after a
+    sweep that gains at most 1e-12 relative on it, or after _SWEEPS, and
+    leaves the batch: each item stops at the sweep it stops at alone.
+    Returns the T values and per item the vectors of its best start."""
+    T, S = vectors[0].shape[:2]
+    values, best = np.empty(T), [None] * T
+    live = np.arange(T)
+    prev = np.zeros((T, S))
+    n = len(balls)
+    steps = [(i, s) + _contraction(n, (i,)) for i, s in enumerate(balls)]
+    full, slots = _contraction(n, ())
+    for sweep in range(_SWEEPS):
+        for i, s, subs, others in steps:
+            vectors[i] = _dual_step(_einsum(subs, coeffs, *[vectors[j] for j in others]), s)
+        now = np.abs(_einsum(full, coeffs, *[vectors[j] for j in slots]))
+        gain = np.maximum.reduce(now - prev, axis=1)
+        prev = np.maximum(prev, now)
+        done = gain <= 1e-12 * np.maximum(np.maximum.reduce(prev, axis=1), 1e-300)
+        if sweep == _SWEEPS - 1:
+            done[:] = True
+        flags = done.tolist()
+        if True not in flags:
+            continue
+        finished = [r for r, f in enumerate(flags) if f]
+        for r in finished:
+            k = int(np.argmax(prev[r]))
+            values[live[r]] = prev[r, k]
+            best[live[r]] = tuple(v[r, k] for v in vectors)
+        if len(finished) == len(live):
             break
-    k = int(np.argmax(prev))
-    witness = tuple(v[k] for v in vectors)
-    return NormEstimate(float(prev[k]), False, witness=witness)
+        keep = ~done
+        live, prev, coeffs = live[keep], prev[keep], coeffs[keep]
+        vectors = [v[keep] for v in vectors]
+    return values, best
 
 
 @dataclass

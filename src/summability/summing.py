@@ -472,6 +472,7 @@ _ONE, _TWO, _FOUR_THIRDS = Exponent.of(1), Exponent.of(2), Exponent(Fraction(3, 
 def _versus_op_norm(
     check: str,
     A: FormTensor,
+    opn: NormEstimate | None,
     lhs: float,
     const: float | None,
     p: str,
@@ -483,10 +484,11 @@ def _versus_op_norm(
 ) -> VerificationReport:
     """Report lhs <= const * ||A|| * factor, the shape of every coefficient check.
 
-    ``const=None`` asserts no bound: the report fails only if lhs or the
-    ratio is not finite. ``witness`` entries follow the operator norm.
+    ``opn`` is ``op_norm(A)``, computed here when None. ``const=None``
+    asserts no bound: the report fails only if lhs or the ratio is not
+    finite. ``witness`` entries follow the operator norm.
     """
-    opn = op_norm(A)
+    opn = op_norm(A) if opn is None else opn
     ratio = _ratio(lhs, opn.value * factor)
     if const is None:
         rhs = None
@@ -509,16 +511,25 @@ def _versus_op_norm(
     )
 
 
+# Each coefficient verifier wraps a private report builder that also takes
+# the operator norm (``opn``): the seeded suites of the CLI compute the norms
+# of a chunk of instances in one kernel call (``forms._op_norms``).
+
+
 def verify_littlewood_43(
     A: FormTensor,
     *,
     constants: ConstantsConfig | None = None,
 ) -> VerificationReport:
     """(sum |a_jk|^{4/3})^{3/4} <= c ||A|| with c = sqrt(2) real, K_G complex."""
-    constants = constants or ConstantsConfig()
+    return _littlewood_43(A, constants or ConstantsConfig())
+
+
+def _littlewood_43(A: FormTensor, constants: ConstantsConfig,
+                   opn: NormEstimate | None = None) -> VerificationReport:
     _require_sup_bilinear(A, "verify_littlewood_43")
     lhs = lp_norm(A.coeffs.reshape(-1), _FOUR_THIRDS)
-    return _versus_op_norm("littlewood_43", A, lhs, constants.littlewood(A.field),
+    return _versus_op_norm("littlewood_43", A, opn, lhs, constants.littlewood(A.field),
                            "4/3", None, constants)
 
 
@@ -528,10 +539,14 @@ def verify_general_littlewood(
     constants: ConstantsConfig | None = None,
 ) -> VerificationReport:
     """sum_k (sum_j |a_jk|^2)^{1/2} <= K_G ||A|| (the p = 1, q = 2 case)."""
-    constants = constants or ConstantsConfig()
+    return _general_littlewood(A, constants or ConstantsConfig())
+
+
+def _general_littlewood(A: FormTensor, constants: ConstantsConfig,
+                        opn: NormEstimate | None = None) -> VerificationReport:
     _require_sup_bilinear(A, "verify_general_littlewood")
     lhs = mixed_norm(A.coeffs, _ONE, _TWO)
-    return _versus_op_norm("general_littlewood", A, lhs, constants.kg(A.field),
+    return _versus_op_norm("general_littlewood", A, opn, lhs, constants.kg(A.field),
                            "1", "2", constants)
 
 
@@ -549,7 +564,13 @@ def verify_extended_littlewood(
     real mode is experimental and asserts nothing: its reports always come
     back "inconclusive".
     """
-    constants = constants or ConstantsConfig()
+    return _extended_littlewood(A, beta, p, constants or ConstantsConfig(),
+                                allow_real_experimental)
+
+
+def _extended_littlewood(A: FormTensor, beta, p: ExponentLike, constants: ConstantsConfig,
+                         allow_real_experimental: bool,
+                         opn: NormEstimate | None = None) -> VerificationReport:
     _require_sup_bilinear(A, "verify_extended_littlewood")
     pe = Exponent.of(p)
     if not Fraction(1, 2) <= pe.recip <= 1:
@@ -563,7 +584,7 @@ def verify_extended_littlewood(
     b = np.asarray(beta)
     lhs = mixed_norm(compose_beta(b, A.coeffs), pe, qe)
     beta_norm = mixed_norm(b, INF, _TWO)
-    report = _versus_op_norm("extended_littlewood", A, lhs, constants.kg(A.field),
+    report = _versus_op_norm("extended_littlewood", A, opn, lhs, constants.kg(A.field),
                              str(pe), str(qe), constants,
                              factor=beta_norm, beta_norm=beta_norm)
     if not A.field.is_complex:
@@ -582,7 +603,11 @@ def verify_bh(
     existence of a constant is known, so the ratio is reported without a
     bound (the report fails only if the ratio is not finite).
     """
-    constants = constants or ConstantsConfig()
+    return _bh(A, constants or ConstantsConfig())
+
+
+def _bh(A: FormTensor, constants: ConstantsConfig,
+        opn: NormEstimate | None = None) -> VerificationReport:
     n = A.order
     if n < 2:
         raise ValueError("needs a form of order at least 2")
@@ -591,7 +616,7 @@ def verify_bh(
     t = Exponent(Fraction(n + 1, 2 * n))
     lhs = lp_norm(A.coeffs.reshape(-1), t)
     const = constants.littlewood(A.field) if n == 2 else None
-    return _versus_op_norm("bohnenblust_hille", A, lhs, const, str(t), None,
+    return _versus_op_norm("bohnenblust_hille", A, opn, lhs, const, str(t), None,
                            constants, order=n)
 
 
@@ -608,7 +633,11 @@ def verify_defant_voigt(
     are refused: for them the Rad_2 bound is false (e_1* on J copies of e_1
     gives J on the left and sqrt(J) on the right).
     """
-    constants = constants or ConstantsConfig()
+    return _defant_voigt(A, fam, constants or ConstantsConfig())
+
+
+def _defant_voigt(A: FormTensor, fam: TestFamily, constants: ConstantsConfig,
+                  opn: NormEstimate | None = None) -> VerificationReport:
     if A.order < 2:
         raise ValueError("verify_defant_voigt needs a form of order at least 2")
     fam.check_against(A)
@@ -616,7 +645,7 @@ def verify_defant_voigt(
         raise ValueError("family too long for exact Rademacher averaging")
     lhs = float(np.abs(fam.values(A)).sum())
     rads = [rad_p_norm(col, _TWO, "exact") for col in fam.columns]
-    report = _versus_op_norm("defant_voigt", A, lhs, 1.0, "1", "2", constants,
+    report = _versus_op_norm("defant_voigt", A, opn, lhs, 1.0, "1", "2", constants,
                              factor=math.prod(rads), rad2_norms=rads)
     weak1 = [weak_lp_norm(col, _ONE) for col in fam.columns]
     weak_rhs = report.witness["op_norm"] * math.prod(w.value for w in weak1)
@@ -656,7 +685,7 @@ def verify_almost_summing(
 
     def norm_fn(rows: np.ndarray) -> np.ndarray:
         values, exact, _ = _ball_sup(rows, balls, witness=False)
-        flags.append(exact)
+        flags.append(all(exact))
         return values
 
     rad = rademacher_average(tails, norm_fn, _TWO, "exact")

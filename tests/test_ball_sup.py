@@ -19,7 +19,7 @@ from summability import (
     op_norm,
     weak_lp_norm,
 )
-from summability.forms import _ball_sup, _one
+from summability.forms import _ball_sup, _one, _op_norms, _polar
 from summability.spaces import Exponent
 
 
@@ -349,8 +349,84 @@ def test_batch_gives_each_item_its_value_alone(dims, exps, field):
         alone = op_norm(FormTensor(item, tuple(SpaceSpec.lp(m, s)
                                                for m, s in zip(dims, balls)), field))
         assert values[k] == alone.value
-        assert exact == alone.exact
+        assert exact[k] == alone.exact
         assert all(np.array_equal(w, a) for w, a in zip(witnesses[k], alone.witness))
     assert values[1] > 2.0 ** 500 and values[4] < 2.0 ** -500
     quiet, _, none = _ball_sup(stack, balls, witness=False)
     assert np.array_equal(quiet, values) and none is None
+
+
+R, C = ScalarField.REAL, ScalarField.COMPLEX
+RAGGED = [  # (dims, exponents, field, scale) of one _op_norms call
+    ((3, 4), ("inf", "inf"), R, 1.0),  # real exact plans
+    ((5, 2), ("inf", "inf"), R, 2.0 ** 600),
+    ((2, 3, 3), ("inf", "inf", "inf"), R, 1.0),
+    ((2, 3), ("inf", "inf"), C, 1.0),  # complex grid plans
+    ((4, 5), ("inf", "inf"), C, 2.0 ** -600),
+    ((5, 4), ("inf", "inf"), C, 1.0),
+    ((3, 2, 3), ("inf", "inf", "inf"), C, 1.0),
+    ((2, 3, 2), ("inf", "inf", "inf"), C, 2.0 ** 600),
+    ((7, 7), ("inf", "inf"), C, 1.0),  # over _GRID_CAP: random starts
+    ((7, 8), ("inf", "inf"), C, 1.0),
+    ((3, 3), ("4/3", 2), C, 1.0),  # l_4/3 x l_2, order 2
+    ((2, 5), ("4/3", 2), C, 2.0 ** -600),
+    ((4, 3), ("4/3", 2), R, 1.0),
+    ((7, 3), ("4/3", 2), C, 1.0),  # the l_4/3 dims straddle 8
+    ((9, 3), ("4/3", 2), C, 1.0),
+    ((3, 2, 2), ("4/3", 2, "4/3"), C, 1.0),  # order 3
+    ((2, 3, 4), ("4/3", 2, "4/3"), C, 1.0),
+    ((3, 1, 3), ("4/3", 2, "4/3"), C, 1.0),  # a slot of dim 1
+]
+
+
+def test_ragged_batch_gives_each_item_its_value_alone():
+    rng = np.random.default_rng(32)
+    forms = []
+    for dims, exps, field, scale in RAGGED:
+        a = rng.standard_normal(dims)
+        if field.is_complex:
+            a = a + 1j * rng.standard_normal(dims)
+        forms.append(FormTensor(scale * a, tuple(SpaceSpec.lp(m, s)
+                                                 for m, s in zip(dims, exps)), field))
+    for A, est in zip(forms, _op_norms(forms)):
+        alone = op_norm(A)
+        assert est.value == alone.value and est.exact == alone.exact
+        assert [w.shape for w in est.witness] == [(m,) for m in A.dims]
+        assert all(np.array_equal(w, a) for w, a in zip(est.witness, alone.witness))
+
+
+@pytest.mark.parametrize("starts", [2, 3])
+@pytest.mark.parametrize("exps", [("4/3", 2), (2, 3)])
+def test_ragged_batch_from_few_random_starts_gives_each_item_its_value_alone(starts, exps):
+    rng = np.random.default_rng(33)
+    balls = tuple(Exponent.of(s) for s in exps)
+    shapes = [tuple(rng.integers(2, 7, size=2)) for _ in range(24)]
+    items = [rng.standard_normal(dims) + 1j * rng.standard_normal(dims) for dims in shapes]
+    values, exact, witnesses = _ball_sup(items, balls, starts=starts)
+    for a, value, flag, w in zip(items, values, exact, witnesses):
+        alone = _one(_ball_sup(a[None], balls, starts=starts))
+        assert value == alone.value and flag == alone.exact
+        assert all(np.array_equal(x, y) for x, y in zip(w, alone.witness))
+
+
+def test_phase_of_subnormal_entries_is_computed_on_scaled_entries():
+    # a / |a| is a * (1/|a|), and 1/|a| overflows below 2^-1024
+    a = np.array([1e-320, 1e-310 + 0j, 3e-320 - 2e-320j, 0j, 0.6 - 0.8j, 1e-300j])
+    mag, u = _polar(a)
+    normal = mag > 1e-300
+    assert np.all(np.isfinite(u)) and np.allclose(np.abs(u), 1)
+    assert np.array_equal(u[normal], a[normal] / mag[normal]) and u[3] == 1
+    assert np.allclose(u[:3], [1, 1, (3 - 2j) / abs(3 - 2j)])
+
+
+@pytest.mark.parametrize("exps", [(2, 3), ("inf", "inf")])
+def test_subnormal_coefficient_gives_the_value_of_a_zero(exps):
+    # the phases of subnormal contractions no longer turn the ascent to NaN
+    def form(a00):
+        return FormTensor(np.array([[a00, 0], [0, 1]], complex),
+                          tuple(SpaceSpec.lp(2, s) for s in exps), ScalarField.COMPLEX)
+
+    est = op_norm(form(1e-320))
+    assert est.value == op_norm(form(0.0)).value
+    assert all(np.all(np.isfinite(w)) for w in est.witness)
+    assert abs(evaluate(form(1e-320), est.witness)) == pytest.approx(est.value, rel=1e-15)

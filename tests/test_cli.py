@@ -13,6 +13,7 @@ import pytest
 
 import summability
 from summability import FormTensor, ScalarField, SpaceSpec, TestFamily, VectorSeq
+from summability import cli
 from summability.cli import main
 
 
@@ -44,6 +45,19 @@ def test_opnorm_command(littlewood_file, capsys):
     assert main(["opnorm", littlewood_file]) == 0
     out = capsys.readouterr().out
     assert out.strip() == "2.0 exact"
+
+
+@pytest.mark.parametrize("exponents", [[2, 3], ["inf", "inf"]])
+def test_opnorm_of_a_subnormal_coefficient_is_that_of_a_zero(tmp_path, capsys, exponents):
+    # a phase taken as a * (1/|a|) overflowed: "not finite (nan)", exit 3, on
+    # l_2 x l_3, and a witness of inf and nan on sup-norm slots
+    doc = {"field": "complex", "dims": [2, 2], "domain_exponents": exponents,
+           "coeffs": [[1e-320, 0], [0, 0], [0, 0], [1, 0]]}
+    assert main(["opnorm", write_json(tmp_path / "tiny.json", doc)]) == 0
+    out = capsys.readouterr().out
+    doc["coeffs"][0] = [0, 0]
+    assert main(["opnorm", write_json(tmp_path / "zero.json", doc)]) == 0
+    assert out == capsys.readouterr().out
 
 
 def test_norm_mixed_command(tmp_path, capsys):
@@ -375,6 +389,23 @@ def test_verify_random_coefficient_budget(suite, capsys):
     # the check is on m ** order alone: 2^23 is refused, 2^22 is allowed
     assert main(base + ["--random", "0", "--order", "23"]) == 3
     assert main(base + ["--random", "0", "--order", "22"]) == 0
+
+
+def test_verify_chunks_give_the_body_of_one_chunk(monkeypatch, capsys):
+    # drawn instances are measured in chunks of at most RANDOM_COEFF_BUDGET
+    # coefficients (at least one instance); chunking changes no byte
+    argv = ["verify", "littlewood", "--field", "complex", "--random", "7",
+            "--m", "5", "--seed", "4"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    chunks, op_norms = [], cli._op_norms
+    monkeypatch.setattr(cli, "RANDOM_COEFF_BUDGET", 30)
+    monkeypatch.setattr(cli, "_op_norms", lambda forms: (
+        chunks.append([A.coeffs.size for A in forms]), op_norms(forms))[1])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert sum(map(len, chunks)) == 7 and len(chunks) > 1
+    assert all(len(c) == 1 or sum(c) <= 30 for c in chunks)
 
 
 def test_verify_almost_files(littlewood_file, family_file, tmp_path):

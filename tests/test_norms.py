@@ -125,11 +125,12 @@ def test_ascent_matches_exact_formulas():
         p = [1, 2, "4/3"][i % 3]
         exact = weak_lp_norm(seq, p)
         pe = Exponent.of(p)
-        ascent = forms._ball_sup_alternating(seq.vectors, (pe.dual, space.exponent.dual),
-                                             False, starts=32, seed=0)
-        assert exact.exact and not ascent.exact
-        assert ascent.value == pytest.approx(exact.value, rel=1e-8)
-        assert ascent.value <= exact.value * (1 + 1e-9)
+        balls = (pe.dual, space.exponent.dual)
+        starts = forms._random_starts(seq.vectors, balls, False, 32, 0)
+        ascent, _ = forms._polish([(seq.vectors, starts)], balls)[0]
+        assert exact.exact
+        assert ascent == pytest.approx(exact.value, rel=1e-8)
+        assert ascent <= exact.value * (1 + 1e-9)
 
 
 def test_weak_norm_complex_sup_space_exact():
