@@ -22,7 +22,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +36,17 @@ from .summing import (
     RatioCertificate,
     TestFamily,
     VerificationReport,
-    _bh,
-    _defant_voigt,
-    _extended_littlewood,
-    _general_littlewood,
-    _littlewood_43,
     _random_family,
     lift_family,
     random_family_search,
     random_form,
     summing_experiment,
     verify_almost_summing,
+    verify_bh,
     verify_defant_voigt,
+    verify_extended_littlewood,
+    verify_general_littlewood,
+    verify_littlewood_43,
 )
 
 EXIT_OK = 0
@@ -72,31 +70,6 @@ class Parser(argparse.ArgumentParser):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunConfig:
-    """Reproducibility knobs shared by the batch commands."""
-
-    constants: ConstantsConfig
-    seed: int = 0
-    budget: int = 256
-    field: ScalarField | None = None
-    j_max: int = 16
-    allow_real_experimental: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "budget": self.budget,
-            "tolerance": self.constants.tolerance,
-            "kg_real": self.constants.kg_real,
-            "kg_complex": self.constants.kg_complex,
-            "littlewood_real": self.constants.littlewood(ScalarField.REAL),
-            "field": str(self.field) if self.field else None,
-            "j_max": self.j_max,
-            "allow_real_experimental": self.allow_real_experimental,
-        }
-
-
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--budget", type=int, default=256, help="random trial count")
@@ -115,19 +88,9 @@ def _add_common(p: argparse.ArgumentParser):
                         "on real instances")
 
 
-def _config(args) -> RunConfig:
-    constants = ConstantsConfig(
-        kg_real=args.kg_real, kg_complex=args.kg_complex, tolerance=args.tol
-    )
-    field = ScalarField(args.field) if getattr(args, "field", None) else None
-    return RunConfig(
-        seed=args.seed,
-        budget=args.budget,
-        constants=constants,
-        field=field,
-        j_max=args.jmax,
-        allow_real_experimental=args.allow_real_experimental,
-    )
+def _constants(args) -> ConstantsConfig:
+    return ConstantsConfig(kg_real=args.kg_real, kg_complex=args.kg_complex,
+                           tolerance=args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +174,35 @@ def _parse_exponent_list(text: str) -> tuple[Exponent, ...]:
 # report documents
 
 
-def _document(command: str, config: RunConfig, reports: list[VerificationReport],
-              extra: dict | None = None) -> dict:
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    for r in reports:
-        counts[r.status] = counts.get(r.status, 0) + 1
-    doc = {
+def _header(command: str, args) -> dict:
+    """The keys every document starts with; ``config`` echoes the options of
+    the batch commands."""
+    constants = _constants(args)
+    return {
         "tool": "summability",
         "version": __version__,
         "command": command,
-        "config": config.to_dict(),
-        "reports": [r.to_dict() for r in reports],
-        "summary": {"total": len(reports), **counts},
+        "config": {
+            "seed": args.seed,
+            "budget": args.budget,
+            "tolerance": constants.tolerance,
+            "kg_real": constants.kg_real,
+            "kg_complex": constants.kg_complex,
+            "littlewood_real": constants.littlewood(ScalarField.REAL),
+            "field": args.field,
+            "j_max": args.jmax,
+            "allow_real_experimental": args.allow_real_experimental,
+        },
     }
-    if extra:
-        doc.update(extra)
+
+
+def _document(command: str, args, reports: list[VerificationReport]) -> dict:
+    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
+    for r in reports:
+        counts[r.status] = counts.get(r.status, 0) + 1
+    doc = _header(command, args)
+    doc["reports"] = [r.to_dict() for r in reports]
+    doc["summary"] = {"total": len(reports), **counts}
     return doc
 
 
@@ -317,30 +294,28 @@ def _random_dims(rng, order, m):
     return tuple(int(rng.integers(2, m + 1)) for _ in range(order))
 
 
-def _seeded_reports(config, count, draw, report=None) -> list[VerificationReport]:
-    """Instance i is ``draw`` run on the i-th child of the master seed.
+def _seeded(seed: int, count: int, draw):
+    """Instance i is ``draw`` run on the i-th child of the master seed."""
+    root = np.random.SeedSequence(seed)
+    for i in range(count):  # root.spawn(count)[i], made when needed
+        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
+                                       pool_size=root.pool_size)
+        yield draw(np.random.default_rng(child))
 
-    Without ``report`` an instance is its report. With it, an instance is a
-    tuple that starts with a form and its report is ``report(*instance,
-    opn)``, ``opn`` being the form's operator norm: instances are drawn in
-    chunks of at most RANDOM_COEFF_BUDGET form coefficients (and at least
-    one instance), and the norms of a chunk come from one kernel call.
-    """
+
+def _op_norm_reports(instances, verify) -> list[VerificationReport]:
+    """``verify(*instance, opn=opn)`` of each instance, a tuple that starts
+    with a form whose operator norm is ``opn``: instances are taken in chunks
+    of at most RANDOM_COEFF_BUDGET form coefficients (and at least one
+    instance), and the norms of a chunk come from one kernel call."""
     reports, chunk, size = [], [], 0
 
     def flush():
         opns = _op_norms([instance[0] for instance in chunk])
-        reports.extend(report(*instance, opn) for instance, opn in zip(chunk, opns))
+        reports.extend(verify(*instance, opn=opn) for instance, opn in zip(chunk, opns))
         chunk.clear()
 
-    root = np.random.SeedSequence(config.seed)
-    for i in range(count):  # root.spawn(count)[i], made when needed
-        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
-                                       pool_size=root.pool_size)
-        instance = draw(np.random.default_rng(child))
-        if report is None:
-            reports.append(instance)
-            continue
+    for instance in instances:
         if chunk and size + instance[0].coeffs.size > RANDOM_COEFF_BUDGET:
             flush()
             size = 0
@@ -348,23 +323,14 @@ def _seeded_reports(config, count, draw, report=None) -> list[VerificationReport
         size += instance[0].coeffs.size
     if chunk:
         flush()
-    for i, rep in enumerate(reports):
-        rep.witness["instance"] = i
     return reports
 
 
-_FORM_VERIFIERS = {
-    "littlewood": _littlewood_43,
-    "general": _general_littlewood,
-    "bh": _bh,
-}
-
-
 def cmd_verify(args) -> int:
-    config = _config(args)
-    constants = config.constants
+    constants = _constants(args)
     suite = args.suite
-    if suite == "inclusion" or (suite != "almost" and not args.files):
+    seeded = suite == "inclusion" or (suite != "almost" and not args.files)
+    if seeded:
         order = args.order if suite in ("bh", "dv") else 2
         # order * log2(m), not m ** order: a huge --order stays cheap
         if args.m > 1 and order * math.log2(args.m) > math.log2(RANDOM_COEFF_BUDGET):
@@ -372,31 +338,32 @@ def cmd_verify(args) -> int:
                 f"random {suite} forms of order {order} and dimension up to "
                 f"{args.m} need up to {args.m}^{order} coefficients, over the "
                 f"budget {RANDOM_COEFF_BUDGET}")
-    if suite in _FORM_VERIFIERS:
-        verifier = _FORM_VERIFIERS[suite]
+    # the verifiers are looked up by name when this runs, so a rebinding of
+    # their module-level names (a tracer's) sees every call
+    if suite in ("littlewood", "general", "bh"):
+        verify = functools.partial({"littlewood": verify_littlewood_43,
+                                    "general": verify_general_littlewood,
+                                    "bh": verify_bh}[suite], constants=constants)
         if args.files:
-            reports = [verifier(load_form(path), constants) for path in args.files]
+            reports = [verify(load_form(path)) for path in args.files]
         else:
-            field = config.field or ScalarField.REAL
+            field = ScalarField(args.field or "real")
             order = args.order if suite == "bh" else 2
-            reports = _seeded_reports(
-                config, args.random,
-                lambda rng: (random_form(rng, _random_dims(rng, order, args.m), field),),
-                lambda A, opn: verifier(A, constants, opn))
+            reports = _op_norm_reports(_seeded(
+                args.seed, args.random,
+                lambda rng: (random_form(rng, _random_dims(rng, order, args.m), field),)),
+                verify)
     elif suite == "extended":
-        p = _parse_exponent(args.p or "4/3")
-
-        def extended(A, beta, opn=None):
-            return _extended_littlewood(A, beta, p, constants,
-                                        config.allow_real_experimental, opn)
-
+        verify = functools.partial(
+            verify_extended_littlewood, p=_parse_exponent(args.p or "4/3"),
+            constants=constants, allow_real_experimental=args.allow_real_experimental)
         if args.files:
             A = load_form(args.files[0])
             beta = (np.eye(A.dims[0]) if args.beta == "identity"
                     else load_matrix(args.beta))
-            reports = [extended(A, beta)]
+            reports = [verify(A, beta)]
         else:
-            field = config.field or ScalarField.COMPLEX
+            field = ScalarField(args.field or "complex")
 
             def draw(rng):
                 dims = _random_dims(rng, 2, args.m)
@@ -404,23 +371,21 @@ def cmd_verify(args) -> int:
                 rows = int(rng.integers(1, args.m + 1))
                 return A, _gaussian(rng, (rows, dims[0]), field.is_complex)
 
-            reports = _seeded_reports(config, args.random, draw, extended)
+            reports = _op_norm_reports(_seeded(args.seed, args.random, draw), verify)
     elif suite == "dv":
+        verify = functools.partial(verify_defant_voigt, constants=constants)
         if args.files:
             if len(args.files) != 2:
                 raise SchemaError("dv expects a form file and a family file")
-            A = load_form(args.files[0])
-            fam = load_family(args.files[1])
-            reports = [verify_defant_voigt(A, fam, constants=constants)]
+            reports = [verify(load_form(args.files[0]), load_family(args.files[1]))]
         else:
-            field = config.field or ScalarField.REAL
+            field = ScalarField(args.field or "real")
 
             def draw(rng):
                 A = random_form(rng, _random_dims(rng, args.order, args.m), field)
-                return A, _random_family(rng, A, min(config.j_max, 8))
+                return A, _random_family(rng, A, min(args.jmax, 8))
 
-            reports = _seeded_reports(config, args.random, draw,
-                                      lambda A, fam, opn: _defant_voigt(A, fam, constants, opn))
+            reports = _op_norm_reports(_seeded(args.seed, args.random, draw), verify)
     elif suite == "almost":
         if len(args.files) != 2:
             raise SchemaError("almost expects a form file and a family file")
@@ -429,11 +394,14 @@ def cmd_verify(args) -> int:
         cert = verify_almost_summing(A, fam, k=args.curry)
         reports = [_certificate_report("almost_summing", cert)]
     elif suite == "inclusion":
-        reports = _inclusion_suite(args, config)
+        reports = _inclusion_suite(args)
     else:  # unreachable behind argparse choices
         raise SchemaError(f"unknown suite {suite!r}")
+    if seeded:
+        for i, report in enumerate(reports):
+            report.witness["instance"] = i
 
-    doc = _document(f"verify {suite}", config, reports)
+    doc = _document(f"verify {suite}", args, reports)
     _emit(doc, args)
     return _exit_code(reports)
 
@@ -454,7 +422,7 @@ def _certificate_report(check: str, cert: RatioCertificate) -> VerificationRepor
     )
 
 
-def _inclusion_suite(args, config) -> list[VerificationReport]:
+def _inclusion_suite(args) -> list[VerificationReport]:
     """Random certificate lifts; status is the monotonicity of the lift."""
     source = ExponentTuple(2, (2, 2))
     target = ExponentTuple(1, (Exponent.of(1), Exponent.of(2)))
@@ -475,11 +443,11 @@ def _inclusion_suite(args, config) -> list[VerificationReport]:
             bound=None,
             exact_norm=res.source.exact and res.derived.exact,
             status="pass" if res.monotone else "fail",
-            # _seeded_reports fills in the instance; the key leads
+            # cmd_verify fills in the instance; the key leads
             witness={"instance": None, "length": fam.length},
         )
 
-    return _seeded_reports(config, args.random, build)
+    return list(_seeded(args.seed, args.random, build))
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +455,7 @@ def _inclusion_suite(args, config) -> list[VerificationReport]:
 
 
 def cmd_search(args) -> int:
-    config = _config(args)
+    _constants(args)  # refuse bad constants first
     A = load_form(args.file)
     try:
         exps = ExponentTuple(_parse_exponent(args.p), _parse_exponent_list(args.qs))
@@ -497,36 +465,28 @@ def cmd_search(args) -> int:
         raise SchemaError(
             f"exponent tuple has {exps.n} inner exponents, form has order {A.order}"
         )
-    cert = random_family_search(
-        A, exps, budget=config.budget, seed=config.seed,
-        j_max=config.j_max,
-    )
+    cert = random_family_search(A, exps, budget=args.budget, seed=args.seed,
+                                j_max=args.jmax)
     report = _certificate_report("search", cert)
-    doc = _document("search", config, [report],
-                    extra={"certificate": cert.to_dict(include_family=True)})
+    doc = _document("search", args, [report])
+    doc["certificate"] = cert.to_dict(include_family=True)
     _emit(doc, args)
     return _exit_code([report])
 
 
 def cmd_experiment(args) -> int:
-    config = _config(args)
-    records = summing_experiment(
+    doc = _header("experiment", args)
+    doc["records"] = summing_experiment(
         _parse_exponent(args.p),
         _parse_exponent(args.q),
         m=args.m,
         count=args.count,
-        budget=config.budget,
-        seed=config.seed,
-        j_max=config.j_max,
-        field=config.field or ScalarField.COMPLEX,
+        budget=args.budget,
+        seed=args.seed,
+        j_max=args.jmax,
+        field=ScalarField(args.field or "complex"),
     )
-    _emit({
-        "tool": "summability",
-        "version": __version__,
-        "command": "experiment",
-        "config": config.to_dict(),
-        "records": records,
-    }, args)
+    _emit(doc, args)
     return EXIT_OK
 
 

@@ -56,6 +56,8 @@ _PHASE_LOW = 2.0 ** -1024
 # 8192 coefficients, numpy's buffer size) einsum would sum a padded item in
 # other chunks
 _PAD_WORK = 1 << 12
+# einsum subscripts of the slots; S is the batch axis of _batch_contract
+_SLOTS = string.ascii_letters.replace("S", "")
 
 
 @dataclass
@@ -70,6 +72,8 @@ class FormTensor:
         self.domains = tuple(self.domains)
         if not self.domains:
             raise ValueError("a form needs at least one slot")
+        if len(self.domains) > len(_SLOTS):
+            raise ValueError(f"a form has at most {len(_SLOTS)} slots, got {len(self.domains)}")
         arr = np.asarray(self.coeffs)
         if self.field.is_complex:
             arr = arr.astype(np.complex128)
@@ -463,7 +467,7 @@ def _batch_contract(coeffs: np.ndarray, vectors, keep=()) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _contraction(n: int, keep: tuple[int, ...]) -> tuple[str, tuple[int, ...]]:
     """einsum subscripts of :func:`_batch_contract`, and the contracted slots."""
-    ls = string.ascii_lowercase[:n]
+    ls = _SLOTS[:n]
     contracted = tuple(i for i in range(n) if i not in keep)
     inputs = ",".join(["..." + ls] + ["...S" + ls[i] for i in contracted])
     return inputs + "->...S" + "".join(ls[k] for k in keep), contracted
@@ -503,8 +507,11 @@ def _random_starts(coeffs: np.ndarray, balls: tuple[Exponent, ...], is_complex: 
     """max(2, starts) start vectors per slot: the flat vectors, the basis
     vectors of the largest coefficient, then Gaussian vectors drawn from
     ``seed``."""
-    rng = np.random.default_rng(seed)
     S = max(2, starts)
+    if S * sum(coeffs.shape) > _ENUM_BUDGET:
+        raise ValueError(f"{starts} starts on dims {coeffs.shape} exceed the budget of "
+                         f"{_ENUM_BUDGET} start coordinates")
+    rng = np.random.default_rng(seed)
 
     vectors = []
     argmax_idx = np.unravel_index(int(np.argmax(np.abs(coeffs))), coeffs.shape)

@@ -511,22 +511,19 @@ def _versus_op_norm(
     )
 
 
-# Each coefficient verifier wraps a private report builder that also takes
-# the operator norm (``opn``): the seeded suites of the CLI compute the norms
-# of a chunk of instances in one kernel call (``forms._op_norms``).
+# Each coefficient verifier takes ``opn``, the operator norm of A, and
+# computes it when None: the seeded suites of the CLI compute the norms of a
+# chunk of instances in one kernel call (``forms._op_norms``).
 
 
 def verify_littlewood_43(
     A: FormTensor,
     *,
     constants: ConstantsConfig | None = None,
+    opn: NormEstimate | None = None,
 ) -> VerificationReport:
     """(sum |a_jk|^{4/3})^{3/4} <= c ||A|| with c = sqrt(2) real, K_G complex."""
-    return _littlewood_43(A, constants or ConstantsConfig())
-
-
-def _littlewood_43(A: FormTensor, constants: ConstantsConfig,
-                   opn: NormEstimate | None = None) -> VerificationReport:
+    constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_littlewood_43")
     lhs = lp_norm(A.coeffs.reshape(-1), _FOUR_THIRDS)
     return _versus_op_norm("littlewood_43", A, opn, lhs, constants.littlewood(A.field),
@@ -537,13 +534,10 @@ def verify_general_littlewood(
     A: FormTensor,
     *,
     constants: ConstantsConfig | None = None,
+    opn: NormEstimate | None = None,
 ) -> VerificationReport:
     """sum_k (sum_j |a_jk|^2)^{1/2} <= K_G ||A|| (the p = 1, q = 2 case)."""
-    return _general_littlewood(A, constants or ConstantsConfig())
-
-
-def _general_littlewood(A: FormTensor, constants: ConstantsConfig,
-                        opn: NormEstimate | None = None) -> VerificationReport:
+    constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_general_littlewood")
     lhs = mixed_norm(A.coeffs, _ONE, _TWO)
     return _versus_op_norm("general_littlewood", A, opn, lhs, constants.kg(A.field),
@@ -557,6 +551,7 @@ def verify_extended_littlewood(
     *,
     constants: ConstantsConfig | None = None,
     allow_real_experimental: bool = False,
+    opn: NormEstimate | None = None,
 ) -> VerificationReport:
     """Mixed-norm bound ||beta o a||_{l_p(l_q)} <= K_G ||A|| ||beta||_{l_inf(l_2)}.
 
@@ -564,13 +559,7 @@ def verify_extended_littlewood(
     real mode is experimental and asserts nothing: its reports always come
     back "inconclusive".
     """
-    return _extended_littlewood(A, beta, p, constants or ConstantsConfig(),
-                                allow_real_experimental)
-
-
-def _extended_littlewood(A: FormTensor, beta, p: ExponentLike, constants: ConstantsConfig,
-                         allow_real_experimental: bool,
-                         opn: NormEstimate | None = None) -> VerificationReport:
+    constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_extended_littlewood")
     pe = Exponent.of(p)
     if not Fraction(1, 2) <= pe.recip <= 1:
@@ -596,6 +585,7 @@ def verify_bh(
     A: FormTensor,
     *,
     constants: ConstantsConfig | None = None,
+    opn: NormEstimate | None = None,
 ) -> VerificationReport:
     """Coefficient sum at exponent 2n/(n+1) against the operator norm.
 
@@ -603,11 +593,7 @@ def verify_bh(
     existence of a constant is known, so the ratio is reported without a
     bound (the report fails only if the ratio is not finite).
     """
-    return _bh(A, constants or ConstantsConfig())
-
-
-def _bh(A: FormTensor, constants: ConstantsConfig,
-        opn: NormEstimate | None = None) -> VerificationReport:
+    constants = constants or ConstantsConfig()
     n = A.order
     if n < 2:
         raise ValueError("needs a form of order at least 2")
@@ -625,6 +611,7 @@ def verify_defant_voigt(
     fam: TestFamily,
     *,
     constants: ConstantsConfig | None = None,
+    opn: NormEstimate | None = None,
 ) -> VerificationReport:
     """sum_j |A(x_j^1, ..., x_j^n)| <= ||A|| prod_i Rad_2(column_i).
 
@@ -633,11 +620,7 @@ def verify_defant_voigt(
     are refused: for them the Rad_2 bound is false (e_1* on J copies of e_1
     gives J on the left and sqrt(J) on the right).
     """
-    return _defant_voigt(A, fam, constants or ConstantsConfig())
-
-
-def _defant_voigt(A: FormTensor, fam: TestFamily, constants: ConstantsConfig,
-                  opn: NormEstimate | None = None) -> VerificationReport:
+    constants = constants or ConstantsConfig()
     if A.order < 2:
         raise ValueError("verify_defant_voigt needs a form of order at least 2")
     fam.check_against(A)

@@ -310,6 +310,36 @@ def test_malformed_input_exits_3(tmp_path, capsys):
     assert main(["opnorm", schema]) == 3
 
 
+@pytest.mark.parametrize("n,code", [(27, 0), (51, 0), (52, 3)])
+def test_forms_of_many_slots(tmp_path, capsys, n, code):
+    # the einsum subscripts of the slots ran out after 26 letters: IndexError
+    column = {"field": "real", "dim": 1, "exponent": "inf", "vectors": [[1.0], [0.5]]}
+    form = write_json(tmp_path / "form.json",
+                      {"field": "real", "dims": [1] * n, "coeffs": [2.0]})
+    fam = write_json(tmp_path / "fam.json", {"columns": [column] * n})
+    for argv in (["search", form, "--p", "1", "--qs", ",".join(["2"] * n), "--budget", "8"],
+                 ["verify", "dv", form, fam],
+                 ["verify", "almost", form, fam]):
+        assert main(argv) == code, argv
+        err = capsys.readouterr().err
+        assert ("a form has at most 51 slots, got 52" in err) if code else err == ""
+
+
+def test_starts_past_the_budget_exit_3(tmp_path, capsys):
+    # numpy's allocation of 10^13 start vectors failed with _ArrayMemoryError
+    form = FormTensor(np.arange(6.0).reshape(2, 3), (SpaceSpec.lp(2, 2), SpaceSpec.lp(3, 3)))
+    seq = VectorSeq(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]]), SpaceSpec.lp(3, 3))
+    huge = "10000000000000"
+    for argv in (["opnorm", write_json(tmp_path / "form.json", form.to_json()),
+                  "--starts", huge],
+                 ["norm", "weak", write_json(tmp_path / "seq.json", seq.to_json()),
+                  "--p", "2", "--starts", huge]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "10000000000000 starts on dims" in captured.err
+
+
 def test_usage_error_exits_3(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "nonsense"])
@@ -406,6 +436,21 @@ def test_verify_chunks_give_the_body_of_one_chunk(monkeypatch, capsys):
     assert capsys.readouterr().out == whole
     assert sum(map(len, chunks)) == 7 and len(chunks) > 1
     assert all(len(c) == 1 or sum(c) <= 30 for c in chunks)
+
+
+@pytest.mark.parametrize("suite,name,extra", [
+    ("littlewood", "verify_littlewood_43", []),
+    ("general", "verify_general_littlewood", []),
+    ("bh", "verify_bh", ["--order", "3", "--m", "3"]),
+    ("extended", "verify_extended_littlewood", []),
+    ("dv", "verify_defant_voigt", ["--order", "2"]),
+])
+def test_seeded_suites_call_the_verifiers_by_name(monkeypatch, capsys, suite, name, extra):
+    # a rebinding of the module-level name (the benchmark's tracer) sees every instance
+    calls, verifier = [], getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a, **k: (calls.append(k["opn"]), verifier(*a, **k))[1])
+    assert main(["verify", suite, "--random", "3", *extra]) == 0
+    assert len(calls) == 3 and None not in calls
 
 
 def test_verify_almost_files(littlewood_file, family_file, tmp_path):

@@ -42,6 +42,20 @@ def _l1l2_form():
     return FormTensor(rng.standard_normal((3, 4)), (SpaceSpec.lp(3, 1), SpaceSpec.lp(4, 2)))
 
 
+def _sup_complex_form():
+    rng = np.random.default_rng(18)
+    shape = (4, 3)
+    return FormTensor.on_linf(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                              ScalarField.COMPLEX)
+
+
+def _beta():
+    rng = np.random.default_rng(19)
+    shape = (2, 4)
+    entries = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return {"field": "complex", "entries": np.stack([entries.real, entries.imag], -1).tolist()}
+
+
 def _family(form):
     rng = np.random.default_rng(13)
     return TestFamily(tuple(VectorSeq(rng.standard_normal((5, d.dim)), d)
@@ -57,6 +71,12 @@ COMMANDS = {
     "dv": ["verify", "dv", "--random", "3", "--order", "2", "--m", "4", "--seed", "7"],
     "inclusion": ["verify", "inclusion", "--random", "5", "--seed", "8"],
     "dv-files": ["verify", "dv", "{sup}", "{family}"],
+    "littlewood-files": ["verify", "littlewood", "{sup}"],
+    "general-files": ["verify", "general", "{sup}"],
+    "bh-files": ["verify", "bh", "{sup3}"],
+    "extended-files": ["verify", "extended", "{sup_complex}", "--beta", "{beta}"],
+    "almost-files": ["verify", "almost", "{sup}", "{family}"],
+    "almost-curry-files": ["verify", "almost", "{sup}", "{head}", "--curry", "1"],
     "search-sup": ["search", "{sup}", "--p", "1", "--qs", "2,2", "--budget", "40",
                    "--seed", "9"],
     "search-lp": ["search", "{lp}", "--p", "4/3", "--qs", "2,1", "--budget", "6",
@@ -71,15 +91,21 @@ COMMANDS = {
 }
 
 DIGESTS = {
+    "almost-curry-files": "7b68bb6c06e69af1cf7cd79445630b9c46c3ea774209a6cf330b4fbe695483b6",
+    "almost-files": "7525954ed2b9ac29975fdcda6e9eca5efdcc22e6f48c8e5383cb020e3e7fdbdd",
     "bh": "7559431661ae3b16ae28e2279d5f1255d257c8d13924b75c975582facf96e72b",
+    "bh-files": "f26d8ec7a02b6fb2eb5cd11f85c594019b832ec2722208a1ed25687cc5c3139e",
     "demos": "6949653ee285a554f7ae91b257e8cae73ab72315b6c52831e87bb47959a89601",
     "dv": "1560372be5c82e15df843cde46a56d60e3496ac656378c59907b4490bb408e61",
     "dv-files": "48a3fab700072c1f7c0ad076d040e95688e7cfa88f39e0a833a0851ef9f5becc",
     "experiment": "7b25bfbbfe624b0da0619be95454a1fceee837f8663aa3d5b77589c2fe400cf6",
     "extended": "729c3e1b91d4a7fd50a1812a4bab493396fd26dfef67f871ebb4de9c538f116a",
+    "extended-files": "cd382e16d7cee0f68ffb7b6379c9ff40922f6622165785e65d05f1114d7804fc",
     "general": "e9d476e32e298565fa0db39f3700cf12334e6a9e44722da8e0b1af804fadaf2d",
+    "general-files": "4a6882e5df5c91257dd31e0498db6ede13cc2fd366fc29d3029639a5a18d0ccb",
     "inclusion": "05c8e1a4409b249c5d6700692db9c034e6a27737acb99a37dd784cf357729e2c",
     "littlewood": "e5d6adc2756a090d8ee5c9ef8db4e269a87ef083893450cfd502223f81c69867",
+    "littlewood-files": "3ae7f22abf0737232e78ce3a181f155903d8f4c80693df90c7292130bdd2cc25",
     "search-lp": "d92ebdebcae65092378afc60e12def87e875f82a0bc085342ac7f80ced3fbe1a",
     "search-l1l2": "cacbe967810dc8fc92a5578808fd297a61e37c22230247b33806ed353e458412",
     "search-sup": "7c0cb44bba6c84dd25eea2fada434eef1e6b056503f64ad98e877a9038e4a9a7",
@@ -93,7 +119,9 @@ def files(tmp_path_factory):
     sup = _sup_form()
     docs = {"sup": sup.to_json(), "lp": _lp_form().to_json(),
             "sup3": _sup3_form().to_json(), "l1l2": _l1l2_form().to_json(),
-            "family": _family(sup).to_json()}
+            "sup_complex": _sup_complex_form().to_json(), "beta": _beta(),
+            "family": _family(sup).to_json(),
+            "head": TestFamily(_family(sup).columns[:1]).to_json()}
     paths = {}
     for name, doc in docs.items():
         path = root / f"{name}.json"

@@ -48,11 +48,11 @@ OPTIONS = {
     "summing_lower_bound": [],
     "tensor_weak_norm_estimate": [],
     "verify_almost_summing": ["k"],
-    "verify_bh": ["constants"],
-    "verify_defant_voigt": ["constants"],
-    "verify_extended_littlewood": ["constants", "allow_real_experimental"],
-    "verify_general_littlewood": ["constants"],
-    "verify_littlewood_43": ["constants"],
+    "verify_bh": ["constants", "opn"],
+    "verify_defant_voigt": ["constants", "opn"],
+    "verify_extended_littlewood": ["constants", "allow_real_experimental", "opn"],
+    "verify_general_littlewood": ["constants", "opn"],
+    "verify_littlewood_43": ["constants", "opn"],
     "weak_lp_norm": ["starts", "seed"],
 }
 

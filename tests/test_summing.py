@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -426,6 +427,25 @@ def test_dv_refuses_linear_forms():
     fam = TestFamily((VectorSeq(np.tile([1.0, 0.0], (4, 1)), space),))
     with pytest.raises(ValueError, match="order at least 2"):
         verify_defant_voigt(FormTensor.on_linf([1.0, 0.0]), fam)
+
+
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+def test_verifiers_given_the_op_norm_report_as_without_it(field):
+    # the seeded CLI suites pass the norm of a batched kernel call as opn
+    rng = np.random.default_rng(21)
+    A = random_form(rng, (3, 4), field)
+    B = random_form(rng, (2, 3, 2), field)
+    fam = TestFamily(tuple(VectorSeq(rng.standard_normal((3, d.dim)), d) for d in B.domains))
+    beta = rng.standard_normal((2, 3))
+    checks = [
+        (verify_littlewood_43, A, ()), (verify_general_littlewood, A, ()),
+        (verify_bh, A, ()), (verify_bh, B, ()), (verify_defant_voigt, B, (fam,)),
+        (functools.partial(verify_extended_littlewood, allow_real_experimental=True),
+         A, (beta, "4/3")),
+    ]
+    for verify, form, args in checks:
+        assert (verify(form, *args, opn=op_norm(form)).to_dict()
+                == verify(form, *args).to_dict()), verify
 
 
 def test_almost_summing_scalar(diag_family):
