@@ -329,7 +329,10 @@ def _op_norm_reports(instances, verify) -> list[VerificationReport]:
 def cmd_verify(args) -> int:
     constants = _constants(args)
     suite = args.suite
-    seeded = suite == "inclusion" or (suite != "almost" and not args.files)
+    if suite == "inclusion" and args.files:
+        raise SchemaError("the inclusion suite draws seeded random instances; "
+                          "it takes no input files")
+    seeded = suite != "almost" and not args.files
     if seeded:
         order = args.order if suite in ("bh", "dv") else 2
         # order * log2(m), not m ** order: a huge --order stays cheap
@@ -358,10 +361,9 @@ def cmd_verify(args) -> int:
             verify_extended_littlewood, p=_parse_exponent(args.p or "4/3"),
             constants=constants, allow_real_experimental=args.allow_real_experimental)
         if args.files:
-            A = load_form(args.files[0])
-            beta = (np.eye(A.dims[0]) if args.beta == "identity"
-                    else load_matrix(args.beta))
-            reports = [verify(A, beta)]
+            forms = [(path, load_form(path)) for path in args.files]
+            beta = None if args.beta == "identity" else load_matrix(args.beta)
+            reports = [verify(A, _beta_for(A, path, beta, args.beta)) for path, A in forms]
         else:
             field = ScalarField(args.field or "complex")
 
@@ -404,6 +406,18 @@ def cmd_verify(args) -> int:
     doc = _document(f"verify {suite}", args, reports)
     _emit(doc, args)
     return _exit_code(reports)
+
+
+def _beta_for(A: FormTensor, path: str, beta, beta_path: str) -> np.ndarray:
+    """The beta matrix applied to the form of ``path``: the identity on its
+    first slot when ``beta`` is None, else ``beta`` if it has one column per
+    row of the form."""
+    if beta is None:
+        return np.eye(A.dims[0])
+    if beta.ndim != 2 or beta.shape[1] != A.dims[0]:
+        raise SchemaError(f"{beta_path}: a beta of shape {beta.shape} does not fit "
+                          f"the form of {path}, whose first slot has dim {A.dims[0]}")
+    return beta
 
 
 def _certificate_report(check: str, cert: RatioCertificate) -> VerificationReport:
@@ -515,13 +529,13 @@ def build_parser() -> Parser:
     p_norm.add_argument("--q", default="2", help="inner exponent for mixed norms")
     p_norm.add_argument("--mode", choices=["exact", "mc"], default="exact")
     p_norm.add_argument("--samples", type=_count, default=100_000)
-    p_norm.add_argument("--starts", type=int, default=32, help=_STARTS_HELP)
+    p_norm.add_argument("--starts", type=_at_least(1), default=32, help=_STARTS_HELP)
     p_norm.add_argument("--seed", type=int, default=0)
     p_norm.set_defaults(handler=cmd_norm)
 
     p_op = sub.add_parser("opnorm", help="operator norm of a form file")
     p_op.add_argument("file")
-    p_op.add_argument("--starts", type=int, default=32, help=_STARTS_HELP)
+    p_op.add_argument("--starts", type=_at_least(1), default=32, help=_STARTS_HELP)
     p_op.add_argument("--seed", type=int, default=0)
     p_op.set_defaults(handler=cmd_norm, kind="opnorm")
 

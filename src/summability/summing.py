@@ -244,8 +244,9 @@ def random_family_search(
     the seed and the budget. Each trial draws its length, then its columns
     (:func:`_draw`). Trials of one length are stacked on a batch axis: one
     contraction gives their values, one norm their lhs and, where the plan
-    is exact, one kernel call a column's weak norms (heuristic ones run per
-    family). Only the winner is certified, by :func:`summing_lower_bound`.
+    is exact, one kernel call a column's weak norms; the heuristic weak norms
+    of a chunk take one kernel call per column (:func:`_family_ratios`).
+    Only the winner is certified, by :func:`summing_lower_bound`.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -269,27 +270,39 @@ def random_family_search(
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
 def _family_ratios(A: FormTensor, exps: ExponentTuple, draws) -> np.ndarray:
     """The ratio of each drawn family, computed as its certificate computes it:
-    an lhs outside [2^-500, 2^500] is computed again by :func:`lp_norm`."""
-    ratios = np.empty(len(draws))
+    an lhs outside [2^-500, 2^500] is computed again by :func:`lp_norm`, and
+    the weak norms multiply into the denominator in column order. A column's
+    weak norms (q >= 1) take one kernel call per length where the kernel is
+    exact, and one call on the items of every other length."""
+    # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
+    balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
+             for q, d in zip(exps.qs, A.domains)]
+    lhs = np.empty(len(draws))
+    weak = np.empty((A.order, len(draws)))
+    pending = [([], []) for _ in A.domains]  # per column: trial indices, inexact items
     lengths = np.array([J for J, _ in draws])
     for J in np.unique(lengths).tolist():
         idx = np.flatnonzero(lengths == J)
         stacks = _columns(A, J, np.stack([draws[i][1] for i in idx]))
         values = _batch_contract(A.coeffs, [s.reshape(-1, s.shape[2]) for s in stacks])
         values = values.reshape(len(idx), J)
-        lhs = _axis_norms(np.abs(values), exps.p, axis=1)
-        for k in np.flatnonzero(~((lhs >= _SAFE_LOW) & (lhs <= _SAFE_HIGH))).tolist():
-            lhs[k] = lp_norm(values[k], exps.p)
-        denominator = np.ones(len(idx))
-        for stack, q, d in zip(stacks, exps.qs, A.domains):
-            balls = (q.dual, d.exponent.dual) if q.recip <= 1 else None
-            if balls and _exact(stack.shape[1:], balls, A.field.is_complex):
-                denominator *= _ball_sup(stack, balls, witness=False)[0]
+        part = _axis_norms(np.abs(values), exps.p, axis=1)
+        for k in np.flatnonzero(~((part >= _SAFE_LOW) & (part <= _SAFE_HIGH))).tolist():
+            part[k] = lp_norm(values[k], exps.p)
+        lhs[idx] = part
+        for i, (stack, q, d) in enumerate(zip(stacks, exps.qs, A.domains)):
+            if balls[i] is None:
+                weak[i, idx] = [weak_lp_norm(VectorSeq(X, d), q).value for X in stack]
+            elif _exact(stack.shape[1:], balls[i], A.field.is_complex):
+                weak[i, idx] = _ball_sup(stack, balls[i], witness=False)[0]
             else:
-                denominator *= [weak_lp_norm(VectorSeq(X, d), q).value for X in stack]
-        ratios[idx] = np.divide(lhs, denominator, out=np.zeros(len(idx)),
-                                where=denominator > 0)
-    return ratios
+                pending[i][0].extend(idx.tolist())
+                pending[i][1].extend(stack)
+    for i, (idx, items) in enumerate(pending):
+        if items:
+            weak[i, idx] = _ball_sup(items, balls[i], witness=False)[0]
+    denominator = math.prod(weak)  # the rows, in the certificate's order
+    return np.divide(lhs, denominator, out=np.zeros(len(draws)), where=denominator > 0)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,8 @@ def test_negative_count_exits_3(argv, capsys):
     (["verify", "dv", "--random", "1", "--jmax", "0"], "--jmax", 1),
     (["verify", "littlewood", "--random", "1", "--m", "1"], "--m", 2),
     (["experiment", "--m", "0"], "--m", 1),
+    (["opnorm", "form.json", "--starts", "-5"], "--starts", 1),
+    (["norm", "weak", "seq.json", "--starts", "0"], "--starts", 1),
 ])
 def test_option_below_its_least_value_exits_3(argv, option, low, capsys):
     # the parser rejects it, before numpy fails with "low >= high"
@@ -373,6 +375,44 @@ def test_verify_extended_file(littlewood_complex_file, tmp_path, capsys):
     rep = doc["reports"][0]
     assert rep["status"] == "pass"
     assert rep["q"] == "4/3"
+
+
+def test_verify_extended_reports_every_file(littlewood_complex_file, tmp_path):
+    other = FormTensor.on_linf(np.arange(6.0).reshape(3, 2) + 1j, ScalarField.COMPLEX)
+    files = [littlewood_complex_file, write_json(tmp_path / "other.json", other.to_json())]
+    out = tmp_path / "ext.json"
+    assert main(["verify", "extended", *files, "--p", "4/3", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == 2
+    for path, report in zip(files, reports):  # each form gets its own identity beta
+        assert main(["verify", "extended", path, "--p", "4/3", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["reports"] == [report]
+        assert report["witness"]["beta_norm"] == 1.0
+
+
+def test_verify_extended_beta_applies_to_every_file(littlewood_complex_file, tmp_path,
+                                                   capsys):
+    beta = write_json(tmp_path / "beta.json",
+                      {"field": "real", "entries": [[2.0, 0.0], [0.0, 1.0], [1.0, 1.0]]})
+    out = tmp_path / "ext.json"
+    assert main(["verify", "extended", littlewood_complex_file, littlewood_complex_file,
+                 "--beta", beta, "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())["reports"]
+    assert len(reports) == 2 and reports[0] == reports[1]
+    assert reports[0]["witness"]["beta_norm"] == pytest.approx(math.sqrt(5), rel=1e-15)
+    capsys.readouterr()
+    wide = FormTensor.on_linf(np.ones((3, 2)), ScalarField.COMPLEX)
+    wide_file = write_json(tmp_path / "wide.json", wide.to_json())
+    assert main(["verify", "extended", littlewood_complex_file, wide_file,
+                 "--beta", beta]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and beta in captured.err and wide_file in captured.err
+
+
+def test_verify_inclusion_refuses_files(littlewood_file, capsys):
+    assert main(["verify", "inclusion", littlewood_file, "--random", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no input files" in captured.err
 
 
 def test_verify_extended_real_gate(littlewood_file, tmp_path):

@@ -127,7 +127,7 @@ COMMON = {
 NORM = ({"--samples": _counts(1, 40)},
         {"--p": EXPONENT_TEXT, "--q": EXPONENT_TEXT, "--seed": SEED,
          "--mode": (st.sampled_from(["exact", "mc"]), st.just("bogus")),
-         "--starts": _counts(0, 8)})
+         "--starts": _counts(1, 8)})
 VERIFY = ({"--random": _counts(0, 3)},
           {"--m": _counts(2, 4), "--order": _counts(2, 4), "--p": EXPONENT_TEXT,
            "--beta": (st.sampled_from(["identity", "MATRIX"]), st.just("MISSING")),
@@ -140,7 +140,7 @@ QS = (st.one_of(st.lists(EXPONENT_TEXT[0], min_size=2, max_size=2),
 COMMANDS = {
     **{f"norm {kind} {file}": NORM for kind, file in [
         ("lp", "SEQ"), ("weak", "SEQ"), ("rad", "SEQ"), ("mixed", "MATRIX")]},
-    "opnorm FORM": ({}, {"--starts": _counts(0, 8), "--seed": SEED}),
+    "opnorm FORM": ({}, {"--starts": _counts(1, 8), "--seed": SEED}),
     **{f"verify {suite}": VERIFY for suite in [
         "littlewood", "general", "bh", "extended", "dv", "inclusion"]},
     **{f"verify {suite} FORM": VERIFY for suite in [

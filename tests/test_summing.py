@@ -155,6 +155,8 @@ _SEARCH_FORMS = [
     (ScalarField.COMPLEX, (3, 3), (1, "inf"), 1, (1, 2), 1.0),
     (ScalarField.COMPLEX, (3, 3), ("4/3", 2), "4/3", (2, 1), 1.0),
     (ScalarField.REAL, (2, 3, 2), (1, 2, "inf"), 1, (2, "inf", 1), 1.0),
+    # exact columns around a heuristic one: pins the column order of the product
+    (ScalarField.COMPLEX, (2, 3, 2), ("inf", "4/3", "inf"), 1, (2, 2, 2), 1.0),
 ]
 
 
@@ -189,6 +191,26 @@ def test_search_chunks_keep_the_first_maximum(case, monkeypatch):
     assert got.ratio == ref.ratio and got.lhs == ref.lhs
     assert all(np.array_equal(a.vectors, b.vectors)
                for a, b in zip(got.family.columns, ref.family.columns))
+
+
+def test_search_sends_each_heuristic_column_to_the_kernel_once(monkeypatch):
+    # complex l_4/3 x l_2 at (4/3; 2, 1): both columns are heuristic from length 2 on
+    A = random_form(np.random.default_rng(7), (3, 3), ScalarField.COMPLEX,
+                    exponents=("4/3", 2))
+    exps = ExponentTuple("4/3", (2, 1))
+    calls, kernel = [], summing._ball_sup
+
+    def counting(items, balls, **kwargs):
+        calls.append((balls, isinstance(items, list), [len(a) for a in items]))
+        return kernel(items, balls, **kwargs)
+
+    monkeypatch.setattr(summing, "_ball_sup", counting)
+    random_family_search(A, exps, budget=64, seed=3, j_max=6)
+    for q, d in zip(exps.qs, A.domains):
+        column = [c for c in calls if c[0] == (q.dual, d.exponent.dual)]
+        ragged = [lengths for _, is_list, lengths in column if is_list]
+        assert len(ragged) == 1 and len(set(ragged[0])) > 1 and min(ragged[0]) >= 2
+        assert sum(len(lengths) for _, _, lengths in column) == 64  # every trial
 
 
 # ---------------------------------------------------------------------------
