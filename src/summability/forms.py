@@ -7,16 +7,19 @@ here and weak norms in ``norms`` (the weak-l_p norm of a sequence in l_s is
 the norm of its coefficient matrix on l_p' x l_s'). It is exact when all
 slots but one have a finite norming set (basis vectors of dim-1 and l_1
 balls, sign vectors of real sup balls) and the remaining slot is solved in
-closed form. A complex sup slot has no finite norming set, but its ball lies
-within sec(pi/8) of the vectors of 8th roots of unity: when no exact plan
-fits, and the enumeration with such phase slots does at most ``_GRID_CAP``
-units of work, the kernel enumerates them and polishes its best grid points
-by alternating maximization, a lower bound. Otherwise alternating
-maximization from random starts gives a lower bound. The alternating
-maximization of all inexact items of a call runs on one batch axis, and
-each item gets the bits it gets alone. Every result is flagged with its
-provenance, and a result that over- or underflowed is redone on rescaled
-coefficients.
+closed form. Two-slot arrays without such a plan are also exact on a pair of
+l_2 balls (the largest singular value) and when every row, or every column,
+has at most one nonzero (Hölder's equality case), as for the unit vectors of
+the search's structured families. A complex sup slot has no finite norming
+set, but its ball lies within sec(pi/8) of the vectors of 8th roots of
+unity: when neither fits, and the enumeration with such phase slots does at
+most ``_GRID_CAP`` units of work, the kernel enumerates them and polishes
+its best grid points by alternating maximization, a lower bound. Otherwise
+alternating maximization from random starts gives a lower bound. The
+alternating maximization of all inexact items of a call runs on one batch
+axis, and each item gets the bits it gets alone. Every result is flagged
+with its provenance, and a result that over- or underflowed is redone on
+rescaled coefficients.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import functools
 import math
 import string
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +62,8 @@ _PHASE_LOW = 2.0 ** -1024
 _PAD_WORK = 1 << 12
 # einsum subscripts of the slots; S is the batch axis of _batch_contract
 _SLOTS = string.ascii_letters.replace("S", "")
+_HALF = Fraction(1, 2)
+_NONE = np.empty(0, int)
 
 
 @dataclass
@@ -162,8 +168,10 @@ def op_norm(A: FormTensor, *, starts: int = 32, seed: int = 0) -> NormEstimate:
     """Supremum of |A(x1, ..., xn)| over the product of unit balls.
 
     Exact when every slot but one has a finite norming set (see
-    :func:`_ball_sup`) and the enumeration fits in ``_ENUM_BUDGET``;
-    otherwise a lower bound flagged ``exact=False``: alternating maximization
+    :func:`_ball_sup`) and the enumeration fits in ``_ENUM_BUDGET``, and for
+    two slots on l_2 x l_2 or with at most one nonzero in every row or every
+    column (:func:`_closed_form`); otherwise a lower bound flagged
+    ``exact=False``: alternating maximization
     from the best points of the roots-of-unity grid on complex sup slots
     where that grid fits in ``_GRID_CAP``, else from ``starts`` random starts
     drawn from ``seed``.
@@ -266,7 +274,10 @@ def _ball_sup(
     ("free") is enumerated over its candidate vectors and the free slot is
     the dual norm of the partial contraction. With basis and sign slots only
     the plan is exact and runs on the items of a shape together, at most
-    ``_ENUM_BUDGET`` units of work at a time. With phase slots (complex sup
+    ``_ENUM_BUDGET`` units of work at a time. The items of a shape without an
+    exact plan first try :func:`_closed_form`, exact on two slots for a pair
+    of l_2 balls and for arrays with at most one nonzero in every row or every
+    column; the rest go on as follows. With phase slots (complex sup
     slots on the grid of 8th roots of unity) the grid maximum L of an item is
     a lower bound within sec(pi/8)^k of the supremum, k the number of phase
     slots; the ``_GRID_STARTS`` best grid points start alternating
@@ -342,7 +353,9 @@ def _cheapest_free(dims, counts, budget: int) -> int | None:
 
 
 def _exact(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool) -> bool:
-    """Whether :func:`_ball_sup` computes arrays of shape ``dims`` exactly."""
+    """Whether :func:`_ball_sup` has an exact plan for arrays of shape
+    ``dims``: the shape rule, which holds for every such array. An item of a
+    shape without one may still come back exact (:func:`_closed_form`)."""
     plan = _plan(dims, balls, is_complex)
     return plan is not None and plan.exact
 
@@ -354,6 +367,13 @@ def _ball_sup_unscaled(items, balls, starts, seed, witness):
         is_complex = stack.dtype.kind == "c"
         plan = _plan(stack.shape[1:], balls, is_complex)
         if plan is None or not plan.exact:
+            at, values, found = _closed_form(stack, balls, witness)
+            if len(at):
+                exact_parts.append(([idx[j] for j in at.tolist()], values, found))
+                if len(at) == len(stack):
+                    continue
+                rest = np.setdiff1d(np.arange(len(stack)), at)
+                idx, stack = [idx[j] for j in rest.tolist()], stack[rest]
             for k, a in zip(idx, stack):
                 if plan:
                     jobs.append((k, a, *_grid_starts(a, balls, plan)))
@@ -381,6 +401,75 @@ def _ball_sup_unscaled(items, balls, starts, seed, witness):
             value, vectors = grid, at
         values[k], witnesses[k] = value, vectors
     return values, exact, witnesses if witness else None
+
+
+def _closed_form(stack: np.ndarray, balls, witness: bool):
+    """The items of a stack without an exact plan whose supremum has a closed
+    form: their positions in the stack (ascending), their values and their
+    witnesses (None for ``witness=False``). Two slots only: on a pair of l_2
+    balls every item's value is its largest singular value, with the top
+    singular pair (conj(u), v) as witness; otherwise an item whose every row,
+    or every column, has at most one nonzero takes :func:`_monomial_sup`. A
+    stack without a zero entry costs one count of nonzeros."""
+    if stack.ndim != 3:
+        return _NONE, None, None
+    if balls[0].recip == balls[1].recip == _HALF:
+        values = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        found = None
+        if witness:
+            u, _, vh = np.linalg.svd(stack)
+            found = list(zip(u[:, :, 0].conj(), vh[:, 0].conj()))
+        return np.arange(len(stack)), values, found
+    if min(stack.shape[1:]) > 1 and np.count_nonzero(stack) == stack.size:
+        return _NONE, None, None  # every item dense
+    nonzero = stack != 0
+    by_rows = np.count_nonzero(nonzero, axis=2).max(axis=1) <= 1
+    by_cols = np.count_nonzero(nonzero, axis=1).max(axis=1) <= 1
+    at = np.flatnonzero(by_rows | by_cols)
+    by_rows = by_rows[at]
+    values = np.empty(len(at))
+    found = [None] * len(at) if witness else None
+    for rows in (True, False):
+        part = np.flatnonzero(by_rows == rows)
+        if not len(part):
+            continue
+        sub = stack[at[part]]
+        v, w = (_monomial_sup(sub, balls, witness) if rows else
+                _monomial_sup(sub.transpose(0, 2, 1), balls[::-1], witness))
+        values[part] = v
+        for j, pair in zip(part.tolist(), w or ()):
+            found[j] = pair if rows else pair[::-1]
+    return at, values, found
+
+
+def _monomial_sup(stack: np.ndarray, balls, witness: bool):
+    """sup |x^T a y| over the balls of each array a of a (T, m0, m1) stack
+    whose every row has at most one nonzero, and the maximizing (x, y) (None
+    for ``witness=False``). With q the dual of slot 0's ball, b slot 1's
+    ball and N_k the l_q norm of column k, the value is sup over y of
+    (sum_k N_k^q |y_k|^q)^(1/q), which Hölder's equality case makes ||N||_t
+    with 1/t = max(0, 1/q - 1/b): max_k N_k for q >= b, attained at y = e_k;
+    else at y proportional to N^(t/b). Slot 0 is then set by
+    :func:`_dual_step`."""
+    q, b = balls[0].dual, balls[1]
+    t = Exponent(max(Fraction(0), q.recip - b.recip))
+    cols = _axis_norms(np.abs(stack), q, axis=1)
+    values = _axis_norms(cols, t, axis=1)
+    if not witness:
+        return values, None
+    m1 = stack.shape[2]
+    if t.is_inf:
+        y = np.eye(m1)[np.argmax(cols, axis=1)]
+    else:
+        top = np.maximum.reduce(cols, axis=1)
+        zero = top == 0
+        # scaled to max 1 so that the power neither over- nor underflows
+        y = (cols / np.where(zero, 1.0, top)[:, None]) ** (t.value / b.value)
+        y[zero] = np.eye(m1)[0]  # a zero array: any unit vector
+        y /= _axis_norms(y, b, axis=1)[:, None]
+    y = y.astype(stack.dtype)
+    x = _dual_step((stack @ y[:, :, None])[:, :, 0], balls[0])
+    return values, list(zip(x, y))
 
 
 def _by_shape(items) -> tuple:

@@ -2,8 +2,10 @@
 
 A weak-l_p norm (p >= 1) is the operator norm of the sequence's coefficient
 matrix on l_p' x l_s', computed by the supremum-over-balls kernel of
-``forms``: exact where all but one slot has a finite norming set, and a
-multi-start alternating lower bound otherwise. Every result carries an
+``forms``: exact where all but one slot has a finite norming set, for
+weak-l_2 in l_2 and for sequences with at most one nonzero per vector or
+per coordinate (unit vectors among them), and a multi-start alternating
+lower bound otherwise. Every result carries an
 ``exact`` flag so downstream inequality checks know whether they hold a
 certified value or a lower bound.
 """
@@ -200,11 +202,14 @@ def weak_lp_norm(seq: VectorSeq, p: ExponentLike, *, starts: int = 32,
     vector) as a bilinear form on l_p'^J x l_s'^m, so the operator-norm
     kernel of ``forms`` computes it: exact on sup-norm spaces (coordinate
     functionals), on real l_1 spaces (sign functionals), for weak-l_1 in any
-    real space (signs over the J slot), for weak-l_inf and for single
-    vectors; otherwise an alternating-maximization lower bound, started from
-    the kernel's roots-of-unity grid for complex sequences where it fits and
-    from ``starts`` random starts drawn from ``seed`` elsewhere. Weak norms
-    carry no witness.
+    real space (signs over the J slot), for weak-l_inf, for single vectors,
+    for weak-l_2 in l_2 (the spectral norm) and for sequences with at most
+    one nonzero in each vector or in each coordinate (Hölder's equality
+    case: the unit vectors of l_s^m have weak-l_p norm
+    m^max(0, 1/p - 1/s')); otherwise an alternating-maximization lower
+    bound, started from the kernel's roots-of-unity grid for complex
+    sequences where it fits and from ``starts`` random starts drawn from
+    ``seed`` elsewhere. Weak norms carry no witness.
 
     For p < 1 (no longer a bilinear norm) the value is the best over the
     coordinate functionals of sup-norm spaces and the sign functionals of

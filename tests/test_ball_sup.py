@@ -19,7 +19,7 @@ from summability import (
     op_norm,
     weak_lp_norm,
 )
-from summability.forms import _ball_sup, _one, _op_norms, _polar
+from summability.forms import _ball_sup, _one, _op_norms, _polar, _polish, _random_starts
 from summability.spaces import Exponent
 
 
@@ -295,6 +295,89 @@ def test_weak_norm_below_one_exact_flag_is_a_supremum(space, X, phi):
 
 
 # ---------------------------------------------------------------------------
+# closed forms of two-slot arrays without an exact plan
+
+
+def monomial(rng, dims, is_complex, by_columns=False):
+    """A Gaussian array with at most one nonzero in each row (each column for
+    ``by_columns``), about a fifth of them zero rows."""
+    m0, m1 = dims[::-1] if by_columns else dims
+    a = rng.standard_normal((m0, m1))
+    if is_complex:
+        a = a + 1j * rng.standard_normal((m0, m1))
+    keep = np.zeros((m0, m1), bool)
+    keep[np.arange(m0), rng.integers(0, m1, m0)] = rng.random(m0) > 0.2
+    a = np.where(keep, a, 0)
+    return a.T.copy() if by_columns else a
+
+
+@pytest.mark.parametrize("s", ["4/3", 2, 3])
+@pytest.mark.parametrize("q", [1, "4/3", 2, 4])
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+def test_weak_norm_of_unit_vectors_is_the_identity_norm(s, q, field):
+    # weak-l_q of e_1..e_m in l_s^m is the norm of id: l_s'^m -> l_q^m
+    m = 5
+    X = np.eye(m, dtype=complex if field.is_complex else float)
+    est = weak_lp_norm(VectorSeq(X, SpaceSpec.lp(m, s)), q)
+    want = m ** max(0.0, float(Exponent.of(q).recip - Exponent.of(s).dual.recip))
+    assert est.exact
+    assert est.value == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("exps", [("4/3", 2), (2, "4/3"), (3, "3/2"), ("5/4", 4), (4, 3),
+                                  ("3/2", 3), ("inf", 3), (3, "inf")])
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+@pytest.mark.parametrize("by_columns", [False, True])
+def test_monomial_array_matches_the_alternating_maximizer(exps, field, by_columns):
+    rng = np.random.default_rng(34)
+    balls = tuple(Exponent.of(s) for s in exps)
+    for _ in range(12):
+        a = monomial(rng, tuple(rng.integers(2, 7, size=2)), field.is_complex, by_columns)
+        est = _one(_ball_sup(a[None], balls))
+        value, witness = est.value, est.witness
+        (ascent, _), = _polish([(a, _random_starts(a, balls, field.is_complex, 32, 0))], balls)
+        assert est.exact
+        assert value >= ascent * (1 - 1e-14)
+        assert value == pytest.approx(ascent, rel=1e-9, abs=0)
+        for x, b in zip(witness, balls):
+            assert lp_norm(x, b) <= 1 + 1e-12
+        attained = abs(np.einsum("jk,j,k->", a, *witness))
+        assert attained == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+@pytest.mark.parametrize("by_columns", [False, True])
+def test_monomial_array_of_extreme_scale(scale, by_columns):
+    rng = np.random.default_rng(35)
+    balls = (Exponent.of("4/3"), Exponent.of(3))
+    a = monomial(rng, (4, 3), True, by_columns)
+    a /= np.abs(a).max()
+    est = _one(_ball_sup((scale * a)[None], balls))
+    value, witness = est.value, est.witness
+    assert est.exact
+    assert value == pytest.approx(scale * _one(_ball_sup(a[None], balls)).value,
+                                  rel=1e-12, abs=0)
+    attained = abs(np.einsum("jk,j,k->", scale * a, *witness))
+    assert attained == pytest.approx(value, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+def test_l2_pair_is_the_spectral_norm(field):
+    rng = np.random.default_rng(36)
+    stack = rng.standard_normal((5, 4, 3))
+    if field.is_complex:
+        stack = stack + 1j * rng.standard_normal((5, 4, 3))
+    l2 = Exponent.of(2)
+    values, exact, witnesses = _ball_sup(stack, (l2, l2))
+    assert all(exact)
+    for a, value, (x, y) in zip(stack, values, witnesses):
+        assert value == pytest.approx(np.linalg.norm(a, 2), rel=1e-14, abs=0)
+        assert lp_norm(x, 2) == pytest.approx(1, rel=1e-14)
+        assert lp_norm(y, 2) == pytest.approx(1, rel=1e-14)
+        assert abs(x @ a @ y) == pytest.approx(value, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
 # values whose intermediate sums over- or underflow
 
 
@@ -376,6 +459,17 @@ RAGGED = [  # (dims, exponents, field, scale) of one _op_norms call
     ((3, 2, 2), ("4/3", 2, "4/3"), C, 1.0),  # order 3
     ((2, 3, 4), ("4/3", 2, "4/3"), C, 1.0),
     ((3, 1, 3), ("4/3", 2, "4/3"), C, 1.0),  # a slot of dim 1
+    ((4, 3), (2, 2), R, 1.0),  # l_2 x l_2: the spectral norm
+    ((3, 3), (2, 2), C, 2.0 ** 600),
+]
+MONOMIAL_RAGGED = [  # (dims, exponents, field, scale, by columns): closed forms
+    ((3, 3), ("4/3", 2), C, 1.0, False),  # in a group with dense items
+    ((3, 3), ("4/3", 2), C, 1.0, True),
+    ((7, 3), ("4/3", 2), C, 2.0 ** 600, False),
+    ((4, 3), ("4/3", 2), R, 1.0, True),
+    ((6, 2), ("4/3", 2), C, 2.0 ** -600, True),  # a shape of its own
+    ((5, 4), ("inf", "inf"), C, 1.0, False),  # in a group of grid plans
+    ((7, 7), ("inf", "inf"), C, 1.0, True),  # in a group without a plan
 ]
 
 
@@ -386,6 +480,10 @@ def test_ragged_batch_gives_each_item_its_value_alone():
         a = rng.standard_normal(dims)
         if field.is_complex:
             a = a + 1j * rng.standard_normal(dims)
+        forms.append(FormTensor(scale * a, tuple(SpaceSpec.lp(m, s)
+                                                 for m, s in zip(dims, exps)), field))
+    for dims, exps, field, scale, by_columns in MONOMIAL_RAGGED:
+        a = monomial(rng, dims, field.is_complex, by_columns)
         forms.append(FormTensor(scale * a, tuple(SpaceSpec.lp(m, s)
                                                  for m, s in zip(dims, exps)), field))
     for A, est in zip(forms, _op_norms(forms)):
@@ -421,12 +519,20 @@ def test_phase_of_subnormal_entries_is_computed_on_scaled_entries():
 
 @pytest.mark.parametrize("exps", [(2, 3), ("inf", "inf")])
 def test_subnormal_coefficient_gives_the_value_of_a_zero(exps):
-    # the phases of subnormal contractions no longer turn the ascent to NaN
-    def form(a00):
-        return FormTensor(np.array([[a00, 0], [0, 1]], complex),
+    def form(a00, a01):
+        return FormTensor(np.array([[a00, a01], [a01, 1]], complex),
                           tuple(SpaceSpec.lp(2, s) for s in exps), ScalarField.COMPLEX)
 
-    est = op_norm(form(1e-320))
-    assert est.value == op_norm(form(0.0)).value
+    # a diagonal form takes the closed form
+    est = op_norm(form(1e-320, 0))
+    assert est.exact
+    assert est.value == op_norm(form(0.0, 0)).value
     assert all(np.all(np.isfinite(w)) for w in est.witness)
-    assert abs(evaluate(form(1e-320), est.witness)) == pytest.approx(est.value, rel=1e-15)
+    assert abs(evaluate(form(1e-320, 0), est.witness)) == pytest.approx(est.value, rel=1e-15)
+    # a dense one the ascent, which the phases of subnormal contractions no
+    # longer turn to NaN
+    est = op_norm(form(1e-320, 1))
+    assert not est.exact
+    assert est.value == op_norm(form(0.0, 1)).value
+    assert all(np.all(np.isfinite(w)) for w in est.witness)
+    assert abs(evaluate(form(1e-320, 1), est.witness)) == pytest.approx(est.value, rel=1e-15)

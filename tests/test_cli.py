@@ -156,7 +156,11 @@ def test_norm_rad_finite_value_of_overflowing_sums(tmp_path, capsys):
                                    "vectors": [[1.5e308], [1.5e308]]},
      "1.5e+308 exact"),
     (["opnorm"], FormTensor(1e308 * np.eye(2), (SpaceSpec.lp(2, 2),) * 2).to_json(),
-     None),
+     (1e308, "exact")),
+    # a dense form on l_2 x l_3 keeps the ascent: its norm is 2^(1/2) 2^(2/3) 1e307
+    (["opnorm"], FormTensor(1e307 * np.ones((2, 2)),
+                            (SpaceSpec.lp(2, 2), SpaceSpec.lp(2, 3))).to_json(),
+     (1e307 * 2 ** (7 / 6), "lower-bound")),
 ])
 def test_rescaled_norm_prints_no_warning(tmp_path, capsys, argv, data, expected):
     # the first, unscaled attempt over- and underflows without a word
@@ -166,10 +170,10 @@ def test_rescaled_norm_prints_no_warning(tmp_path, capsys, argv, data, expected)
         assert main(argv + [path]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    if expected is None:
+    if isinstance(expected, tuple):
         value, label = captured.out.split()
-        assert float(value) == pytest.approx(1e308, rel=1e-9)
-        assert label == "lower-bound"
+        assert float(value) == pytest.approx(expected[0], rel=1e-9)
+        assert label == expected[1]
     else:
         assert captured.out == expected + "\n"
 

@@ -129,11 +129,16 @@ def test_op_norm_budget():
 
 
 def test_op_norm_general_domain_heuristic():
-    # scalar product on l2 x l2 has norm 1 (Cauchy-Schwarz)
+    # scalar product on l2 x l2 has norm 1 (Cauchy-Schwarz): the spectral norm
     A = FormTensor(np.eye(3), (SpaceSpec.lp(3, 2), SpaceSpec.lp(3, 2)))
     est = op_norm(A)
-    assert not est.exact
+    assert est.exact
     assert est.value == pytest.approx(1.0, rel=1e-9)
+    # the all-ones form on l3 x l3 has norm ||1||_(3/2)^2 = 3^(4/3): the ascent
+    A = FormTensor(np.ones((3, 3)), (SpaceSpec.lp(3, 3), SpaceSpec.lp(3, 3)))
+    est = op_norm(A)
+    assert not est.exact
+    assert est.value == pytest.approx(3 ** (4 / 3), rel=1e-9)
 
 
 def test_compose_examples():

@@ -143,12 +143,21 @@ def test_weak_norm_complex_sup_space_exact():
 
 def test_weak_norm_intermediate_space_is_lower_bound():
     rng = np.random.default_rng(9)
-    seq = VectorSeq(rng.standard_normal((4, 3)), SpaceSpec.lp(3, 2))
+    X = rng.standard_normal((4, 3))
+    # weak-l_2 in l_2 is the spectral norm of X
+    seq = VectorSeq(X, SpaceSpec.lp(3, 2))
+    est = weak_lp_norm(seq, 2)
+    assert est.exact and est.value == pytest.approx(np.linalg.norm(X, 2), rel=1e-14)
+    # the l2 dual ball contains the scaled sign vectors: any functional
+    # phi / ||phi||_2 gives a lower bound the value must dominate
+    phi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
+    hand = lp_norm(seq.vectors @ phi, 2)
+    assert est.value >= hand - 1e-12
+    # in l_3 the dual ball is that of l_(3/2), and the ascent gives a lower bound
+    seq = VectorSeq(X, SpaceSpec.lp(3, 3))
     est = weak_lp_norm(seq, 2)
     assert not est.exact
-    # the l2 dual ball contains the scaled sign vectors: any functional
-    # phi / ||phi||_2 gives a lower bound the ascent must dominate
-    phi = np.array([1.0, 1.0, 1.0]) / math.sqrt(3)
+    phi = np.array([1.0, 1.0, 1.0]) / 3 ** (2 / 3)
     hand = lp_norm(seq.vectors @ phi, 2)
     assert est.value >= hand - 1e-12
 
