@@ -1,10 +1,11 @@
 """Compare the report bodies of two source trees over the benchmark's commands.
 
-    python3 scripts/compare_reports.py OLD_SRC NEW_SRC
+    python3 scripts/compare_reports.py OLD_SRC NEW_SRC [--seeds 1,2,3]
 
 OLD_SRC and NEW_SRC are directories that hold a ``summability`` package
 (for example ``src`` of two checkouts). The script runs the seeded batches of
-every workload for seeds 1, 2 and 3, from ``perfbench/workloads.py`` (read, never edited),
+every workload for the seeds of ``--seeds`` (a comma-separated list, by
+default 1,2,3), from ``perfbench/workloads.py`` (read, never edited),
 and ``summability demos`` through ``summability.cli.main`` in this process,
 first with the old package, then with the new one, and prints:
 
@@ -141,12 +142,24 @@ def compare(old: dict, new: dict) -> int:
     return 1 if status_changes or code_changes else 0
 
 
+def _seeds(text: str) -> tuple[int, ...]:
+    try:
+        seeds = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+    if len(set(seeds)) != len(seeds):
+        raise argparse.ArgumentTypeError(f"repeated seed in {text!r}")
+    return seeds
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
+    parser.add_argument("--seeds", type=_seeds, default=(1, 2, 3),
+                        help="comma-separated workload seeds (default 1,2,3)")
     args = parser.parse_args(argv)
-    seeds = (1, 2, 3)
+    seeds = args.seeds
     with tempfile.TemporaryDirectory() as tmp:
         old = run_all(args.old_src, seeds, Path(tmp))
         new = run_all(args.new_src, seeds, Path(tmp))

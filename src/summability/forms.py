@@ -17,9 +17,10 @@ most ``_GRID_CAP`` units of work, the kernel enumerates them and polishes
 its best grid points by alternating maximization, a lower bound. Otherwise
 alternating maximization from random starts gives a lower bound. The
 alternating maximization of all inexact items of a call runs on one batch
-axis, and each item gets the bits it gets alone. Every result is flagged
-with its provenance, and a result that over- or underflowed is redone on
-rescaled coefficients.
+axis, and each item gets the bits it gets alone; an item given a floor
+stops early once its grid maximum or its running best reaches it. Every
+result is flagged with its provenance, and a result that over- or
+underflowed is redone on rescaled coefficients.
 """
 
 from __future__ import annotations
@@ -265,6 +266,7 @@ def _ball_sup(
     starts: int = 32,
     seed: int = 0,
     witness: bool = True,
+    floors=None,
 ) -> tuple[np.ndarray, list[bool], list | None]:
     """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of
     l_(balls[k]), for each array a of ``items``: a stack of shape (T, *dims),
@@ -293,18 +295,135 @@ def _ball_sup(
     invalid-value warnings off: a value that is 0, not finite or outside
     [2^-500, 2^500] is computed again, alone, on its item scaled by a power
     of two (:func:`norms._rescaled`).
+
+    ``floors`` (one per item, or None) lets an item whose value only matters
+    below some level stop early: an inexact item leaves the alternating
+    maximizer after the first sweep whose running best reaches its floor
+    (:func:`_ascend`), and a grid-plan item whose grid maximum reaches it is
+    not polished. An item that stops early gets a value at least its floor
+    and at most its value without one. Exact plans and closed forms ignore
+    floors, and so does the computation again of a value out of range; that
+    item, and an item that never reaches its floor, keeps every bit. A floor
+    that is not finite and positive is none. The two halves, :func:`_ball_sup_start` and
+    :func:`_ball_sup_end`, let a caller read each item's exact value or grid
+    maximum (:func:`_lower_bounds`) before it sets the floors.
     """
-    result = _ball_sup_unscaled(items, balls, starts, seed, witness)
+    return _ball_sup_end(_ball_sup_start(items, balls, starts, seed, witness), floors)
+
+
+class _Started(NamedTuple):
+    """A batch of :func:`_ball_sup` up to the alternating maximizer: its
+    arguments, the (indices, values, witnesses) of its exact plans and
+    closed forms, and a job (index, array, start vectors, grid maximum or
+    None, its vectors) per other item."""
+
+    items: object
+    balls: tuple
+    starts: int
+    seed: int
+    witness: bool
+    exact_parts: list
+    jobs: list
+
+
+def _ball_sup_start(items, balls, starts=32, seed=0, witness=True) -> _Started:
+    """The first half of :func:`_ball_sup`: plans, exact enumerations,
+    closed forms, and the grid or random starts of every other item. It
+    runs in the caller's numpy error state, which should be that of
+    :func:`_ball_sup`."""
+    exact_parts, jobs = [], []
+    for idx, stack in _by_shape(items):
+        is_complex = stack.dtype.kind == "c"
+        plan = _plan(stack.shape[1:], balls, is_complex)
+        if plan is None or not plan.exact:
+            at, values, found = _closed_form(stack, balls, witness)
+            if len(at):
+                exact_parts.append(([idx[j] for j in at.tolist()], values, found))
+                if len(at) == len(stack):
+                    continue
+                rest = np.setdiff1d(np.arange(len(stack)), at)
+                idx, stack = [idx[j] for j in rest.tolist()], stack[rest]
+            for k, a in zip(idx, stack):
+                if plan:
+                    jobs.append((k, a, *_grid_starts(a, balls, plan)))
+                else:
+                    jobs.append((k, a, _random_starts(a, balls, is_complex, starts, seed),
+                                 None, None))
+            continue
+        for lo in range(0, len(stack), plan.chunk):  # at most _ENUM_BUDGET work at a time
+            t, points = _enumerate(stack[lo:lo + plan.chunk], balls, plan)
+            exact_parts.append((idx[lo:lo + plan.chunk], np.maximum.reduce(points, axis=1), [
+                tuple(v[0] for v in _grid_points(tk, [flat], plan, balls))
+                for tk, flat in zip(t, points.argmax(axis=1))] if witness else None))
+    return _Started(items, balls, starts, seed, witness, exact_parts, jobs)
+
+
+def _lower_bounds(started: _Started) -> np.ndarray:
+    """Per item of a started batch, a number that its :func:`_ball_sup_end`
+    value is at least, whatever the floors: its exact value, or the grid
+    maximum of a grid-plan item; 0 for a random-start item and where that
+    number is outside [2^-500, 2^500], as the value may be computed again
+    on rescaled coefficients."""
+    low = np.zeros(len(started.items))
+    for idx, values, _ in started.exact_parts:
+        low[list(idx)] = values
+    for k, _, _, grid, _ in started.jobs:
+        if grid is not None:
+            low[k] = grid
+    return np.where((low >= _SAFE_LOW) & (low <= _SAFE_HIGH), low, 0.0)
+
+
+def _ball_sup_end(started: _Started, floors=None):
+    """The second half of :func:`_ball_sup`: the alternating maximization of
+    the started batch, with ``floors``, then the rescaled computation of every
+    value out of range, without them. It runs in the caller's numpy error
+    state, which should be that of :func:`_ball_sup`."""
+    result = _polished(started, floors)
     values, _, witnesses = result
     for k, v in enumerate(values.tolist()):
         if not _SAFE_LOW <= v <= _SAFE_HIGH:
+            items, balls, starts, seed, witness = started[:5]
             est = _rescaled(_one(result, k),
-                            lambda c: _one(_ball_sup_unscaled(
-                                c[None], balls, starts, seed, witness)), items[k])
+                            lambda c: _one(_polished(_ball_sup_start(
+                                c[None], balls, starts, seed, witness))), items[k])
             values[k] = est.value
             if witness:
                 witnesses[k] = est.witness
     return result
+
+
+def _polished(started: _Started, floors=None):
+    """The values, exact flags and witnesses of a started batch, before any
+    rescaling."""
+    items, balls, _, _, witness, exact_parts, jobs = started
+    T = len(items)
+    if not jobs and len(exact_parts) == 1:  # one shape, in item order
+        _, values, witnesses = exact_parts[0]
+        return values, [True] * T, witnesses
+    values, exact, witnesses = np.empty(T), [False] * T, [None] * T
+    for idx, part, found in exact_parts:
+        values[list(idx)] = part
+        for j, k in enumerate(idx):
+            exact[k], witnesses[k] = True, found and found[j]
+    if floors is not None:
+        floors = np.asarray(floors, float)
+        floors = np.where((floors > 0) & (floors < math.inf), floors, math.nan)
+        if np.isnan(floors).all():
+            floors = None
+    polish = []
+    for job in jobs:
+        k, _, _, grid, at = job
+        if floors is not None and grid is not None and grid >= floors[k]:
+            values[k], witnesses[k] = grid, at
+        else:
+            polish.append(job)
+    polished = _polish([(a, vectors) for _, a, vectors, _, _ in polish], balls,
+                       None if floors is None else [floors[k] for k, *_ in polish])
+    for (k, _, _, grid, at), (value, vectors) in zip(polish, polished):
+        if grid is not None and not value >= grid:
+            value, vectors = grid, at
+        values[k], witnesses[k] = value, vectors
+    return values, exact, witnesses if witness else None
 
 
 def _one(result, k: int = 0) -> NormEstimate:
@@ -358,49 +477,6 @@ def _exact(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool)
     shape without one may still come back exact (:func:`_closed_form`)."""
     plan = _plan(dims, balls, is_complex)
     return plan is not None and plan.exact
-
-
-def _ball_sup_unscaled(items, balls, starts, seed, witness):
-    # exact: (indices, values, witnesses); inexact: (index, array, starts, grid max, its vectors)
-    exact_parts, jobs = [], []
-    for idx, stack in _by_shape(items):
-        is_complex = stack.dtype.kind == "c"
-        plan = _plan(stack.shape[1:], balls, is_complex)
-        if plan is None or not plan.exact:
-            at, values, found = _closed_form(stack, balls, witness)
-            if len(at):
-                exact_parts.append(([idx[j] for j in at.tolist()], values, found))
-                if len(at) == len(stack):
-                    continue
-                rest = np.setdiff1d(np.arange(len(stack)), at)
-                idx, stack = [idx[j] for j in rest.tolist()], stack[rest]
-            for k, a in zip(idx, stack):
-                if plan:
-                    jobs.append((k, a, *_grid_starts(a, balls, plan)))
-                else:
-                    jobs.append((k, a, _random_starts(a, balls, is_complex, starts, seed),
-                                 None, None))
-            continue
-        for lo in range(0, len(stack), plan.chunk):  # at most _ENUM_BUDGET work at a time
-            t, points = _enumerate(stack[lo:lo + plan.chunk], balls, plan)
-            exact_parts.append((idx[lo:lo + plan.chunk], np.maximum.reduce(points, axis=1), [
-                tuple(v[0] for v in _grid_points(tk, [flat], plan, balls))
-                for tk, flat in zip(t, points.argmax(axis=1))] if witness else None))
-    T = len(items)
-    if not jobs and len(exact_parts) == 1:  # one shape, in item order
-        _, values, witnesses = exact_parts[0]
-        return values, [True] * T, witnesses
-    values, exact, witnesses = np.empty(T), [False] * T, [None] * T
-    for idx, part, found in exact_parts:
-        values[list(idx)] = part
-        for j, k in enumerate(idx):
-            exact[k], witnesses[k] = True, found and found[j]
-    polished = _polish([(a, vectors) for _, a, vectors, _, _ in jobs], balls)
-    for (k, _, _, grid, at), (value, vectors) in zip(jobs, polished):
-        if grid is not None and not value >= grid:
-            value, vectors = grid, at
-        values[k], witnesses[k] = value, vectors
-    return values, exact, witnesses if witness else None
 
 
 def _closed_form(stack: np.ndarray, balls, witness: bool):
@@ -533,12 +609,14 @@ def _polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mag = np.abs(a)
     if a.dtype.kind != "c":
         return mag, np.where(a < 0, -1.0, 1.0)
+    if mag.size and np.minimum.reduce(mag, axis=None) > _PHASE_LOW:
+        return mag, a / mag
     u = np.empty_like(a)
     u.fill(1)
     large = mag > _PHASE_LOW
     np.divide(a, mag, out=u, where=large)
-    if np.count_nonzero(large) != np.count_nonzero(mag):
-        small = (mag != 0) & ~large
+    small = (mag != 0) & ~large
+    if small.any():
         scaled = _ldexp(a[small], 600)
         u[small] = scaled / np.abs(scaled)
     return mag, u
@@ -614,11 +692,12 @@ def _random_starts(coeffs: np.ndarray, balls: tuple[Exponent, ...], is_complex: 
     return vectors
 
 
-def _polish(jobs, balls) -> list[tuple[float, tuple]]:
+def _polish(jobs, balls, floors=None) -> list[tuple[float, tuple]]:
     """Alternating maximization (:func:`_ascend`) of each (array, start
     vectors) job, all on one batch axis: jobs whose padding keeps every bit
     (:func:`_pad_key`) are zero-padded to common dims, within ``_PAD_WORK``
-    and ``_ENUM_BUDGET``. Returns per job its value and its vectors."""
+    and ``_ENUM_BUDGET``. ``floors`` holds one floor per job (NaN for none)
+    or is None. Returns per job its value and its vectors."""
     groups: dict = {}
     for j, (a, vectors) in enumerate(jobs):
         S = len(vectors[0])
@@ -635,7 +714,8 @@ def _polish(jobs, balls) -> list[tuple[float, tuple]]:
                 coeffs[(b,) + tuple(map(slice, a.shape))] = a
                 for V, v in zip(vectors, starts):
                     V[b, :, :v.shape[1]] = v
-            values, best = _ascend(coeffs, balls, vectors)
+            values, best = _ascend(coeffs, balls, vectors, None if floors is None else
+                                   np.array([floors[members[r]] for r in run]))
             for r, (a, _), value, w in zip(run, batch, values.tolist(), best):
                 out[members[r]] = (value, tuple(x[:m] for x, m in zip(w, a.shape)))
     return out
@@ -674,13 +754,15 @@ def _runs(shapes, S: int):
         yield run, dims
 
 
-def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list):
+def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list, floors=None):
     """Alternating maximization of each array of a (T, *M) stack from its
     (T, S, M_i) start vectors of each slot, which it overwrites: a sweep sets
     each slot in turn to its closed-form maximizer. An item stops after a
-    sweep that gains at most 1e-12 relative on it, or after _SWEEPS, and
-    leaves the batch: each item stops at the sweep it stops at alone.
-    Returns the T values and per item the vectors of its best start."""
+    sweep that gains at most 1e-12 relative on it, after a sweep whose
+    running best over its starts reaches its entry of ``floors`` (T floors,
+    NaN for none, or None), or after _SWEEPS, and leaves the batch: each
+    item stops at the sweep it stops at alone. Returns the T values and per
+    item the vectors of its best start."""
     T, S = vectors[0].shape[:2]
     values, best = np.empty(T), [None] * T
     live = np.arange(T)
@@ -694,7 +776,10 @@ def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list):
         now = np.abs(_einsum(full, coeffs, *[vectors[j] for j in slots]))
         gain = np.maximum.reduce(now - prev, axis=1)
         prev = np.maximum(prev, now)
-        done = gain <= 1e-12 * np.maximum(np.maximum.reduce(prev, axis=1), 1e-300)
+        top = np.maximum.reduce(prev, axis=1)
+        done = gain <= 1e-12 * np.maximum(top, 1e-300)
+        if floors is not None:
+            done |= top >= floors
         if sweep == _SWEEPS - 1:
             done[:] = True
         flags = done.tolist()
@@ -709,6 +794,8 @@ def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list):
             break
         keep = ~done
         live, prev, coeffs = live[keep], prev[keep], coeffs[keep]
+        if floors is not None:
+            floors = floors[keep]
         vectors = [v[keep] for v in vectors]
     return values, best
 

@@ -20,8 +20,8 @@ from itertools import islice
 import numpy as np
 
 from ._signs import _ENUM_BUDGET, sign_matrix
-from .forms import (FormTensor, _ball_sup, _batch_contract, _exact, _gaussian, _polar,
-                    compose_beta, curry, op_norm)
+from .forms import (FormTensor, _ball_sup, _ball_sup_end, _ball_sup_start, _batch_contract,
+                    _exact, _gaussian, _lower_bounds, _polar, compose_beta, curry, op_norm)
 from .norms import (_SAFE_HIGH, _SAFE_LOW, NormEstimate, VectorSeq, _axis_norms, lp_norm,
                     mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
@@ -246,7 +246,12 @@ def random_family_search(
     contraction gives their values, one norm their lhs and, where the plan
     is exact, one kernel call a column's weak norms; the heuristic weak norms
     of a chunk take one kernel call per column (:func:`_family_ratios`).
-    Only the winner is certified, by :func:`summing_lower_bound`.
+    Their ascents stop at a floor set from the best ratio so far, the
+    incumbent, once a trial's ratio can no longer exceed it: such a trial
+    scores below the incumbent, and since a chunk's best replaces the
+    incumbent only when strictly greater, it never wins, and the result is
+    the one full ascents give. Only the winner is certified, by
+    :func:`summing_lower_bound`.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -260,7 +265,7 @@ def random_family_search(
         for _ in range(budget // _SEARCH_STREAMS + (w < budget % _SEARCH_STREAMS))
     )
     while chunk := list(islice(draws, _SEARCH_CHUNK)):
-        ratios = _family_ratios(A, exps, chunk)
+        ratios = _family_ratios(A, exps, chunk, best.ratio)
         k = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))  # NaN never wins
         if ratios[k] > best.ratio:
             best = summing_lower_bound(A, exps, _as_family(A, _columns(A, *chunk[k])))
@@ -268,12 +273,26 @@ def random_family_search(
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
-def _family_ratios(A: FormTensor, exps: ExponentTuple, draws) -> np.ndarray:
-    """The ratio of each drawn family, computed as its certificate computes it:
-    an lhs outside [2^-500, 2^500] is computed again by :func:`lp_norm`, and
-    the weak norms multiply into the denominator in column order. A column's
-    weak norms (q >= 1) take one kernel call per length where the kernel is
-    exact, and one call on the items of every other length."""
+def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) -> np.ndarray:
+    """The ratio lhs / prod(weak norms) of each drawn family, or, for a family
+    whose ratio cannot exceed ``incumbent``, possibly a number below
+    ``incumbent`` instead.
+
+    A ratio is computed as its certificate computes it but for one rule: an
+    lhs within [2^-500, 2^500] takes numpy's array power, which on about 5 %
+    of random complex rows at p = 4/3 differs in the last bit from
+    :func:`lp_norm`'s scalar power (a known defect); an lhs outside that
+    range is computed again by :func:`lp_norm`. The weak norms multiply into
+    the denominator in column order. A column's weak norms (q >= 1) take one
+    kernel call per length where the kernel is exact, and one call on the
+    items of every other length, in two halves: the grid stages of all such
+    columns first, then their ascents, the columns with the fewest lower
+    bounds (random starts) first, each item with the floor of
+    :func:`_floors`. A family with an item that stopped at its floor (a
+    retired family) gets a number below ``incumbent`` in place of its
+    ratio, and its ratio without floors is no larger, as every weak norm
+    without floors is at least the one with; every other family gets its
+    ratio to the bit."""
     # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
     balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
              for q, d in zip(exps.qs, A.domains)]
@@ -298,11 +317,37 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws) -> np.ndarray:
             else:
                 pending[i][0].extend(idx.tolist())
                 pending[i][1].extend(stack)
-    for i, (idx, items) in enumerate(pending):
-        if items:
-            weak[i, idx] = _ball_sup(items, balls[i], witness=False)[0]
+    started = {i: (idx, _ball_sup_start(items, balls[i], witness=False))
+               for i, (idx, items) in enumerate(pending) if items}
+    low = weak.copy()  # per trial and column, what its weak norm will be at least
+    for i, (idx, st) in started.items():
+        low[i, idx] = _lower_bounds(st)
+    for i in sorted(started, key=lambda i: np.count_nonzero(low[i, started[i][0]])):
+        idx, st = started[i]
+        floors = _floors(lhs[idx], low[:, idx], i, incumbent)
+        low[i, idx] = weak[i, idx] = _ball_sup_end(st, floors)[0]
     denominator = math.prod(weak)  # the rows, in the certificate's order
     return np.divide(lhs, denominator, out=np.zeros(len(draws)), where=denominator > 0)
+
+
+@np.errstate(divide="ignore")  # no bound known gives an infinite floor, i.e. none
+def _floors(lhs: np.ndarray, low: np.ndarray, i: int, incumbent: float) -> np.ndarray:
+    """Per trial, a floor on its column-i weak norm: if that weak norm is at
+    least its floor and every other one at least its entry of ``low`` (rows
+    in column order, 0 where nothing is known), the ratio that
+    :func:`_family_ratios` computes is below ``incumbent``. The floor is
+    lhs / (incumbent * the other bounds) * (1 + 2^-20), NaN (none) where
+    that is not finite and positive or where the ratio of the bounds
+    themselves, computed in the same order, does not come out below
+    ``incumbent``: rounded products and quotients are monotone in each
+    operand, so larger weak norms give a ratio at most that one."""
+    floors = lhs / (incumbent * math.prod(np.delete(low, i, axis=0))) * (1 + 2.0 ** -20)
+    bounds = low.copy()
+    bounds[i] = floors
+    denominator = math.prod(bounds)
+    safe = ((floors > 0) & (floors < math.inf) & (denominator > 0)
+            & (lhs / denominator < incumbent))
+    return np.where(safe, floors, math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -507,6 +507,59 @@ def test_ragged_batch_from_few_random_starts_gives_each_item_its_value_alone(sta
         assert all(np.array_equal(x, y) for x, y in zip(w, alone.witness))
 
 
+FLOORED = {  # per field: exponents, then (dims, scale, kind) of one ragged batch
+    ScalarField.COMPLEX: (("inf", "4/3"), [
+        ((2, 3), 1.0, "dense"),  # grid plans
+        ((3, 4), 1.0, "dense"),
+        ((3, 4), 1e307, "dense"),
+        ((7, 3), 1.0, "dense"),  # over _GRID_CAP: random starts
+        ((8, 2), 1.0, "dense"),
+        ((1, 3), 1.0, "dense"),  # an exact plan
+        ((3, 3), 1.0, "monomial"),  # a closed form
+    ]),
+    ScalarField.REAL: (("4/3", 3), [
+        ((2, 3), 1.0, "dense"),  # random starts
+        ((4, 4), 1.0, "dense"),
+        ((9, 3), 1e307, "dense"),
+        ((3, 1), 1.0, "dense"),  # an exact plan
+        ((3, 3), 1.0, "monomial"),  # a closed form
+    ]),
+}
+
+
+@pytest.mark.parametrize("field", [ScalarField.COMPLEX, ScalarField.REAL])
+def test_floors_stop_items_between_their_floor_and_their_value(field):
+    rng = np.random.default_rng(34)
+    exps, shapes = FLOORED[field]
+    balls = tuple(Exponent.of(s) for s in exps)
+    items = []
+    for dims, scale, kind in shapes * 2:
+        a = (monomial(rng, dims, field.is_complex) if kind == "monomial" else
+             rng.standard_normal(dims) + (1j * rng.standard_normal(dims)
+                                          if field.is_complex else 0))
+        items.append(scale * a)
+    values, exact, witnesses = _ball_sup(items, balls)
+    for floors in (None, np.full(len(items), np.inf)):
+        again = _ball_sup(items, balls, floors=floors)
+        assert np.array_equal(again[0], values) and again[1] == exact
+        assert all(np.array_equal(x, y) for w, v in zip(again[2], witnesses)
+                   for x, y in zip(w, v))
+    # below, at and above each value, and floors that are none
+    factors = [0.5, 0.9, 0.999, 1.0, 1.5, 0.0, -1.0, np.nan]
+    stopped = 0
+    for shift in range(len(factors)):
+        floors = values * np.roll(factors, shift)[np.arange(len(items)) % len(factors)]
+        got, flags, found = _ball_sup(items, balls, floors=floors)
+        assert flags == exact
+        assert np.array_equal(got[exact], values[exact])
+        for k, (v, floor) in enumerate(zip(got, floors)):
+            assert v <= values[k]
+            assert v == values[k] or v >= floor
+            stopped += v < values[k]
+            assert abs(np.einsum("ij,i,j", items[k], *found[k])) == pytest.approx(v, rel=1e-12)
+    assert stopped >= 8
+
+
 def test_phase_of_subnormal_entries_is_computed_on_scaled_entries():
     # a / |a| is a * (1/|a|), and 1/|a| overflows below 2^-1024
     a = np.array([1e-320, 1e-310 + 0j, 3e-320 - 2e-320j, 0j, 0.6 - 0.8j, 1e-300j])

@@ -33,7 +33,7 @@ from summability import (
 )
 from summability.forms import _gaussian
 from summability.rademacher import rademacher_average
-from summability import summing
+from summability import forms, summing
 from summability.summing import _structured_families
 from conftest import basis_family
 
@@ -198,19 +198,77 @@ def test_search_sends_each_heuristic_column_to_the_kernel_once(monkeypatch):
     A = random_form(np.random.default_rng(7), (3, 3), ScalarField.COMPLEX,
                     exponents=("4/3", 2))
     exps = ExponentTuple("4/3", (2, 1))
-    calls, kernel = [], summing._ball_sup
+    calls = []
 
-    def counting(items, balls, **kwargs):
-        calls.append((balls, isinstance(items, list), [len(a) for a in items]))
-        return kernel(items, balls, **kwargs)
+    def counting(entry):  # exact columns enter the kernel whole, the rest by halves
+        def call(items, balls, *args, **kwargs):
+            calls.append((balls, isinstance(items, list), [len(a) for a in items]))
+            return entry(items, balls, *args, **kwargs)
+        return call
 
-    monkeypatch.setattr(summing, "_ball_sup", counting)
+    monkeypatch.setattr(summing, "_ball_sup", counting(summing._ball_sup))
+    monkeypatch.setattr(summing, "_ball_sup_start", counting(summing._ball_sup_start))
     random_family_search(A, exps, budget=64, seed=3, j_max=6)
     for q, d in zip(exps.qs, A.domains):
         column = [c for c in calls if c[0] == (q.dual, d.exponent.dual)]
         ragged = [lengths for _, is_list, lengths in column if is_list]
         assert len(ragged) == 1 and len(set(ragged[0])) > 1 and min(ragged[0]) >= 2
         assert sum(len(lengths) for _, _, lengths in column) == 64  # every trial
+
+
+# (field, dims, domain exponents, p, qs, seed) with heuristic columns where a
+# random family beats the structured ones
+_RANDOM_WINS = [
+    (ScalarField.COMPLEX, (3, 3), ("4/3", 2), "4/3", (2, 1), 10),  # random-start, grid
+    (ScalarField.REAL, (3, 3), ("4/3", 2), "4/3", (2, 1), 22),  # random-start, exact
+    (ScalarField.COMPLEX, (2, 3, 2), ("inf", "4/3", "inf"), 1, (2, 2, 2), 6),
+    (ScalarField.REAL, (3, 3), (3, 3), 1, (2, 2), 2),  # two random-start columns
+    (ScalarField.COMPLEX, (2, 3), (3, "4/3"), 2, (2, 1), 5),
+]
+
+
+@pytest.mark.parametrize("chunk", [4, summing._SEARCH_CHUNK])
+@pytest.mark.parametrize("case", range(len(_RANDOM_WINS)))
+def test_search_with_floors_keeps_a_random_winner(case, chunk, monkeypatch):
+    # trials that cannot beat the incumbent stop at a floor; the winner, a
+    # random family, is the loop's, also when the incumbent moves between
+    # chunks of 4
+    monkeypatch.setattr(summing, "_SEARCH_CHUNK", chunk)
+    field, dims, domains, p, qs, seed = _RANDOM_WINS[case]
+    A = random_form(np.random.default_rng(seed), dims, field, exponents=domains)
+    exps = ExponentTuple(p, qs)
+    got = random_family_search(A, exps, budget=37, seed=seed, j_max=6)
+    ref = _reference_search(A, exps, 37, seed, 6)
+    structured = max(summing_lower_bound(A, exps, fam).ratio
+                     for fam in _structured_families(A, 6))
+    assert ref.ratio > structured
+    assert got.ratio == ref.ratio and got.lhs == ref.lhs
+    assert [w.value for w in got.rhs_norms] == [w.value for w in ref.rhs_norms]
+    assert all(np.array_equal(a.vectors, b.vectors)
+               for a, b in zip(got.family.columns, ref.family.columns))
+
+
+def test_search_retires_most_floored_trials_at_their_floor(monkeypatch):
+    # complex l_4/3 x l_2 at (4/3; 2, 1): the l_4/3 column ascends from random
+    # starts with floors set from the grid maxima of the l_2 column
+    A = random_form(np.random.default_rng(7), (3, 3), ScalarField.COMPLEX,
+                    exponents=("4/3", 2))
+    exps = ExponentTuple("4/3", (2, 1))
+    floored, retired, ascend = [], [], forms._ascend
+
+    def counting(coeffs, balls, vectors, floors=None):
+        values, best = ascend(coeffs, balls, vectors, floors)
+        if floors is not None:
+            at = ~np.isnan(floors)
+            floored.append(int(np.count_nonzero(at)))
+            retired.append(int(np.count_nonzero(values[at] >= floors[at])))
+        return values, best
+
+    monkeypatch.setattr(forms, "_ascend", counting)
+    cert = random_family_search(A, exps, budget=64, seed=3, j_max=6)
+    assert sum(floored) >= 32 and sum(retired) > 0.9 * sum(floored)
+    ref = _reference_search(A, exps, 64, 3, 6)
+    assert cert.ratio == ref.ratio and cert.lhs == ref.lhs
 
 
 # ---------------------------------------------------------------------------
