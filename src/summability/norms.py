@@ -12,6 +12,7 @@ certified value or a lower bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -25,31 +26,39 @@ from .spaces import INF, Exponent, ExponentLike, ScalarField, SpaceSpec
 __all__ = ["lp_norm", "mixed_norm", "weak_lp_norm", "NormEstimate", "VectorSeq"]
 
 
-@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
 def lp_norm(v, p: ExponentLike) -> float:
-    """(sum |v_i|^p)^(1/p); max |v_i| for p = inf.
+    """(sum |v_i|^p)^(1/p); max |v_i| for p = inf: :func:`_lp_rows` of the
+    moduli of ``v`` in memory order, as one row.
 
     Defined for every p > 0; values with 0 < p < 1 are the usual p-norm
-    expression (no triangle inequality implied). A value that is 0, not
-    finite or outside [2^-500, 2^500] is computed again on ``v`` scaled by a
-    power of two (:func:`_rescaled`).
+    expression (no triangle inequality implied).
     """
-    a = np.abs(np.asarray(v))
+    a = np.abs(np.asarray(v)).astype(np.float64, copy=False)
     if a.size == 0:
         return 0.0
-    pe = Exponent.of(p)
-    a = a.astype(np.float64, copy=False)
-    value = float(_axis_norms(a, pe, None))
-    if _SAFE_LOW <= value <= _SAFE_HIGH:
-        return value
-    return _rescaled(value, lambda w: float(_axis_norms(w, pe, None)), a)
+    return float(_lp_rows(a.ravel(order="K")[None], Exponent.of(p))[0])
 
 
-def _axis_norms(a: np.ndarray, e: Exponent, axis: int | None) -> np.ndarray:
-    """l_e norms along ``axis`` (all axes for None) of an array of moduli.
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # _rescaled mends
+def _lp_rows(a: np.ndarray, e: Exponent) -> np.ndarray:
+    """The l_e norm of each row of a 2-d float64 array of moduli, the one l_p
+    rule of sequences: the powers summed by numpy's reduction, the root taken
+    on a numpy float64 scalar (numpy's array power differs in the last bit on
+    some rows, a Python float raises where numpy gives inf), then
+    :func:`_rescaled` on each row."""
+    if e.is_inf:
+        values = np.maximum.reduce(a, axis=1).tolist()
+    elif (pv := e.value) == 1.0:  # the general formula at p = 1, without the powers
+        values = np.add.reduce(a, axis=1).tolist()
+    else:
+        values = [float(s ** (1.0 / pv)) for s in np.add.reduce(a ** pv, axis=1)]
+    again = functools.partial(lp_norm, p=e)  # a rescaled row is in range
+    return np.array([_rescaled(v, again, row) for v, row in zip(values, a)])
 
-    Every l_s norm of the package is taken here.
-    """
+
+def _axis_norms(a: np.ndarray, e: Exponent, axis: int) -> np.ndarray:
+    """l_e norms along ``axis`` of an array of moduli, for the kernel: roots
+    by numpy's array power."""
     # the ufunc reductions, which a.max/a.sum wrap: this runs once per weak norm
     if e.is_inf:
         return np.maximum.reduce(a, axis=axis)
@@ -59,24 +68,20 @@ def _axis_norms(a: np.ndarray, e: Exponent, axis: int | None) -> np.ndarray:
     return np.add.reduce(a ** pv, axis=axis) ** (1.0 / pv)
 
 
-@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # _rescaled mends
 def mixed_norm(M, p: ExponentLike, q: ExponentLike) -> float:
     """Outer p-norm over columns k of the inner q-norms over rows j.
 
     For a matrix m_jk this is (sum_k (sum_j |m_jk|^q)^(p/q))^(1/p), with the
-    infinite exponents handled as suprema. A value that is 0, not finite or
-    outside [2^-500, 2^500] is computed again on ``M`` scaled by a power of
-    two (:func:`_rescaled`).
+    infinite exponents handled as suprema, and then :func:`_rescaled` on ``M``.
     """
     pe, qe = Exponent.of(p), Exponent.of(q)
     A = np.abs(np.asarray(M))
     if A.ndim != 2 or A.size == 0:
         raise ValueError("mixed_norm expects a nonempty 2-d matrix")
     A = A.astype(np.float64)
-    value = lp_norm(_axis_norms(A, qe, axis=0), pe)
-    if _SAFE_LOW <= value <= _SAFE_HIGH:
-        return value
-    return _rescaled(value, lambda a: lp_norm(_axis_norms(a, qe, axis=0), pe), A)
+    return _rescaled(lp_norm(_axis_norms(A, qe, axis=0), pe),
+                     lambda a: lp_norm(_axis_norms(a, qe, axis=0), pe), A)
 
 
 @dataclass(frozen=True)
@@ -108,16 +113,17 @@ def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
 
 
 def _rescaled(result, fn, a: np.ndarray):
-    """``result`` = fn(a), computed again on ``a`` scaled by a power of two.
-
-    Callers pass a result that is 0, not finite or outside [2^-500, 2^500]:
-    for a nonzero finite ``a`` it may have lost its digits to over- or
-    underflow in an intermediate step. fn must be positively homogeneous,
-    fn(c a) = c fn(a) for c > 0, as every norm of a form or of a sum of
-    vectors is. It runs on ``a`` times the power of two that brings max |a|
-    into [1/2, 1), and its value is scaled back (to inf if it does not fit
-    in a float). Results are floats or NormEstimates.
+    """``result`` = fn(a) if it is within [2^-500, 2^500], else fn(a)
+    computed again on ``a`` scaled by a power of two, as a result that is 0,
+    not finite or out of that range may have lost its digits to over- or
+    underflow. fn must be positively homogeneous, fn(c a) = c fn(a) for
+    c > 0, as every norm of a form or of a sum of vectors is. It runs on
+    ``a`` times the power of two that brings max |a| into [1/2, 1), and its
+    value is scaled back (to inf if it does not fit in a float). Results are
+    floats or NormEstimates.
     """
+    if _SAFE_LOW <= getattr(result, "value", result) <= _SAFE_HIGH:
+        return result
     a = np.asarray(a)
     # the exponent is 0 for a zero, non-finite or already scaled array
     shift = math.frexp(float(np.abs(a).max(initial=0.0)))[1]

@@ -15,15 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 
 from ._signs import _ENUM_BUDGET, sign_matrix
 from .forms import (FormTensor, _ball_sup, _ball_sup_end, _ball_sup_start, _batch_contract,
                     _exact, _gaussian, _lower_bounds, _polar, compose_beta, curry, op_norm)
-from .norms import (_SAFE_HIGH, _SAFE_LOW, NormEstimate, VectorSeq, _axis_norms, lp_norm,
-                    mixed_norm, weak_lp_norm)
+from .norms import (NormEstimate, VectorSeq, _axis_norms, _lp_rows, lp_norm, mixed_norm,
+                    weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
     ConstantsConfig,
@@ -224,7 +223,21 @@ def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestF
 
 
 _SEARCH_STREAMS = 8
-_SEARCH_CHUNK = 1 << 10  # random trials scored at once; bounds the draws' memory
+_SEARCH_CHUNK = 1 << 10  # random trials scored at once
+
+
+def _chunks(draws):
+    """Consecutive draws, in chunks of at most ``_SEARCH_CHUNK`` trials and
+    ``_ENUM_BUDGET`` drawn numbers (and at least one trial)."""
+    chunk, size = [], 0
+    for draw in draws:
+        if chunk and (len(chunk) == _SEARCH_CHUNK or size + draw[1].size > _ENUM_BUDGET):
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(draw)
+        size += draw[1].size
+    if chunk:
+        yield chunk
 
 
 def random_family_search(
@@ -242,19 +255,30 @@ def random_family_search(
     more). The structured families are tried first, then each stream in
     order, and the first maximal ratio wins, so the result depends only on
     the seed and the budget. Each trial draws its length, then its columns
-    (:func:`_draw`). Trials of one length are stacked on a batch axis: one
-    contraction gives their values, one norm their lhs and, where the plan
-    is exact, one kernel call a column's weak norms; the heuristic weak norms
-    of a chunk take one kernel call per column (:func:`_family_ratios`).
-    Their ascents stop at a floor set from the best ratio so far, the
-    incumbent, once a trial's ratio can no longer exceed it: such a trial
-    scores below the incumbent, and since a chunk's best replaces the
-    incumbent only when strictly greater, it never wins, and the result is
-    the one full ascents give. Only the winner is certified, by
-    :func:`summing_lower_bound`.
+    (:func:`_draw`); a ``j_max`` at which one trial may draw more than
+    ``_ENUM_BUDGET`` normal numbers (j_max * sum(dims), doubled for complex
+    forms) is refused before any draw. Trials of one length are stacked on
+    a batch axis, in chunks of at most ``_SEARCH_CHUNK`` trials and
+    ``_ENUM_BUDGET`` drawn numbers: one contraction gives their values, the
+    rule of :func:`lp_norm` their lhs and, where the plan is exact, one
+    kernel call a column's weak norms; the heuristic weak norms of a chunk
+    take one kernel call per column (:func:`_family_ratios`). A trial's
+    score is its certificate's ratio to the bit, except for bilinear
+    families of one or two vectors, which einsum sums in another order when
+    stacked (230 of 4 447 seeded ones score up to 12 ulps off, none of
+    20 753 other trials). Heuristic ascents stop at a floor set from the
+    best ratio so far, the incumbent, once a trial's ratio can no longer
+    exceed it: such a trial scores below the incumbent, and since a chunk's
+    best replaces the incumbent only when strictly greater, it never wins,
+    and the result is the one full ascents give. Only the winner is
+    certified, by :func:`summing_lower_bound`.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    size = j_max * (2 if A.field.is_complex else 1) * sum(A.dims)
+    if size > _ENUM_BUDGET:
+        raise ValueError(f"--jmax {j_max}: a trial may draw {size} normal numbers, "
+                         f"over the budget {_ENUM_BUDGET}")
     # the first maximal ratio wins, as in a loop of ">" comparisons
     best = max((summing_lower_bound(A, exps, fam)
                 for fam in _structured_families(A, j_max)), key=lambda c: c.ratio)
@@ -264,7 +288,7 @@ def random_family_search(
         for w, rng in enumerate(map(np.random.default_rng, streams))
         for _ in range(budget // _SEARCH_STREAMS + (w < budget % _SEARCH_STREAMS))
     )
-    while chunk := list(islice(draws, _SEARCH_CHUNK)):
+    for chunk in _chunks(draws):
         ratios = _family_ratios(A, exps, chunk, best.ratio)
         k = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))  # NaN never wins
         if ratios[k] > best.ratio:
@@ -272,27 +296,29 @@ def random_family_search(
     return best
 
 
-@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # ratios may over- or underflow
 def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) -> np.ndarray:
     """The ratio lhs / prod(weak norms) of each drawn family, or, for a family
     whose ratio cannot exceed ``incumbent``, possibly a number below
     ``incumbent`` instead.
 
-    A ratio is computed as its certificate computes it but for one rule: an
-    lhs within [2^-500, 2^500] takes numpy's array power, which on about 5 %
-    of random complex rows at p = 4/3 differs in the last bit from
-    :func:`lp_norm`'s scalar power (a known defect); an lhs outside that
-    range is computed again by :func:`lp_norm`. The weak norms multiply into
-    the denominator in column order. A column's weak norms (q >= 1) take one
-    kernel call per length where the kernel is exact, and one call on the
-    items of every other length, in two halves: the grid stages of all such
-    columns first, then their ascents, the columns with the fewest lower
-    bounds (random starts) first, each item with the floor of
-    :func:`_floors`. A family with an item that stopped at its floor (a
-    retired family) gets a number below ``incumbent`` in place of its
-    ratio, and its ratio without floors is no larger, as every weak norm
-    without floors is at least the one with; every other family gets its
-    ratio to the bit."""
+    A ratio is computed as its certificate computes it: the lhs by
+    :func:`norms._lp_rows`, the rule of :func:`lp_norm`, and the weak norms
+    multiplied into the denominator in column order. Only the values of
+    bilinear families of one or two vectors may differ, as einsum sums them
+    in another order on the chunk's stack than alone (the rule
+    :func:`forms._pad_key` names): in a seeded sample of order-2 and order-3
+    families at p in {4/3, 3/2, 3}, real and complex, 230 of 4 447 such
+    trials score up to 12 ulps off their certificate, none of 20 753 others. A
+    column's weak norms (q >= 1) take one kernel call per length where the
+    kernel is exact, and one call on the items of every other length, in
+    two halves: the grid stages of all such columns first, then their
+    ascents, the columns with the fewest lower bounds (random starts)
+    first, each item with the floor of :func:`_floors`. A family with an
+    item that stopped at its floor (a retired family) gets a number below
+    ``incumbent`` in place of its ratio, and its ratio without floors is no
+    larger, as every weak norm without floors is at least the one with;
+    every other family gets its ratio as above."""
     # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
     balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
              for q, d in zip(exps.qs, A.domains)]
@@ -305,10 +331,7 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) 
         stacks = _columns(A, J, np.stack([draws[i][1] for i in idx]))
         values = _batch_contract(A.coeffs, [s.reshape(-1, s.shape[2]) for s in stacks])
         values = values.reshape(len(idx), J)
-        part = _axis_norms(np.abs(values), exps.p, axis=1)
-        for k in np.flatnonzero(~((part >= _SAFE_LOW) & (part <= _SAFE_HIGH))).tolist():
-            part[k] = lp_norm(values[k], exps.p)
-        lhs[idx] = part
+        lhs[idx] = _lp_rows(np.abs(values), exps.p)
         for i, (stack, q, d) in enumerate(zip(stacks, exps.qs, A.domains)):
             if balls[i] is None:
                 weak[i, idx] = [weak_lp_norm(VectorSeq(X, d), q).value for X in stack]

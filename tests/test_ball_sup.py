@@ -19,7 +19,8 @@ from summability import (
     op_norm,
     weak_lp_norm,
 )
-from summability.forms import _ball_sup, _one, _op_norms, _polar, _polish, _random_starts
+from summability.forms import (_ball_sup, _one, _op_norms, _pad_key, _polar, _polish,
+                               _random_starts, _runs)
 from summability.spaces import Exponent
 
 
@@ -437,6 +438,27 @@ def test_batch_gives_each_item_its_value_alone(dims, exps, field):
     assert values[1] > 2.0 ** 500 and values[4] < 2.0 ** -500
     quiet, _, none = _ball_sup(stack, balls, witness=False)
     assert np.array_equal(quiet, values) and none is None
+
+
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+def test_polish_splits_a_group_past_the_pad_work(field):
+    # one pad key, but 32 * 13 * 12 > _PAD_WORK: two runs, each job as alone
+    balls = (Exponent.of("4/3"), Exponent.of(2))
+    shapes = [(12, 12), (13, 12)]
+    assert [run for run, _ in _runs(shapes, 32)] == [[0], [1]]
+    rng = np.random.default_rng(34)
+    items = [rng.standard_normal(dims) + (1j * rng.standard_normal(dims)
+                                          if field.is_complex else 0) for dims in shapes]
+    assert len({_pad_key(a.shape, 32, balls, field.is_complex) for a in items}) == 1
+
+    def job(a):
+        return a, _random_starts(a, balls, field.is_complex, 32, 0)
+
+    together = _polish([job(a) for a in items], balls)
+    for a, (value, vectors) in zip(items, together):
+        (alone, best), = _polish([job(a)], balls)
+        assert value == alone
+        assert all(np.array_equal(x, y) for x, y in zip(vectors, best))
 
 
 R, C = ScalarField.REAL, ScalarField.COMPLEX

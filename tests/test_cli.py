@@ -531,6 +531,15 @@ def test_search_command(littlewood_file, tmp_path):
     assert "family" in doc["certificate"]
 
 
+@pytest.mark.parametrize("command", ["search", "experiment"])
+def test_search_refuses_a_jmax_over_the_draw_budget(littlewood_file, capsys, command):
+    argv = (["search", littlewood_file, "--p", "1", "--qs", "2,2"] if command == "search"
+            else ["experiment", "--count", "1"])
+    assert main(argv + ["--budget", "1", "--jmax", str(2 ** 50)]) == 3
+    err = capsys.readouterr().err
+    assert "--jmax" in err and "Traceback" not in err
+
+
 def test_threads_flag_is_rejected(littlewood_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", littlewood_file, "--p", "1", "--qs", "2,2",

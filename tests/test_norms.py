@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,48 @@ def test_lp_quasi_norm():
 def test_lp_monotone_in_p(v, p, q):
     lo, hi = min(p, q), max(p, q)
     assert lp_norm(v, hi) <= lp_norm(v, lo) + 1e-9
+
+
+def _lp_reference(v, p):
+    """lp_norm as one formula: the sum of the powers over all axes, its root
+    taken on a numpy scalar, and, for a value out of [2^-500, 2^500], the
+    same on the moduli scaled by a power of two."""
+    e = Exponent.of(p)
+    a = np.abs(np.asarray(v)).astype(np.float64)
+
+    def formula(a):
+        with np.errstate(all="ignore"):
+            if e.is_inf:
+                return float(np.maximum.reduce(a, axis=None))
+            if e.value == 1.0:
+                return float(np.add.reduce(a, axis=None))
+            return float(np.add.reduce(a ** e.value, axis=None) ** (1.0 / e.value))
+
+    value = formula(a)
+    shift = math.frexp(float(a.max()))[1]
+    if 2.0 ** -500 <= value <= 2.0 ** 500 or shift == 0:
+        return value
+    try:
+        return math.ldexp(formula(np.ldexp(a, -shift)), shift)
+    except OverflowError:
+        return math.inf
+
+
+def test_lp_norm_keeps_the_bits_of_its_formula():
+    rng = np.random.default_rng(7)
+    for t in range(3000):
+        shape = tuple(int(m) for m in rng.integers(1, 9, int(rng.integers(1, 4))))
+        v = rng.standard_normal(shape)
+        if t % 2:
+            v = v + 1j * rng.standard_normal(shape)
+        v *= 2.0 ** int(rng.choice([0, 300, -300, 520, -520, 600, -600, 1000, -1060]))
+        if v.ndim > 1 and t % 5 == 0:
+            v = v.T  # not C-contiguous: summed in memory order
+        for p in ("1/2", 1, "4/3", 2, 3, "inf"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = lp_norm(v, p)
+            assert got == _lp_reference(v, p), (t, p)
 
 
 def test_mixed_examples():
@@ -160,6 +203,21 @@ def test_weak_norm_intermediate_space_is_lower_bound():
     phi = np.array([1.0, 1.0, 1.0]) / 3 ** (2 / 3)
     hand = lp_norm(seq.vectors @ phi, 2)
     assert est.value >= hand - 1e-12
+
+
+@pytest.mark.parametrize("J", [1, 2, 5])
+def test_weak_norm_below_one_in_l2(J):
+    # p < 1 on a real l_2 space: ||x||_2 for one vector, else the functional of
+    # the exact weak-l_1 norm W, whose value lies in [W, J^(1/p - 1) W] by Hölder
+    X = np.random.default_rng(J).standard_normal((J, 3))
+    seq = VectorSeq(X, SpaceSpec.lp(3, 2))
+    est = weak_lp_norm(seq, "1/2")
+    if J == 1:
+        assert est.exact and est.value == lp_norm(X[0], 2)
+        return
+    w = weak_lp_norm(seq, 1)
+    assert w.exact and not est.exact
+    assert w.value * (1 - 1e-12) <= est.value <= J * w.value * (1 + 1e-12)
 
 
 def test_vector_seq_json_roundtrip():

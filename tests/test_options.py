@@ -29,13 +29,13 @@ OPTIONS = {
     "VerificationReport": ["witness"],
     "coincidence_region": ["p", "q", "qs", "k", "r", "source", "target"],
     "compose_beta": [],
-    "contraction_check": ["mode"],
+    "contraction_check": [],
     "curry": [],
     "dual_exponent": [],
     "evaluate": [],
     "factor_sequence": [],
     "interpolation_exponents": [],
-    "kahane_ratio": ["mode"],
+    "kahane_ratio": [],
     "lift_family": [],
     "lp_norm": [],
     "mixed_norm": [],

@@ -118,7 +118,7 @@ def test_contraction_validation():
     seq = scalar_seq([1.0, 1.0])
     with pytest.raises(ValueError):
         contraction_check(seq, [2.0, 0.0], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exact mode expects real multipliers"):
         contraction_check(seq, np.array([1j, 0]), 2)
 
 

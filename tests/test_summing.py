@@ -157,6 +157,11 @@ _SEARCH_FORMS = [
     (ScalarField.REAL, (2, 3, 2), (1, 2, "inf"), 1, (2, "inf", 1), 1.0),
     # exact columns around a heuristic one: pins the column order of the product
     (ScalarField.COMPLEX, (2, 3, 2), ("inf", "4/3", "inf"), 1, (2, 2, 2), 1.0),
+    # q < 1: weak norms that are not kernel norms
+    (ScalarField.REAL, (3, 3), ("inf", "inf"), "1/2", ("1/2", 2), 1.0),
+    # l_2 x l_2: the spectral norm closes every column without an exact plan
+    (ScalarField.REAL, (3, 3), (2, 2), 1, (2, 2), 1.0),
+    (ScalarField.COMPLEX, (3, 3), (2, 2), 2, (2, 2), 1.0),
 ]
 
 
@@ -191,6 +196,60 @@ def test_search_chunks_keep_the_first_maximum(case, monkeypatch):
     assert got.ratio == ref.ratio and got.lhs == ref.lhs
     assert all(np.array_equal(a.vectors, b.vectors)
                for a, b in zip(got.family.columns, ref.family.columns))
+
+
+@pytest.mark.parametrize("case", [0, 7])
+def test_search_chunks_cut_at_the_draw_budget_keep_the_first_maximum(case, monkeypatch):
+    # chunks of at most 64 drawn numbers (and at least one trial)
+    monkeypatch.setattr(summing, "_ENUM_BUDGET", 64)
+    field, dims, domains, p, qs, _ = _SEARCH_FORMS[case]
+    A = random_form(np.random.default_rng(case), dims, field, exponents=domains)
+    exps = ExponentTuple(p, qs)
+    chunks = []
+    ratios = summing._family_ratios
+    monkeypatch.setattr(summing, "_family_ratios",
+                        lambda A, exps, draws, best: chunks.append(draws) or
+                        ratios(A, exps, draws, best))
+    got = random_family_search(A, exps, budget=37, seed=case, j_max=5)
+    assert len(chunks) > 4 and sum(map(len, chunks)) == 37
+    assert all(len(c) == 1 or sum(g.size for _, g in c) <= 64 for c in chunks)
+    ref = _reference_search(A, exps, 37, case, 5)
+    assert got.ratio == ref.ratio and got.lhs == ref.lhs
+    assert all(np.array_equal(a.vectors, b.vectors)
+               for a, b in zip(got.family.columns, ref.family.columns))
+
+
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+def test_search_refuses_a_jmax_over_the_draw_budget(field):
+    A = random_form(np.random.default_rng(0), (2, 2), field)
+    with pytest.raises(ValueError, match="--jmax"):
+        random_family_search(A, ExponentTuple(1, (2, 2)), budget=1, j_max=2 ** 50)
+    # 2^22 numbers per trial at most: j_max * sum(dims), doubled for complex forms
+    j_max = 2 ** 20 // (2 if field.is_complex else 1)
+    with pytest.raises(ValueError, match="--jmax"):
+        random_family_search(A, ExponentTuple(1, (2, 2)), budget=1, j_max=j_max + 1)
+
+
+@pytest.mark.parametrize("p", ["4/3", "3/2", 3])
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+@pytest.mark.parametrize("dims,domains", [
+    ((3, 4), ("inf", "inf")),
+    ((4, 3), (2, 2)),
+    ((2, 3, 2), ("inf",) * 3),
+    ((2, 2, 3), (2, "inf", 1)),
+])
+def test_search_scores_are_the_certificate_ratios(dims, domains, field, p):
+    # one l_p rule for both; bilinear families of one or two vectors are
+    # left out, as einsum sums their values in another order
+    rng = np.random.default_rng([*dims, int(field.is_complex), Exponent.of(p).recip.numerator])
+    A = random_form(rng, dims, field, exponents=domains)
+    exps = ExponentTuple(p, (2,) * len(dims))
+    draws = [d for d in (summing._draw(rng, A, 8) for _ in range(300))
+             if len(dims) > 2 or d[0] >= 3]
+    ratios = summing._family_ratios(A, exps, draws, 0.0)  # an incumbent of 0 sets no floors
+    for (J, g), ratio in zip(draws, ratios.tolist()):
+        fam = summing._as_family(A, summing._columns(A, J, g))
+        assert ratio == summing_lower_bound(A, exps, fam).ratio
 
 
 def test_search_sends_each_heuristic_column_to_the_kernel_once(monkeypatch):
