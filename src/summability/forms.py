@@ -313,16 +313,17 @@ def _ball_sup(
 
 class _Started(NamedTuple):
     """A batch of :func:`_ball_sup` up to the alternating maximizer: its
-    arguments, the (indices, values, witnesses) of its exact plans and
-    closed forms, and a job (index, array, start vectors, grid maximum or
-    None, its vectors) per other item."""
+    arguments, its result (values, exact flags, witnesses), which holds every
+    exact value and grid maximum and 0 for the other items, and a job (index,
+    array, start vectors, whether the item holds a grid maximum) per inexact
+    item."""
 
     items: object
     balls: tuple
     starts: int
     seed: int
     witness: bool
-    exact_parts: list
+    result: tuple
     jobs: list
 
 
@@ -331,31 +332,41 @@ def _ball_sup_start(items, balls, starts=32, seed=0, witness=True) -> _Started:
     closed forms, and the grid or random starts of every other item. It
     runs in the caller's numpy error state, which should be that of
     :func:`_ball_sup`."""
-    exact_parts, jobs = [], []
+    T = len(items)
+    result, jobs = (np.zeros(T), [True] * T, [None] * T), []
     for idx, stack in _by_shape(items):
         is_complex = stack.dtype.kind == "c"
         plan = _plan(stack.shape[1:], balls, is_complex)
         if plan is None or not plan.exact:
             at, values, found = _closed_form(stack, balls, witness)
             if len(at):
-                exact_parts.append(([idx[j] for j in at.tolist()], values, found))
+                _put(result, idx[at], values, found)
                 if len(at) == len(stack):
                     continue
                 rest = np.setdiff1d(np.arange(len(stack)), at)
-                idx, stack = [idx[j] for j in rest.tolist()], stack[rest]
-            for k, a in zip(idx, stack):
+                idx, stack = idx[rest], stack[rest]
+            for k, a in zip(idx.tolist(), stack):
+                result[1][k] = False
                 if plan:
-                    jobs.append((k, a, *_grid_starts(a, balls, plan)))
+                    vectors, result[0][k], result[2][k] = _grid_starts(a, balls, plan)
                 else:
-                    jobs.append((k, a, _random_starts(a, balls, is_complex, starts, seed),
-                                 None, None))
+                    vectors = _random_starts(a, balls, is_complex, starts, seed)
+                jobs.append((k, a, vectors, plan is not None))
             continue
         for lo in range(0, len(stack), plan.chunk):  # at most _ENUM_BUDGET work at a time
             t, points = _enumerate(stack[lo:lo + plan.chunk], balls, plan)
-            exact_parts.append((idx[lo:lo + plan.chunk], np.maximum.reduce(points, axis=1), [
+            _put(result, idx[lo:lo + plan.chunk], np.maximum.reduce(points, axis=1), [
                 tuple(v[0] for v in _grid_points(tk, [flat], plan, balls))
-                for tk, flat in zip(t, points.argmax(axis=1))] if witness else None))
-    return _Started(items, balls, starts, seed, witness, exact_parts, jobs)
+                for tk, flat in zip(t, points.argmax(axis=1))] if witness else None)
+    return _Started(items, balls, starts, seed, witness, result, jobs)
+
+
+def _put(result, idx, values, found) -> None:
+    """Write the values and witnesses (None for ``witness=False``) of the
+    items ``idx`` (an index array) into a result."""
+    result[0][idx] = values
+    for k, w in zip(idx.tolist(), found or ()):
+        result[2][k] = w
 
 
 def _lower_bounds(started: _Started) -> np.ndarray:
@@ -364,66 +375,50 @@ def _lower_bounds(started: _Started) -> np.ndarray:
     maximum of a grid-plan item; 0 for a random-start item and where that
     number is outside [2^-500, 2^500], as the value may be computed again
     on rescaled coefficients."""
-    low = np.zeros(len(started.items))
-    for idx, values, _ in started.exact_parts:
-        low[list(idx)] = values
-    for k, _, _, grid, _ in started.jobs:
-        if grid is not None:
-            low[k] = grid
-    return np.where((low >= _SAFE_LOW) & (low <= _SAFE_HIGH), low, 0.0)
+    values = started.result[0]
+    return np.where((values >= _SAFE_LOW) & (values <= _SAFE_HIGH), values, 0.0)
 
 
 def _ball_sup_end(started: _Started, floors=None):
     """The second half of :func:`_ball_sup`: the alternating maximization of
     the started batch, with ``floors``, then the rescaled computation of every
-    value out of range, without them. It runs in the caller's numpy error
-    state, which should be that of :func:`_ball_sup`."""
-    result = _polished(started, floors)
-    values, _, witnesses = result
+    value out of range, without them; it fills the batch's result, so a
+    batch is ended once. It runs in the caller's numpy error state, which
+    should be that of :func:`_ball_sup`."""
+    values, exact, witnesses = _polished(started, floors)
     for k, v in enumerate(values.tolist()):
         if not _SAFE_LOW <= v <= _SAFE_HIGH:
             items, balls, starts, seed, witness = started[:5]
-            est = _rescaled(_one(result, k),
-                            lambda c: _one(_polished(_ball_sup_start(
-                                c[None], balls, starts, seed, witness))), items[k])
-            values[k] = est.value
-            if witness:
-                witnesses[k] = est.witness
-    return result
+
+            def again(c):
+                redone = _polished(_ball_sup_start(c[None], balls, starts, seed, witness))
+                witnesses[k] = redone[2][0]
+                return redone[0].item(0)
+            values[k] = _rescaled(v, again, items[k])
+    return values, exact, witnesses if started.witness else None
 
 
 def _polished(started: _Started, floors=None):
-    """The values, exact flags and witnesses of a started batch, before any
-    rescaling."""
-    items, balls, _, _, witness, exact_parts, jobs = started
-    T = len(items)
-    if not jobs and len(exact_parts) == 1:  # one shape, in item order
-        _, values, witnesses = exact_parts[0]
-        return values, [True] * T, witnesses
-    values, exact, witnesses = np.empty(T), [False] * T, [None] * T
-    for idx, part, found in exact_parts:
-        values[list(idx)] = part
-        for j, k in enumerate(idx):
-            exact[k], witnesses[k] = True, found and found[j]
+    """The result of a started batch once its jobs are polished, before any
+    rescaling: a grid-plan item keeps its grid maximum when that reaches its
+    floor or beats the polished value."""
+    balls, result, jobs = started.balls, started.result, started.jobs
+    if not jobs:
+        return result
+    values, _, witnesses = result
     if floors is not None:
         floors = np.asarray(floors, float)
         floors = np.where((floors > 0) & (floors < math.inf), floors, math.nan)
         if np.isnan(floors).all():
             floors = None
-    polish = []
-    for job in jobs:
-        k, _, _, grid, at = job
-        if floors is not None and grid is not None and grid >= floors[k]:
-            values[k], witnesses[k] = grid, at
         else:
-            polish.append(job)
-    polished = _polish([(a, vectors) for _, a, vectors, _, _ in polish], balls,
-                       None if floors is None else [floors[k] for k, *_ in polish])
-    for (k, _, _, grid, at), (value, vectors) in zip(polish, polished):
-        if grid is not None and not value >= grid:
-            value, vectors = grid, at
-        values[k], witnesses[k] = value, vectors
-    return values, exact, witnesses if witness else None
+            jobs = [job for job in jobs if not (job[3] and values[job[0]] >= floors[job[0]])]
+    polished = _polish([(a, vectors) for _, a, vectors, _ in jobs], balls,
+                       None if floors is None else [floors[k] for k, *_ in jobs])
+    for (k, _, _, has_grid), (value, vectors) in zip(jobs, polished):
+        if not has_grid or value >= values[k]:
+            values[k], witnesses[k] = value, vectors
+    return result
 
 
 def _one(result, k: int = 0) -> NormEstimate:
@@ -549,14 +544,14 @@ def _monomial_sup(stack: np.ndarray, balls, witness: bool):
 
 
 def _by_shape(items) -> tuple:
-    """The indices and the (T, *dims) stack of the items of each shape; a
-    stack is one group as it is."""
+    """The indices (an index array) and the (T, *dims) stack of the items of
+    each shape; a stack is one group as it is."""
     if isinstance(items, np.ndarray):
-        return ((range(len(items)), items),)
+        return ((np.arange(len(items)), items),)
     groups: dict = {}
     for k, a in enumerate(items):
         groups.setdefault(a.shape, []).append(k)
-    return tuple((idx, np.stack([items[k] for k in idx])) for idx in groups.values())
+    return tuple((np.array(idx), np.stack([items[k] for k in idx])) for idx in groups.values())
 
 
 def _enumerate(stack, balls, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:

@@ -45,15 +45,17 @@ def _lp_rows(a: np.ndarray, e: Exponent) -> np.ndarray:
     rule of sequences: the powers summed by numpy's reduction, the root taken
     on a numpy float64 scalar (numpy's array power differs in the last bit on
     some rows, a Python float raises where numpy gives inf), then
-    :func:`_rescaled` on each row."""
+    :func:`_rescaled` on each row whose norm is out of its range."""
     if e.is_inf:
-        values = np.maximum.reduce(a, axis=1).tolist()
+        values = np.maximum.reduce(a, axis=1)
     elif (pv := e.value) == 1.0:  # the general formula at p = 1, without the powers
-        values = np.add.reduce(a, axis=1).tolist()
+        values = np.add.reduce(a, axis=1)
     else:
-        values = [float(s ** (1.0 / pv)) for s in np.add.reduce(a ** pv, axis=1)]
-    again = functools.partial(lp_norm, p=e)  # a rescaled row is in range
-    return np.array([_rescaled(v, again, row) for v, row in zip(values, a)])
+        values = np.array([s ** (1.0 / pv) for s in np.add.reduce(a ** pv, axis=1)], float)
+    for k, v in enumerate(values.tolist()):
+        if not _SAFE_LOW <= v <= _SAFE_HIGH:  # a rescaled row is in range
+            values[k] = _rescaled(v, functools.partial(lp_norm, p=e), a[k])
+    return values
 
 
 def _axis_norms(a: np.ndarray, e: Exponent, axis: int) -> np.ndarray:
@@ -88,9 +90,10 @@ def mixed_norm(M, p: ExponentLike, q: ExponentLike) -> float:
 class NormEstimate:
     """A norm value together with its provenance.
 
-    ``exact=False`` marks a certified lower bound obtained by alternating
-    maximization; exact values come from norming-set or extreme-point
-    enumeration.
+    Exact values come from norming-set or extreme-point enumeration and from
+    closed forms (the largest singular value, Hölder's equality case).
+    ``exact=False`` marks a lower bound by alternating maximization from grid
+    or random starts, up to a few ulps of rounding: it is not certified.
     """
 
     value: float
@@ -112,31 +115,27 @@ def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
     return np.ldexp(a, k)
 
 
-def _rescaled(result, fn, a: np.ndarray):
+def _rescaled(result: float, fn, a: np.ndarray) -> float:
     """``result`` = fn(a) if it is within [2^-500, 2^500], else fn(a)
     computed again on ``a`` scaled by a power of two, as a result that is 0,
     not finite or out of that range may have lost its digits to over- or
     underflow. fn must be positively homogeneous, fn(c a) = c fn(a) for
     c > 0, as every norm of a form or of a sum of vectors is. It runs on
     ``a`` times the power of two that brings max |a| into [1/2, 1), and its
-    value is scaled back (to inf if it does not fit in a float). Results are
-    floats or NormEstimates.
+    value is scaled back (to inf if it does not fit in a float).
     """
-    if _SAFE_LOW <= getattr(result, "value", result) <= _SAFE_HIGH:
+    if _SAFE_LOW <= result <= _SAFE_HIGH:
         return result
     a = np.asarray(a)
     # the exponent is 0 for a zero, non-finite or already scaled array
     shift = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
     if shift == 0:
         return result
-    result = fn(_ldexp(a, -shift))
+    value = fn(_ldexp(a, -shift))
     try:
-        value = math.ldexp(getattr(result, "value", result), shift)
+        return math.ldexp(value, shift)
     except OverflowError:
-        value = math.inf
-    if isinstance(result, NormEstimate):
-        return NormEstimate(value, result.exact, result.witness)
-    return value
+        return math.inf
 
 
 @dataclass

@@ -19,8 +19,9 @@ from summability import (
     op_norm,
     weak_lp_norm,
 )
-from summability.forms import (_ball_sup, _one, _op_norms, _pad_key, _polar, _polish,
-                               _random_starts, _runs)
+from summability.forms import (_ball_sup, _ball_sup_end, _ball_sup_start, _lower_bounds, _one,
+                               _op_norms, _pad_key, _plan, _polar, _polish, _random_starts,
+                               _runs)
 from summability.spaces import Exponent
 
 
@@ -580,6 +581,29 @@ def test_floors_stop_items_between_their_floor_and_their_value(field):
             stopped += v < values[k]
             assert abs(np.einsum("ij,i,j", items[k], *found[k])) == pytest.approx(v, rel=1e-12)
     assert stopped >= 8
+    # what a caller reads before it sets the floors (_lower_bounds) is at
+    # most the value the batch ends with, whatever the floors: that value on
+    # exact items in range, and positive on grid items in range; the same on
+    # the items scaled by 2^600 and by 2^-600, whose values leave the range
+    unit = [a for a in items if np.abs(a).max() < 2.0 ** 100]
+    for batch in (items, [a * 2.0 ** 600 for a in unit], [a * 2.0 ** -600 for a in unit]):
+        values, flags, _ = _ball_sup(batch, balls)
+        assert all(type(f) is bool for f in flags)  # reports are strict JSON
+        exact = np.array(flags)
+        inside = (values >= 2.0 ** -500) & (values <= 2.0 ** 500)
+        grid = np.array([not e and _plan(a.shape, balls, field.is_complex) is not None
+                         for a, e in zip(batch, flags)])
+        assert not inside.all() and grid.any() == field.is_complex
+        for shift in range(len(factors) + 1):
+            floors = (values * np.roll(factors, shift)[np.arange(len(batch)) % len(factors)]
+                      if shift < len(factors) else None)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                started = _ball_sup_start(batch, balls)
+                low = _lower_bounds(started)
+                got = _ball_sup_end(started, floors)[0]
+            assert np.all(low <= got)
+            assert np.array_equal(low[exact & inside], values[exact & inside])
+            assert np.all(low[grid & inside] > 0)
 
 
 def test_phase_of_subnormal_entries_is_computed_on_scaled_entries():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from summability import (Exponent, SpaceSpec, VectorSeq, forms, lp_norm, mixed_norm,
+from summability import (Exponent, SpaceSpec, VectorSeq, forms, lp_norm, mixed_norm, norms,
                          weak_lp_norm)
 
 
@@ -79,6 +79,24 @@ def test_lp_norm_keeps_the_bits_of_its_formula():
                 warnings.simplefilter("error")
                 got = lp_norm(v, p)
             assert got == _lp_reference(v, p), (t, p)
+
+
+def test_lp_rows_keeps_the_bits_of_lp_norm_per_row():
+    # stacks of rows in range, out of it and zero: only the rows out of range
+    # are computed again, and every row keeps the bits it has alone
+    rng = np.random.default_rng(11)
+    scales = [0, 1, 2.0 ** 520, 2.0 ** -520, 2.0 ** 1000, 2.0 ** -1060, 2.0 ** 300]
+    for t in range(200):
+        rows, n = int(rng.integers(2, 12)), int(rng.integers(1, 9))
+        a = np.abs(rng.standard_normal((rows, n)))
+        a *= np.array(scales)[rng.integers(0, len(scales), rows)][:, None]
+        for p in ("1/2", 1, "4/3", 2, 3, "inf"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = norms._lp_rows(a, Exponent.of(p))
+                alone = [lp_norm(row, p) for row in a]
+            assert got.dtype == np.float64 and got.shape == (rows,)
+            assert got.tolist() == alone, (t, p)
 
 
 def test_mixed_examples():
