@@ -13,6 +13,9 @@ package, then with the new one, and prints:
 - per workload, how many commands give identical exit code, stdout and
   stderr, and per command kind how many do not;
 - every report whose ``status`` changed;
+- per key path (``config.seed``, ``reports[].field``), how many bodies lost
+  or gained the key, and how many bodies changed a string there from one
+  value to another (``status`` aside, listed above);
 - per JSON key, how many numbers went up and down, and the largest relative
   rise and fall; numbers of a record flagged exact are counted apart;
 - last, one line saying whether every body is identical.
@@ -30,7 +33,7 @@ import io
 import json
 import sys
 import tempfile
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,22 +76,29 @@ def _run(cli, argv) -> tuple:
     return code, out.getvalue(), err.getvalue()
 
 
-def _walk(old, new, key: str, exact: bool, out: list) -> None:
-    """Append (key, old, new, exact) for every pair of differing numbers."""
+def _walk(old, new, path: str, key: str, exact: bool, out: list, changes: set) -> None:
+    """Append (key, old, new, exact) to ``out`` for every pair of differing
+    numbers, and add (key path, change) to ``changes`` for every key lost or
+    gained and every string other than a status that changed."""
     if isinstance(old, dict) and isinstance(new, dict):
         exact = exact or old.get("exact_norm") is True or old.get("exact") is True
+        keys = {k: f"{path}.{k}" if path else k for k in old.keys() | new.keys()}
+        changes.update((keys[k], "lost") for k in old.keys() - new.keys())
+        changes.update((keys[k], "gained") for k in new.keys() - old.keys())
         for k in old.keys() & new.keys():
             flag = old.get(f"{k}_exact")
             if isinstance(flag, list):
                 for j, (a, b) in enumerate(zip(old[k], new[k])):
-                    _walk(a, b, k, exact or flag[j] is True, out)
+                    _walk(a, b, f"{keys[k]}[]", k, exact or flag[j] is True, out, changes)
             else:
-                _walk(old[k], new[k], k, exact or flag is True, out)
+                _walk(old[k], new[k], keys[k], k, exact or flag is True, out, changes)
     elif isinstance(old, list) and isinstance(new, list):
         for a, b in zip(old, new):
-            _walk(a, b, key, exact, out)
+            _walk(a, b, f"{path}[]", key, exact, out, changes)
     elif isinstance(old, float) and isinstance(new, float) and old != new:
         out.append((key, old, new, exact))
+    elif isinstance(old, str) and isinstance(new, str) and old != new and key != "status":
+        changes.add((path, f"{old!r} -> {new!r}"))
 
 
 def _statuses(doc) -> list:
@@ -99,6 +109,7 @@ def compare(old: dict, new: dict) -> int:
     identical = defaultdict(lambda: [0, 0])
     changed = defaultdict(int)
     status_changes, code_changes, drifts = [], [], []
+    key_changes = Counter()  # (key path, change) -> bodies
     for cid, (code, text, err, kind) in old.items():
         ncode, ntext, nerr, _ = new[cid]
         identical[cid[0]][1] += 1
@@ -114,7 +125,9 @@ def compare(old: dict, new: dict) -> int:
             continue
         if _statuses(a) != _statuses(b):
             status_changes.append((cid, kind, _statuses(a), _statuses(b)))
-        _walk(a, b, "", False, drifts)
+        changes = set()
+        _walk(a, b, "", "", False, drifts, changes)
+        key_changes.update(changes)
 
     for wname, (same, total) in identical.items():
         print(f"{wname}: {same}/{total} bodies identical")
@@ -126,6 +139,9 @@ def compare(old: dict, new: dict) -> int:
     print(f"status changes: {len(status_changes)}")
     for change in status_changes:
         print("  ", *change)
+    print(f"key changes: {len(key_changes)}")
+    for (path, change), count in sorted(key_changes.items()):
+        print(f"  {path}: {change} in {count} bodies")
     per_key = defaultdict(lambda: [0, 0, 0.0, 0.0])
     flagged_exact = 0
     for key, a, b, exact in drifts:

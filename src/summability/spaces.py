@@ -224,21 +224,21 @@ class ExponentTuple:
 
 @dataclass(frozen=True)
 class ConstantsConfig:
-    """Best published constants and the relative slack for heuristic norms.
+    """Best published constants of the coefficient inequalities.
 
     The Grothendieck constants are configuration, not code constants: only
-    upper bounds are known, and the defaults are the published ones. The
-    real constant of the 4/3 inequality is sqrt(2), exact and optimal.
+    upper bounds are known, and the defaults are the published ones. Each
+    must be a positive finite number. The real constant of the 4/3
+    inequality is sqrt(2), exact and optimal.
     """
 
     kg_real: float = 1.78221
     kg_complex: float = 1.40491
-    tolerance: float = 1e-6
 
     def __post_init__(self):
-        for name in ("kg_real", "kg_complex", "tolerance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("kg_real", "kg_complex"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.kg_complex >= math.sqrt(2.0):
             raise ValueError("the complex Grothendieck bound must be < sqrt(2)")
 

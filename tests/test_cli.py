@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -419,16 +420,51 @@ def test_verify_inclusion_refuses_files(littlewood_file, capsys):
     assert captured.out == "" and "no input files" in captured.err
 
 
-def test_verify_extended_real_gate(littlewood_file, tmp_path):
-    out = tmp_path / "ext.json"
-    code = main(["verify", "extended", littlewood_file, "--p", "4/3",
-                 "--out", str(out)])
-    assert code == 3  # real field rejected without the experimental flag
-    code = main(["verify", "extended", littlewood_file, "--p", "4/3",
-                 "--allow-real-experimental", "--out", str(out)])
-    assert code == 0
-    doc = json.loads(out.read_text())
-    assert doc["reports"][0]["status"] == "inconclusive"
+def test_verify_extended_real_gate(littlewood_file, capsys):
+    # the inequality is asserted for complex scalars only: real files and
+    # seeded real instances are reported, and nothing is asserted for them
+    for argv in (["verify", "extended", littlewood_file, "--p", "4/3"],
+                 ["verify", "extended", "--field", "real", "--random", "4", "--seed", "1"]):
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert {r["status"] for r in doc["reports"]} == {"inconclusive"}
+        assert "allow_real_experimental" not in doc["config"]
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "extended", littlewood_file, "--allow-real-experimental"])
+    assert exc.value.code == 3
+    assert "--allow-real-experimental" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,code,status,exact", [
+    # heuristic op norms of 6 x 6 complex forms: a shortfall certifies nothing
+    (["verify", "littlewood", "--field", "complex", "--kg-complex", "0.5"],
+     0, "inconclusive", False),
+    # exact op norms of real forms: a shortfall is a certified violation
+    (["verify", "general", "--kg-real", "0.5"], 2, "fail", True),
+])
+def test_fail_only_on_an_exact_norm(capsys, argv, code, status, exact):
+    assert main([*argv, "--m", "6", "--random", "8", "--seed", "1"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert [(r["status"], r["exact_norm"]) for r in doc["reports"]] == [(status, exact)] * 8
+    assert "tolerance" not in doc["config"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "general", "--random", "3"],
+    ["search", "FORM", "--p", "1", "--qs", "2,2"],
+    ["experiment", "--count", "1"],
+])
+@pytest.mark.parametrize("option,value", [("--kg-real", "nan"), ("--kg-complex", "inf")])
+def test_non_finite_constant_exits_3_before_any_work(littlewood_file, monkeypatch, capsys,
+                                                       argv, option, value):
+    calls = []
+    for name in ("_op_norms", "random_family_search", "summing_experiment"):
+        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
+    argv = [littlewood_file if a == "FORM" else a for a in argv]
+    assert main([*argv, option, value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and option[2:].replace("-", "_") in captured.err
+    assert calls == []
 
 
 def test_verify_dv_files(littlewood_file, family_file, tmp_path, capsys):
@@ -505,6 +541,26 @@ def test_verify_almost_files(littlewood_file, family_file, tmp_path):
     assert doc["reports"][0]["check"] == "almost_summing"
 
 
+def test_certificate_reports_take_the_field_of_the_form(littlewood_complex_file, tmp_path,
+                                                        capsys):
+    # the unit-vector families are real, whatever the field of the form
+    head = TestFamily((VectorSeq(np.eye(2), SpaceSpec.linf(2)),))
+    assert head.columns[0].field is ScalarField.REAL
+    head_file = write_json(tmp_path / "head.json", head.to_json())
+    assert main(["verify", "almost", littlewood_complex_file, head_file,
+                 "--curry", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["reports"][0]["field"] == "complex"
+    A = summability.random_form(np.random.default_rng(0), (3, 3), ScalarField.COMPLEX)
+    cert = summability.random_family_search(A, summability.ExponentTuple(1, (2, 2)),
+                                            budget=16, seed=0)
+    assert cert.family.columns[0].field is ScalarField.REAL  # a structured winner
+    form_file = write_json(tmp_path / "form.json", A.to_json())
+    assert main(["search", form_file, "--p", "1", "--qs", "2,2", "--budget", "16"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["reports"][0]["field"] == "complex"
+    assert doc["certificate"]["ratio"] == cert.ratio
+
+
 def test_verify_inclusion_battery(tmp_path):
     out = tmp_path / "inc.json"
     assert main(["verify", "inclusion", "--random", "10", "--m", "3",
@@ -512,6 +568,20 @@ def test_verify_inclusion_battery(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["summary"]["fail"] == 0
     assert list(doc["reports"][0]["witness"]) == ["instance", "length"]
+
+
+def test_inclusion_lift_below_its_source_is_inconclusive(monkeypatch, capsys):
+    lift = cli.lift_family
+
+    def short(*args):  # as if a heuristic weak norm had come out too low
+        res = lift(*args)
+        return dataclasses.replace(
+            res, derived=dataclasses.replace(res.derived, lhs_exact=False), monotone=False)
+
+    monkeypatch.setattr(cli, "lift_family", short)
+    assert main(["verify", "inclusion", "--random", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [(r["status"], r["exact_norm"]) for r in doc["reports"]] == [("inconclusive", False)] * 2
 
 
 def test_verify_random_zero_runs_nothing(capsys):

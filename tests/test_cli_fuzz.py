@@ -119,7 +119,6 @@ COMMON = {
     "--seed": SEED,
     "--field": (FIELDS, st.just("quaternion")),
     "--format": (st.sampled_from(["json", "csv"]), st.just("xml")),
-    "--tol": (st.just("1e-6"), st.sampled_from(["0", "-1", "nan", "x"])),
     "--kg-real": (st.just("1.78221"), st.sampled_from(["0", "inf", "nan"])),
     "--kg-complex": (st.just("1.40491"), st.sampled_from(["2", "-1", "nan"])),
     "--jmax": _counts(1, 4),
@@ -131,7 +130,7 @@ NORM = ({"--samples": _counts(1, 40)},
 VERIFY = ({"--random": _counts(0, 3)},
           {"--m": _counts(2, 4), "--order": _counts(2, 4), "--p": EXPONENT_TEXT,
            "--beta": (st.sampled_from(["identity", "MATRIX"]), st.just("MISSING")),
-           "--curry": _counts(1, 3), "--allow-real-experimental": None, **COMMON})
+           "--curry": _counts(1, 3), **COMMON})
 QS = (st.one_of(st.lists(EXPONENT_TEXT[0], min_size=2, max_size=2),
                 st.lists(EXPONENT_TEXT[0], min_size=1, max_size=3)).map(",".join),
       st.sampled_from(["", ",", "2,,2", "x"]))
@@ -162,8 +161,8 @@ def command(draw, head):
         argv += [name, draw(values[0])]
     for name, values in sometimes.items():
         if draw(st.booleans()):
-            argv += [name] if values is None else [name, draw(values[0])]
-    options = {**always, **{k: v for k, v in sometimes.items() if v is not None}}
+            argv += [name, draw(values[0])]
+    options = {**always, **sometimes}
     if draw(st.integers(0, 3)) == 3:  # one invalid value; the last one given wins
         name = draw(st.sampled_from(sorted(options)))
         argv += [name, draw(options[name][1])]

@@ -91,25 +91,25 @@ COMMANDS = {
 }
 
 DIGESTS = {
-    "almost-curry-files": "7b68bb6c06e69af1cf7cd79445630b9c46c3ea774209a6cf330b4fbe695483b6",
-    "almost-files": "7525954ed2b9ac29975fdcda6e9eca5efdcc22e6f48c8e5383cb020e3e7fdbdd",
-    "bh": "7559431661ae3b16ae28e2279d5f1255d257c8d13924b75c975582facf96e72b",
-    "bh-files": "f26d8ec7a02b6fb2eb5cd11f85c594019b832ec2722208a1ed25687cc5c3139e",
+    "almost-curry-files": "b8e80a6233fa368d864af2afddb58582f2400d9b55b6c547eddc9b40e7e051b3",
+    "almost-files": "9df9e5cff74242658bb918ceb1ae61c5822d47799ed8ac4fe4bd3a3e5988616c",
+    "bh": "88094779bec9a06321aa8b86a508e5af2d6b8be5e95c12ef8a307461f192082f",
+    "bh-files": "723d87bbc6df732134c2c54e299f65e85764a0560641009c28a73d4daec4d620",
     "demos": "6949653ee285a554f7ae91b257e8cae73ab72315b6c52831e87bb47959a89601",
-    "dv": "1560372be5c82e15df843cde46a56d60e3496ac656378c59907b4490bb408e61",
-    "dv-files": "48a3fab700072c1f7c0ad076d040e95688e7cfa88f39e0a833a0851ef9f5becc",
-    "experiment": "7b25bfbbfe624b0da0619be95454a1fceee837f8663aa3d5b77589c2fe400cf6",
-    "extended": "729c3e1b91d4a7fd50a1812a4bab493396fd26dfef67f871ebb4de9c538f116a",
-    "extended-files": "cd382e16d7cee0f68ffb7b6379c9ff40922f6622165785e65d05f1114d7804fc",
-    "general": "e9d476e32e298565fa0db39f3700cf12334e6a9e44722da8e0b1af804fadaf2d",
-    "general-files": "4a6882e5df5c91257dd31e0498db6ede13cc2fd366fc29d3029639a5a18d0ccb",
-    "inclusion": "05c8e1a4409b249c5d6700692db9c034e6a27737acb99a37dd784cf357729e2c",
-    "littlewood": "e5d6adc2756a090d8ee5c9ef8db4e269a87ef083893450cfd502223f81c69867",
-    "littlewood-files": "3ae7f22abf0737232e78ce3a181f155903d8f4c80693df90c7292130bdd2cc25",
-    "search-lp": "d92ebdebcae65092378afc60e12def87e875f82a0bc085342ac7f80ced3fbe1a",
-    "search-l1l2": "cacbe967810dc8fc92a5578808fd297a61e37c22230247b33806ed353e458412",
-    "search-sup": "7c0cb44bba6c84dd25eea2fada434eef1e6b056503f64ad98e877a9038e4a9a7",
-    "search-sup3-complex": "96ef9de55df3e90e70122722009196126d91303ec7571d65d54bf71893fe5900",
+    "dv": "58cc06ddf2dc7a07c5581fa8448bc662198e91867e2dedea2541fc17418e169a",
+    "dv-files": "60b41fb1078e610f4a0e48a2d741b014d5e60997de0cc1333faa6847ba1330fd",
+    "experiment": "9f7d7341f5efd9c984ea22c6e819e54bf139c542407d33014fb60014517a8889",
+    "extended": "059d6aeec759cb4ec1f545d14b96d54b413b7901c073e095d0842f73a6ceb5f9",
+    "extended-files": "cca8152e74e6a06ee978639f7df9794bfaef4e97606901db8b1add370ce5b23c",
+    "general": "b66cad98b46b960881144b7c7ff707632b8ccdd44c862a0d6c817dc5f452f871",
+    "general-files": "17ccffeda76694ea50e17eb94f4d5c62392c066cba7d13bd385a4a618accb4bb",
+    "inclusion": "caa41ba74353021a3f3f711aa6765c44e0dc6f847bd3a9efcdf12236a299cc4f",
+    "littlewood": "b724e0654d8a7b61db6896a1ca592f519a6efaa2d4f74033361f57d8499e4aca",
+    "littlewood-files": "0d78fa6d8c8a5c4f6a02a0c0bed408fced481e9ede5c9258bd2ffb5c3560eeae",
+    "search-lp": "ac2ade6354701852dc47837b2a944f5210a7b611030205797142bce3e250c8e7",
+    "search-l1l2": "944214b02146897bb7368bc69d5fc783d2f2fe6438e4b732e7ae9415ff8e22f4",
+    "search-sup": "d968b601c01db67e4bf16fd8342b3d4ab5e2802c9967da352804e2da84f428ef",
+    "search-sup3-complex": "d9bfe6a29ae7fd54b51a74a4f458c0f0d4f56298d128eb73befeb5774848b317",
 }
 
 

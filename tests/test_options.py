@@ -13,7 +13,7 @@ import summability
 from summability import forms, norms, rademacher, spaces, summing
 
 OPTIONS = {
-    "ConstantsConfig": ["kg_real", "kg_complex", "tolerance"],
+    "ConstantsConfig": ["kg_real", "kg_complex"],
     "ContractionCheck": [],
     "CurriedForm": [],
     "Exponent": [],
@@ -49,8 +49,8 @@ OPTIONS = {
     "tensor_weak_norm_estimate": [],
     "verify_almost_summing": ["k"],
     "verify_bh": ["constants", "opn"],
-    "verify_defant_voigt": ["constants", "opn"],
-    "verify_extended_littlewood": ["constants", "allow_real_experimental", "opn"],
+    "verify_defant_voigt": ["opn"],
+    "verify_extended_littlewood": ["constants", "opn"],
     "verify_general_littlewood": ["constants", "opn"],
     "verify_littlewood_43": ["constants", "opn"],
     "weak_lp_norm": ["starts", "seed"],

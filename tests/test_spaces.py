@@ -110,5 +110,8 @@ def test_constants_config():
     assert c.kg(__import__("summability").ScalarField.REAL) == c.kg_real
     with pytest.raises(ValueError):
         ConstantsConfig(kg_complex=1.5)
-    with pytest.raises(ValueError):
-        ConstantsConfig(tolerance=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            ConstantsConfig(kg_real=bad)
+        with pytest.raises(ValueError):
+            ConstantsConfig(kg_complex=bad)

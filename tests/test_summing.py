@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -7,9 +6,11 @@ import numpy as np
 import pytest
 
 from summability import (
+    ConstantsConfig,
     Exponent,
     ExponentTuple,
     FormTensor,
+    NormEstimate,
     ScalarField,
     SpaceSpec,
     TestFamily,
@@ -491,11 +492,10 @@ def test_extended_littlewood_p_range(littlewood_complex):
 
 
 def test_extended_littlewood_real_gate(littlewood):
-    with pytest.raises(ValueError):
-        verify_extended_littlewood(littlewood, np.eye(2), "4/3")
-    rep = verify_extended_littlewood(littlewood, np.eye(2), "4/3",
-                                     allow_real_experimental=True)
-    assert rep.status == "inconclusive"
+    # nothing is asserted for real scalars, even for a constant no form meets
+    for constants in (None, ConstantsConfig(kg_real=1e-3)):
+        rep = verify_extended_littlewood(littlewood, np.eye(2), "4/3", constants=constants)
+        assert rep.exact_norm and rep.status == "inconclusive"
 
 
 def test_bh_examples():
@@ -532,6 +532,22 @@ def test_dv_equality_witness(littlewood, diag_family):
     assert rep.status == "pass"
     assert rep.lhs == pytest.approx(rep.rhs, abs=1e-12)
     assert rep.witness["weak_l1_status"] == "pass"
+
+
+def test_fail_only_on_an_exact_norm(littlewood, diag_family):
+    # a shortfall against a heuristic lower bound of the norm certifies nothing
+    assert summing._status(1.0, 1.0, False) == "pass"
+    assert summing._status(2.0, 1.0, True) == "fail"
+    assert summing._status(2.0, 1.0, False) == "inconclusive"
+    low = NormEstimate(1.0, False)  # below ||A|| = 2
+    rep = verify_defant_voigt(littlewood, diag_family, opn=low)
+    assert rep.status == rep.witness["weak_l1_status"] == "inconclusive"
+    rep = verify_defant_voigt(littlewood, diag_family, opn=NormEstimate(1.0, True))
+    assert rep.status == rep.witness["weak_l1_status"] == "fail"
+    rng = np.random.default_rng(22)
+    A = random_form(rng, (6, 6), ScalarField.COMPLEX)
+    rep = verify_general_littlewood(A, constants=ConstantsConfig(kg_complex=0.1))
+    assert not rep.exact_norm and rep.lhs > rep.rhs and rep.status == "inconclusive"
 
 
 def test_dv_zero_form(diag_family):
@@ -579,8 +595,7 @@ def test_verifiers_given_the_op_norm_report_as_without_it(field):
     checks = [
         (verify_littlewood_43, A, ()), (verify_general_littlewood, A, ()),
         (verify_bh, A, ()), (verify_bh, B, ()), (verify_defant_voigt, B, (fam,)),
-        (functools.partial(verify_extended_littlewood, allow_real_experimental=True),
-         A, (beta, "4/3")),
+        (verify_extended_littlewood, A, (beta, "4/3")),
     ]
     for verify, form, args in checks:
         assert (verify(form, *args, opn=op_norm(form)).to_dict()
