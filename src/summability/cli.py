@@ -9,8 +9,10 @@ suite whose forms could exceed the coefficient budget.
 
 A verify suite runs the summing verifiers on the given files or on seeded
 random instances; instance i of a random suite is drawn from the i-th child
-of the master seed, so ``--random 0`` runs none. Every command writes its
-document through one renderer.
+of the master seed, so ``--random 0`` runs none. Each command, suite and
+norm kind takes only the options its handler reads, and a report's
+``config`` echoes them. Every command writes its document through one
+renderer.
 """
 
 from __future__ import annotations
@@ -70,21 +72,9 @@ class Parser(argparse.ArgumentParser):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--budget", type=int, default=256, help="random trial count")
-    p.add_argument("--kg-real", type=float, default=1.78221)
-    p.add_argument("--kg-complex", type=float, default=1.40491)
-    p.add_argument("--out", help="report file (stdout when omitted)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--jmax", type=_at_least(1), default=16,
-                   help="largest random family length")
-    p.add_argument("--field", choices=["real", "complex"], default=None,
-                   help="scalar field override for generated instances")
-
-
 def _constants(args) -> ConstantsConfig:
-    return ConstantsConfig(kg_real=args.kg_real, kg_complex=args.kg_complex)
+    """The constants of the ``--kg-*`` options the command takes."""
+    return ConstantsConfig(**{k: v for k, v in vars(args).items() if k.startswith("kg_")})
 
 
 # ---------------------------------------------------------------------------
@@ -168,34 +158,33 @@ def _parse_exponent_list(text: str) -> tuple[Exponent, ...]:
 # report documents
 
 
-def _header(command: str, args) -> dict:
-    """The keys every document starts with; ``config`` echoes the options of
-    the batch commands."""
-    constants = _constants(args)
+# namespace keys that are not options a report echoes: the route to the
+# handler, the input paths and the output
+_UNECHOED = frozenset({"command", "handler", "file", "files", "beta", "out", "format"})
+
+
+def _header(args) -> dict:
+    """The keys every document starts with; ``config`` echoes every option
+    the command takes, under its dest name, but its paths and output."""
     return {
         "tool": "summability",
         "version": __version__,
-        "command": command,
-        "config": {
-            "seed": args.seed,
-            "budget": args.budget,
-            "kg_real": constants.kg_real,
-            "kg_complex": constants.kg_complex,
-            "littlewood_real": constants.littlewood(ScalarField.REAL),
-            "field": args.field,
-            "j_max": args.jmax,
-        },
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items() if k not in _UNECHOED},
     }
 
 
-def _document(command: str, args, reports: list[VerificationReport]) -> dict:
+def _report(args, reports: list[VerificationReport], **extra) -> int:
+    """Write the document of ``reports`` (then ``extra``'s keys) and return
+    the exit code."""
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
     for r in reports:
         counts[r.status] = counts.get(r.status, 0) + 1
-    doc = _header(command, args)
+    doc = _header(args)
     doc["reports"] = [r.to_dict() for r in reports]
     doc["summary"] = {"total": len(reports), **counts}
-    return doc
+    _emit({**doc, **extra}, args)
+    return EXIT_FAIL if any(r.status == "fail" for r in reports) else EXIT_OK
 
 
 def _strict_json(doc: dict, **kwargs) -> str:
@@ -238,68 +227,80 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _exit_code(reports: list[VerificationReport]) -> int:
-    return EXIT_FAIL if any(r.status == "fail" for r in reports) else EXIT_OK
-
-
 # ---------------------------------------------------------------------------
-# norm command
+# norm commands
 
 
-def cmd_norm(args) -> int:
-    kind = args.kind
-    if kind == "lp":
-        seq = load_vector_seq(args.file)
-        if seq.length != 1:
-            raise SchemaError("lp expects a single-vector sequence file")
-        value = lp_norm(seq.vectors[0], _parse_exponent(args.p))
-        label = "exact"
-    elif kind == "mixed":
-        M = load_matrix(args.file)
-        value = mixed_norm(M, _parse_exponent(args.p), _parse_exponent(args.q))
-        label = "exact"
-    elif kind == "weak":
-        est = weak_lp_norm(load_vector_seq(args.file), _parse_exponent(args.p),
-                           starts=args.starts, seed=args.seed)
-        value, label = est.value, "exact" if est.exact else "lower-bound"
-    elif kind == "rad":
-        seq = load_vector_seq(args.file)
-        value = rad_p_norm(seq, _parse_exponent(args.p), args.mode,
-                           samples=args.samples, seed=args.seed)
-        label = "exact" if args.mode == "exact" else "monte-carlo"
-    elif kind == "opnorm":
-        est = op_norm(load_form(args.file), starts=args.starts, seed=args.seed)
-        value, label = est.value, "exact" if est.exact else "lower-bound"
-    else:  # unreachable behind argparse choices
-        raise SchemaError(f"unknown norm kind {kind!r}")
+def _print_norm(kind: str, value: float, label: str) -> int:
     if not math.isfinite(value):
         raise SchemaError(f"the {kind} norm is not finite ({value!r})")
     print(f"{value!r} {label}")
     return EXIT_OK
 
 
+def cmd_lp(args) -> int:
+    seq = load_vector_seq(args.file)
+    if seq.length != 1:
+        raise SchemaError("lp expects a single-vector sequence file")
+    return _print_norm("lp", lp_norm(seq.vectors[0], _parse_exponent(args.p)), "exact")
+
+
+def cmd_mixed(args) -> int:
+    M = load_matrix(args.file)
+    value = mixed_norm(M, _parse_exponent(args.p), _parse_exponent(args.q))
+    return _print_norm("mixed", value, "exact")
+
+
+def cmd_weak(args) -> int:
+    est = weak_lp_norm(load_vector_seq(args.file), _parse_exponent(args.p),
+                       starts=args.starts, seed=args.seed)
+    return _print_norm("weak", est.value, "exact" if est.exact else "lower-bound")
+
+
+def cmd_rad(args) -> int:
+    seq = load_vector_seq(args.file)
+    value = rad_p_norm(seq, _parse_exponent(args.p), args.mode,
+                       samples=args.samples, seed=args.seed)
+    return _print_norm("rad", value, "exact" if args.mode == "exact" else "monte-carlo")
+
+
+def cmd_opnorm(args) -> int:
+    est = op_norm(load_form(args.file), starts=args.starts, seed=args.seed)
+    return _print_norm("opnorm", est.value, "exact" if est.exact else "lower-bound")
+
+
 # ---------------------------------------------------------------------------
-# verify command
+# verify commands
 
 
 def _random_dims(rng, order, m):
     return tuple(int(rng.integers(2, m + 1)) for _ in range(order))
 
 
-def _seeded(seed: int, count: int, draw):
-    """Instance i is ``draw`` run on the i-th child of the master seed."""
-    root = np.random.SeedSequence(seed)
-    for i in range(count):  # root.spawn(count)[i], made when needed
-        child = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
+def _seeded(args, order: int, draw):
+    """``draw`` of each of ``args.random`` seeded instances, forms of
+    ``order`` slots and dims up to ``args.m``: instance i is ``draw`` run on
+    the i-th child of the master seed. Forms that could exceed the
+    coefficient budget are refused first."""
+    # order * log2(m), not m ** order: a huge --order stays cheap
+    if order * math.log2(args.m) > math.log2(RANDOM_COEFF_BUDGET):
+        raise SchemaError(
+            f"{args.command} draws forms of order {order} and dimension up to "
+            f"{args.m}, which need up to {args.m}^{order} coefficients, over the "
+            f"budget {RANDOM_COEFF_BUDGET}")
+    root = np.random.SeedSequence(args.seed)
+    children = (np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
                                        pool_size=root.pool_size)
-        yield draw(np.random.default_rng(child))
+                for i in range(args.random))  # root.spawn(args.random)[i], made when needed
+    return (draw(np.random.default_rng(child)) for child in children)
 
 
 def _op_norm_reports(instances, verify) -> list[VerificationReport]:
-    """``verify(*instance, opn=opn)`` of each instance, a tuple that starts
-    with a form whose operator norm is ``opn``: instances are taken in chunks
-    of at most RANDOM_COEFF_BUDGET form coefficients (and at least one
-    instance), and the norms of a chunk come from one kernel call."""
+    """``verify(*instance, opn=opn)`` of each seeded instance, a tuple that
+    starts with a form whose operator norm is ``opn``, numbered in its
+    witness: instances are taken in chunks of at most RANDOM_COEFF_BUDGET form
+    coefficients (and at least one instance), and the norms of a chunk come
+    from one kernel call."""
     reports, chunk, size = [], [], 0
 
     def flush():
@@ -315,89 +316,106 @@ def _op_norm_reports(instances, verify) -> list[VerificationReport]:
         size += instance[0].coeffs.size
     if chunk:
         flush()
+    for i, report in enumerate(reports):
+        report.witness["instance"] = i
     return reports
 
 
-def cmd_verify(args) -> int:
-    constants = _constants(args)
-    suite = args.suite
-    if suite == "inclusion" and args.files:
-        raise SchemaError("the inclusion suite draws seeded random instances; "
-                          "it takes no input files")
-    seeded = suite != "almost" and not args.files
-    if seeded:
-        order = args.order if suite in ("bh", "dv") else 2
-        # order * log2(m), not m ** order: a huge --order stays cheap
-        if args.m > 1 and order * math.log2(args.m) > math.log2(RANDOM_COEFF_BUDGET):
-            raise SchemaError(
-                f"random {suite} forms of order {order} and dimension up to "
-                f"{args.m} need up to {args.m}^{order} coefficients, over the "
-                f"budget {RANDOM_COEFF_BUDGET}")
-    # the verifiers are looked up by name when this runs, so a rebinding of
-    # their module-level names (a tracer's) sees every call
-    if suite in ("littlewood", "general", "bh"):
-        verify = functools.partial({"littlewood": verify_littlewood_43,
-                                    "general": verify_general_littlewood,
-                                    "bh": verify_bh}[suite], constants=constants)
-        if args.files:
-            reports = [verify(load_form(path)) for path in args.files]
-        else:
-            field = ScalarField(args.field or "real")
-            order = args.order if suite == "bh" else 2
-            reports = _op_norm_reports(_seeded(
-                args.seed, args.random,
-                lambda rng: (random_form(rng, _random_dims(rng, order, args.m), field),)),
-                verify)
-    elif suite == "extended":
-        verify = functools.partial(
-            verify_extended_littlewood, p=_parse_exponent(args.p or "4/3"),
-            constants=constants)
-        if args.files:
-            forms = [(path, load_form(path)) for path in args.files]
-            beta = None if args.beta == "identity" else load_matrix(args.beta)
-            reports = [verify(A, _beta_for(A, path, beta, args.beta)) for path, A in forms]
-        else:
-            field = ScalarField(args.field or "complex")
+def _coefficient_suite(args, verify, order: int = 2) -> int:
+    """``verify``, with the command's constants, of each form file, or of
+    seeded random forms of ``order`` slots."""
+    verify = functools.partial(verify, constants=_constants(args))
+    if args.files:
+        return _report(args, [verify(load_form(path)) for path in args.files])
+    field = ScalarField(args.field)
+    return _report(args, _op_norm_reports(_seeded(args, order, lambda rng: (
+        random_form(rng, _random_dims(rng, order, args.m), field),)), verify))
 
-            def draw(rng):
-                dims = _random_dims(rng, 2, args.m)
-                A = random_form(rng, dims, field)
-                rows = int(rng.integers(1, args.m + 1))
-                return A, _gaussian(rng, (rows, dims[0]), field.is_complex)
 
-            reports = _op_norm_reports(_seeded(args.seed, args.random, draw), verify)
-    elif suite == "dv":
-        verify = verify_defant_voigt
-        if args.files:
-            if len(args.files) != 2:
-                raise SchemaError("dv expects a form file and a family file")
-            reports = [verify(load_form(args.files[0]), load_family(args.files[1]))]
-        else:
-            field = ScalarField(args.field or "real")
+# the handlers look the verifiers up by name when they run, so a rebinding
+# of their module-level names (a tracer's) sees every call
+def cmd_littlewood(args) -> int:
+    return _coefficient_suite(args, verify_littlewood_43)
 
-            def draw(rng):
-                A = random_form(rng, _random_dims(rng, args.order, args.m), field)
-                return A, _random_family(rng, A, min(args.jmax, 8))
 
-            reports = _op_norm_reports(_seeded(args.seed, args.random, draw), verify)
-    elif suite == "almost":
+def cmd_general(args) -> int:
+    return _coefficient_suite(args, verify_general_littlewood)
+
+
+def cmd_bh(args) -> int:
+    return _coefficient_suite(args, verify_bh, args.order)
+
+
+def cmd_extended(args) -> int:
+    verify = functools.partial(verify_extended_littlewood, constants=_constants(args),
+                               p=_parse_exponent(args.p))
+    if args.files:
+        forms = [(path, load_form(path)) for path in args.files]
+        beta = None if args.beta == "identity" else load_matrix(args.beta)
+        return _report(args, [verify(A, _beta_for(A, path, beta, args.beta))
+                              for path, A in forms])
+    field = ScalarField(args.field)
+
+    def draw(rng):
+        dims = _random_dims(rng, 2, args.m)
+        A = random_form(rng, dims, field)
+        rows = int(rng.integers(1, args.m + 1))
+        return A, _gaussian(rng, (rows, dims[0]), field.is_complex)
+
+    return _report(args, _op_norm_reports(_seeded(args, 2, draw), verify))
+
+
+def cmd_dv(args) -> int:
+    if args.files:
         if len(args.files) != 2:
-            raise SchemaError("almost expects a form file and a family file")
-        A = load_form(args.files[0])
-        fam = load_family(args.files[1])
-        cert = verify_almost_summing(A, fam, k=args.curry)
-        reports = [_certificate_report("almost_summing", A, cert)]
-    elif suite == "inclusion":
-        reports = _inclusion_suite(args)
-    else:  # unreachable behind argparse choices
-        raise SchemaError(f"unknown suite {suite!r}")
-    if seeded:
-        for i, report in enumerate(reports):
-            report.witness["instance"] = i
+            raise SchemaError("dv expects a form file and a family file")
+        return _report(args, [verify_defant_voigt(load_form(args.files[0]),
+                                                  load_family(args.files[1]))])
+    field = ScalarField(args.field)
 
-    doc = _document(f"verify {suite}", args, reports)
-    _emit(doc, args)
-    return _exit_code(reports)
+    def draw(rng):
+        A = random_form(rng, _random_dims(rng, args.order, args.m), field)
+        return A, _random_family(rng, A, min(args.jmax, 8))
+
+    return _report(args, _op_norm_reports(_seeded(args, args.order, draw),
+                                          verify_defant_voigt))
+
+
+def cmd_almost(args) -> int:
+    A, fam = load_form(args.files[0]), load_family(args.files[1])
+    cert = verify_almost_summing(A, fam, k=args.curry)
+    return _report(args, [_certificate_report("almost_summing", A, cert)])
+
+
+def cmd_inclusion(args) -> int:
+    """Random certificate lifts; status is the monotonicity of the lift. A lift
+    below its source rests on a heuristic weak norm (``lift_family`` raises
+    when every weak norm is exact), so it is inconclusive, never a fail."""
+    source = ExponentTuple(2, (2, 2))
+    target = ExponentTuple(1, (Exponent.of(1), Exponent.of(2)))
+
+    def draw(rng):
+        A = random_form(rng, _random_dims(rng, 2, args.m), ScalarField.REAL)
+        return A, _random_family(rng, A, 4)
+
+    reports = []
+    for i, (A, fam) in enumerate(_seeded(args, 2, draw)):
+        res = lift_family(A, fam, source, target)
+        reports.append(VerificationReport(
+            check="inclusion_lift",
+            field=str(A.field),
+            p=str(source),
+            q=str(target),
+            lhs=res.source.ratio,
+            rhs=res.derived.ratio,
+            ratio=(res.derived.ratio / res.source.ratio
+                   if res.source.ratio > 0 else None),
+            bound=None,
+            exact_norm=res.source.exact and res.derived.exact,
+            status="pass" if res.monotone else "inconclusive",
+            witness={"instance": i, "length": fam.length},
+        ))
+    return _report(args, reports)
 
 
 def _beta_for(A: FormTensor, path: str, beta, beta_path: str) -> np.ndarray:
@@ -429,62 +447,21 @@ def _certificate_report(check: str, A: FormTensor,
     )
 
 
-def _inclusion_suite(args) -> list[VerificationReport]:
-    """Random certificate lifts; status is the monotonicity of the lift. A lift
-    below its source rests on a heuristic weak norm (``lift_family`` raises
-    when every weak norm is exact), so it is inconclusive, never a fail."""
-    source = ExponentTuple(2, (2, 2))
-    target = ExponentTuple(1, (Exponent.of(1), Exponent.of(2)))
-
-    def build(rng):
-        A = random_form(rng, _random_dims(rng, 2, args.m), ScalarField.REAL)
-        fam = _random_family(rng, A, 4)
-        res = lift_family(A, fam, source, target)
-        return VerificationReport(
-            check="inclusion_lift",
-            field=str(A.field),
-            p=str(source),
-            q=str(target),
-            lhs=res.source.ratio,
-            rhs=res.derived.ratio,
-            ratio=(res.derived.ratio / res.source.ratio
-                   if res.source.ratio > 0 else None),
-            bound=None,
-            exact_norm=res.source.exact and res.derived.exact,
-            status="pass" if res.monotone else "inconclusive",
-            # cmd_verify fills in the instance; the key leads
-            witness={"instance": None, "length": fam.length},
-        )
-
-    return list(_seeded(args.seed, args.random, build))
-
-
 # ---------------------------------------------------------------------------
 # search and experiment commands
 
 
 def cmd_search(args) -> int:
-    _constants(args)  # refuse bad constants first
     A = load_form(args.file)
-    try:
-        exps = ExponentTuple(_parse_exponent(args.p), _parse_exponent_list(args.qs))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    if exps.n != A.order:
-        raise SchemaError(
-            f"exponent tuple has {exps.n} inner exponents, form has order {A.order}"
-        )
+    exps = ExponentTuple(_parse_exponent(args.p), _parse_exponent_list(args.qs))
     cert = random_family_search(A, exps, budget=args.budget, seed=args.seed,
                                 j_max=args.jmax)
-    report = _certificate_report("search", A, cert)
-    doc = _document("search", args, [report])
-    doc["certificate"] = cert.to_dict(include_family=True)
-    _emit(doc, args)
-    return _exit_code([report])
+    return _report(args, [_certificate_report("search", A, cert)],
+                   certificate=cert.to_dict(include_family=True))
 
 
 def cmd_experiment(args) -> int:
-    doc = _header("experiment", args)
+    doc = _header(args)
     doc["records"] = summing_experiment(
         _parse_exponent(args.p),
         _parse_exponent(args.q),
@@ -493,7 +470,7 @@ def cmd_experiment(args) -> int:
         budget=args.budget,
         seed=args.seed,
         j_max=args.jmax,
-        field=ScalarField(args.field or "complex"),
+        field=ScalarField(args.field),
     )
     _emit(doc, args)
     return EXIT_OK
@@ -507,6 +484,46 @@ _STARTS_HELP = ("random starts of the alternating maximization, used where a "
                 "norm has neither an exact plan nor a roots-of-unity grid on "
                 "its complex sup slots")
 
+# every option of every command; a command names the ones its handler reads
+# and may change their settings (its own default, say)
+_OPTIONS = {
+    "--random": dict(type=_count, default=100,
+                     help="number of seeded random instances when no files are given"),
+    "--m": dict(type=_at_least(2), default=4, help="largest dimension"),
+    "--order": dict(type=int, default=3, help="form order of the random instances"),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--field": dict(choices=["real", "complex"], help="scalar field of the random forms"),
+    "--kg-real": dict(type=float, default=ConstantsConfig.kg_real),
+    "--kg-complex": dict(type=float, default=ConstantsConfig.kg_complex),
+    "--jmax": dict(type=_at_least(1), default=16, help="largest random family length"),
+    "--p": dict(default="2", help="exponent (decimal or fraction)"),
+    "--q": dict(default="2", help="second exponent"),
+    "--qs": dict(required=True, help="comma-separated inner exponents, e.g. 2,2"),
+    "--beta": dict(default="identity", help="'identity' or a matrix file"),
+    "--curry": dict(type=int, help="head length of the curried form"),
+    "--budget": dict(type=int, default=256, help="random trial count"),
+    "--count": dict(type=_count, default=5, help="number of random forms"),
+    "--mode": dict(choices=["exact", "mc"], default="exact"),
+    "--samples": dict(type=_count, default=100_000),
+    "--starts": dict(type=_at_least(1), default=32, help=_STARTS_HELP),
+    "--out": dict(help="report file (stdout when omitted)"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+}
+_REPORT = " --out --format"
+
+
+def _command(parent, name: str, handler, options: str, help=None, **settings) -> Parser:
+    """Command ``name`` of the subparsers ``parent``, with the ``options``
+    (names separated by spaces) of _OPTIONS, each updated by
+    ``settings[dest]`` where given."""
+    p = parent.add_parser(name, help=help)
+    for option in options.split():
+        p.add_argument(option, **{**_OPTIONS[option],
+                                  **settings.get(option[2:].replace("-", "_"), {})})
+    # its command is the words after the tool's name: "verify littlewood"
+    p.set_defaults(handler=handler, command=p.prog.partition(" ")[2])
+    return p
+
 
 @functools.lru_cache(maxsize=None)  # parsing leaves the parser as it was
 def build_parser() -> Parser:
@@ -517,58 +534,41 @@ def build_parser() -> Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_norm = sub.add_parser("norm", help="compute one norm from a file")
-    p_norm.add_argument("kind", choices=["lp", "mixed", "weak", "rad"])
-    p_norm.add_argument("file")
-    p_norm.add_argument("--p", default="2", help="exponent (decimal or fraction)")
-    p_norm.add_argument("--q", default="2", help="inner exponent for mixed norms")
-    p_norm.add_argument("--mode", choices=["exact", "mc"], default="exact")
-    p_norm.add_argument("--samples", type=_count, default=100_000)
-    p_norm.add_argument("--starts", type=_at_least(1), default=32, help=_STARTS_HELP)
-    p_norm.add_argument("--seed", type=int, default=0)
-    p_norm.set_defaults(handler=cmd_norm)
+    norm = sub.add_parser("norm", help="compute one norm from a file").add_subparsers(
+        required=True)
+    for kind, handler, options in [("lp", cmd_lp, "--p"), ("mixed", cmd_mixed, "--p --q"),
+                                   ("weak", cmd_weak, "--p --starts --seed"),
+                                   ("rad", cmd_rad, "--p --mode --samples --seed")]:
+        _command(norm, kind, handler, options).add_argument("file")
+    _command(sub, "opnorm", cmd_opnorm, "--starts --seed",
+             help="operator norm of a form file").add_argument("file")
 
-    p_op = sub.add_parser("opnorm", help="operator norm of a form file")
-    p_op.add_argument("file")
-    p_op.add_argument("--starts", type=_at_least(1), default=32, help=_STARTS_HELP)
-    p_op.add_argument("--seed", type=int, default=0)
-    p_op.set_defaults(handler=cmd_norm, kind="opnorm")
+    verify = sub.add_parser("verify", help="run an inequality suite").add_subparsers(
+        required=True)
+    for suite, handler, options, field in [
+        ("littlewood", cmd_littlewood, "--random --m --seed --field --kg-complex", "real"),
+        ("general", cmd_general, "--random --m --seed --field --kg-real --kg-complex",
+         "real"),
+        ("extended", cmd_extended,
+         "--random --m --seed --field --kg-real --kg-complex --p --beta", "complex"),
+        ("bh", cmd_bh, "--random --m --order --seed --field --kg-complex", "real"),
+        ("dv", cmd_dv, "--random --m --order --seed --field --jmax", "real"),
+    ]:
+        # --p is extended's outer exponent
+        _command(verify, suite, handler, options + _REPORT, field={"default": field},
+                 p={"default": "4/3"}).add_argument(
+            "files", nargs="*", help="input files; omit to draw seeded random instances")
+    _command(verify, "almost", cmd_almost, "--curry" + _REPORT).add_argument(
+        "files", nargs=2, metavar="FILE", help="a form file, then a family file")
+    _command(verify, "inclusion", cmd_inclusion, "--random --m --seed" + _REPORT)
 
-    p_verify = sub.add_parser("verify", help="run an inequality suite")
-    p_verify.add_argument("suite", choices=[
-        "littlewood", "extended", "general", "bh", "dv", "almost", "inclusion",
-    ])
-    p_verify.add_argument("files", nargs="*", help="input files; omit to use "
-                          "seeded random instances")
-    p_verify.add_argument("--random", type=_count, default=100,
-                          help="number of random instances when no files given")
-    p_verify.add_argument("--m", type=_at_least(2), default=4, help="largest dimension")
-    p_verify.add_argument("--order", type=int, default=3,
-                          help="form order for bh and dv random instances")
-    p_verify.add_argument("--p", default=None, help="outer exponent (extended)")
-    p_verify.add_argument("--beta", default="identity",
-                          help="'identity' or a matrix file (extended)")
-    p_verify.add_argument("--curry", type=int, default=None,
-                          help="head length for the almost suite")
-    _add_common(p_verify)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_search = sub.add_parser("search", help="best ratio certificate for a form")
-    p_search.add_argument("file")
-    p_search.add_argument("--p", required=True, help="outer exponent")
-    p_search.add_argument("--qs", required=True,
-                          help="comma-separated inner exponents, e.g. 2,2")
-    _add_common(p_search)
-    p_search.set_defaults(handler=cmd_search)
-
-    p_exp = sub.add_parser("experiment",
-                           help="empirical (p;2,1) ratios on l_p x l_q domains")
-    p_exp.add_argument("--p", default="4/3", help="domain and outer exponent")
-    p_exp.add_argument("--q", default="2", help="second domain exponent")
-    p_exp.add_argument("--m", type=_at_least(1), default=3)
-    p_exp.add_argument("--count", type=_count, default=5)
-    _add_common(p_exp)
-    p_exp.set_defaults(handler=cmd_experiment)
+    search = _command(sub, "search", cmd_search, "--p --qs --seed --budget --jmax" + _REPORT,
+                      help="best ratio certificate for a form", p={"required": True})
+    search.add_argument("file")
+    _command(sub, "experiment", cmd_experiment,
+             "--p --q --m --count --seed --budget --jmax --field" + _REPORT,
+             help="empirical (p;2,1) ratios on l_p x l_q domains", p={"default": "4/3"},
+             m={"type": _at_least(1), "default": 3}, field={"default": "complex"})
 
     p_demos = sub.add_parser("demos", help="run the built-in worked examples")
     p_demos.set_defaults(handler=lambda a: EXIT_FAIL if run_demos() else EXIT_OK)
@@ -581,10 +581,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except ValueError as exc:
+    except (SchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

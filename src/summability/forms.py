@@ -182,14 +182,14 @@ def op_norm(A: FormTensor, *, starts: int = 32, seed: int = 0) -> NormEstimate:
 
 
 def _op_norms(forms) -> list[NormEstimate]:
-    """``op_norm(A)`` of each form, bit for bit, from one kernel call per
-    tuple of domain exponents and field; the shapes of a call may differ."""
+    """``op_norm(A)`` of each form, bit for bit but with no witness, from one
+    kernel call per tuple of domain exponents and field; shapes may differ."""
     groups: dict = {}
     for k, A in enumerate(forms):
         groups.setdefault((tuple(d.exponent for d in A.domains), A.field), []).append(k)
     estimates = [None] * len(forms)
     for (balls, _), idx in groups.items():
-        result = _ball_sup([forms[k].coeffs for k in idx], balls)
+        result = _ball_sup([forms[k].coeffs for k in idx], balls, witness=False)
         for j, k in enumerate(idx):
             estimates[k] = _one(result, j)
     return estimates

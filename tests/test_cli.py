@@ -415,9 +415,21 @@ def test_verify_extended_beta_applies_to_every_file(littlewood_complex_file, tmp
 
 
 def test_verify_inclusion_refuses_files(littlewood_file, capsys):
-    assert main(["verify", "inclusion", littlewood_file, "--random", "2"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "inclusion", littlewood_file, "--random", "2"])
+    assert exc.value.code == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "no input files" in captured.err
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {littlewood_file}" in captured.err
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_verify_almost_takes_a_form_and_a_family(littlewood_file, capsys, count):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "almost", *[littlewood_file] * count])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
 
 
 def test_verify_extended_real_gate(littlewood_file, capsys):
@@ -451,16 +463,12 @@ def test_fail_only_on_an_exact_norm(capsys, argv, code, status, exact):
 
 @pytest.mark.parametrize("argv", [
     ["verify", "general", "--random", "3"],
-    ["search", "FORM", "--p", "1", "--qs", "2,2"],
-    ["experiment", "--count", "1"],
 ])
 @pytest.mark.parametrize("option,value", [("--kg-real", "nan"), ("--kg-complex", "inf")])
-def test_non_finite_constant_exits_3_before_any_work(littlewood_file, monkeypatch, capsys,
-                                                       argv, option, value):
+def test_non_finite_constant_exits_3_before_any_work(monkeypatch, capsys, argv, option,
+                                                       value):
     calls = []
-    for name in ("_op_norms", "random_family_search", "summing_experiment"):
-        monkeypatch.setattr(cli, name, lambda *a, **k: calls.append(a))
-    argv = [littlewood_file if a == "FORM" else a for a in argv]
+    monkeypatch.setattr(cli, "_op_norms", lambda *a, **k: calls.append(a))
     assert main([*argv, option, value]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and option[2:].replace("-", "_") in captured.err
@@ -618,8 +626,12 @@ def test_threads_flag_is_rejected(littlewood_file, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
-def test_search_exponent_mismatch(littlewood_file):
+def test_search_exponent_mismatch(littlewood_file, capsys):
+    # the library refuses the tuple before any trial; main maps that to exit 3
     assert main(["search", littlewood_file, "--p", "1", "--qs", "2,2,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exponent tuple has 3 slots, form has 2\n"
 
 
 def test_csv_format(tmp_path):

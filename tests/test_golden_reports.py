@@ -8,6 +8,7 @@ When a value changes on purpose, record the new digest together with the
 reason in the change log.
 """
 
+import argparse
 import hashlib
 import json
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from summability import FormTensor, ScalarField, SpaceSpec, TestFamily, VectorSeq
-from summability.cli import main
+from summability.cli import build_parser, main
 
 
 def _sup_form():
@@ -91,25 +92,25 @@ COMMANDS = {
 }
 
 DIGESTS = {
-    "almost-curry-files": "b8e80a6233fa368d864af2afddb58582f2400d9b55b6c547eddc9b40e7e051b3",
-    "almost-files": "9df9e5cff74242658bb918ceb1ae61c5822d47799ed8ac4fe4bd3a3e5988616c",
-    "bh": "88094779bec9a06321aa8b86a508e5af2d6b8be5e95c12ef8a307461f192082f",
-    "bh-files": "723d87bbc6df732134c2c54e299f65e85764a0560641009c28a73d4daec4d620",
+    "almost-curry-files": "a1fe271546aaa69c7fb3eb7d010a7d745fddd4bf2f0d5f299202dadc339c40fc",
+    "almost-files": "5f50428bb680d4e4628887ea86287dbab14ef53d06187b23725e00260c7e6476",
+    "bh": "666bf1a21fbe9839a61de86c455811fc9d82ff5dd95d4b54774be13e64cceec3",
+    "bh-files": "e4a5604a26acaad6b393d2058b04a0e9e1c880ddb6d5659bc6dd9d66b6b5f19c",
     "demos": "6949653ee285a554f7ae91b257e8cae73ab72315b6c52831e87bb47959a89601",
-    "dv": "58cc06ddf2dc7a07c5581fa8448bc662198e91867e2dedea2541fc17418e169a",
-    "dv-files": "60b41fb1078e610f4a0e48a2d741b014d5e60997de0cc1333faa6847ba1330fd",
-    "experiment": "9f7d7341f5efd9c984ea22c6e819e54bf139c542407d33014fb60014517a8889",
-    "extended": "059d6aeec759cb4ec1f545d14b96d54b413b7901c073e095d0842f73a6ceb5f9",
-    "extended-files": "cca8152e74e6a06ee978639f7df9794bfaef4e97606901db8b1add370ce5b23c",
-    "general": "b66cad98b46b960881144b7c7ff707632b8ccdd44c862a0d6c817dc5f452f871",
-    "general-files": "17ccffeda76694ea50e17eb94f4d5c62392c066cba7d13bd385a4a618accb4bb",
-    "inclusion": "caa41ba74353021a3f3f711aa6765c44e0dc6f847bd3a9efcdf12236a299cc4f",
-    "littlewood": "b724e0654d8a7b61db6896a1ca592f519a6efaa2d4f74033361f57d8499e4aca",
-    "littlewood-files": "0d78fa6d8c8a5c4f6a02a0c0bed408fced481e9ede5c9258bd2ffb5c3560eeae",
-    "search-lp": "ac2ade6354701852dc47837b2a944f5210a7b611030205797142bce3e250c8e7",
-    "search-l1l2": "944214b02146897bb7368bc69d5fc783d2f2fe6438e4b732e7ae9415ff8e22f4",
-    "search-sup": "d968b601c01db67e4bf16fd8342b3d4ab5e2802c9967da352804e2da84f428ef",
-    "search-sup3-complex": "d9bfe6a29ae7fd54b51a74a4f458c0f0d4f56298d128eb73befeb5774848b317",
+    "dv": "fe1341c90d456d91b0bc1b88fbd559d82951602ab4f2bd6ccd8ad7d57b541405",
+    "dv-files": "38931a863fb97cd19616d6d0fccab61d0346a70e46337d0880dddff91733c1a2",
+    "experiment": "6884ad20e6995bfb3d47490182ae7e1014483a75c4ef19e219eef4ce9610b065",
+    "extended": "08732ad2fdbce1fcf106578b8b1643d2caebce470065ca28b6a2f88d41ff7389",
+    "extended-files": "13a08b3a8ac560344da561c138d082e52351604168b8a23b8b811c9939b5fabe",
+    "general": "2dc0b29947fa365cdb284568a8c32805ea1c19ed8a32ebcff648d02c7502d10f",
+    "general-files": "10ba5f7ea202d371a7d836b3c462af35bd78e74104144a7b9264198c88cfc969",
+    "inclusion": "0650e25ddc6b6074db82e4322cda53cc7171abeeeef25e608257ffc0ce41b1ed",
+    "littlewood": "8e0afddde772276e2d8e95ff815a030579a545c962ac9364d4a52f996e9a4f55",
+    "littlewood-files": "dbde7310d8db47ccbdf0bac7807c31b8795466ac8c2cd8bd08cfc50e055c5073",
+    "search-lp": "2c0a965828610517d7e46341bc3707e335cabd984405a084ba002ca8b54a3a4b",
+    "search-l1l2": "1473a41a1c4ce805870387675e3a327379cfb7fdeffebb82896642d0f6f1d760",
+    "search-sup": "48f5a0fbc04b1e46d7769b32721b28021a0b53781d18b2c644cb015f4a07e743",
+    "search-sup3-complex": "5b7c757f7124c6cb6322dd7856b6a9167dfeb539473466fc094feb27dd9278c6",
 }
 
 
@@ -137,3 +138,17 @@ def test_report_digest(name, files, capsys):
     out = capsys.readouterr().out
     digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
     assert digest == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(set(COMMANDS) - {"demos"}))
+def test_config_echoes_the_options_of_its_command(name, files, capsys):
+    # every option the command takes, under its dest name, but its output
+    # and its paths (positional files, --beta)
+    main([arg.format(**files) for arg in COMMANDS[name]])
+    doc = json.loads(capsys.readouterr().out)
+    parser = build_parser()
+    for word in doc["command"].split():
+        action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[word]
+    assert list(doc["config"]) == [a.dest for a in parser._actions if a.option_strings
+                                   and a.dest not in ("help", "out", "format", "beta")]

@@ -2,15 +2,23 @@
 
 Every callable the package exports (the ``__all__`` of its five modules;
 ``ScalarField`` is an Enum and is left out) is listed with the names of its
-parameters that have defaults. An option earns its place when two callers
-outside the tests need different values; anything else is a constant. Adding
-an option means adding it here and saying in CHANGES.md which callers set it.
+parameters that have defaults, and every command of the CLI with its
+options. An option earns its place when two callers outside the tests need
+different values; anything else is a constant. A command takes only the
+options its handler reads. Adding an option means adding it here and saying
+in CHANGES.md which callers set it.
 """
 
+import argparse
+import contextlib
 import inspect
+import io
+
+import pytest
 
 import summability
 from summability import forms, norms, rademacher, spaces, summing
+from summability.cli import build_parser, main
 
 OPTIONS = {
     "ConstantsConfig": ["kg_real", "kg_complex"],
@@ -73,3 +81,66 @@ def _options():
 
 def test_public_options_are_pinned():
     assert _options() == OPTIONS
+
+
+REPORT = ["--out", "--format"]
+SEEDED = ["--random", "--m", "--seed", "--field"]
+CLI_OPTIONS = {  # 78 (command, option) pairs
+    "demos": [],
+    "experiment": ["--p", "--q", "--m", "--count", "--seed", "--budget", "--jmax", "--field",
+                   *REPORT],
+    "norm lp": ["--p"],
+    "norm mixed": ["--p", "--q"],
+    "norm rad": ["--p", "--mode", "--samples", "--seed"],
+    "norm weak": ["--p", "--starts", "--seed"],
+    "opnorm": ["--starts", "--seed"],
+    "search": ["--p", "--qs", "--seed", "--budget", "--jmax", *REPORT],
+    "verify almost": ["--curry", *REPORT],
+    "verify bh": ["--random", "--m", "--order", "--seed", "--field", "--kg-complex", *REPORT],
+    "verify dv": ["--random", "--m", "--order", "--seed", "--field", "--jmax", *REPORT],
+    "verify extended": [*SEEDED, "--kg-real", "--kg-complex", "--p", "--beta", *REPORT],
+    "verify general": [*SEEDED, "--kg-real", "--kg-complex", *REPORT],
+    "verify inclusion": ["--random", "--m", "--seed", *REPORT],
+    "verify littlewood": [*SEEDED, "--kg-complex", *REPORT],
+}
+# the least argv of each command that parses: its paths and required options
+HEADS = {"norm lp": ["F"], "norm mixed": ["F"], "norm rad": ["F"], "norm weak": ["F"],
+         "opnorm": ["F"], "search": ["F", "--p", "1", "--qs", "2"],
+         "verify almost": ["F", "G"]}
+
+
+def commands(parser=None, path=()):
+    """(command, its parser) of every command of the CLI."""
+    parser = build_parser() if parser is None else parser
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from commands(child, path + (name,))
+
+
+def cli_options(parser) -> list[str]:
+    return [s for a in parser._actions for s in a.option_strings if s not in ("-h", "--help")]
+
+
+def test_cli_options_are_pinned():
+    assert {name: cli_options(parser) for name, parser in commands()} == CLI_OPTIONS
+
+
+@pytest.mark.parametrize("command", sorted(CLI_OPTIONS))
+def test_cli_refuses_the_options_of_other_commands(command):
+    # argparse takes a prefix of one of a command's options (--q of search's
+    # --qs) for that option, so such an option is left out here
+    own = CLI_OPTIONS[command]
+    others = sorted({o for options in CLI_OPTIONS.values() for o in options
+                     if not any(mine.startswith(o) for mine in own)})
+    assert others
+    for option in others:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.raises(SystemExit) as exc:
+            main([*command.split(), *HEADS.get(command, []), option, "1"])
+        assert exc.value.code == 3, option
+        assert out.getvalue() == ""
+        assert f"error: unrecognized arguments: {option}" in err.getvalue()
