@@ -68,6 +68,12 @@ class SchemaError(Exception):
 
 
 class Parser(argparse.ArgumentParser):
+    """An argparse parser, and the class of every subparser, that takes an
+    option only by its full name and exits 3 on an error."""
+
+    def __init__(self, *args, allow_abbrev=False, **kwargs):
+        super().__init__(*args, allow_abbrev=allow_abbrev, **kwargs)
+
     def error(self, message):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
 
@@ -161,16 +167,20 @@ def _parse_exponent_list(text: str) -> tuple[Exponent, ...]:
 # namespace keys that are not options a report echoes: the route to the
 # handler, the input paths and the output
 _UNECHOED = frozenset({"command", "handler", "file", "files", "beta", "out", "format"})
+# the options that only draw seeded instances, which a suite given files does not read
+_SEEDING = frozenset({"random", "m", "order", "seed", "field", "jmax"})
 
 
 def _header(args) -> dict:
     """The keys every document starts with; ``config`` echoes every option
-    the command takes, under its dest name, but its paths and output."""
+    the command reads, under its dest name: those it takes but its paths
+    and output, and, for a verify suite given files, not the seeding ones."""
+    unechoed = _UNECHOED | _SEEDING if vars(args).get("files") else _UNECHOED
     return {
         "tool": "summability",
         "version": __version__,
         "command": args.command,
-        "config": {k: v for k, v in vars(args).items() if k not in _UNECHOED},
+        "config": {k: v for k, v in vars(args).items() if k not in unechoed},
     }
 
 

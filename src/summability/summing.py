@@ -12,6 +12,7 @@ lower bound of the norm proves nothing and is reported "inconclusive".
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._signs import _ENUM_BUDGET, sign_matrix
 from .forms import (FormTensor, _ball_sup, _ball_sup_end, _ball_sup_start, _batch_contract,
-                    _exact, _gaussian, _lower_bounds, _polar, compose_beta, curry, op_norm)
+                    _exact, _gaussian, _lower_bounds, _plan, _polar, compose_beta, curry, op_norm)
 from .norms import (NormEstimate, VectorSeq, _axis_norms, _lp_rows, lp_norm, mixed_norm,
                     weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
@@ -199,18 +200,26 @@ def _draw(rng: np.random.Generator, A: FormTensor, j_max: int) -> tuple[int, np.
     return J, rng.standard_normal((2 if A.field.is_complex else 1) * J * sum(A.dims))
 
 
-def _columns(A: FormTensor, J: int, g: np.ndarray) -> list[np.ndarray]:
-    """Split draws g (..., size) into the columns (..., J, m): slot by slot, each
-    column's entries (real parts, then imaginary parts for complex forms), the
-    order in which drawing the columns one at a time consumes the stream."""
-    columns, at = [], 0
+def _columns(A: FormTensor, draws) -> list[np.ndarray]:
+    """Per slot, the columns of consecutive draws (J, g) one after another,
+    as one (sum of the J, m) array: each draw holds its columns slot by
+    slot, each column's entries (real parts, then imaginary parts for
+    complex forms), the order in which drawing the columns one at a time
+    consumes the stream."""
+    flat = np.concatenate([g for _, g in draws])
+    lengths = np.array([J for J, _ in draws])
+    drawn = lengths * (len(flat) // lengths.sum())  # the numbers of each draw
+    at = np.cumsum(drawn) - drawn  # per draw, where its next column starts in flat
+    columns = []
     for m in A.dims:
-        col = g[..., at:at + J * m].reshape(g.shape[:-1] + (J, m))
-        at += J * m
-        if A.field.is_complex:
-            col = col + 1j * g[..., at:at + J * m].reshape(g.shape[:-1] + (J, m))
-            at += J * m
-        columns.append(col)
+        sizes = lengths * m  # per draw, the entries of the column (their real parts)
+        # per entry, where it is in flat: its draw's column start plus its place in it
+        idx = np.repeat(at - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+        at = at + sizes
+        if A.field.is_complex:  # (real, imaginary) pairs, read as complex numbers
+            idx = np.stack([idx, idx + np.repeat(sizes, sizes)], axis=1)
+            at = at + sizes
+        columns.append(flat[idx].view(complex if A.field.is_complex else float).reshape(-1, m))
     return columns
 
 
@@ -219,7 +228,7 @@ def _as_family(A: FormTensor, columns) -> TestFamily:
 
 
 def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestFamily:
-    return _as_family(A, _columns(A, *_draw(rng, A, j_max)))
+    return _as_family(A, _columns(A, [_draw(rng, A, j_max)]))
 
 
 _SEARCH_STREAMS = 8
@@ -257,16 +266,18 @@ def random_family_search(
     the seed and the budget. Each trial draws its length, then its columns
     (:func:`_draw`); a ``j_max`` at which one trial may draw more than
     ``_ENUM_BUDGET`` normal numbers (j_max * sum(dims), doubled for complex
-    forms) is refused before any draw. Trials of one length are stacked on
-    a batch axis, in chunks of at most ``_SEARCH_CHUNK`` trials and
-    ``_ENUM_BUDGET`` drawn numbers: one contraction gives their values, the
-    rule of :func:`lp_norm` their lhs and, where the plan is exact, one
-    kernel call a column's weak norms; the heuristic weak norms of a chunk
-    take one kernel call per column (:func:`_family_ratios`). A trial's
-    score is its certificate's ratio to the bit, except for bilinear
-    families of one or two vectors, which einsum sums in another order when
-    stacked (230 of 4 447 seeded ones score up to 12 ulps off, none of
-    20 753 other trials). Heuristic ascents stop at a floor set from the
+    forms) is refused before any draw. The trials are scored in chunks of
+    at most ``_SEARCH_CHUNK`` trials and ``_ENUM_BUDGET`` drawn numbers, in
+    a fixed number of passes (:func:`_family_ratios`): one gather per
+    column, one contraction for the trials of length 3 or more, and per
+    length class (lengths below 128 with equal J // 8, zero-padded to the
+    longest) one call of the rule of :func:`lp_norm` for their lhs and, per
+    column where the plan is exact, one kernel call for their weak norms;
+    the heuristic weak norms of a chunk take one kernel call per column. A
+    trial's score is its certificate's ratio to the bit, except for
+    bilinear families of one or two vectors, which einsum sums in another
+    order when stacked (230 of 4 447 seeded ones score up to 12 ulps off,
+    none of 20 753 other trials). Heuristic ascents stop at a floor set from the
     best ratio so far, the incumbent, once a trial's ratio can no longer
     exceed it: such a trial scores below the incumbent, and since a chunk's
     best replaces the incumbent only when strictly greater, it never wins,
@@ -292,7 +303,7 @@ def random_family_search(
         ratios = _family_ratios(A, exps, chunk, best.ratio)
         k = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))  # NaN never wins
         if ratios[k] > best.ratio:
-            best = summing_lower_bound(A, exps, _as_family(A, _columns(A, *chunk[k])))
+            best = summing_lower_bound(A, exps, _as_family(A, _columns(A, [chunk[k]])))
     return best
 
 
@@ -309,37 +320,77 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) 
     in another order on the chunk's stack than alone (the rule
     :func:`forms._pad_key` names): in a seeded sample of order-2 and order-3
     families at p in {4/3, 3/2, 3}, real and complex, 230 of 4 447 such
-    trials score up to 12 ulps off their certificate, none of 20 753 others. A
-    column's weak norms (q >= 1) take one kernel call per length where the
-    kernel is exact, and one call on the items of every other length, in
-    two halves: the grid stages of all such columns first, then their
-    ascents, the columns with the fewest lower bounds (random starts)
-    first, each item with the floor of :func:`_floors`. A family with an
-    item that stopped at its floor (a retired family) gets a number below
-    ``incumbent`` in place of its ratio, and its ratio without floors is no
-    larger, as every weak norm without floors is at least the one with;
-    every other family gets its ratio as above."""
+    trials score up to 12 ulps off their certificate, none of 20 753 others.
+
+    The trials are taken in order of length, and each column of all of them
+    is gathered once (:func:`_columns`). One contraction gives the values of
+    every trial of length 3 or more, and one each those of lengths 1 and 2,
+    whose stacks einsum sums in another order. The lhs take one
+    :func:`_lp_rows` call per length class (:func:`_length_class`), the
+    trials zero-padded to the longest length present, and a column's weak
+    norms (q >= 1) one kernel call per class where the kernel is exact
+    (:func:`_weak_classes`); padding keeps every bit. The items of every
+    other length go to one kernel call per column, in two halves: the grid
+    stages of all such columns first, then their ascents, the columns with
+    the fewest lower bounds (random starts) first, each item with the floor
+    of :func:`_floors`. A family with an item that stopped at its floor (a
+    retired family) gets a number below ``incumbent`` in place of its
+    ratio, and its ratio without floors is no larger, as every weak norm
+    without floors is at least the one with; every other family gets its
+    ratio as above."""
     # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
     balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
              for q, d in zip(exps.qs, A.domains)]
-    lhs = np.empty(len(draws))
-    weak = np.empty((A.order, len(draws)))
-    pending = [([], []) for _ in A.domains]  # per column: trial indices, inexact items
+    T = len(draws)
     lengths = np.array([J for J, _ in draws])
-    for J in np.unique(lengths).tolist():
-        idx = np.flatnonzero(lengths == J)
-        stacks = _columns(A, J, np.stack([draws[i][1] for i in idx]))
-        values = _batch_contract(A.coeffs, [s.reshape(-1, s.shape[2]) for s in stacks])
-        values = values.reshape(len(idx), J)
-        lhs[idx] = _lp_rows(np.abs(values), exps.p)
-        for i, (stack, q, d) in enumerate(zip(stacks, exps.qs, A.domains)):
-            if balls[i] is None:
-                weak[i, idx] = [weak_lp_norm(VectorSeq(X, d), q).value for X in stack]
-            elif _exact(stack.shape[1:], balls[i], A.field.is_complex):
-                weak[i, idx] = _ball_sup(stack, balls[i], witness=False)[0]
+    order = np.argsort(lengths, kind="stable")  # the trials by length
+    draws, lengths = [draws[t] for t in order.tolist()], lengths[order]
+    columns = _columns(A, draws)
+    starts = np.concatenate(([0], np.cumsum(lengths))).tolist()  # each trial's first row
+    distinct, first = np.unique(lengths, return_index=True)
+    # the trials of length distinct[k] are bounds[k]:bounds[k + 1]
+    distinct, bounds = distinct.tolist(), first.tolist() + [T]
+
+    def runs(keys):
+        """Per run of consecutive distinct lengths of one key (``keys`` holds
+        one per length): the key, the run's trials lo:hi and its longest length."""
+        at = 0
+        for k, key in enumerate(keys):
+            if k + 1 == len(keys) or key != keys[k + 1]:
+                yield key, bounds[at], bounds[k + 1], distinct[k]
+                at = k + 1
+
+    def padded(rows, lo, hi, L):
+        """The rows of trials lo:hi as one stack (hi - lo, L, ...), zero-padded to length L."""
+        out = np.zeros((hi - lo, L) + rows.shape[1:], rows.dtype)
+        w = math.prod(rows.shape[1:])
+        out.reshape(hi - lo, -1)[np.arange(L * w) < w * lengths[lo:hi, None]] = rows.ravel()
+        return out
+
+    # the rows of lengths 1, 2 and 3 or more: einsum sums a stack of one or
+    # two vectors in another order than a longer one, for some shapes
+    cuts = [0] + [starts[int(np.searchsorted(lengths, J))] for J in (2, 3)] + [starts[-1]]
+    values = np.concatenate([_batch_contract(A.coeffs, [c[lo:hi] for c in columns])
+                             for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
+    moduli = np.abs(values)
+    lhs = np.empty(T)
+    for _, lo, hi, L in runs([_length_class(J) for J in distinct]):
+        lhs[lo:hi] = _lp_rows(padded(moduli[starts[lo]:starts[hi]], lo, hi, L), exps.p)
+    weak = np.empty((A.order, T))
+    pending = [([], []) for _ in A.domains]  # per column: trial positions, inexact items
+    for i, (col, ball, q, d) in enumerate(zip(columns, balls, exps.qs, A.domains)):
+        if ball is None:
+            weak[i] = [weak_lp_norm(VectorSeq(col[a:b], d), q).value
+                       for a, b in zip(starts, starts[1:])]
+            continue
+        for exact, lo, hi, L in runs(_weak_classes(tuple(distinct), d.dim, ball,
+                                                   A.field.is_complex)):
+            if exact:
+                weak[i, lo:hi] = _ball_sup(padded(col[starts[lo]:starts[hi]], lo, hi, L),
+                                           ball, witness=False)[0]
             else:
-                pending[i][0].extend(idx.tolist())
-                pending[i][1].extend(stack)
+                pending[i][0].extend(range(lo, hi))
+                pending[i][1].extend(col[a:b] for a, b in zip(starts[lo:hi], starts[lo + 1:]))
     started = {i: (idx, _ball_sup_start(items, balls[i], witness=False))
                for i, (idx, items) in enumerate(pending) if items}
     low = weak.copy()  # per trial and column, what its weak norm will be at least
@@ -350,7 +401,41 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) 
         floors = _floors(lhs[idx], low[:, idx], i, incumbent)
         low[i, idx] = weak[i, idx] = _ball_sup_end(st, floors)[0]
     denominator = math.prod(weak)  # the rows, in the certificate's order
-    return np.divide(lhs, denominator, out=np.zeros(len(draws)), where=denominator > 0)
+    ratios = np.empty(T)
+    ratios[order] = np.divide(lhs, denominator, out=np.zeros(T), where=denominator > 0)
+    return ratios
+
+
+def _length_class(J: int):
+    """The lengths a row of J moduli can be zero-padded to without changing
+    a bit of its sum: numpy adds a row of fewer than 128 entries in 8
+    interleaved partial sums over its first 8 * (J // 8) entries, then the
+    rest one by one, so the lengths J < 128 of one J // 8 form a class (a
+    sequential sum, as along the middle axis of a stack, keeps its bits
+    under any zero padding). A longer row is a class of its own."""
+    return J // 8 if J < 128 else (J,)
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _weak_classes(lengths: tuple[int, ...], m: int, balls: tuple[Exponent, Exponent],
+                  is_complex: bool) -> tuple:
+    """Per length J of ``lengths``, how the kernel scores the weak norms of
+    a column of J vectors in dimension m: None where it has no exact plan
+    (the items go to the ascent, unpadded), else a key, and columns of one
+    key are zero-padded to the longest length among them. The key is the
+    length class and the plan's free and basis slots: its values are norms
+    along the length slot or maxima over it, which padding leaves alone; a
+    plan that enumerates the length slot (sign vectors) keeps its length."""
+    keys = []
+    for J in lengths:
+        plan = _plan((J, m), balls, is_complex)
+        if plan is None or not plan.exact:
+            keys.append(None)
+        elif 0 in plan.contracted:
+            keys.append((J,))
+        else:
+            keys.append((_length_class(J), plan.free, plan.basis))
+    return tuple(keys)
 
 
 @np.errstate(divide="ignore")  # no bound known gives an infinite floor, i.e. none

@@ -181,9 +181,8 @@ def command(draw, head):
     if draw(st.integers(0, 3)) == 3:  # one invalid value; the last one given wins
         name = draw(st.sampled_from(options))
         argv += [name, draw(OPTIONS[name][1])]
-    # an option of another command; argparse takes a prefix of one of the
-    # command's own options (--q of search's --qs) for that option
-    foreign = [name for name in OPTIONS if not any(o.startswith(name) for o in options)]
+    # an option of another command, a prefix of one of its own among them
+    foreign = [name for name in OPTIONS if name not in options]
     if draw(st.integers(0, 9)) == 9:
         name = draw(st.sampled_from(foreign))
         at = draw(st.integers(1, len(argv)))

@@ -130,11 +130,9 @@ def test_cli_options_are_pinned():
 
 @pytest.mark.parametrize("command", sorted(CLI_OPTIONS))
 def test_cli_refuses_the_options_of_other_commands(command):
-    # argparse takes a prefix of one of a command's options (--q of search's
-    # --qs) for that option, so such an option is left out here
+    # a prefix of one of the command's own options (--q of search's --qs) too
     own = CLI_OPTIONS[command]
-    others = sorted({o for options in CLI_OPTIONS.values() for o in options
-                     if not any(mine.startswith(o) for mine in own)})
+    others = sorted({o for options in CLI_OPTIONS.values() for o in options if o not in own})
     assert others
     for option in others:
         out, err = io.StringIO(), io.StringIO()

@@ -249,7 +249,7 @@ def test_search_scores_are_the_certificate_ratios(dims, domains, field, p):
              if len(dims) > 2 or d[0] >= 3]
     ratios = summing._family_ratios(A, exps, draws, 0.0)  # an incumbent of 0 sets no floors
     for (J, g), ratio in zip(draws, ratios.tolist()):
-        fam = summing._as_family(A, summing._columns(A, J, g))
+        fam = summing._as_family(A, summing._columns(A, [(J, g)]))
         assert ratio == summing_lower_bound(A, exps, fam).ratio
 
 
@@ -274,6 +274,186 @@ def test_search_sends_each_heuristic_column_to_the_kernel_once(monkeypatch):
         ragged = [lengths for _, is_list, lengths in column if is_list]
         assert len(ragged) == 1 and len(set(ragged[0])) > 1 and min(ragged[0]) >= 2
         assert sum(len(lengths) for _, _, lengths in column) == 64  # every trial
+
+
+# the padding of the scorer: the lengths of one class share one pass
+
+
+def _padded(rows: np.ndarray, L: int) -> np.ndarray:
+    """rows (T, J, ...) zero-padded along axis 1 to length L."""
+    out = np.zeros((rows.shape[0], L) + rows.shape[2:], rows.dtype)
+    out[:, :rows.shape[1]] = rows
+    return out
+
+
+def _class_lengths(J: int) -> range:
+    """J and every longer length of its class, up to 20 for J >= 16."""
+    return range(J, 8 * (J // 8) + 8 if J < 16 else 21)
+
+
+@pytest.mark.parametrize("p", ["1", "4/3", "2", "3", "inf"])
+def test_zero_padding_within_a_length_class_keeps_the_lp_bits(p):
+    # moduli of every J <= 20, some rows at 2^600 and 2^-600 (rescaled)
+    e = Exponent.of(p)
+    rng = np.random.default_rng(int(e.recip.numerator * 10 + e.recip.denominator))
+    for J in range(1, 21):
+        rows = np.abs(rng.standard_normal((64, J))) * 2.0 ** rng.integers(-3, 4, (64, 1))
+        rows[:4] *= 2.0 ** 600
+        rows[4:8] *= 2.0 ** -600
+        want = summing._lp_rows(rows, e)
+        for L in _class_lengths(J):
+            assert summing._length_class(L) == summing._length_class(J)
+            assert np.array_equal(summing._lp_rows(_padded(rows, L), e), want), (J, L)
+    # the class is no wider than it must be: 7 -> 8 moves bits of a pairwise sum
+    rows = np.abs(np.random.default_rng(0).standard_normal((500, 7)))
+    assert summing._length_class(7) != summing._length_class(8)
+    assert not np.array_equal(summing._lp_rows(_padded(rows, 8), Exponent.of(2)),
+                              summing._lp_rows(rows, Exponent.of(2)))
+
+
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+@pytest.mark.parametrize("s", ["inf", 1, 2])
+def test_zero_padding_within_a_weak_class_keeps_the_kernel_bits(s, field):
+    # weak norms of columns of every J <= 20 in l_s^3 at q in {1, 4/3, 2, 3,
+    # inf}, wherever the kernel is exact without enumerating the length slot
+    rng = np.random.default_rng([int(field.is_complex), 0 if s == "inf" else s])
+    dual = Exponent.of(s).dual
+    padded_any = 0
+    for q in ["1", "4/3", "2", "3", "inf"]:
+        balls = (Exponent.of(q).dual, dual)
+        for J in range(1, 21):
+            key, = summing._weak_classes((J,), 3, balls, field.is_complex)
+            if key is None or key == (J,):
+                continue
+            stack = _gaussian(rng, (12, J, 3), field.is_complex)
+            stack[:2] *= 2.0 ** 600
+            stack[2:4] *= 2.0 ** -600
+            want, exact, _ = forms._ball_sup(stack, balls, witness=False)
+            for L in _class_lengths(J):
+                if summing._weak_classes((L,), 3, balls, field.is_complex) != (key,):
+                    continue
+                got, got_exact, _ = forms._ball_sup(_padded(stack, L), balls, witness=False)
+                assert np.array_equal(got, want) and got_exact == exact, (q, J, L)
+                padded_any += L > J
+    assert padded_any > 20
+
+
+# (field, dims, domain exponents, p, qs, j_max): the scorer's forms
+_SCORER_FORMS = [
+    (ScalarField.REAL, (3, 4), ("inf", "inf"), 1, (2, 2), 20),
+    (ScalarField.COMPLEX, (3, 3), ("inf", "inf"), 1, (2, 2), 20),
+    (ScalarField.REAL, (2, 3, 2), ("inf",) * 3, 1, (2, 2, 2), 20),
+    (ScalarField.COMPLEX, (2, 2, 3), ("inf",) * 3, 2, (2, 2, 2), 20),
+    (ScalarField.COMPLEX, (3, 3), ("inf", "inf"), 1, (2, 2), 2),  # lengths 1-2 only
+    # dims (2, 2): einsum sums a stack of one or two vectors in another order
+    (ScalarField.COMPLEX, (2, 2), ("inf", "inf"), 1, (2, 2), 20),
+    (ScalarField.REAL, (2, 2), (1, 2), 1, (2, 1), 9),
+    # weak-l_1 in real l_2: the kernel enumerates signs along the length slot
+    (ScalarField.REAL, (3, 2), ("inf", 2), 1, (2, 1), 12),
+    (ScalarField.REAL, (3, 3), (1, 2), 2, (2, "inf"), 20),  # signs, and a basis length slot
+    (ScalarField.COMPLEX, (3, 3), ("4/3", 2), "4/3", (2, 1), 9),  # heuristic columns
+    (ScalarField.REAL, (3, 3), ("inf", "inf"), "1/2", ("1/2", 2), 20),  # q < 1
+]
+
+
+@np.errstate(over="ignore", under="ignore", invalid="ignore")
+def _reference_ratios(A, exps, draws, incumbent):
+    """The scorer one pass per distinct length: each length's draws split
+    into (trials, J, m) columns, one contraction, one lp rule and, per
+    column, one kernel call where the kernel is exact; the other items of
+    each column in one call, in two halves, with the floors of _floors."""
+    balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
+             for q, d in zip(exps.qs, A.domains)]
+    lhs, weak = np.empty(len(draws)), np.empty((A.order, len(draws)))
+    pending = [([], []) for _ in A.domains]
+    lengths = np.array([J for J, _ in draws])
+    for J in np.unique(lengths).tolist():
+        idx = np.flatnonzero(lengths == J)
+        g, stacks, at = np.stack([draws[i][1] for i in idx]), [], 0
+        for m in A.dims:
+            col = g[:, at:at + J * m].reshape(len(idx), J, m)
+            at += J * m
+            if A.field.is_complex:
+                col = col + 1j * g[:, at:at + J * m].reshape(len(idx), J, m)
+                at += J * m
+            stacks.append(col)
+        values = forms._batch_contract(A.coeffs, [s.reshape(-1, s.shape[2]) for s in stacks])
+        lhs[idx] = summing._lp_rows(np.abs(values.reshape(len(idx), J)), exps.p)
+        for i, (stack, q, d) in enumerate(zip(stacks, exps.qs, A.domains)):
+            if balls[i] is None:
+                weak[i, idx] = [summing.weak_lp_norm(VectorSeq(X, d), q).value for X in stack]
+            elif forms._exact(stack.shape[1:], balls[i], A.field.is_complex):
+                weak[i, idx] = forms._ball_sup(stack, balls[i], witness=False)[0]
+            else:
+                pending[i][0].extend(idx.tolist())
+                pending[i][1].extend(stack)
+    started = {i: (idx, forms._ball_sup_start(items, balls[i], witness=False))
+               for i, (idx, items) in enumerate(pending) if items}
+    low = weak.copy()
+    for i, (idx, st) in started.items():
+        low[i, idx] = forms._lower_bounds(st)
+    for i in sorted(started, key=lambda i: np.count_nonzero(low[i, started[i][0]])):
+        idx, st = started[i]
+        floors = summing._floors(lhs[idx], low[:, idx], i, incumbent)
+        low[i, idx] = weak[i, idx] = forms._ball_sup_end(st, floors)[0]
+    denominator = math.prod(weak)
+    return np.divide(lhs, denominator, out=np.zeros(len(draws)), where=denominator > 0)
+
+
+def _scorer_case(case):
+    field, dims, domains, p, qs, j_max = _SCORER_FORMS[case]
+    rng = np.random.default_rng(40 + case)
+    A = random_form(rng, dims, field, exponents=domains)
+    return A, ExponentTuple(p, qs), [summing._draw(rng, A, j_max) for _ in range(160)]
+
+
+@pytest.mark.parametrize("case", range(len(_SCORER_FORMS)))
+def test_scores_are_those_of_one_pass_per_length(case, monkeypatch):
+    A, exps, draws = _scorer_case(case)
+    kernel, calls = summing._ball_sup, []
+    monkeypatch.setattr(summing, "_ball_sup", lambda items, balls, **kwargs:
+                        calls.append(balls) or kernel(items, balls, **kwargs))
+    want = _reference_ratios(A, exps, draws, 0.0)
+    finite = float(np.median(want))
+    assert 0 < finite < math.inf
+    for incumbent in (0.0, finite):
+        calls.clear()
+        got = summing._family_ratios(A, exps, draws, incumbent)
+        assert got.tobytes() == _reference_ratios(A, exps, draws, incumbent).tobytes()
+        if all(d.exponent.is_inf for d in A.domains):  # every column exact, one key per class
+            classes = {summing._length_class(J) for J, _ in draws}
+            assert len(calls) == sum(q.recip <= 1 for q in exps.qs) * len(classes)
+    for lo in range(0, len(draws), 4):  # chunks of 4: stacks of one or two vectors
+        chunk = draws[lo:lo + 4]
+        assert summing._family_ratios(A, exps, chunk, 0.0).tobytes() == \
+            _reference_ratios(A, exps, chunk, 0.0).tobytes()
+
+
+@pytest.mark.parametrize("case", range(len(_SCORER_FORMS)))
+def test_scorer_pads_only_within_a_class(case, monkeypatch):
+    # every stack the scorer hands the kernel or the lp rule: the nonzero
+    # rows of an item are its length, padded only within the length's class,
+    # and never along a length slot the kernel enumerates
+    A, exps, draws = _scorer_case(case)
+    kernel, lp_rows, seen = summing._ball_sup, summing._lp_rows, []
+
+    def check(rows: np.ndarray, balls=None):
+        L = rows.shape[1]
+        lengths = np.count_nonzero(rows.reshape(len(rows), L, -1).any(axis=2), axis=1)
+        assert (np.arange(L) < lengths[:, None]).tolist() == \
+            rows.reshape(len(rows), L, -1).any(axis=2).tolist()  # the zeros are trailing
+        for J in set(lengths.tolist()):
+            assert summing._length_class(J) == summing._length_class(L)
+            if balls is not None:
+                plan = forms._plan((L, rows.shape[2]), balls, A.field.is_complex)
+                assert plan.exact and (J == L or 0 not in plan.contracted)
+        seen.append(L > lengths.min())
+
+    monkeypatch.setattr(summing, "_ball_sup", lambda items, balls, **kwargs:
+                        check(items, balls) or kernel(items, balls, **kwargs))
+    monkeypatch.setattr(summing, "_lp_rows", lambda a, e: check(a) or lp_rows(a, e))
+    summing._family_ratios(A, exps, draws, 0.0)
+    assert any(seen)
 
 
 # (field, dims, domain exponents, p, qs, seed) with heuristic columns where a
