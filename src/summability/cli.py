@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from ._codec import decode_values
+from ._signs import _ENUM_BUDGET
 from .demos import run_demos
 from .forms import FormTensor, _gaussian, _op_norms, op_norm
 from .norms import VectorSeq, lp_norm, mixed_norm, weak_lp_norm
@@ -38,6 +39,7 @@ from .summing import (
     RatioCertificate,
     TestFamily,
     VerificationReport,
+    _chunks,
     _random_family,
     lift_family,
     random_family_search,
@@ -311,21 +313,11 @@ def _op_norm_reports(instances, verify) -> list[VerificationReport]:
     witness: instances are taken in chunks of at most RANDOM_COEFF_BUDGET form
     coefficients (and at least one instance), and the norms of a chunk come
     from one kernel call."""
-    reports, chunk, size = [], [], 0
-
-    def flush():
+    reports = []
+    for chunk in _chunks(instances, lambda instance: instance[0].coeffs.size,
+                         RANDOM_COEFF_BUDGET):
         opns = _op_norms([instance[0] for instance in chunk])
         reports.extend(verify(*instance, opn=opn) for instance, opn in zip(chunk, opns))
-        chunk.clear()
-
-    for instance in instances:
-        if chunk and size + instance[0].coeffs.size > RANDOM_COEFF_BUDGET:
-            flush()
-            size = 0
-        chunk.append(instance)
-        size += instance[0].coeffs.size
-    if chunk:
-        flush()
     for i, report in enumerate(reports):
         report.witness["instance"] = i
     return reports
@@ -381,11 +373,14 @@ def cmd_dv(args) -> int:
             raise SchemaError("dv expects a form file and a family file")
         return _report(args, [verify_defant_voigt(load_form(args.files[0]),
                                                   load_family(args.files[1]))])
+    if args.jmax > math.log2(_ENUM_BUDGET):  # dv checks a family over every sign pattern
+        raise SchemaError(f"--jmax {args.jmax}: a family may have 2^{args.jmax} sign "
+                          f"patterns, over the budget {_ENUM_BUDGET}")
     field = ScalarField(args.field)
 
     def draw(rng):
         A = random_form(rng, _random_dims(rng, args.order, args.m), field)
-        return A, _random_family(rng, A, min(args.jmax, 8))
+        return A, _random_family(rng, A, args.jmax)
 
     return _report(args, _op_norm_reports(_seeded(args, args.order, draw),
                                           verify_defant_voigt))
@@ -467,7 +462,7 @@ def cmd_search(args) -> int:
     cert = random_family_search(A, exps, budget=args.budget, seed=args.seed,
                                 j_max=args.jmax)
     return _report(args, [_certificate_report("search", A, cert)],
-                   certificate=cert.to_dict(include_family=True))
+                   certificate=cert.to_dict())
 
 
 def cmd_experiment(args) -> int:
@@ -564,9 +559,9 @@ def build_parser() -> Parser:
         ("bh", cmd_bh, "--random --m --order --seed --field --kg-complex", "real"),
         ("dv", cmd_dv, "--random --m --order --seed --field --jmax", "real"),
     ]:
-        # --p is extended's outer exponent
+        # --p is extended's outer exponent, --jmax the longest family of dv
         _command(verify, suite, handler, options + _REPORT, field={"default": field},
-                 p={"default": "4/3"}).add_argument(
+                 p={"default": "4/3"}, jmax={"default": 8}).add_argument(
             "files", nargs="*", help="input files; omit to draw seeded random instances")
     _command(verify, "almost", cmd_almost, "--curry" + _REPORT).add_argument(
         "files", nargs=2, metavar="FILE", help="a form file, then a family file")

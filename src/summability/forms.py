@@ -41,7 +41,8 @@ except ImportError:  # numpy < 2
 
 from ._codec import decode_values, encode_values
 from ._signs import _ENUM_BUDGET, sign_matrix
-from .norms import _SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _ldexp, _rescaled
+from .norms import (_SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _ldexp, _rescaled,
+                    _sum_class)
 from .spaces import Exponent, ScalarField, SpaceSpec
 
 __all__ = ["FormTensor", "CurriedForm", "evaluate", "op_norm", "compose_beta", "curry"]
@@ -696,8 +697,7 @@ def _polish(jobs, balls, floors=None) -> list[tuple[float, tuple]]:
     groups: dict = {}
     for j, (a, vectors) in enumerate(jobs):
         S = len(vectors[0])
-        groups.setdefault((S, a.dtype, _pad_key(a.shape, S, balls, a.dtype.kind == "c")),
-                          []).append(j)
+        groups.setdefault((S, a.dtype, _pad_key(a.shape, S)), []).append(j)
     out = [None] * len(jobs)
     for (S, dtype, _), members in groups.items():
         members.sort(key=lambda j: jobs[j][0].shape)
@@ -716,18 +716,17 @@ def _polish(jobs, balls, floors=None) -> list[tuple[float, tuple]]:
     return out
 
 
-def _pad_key(dims, S: int, balls, is_complex: bool):
+def _pad_key(dims, S: int):
     """Jobs of one key can be zero-padded to common dims without changing a
-    bit of their results. A real contraction over the last axis (einsum's
-    vector lanes) and the norm of a finite-p slot (numpy's pairwise sum) add
-    in blocks of 8, so such an axis stays in its block of 8. einsum orders
-    its loops by the dims where an axis has length 1 and for a full
-    contraction with two starts, so such jobs are not padded."""
+    bit of their results: each axis stays in its summation class
+    (:func:`norms._sum_class`), as the norm of a slot (numpy's pairwise sum)
+    and a contraction over the last axis (einsum's vector lanes) add in
+    blocks of 8. einsum orders its loops by the dims where an axis has
+    length 1 and for a full contraction with two starts, so such jobs are
+    not padded."""
     if 1 in dims or S < 3:
         return "shape", dims
-    last = len(dims) - 1
-    return "blocks", tuple(m // 8 if 0 < s.recip < 1 or (i == last and not is_complex)
-                           else -1 for i, (m, s) in enumerate(zip(dims, balls)))
+    return "class", tuple(map(_sum_class, dims))
 
 
 def _runs(shapes, S: int):

@@ -58,6 +58,17 @@ def _lp_rows(a: np.ndarray, e: Exponent) -> np.ndarray:
     return values
 
 
+def _sum_class(n: int):
+    """The lengths an axis of n entries can be zero-padded to without
+    changing a bit of a numpy reduction along it: numpy adds fewer than 128
+    entries in 8 interleaved partial sums over the first 8 * (n // 8), then
+    the rest one by one, so the lengths n < 128 of one n // 8 form a class
+    (a sequential sum, as along the middle axis of a stack, keeps its bits
+    under any zero padding). A longer axis is a class of its own: numpy
+    splits it in halves at a multiple of 8."""
+    return n // 8 if n < 128 else (n,)
+
+
 def _axis_norms(a: np.ndarray, e: Exponent, axis: int) -> np.ndarray:
     """l_e norms along ``axis`` of an array of moduli, for the kernel: roots
     by numpy's array power."""

@@ -22,8 +22,8 @@ import numpy as np
 from ._signs import _ENUM_BUDGET, sign_matrix
 from .forms import (FormTensor, _ball_sup, _ball_sup_end, _ball_sup_start, _batch_contract,
                     _exact, _gaussian, _lower_bounds, _plan, _polar, compose_beta, curry, op_norm)
-from .norms import (NormEstimate, VectorSeq, _axis_norms, _lp_rows, lp_norm, mixed_norm,
-                    weak_lp_norm)
+from .norms import (NormEstimate, VectorSeq, _axis_norms, _lp_rows, _sum_class, lp_norm,
+                    mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
     ConstantsConfig,
@@ -136,18 +136,16 @@ class RatioCertificate:
     def exact(self) -> bool:
         return self.lhs_exact and all(r.exact for r in self.rhs_norms)
 
-    def to_dict(self, include_family: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "exponents": str(self.exponents),
             "lhs": self.lhs,
             "weak_norms": [r.value for r in self.rhs_norms],
             "weak_norms_exact": [r.exact for r in self.rhs_norms],
             "ratio": self.ratio,
             "exact": self.exact,
+            "family": self.family.to_json(),
         }
-        if include_family:
-            out["family"] = self.family.to_json()
-        return out
 
 
 def summing_lower_bound(
@@ -235,16 +233,18 @@ _SEARCH_STREAMS = 8
 _SEARCH_CHUNK = 1 << 10  # random trials scored at once
 
 
-def _chunks(draws):
-    """Consecutive draws, in chunks of at most ``_SEARCH_CHUNK`` trials and
-    ``_ENUM_BUDGET`` drawn numbers (and at least one trial)."""
-    chunk, size = [], 0
-    for draw in draws:
-        if chunk and (len(chunk) == _SEARCH_CHUNK or size + draw[1].size > _ENUM_BUDGET):
+def _chunks(items, size, budget: int, most: int | None = None):
+    """Consecutive items, in chunks of at most ``most`` items (any number for
+    None) whose ``size`` adds up to at most ``budget``, and of at least one
+    item."""
+    chunk, total = [], 0
+    for item in items:
+        n = size(item)
+        if chunk and (len(chunk) == most or total + n > budget):
             yield chunk
-            chunk, size = [], 0
-        chunk.append(draw)
-        size += draw[1].size
+            chunk, total = [], 0
+        chunk.append(item)
+        total += n
     if chunk:
         yield chunk
 
@@ -270,19 +270,20 @@ def random_family_search(
     at most ``_SEARCH_CHUNK`` trials and ``_ENUM_BUDGET`` drawn numbers, in
     a fixed number of passes (:func:`_family_ratios`): one gather per
     column, one contraction for the trials of length 3 or more, and per
-    length class (lengths below 128 with equal J // 8, zero-padded to the
-    longest) one call of the rule of :func:`lp_norm` for their lhs and, per
-    column where the plan is exact, one kernel call for their weak norms;
-    the heuristic weak norms of a chunk take one kernel call per column. A
-    trial's score is its certificate's ratio to the bit, except for
-    bilinear families of one or two vectors, which einsum sums in another
-    order when stacked (230 of 4 447 seeded ones score up to 12 ulps off,
-    none of 20 753 other trials). Heuristic ascents stop at a floor set from the
-    best ratio so far, the incumbent, once a trial's ratio can no longer
-    exceed it: such a trial scores below the incumbent, and since a chunk's
-    best replaces the incumbent only when strictly greater, it never wins,
-    and the result is the one full ascents give. Only the winner is
-    certified, by :func:`summing_lower_bound`.
+    length class (:func:`norms._sum_class`, zero-padded to the longest
+    length present) one call of the rule of :func:`lp_norm` for their lhs
+    and, per column where the plan is exact, one kernel call for their weak
+    norms; the heuristic weak norms of a chunk take one kernel call per
+    column, whose ascent pads within the same classes
+    (:func:`forms._pad_key`). A trial's score is its certificate's ratio to
+    the bit, except for bilinear families of one or two vectors, which
+    einsum sums in another order when stacked (230 of 4 447 seeded ones
+    score up to 12 ulps off, none of 20 753 other trials). Heuristic ascents
+    stop at a floor set from the best ratio so far, the incumbent, once a
+    trial's ratio can no longer exceed it: such a trial scores below the
+    incumbent, and since a chunk's best replaces the incumbent only when
+    strictly greater, it never wins, and the result is the one full ascents
+    give. Only the winner is certified, by :func:`summing_lower_bound`.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -299,7 +300,7 @@ def random_family_search(
         for w, rng in enumerate(map(np.random.default_rng, streams))
         for _ in range(budget // _SEARCH_STREAMS + (w < budget % _SEARCH_STREAMS))
     )
-    for chunk in _chunks(draws):
+    for chunk in _chunks(draws, lambda draw: draw[1].size, _ENUM_BUDGET, _SEARCH_CHUNK):
         ratios = _family_ratios(A, exps, chunk, best.ratio)
         k = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))  # NaN never wins
         if ratios[k] > best.ratio:
@@ -326,7 +327,7 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) 
     is gathered once (:func:`_columns`). One contraction gives the values of
     every trial of length 3 or more, and one each those of lengths 1 and 2,
     whose stacks einsum sums in another order. The lhs take one
-    :func:`_lp_rows` call per length class (:func:`_length_class`), the
+    :func:`_lp_rows` call per length class (:func:`norms._sum_class`), the
     trials zero-padded to the longest length present, and a column's weak
     norms (q >= 1) one kernel call per class where the kernel is exact
     (:func:`_weak_classes`); padding keeps every bit. The items of every
@@ -374,7 +375,7 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) 
                              for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
     moduli = np.abs(values)
     lhs = np.empty(T)
-    for _, lo, hi, L in runs([_length_class(J) for J in distinct]):
+    for _, lo, hi, L in runs([_sum_class(J) for J in distinct]):
         lhs[lo:hi] = _lp_rows(padded(moduli[starts[lo]:starts[hi]], lo, hi, L), exps.p)
     weak = np.empty((A.order, T))
     pending = [([], []) for _ in A.domains]  # per column: trial positions, inexact items
@@ -406,16 +407,6 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) 
     return ratios
 
 
-def _length_class(J: int):
-    """The lengths a row of J moduli can be zero-padded to without changing
-    a bit of its sum: numpy adds a row of fewer than 128 entries in 8
-    interleaved partial sums over its first 8 * (J // 8) entries, then the
-    rest one by one, so the lengths J < 128 of one J // 8 form a class (a
-    sequential sum, as along the middle axis of a stack, keeps its bits
-    under any zero padding). A longer row is a class of its own."""
-    return J // 8 if J < 128 else (J,)
-
-
 @functools.lru_cache(maxsize=1 << 10)
 def _weak_classes(lengths: tuple[int, ...], m: int, balls: tuple[Exponent, Exponent],
                   is_complex: bool) -> tuple:
@@ -434,7 +425,7 @@ def _weak_classes(lengths: tuple[int, ...], m: int, balls: tuple[Exponent, Expon
         elif 0 in plan.contracted:
             keys.append((J,))
         else:
-            keys.append((_length_class(J), plan.free, plan.basis))
+            keys.append((_sum_class(J), plan.free, plan.basis))
     return tuple(keys)
 
 

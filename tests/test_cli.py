@@ -485,6 +485,37 @@ def test_verify_dv_files(littlewood_file, family_file, tmp_path, capsys):
     assert rep["lhs"] == pytest.approx(rep["rhs"], abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_verify_dv_needs_two_files(littlewood_file, family_file, capsys, count):
+    files = [littlewood_file, family_file, family_file][:count]
+    assert main(["verify", "dv", *files]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dv expects a form file and a family file" in captured.err
+
+
+def test_verify_dv_draws_families_up_to_its_jmax(monkeypatch, capsys):
+    # 2^23 sign patterns are refused before anything is drawn
+    lengths, draw = [], cli._random_family
+
+    def recorded(rng, A, j_max):
+        fam = draw(rng, A, j_max)
+        lengths.append(fam.length)
+        return fam
+
+    monkeypatch.setattr(cli, "_random_family", recorded)
+    base = ["verify", "dv", "--order", "2", "--m", "2"]
+    assert main(base + ["--random", "4", "--jmax", "23"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--jmax 23" in captured.err and "budget" in captured.err
+    assert lengths == []
+    assert main(base + ["--random", "0", "--jmax", "22"]) == 0
+    capsys.readouterr()
+    assert main(base + ["--random", "12", "--jmax", "12", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["jmax"] == 12
+    assert len(lengths) == 12 and max(lengths) > 8
+
+
 def test_verify_bh_random_deterministic(tmp_path):
     out1, out2 = tmp_path / "b1.json", tmp_path / "b2.json"
     base = ["verify", "bh", "--random", "8", "--order", "3", "--m", "2",

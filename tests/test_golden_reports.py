@@ -97,7 +97,7 @@ DIGESTS = {
     "bh": "666bf1a21fbe9839a61de86c455811fc9d82ff5dd95d4b54774be13e64cceec3",
     "bh-files": "1f5102b75377a9a9db3f9baa2dc591c6f18b294697a659623db69304657f03f7",
     "demos": "6949653ee285a554f7ae91b257e8cae73ab72315b6c52831e87bb47959a89601",
-    "dv": "fe1341c90d456d91b0bc1b88fbd559d82951602ab4f2bd6ccd8ad7d57b541405",
+    "dv": "fd032abcae5b1ac4859d7b8eea18e3d260cb48232e58b18e60b9514a342af5b8",
     "dv-files": "c8f5db666318b710011262e2727b58a5b7d5654a939984cb6b21949356d3b0e5",
     "experiment": "6884ad20e6995bfb3d47490182ae7e1014483a75c4ef19e219eef4ce9610b065",
     "extended": "08732ad2fdbce1fcf106578b8b1643d2caebce470065ca28b6a2f88d41ff7389",

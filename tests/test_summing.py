@@ -33,6 +33,7 @@ from summability import (
     verify_littlewood_43,
 )
 from summability.forms import _gaussian
+from summability.norms import _sum_class
 from summability.rademacher import rademacher_average
 from summability import forms, summing
 from summability.summing import _structured_families
@@ -302,13 +303,15 @@ def test_zero_padding_within_a_length_class_keeps_the_lp_bits(p):
         rows[4:8] *= 2.0 ** -600
         want = summing._lp_rows(rows, e)
         for L in _class_lengths(J):
-            assert summing._length_class(L) == summing._length_class(J)
+            assert _sum_class(L) == _sum_class(J)
             assert np.array_equal(summing._lp_rows(_padded(rows, L), e), want), (J, L)
-    # the class is no wider than it must be: 7 -> 8 moves bits of a pairwise sum
-    rows = np.abs(np.random.default_rng(0).standard_normal((500, 7)))
-    assert summing._length_class(7) != summing._length_class(8)
-    assert not np.array_equal(summing._lp_rows(_padded(rows, 8), Exponent.of(2)),
-                              summing._lp_rows(rows, Exponent.of(2)))
+    # the class is no wider than it must be: 7 -> 8 and 128 -> 129 move bits
+    # of a pairwise sum
+    for J in (7, 128):
+        rows = np.abs(np.random.default_rng(0).standard_normal((500, J)))
+        assert _sum_class(J) != _sum_class(J + 1)
+        assert not np.array_equal(summing._lp_rows(_padded(rows, J + 1), Exponent.of(2)),
+                                  summing._lp_rows(rows, Exponent.of(2))), J
 
 
 @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
@@ -421,7 +424,7 @@ def test_scores_are_those_of_one_pass_per_length(case, monkeypatch):
         got = summing._family_ratios(A, exps, draws, incumbent)
         assert got.tobytes() == _reference_ratios(A, exps, draws, incumbent).tobytes()
         if all(d.exponent.is_inf for d in A.domains):  # every column exact, one key per class
-            classes = {summing._length_class(J) for J, _ in draws}
+            classes = {_sum_class(J) for J, _ in draws}
             assert len(calls) == sum(q.recip <= 1 for q in exps.qs) * len(classes)
     for lo in range(0, len(draws), 4):  # chunks of 4: stacks of one or two vectors
         chunk = draws[lo:lo + 4]
@@ -443,7 +446,7 @@ def test_scorer_pads_only_within_a_class(case, monkeypatch):
         assert (np.arange(L) < lengths[:, None]).tolist() == \
             rows.reshape(len(rows), L, -1).any(axis=2).tolist()  # the zeros are trailing
         for J in set(lengths.tolist()):
-            assert summing._length_class(J) == summing._length_class(L)
+            assert _sum_class(J) == _sum_class(L)
             if balls is not None:
                 plan = forms._plan((L, rows.shape[2]), balls, A.field.is_complex)
                 assert plan.exact and (J == L or 0 not in plan.contracted)
@@ -454,6 +457,20 @@ def test_scorer_pads_only_within_a_class(case, monkeypatch):
     monkeypatch.setattr(summing, "_lp_rows", lambda a, e: check(a) or lp_rows(a, e))
     summing._family_ratios(A, exps, draws, 0.0)
     assert any(seen)
+
+
+def test_scores_across_the_length_128_are_their_certificates_ratios():
+    # weak-l_2 norms in complex l_1^2 ascend from the phase grid, in one batch
+    # per column; numpy sums 128 entries in 8 partial sums and 129 or more
+    # in two halves, so no item of length 128 is padded to a longer one
+    rng = np.random.default_rng(44)
+    A = random_form(rng, (2, 2), ScalarField.COMPLEX, exponents=(1, 1))
+    exps = ExponentTuple(1, (2, 2))
+    draws = [(J, rng.standard_normal(2 * J * sum(A.dims))) for J in list(range(120, 136)) * 2]
+    ratios = summing._family_ratios(A, exps, draws, 0.0)
+    for draw, ratio in zip(draws, ratios.tolist()):
+        fam = summing._as_family(A, summing._columns(A, [draw]))
+        assert ratio == summing_lower_bound(A, exps, fam).ratio, draw[0]
 
 
 # (field, dims, domain exponents, p, qs, seed) with heuristic columns where a
@@ -948,6 +965,21 @@ def test_tensor_candidate_bound_stays_below_the_exact_value(s1, s2):
                                          Exponent.of(1))
         assert exact.exact
         assert 0 < bound <= exact.value * (1 + 1e-12)
+
+
+def test_tensor_candidate_bound_with_random_sign_matrices():
+    # 3 * 6 > 16 entries: 256 random sign matrices instead of every one
+    rng = np.random.default_rng(9)
+    X, Y = rng.standard_normal((5, 3)), rng.standard_normal((5, 6))
+    seq1, seq2 = _pair(X, Y, "inf", "inf")
+    est = tensor_weak_norm_estimate(seq1, seq2, 2)
+    assert not est.exact
+    assert tensor_weak_norm_estimate(seq1, seq2, 2) == est
+    # the basis matrices have norm 1 on l_inf x l_inf, and each |B(x_j, y_j)|
+    # is at most ||B|| ||x_j||_inf ||y_j||_inf
+    basis = max(lp_norm(X[:, a] * Y[:, b], 2) for a in range(3) for b in range(6))
+    assert basis <= est.value
+    assert est.value <= lp_norm(np.abs(X).max(axis=1) * np.abs(Y).max(axis=1), 2)
 
 
 # ---------------------------------------------------------------------------
