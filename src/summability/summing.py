@@ -192,22 +192,13 @@ def random_form(
     return FormTensor(coeffs, domains, field)
 
 
-def _draw(rng: np.random.Generator, A: FormTensor, j_max: int) -> tuple[int, np.ndarray]:
-    """A random family's length J, then all its entries from one normal draw."""
-    J = int(rng.integers(1, j_max + 1))
-    return J, rng.standard_normal((2 if A.field.is_complex else 1) * J * sum(A.dims))
-
-
-def _columns(A: FormTensor, draws) -> list[np.ndarray]:
-    """Per slot, the columns of consecutive draws (J, g) one after another,
-    as one (sum of the J, m) array: each draw holds its columns slot by
-    slot, each column's entries (real parts, then imaginary parts for
-    complex forms), the order in which drawing the columns one at a time
-    consumes the stream."""
-    flat = np.concatenate([g for _, g in draws])
-    lengths = np.array([J for J, _ in draws])
-    drawn = lengths * (len(flat) // lengths.sum())  # the numbers of each draw
-    at = np.cumsum(drawn) - drawn  # per draw, where its next column starts in flat
+def _columns(A: FormTensor, lengths, starts, flat) -> list[np.ndarray]:
+    """Per slot, the columns of the draws of ``lengths`` one after another,
+    as one (sum of the lengths, m) array: draw t holds its columns from
+    ``flat[starts[t]]`` on, slot by slot, each column's entries (real parts,
+    then imaginary parts for complex forms), the order in which drawing the
+    columns one at a time consumes the stream."""
+    at = starts  # per draw, where its next column starts in flat
     columns = []
     for m in A.dims:
         sizes = lengths * m  # per draw, the entries of the column (their real parts)
@@ -226,21 +217,23 @@ def _as_family(A: FormTensor, columns) -> TestFamily:
 
 
 def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestFamily:
-    return _as_family(A, _columns(A, [_draw(rng, A, j_max)]))
+    """A random family's length J, then all its entries from one normal draw."""
+    J = int(rng.integers(1, j_max + 1))
+    flat = rng.standard_normal((2 if A.field.is_complex else 1) * J * sum(A.dims))
+    return _as_family(A, _columns(A, np.array([J]), np.array([0]), flat))
 
 
 _SEARCH_STREAMS = 8
 _SEARCH_CHUNK = 1 << 10  # random trials scored at once
 
 
-def _chunks(items, size, budget: int, most: int | None = None):
-    """Consecutive items, in chunks of at most ``most`` items (any number for
-    None) whose ``size`` adds up to at most ``budget``, and of at least one
-    item."""
+def _chunks(items, size, budget: int):
+    """Consecutive items, in chunks whose ``size`` adds up to at most
+    ``budget``, and of at least one item."""
     chunk, total = [], 0
     for item in items:
         n = size(item)
-        if chunk and (len(chunk) == most or total + n > budget):
+        if chunk and total + n > budget:
             yield chunk
             chunk, total = [], 0
         chunk.append(item)
@@ -263,8 +256,8 @@ def random_family_search(
     the master seed (the first ``budget % streams`` streams take one trial
     more). The structured families are tried first, then each stream in
     order, and the first maximal ratio wins, so the result depends only on
-    the seed and the budget. Each trial draws its length, then its columns
-    (:func:`_draw`); a ``j_max`` at which one trial may draw more than
+    the seed and the budget. Each stream draws all its lengths, then its trials
+    (:func:`_chunks_drawn`); a ``j_max`` at which one trial may draw more than
     ``_ENUM_BUDGET`` normal numbers (j_max * sum(dims), doubled for complex
     forms) is refused before any draw. The trials are scored in chunks of
     at most ``_SEARCH_CHUNK`` trials and ``_ENUM_BUDGET`` drawn numbers, in
@@ -287,32 +280,51 @@ def random_family_search(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    size = j_max * (2 if A.field.is_complex else 1) * sum(A.dims)
-    if size > _ENUM_BUDGET:
-        raise ValueError(f"--jmax {j_max}: a trial may draw {size} normal numbers, "
+    per = (2 if A.field.is_complex else 1) * sum(A.dims)  # numbers per vector of a family
+    if j_max * per > _ENUM_BUDGET:
+        raise ValueError(f"--jmax {j_max}: a trial may draw {j_max * per} normal numbers, "
                          f"over the budget {_ENUM_BUDGET}")
     # the first maximal ratio wins, as in a loop of ">" comparisons
     best = max((summing_lower_bound(A, exps, fam)
                 for fam in _structured_families(A, j_max)), key=lambda c: c.ratio)
-    streams = np.random.SeedSequence(seed).spawn(_SEARCH_STREAMS)
-    draws = (
-        _draw(rng, A, j_max)
-        for w, rng in enumerate(map(np.random.default_rng, streams))
-        for _ in range(budget // _SEARCH_STREAMS + (w < budget % _SEARCH_STREAMS))
-    )
-    for chunk in _chunks(draws, lambda draw: draw[1].size, _ENUM_BUDGET, _SEARCH_CHUNK):
-        ratios = _family_ratios(A, exps, chunk, best.ratio)
+    for lengths, starts, flat in _chunks_drawn(seed, budget, j_max, per):
+        ratios = _family_ratios(A, exps, lengths, starts, flat, best.ratio)
         k = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))  # NaN never wins
         if ratios[k] > best.ratio:
-            best = summing_lower_bound(A, exps, _as_family(A, _columns(A, [chunk[k]])))
+            family = _as_family(A, _columns(A, lengths[[k]], starts[[k]], flat))
+            best = summing_lower_bound(A, exps, family)
     return best
 
 
+def _chunks_drawn(seed: int, budget: int, j_max: int, per: int):
+    """The random trials in chunks (lengths, starts, flat) of at most ``_SEARCH_CHUNK``
+    trials and ``_ENUM_BUDGET`` numbers, one trial at least. A stream draws its lengths
+    in one call, then its trials' numbers per chunk; how calls split a draw moves no number."""
+    S = _SEARCH_STREAMS
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(S)]
+    edges = [w * (budget // S) + min(w, budget % S) for w in range(S + 1)]  # stream w's trials
+    lengths = np.concatenate([rng.integers(1, j_max + 1, size=b - a)
+                              for rng, a, b in zip(rngs, edges, edges[1:])])
+    ends = np.concatenate(([0], np.cumsum(lengths) * per))  # trial t: ends[t]:ends[t + 1]
+    lo = 0
+    while lo < budget:
+        hi = int(np.searchsorted(ends, ends[lo] + _ENUM_BUDGET, "right")) - 1
+        hi = max(lo + 1, min(hi, lo + _SEARCH_CHUNK))
+        at = ends[lo:hi + 1] - ends[lo]  # the chunk's trials in flat
+        flat = np.empty(at[-1])
+        for rng, a, b in zip(rngs, edges, edges[1:]):
+            if max(a, lo) < min(b, hi):
+                rng.standard_normal(out=flat[at[max(a, lo) - lo]:at[min(b, hi) - lo]])
+        yield lengths[lo:hi], at[:-1], flat
+        lo = hi
+
+
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # ratios may over- or underflow
-def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) -> np.ndarray:
-    """The ratio lhs / prod(weak norms) of each drawn family, or, for a family
-    whose ratio cannot exceed ``incumbent``, possibly a number below
-    ``incumbent`` instead.
+def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
+                   incumbent: float) -> np.ndarray:
+    """The ratio lhs / prod(weak norms) of each family drawn (:func:`_columns`),
+    or, for a family whose ratio cannot exceed ``incumbent``, possibly a
+    number below ``incumbent`` instead.
 
     A ratio is computed as its certificate computes it: the lhs by
     :func:`norms._lp_rows`, the rule of :func:`lp_norm`, and the weak norms
@@ -342,12 +354,10 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) 
     # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
     balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
              for q, d in zip(exps.qs, A.domains)]
-    T = len(draws)
-    lengths = np.array([J for J, _ in draws])
-    order = np.argsort(lengths, kind="stable")  # the trials by length
-    draws, lengths = [draws[t] for t in order.tolist()], lengths[order]
-    columns = _columns(A, draws)
-    starts = np.concatenate(([0], np.cumsum(lengths))).tolist()  # each trial's first row
+    T, order = len(lengths), np.argsort(lengths, kind="stable")  # the trials by length
+    lengths = lengths[order]
+    columns = _columns(A, lengths, starts[order], flat)
+    heads = np.concatenate(([0], np.cumsum(lengths))).tolist()  # each trial's first row
     distinct, first = np.unique(lengths, return_index=True)
     # the trials of length distinct[k] are bounds[k]:bounds[k + 1]
     distinct, bounds = distinct.tolist(), first.tolist() + [T]
@@ -370,28 +380,28 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, draws, incumbent: float) 
 
     # the rows of lengths 1, 2 and 3 or more: einsum sums a stack of one or
     # two vectors in another order than a longer one, for some shapes
-    cuts = [0] + [starts[int(np.searchsorted(lengths, J))] for J in (2, 3)] + [starts[-1]]
+    cuts = [0] + [heads[int(np.searchsorted(lengths, J))] for J in (2, 3)] + [heads[-1]]
     values = np.concatenate([_batch_contract(A.coeffs, [c[lo:hi] for c in columns])
                              for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
     moduli = np.abs(values)
     lhs = np.empty(T)
     for _, lo, hi, L in runs([_sum_class(J) for J in distinct]):
-        lhs[lo:hi] = _lp_rows(padded(moduli[starts[lo]:starts[hi]], lo, hi, L), exps.p)
+        lhs[lo:hi] = _lp_rows(padded(moduli[heads[lo]:heads[hi]], lo, hi, L), exps.p)
     weak = np.empty((A.order, T))
     pending = [([], []) for _ in A.domains]  # per column: trial positions, inexact items
     for i, (col, ball, q, d) in enumerate(zip(columns, balls, exps.qs, A.domains)):
         if ball is None:
             weak[i] = [weak_lp_norm(VectorSeq(col[a:b], d), q).value
-                       for a, b in zip(starts, starts[1:])]
+                       for a, b in zip(heads, heads[1:])]
             continue
         for exact, lo, hi, L in runs(_weak_classes(tuple(distinct), d.dim, ball,
                                                    A.field.is_complex)):
             if exact:
-                weak[i, lo:hi] = _ball_sup(padded(col[starts[lo]:starts[hi]], lo, hi, L),
+                weak[i, lo:hi] = _ball_sup(padded(col[heads[lo]:heads[hi]], lo, hi, L),
                                            ball, witness=False)[0]
             else:
                 pending[i][0].extend(range(lo, hi))
-                pending[i][1].extend(col[a:b] for a, b in zip(starts[lo:hi], starts[lo + 1:]))
+                pending[i][1].extend(col[a:b] for a, b in zip(heads[lo:hi], heads[lo + 1:]))
     started = {i: (idx, _ball_sup_start(items, balls[i], witness=False))
                for i, (idx, items) in enumerate(pending) if items}
     low = weak.copy()  # per trial and column, what its weak norm will be at least

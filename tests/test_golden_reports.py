@@ -109,8 +109,8 @@ DIGESTS = {
     "littlewood-files": "5269a6f73dd5cd5eba1f12d732f7796342f737e6cd8f14392e816ca0f2ce4f0b",
     "search-lp": "2c0a965828610517d7e46341bc3707e335cabd984405a084ba002ca8b54a3a4b",
     "search-l1l2": "1473a41a1c4ce805870387675e3a327379cfb7fdeffebb82896642d0f6f1d760",
-    "search-sup": "48f5a0fbc04b1e46d7769b32721b28021a0b53781d18b2c644cb015f4a07e743",
-    "search-sup3-complex": "5b7c757f7124c6cb6322dd7856b6a9167dfeb539473466fc094feb27dd9278c6",
+    "search-sup": "50df225466900d3bc93486738842aef93021b5d8c2192c6e2d7ebfc9b3ca9065",
+    "search-sup3-complex": "1484a98c1dd99238d35b9e8976f09a030cb8ab773ae7e8edce4b78ccf12170a5",
 }
 
 

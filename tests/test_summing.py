@@ -112,24 +112,25 @@ def test_search_deterministic(littlewood):
 
 
 def test_search_golden_certificate():
-    # a length-1 random family wins; budget 37 splits unevenly over the streams
+    # the structured flat family of length 1 beats every random one; budget
+    # 37 splits unevenly over the streams
     A = random_form(np.random.default_rng(1), (2, 2, 2), ScalarField.COMPLEX)
     cert = random_family_search(A, ExponentTuple(2, (2, 2, 2)), budget=37, seed=9)
-    assert cert.ratio.hex() == "0x1.09e445d5a8969p+1"
-    assert cert.family.length == 1
+    assert cert.ratio.hex() == "0x1.a7346ff5267aap+0"
+    assert all(np.array_equal(c.vectors, np.ones((1, 2))) for c in cert.family.columns)
 
 
 def _reference_search(A, exps, budget, seed, j_max):
-    """The search as a plain loop: each family drawn column by column and
-    certified through summing_lower_bound, the structured families first,
-    then the 8 streams in order; the first maximal ratio wins."""
+    """The search as a plain loop: each stream draws the lengths of all its
+    trials, then each family column by column, certified through
+    summing_lower_bound, the structured families first, then the 8 streams
+    in order; the first maximal ratio wins."""
     streams = np.random.SeedSequence(seed).spawn(8)
 
     def families():
         yield from _structured_families(A, j_max)
         for w, rng in enumerate(map(np.random.default_rng, streams)):
-            for _ in range(budget // 8 + (w < budget % 8)):
-                J = int(rng.integers(1, j_max + 1))
+            for J in rng.integers(1, j_max + 1, size=budget // 8 + (w < budget % 8)).tolist():
                 columns = []
                 for d in A.domains:
                     x = rng.standard_normal((J, d.dim))
@@ -210,12 +211,60 @@ def test_search_chunks_cut_at_the_draw_budget_keep_the_first_maximum(case, monke
     chunks = []
     ratios = summing._family_ratios
     monkeypatch.setattr(summing, "_family_ratios",
-                        lambda A, exps, draws, best: chunks.append(draws) or
-                        ratios(A, exps, draws, best))
+                        lambda A, exps, lengths, starts, flat, best:
+                        chunks.append((lengths, flat)) or
+                        ratios(A, exps, lengths, starts, flat, best))
     got = random_family_search(A, exps, budget=37, seed=case, j_max=5)
-    assert len(chunks) > 4 and sum(map(len, chunks)) == 37
-    assert all(len(c) == 1 or sum(g.size for _, g in c) <= 64 for c in chunks)
+    assert len(chunks) > 4 and sum(len(lengths) for lengths, _ in chunks) == 37
+    assert all(len(lengths) == 1 or flat.size <= 64 for lengths, flat in chunks)
     ref = _reference_search(A, exps, 37, case, 5)
+    assert got.ratio == ref.ratio and got.lhs == ref.lhs
+    assert all(np.array_equal(a.vectors, b.vectors)
+               for a, b in zip(got.family.columns, ref.family.columns))
+
+
+class _RecordingGenerator:
+    """A generator that records, per call, the method and how many numbers it drew."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            out = getattr(self.rng, name)(*args, **kwargs)
+            self.calls.append((name, np.size(out)))
+            return out
+        return call
+
+
+@pytest.mark.parametrize("budget", [37, 300])
+@pytest.mark.parametrize("case", [0, 7])
+def test_search_draws_each_stream_in_few_bounded_calls(case, budget, monkeypatch):
+    # one integers call per stream for all its lengths, then normal draws of
+    # at most 64 numbers (the draw budget) or one trial, whichever is more
+    field, dims, domains, p, qs, _ = _SEARCH_FORMS[case]
+    A = random_form(np.random.default_rng(case), dims, field, exponents=domains)
+    exps = ExponentTuple(p, qs)
+    ref = _reference_search(A, exps, budget, case, 5)
+    monkeypatch.setattr(summing, "_ENUM_BUDGET", 64)
+    streams, make = [], np.random.default_rng
+
+    def recording(seed=None):
+        rng = make(seed)
+        if isinstance(seed, np.random.SeedSequence):  # a search stream
+            streams.append(_RecordingGenerator(rng))
+            return streams[-1]
+        return rng
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    got = random_family_search(A, exps, budget=budget, seed=case, j_max=5)
+    per = (2 if field.is_complex else 1) * sum(dims)
+    assert len(streams) == 8
+    for w, stream in enumerate(streams):
+        (first, trials), *normal = stream.calls
+        assert (first, trials) == ("integers", budget // 8 + (w < budget % 8))
+        assert {name for name, _ in normal} <= {"standard_normal"}
+        assert all(size <= max(64, 5 * per) for _, size in normal)
     assert got.ratio == ref.ratio and got.lhs == ref.lhs
     assert all(np.array_equal(a.vectors, b.vectors)
                for a, b in zip(got.family.columns, ref.family.columns))
@@ -232,6 +281,25 @@ def test_search_refuses_a_jmax_over_the_draw_budget(field):
         random_family_search(A, ExponentTuple(1, (2, 2)), budget=1, j_max=j_max + 1)
 
 
+def _starts(A, lengths):
+    """Where each of the families of ``lengths``, drawn one after another,
+    starts in the numbers drawn."""
+    sizes = (2 if A.field.is_complex else 1) * sum(A.dims) * lengths
+    return np.cumsum(sizes) - sizes
+
+
+def _draws(rng, A, j_max, count):
+    """``count`` families drawn one after another as summing._random_family
+    draws one, its length and then its entries: (lengths, starts, flat)."""
+    lengths, flat = [], []
+    for _ in range(count):
+        lengths.append(int(rng.integers(1, j_max + 1)))
+        flat.append(rng.standard_normal((2 if A.field.is_complex else 1) * lengths[-1]
+                                        * sum(A.dims)))
+    lengths = np.array(lengths)
+    return lengths, _starts(A, lengths), np.concatenate(flat)
+
+
 @pytest.mark.parametrize("p", ["4/3", "3/2", 3])
 @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
 @pytest.mark.parametrize("dims,domains", [
@@ -246,11 +314,13 @@ def test_search_scores_are_the_certificate_ratios(dims, domains, field, p):
     rng = np.random.default_rng([*dims, int(field.is_complex), Exponent.of(p).recip.numerator])
     A = random_form(rng, dims, field, exponents=domains)
     exps = ExponentTuple(p, (2,) * len(dims))
-    draws = [d for d in (summing._draw(rng, A, 8) for _ in range(300))
-             if len(dims) > 2 or d[0] >= 3]
-    ratios = summing._family_ratios(A, exps, draws, 0.0)  # an incumbent of 0 sets no floors
-    for (J, g), ratio in zip(draws, ratios.tolist()):
-        fam = summing._as_family(A, summing._columns(A, [(J, g)]))
+    lengths, starts, flat = _draws(rng, A, 8, 300)
+    keep = (lengths >= 3) | (len(dims) > 2)
+    lengths, starts = lengths[keep], starts[keep]
+    # an incumbent of 0 sets no floors
+    ratios = summing._family_ratios(A, exps, lengths, starts, flat, 0.0)
+    for k, ratio in enumerate(ratios.tolist()):
+        fam = summing._as_family(A, summing._columns(A, lengths[[k]], starts[[k]], flat))
         assert ratio == summing_lower_bound(A, exps, fam).ratio
 
 
@@ -360,19 +430,19 @@ _SCORER_FORMS = [
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
-def _reference_ratios(A, exps, draws, incumbent):
+def _reference_ratios(A, exps, lengths, starts, flat, incumbent):
     """The scorer one pass per distinct length: each length's draws split
     into (trials, J, m) columns, one contraction, one lp rule and, per
     column, one kernel call where the kernel is exact; the other items of
     each column in one call, in two halves, with the floors of _floors."""
     balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
              for q, d in zip(exps.qs, A.domains)]
-    lhs, weak = np.empty(len(draws)), np.empty((A.order, len(draws)))
+    lhs, weak = np.empty(len(lengths)), np.empty((A.order, len(lengths)))
     pending = [([], []) for _ in A.domains]
-    lengths = np.array([J for J, _ in draws])
+    size = (2 if A.field.is_complex else 1) * sum(A.dims)
     for J in np.unique(lengths).tolist():
         idx = np.flatnonzero(lengths == J)
-        g, stacks, at = np.stack([draws[i][1] for i in idx]), [], 0
+        g, stacks, at = np.stack([flat[s:s + size * J] for s in starts[idx]]), [], 0
         for m in A.dims:
             col = g[:, at:at + J * m].reshape(len(idx), J, m)
             at += J * m
@@ -400,14 +470,14 @@ def _reference_ratios(A, exps, draws, incumbent):
         floors = summing._floors(lhs[idx], low[:, idx], i, incumbent)
         low[i, idx] = weak[i, idx] = forms._ball_sup_end(st, floors)[0]
     denominator = math.prod(weak)
-    return np.divide(lhs, denominator, out=np.zeros(len(draws)), where=denominator > 0)
+    return np.divide(lhs, denominator, out=np.zeros(len(lengths)), where=denominator > 0)
 
 
 def _scorer_case(case):
     field, dims, domains, p, qs, j_max = _SCORER_FORMS[case]
     rng = np.random.default_rng(40 + case)
     A = random_form(rng, dims, field, exponents=domains)
-    return A, ExponentTuple(p, qs), [summing._draw(rng, A, j_max) for _ in range(160)]
+    return A, ExponentTuple(p, qs), _draws(rng, A, j_max, 160)
 
 
 @pytest.mark.parametrize("case", range(len(_SCORER_FORMS)))
@@ -416,20 +486,21 @@ def test_scores_are_those_of_one_pass_per_length(case, monkeypatch):
     kernel, calls = summing._ball_sup, []
     monkeypatch.setattr(summing, "_ball_sup", lambda items, balls, **kwargs:
                         calls.append(balls) or kernel(items, balls, **kwargs))
-    want = _reference_ratios(A, exps, draws, 0.0)
+    want = _reference_ratios(A, exps, *draws, 0.0)
     finite = float(np.median(want))
     assert 0 < finite < math.inf
     for incumbent in (0.0, finite):
         calls.clear()
-        got = summing._family_ratios(A, exps, draws, incumbent)
-        assert got.tobytes() == _reference_ratios(A, exps, draws, incumbent).tobytes()
+        got = summing._family_ratios(A, exps, *draws, incumbent)
+        assert got.tobytes() == _reference_ratios(A, exps, *draws, incumbent).tobytes()
         if all(d.exponent.is_inf for d in A.domains):  # every column exact, one key per class
-            classes = {_sum_class(J) for J, _ in draws}
+            classes = {_sum_class(J) for J in draws[0].tolist()}
             assert len(calls) == sum(q.recip <= 1 for q in exps.qs) * len(classes)
-    for lo in range(0, len(draws), 4):  # chunks of 4: stacks of one or two vectors
-        chunk = draws[lo:lo + 4]
-        assert summing._family_ratios(A, exps, chunk, 0.0).tobytes() == \
-            _reference_ratios(A, exps, chunk, 0.0).tobytes()
+    lengths, starts, flat = draws
+    for lo in range(0, len(lengths), 4):  # chunks of 4: stacks of one or two vectors
+        chunk = lengths[lo:lo + 4], starts[lo:lo + 4], flat
+        assert summing._family_ratios(A, exps, *chunk, 0.0).tobytes() == \
+            _reference_ratios(A, exps, *chunk, 0.0).tobytes()
 
 
 @pytest.mark.parametrize("case", range(len(_SCORER_FORMS)))
@@ -455,7 +526,7 @@ def test_scorer_pads_only_within_a_class(case, monkeypatch):
     monkeypatch.setattr(summing, "_ball_sup", lambda items, balls, **kwargs:
                         check(items, balls) or kernel(items, balls, **kwargs))
     monkeypatch.setattr(summing, "_lp_rows", lambda a, e: check(a) or lp_rows(a, e))
-    summing._family_ratios(A, exps, draws, 0.0)
+    summing._family_ratios(A, exps, *draws, 0.0)
     assert any(seen)
 
 
@@ -466,21 +537,23 @@ def test_scores_across_the_length_128_are_their_certificates_ratios():
     rng = np.random.default_rng(44)
     A = random_form(rng, (2, 2), ScalarField.COMPLEX, exponents=(1, 1))
     exps = ExponentTuple(1, (2, 2))
-    draws = [(J, rng.standard_normal(2 * J * sum(A.dims))) for J in list(range(120, 136)) * 2]
-    ratios = summing._family_ratios(A, exps, draws, 0.0)
-    for draw, ratio in zip(draws, ratios.tolist()):
-        fam = summing._as_family(A, summing._columns(A, [draw]))
-        assert ratio == summing_lower_bound(A, exps, fam).ratio, draw[0]
+    lengths = np.array(list(range(120, 136)) * 2)
+    starts = _starts(A, lengths)
+    flat = rng.standard_normal(2 * sum(A.dims) * lengths.sum())
+    ratios = summing._family_ratios(A, exps, lengths, starts, flat, 0.0)
+    for k, ratio in enumerate(ratios.tolist()):
+        fam = summing._as_family(A, summing._columns(A, lengths[[k]], starts[[k]], flat))
+        assert ratio == summing_lower_bound(A, exps, fam).ratio, lengths[k]
 
 
 # (field, dims, domain exponents, p, qs, seed) with heuristic columns where a
 # random family beats the structured ones
 _RANDOM_WINS = [
-    (ScalarField.COMPLEX, (3, 3), ("4/3", 2), "4/3", (2, 1), 10),  # random-start, grid
+    (ScalarField.COMPLEX, (3, 3), ("4/3", 2), "4/3", (2, 1), 12),  # random-start, grid
     (ScalarField.REAL, (3, 3), ("4/3", 2), "4/3", (2, 1), 22),  # random-start, exact
-    (ScalarField.COMPLEX, (2, 3, 2), ("inf", "4/3", "inf"), 1, (2, 2, 2), 6),
+    (ScalarField.COMPLEX, (2, 3, 2), ("inf", "4/3", "inf"), 1, (2, 2, 2), 12),
     (ScalarField.REAL, (3, 3), (3, 3), 1, (2, 2), 2),  # two random-start columns
-    (ScalarField.COMPLEX, (2, 3), (3, "4/3"), 2, (2, 1), 5),
+    (ScalarField.COMPLEX, (2, 3), (3, "4/3"), 2, (2, 1), 6),
 ]
 
 
