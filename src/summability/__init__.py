@@ -6,7 +6,6 @@ CLI that emits machine-readable reports.
 """
 
 from .spaces import (
-    ConstantsConfig,
     Exponent,
     ExponentTuple,
     INF,

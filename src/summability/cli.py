@@ -34,7 +34,7 @@ from .demos import run_demos
 from .forms import FormTensor, _gaussian, _op_norms, op_norm
 from .norms import VectorSeq, lp_norm, mixed_norm, weak_lp_norm
 from .rademacher import rad_p_norm
-from .spaces import ConstantsConfig, Exponent, ExponentTuple, ScalarField
+from .spaces import Exponent, ExponentTuple, ScalarField
 from .summing import (
     RatioCertificate,
     TestFamily,
@@ -78,11 +78,6 @@ class Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
-
-
-def _constants(args) -> ConstantsConfig:
-    """The constants of the ``--kg-*`` options the command takes."""
-    return ConstantsConfig(**{k: v for k, v in vars(args).items() if k.startswith("kg_")})
 
 
 # ---------------------------------------------------------------------------
@@ -289,17 +284,22 @@ def _random_dims(rng, order, m):
     return tuple(int(rng.integers(2, m + 1)) for _ in range(order))
 
 
-def _seeded(args, order: int, draw):
-    """``draw`` of each of ``args.random`` seeded instances, forms of
-    ``order`` slots and dims up to ``args.m``: instance i is ``draw`` run on
-    the i-th child of the master seed. Forms that could exceed the
-    coefficient budget are refused first."""
+def _refuse_over_coefficient_budget(args, order: int) -> None:
+    """Refuse forms of ``order`` slots and dims up to ``args.m`` over the coefficient budget."""
     # order * log2(m), not m ** order: a huge --order stays cheap
     if order * math.log2(args.m) > math.log2(RANDOM_COEFF_BUDGET):
         raise SchemaError(
             f"{args.command} draws forms of order {order} and dimension up to "
             f"{args.m}, which need up to {args.m}^{order} coefficients, over the "
             f"budget {RANDOM_COEFF_BUDGET}")
+
+
+def _seeded(args, order: int, draw):
+    """``draw`` of each of ``args.random`` seeded instances, forms of
+    ``order`` slots and dims up to ``args.m``: instance i is ``draw`` run on
+    the i-th child of the master seed. Forms that could exceed the
+    coefficient budget are refused first."""
+    _refuse_over_coefficient_budget(args, order)
     root = np.random.SeedSequence(args.seed)
     children = (np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
                                        pool_size=root.pool_size)
@@ -324,9 +324,7 @@ def _op_norm_reports(instances, verify) -> list[VerificationReport]:
 
 
 def _coefficient_suite(args, verify, order: int = 2) -> int:
-    """``verify``, with the command's constants, of each form file, or of
-    seeded random forms of ``order`` slots."""
-    verify = functools.partial(verify, constants=_constants(args))
+    """``verify`` of each form file, or of seeded random forms of ``order`` slots."""
     if args.files:
         return _report(args, [verify(load_form(path)) for path in args.files])
     field = ScalarField(args.field)
@@ -349,8 +347,7 @@ def cmd_bh(args) -> int:
 
 
 def cmd_extended(args) -> int:
-    verify = functools.partial(verify_extended_littlewood, constants=_constants(args),
-                               p=_parse_exponent(args.p))
+    verify = functools.partial(verify_extended_littlewood, p=_parse_exponent(args.p))
     if args.files:
         forms = [(path, load_form(path)) for path in args.files]
         beta = None if args.beta == "identity" else load_matrix(args.beta)
@@ -466,6 +463,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _refuse_over_coefficient_budget(args, 2)
     doc = _header(args)
     doc["records"] = summing_experiment(
         _parse_exponent(args.p),
@@ -498,8 +496,6 @@ _OPTIONS = {
     "--order": dict(type=int, default=3, help="form order of the random instances"),
     "--seed": dict(type=int, default=0, help="master seed"),
     "--field": dict(choices=["real", "complex"], help="scalar field of the random forms"),
-    "--kg-real": dict(type=float, default=ConstantsConfig.kg_real),
-    "--kg-complex": dict(type=float, default=ConstantsConfig.kg_complex),
     "--jmax": dict(type=_at_least(1), default=16, help="largest random family length"),
     "--p": dict(default="2", help="exponent (decimal or fraction)"),
     "--q": dict(default="2", help="second exponent"),
@@ -551,12 +547,10 @@ def build_parser() -> Parser:
     verify = sub.add_parser("verify", help="run an inequality suite").add_subparsers(
         required=True)
     for suite, handler, options, field in [
-        ("littlewood", cmd_littlewood, "--random --m --seed --field --kg-complex", "real"),
-        ("general", cmd_general, "--random --m --seed --field --kg-real --kg-complex",
-         "real"),
-        ("extended", cmd_extended,
-         "--random --m --seed --field --kg-real --kg-complex --p --beta", "complex"),
-        ("bh", cmd_bh, "--random --m --order --seed --field --kg-complex", "real"),
+        ("littlewood", cmd_littlewood, "--random --m --seed --field", "real"),
+        ("general", cmd_general, "--random --m --seed --field", "real"),
+        ("extended", cmd_extended, "--random --m --seed --field --p --beta", "complex"),
+        ("bh", cmd_bh, "--random --m --order --seed --field", "real"),
         ("dv", cmd_dv, "--random --m --order --seed --field --jmax", "real"),
     ]:
         # --p is extended's outer exponent, --jmax the longest family of dv

@@ -25,7 +25,6 @@ __all__ = [
     "INF",
     "SpaceSpec",
     "ExponentTuple",
-    "ConstantsConfig",
     "dual_exponent",
     "interpolation_exponents",
 ]
@@ -220,30 +219,3 @@ class ExponentTuple:
     def __str__(self) -> str:
         inner = ", ".join(str(q) for q in self.qs)
         return f"({self.p}; {inner})"
-
-
-@dataclass(frozen=True)
-class ConstantsConfig:
-    """Best published constants of the coefficient inequalities.
-
-    The Grothendieck constants are configuration, not code constants: only
-    upper bounds are known, and the defaults are the published ones. Each
-    must be a positive finite number. The real constant of the 4/3
-    inequality is sqrt(2), exact and optimal.
-    """
-
-    kg_real: float = 1.78221
-    kg_complex: float = 1.40491
-
-    def __post_init__(self):
-        for name in ("kg_real", "kg_complex"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.kg_complex >= math.sqrt(2.0):
-            raise ValueError("the complex Grothendieck bound must be < sqrt(2)")
-
-    def kg(self, field: ScalarField) -> float:
-        return self.kg_complex if field.is_complex else self.kg_real
-
-    def littlewood(self, field: ScalarField) -> float:
-        return self.kg_complex if field.is_complex else math.sqrt(2.0)

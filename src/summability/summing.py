@@ -5,9 +5,9 @@ lhs / prod(weak norms) that certifies a lower bound on the corresponding
 summing norm whenever every weak norm on the right is exact or an
 over-estimate. The coefficient verifiers (the 4/3 inequality, its general
 and mixed-norm forms, Bohnenblust-Hille) compute their coefficient side and
-hand it to one check against constant times the operator norm. A check
-fails only when the operator norm is exact; a violation against a heuristic
-lower bound of the norm proves nothing and is reported "inconclusive".
+hand it to one check against their fixed row of ``_CONSTANTS`` times the
+operator norm. A check fails only when the operator norm is exact; a
+violation against a heuristic lower bound of the norm is "inconclusive".
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .norms import (NormEstimate, VectorSeq, _axis_norms, _lp_rows, _sum_class, 
                     mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
-    ConstantsConfig,
     Exponent,
     ExponentLike,
     ExponentTuple,
@@ -225,6 +224,7 @@ def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestF
 
 _SEARCH_STREAMS = 8
 _SEARCH_CHUNK = 1 << 10  # random trials scored at once
+_SEARCH_BUDGET = _ENUM_BUDGET  # trials; a search holds 24 bytes a trial before scoring any
 
 
 def _chunks(items, size, budget: int):
@@ -257,9 +257,10 @@ def random_family_search(
     more). The structured families are tried first, then each stream in
     order, and the first maximal ratio wins, so the result depends only on
     the seed and the budget. Each stream draws all its lengths, then its trials
-    (:func:`_chunks_drawn`); a ``j_max`` at which one trial may draw more than
-    ``_ENUM_BUDGET`` normal numbers (j_max * sum(dims), doubled for complex
-    forms) is refused before any draw. The trials are scored in chunks of
+    (:func:`_chunks_drawn`); a budget over ``_SEARCH_BUDGET`` trials, and a
+    ``j_max`` at which one trial may draw more than ``_ENUM_BUDGET`` normal
+    numbers (j_max * sum(dims), doubled for complex forms), are refused
+    before any draw. The trials are scored in chunks of
     at most ``_SEARCH_CHUNK`` trials and ``_ENUM_BUDGET`` drawn numbers, in
     a fixed number of passes (:func:`_family_ratios`): one gather per
     column, one contraction for the trials of length 3 or more, and per
@@ -278,8 +279,8 @@ def random_family_search(
     strictly greater, it never wins, and the result is the one full ascents
     give. Only the winner is certified, by :func:`summing_lower_bound`.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    if not 1 <= budget <= _SEARCH_BUDGET:
+        raise ValueError(f"--budget {budget}: a search takes 1 to {_SEARCH_BUDGET} trials")
     per = (2 if A.field.is_complex else 1) * sum(A.dims)  # numbers per vector of a family
     if j_max * per > _ENUM_BUDGET:
         raise ValueError(f"--jmax {j_max}: a trial may draw {j_max * per} normal numbers, "
@@ -635,6 +636,22 @@ def _require_sup_bilinear(A: FormTensor, who: str) -> None:
 # cache of the kernel finds the same exponent object fastest
 _ONE, _TWO, _FOUR_THIRDS = Exponent.of(1), Exponent.of(2), Exponent(Fraction(3, 4))
 
+# The constant each coefficient check asserts, by (check, field): sqrt(2), the
+# optimal real 4/3 constant, attained by [[1, 1], [1, -1]], and the published
+# upper bounds of the Grothendieck constant, pi / (2 ln(1 + sqrt(2))) cut to
+# 1.78221 real (Krivine 1979) and 1.40491 complex (Haagerup 1987). The
+# Bohnenblust-Hille rows are for order 2; above it nothing is asserted.
+_CONSTANTS = {
+    ("littlewood_43", ScalarField.REAL): math.sqrt(2.0),
+    ("littlewood_43", ScalarField.COMPLEX): 1.40491,
+    ("general_littlewood", ScalarField.REAL): 1.78221,
+    ("general_littlewood", ScalarField.COMPLEX): 1.40491,
+    ("extended_littlewood", ScalarField.REAL): 1.78221,
+    ("extended_littlewood", ScalarField.COMPLEX): 1.40491,
+    ("bohnenblust_hille", ScalarField.REAL): math.sqrt(2.0),
+    ("bohnenblust_hille", ScalarField.COMPLEX): 1.40491,
+}
+
 
 def _versus_op_norm(
     check: str,
@@ -685,29 +702,25 @@ def _versus_op_norm(
 def verify_littlewood_43(
     A: FormTensor,
     *,
-    constants: ConstantsConfig | None = None,
     opn: NormEstimate | None = None,
 ) -> VerificationReport:
     """(sum |a_jk|^{4/3})^{3/4} <= c ||A|| with c = sqrt(2) real, K_G complex."""
-    constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_littlewood_43")
     lhs = lp_norm(A.coeffs.reshape(-1), _FOUR_THIRDS)
-    return _versus_op_norm("littlewood_43", A, opn, lhs, constants.littlewood(A.field),
-                           "4/3", None)
+    return _versus_op_norm("littlewood_43", A, opn, lhs,
+                           _CONSTANTS["littlewood_43", A.field], "4/3", None)
 
 
 def verify_general_littlewood(
     A: FormTensor,
     *,
-    constants: ConstantsConfig | None = None,
     opn: NormEstimate | None = None,
 ) -> VerificationReport:
     """sum_k (sum_j |a_jk|^2)^{1/2} <= K_G ||A|| (the p = 1, q = 2 case)."""
-    constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_general_littlewood")
     lhs = mixed_norm(A.coeffs, _ONE, _TWO)
-    return _versus_op_norm("general_littlewood", A, opn, lhs, constants.kg(A.field),
-                           "1", "2")
+    return _versus_op_norm("general_littlewood", A, opn, lhs,
+                           _CONSTANTS["general_littlewood", A.field], "1", "2")
 
 
 def verify_extended_littlewood(
@@ -715,7 +728,6 @@ def verify_extended_littlewood(
     beta,
     p: ExponentLike,
     *,
-    constants: ConstantsConfig | None = None,
     opn: NormEstimate | None = None,
 ) -> VerificationReport:
     """Mixed-norm bound ||beta o a||_{l_p(l_q)} <= K_G ||A|| ||beta||_{l_inf(l_2)}.
@@ -724,7 +736,6 @@ def verify_extended_littlewood(
     instances are reported, but nothing is asserted for them: their reports
     always come back "inconclusive".
     """
-    constants = constants or ConstantsConfig()
     _require_sup_bilinear(A, "verify_extended_littlewood")
     pe = Exponent.of(p)
     if not Fraction(1, 2) <= pe.recip <= 1:
@@ -733,8 +744,9 @@ def verify_extended_littlewood(
     b = np.asarray(beta)
     lhs = mixed_norm(compose_beta(b, A.coeffs), pe, qe)
     beta_norm = mixed_norm(b, INF, _TWO)
-    report = _versus_op_norm("extended_littlewood", A, opn, lhs, constants.kg(A.field),
-                             str(pe), str(qe), factor=beta_norm, beta_norm=beta_norm)
+    report = _versus_op_norm("extended_littlewood", A, opn, lhs,
+                             _CONSTANTS["extended_littlewood", A.field], str(pe), str(qe),
+                             factor=beta_norm, beta_norm=beta_norm)
     if not A.field.is_complex:
         report.status = "inconclusive"
     return report
@@ -743,7 +755,6 @@ def verify_extended_littlewood(
 def verify_bh(
     A: FormTensor,
     *,
-    constants: ConstantsConfig | None = None,
     opn: NormEstimate | None = None,
 ) -> VerificationReport:
     """Coefficient sum at exponent 2n/(n+1) against the operator norm.
@@ -752,7 +763,6 @@ def verify_bh(
     existence of a constant is known, so the ratio is reported without a
     bound (the report fails only if the ratio is not finite).
     """
-    constants = constants or ConstantsConfig()
     n = A.order
     if n < 2:
         raise ValueError("needs a form of order at least 2")
@@ -760,7 +770,7 @@ def verify_bh(
         raise ValueError("verify_bh expects sup-norm domains")
     t = Exponent(Fraction(n + 1, 2 * n))
     lhs = lp_norm(A.coeffs.reshape(-1), t)
-    const = constants.littlewood(A.field) if n == 2 else None
+    const = _CONSTANTS["bohnenblust_hille", A.field] if n == 2 else None
     return _versus_op_norm("bohnenblust_hille", A, opn, lhs, const, str(t), None,
                            order=n)
 

@@ -14,7 +14,7 @@ import pytest
 
 import summability
 from summability import FormTensor, ScalarField, SpaceSpec, TestFamily, VectorSeq
-from summability import cli
+from summability import cli, summing
 from summability.cli import main
 
 
@@ -449,29 +449,33 @@ def test_verify_extended_real_gate(littlewood_file, capsys):
 
 @pytest.mark.parametrize("argv,code,status,exact", [
     # heuristic op norms of 6 x 6 complex forms: a shortfall certifies nothing
-    (["verify", "littlewood", "--field", "complex", "--kg-complex", "0.5"],
-     0, "inconclusive", False),
+    (["verify", "littlewood", "--field", "complex"], 0, "inconclusive", False),
     # exact op norms of real forms: a shortfall is a certified violation
-    (["verify", "general", "--kg-real", "0.5"], 2, "fail", True),
+    (["verify", "general"], 2, "fail", True),
 ])
-def test_fail_only_on_an_exact_norm(capsys, argv, code, status, exact):
+def test_fail_only_on_an_exact_norm(monkeypatch, capsys, argv, code, status, exact):
+    for row in summing._CONSTANTS:  # a constant that all eight forms exceed
+        monkeypatch.setitem(summing._CONSTANTS, row, 0.5)
     assert main([*argv, "--m", "6", "--random", "8", "--seed", "1"]) == code
     doc = json.loads(capsys.readouterr().out)
     assert [(r["status"], r["exact_norm"]) for r in doc["reports"]] == [(status, exact)] * 8
     assert "tolerance" not in doc["config"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "general", "--random", "3"],
+@pytest.mark.parametrize("suite,option", [
+    ("littlewood", "--kg-complex"), ("general", "--kg-real"), ("general", "--kg-complex"),
+    ("extended", "--kg-real"), ("extended", "--kg-complex"), ("bh", "--kg-complex"),
 ])
-@pytest.mark.parametrize("option,value", [("--kg-real", "nan"), ("--kg-complex", "inf")])
-def test_non_finite_constant_exits_3_before_any_work(monkeypatch, capsys, argv, option,
-                                                       value):
+def test_constant_options_are_rejected(monkeypatch, capsys, suite, option):
+    # the constants are a fixed table, not options: the suites that took
+    # them exit 3 before any work
     calls = []
     monkeypatch.setattr(cli, "_op_norms", lambda *a, **k: calls.append(a))
-    assert main([*argv, option, value]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", suite, "--random", "3", option, "1.5"])
+    assert exc.value.code == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and option[2:].replace("-", "_") in captured.err
+    assert captured.out == "" and f"unrecognized arguments: {option}" in captured.err
     assert calls == []
 
 
@@ -649,6 +653,37 @@ def test_search_refuses_a_jmax_over_the_draw_budget(littlewood_file, capsys, com
     assert "--jmax" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["search", "experiment"])
+def test_search_refuses_a_budget_over_the_trial_budget(littlewood_file, capsys, monkeypatch,
+                                                      command):
+    # a search draws every trial's length before it scores any, so its trials
+    # are capped at 2^22, and a larger --budget exits 3 before any draw
+    drawn = []
+    monkeypatch.setattr(summing, "_chunks_drawn", lambda *a: drawn.append(a) or iter(()))
+    argv = (["search", littlewood_file, "--p", "1", "--qs", "2,2"] if command == "search"
+            else ["experiment", "--count", "1"])
+    assert main(argv + ["--budget", str(2 ** 22 + 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: --budget 4194305")
+    assert drawn == []
+    assert main(argv + ["--budget", str(2 ** 22)]) == 0  # no trial is drawn here
+    assert len(drawn) == 1
+
+
+def test_experiment_coefficient_budget(monkeypatch, capsys):
+    # m x m forms of more than 2^22 coefficients are refused before anything is drawn
+    calls = []
+    monkeypatch.setattr(cli, "summing_experiment", lambda *a, **k: calls.append(a) or [])
+    assert main(["experiment", "--m", "2049", "--count", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: experiment draws forms of order 2 and dimension up to 2049, which need up "
+        "to 2049^2 coefficients, over the budget 4194304\n")
+    assert calls == []
+    assert main(["experiment", "--m", "2048", "--count", "1"]) == 0
+    assert len(calls) == 1
+
+
 def test_threads_flag_is_rejected(littlewood_file, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", littlewood_file, "--p", "1", "--qs", "2,2",
@@ -708,11 +743,12 @@ def test_demos_command(capsys):
     assert "demos passed" in out
 
 
-def test_fail_exit_code(tmp_path):
+def test_fail_exit_code(tmp_path, monkeypatch):
     # an impossibly small constant forces hard failures on exact instances
+    monkeypatch.setitem(summing._CONSTANTS, ("general_littlewood", ScalarField.REAL), 0.0001)
     out = tmp_path / "fail.json"
     code = main(["verify", "general", "--random", "5", "--m", "3",
-                 "--seed", "1", "--kg-real", "0.0001", "--out", str(out)])
+                 "--seed", "1", "--out", str(out)])
     assert code == 2
     doc = json.loads(out.read_text())
     assert doc["summary"]["fail"] > 0

@@ -109,8 +109,9 @@ def matrix_doc(draw):
                        "entries")
 
 
-def _counts(lo, hi):
-    return st.integers(lo, hi).map(str), st.sampled_from(["-1", "x", "1.5", ""])
+def _counts(lo, hi, *over):
+    """(valid, invalid) texts of an integer option; ``over``: values past its budget."""
+    return st.integers(lo, hi).map(str), st.sampled_from(["-1", "x", "1.5", "", *over])
 
 
 EXPONENT_TEXT = (st.sampled_from(["1", "2", "4/3", "3/2", "3", "inf", "1/2"]),
@@ -121,19 +122,17 @@ QS = (st.one_of(st.lists(EXPONENT_TEXT[0], min_size=2, max_size=2),
       st.sampled_from(["", ",", "2,,2", "x"]))
 OPTIONS = {  # every option of the CLI, with (valid, invalid) values
     "--random": _counts(0, 3),
-    "--m": _counts(2, 4),
+    "--m": _counts(2, 4, "2049"),  # m^2 > 2^22 coefficients
     "--order": _counts(2, 4),
     "--seed": SEED,
     "--field": (FIELDS, st.just("quaternion")),
-    "--kg-real": (st.just("1.78221"), st.sampled_from(["0", "inf", "nan"])),
-    "--kg-complex": (st.just("1.40491"), st.sampled_from(["2", "-1", "nan"])),
     "--jmax": _counts(1, 4),
     "--p": EXPONENT_TEXT,
     "--q": EXPONENT_TEXT,
     "--qs": QS,
     "--beta": (st.sampled_from(["identity", "MATRIX"]), st.just("MISSING")),
     "--curry": _counts(1, 3),
-    "--budget": _counts(1, 8),
+    "--budget": _counts(1, 8, str(2 ** 22 + 1)),  # over the search's trials
     "--count": _counts(0, 2),
     "--mode": (st.sampled_from(["exact", "mc"]), st.just("bogus")),
     "--samples": _counts(1, 40),
@@ -142,10 +141,10 @@ OPTIONS = {  # every option of the CLI, with (valid, invalid) values
 }
 SEEDED = "--m --seed --field --format"
 VERIFY = {  # suite -> (options always given, options sometimes given)
-    "littlewood": ("--random", f"{SEEDED} --kg-complex"),
-    "general": ("--random", f"{SEEDED} --kg-real --kg-complex"),
-    "extended": ("--random", f"{SEEDED} --kg-real --kg-complex --p --beta"),
-    "bh": ("--random", f"{SEEDED} --order --kg-complex"),
+    "littlewood": ("--random", SEEDED),
+    "general": ("--random", SEEDED),
+    "extended": ("--random", f"{SEEDED} --p --beta"),
+    "bh": ("--random", f"{SEEDED} --order"),
     "dv": ("--random", f"{SEEDED} --order --jmax"),
 }
 # argv head (file placeholders in capitals) -> (options always given,

@@ -94,19 +94,19 @@ COMMANDS = {
 DIGESTS = {
     "almost-curry-files": "a1fe271546aaa69c7fb3eb7d010a7d745fddd4bf2f0d5f299202dadc339c40fc",
     "almost-files": "5f50428bb680d4e4628887ea86287dbab14ef53d06187b23725e00260c7e6476",
-    "bh": "666bf1a21fbe9839a61de86c455811fc9d82ff5dd95d4b54774be13e64cceec3",
-    "bh-files": "1f5102b75377a9a9db3f9baa2dc591c6f18b294697a659623db69304657f03f7",
+    "bh": "62593c323e6a1426d14014921b5c4ea0cfc6c0bd1613751329b178fdab2a3321",
+    "bh-files": "ebc7e50a7340cdd87ffc9967091692fe01ff507daf1bf2feb197d9edf16336d3",
     "demos": "6949653ee285a554f7ae91b257e8cae73ab72315b6c52831e87bb47959a89601",
     "dv": "fd032abcae5b1ac4859d7b8eea18e3d260cb48232e58b18e60b9514a342af5b8",
     "dv-files": "c8f5db666318b710011262e2727b58a5b7d5654a939984cb6b21949356d3b0e5",
     "experiment": "6884ad20e6995bfb3d47490182ae7e1014483a75c4ef19e219eef4ce9610b065",
-    "extended": "08732ad2fdbce1fcf106578b8b1643d2caebce470065ca28b6a2f88d41ff7389",
-    "extended-files": "575fa0f19fc3852b1d8c9bd04967e912fd3d15d64fe3f90c8f7e976fa0ac5b74",
-    "general": "2dc0b29947fa365cdb284568a8c32805ea1c19ed8a32ebcff648d02c7502d10f",
-    "general-files": "5fb93746bedfcd3135b775d5a09e93a22ec99225ce5b854bbce7515a5cb0bf3d",
+    "extended": "05698e7e31686709bc2e8d574c25711af66b464b4566b2872b3d685318ecbbf7",
+    "extended-files": "e0360d0ca5bfb3b8345b77582c697ef93186ad3b22fb42a78f8278ed9c018cf6",
+    "general": "bcb186127c16988ce1229db5ddeb9bdfaa4e86309413cbdd693e054c6e5fee70",
+    "general-files": "ce139d0dadf8866d3ac046cdc6570185e7ecd2e1b69066f30b59aba2ba024e36",
     "inclusion": "0650e25ddc6b6074db82e4322cda53cc7171abeeeef25e608257ffc0ce41b1ed",
-    "littlewood": "8e0afddde772276e2d8e95ff815a030579a545c962ac9364d4a52f996e9a4f55",
-    "littlewood-files": "5269a6f73dd5cd5eba1f12d732f7796342f737e6cd8f14392e816ca0f2ce4f0b",
+    "littlewood": "90653045fb4822cb2b926600f84b9b5f056a721067bfbeade3393bc1d19edd8b",
+    "littlewood-files": "73ca7cedf53ae398c9f427a52c9a3303db00d4c6e9c8a91035f23735c2ad4c39",
     "search-lp": "2c0a965828610517d7e46341bc3707e335cabd984405a084ba002ca8b54a3a4b",
     "search-l1l2": "1473a41a1c4ce805870387675e3a327379cfb7fdeffebb82896642d0f6f1d760",
     "search-sup": "50df225466900d3bc93486738842aef93021b5d8c2192c6e2d7ebfc9b3ca9065",

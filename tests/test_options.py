@@ -13,6 +13,8 @@ import argparse
 import contextlib
 import inspect
 import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +23,6 @@ from summability import forms, norms, rademacher, spaces, summing
 from summability.cli import build_parser, main
 
 OPTIONS = {
-    "ConstantsConfig": ["kg_real", "kg_complex"],
     "ContractionCheck": [],
     "CurriedForm": [],
     "Exponent": [],
@@ -56,11 +57,11 @@ OPTIONS = {
     "summing_lower_bound": [],
     "tensor_weak_norm_estimate": [],
     "verify_almost_summing": ["k"],
-    "verify_bh": ["constants", "opn"],
+    "verify_bh": ["opn"],
     "verify_defant_voigt": ["opn"],
-    "verify_extended_littlewood": ["constants", "opn"],
-    "verify_general_littlewood": ["constants", "opn"],
-    "verify_littlewood_43": ["constants", "opn"],
+    "verify_extended_littlewood": ["opn"],
+    "verify_general_littlewood": ["opn"],
+    "verify_littlewood_43": ["opn"],
     "weak_lp_norm": ["starts", "seed"],
 }
 
@@ -85,7 +86,7 @@ def test_public_options_are_pinned():
 
 REPORT = ["--out", "--format"]
 SEEDED = ["--random", "--m", "--seed", "--field"]
-CLI_OPTIONS = {  # 78 (command, option) pairs
+CLI_OPTIONS = {  # 72 (command, option) pairs
     "demos": [],
     "experiment": ["--p", "--q", "--m", "--count", "--seed", "--budget", "--jmax", "--field",
                    *REPORT],
@@ -96,12 +97,12 @@ CLI_OPTIONS = {  # 78 (command, option) pairs
     "opnorm": ["--starts", "--seed"],
     "search": ["--p", "--qs", "--seed", "--budget", "--jmax", *REPORT],
     "verify almost": ["--curry", *REPORT],
-    "verify bh": ["--random", "--m", "--order", "--seed", "--field", "--kg-complex", *REPORT],
+    "verify bh": ["--random", "--m", "--order", "--seed", "--field", *REPORT],
     "verify dv": ["--random", "--m", "--order", "--seed", "--field", "--jmax", *REPORT],
-    "verify extended": [*SEEDED, "--kg-real", "--kg-complex", "--p", "--beta", *REPORT],
-    "verify general": [*SEEDED, "--kg-real", "--kg-complex", *REPORT],
+    "verify extended": [*SEEDED, "--p", "--beta", *REPORT],
+    "verify general": [*SEEDED, *REPORT],
     "verify inclusion": ["--random", "--m", "--seed", *REPORT],
-    "verify littlewood": [*SEEDED, "--kg-complex", *REPORT],
+    "verify littlewood": [*SEEDED, *REPORT],
 }
 # the least argv of each command that parses: its paths and required options
 HEADS = {"norm lp": ["F"], "norm mixed": ["F"], "norm rad": ["F"], "norm weak": ["F"],
@@ -126,6 +127,18 @@ def cli_options(parser) -> list[str]:
 
 def test_cli_options_are_pinned():
     assert {name: cli_options(parser) for name, parser in commands()} == CLI_OPTIONS
+    assert sum(map(len, CLI_OPTIONS.values())) == 72
+
+
+def test_readme_option_table_matches_the_parser():
+    # README's command table lists each command that takes options with
+    # those options, in order; --out and --format are described in its prose
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `([a-z ]+?)(?: [A-Z\[][^`]*)?` \| `([^`]*)` \|$", readme, re.M)
+    table = {command: options.split() for command, options in rows}
+    options = {name: [o for o in cli_options(parser) if o not in REPORT]
+               for name, parser in commands()}
+    assert table == {name: opts for name, opts in options.items() if opts}
 
 
 @pytest.mark.parametrize("command", sorted(CLI_OPTIONS))

@@ -1,11 +1,9 @@
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from summability import (
-    ConstantsConfig,
     Exponent,
     ExponentTuple,
     INF,
@@ -102,16 +100,3 @@ def test_exponent_tuple_validity():
 def test_exponent_tuple_infinite_inner():
     t = ExponentTuple(INF, (INF, INF))
     assert t.defect() == 0
-
-
-def test_constants_config():
-    c = ConstantsConfig()
-    assert c.kg_complex < math.sqrt(2)
-    assert c.kg(__import__("summability").ScalarField.REAL) == c.kg_real
-    with pytest.raises(ValueError):
-        ConstantsConfig(kg_complex=1.5)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError):
-            ConstantsConfig(kg_real=bad)
-        with pytest.raises(ValueError):
-            ConstantsConfig(kg_complex=bad)

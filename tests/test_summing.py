@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from summability import (
-    ConstantsConfig,
     Exponent,
     ExponentTuple,
     FormTensor,
@@ -761,11 +760,13 @@ def test_extended_littlewood_p_range(littlewood_complex):
             verify_extended_littlewood(littlewood_complex, np.eye(2), bad)
 
 
-def test_extended_littlewood_real_gate(littlewood):
+def test_extended_littlewood_real_gate(littlewood, monkeypatch):
     # nothing is asserted for real scalars, even for a constant no form meets
-    for constants in (None, ConstantsConfig(kg_real=1e-3)):
-        rep = verify_extended_littlewood(littlewood, np.eye(2), "4/3", constants=constants)
-        assert rep.exact_norm and rep.status == "inconclusive"
+    row = ("extended_littlewood", ScalarField.REAL)
+    for kg in (summing._CONSTANTS[row], 1e-3):
+        monkeypatch.setitem(summing._CONSTANTS, row, kg)
+        rep = verify_extended_littlewood(littlewood, np.eye(2), "4/3")
+        assert rep.bound == kg and rep.exact_norm and rep.status == "inconclusive"
 
 
 def test_bh_examples():
@@ -788,6 +789,50 @@ def test_bh_order_two_matches_littlewood_exponent(littlewood):
     assert rep.status == "pass"
 
 
+def test_constants_table_holds_the_published_values():
+    # sqrt(2), the optimal real 4/3 constant; the Grothendieck upper bounds
+    # of Krivine (real) and Haagerup (complex)
+    R, C = ScalarField.REAL, ScalarField.COMPLEX
+    assert summing._CONSTANTS == {
+        ("littlewood_43", R): SQRT2, ("littlewood_43", C): 1.40491,
+        ("general_littlewood", R): 1.78221, ("general_littlewood", C): 1.40491,
+        ("extended_littlewood", R): 1.78221, ("extended_littlewood", C): 1.40491,
+        ("bohnenblust_hille", R): SQRT2, ("bohnenblust_hille", C): 1.40491,
+    }
+    assert 1.78221 == pytest.approx(math.pi / (2 * math.log(1 + SQRT2)), abs=1e-5)
+    assert 1.40491 < SQRT2  # the complex rows are below the real 4/3 constant
+
+
+_VERIFIERS = {  # check -> its verifier on a bilinear form
+    "littlewood_43": verify_littlewood_43,
+    "general_littlewood": verify_general_littlewood,
+    "extended_littlewood": lambda A: verify_extended_littlewood(A, np.eye(2), "4/3"),
+    "bohnenblust_hille": verify_bh,
+}
+
+
+@pytest.mark.parametrize("row", list(summing._CONSTANTS),
+                         ids=lambda row: f"{row[0]}-{row[1]}")
+def test_each_verifier_reads_its_own_row(row, monkeypatch):
+    check, field = row
+    A = FormTensor.on_linf([[1.0, 1.0], [1.0, -1.0]], field)
+    before = {name: verify(A).bound for name, verify in _VERIFIERS.items()}
+    assert before[check] == summing._CONSTANTS[row]
+    monkeypatch.setitem(summing._CONSTANTS, row, 0.25)
+    after = {name: verify(A).bound for name, verify in _VERIFIERS.items()}
+    assert after == {**before, check: 0.25}
+
+
+def test_real_43_constant_is_pinned_at_its_equality_case(littlewood):
+    # [[1, 1], [1, -1]] meets sqrt(2) exactly: it passes with lhs == rhs,
+    # and a constant lower by a relative 1e-9 fails it
+    for verify in (verify_littlewood_43, verify_bh):
+        rep = verify(littlewood)
+        assert rep.bound == SQRT2 and rep.exact_norm
+        assert rep.status == "pass" and rep.lhs == rep.rhs and rep.ratio == SQRT2
+        assert summing._status(rep.lhs, rep.rhs * (1 - 1e-9), True) == "fail"
+
+
 def test_bh_coefficient_sum_monotone_in_exponent():
     rng = np.random.default_rng(19)
     for _ in range(20):
@@ -804,7 +849,7 @@ def test_dv_equality_witness(littlewood, diag_family):
     assert rep.witness["weak_l1_status"] == "pass"
 
 
-def test_fail_only_on_an_exact_norm(littlewood, diag_family):
+def test_fail_only_on_an_exact_norm(littlewood, diag_family, monkeypatch):
     # a shortfall against a heuristic lower bound of the norm certifies nothing
     assert summing._status(1.0, 1.0, False) == "pass"
     assert summing._status(2.0, 1.0, True) == "fail"
@@ -816,7 +861,8 @@ def test_fail_only_on_an_exact_norm(littlewood, diag_family):
     assert rep.status == rep.witness["weak_l1_status"] == "fail"
     rng = np.random.default_rng(22)
     A = random_form(rng, (6, 6), ScalarField.COMPLEX)
-    rep = verify_general_littlewood(A, constants=ConstantsConfig(kg_complex=0.1))
+    monkeypatch.setitem(summing._CONSTANTS, ("general_littlewood", ScalarField.COMPLEX), 0.1)
+    rep = verify_general_littlewood(A)
     assert not rep.exact_norm and rep.lhs > rep.rhs and rep.status == "inconclusive"
 
 
