@@ -161,19 +161,32 @@ def summing_lower_bound(
     return RatioCertificate(lhs, rhs, fam, exps)
 
 
-def _structured_families(A: FormTensor, j_max: int) -> list[TestFamily]:
+def _structured_families(A: FormTensor, j_max: int) -> list[list[np.ndarray]]:
+    """The columns, one real (J, m) array per slot, of the structured families
+    of a search: the spike at the largest coefficient, the basis diagonal,
+    the basis grid (up to 4096 vectors), and the flat vector once and
+    min(4, j_max) times.
+
+    The columns are real in complex spaces too, so their weak norms are
+    taken over the reals there. That is the complex value only because unit
+    and flat vectors meet Hölder's equality case over either field: d unit
+    vectors of l_s^m have weak-l_q norm d^max(0, 1/q - 1/s'), and ``reps``
+    flat vectors reps^(1/q) * m^(1/s). Real vectors in general do not: three
+    unit vectors of l_2^2 at 120 degrees have weak-l_1 norm 2 over the reals
+    and sqrt(4.5) ~ 2.12 over the complex numbers."""
     dims = A.dims
     idx = np.unravel_index(int(np.argmax(np.abs(A.coeffs))), dims)
+    eyes = [np.eye(m) for m in dims]
     families = [
-        [np.eye(m)[[k]] for m, k in zip(dims, idx)],  # spike at the largest coefficient
-        [np.eye(m)[:min(dims)] for m in dims],  # basis diagonal
+        [e[[k]] for e, k in zip(eyes, idx)],  # spike at the largest coefficient
+        [e[:min(dims)] for e in eyes],  # basis diagonal
     ]
     if math.prod(dims) <= 4096:  # full basis grid, capped
         grid = np.indices(dims).reshape(A.order, -1)
-        families.append([np.eye(m)[g] for m, g in zip(dims, grid)])
+        families.append([e[g] for e, g in zip(eyes, grid)])
     for reps in (1, min(4, max(1, j_max))):  # repeated flat vector
         families.append([np.ones((reps, m)) for m in dims])
-    return [_as_family(A, columns) for columns in families]
+    return families
 
 
 def random_form(
@@ -254,55 +267,79 @@ def random_family_search(
 
     The random budget is split over a fixed number of streams seeded from
     the master seed (the first ``budget % streams`` streams take one trial
-    more). The structured families are tried first, then each stream in
-    order, and the first maximal ratio wins, so the result depends only on
-    the seed and the budget. Each stream draws all its lengths, then its trials
-    (:func:`_chunks_drawn`); a budget over ``_SEARCH_BUDGET`` trials, and a
-    ``j_max`` at which one trial may draw more than ``_ENUM_BUDGET`` normal
-    numbers (j_max * sum(dims), doubled for complex forms), are refused
-    before any draw. The trials are scored in chunks of
-    at most ``_SEARCH_CHUNK`` trials and ``_ENUM_BUDGET`` drawn numbers, in
-    a fixed number of passes (:func:`_family_ratios`): one gather per
-    column, one contraction for the trials of length 3 or more, and per
-    length class (:func:`norms._sum_class`, zero-padded to the longest
-    length present) one call of the rule of :func:`lp_norm` for their lhs
-    and, per column where the plan is exact, one kernel call for their weak
-    norms; the heuristic weak norms of a chunk take one kernel call per
-    column, whose ascent pads within the same classes
-    (:func:`forms._pad_key`). A trial's score is its certificate's ratio to
-    the bit, except for bilinear families of one or two vectors, which
-    einsum sums in another order when stacked (230 of 4 447 seeded ones
-    score up to 12 ulps off, none of 20 753 other trials). Heuristic ascents
-    stop at a floor set from the best ratio so far, the incumbent, once a
-    trial's ratio can no longer exceed it: such a trial scores below the
-    incumbent, and since a chunk's best replaces the incumbent only when
+    more). The structured families (:func:`_structured_families`) are tried
+    first, then each stream in order, and the first maximal ratio wins, so
+    the result depends only on the seed and the budget. Each stream draws
+    all its lengths, then its trials (:func:`_chunks_drawn`); a budget over
+    ``_SEARCH_BUDGET`` trials, and a ``j_max`` at which one trial may draw
+    more than ``_ENUM_BUDGET`` normal numbers (j_max * sum(dims), doubled
+    for complex forms), are refused before any draw. The trials are scored
+    in chunks of at most ``_SEARCH_CHUNK`` trials and ``_ENUM_BUDGET`` drawn
+    numbers, in a fixed number of passes (:func:`_family_ratios`): one
+    gather per column, one contraction for the trials of length 3 or more,
+    and per length class (:func:`norms._sum_class`, zero-padded to the
+    longest length present) one call of the rule of :func:`lp_norm` for
+    their lhs and, per column where the plan is exact, one kernel call for
+    their weak norms; the heuristic weak norms of a chunk take one kernel
+    call per column, whose ascent pads within the same classes
+    (:func:`forms._pad_key`). For a real form the structured families join
+    the first chunk's pass, each contracted alone, and score their
+    certificates' ratios to the bit; a complex form's are certified apart,
+    as their real columns take their weak norms over the reals, which the
+    complex stacks of a chunk do not. A trial's score is its certificate's
+    ratio to the bit, except for bilinear families of one or two vectors,
+    which einsum sums in another order when stacked (230 of 4 447 seeded
+    ones score up to 12 ulps off, none of 20 753 other trials). Heuristic
+    ascents stop at a floor set from the best ratio so far, the incumbent
+    (in the first chunk of a real form, that of the structured families),
+    once a trial's ratio can no longer exceed it: such a trial scores below
+    the incumbent, and since a chunk's best replaces the incumbent only when
     strictly greater, it never wins, and the result is the one full ascents
-    give. Only the winner is certified, by :func:`summing_lower_bound`.
+    give. Only the best family of a chunk that improves on the incumbent is
+    certified, by :func:`summing_lower_bound`: once per search of up to
+    ``_SEARCH_CHUNK`` trials on a real form.
     """
+    per = (2 if A.field.is_complex else 1) * sum(A.dims)  # numbers per vector of a family
+    _refuse_search(budget, j_max, per)
+    structured = _structured_families(A, j_max)
+    best = None  # the certificate of the first maximal ratio so far
+    if A.field.is_complex:  # real columns, certified apart
+        # the first maximal ratio wins, as in a loop of ">" comparisons
+        best = max((summing_lower_bound(A, exps, _as_family(A, columns))
+                    for columns in structured), key=lambda c: c.ratio)
+        structured = []
+    for lengths, starts, flat in _chunks_drawn(seed, budget, j_max, per):
+        ratios = _family_ratios(A, exps, lengths, starts, flat,
+                                -math.inf if best is None else best.ratio, structured)
+        k = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))  # NaN never wins
+        if best is None or ratios[k] > best.ratio:
+            t = k - len(structured)  # the families scored come first, then the trials
+            columns = structured[k] if t < 0 else _columns(A, lengths[[t]], starts[[t]], flat)
+            best = summing_lower_bound(A, exps, _as_family(A, columns))
+        structured = []  # scored with the first chunk
+    return best
+
+
+def _refuse_search(budget: int, j_max: int, per: int) -> None:
+    """Refuse, before any draw, a search of over ``_SEARCH_BUDGET`` trials
+    or one whose trial may draw more than ``_ENUM_BUDGET`` normal numbers,
+    ``per`` a vector."""
     if not 1 <= budget <= _SEARCH_BUDGET:
         raise ValueError(f"--budget {budget}: a search takes 1 to {_SEARCH_BUDGET} trials")
-    per = (2 if A.field.is_complex else 1) * sum(A.dims)  # numbers per vector of a family
     if j_max * per > _ENUM_BUDGET:
         raise ValueError(f"--jmax {j_max}: a trial may draw {j_max * per} normal numbers, "
                          f"over the budget {_ENUM_BUDGET}")
-    # the first maximal ratio wins, as in a loop of ">" comparisons
-    best = max((summing_lower_bound(A, exps, fam)
-                for fam in _structured_families(A, j_max)), key=lambda c: c.ratio)
-    for lengths, starts, flat in _chunks_drawn(seed, budget, j_max, per):
-        ratios = _family_ratios(A, exps, lengths, starts, flat, best.ratio)
-        k = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))  # NaN never wins
-        if ratios[k] > best.ratio:
-            family = _as_family(A, _columns(A, lengths[[k]], starts[[k]], flat))
-            best = summing_lower_bound(A, exps, family)
-    return best
 
 
 def _chunks_drawn(seed: int, budget: int, j_max: int, per: int):
     """The random trials in chunks (lengths, starts, flat) of at most ``_SEARCH_CHUNK``
     trials and ``_ENUM_BUDGET`` numbers, one trial at least. A stream draws its lengths
-    in one call, then its trials' numbers per chunk; how calls split a draw moves no number."""
+    in one call, then its trials' numbers per chunk; how calls split a draw moves no number.
+    Only the streams with trials get a generator: a spawn of k children gives the
+    first k of a larger spawn."""
     S = _SEARCH_STREAMS
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(S)]
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(seed).spawn(min(S, budget))]
     edges = [w * (budget // S) + min(w, budget % S) for w in range(S + 1)]  # stream w's trials
     lengths = np.concatenate([rng.integers(1, j_max + 1, size=b - a)
                               for rng, a, b in zip(rngs, edges, edges[1:])])
@@ -322,62 +359,96 @@ def _chunks_drawn(seed: int, budget: int, j_max: int, per: int):
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # ratios may over- or underflow
 def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
-                   incumbent: float) -> np.ndarray:
-    """The ratio lhs / prod(weak norms) of each family drawn (:func:`_columns`),
-    or, for a family whose ratio cannot exceed ``incumbent``, possibly a
-    number below ``incumbent`` instead.
+                   incumbent: float, structured=()) -> np.ndarray:
+    """The ratio lhs / prod(weak norms) of each of the ``structured``
+    families (the column arrays of :func:`_structured_families` of a real
+    form), then of each family drawn (:func:`_columns`), or, for a drawn
+    family whose ratio cannot exceed the incumbent, the larger of
+    ``incumbent`` and the structured families' ratios, possibly a number
+    below the incumbent instead.
 
     A ratio is computed as its certificate computes it: the lhs by
     :func:`norms._lp_rows`, the rule of :func:`lp_norm`, and the weak norms
     multiplied into the denominator in column order. Only the values of
-    bilinear families of one or two vectors may differ, as einsum sums them
-    in another order on the chunk's stack than alone (the rule
+    drawn bilinear families of one or two vectors may differ, as einsum sums
+    them in another order on the chunk's stack than alone (the rule
     :func:`forms._pad_key` names): in a seeded sample of order-2 and order-3
     families at p in {4/3, 3/2, 3}, real and complex, 230 of 4 447 such
     trials score up to 12 ulps off their certificate, none of 20 753 others.
+    Each structured family is contracted alone, as its certificate is, so
+    its score is its certificate's ratio to the bit.
 
     The trials are taken in order of length, and each column of all of them
     is gathered once (:func:`_columns`). One contraction gives the values of
     every trial of length 3 or more, and one each those of lengths 1 and 2,
     whose stacks einsum sums in another order. The lhs take one
     :func:`_lp_rows` call per length class (:func:`norms._sum_class`), the
-    trials zero-padded to the longest length present, and a column's weak
-    norms (q >= 1) one kernel call per class where the kernel is exact
-    (:func:`_weak_classes`); padding keeps every bit. The items of every
-    other length go to one kernel call per column, in two halves: the grid
+    trials and structured families of the class zero-padded to the longest
+    length present, and a column's weak norms (q >= 1) one kernel call per
+    class where the kernel is exact (:func:`_weak_classes`); padding keeps
+    every bit. The other weak norms of the structured families take one
+    kernel call per column, without floors, and set the incumbent. Those of
+    the trials go to one kernel call per column, in two halves: the grid
     stages of all such columns first, then their ascents, the columns with
     the fewest lower bounds (random starts) first, each item with the floor
     of :func:`_floors`. A family with an item that stopped at its floor (a
-    retired family) gets a number below ``incumbent`` in place of its
+    retired family) gets a number below the incumbent in place of its
     ratio, and its ratio without floors is no larger, as every weak norm
     without floors is at least the one with; every other family gets its
     ratio as above."""
     # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
     balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
              for q, d in zip(exps.qs, A.domains)]
-    T, order = len(lengths), np.argsort(lengths, kind="stable")  # the trials by length
-    lengths = lengths[order]
+    S, T, order = len(structured), len(lengths), np.argsort(lengths, kind="stable")
+    lengths = lengths[order]  # the trials by length; their scores follow the S structured ones
     columns = _columns(A, lengths, starts[order], flat)
     heads = np.concatenate(([0], np.cumsum(lengths))).tolist()  # each trial's first row
-    distinct, first = np.unique(lengths, return_index=True)
+    own = [len(family[0]) for family in structured]
+    distinct = sorted(set(lengths.tolist()).union(own))
     # the trials of length distinct[k] are bounds[k]:bounds[k + 1]
-    distinct, bounds = distinct.tolist(), first.tolist() + [T]
+    bounds = np.searchsorted(lengths, distinct).tolist() + [T]
+    classes = [distinct.index(J) for J in own]
 
     def runs(keys):
         """Per run of consecutive distinct lengths of one key (``keys`` holds
-        one per length): the key, the run's trials lo:hi and its longest length."""
+        one per length): the key, the run's trials lo:hi, its structured
+        families and its longest length."""
         at = 0
         for k, key in enumerate(keys):
             if k + 1 == len(keys) or key != keys[k + 1]:
-                yield key, bounds[at], bounds[k + 1], distinct[k]
+                members = [s for s, c in enumerate(classes) if at <= c <= k]
+                yield key, bounds[at], bounds[k + 1], members, distinct[k]
                 at = k + 1
 
-    def padded(rows, lo, hi, L):
-        """The rows of trials lo:hi as one stack (hi - lo, L, ...), zero-padded to length L."""
-        out = np.zeros((hi - lo, L) + rows.shape[1:], rows.dtype)
-        w = math.prod(rows.shape[1:])
-        out.reshape(hi - lo, -1)[np.arange(L * w) < w * lengths[lo:hi, None]] = rows.ravel()
+    def padded(rows, lo, hi, L, extra):
+        """The rows of trials lo:hi, then the arrays of ``extra``, as one stack
+        (hi - lo + len(extra), L, ...), zero-padded to length L."""
+        shape = (hi - lo, L) + rows.shape[1:]
+        full = hi == lo or lengths[lo] == L  # no trial to pad
+        if full and not extra:
+            return rows.reshape(shape)
+        out = np.zeros((hi - lo + len(extra),) + shape[1:], rows.dtype)
+        if full:
+            out[:hi - lo] = rows.reshape(shape)
+        else:
+            w = math.prod(rows.shape[1:])
+            out[:hi - lo].reshape(hi - lo, L * w)[
+                np.arange(L * w) < w * lengths[lo:hi, None]] = rows.ravel()
+        for item, a in zip(out[hi - lo:], extra):
+            item[:len(a)] = a
         return out
+
+    def put(scores, lo, hi, members, values):
+        """Write the values of a stack of :func:`padded` into ``scores``."""
+        scores[S + lo:S + hi] = values[:hi - lo]
+        if members:
+            scores[members] = values[hi - lo:]
+
+    def ratios(at):
+        """The ratios of the families at ``at`` among the scores."""
+        denominator = math.prod(weak[:, at])  # the rows, in the certificate's order
+        return np.divide(lhs[at], denominator, out=np.zeros(len(lhs[at])),
+                         where=denominator > 0)
 
     # the rows of lengths 1, 2 and 3 or more: einsum sums a stack of one or
     # two vectors in another order than a longer one, for some shapes
@@ -385,26 +456,38 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
     values = np.concatenate([_batch_contract(A.coeffs, [c[lo:hi] for c in columns])
                              for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
     moduli = np.abs(values)
-    lhs = np.empty(T)
-    for _, lo, hi, L in runs([_sum_class(J) for J in distinct]):
-        lhs[lo:hi] = _lp_rows(padded(moduli[heads[lo]:heads[hi]], lo, hi, L), exps.p)
-    weak = np.empty((A.order, T))
+    own_moduli = [np.abs(_batch_contract(A.coeffs, family)) for family in structured]
+    lhs = np.empty(S + T)
+    for _, lo, hi, members, L in runs([_sum_class(J) for J in distinct]):
+        put(lhs, lo, hi, members, _lp_rows(padded(moduli[heads[lo]:heads[hi]], lo, hi, L,
+                                                  [own_moduli[s] for s in members]), exps.p))
+    weak = np.empty((A.order, S + T))
     pending = [([], []) for _ in A.domains]  # per column: trial positions, inexact items
+    ahead = [[] for _ in A.domains]  # per column: structured families without an exact plan
     for i, (col, ball, q, d) in enumerate(zip(columns, balls, exps.qs, A.domains)):
         if ball is None:
-            weak[i] = [weak_lp_norm(VectorSeq(col[a:b], d), q).value
-                       for a, b in zip(heads, heads[1:])]
+            weak[i] = [weak_lp_norm(VectorSeq(X, d), q).value for X in
+                       [family[i] for family in structured]
+                       + [col[a:b] for a, b in zip(heads, heads[1:])]]
             continue
-        for exact, lo, hi, L in runs(_weak_classes(tuple(distinct), d.dim, ball,
-                                                   A.field.is_complex)):
+        for exact, lo, hi, members, L in runs(_weak_classes(tuple(distinct), d.dim, ball,
+                                                            A.field.is_complex)):
             if exact:
-                weak[i, lo:hi] = _ball_sup(padded(col[heads[lo]:heads[hi]], lo, hi, L),
-                                           ball, witness=False)[0]
+                put(weak[i], lo, hi, members, _ball_sup(
+                    padded(col[heads[lo]:heads[hi]], lo, hi, L,
+                           [structured[s][i] for s in members]), ball, witness=False)[0])
             else:
-                pending[i][0].extend(range(lo, hi))
+                ahead[i].extend(members)
+                pending[i][0].extend(range(S + lo, S + hi))
                 pending[i][1].extend(col[a:b] for a, b in zip(heads[lo:hi], heads[lo + 1:]))
+    for i, members in enumerate(ahead):  # the structured families end first, unfloored
+        if members:
+            weak[i, members] = _ball_sup([structured[s][i] for s in members], balls[i],
+                                         witness=False)[0]
     started = {i: (idx, _ball_sup_start(items, balls[i], witness=False))
                for i, (idx, items) in enumerate(pending) if items}
+    if started and S:  # the structured families, scored by now, set the trials' floors
+        incumbent = max(incumbent, float(np.max(ratios(slice(0, S)))))
     low = weak.copy()  # per trial and column, what its weak norm will be at least
     for i, (idx, st) in started.items():
         low[i, idx] = _lower_bounds(st)
@@ -412,10 +495,9 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
         idx, st = started[i]
         floors = _floors(lhs[idx], low[:, idx], i, incumbent)
         low[i, idx] = weak[i, idx] = _ball_sup_end(st, floors)[0]
-    denominator = math.prod(weak)  # the rows, in the certificate's order
-    ratios = np.empty(T)
-    ratios[order] = np.divide(lhs, denominator, out=np.zeros(T), where=denominator > 0)
-    return ratios
+    scores = ratios(slice(None))
+    scores[S + order] = scores[S:].copy()
+    return scores
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -1041,7 +1123,10 @@ def summing_experiment(
 
     No bound is asserted; the records report the best witnessed ratio, the
     (heuristic) operator norm, and their quotient, deterministically per seed.
+    A ``budget`` or ``j_max`` that the searches refuse (:func:`random_family_search`)
+    is refused before any form is drawn.
     """
+    _refuse_search(budget, j_max, (2 if field.is_complex else 1) * 2 * m)
     dp, dq = Exponent.of(domain_p), Exponent.of(domain_q)
     exps = ExponentTuple(dp, (_TWO, _ONE))
     seeds = np.random.SeedSequence(seed).spawn(count)

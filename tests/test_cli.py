@@ -659,15 +659,37 @@ def test_search_refuses_a_budget_over_the_trial_budget(littlewood_file, capsys, 
     # a search draws every trial's length before it scores any, so its trials
     # are capped at 2^22, and a larger --budget exits 3 before any draw
     drawn = []
-    monkeypatch.setattr(summing, "_chunks_drawn", lambda *a: drawn.append(a) or iter(()))
+
+    def one_zero_trial(seed, budget, j_max, per):  # in place of the 2^22 trials
+        drawn.append(budget)
+        yield np.array([1]), np.array([0]), np.zeros(per)
+
+    monkeypatch.setattr(summing, "_chunks_drawn", one_zero_trial)
     argv = (["search", littlewood_file, "--p", "1", "--qs", "2,2"] if command == "search"
             else ["experiment", "--count", "1"])
     assert main(argv + ["--budget", str(2 ** 22 + 1)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: --budget 4194305")
     assert drawn == []
-    assert main(argv + ["--budget", str(2 ** 22)]) == 0  # no trial is drawn here
-    assert len(drawn) == 1
+    assert main(argv + ["--budget", str(2 ** 22)]) == 0
+    assert drawn == [2 ** 22]
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["--count", "0", "--budget", "999999999"], "--budget 999999999"),
+    (["--count", "0", "--jmax", "100000000"], "--jmax 100000000"),
+    (["--count", "1", "--budget", str(2 ** 22 + 1)], "--budget 4194305"),
+    (["--count", "1", "--jmax", str(2 ** 22 // 12 + 1)], "--jmax 349526"),
+])
+def test_experiment_refuses_its_searches_before_any_draw(argv, option, monkeypatch, capsys):
+    # the default complex 3 x 3 forms draw 12 normal numbers a vector: the
+    # search's bounds are checked before the first form is drawn, whatever --count
+    drawn = []
+    monkeypatch.setattr(summing, "random_form", lambda *a, **k: drawn.append(a))
+    assert main(["experiment"] + argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {option}: ")
+    assert drawn == []
 
 
 def test_experiment_coefficient_budget(monkeypatch, capsys):

@@ -30,6 +30,7 @@ from summability import (
     verify_extended_littlewood,
     verify_general_littlewood,
     verify_littlewood_43,
+    weak_lp_norm,
 )
 from summability.forms import _gaussian
 from summability.norms import _sum_class
@@ -119,6 +120,11 @@ def test_search_golden_certificate():
     assert all(np.array_equal(c.vectors, np.ones((1, 2))) for c in cert.family.columns)
 
 
+def _structured(A, j_max):
+    """The structured families of a search, as test families."""
+    return [summing._as_family(A, columns) for columns in _structured_families(A, j_max)]
+
+
 def _reference_search(A, exps, budget, seed, j_max):
     """The search as a plain loop: each stream draws the lengths of all its
     trials, then each family column by column, certified through
@@ -127,7 +133,7 @@ def _reference_search(A, exps, budget, seed, j_max):
     streams = np.random.SeedSequence(seed).spawn(8)
 
     def families():
-        yield from _structured_families(A, j_max)
+        yield from _structured(A, j_max)
         for w, rng in enumerate(map(np.random.default_rng, streams)):
             for J in rng.integers(1, j_max + 1, size=budget // 8 + (w < budget % 8)).tolist():
                 columns = []
@@ -164,16 +170,28 @@ _SEARCH_FORMS = [
     # l_2 x l_2: the spectral norm closes every column without an exact plan
     (ScalarField.REAL, (3, 3), (2, 2), 1, (2, 2), 1.0),
     (ScalarField.COMPLEX, (3, 3), (2, 2), 2, (2, 2), 1.0),
+    # the sign matrix: the diagonal and flat families tie at exactly 2, the grid scores less
+    (ScalarField.REAL, (2, 2), ("inf", "inf"), 1, (2, 2), [[1, 1], [1, -1]]),
+    # a slot of dim 1: einsum orders its loops by it
+    (ScalarField.REAL, (3, 1, 2), ("inf", 2, 1), 1, (2, 1, 2), 1.0),
+    # real l_3 x l_3: heuristic columns, the structured families among them
+    (ScalarField.REAL, (3, 3), (3, 3), 1, (2, 2), 1.0),
 ]
+
+
+def _search_case(case):
+    """The form and exponent tuple of _SEARCH_FORMS[case]: Gaussian coefficients
+    seeded by the case, times the scale, or the coefficients given in its place."""
+    field, dims, domains, p, qs, scale = _SEARCH_FORMS[case]
+    A = random_form(np.random.default_rng(case), dims, field, exponents=domains)
+    coeffs = A.coeffs * scale if np.ndim(scale) == 0 else np.array(scale, float)
+    return FormTensor(coeffs, A.domains, field), ExponentTuple(p, qs)
 
 
 @pytest.mark.parametrize("budget,j_max", [(1, 16), (5, 1), (8, 16), (37, 16), (37, 1)])
 @pytest.mark.parametrize("case", range(len(_SEARCH_FORMS)))
 def test_search_matches_the_family_loop(case, budget, j_max):
-    field, dims, domains, p, qs, scale = _SEARCH_FORMS[case]
-    A = random_form(np.random.default_rng(case), dims, field, exponents=domains)
-    A = FormTensor(A.coeffs * scale, A.domains, field)
-    exps = ExponentTuple(p, qs)
+    A, exps = _search_case(case)
     seed = 100 * case + budget + j_max
     got = random_family_search(A, exps, budget=budget, seed=seed, j_max=j_max)
     ref = _reference_search(A, exps, budget, seed, j_max)
@@ -190,9 +208,7 @@ def test_search_matches_the_family_loop(case, budget, j_max):
 def test_search_chunks_keep_the_first_maximum(case, monkeypatch):
     # 37 trials in chunks of 4: the best is carried from chunk to chunk
     monkeypatch.setattr(summing, "_SEARCH_CHUNK", 4)
-    field, dims, domains, p, qs, _ = _SEARCH_FORMS[case]
-    A = random_form(np.random.default_rng(case), dims, field, exponents=domains)
-    exps = ExponentTuple(p, qs)
+    A, exps = _search_case(case)
     got = random_family_search(A, exps, budget=37, seed=case, j_max=6)
     ref = _reference_search(A, exps, 37, case, 6)
     assert got.ratio == ref.ratio and got.lhs == ref.lhs
@@ -203,19 +219,20 @@ def test_search_chunks_keep_the_first_maximum(case, monkeypatch):
 @pytest.mark.parametrize("case", [0, 7])
 def test_search_chunks_cut_at_the_draw_budget_keep_the_first_maximum(case, monkeypatch):
     # chunks of at most 64 drawn numbers (and at least one trial)
+    # (the structured families of a real form join the first chunk)
     monkeypatch.setattr(summing, "_ENUM_BUDGET", 64)
-    field, dims, domains, p, qs, _ = _SEARCH_FORMS[case]
-    A = random_form(np.random.default_rng(case), dims, field, exponents=domains)
-    exps = ExponentTuple(p, qs)
+    A, exps = _search_case(case)
     chunks = []
     ratios = summing._family_ratios
     monkeypatch.setattr(summing, "_family_ratios",
-                        lambda A, exps, lengths, starts, flat, best:
-                        chunks.append((lengths, flat)) or
-                        ratios(A, exps, lengths, starts, flat, best))
+                        lambda A, exps, lengths, starts, flat, best, structured:
+                        chunks.append((lengths, flat, len(structured))) or
+                        ratios(A, exps, lengths, starts, flat, best, structured))
     got = random_family_search(A, exps, budget=37, seed=case, j_max=5)
-    assert len(chunks) > 4 and sum(len(lengths) for lengths, _ in chunks) == 37
-    assert all(len(lengths) == 1 or flat.size <= 64 for lengths, flat in chunks)
+    assert len(chunks) > 4 and sum(len(lengths) for lengths, _, _ in chunks) == 37
+    assert all(len(lengths) == 1 or flat.size <= 64 for lengths, flat, _ in chunks)
+    structured = [count for _, _, count in chunks]
+    assert structured == [0 if A.field.is_complex else 5] + [0] * (len(chunks) - 1)
     ref = _reference_search(A, exps, 37, case, 5)
     assert got.ratio == ref.ratio and got.lhs == ref.lhs
     assert all(np.array_equal(a.vectors, b.vectors)
@@ -236,14 +253,13 @@ class _RecordingGenerator:
         return call
 
 
-@pytest.mark.parametrize("budget", [37, 300])
+@pytest.mark.parametrize("budget", [3, 37, 300])
 @pytest.mark.parametrize("case", [0, 7])
 def test_search_draws_each_stream_in_few_bounded_calls(case, budget, monkeypatch):
-    # one integers call per stream for all its lengths, then normal draws of
-    # at most 64 numbers (the draw budget) or one trial, whichever is more
-    field, dims, domains, p, qs, _ = _SEARCH_FORMS[case]
-    A = random_form(np.random.default_rng(case), dims, field, exponents=domains)
-    exps = ExponentTuple(p, qs)
+    # a generator for each stream with trials (3 of 8 at budget 3), one
+    # integers call per stream for all its lengths, then normal draws of at
+    # most 64 numbers (the draw budget) or one trial, whichever is more
+    A, exps = _search_case(case)
     ref = _reference_search(A, exps, budget, case, 5)
     monkeypatch.setattr(summing, "_ENUM_BUDGET", 64)
     streams, make = [], np.random.default_rng
@@ -257,8 +273,8 @@ def test_search_draws_each_stream_in_few_bounded_calls(case, budget, monkeypatch
 
     monkeypatch.setattr(np.random, "default_rng", recording)
     got = random_family_search(A, exps, budget=budget, seed=case, j_max=5)
-    per = (2 if field.is_complex else 1) * sum(dims)
-    assert len(streams) == 8
+    per = (2 if A.field.is_complex else 1) * sum(A.dims)
+    assert len(streams) == min(8, budget)
     for w, stream in enumerate(streams):
         (first, trials), *normal = stream.calls
         assert (first, trials) == ("integers", budget // 8 + (w < budget % 8))
@@ -323,27 +339,143 @@ def test_search_scores_are_the_certificate_ratios(dims, domains, field, p):
         assert ratio == summing_lower_bound(A, exps, fam).ratio
 
 
+def _kernel_calls(A, exps, monkeypatch):
+    """Per call of the kernel a search of 64 trials makes from summing: which
+    entry (the whole kernel or its first half; exact columns enter it whole,
+    the rest by halves), the balls, whether the items are a list, and their
+    lengths."""
+    calls = []
+
+    def counting(name, entry):
+        def call(items, balls, *args, **kwargs):
+            calls.append((name, balls, isinstance(items, list), [len(a) for a in items]))
+            return entry(items, balls, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(summing, "_ball_sup", counting("whole", summing._ball_sup))
+    monkeypatch.setattr(summing, "_ball_sup_start", counting("start", summing._ball_sup_start))
+    random_family_search(A, exps, budget=64, seed=3, j_max=6)
+    return calls
+
+
 def test_search_sends_each_heuristic_column_to_the_kernel_once(monkeypatch):
     # complex l_4/3 x l_2 at (4/3; 2, 1): both columns are heuristic from length 2 on
     A = random_form(np.random.default_rng(7), (3, 3), ScalarField.COMPLEX,
                     exponents=("4/3", 2))
     exps = ExponentTuple("4/3", (2, 1))
-    calls = []
-
-    def counting(entry):  # exact columns enter the kernel whole, the rest by halves
-        def call(items, balls, *args, **kwargs):
-            calls.append((balls, isinstance(items, list), [len(a) for a in items]))
-            return entry(items, balls, *args, **kwargs)
-        return call
-
-    monkeypatch.setattr(summing, "_ball_sup", counting(summing._ball_sup))
-    monkeypatch.setattr(summing, "_ball_sup_start", counting(summing._ball_sup_start))
-    random_family_search(A, exps, budget=64, seed=3, j_max=6)
+    calls = _kernel_calls(A, exps, monkeypatch)
     for q, d in zip(exps.qs, A.domains):
-        column = [c for c in calls if c[0] == (q.dual, d.exponent.dual)]
-        ragged = [lengths for _, is_list, lengths in column if is_list]
+        column = [c for c in calls if c[1] == (q.dual, d.exponent.dual)]
+        ragged = [lengths for _, _, is_list, lengths in column if is_list]
         assert len(ragged) == 1 and len(set(ragged[0])) > 1 and min(ragged[0]) >= 2
-        assert sum(len(lengths) for _, _, lengths in column) == 64  # every trial
+        assert sum(len(lengths) for *_, lengths in column) == 64  # every trial
+
+
+def test_real_search_ends_the_structured_families_first(monkeypatch):
+    # real l_4/3 x l_3 at (4/3; 2, 2): both columns are heuristic from length
+    # 2 on. The structured families join the first chunk's kernel calls, and
+    # those without an exact plan take one call of their own per column
+    # before the trials' ascents start, as they set the trials' floors
+    A = random_form(np.random.default_rng(7), (3, 3), ScalarField.REAL,
+                    exponents=("4/3", 3))
+    exps = ExponentTuple("4/3", (2, 2))
+    calls = _kernel_calls(A, exps, monkeypatch)
+    for q, d in zip(exps.qs, A.domains):
+        column = [c for c in calls if c[1] == (q.dual, d.exponent.dual)]
+        lists = [(name, lengths) for name, _, is_list, lengths in column if is_list]
+        assert [name for name, _ in lists] == ["whole", "start"]
+        assert len(set(lists[1][1])) > 1 and min(lists[1][1]) >= 2
+        # every trial and every structured family
+        assert sum(len(lengths) for *_, lengths in column) == 64 + 5
+
+
+@pytest.mark.parametrize("j_max", [1, 16])
+@pytest.mark.parametrize("case", [k for k, form in enumerate(_SEARCH_FORMS)
+                                  if form[0] == ScalarField.REAL])
+def test_structured_scores_are_their_certificates_ratios(case, j_max):
+    # scored with the first chunk's trials, each structured family of a real
+    # form gets its certificate's ratio to the bit
+    A, exps = _search_case(case)
+    per = sum(A.dims)
+    chunk = next(summing._chunks_drawn(case, 37, j_max, per))
+    structured = _structured_families(A, j_max)
+    scores = summing._family_ratios(A, exps, *chunk, -math.inf, structured)
+    assert len(scores) == len(structured) + len(chunk[0])
+    want = [summing_lower_bound(A, exps, fam).ratio for fam in _structured(A, j_max)]
+    assert scores[:len(structured)].tolist() == want
+
+
+def test_sign_matrix_ties_go_to_the_diagonal():
+    # the diagonal and flat families tie at exactly 2 = ||A||, the grid scores
+    # one ulp less; a trial of one vector pair scores at most ||A||, so the
+    # first of the tied families, the diagonal, wins
+    A = FormTensor.on_linf([[1.0, 1.0], [1.0, -1.0]])
+    exps = ExponentTuple(1, (2, 2))
+    chunk = next(summing._chunks_drawn(0, 37, 4, 4))
+    scores = summing._family_ratios(A, exps, *chunk, -math.inf, _structured_families(A, 4))
+    assert scores[:5].tolist() == [1.0, 2.0, 1.9999999999999996, 2.0, 2.0]
+    cert = random_family_search(A, exps, budget=37, seed=0, j_max=1)
+    assert cert.ratio == 2.0
+    assert all(np.array_equal(c.vectors, np.eye(2)) for c in cert.family.columns)
+
+
+def test_search_of_a_real_form_certifies_its_winner_alone(monkeypatch):
+    # no weak norm and no certificate for the structured families: the first
+    # chunk scores them, and the one chunk's winner is certified
+    A = random_form(np.random.default_rng(3), (3, 4), ScalarField.REAL, exponents=(1, 2))
+    exps = ExponentTuple(1, (2, 1))
+    calls = []
+    for name in ("weak_lp_norm", "summing_lower_bound"):
+        entry = getattr(summing, name)
+        monkeypatch.setattr(summing, name, lambda *a, entry=entry, name=name, **k:
+                            calls.append(name) or entry(*a, **k))
+    cert = random_family_search(A, exps, budget=512, seed=1)
+    assert calls == ["summing_lower_bound"] + ["weak_lp_norm"] * 2
+    ref = _reference_search(A, exps, 512, 1, 16)
+    assert cert.ratio == ref.ratio and cert.lhs == ref.lhs
+
+
+def test_first_chunk_floors_are_set_from_the_structured_families(monkeypatch):
+    # real l_3 x l_3: the structured families' heuristic weak norms end
+    # first, without floors, and the trials' floors are set from their best
+    # ratio, the incumbent of a search that certifies them apart
+    case = next(k for k, form in enumerate(_SEARCH_FORMS)
+                if form[:3] == (ScalarField.REAL, (3, 3), (3, 3)))
+    A, exps = _search_case(case)
+    incumbents, floors = [], summing._floors
+    monkeypatch.setattr(summing, "_floors", lambda lhs, low, i, incumbent:
+                        incumbents.append(incumbent) or floors(lhs, low, i, incumbent))
+    got = random_family_search(A, exps, budget=64, seed=5, j_max=6)
+    best = max(summing_lower_bound(A, exps, fam).ratio for fam in _structured(A, 6))
+    assert incumbents == [best, best]  # two heuristic columns, one chunk
+    ref = _reference_search(A, exps, 64, 5, 6)
+    assert got.ratio == ref.ratio and got.lhs == ref.lhs
+
+
+@pytest.mark.parametrize("case", [k for k, form in enumerate(_SEARCH_FORMS)
+                                  if form[0] == ScalarField.COMPLEX])
+def test_structured_weak_norms_in_complex_spaces_are_the_closed_forms(case):
+    # the structured columns are real, so their weak norms are taken over the
+    # reals; unit and flat vectors meet Hoelder's equality case over either
+    # field, so that is the complex value: d unit vectors of l_s^m have
+    # weak-l_q norm d^max(0, 1/q - 1/s'), reps flat vectors reps^(1/q) m^(1/s)
+    A, exps = _search_case(case)
+    spike, diagonal, _, flat1, flat4 = _structured(A, 16)
+    for i, (q, d) in enumerate(zip(exps.qs, A.domains)):
+        s, m = d.exponent, d.dim
+        for fam, want in [
+            (diagonal, min(A.dims) ** max(0.0, float(q.recip - s.dual.recip))),
+            (flat1, m ** float(s.recip)),
+            (flat4, 4 ** float(q.recip) * m ** float(s.recip)),
+        ]:
+            col = fam.columns[i]
+            assert col.vectors.dtype == float
+            assert weak_lp_norm(col, q).value == pytest.approx(want, rel=1e-12), (i, want)
+    # real vectors at 120 degrees: over the complex numbers the weak-l_1 norm
+    # is sqrt(4.5) ~ 2.12 (a lower bound here), over the reals 2
+    x = np.array([[1.0, 0.0], [-0.5, 0.75 ** 0.5], [-0.5, -0.75 ** 0.5]])
+    assert weak_lp_norm(VectorSeq(x, SpaceSpec.lp(2, 2)), 1).value == pytest.approx(2.0)
+    assert weak_lp_norm(VectorSeq(x + 0j, SpaceSpec.lp(2, 2)), 1).value > 2.1
 
 
 # the padding of the scorer: the lengths of one class share one pass
@@ -568,8 +700,7 @@ def test_search_with_floors_keeps_a_random_winner(case, chunk, monkeypatch):
     exps = ExponentTuple(p, qs)
     got = random_family_search(A, exps, budget=37, seed=seed, j_max=6)
     ref = _reference_search(A, exps, 37, seed, 6)
-    structured = max(summing_lower_bound(A, exps, fam).ratio
-                     for fam in _structured_families(A, 6))
+    structured = max(summing_lower_bound(A, exps, fam).ratio for fam in _structured(A, 6))
     assert ref.ratio > structured
     assert got.ratio == ref.ratio and got.lhs == ref.lhs
     assert [w.value for w in got.rhs_norms] == [w.value for w in ref.rhs_norms]
