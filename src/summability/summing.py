@@ -167,13 +167,15 @@ def _structured_families(A: FormTensor, j_max: int) -> list[list[np.ndarray]]:
     the basis grid (up to 4096 vectors), and the flat vector once and
     min(4, j_max) times.
 
-    The columns are real in complex spaces too, so their weak norms are
-    taken over the reals there. That is the complex value only because unit
-    and flat vectors meet Hölder's equality case over either field: d unit
-    vectors of l_s^m have weak-l_q norm d^max(0, 1/q - 1/s'), and ``reps``
-    flat vectors reps^(1/q) * m^(1/s). Real vectors in general do not: three
-    unit vectors of l_2^2 at 120 degrees have weak-l_1 norm 2 over the reals
-    and sqrt(4.5) ~ 2.12 over the complex numbers."""
+    The columns are real arrays in either field, so their weak norms are
+    taken over the reals, and a search scores them with its first chunk
+    (:func:`_family_ratios`). In complex spaces that is the complex value
+    only because unit and flat vectors meet Hölder's equality case over
+    either field: d unit vectors of l_s^m have weak-l_q norm
+    d^max(0, 1/q - 1/s'), and ``reps`` flat vectors reps^(1/q) * m^(1/s).
+    Real vectors in general do not: three unit vectors of l_2^2 at 120
+    degrees have weak-l_1 norm 2 over the reals and sqrt(4.5) ~ 2.12 over
+    the complex numbers."""
     dims = A.dims
     idx = np.unravel_index(int(np.argmax(np.abs(A.coeffs))), dims)
     eyes = [np.eye(m) for m in dims]
@@ -282,32 +284,25 @@ def random_family_search(
     their lhs and, per column where the plan is exact, one kernel call for
     their weak norms; the heuristic weak norms of a chunk take one kernel
     call per column, whose ascent pads within the same classes
-    (:func:`forms._pad_key`). For a real form the structured families join
-    the first chunk's pass, each contracted alone, and score their
-    certificates' ratios to the bit; a complex form's are certified apart,
-    as their real columns take their weak norms over the reals, which the
-    complex stacks of a chunk do not. A trial's score is its certificate's
+    (:func:`forms._pad_key`). The structured families join the first
+    chunk's pass, each contracted alone, and score their certificates'
+    ratios to the bit, in either field. A trial's score is its certificate's
     ratio to the bit, except for bilinear families of one or two vectors,
     which einsum sums in another order when stacked (230 of 4 447 seeded
     ones score up to 12 ulps off, none of 20 753 other trials). Heuristic
     ascents stop at a floor set from the best ratio so far, the incumbent
-    (in the first chunk of a real form, that of the structured families),
+    (in the first chunk, that of the structured families),
     once a trial's ratio can no longer exceed it: such a trial scores below
     the incumbent, and since a chunk's best replaces the incumbent only when
     strictly greater, it never wins, and the result is the one full ascents
     give. Only the best family of a chunk that improves on the incumbent is
     certified, by :func:`summing_lower_bound`: once per search of up to
-    ``_SEARCH_CHUNK`` trials on a real form.
+    ``_SEARCH_CHUNK`` trials.
     """
     per = (2 if A.field.is_complex else 1) * sum(A.dims)  # numbers per vector of a family
     _refuse_search(budget, j_max, per)
     structured = _structured_families(A, j_max)
     best = None  # the certificate of the first maximal ratio so far
-    if A.field.is_complex:  # real columns, certified apart
-        # the first maximal ratio wins, as in a loop of ">" comparisons
-        best = max((summing_lower_bound(A, exps, _as_family(A, columns))
-                    for columns in structured), key=lambda c: c.ratio)
-        structured = []
     for lengths, starts, flat in _chunks_drawn(seed, budget, j_max, per):
         ratios = _family_ratios(A, exps, lengths, starts, flat,
                                 -math.inf if best is None else best.ratio, structured)
@@ -361,11 +356,11 @@ def _chunks_drawn(seed: int, budget: int, j_max: int, per: int):
 def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
                    incumbent: float, structured=()) -> np.ndarray:
     """The ratio lhs / prod(weak norms) of each of the ``structured``
-    families (the column arrays of :func:`_structured_families` of a real
-    form), then of each family drawn (:func:`_columns`), or, for a drawn
-    family whose ratio cannot exceed the incumbent, the larger of
-    ``incumbent`` and the structured families' ratios, possibly a number
-    below the incumbent instead.
+    families (the column arrays of :func:`_structured_families`), then of
+    each family drawn (:func:`_columns`), or, for a drawn family whose
+    ratio cannot exceed the incumbent, the larger of ``incumbent`` and the
+    structured families' ratios, possibly a number below the incumbent
+    instead.
 
     A ratio is computed as its certificate computes it: the lhs by
     :func:`norms._lp_rows`, the rule of :func:`lp_norm`, and the weak norms
@@ -376,7 +371,10 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
     families at p in {4/3, 3/2, 3}, real and complex, 230 of 4 447 such
     trials score up to 12 ulps off their certificate, none of 20 753 others.
     Each structured family is contracted alone, as its certificate is, so
-    its score is its certificate's ratio to the bit.
+    its score is its certificate's ratio to the bit. Its columns are real
+    arrays in either field: where they join a complex stack, the exact plan
+    on (J, m) has a basis slot only, the plan the real kernel takes, and
+    |x + 0j| = |x|; the others go to the kernel on their own, as real arrays.
 
     The trials are taken in order of length, and each column of all of them
     is gathered once (:func:`_columns`). One contraction gives the values of

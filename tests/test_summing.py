@@ -218,8 +218,8 @@ def test_search_chunks_keep_the_first_maximum(case, monkeypatch):
 
 @pytest.mark.parametrize("case", [0, 7])
 def test_search_chunks_cut_at_the_draw_budget_keep_the_first_maximum(case, monkeypatch):
-    # chunks of at most 64 drawn numbers (and at least one trial)
-    # (the structured families of a real form join the first chunk)
+    # chunks of at most 64 drawn numbers (and at least one trial); the
+    # structured families join the first chunk
     monkeypatch.setattr(summing, "_ENUM_BUDGET", 64)
     A, exps = _search_case(case)
     chunks = []
@@ -232,7 +232,7 @@ def test_search_chunks_cut_at_the_draw_budget_keep_the_first_maximum(case, monke
     assert len(chunks) > 4 and sum(len(lengths) for lengths, _, _ in chunks) == 37
     assert all(len(lengths) == 1 or flat.size <= 64 for lengths, flat, _ in chunks)
     structured = [count for _, _, count in chunks]
-    assert structured == [0 if A.field.is_complex else 5] + [0] * (len(chunks) - 1)
+    assert structured == [5] + [0] * (len(chunks) - 1)
     ref = _reference_search(A, exps, 37, case, 5)
     assert got.ratio == ref.ratio and got.lhs == ref.lhs
     assert all(np.array_equal(a.vectors, b.vectors)
@@ -358,27 +358,18 @@ def _kernel_calls(A, exps, monkeypatch):
     return calls
 
 
-def test_search_sends_each_heuristic_column_to_the_kernel_once(monkeypatch):
-    # complex l_4/3 x l_2 at (4/3; 2, 1): both columns are heuristic from length 2 on
-    A = random_form(np.random.default_rng(7), (3, 3), ScalarField.COMPLEX,
-                    exponents=("4/3", 2))
-    exps = ExponentTuple("4/3", (2, 1))
-    calls = _kernel_calls(A, exps, monkeypatch)
-    for q, d in zip(exps.qs, A.domains):
-        column = [c for c in calls if c[1] == (q.dual, d.exponent.dual)]
-        ragged = [lengths for _, _, is_list, lengths in column if is_list]
-        assert len(ragged) == 1 and len(set(ragged[0])) > 1 and min(ragged[0]) >= 2
-        assert sum(len(lengths) for *_, lengths in column) == 64  # every trial
-
-
-def test_real_search_ends_the_structured_families_first(monkeypatch):
-    # real l_4/3 x l_3 at (4/3; 2, 2): both columns are heuristic from length
-    # 2 on. The structured families join the first chunk's kernel calls, and
-    # those without an exact plan take one call of their own per column
-    # before the trials' ascents start, as they set the trials' floors
-    A = random_form(np.random.default_rng(7), (3, 3), ScalarField.REAL,
-                    exponents=("4/3", 3))
-    exps = ExponentTuple("4/3", (2, 2))
+@pytest.mark.parametrize("field,domains,qs", [
+    (ScalarField.REAL, ("4/3", 3), (2, 2)),
+    (ScalarField.COMPLEX, ("4/3", 2), (2, 1)),
+], ids=["real", "complex"])
+def test_search_sends_each_heuristic_column_to_the_kernel_once(field, domains, qs, monkeypatch):
+    # l_4/3 x l_3 at (4/3; 2, 2) and complex l_4/3 x l_2 at (4/3; 2, 1): both
+    # columns are heuristic from length 2 on. The structured families join
+    # the first chunk's kernel calls, and those without an exact plan take
+    # one call of their own per column before the trials' ascents start, as
+    # they set the trials' floors
+    A = random_form(np.random.default_rng(7), (3, 3), field, exponents=domains)
+    exps = ExponentTuple("4/3", qs)
     calls = _kernel_calls(A, exps, monkeypatch)
     for q, d in zip(exps.qs, A.domains):
         column = [c for c in calls if c[1] == (q.dual, d.exponent.dual)]
@@ -389,20 +380,43 @@ def test_real_search_ends_the_structured_families_first(monkeypatch):
         assert sum(len(lengths) for *_, lengths in column) == 64 + 5
 
 
-@pytest.mark.parametrize("j_max", [1, 16])
-@pytest.mark.parametrize("case", [k for k, form in enumerate(_SEARCH_FORMS)
-                                  if form[0] == ScalarField.REAL])
-def test_structured_scores_are_their_certificates_ratios(case, j_max):
-    # scored with the first chunk's trials, each structured family of a real
-    # form gets its certificate's ratio to the bit
-    A, exps = _search_case(case)
-    per = sum(A.dims)
-    chunk = next(summing._chunks_drawn(case, 37, j_max, per))
+def _assert_structured_scores_are_their_certificates_ratios(A, exps, seed, budget, j_max):
+    # scored with the first chunk's trials, each structured family gets its
+    # certificate's ratio to the bit, in complex spaces too: its real columns
+    # either join a complex stack of an exact plan, the plan the real kernel
+    # takes, or go to the kernel on their own
+    per = (2 if A.field.is_complex else 1) * sum(A.dims)
+    chunk = next(summing._chunks_drawn(seed, budget, j_max, per))
     structured = _structured_families(A, j_max)
     scores = summing._family_ratios(A, exps, *chunk, -math.inf, structured)
     assert len(scores) == len(structured) + len(chunk[0])
     want = [summing_lower_bound(A, exps, fam).ratio for fam in _structured(A, j_max)]
     assert scores[:len(structured)].tolist() == want
+
+
+@pytest.mark.parametrize("j_max", [1, 16])
+@pytest.mark.parametrize("case", range(len(_SEARCH_FORMS)))
+def test_structured_scores_are_their_certificates_ratios(case, j_max):
+    A, exps = _search_case(case)
+    _assert_structured_scores_are_their_certificates_ratios(A, exps, case, 37, j_max)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_structured_scores_of_random_forms_are_their_certificates_ratios(seed):
+    # two complex forms in three: orders 2 and 3, dims 1 to 6, mixed domains,
+    # inner exponents from 1/2 to infinity
+    rng = np.random.default_rng([24, seed])
+    order = int(rng.integers(2, 4))
+    dims = rng.integers(1, 7, size=order).tolist()
+    exponents = ["1", "4/3", "2", "3", "inf"]
+    domains = rng.choice(exponents, size=order).tolist()
+    qs = rng.choice(["1/2"] + exponents, size=order).tolist()
+    total = sum(Exponent.of(q).recip for q in qs)
+    p = str(rng.choice([p for p in exponents if Exponent.of(p).recip <= total]))
+    field = ScalarField.COMPLEX if seed % 3 else ScalarField.REAL
+    A = random_form(rng, dims, field, exponents=domains)
+    _assert_structured_scores_are_their_certificates_ratios(
+        A, ExponentTuple(p, qs), seed, 16, int(rng.choice([1, 4, 16])))
 
 
 def test_sign_matrix_ties_go_to_the_diagonal():
@@ -419,26 +433,32 @@ def test_sign_matrix_ties_go_to_the_diagonal():
     assert all(np.array_equal(c.vectors, np.eye(2)) for c in cert.family.columns)
 
 
-def test_search_of_a_real_form_certifies_its_winner_alone(monkeypatch):
+@pytest.mark.parametrize("field,domains,exps,j_max", [
+    (ScalarField.REAL, (1, 2), ExponentTuple(1, (2, 1)), 16),
+    # complex l_4/3 x l_2: heuristic columns from length 2 on, in the
+    # structured families and the trials; j_max 2 keeps the reference's 512
+    # ascents short
+    (ScalarField.COMPLEX, ("4/3", 2), ExponentTuple("4/3", (2, 1)), 2),
+], ids=["real", "complex"])
+def test_search_certifies_its_winner_alone(field, domains, exps, j_max, monkeypatch):
     # no weak norm and no certificate for the structured families: the first
     # chunk scores them, and the one chunk's winner is certified
-    A = random_form(np.random.default_rng(3), (3, 4), ScalarField.REAL, exponents=(1, 2))
-    exps = ExponentTuple(1, (2, 1))
+    A = random_form(np.random.default_rng(3), (3, 4), field, exponents=domains)
     calls = []
     for name in ("weak_lp_norm", "summing_lower_bound"):
         entry = getattr(summing, name)
         monkeypatch.setattr(summing, name, lambda *a, entry=entry, name=name, **k:
                             calls.append(name) or entry(*a, **k))
-    cert = random_family_search(A, exps, budget=512, seed=1)
+    cert = random_family_search(A, exps, budget=512, seed=1, j_max=j_max)
     assert calls == ["summing_lower_bound"] + ["weak_lp_norm"] * 2
-    ref = _reference_search(A, exps, 512, 1, 16)
+    ref = _reference_search(A, exps, 512, 1, j_max)
     assert cert.ratio == ref.ratio and cert.lhs == ref.lhs
 
 
 def test_first_chunk_floors_are_set_from_the_structured_families(monkeypatch):
     # real l_3 x l_3: the structured families' heuristic weak norms end
     # first, without floors, and the trials' floors are set from their best
-    # ratio, the incumbent of a search that certifies them apart
+    # ratio, their best certificate's ratio
     case = next(k for k, form in enumerate(_SEARCH_FORMS)
                 if form[:3] == (ScalarField.REAL, (3, 3), (3, 3)))
     A, exps = _search_case(case)
@@ -457,14 +477,18 @@ def test_first_chunk_floors_are_set_from_the_structured_families(monkeypatch):
 def test_structured_weak_norms_in_complex_spaces_are_the_closed_forms(case):
     # the structured columns are real, so their weak norms are taken over the
     # reals; unit and flat vectors meet Hoelder's equality case over either
-    # field, so that is the complex value: d unit vectors of l_s^m have
-    # weak-l_q norm d^max(0, 1/q - 1/s'), reps flat vectors reps^(1/q) m^(1/s)
+    # field, so that is the complex value: d distinct unit vectors of l_s^m
+    # have weak-l_q norm d^max(0, 1/q - 1/s'), R^(1/q) times that when each
+    # is repeated R times, and reps flat vectors reps^(1/q) m^(1/s)
     A, exps = _search_case(case)
-    spike, diagonal, _, flat1, flat4 = _structured(A, 16)
+    spike, diagonal, grid, flat1, flat4 = _structured(A, 16)
     for i, (q, d) in enumerate(zip(exps.qs, A.domains)):
         s, m = d.exponent, d.dim
+        R = math.prod(A.dims) // m  # the grid's copies of each unit vector
         for fam, want in [
+            (spike, 1.0),
             (diagonal, min(A.dims) ** max(0.0, float(q.recip - s.dual.recip))),
+            (grid, R ** float(q.recip) * m ** max(0.0, float(q.recip - s.dual.recip))),
             (flat1, m ** float(s.recip)),
             (flat4, 4 ** float(q.recip) * m ** float(s.recip)),
         ]:
