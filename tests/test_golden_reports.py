@@ -57,6 +57,11 @@ def _beta():
     return {"field": "complex", "entries": np.stack([entries.real, entries.imag], -1).tolist()}
 
 
+def _seq():
+    rng = np.random.default_rng(20)
+    return VectorSeq(rng.standard_normal((5, 4)), SpaceSpec.lp(4, 3))
+
+
 def _family(form):
     rng = np.random.default_rng(13)
     return TestFamily(tuple(VectorSeq(rng.standard_normal((5, d.dim)), d)
@@ -89,7 +94,11 @@ COMMANDS = {
     "experiment": ["experiment", "--p", "4/3", "--q", "2", "--m", "3", "--count", "2",
                    "--budget", "6", "--jmax", "4", "--seed", "2"],
     "demos": ["demos"],
+    "opnorm": ["opnorm", "{lp}"],
+    "norm-weak": ["norm", "weak", "{seq}", "--p", "2"],
 }
+# commands that print one value and its label, not a report document
+PLAIN = {"demos", "opnorm", "norm-weak"}
 
 DIGESTS = {
     "almost-curry-files": "a1fe271546aaa69c7fb3eb7d010a7d745fddd4bf2f0d5f299202dadc339c40fc",
@@ -107,6 +116,8 @@ DIGESTS = {
     "inclusion": "0650e25ddc6b6074db82e4322cda53cc7171abeeeef25e608257ffc0ce41b1ed",
     "littlewood": "90653045fb4822cb2b926600f84b9b5f056a721067bfbeade3393bc1d19edd8b",
     "littlewood-files": "73ca7cedf53ae398c9f427a52c9a3303db00d4c6e9c8a91035f23735c2ad4c39",
+    "norm-weak": "cac45003ac62a7b6bcd309fe72a63ef4d6ea27ce148e68ec3aa7fc7340cd0bcd",
+    "opnorm": "36461216413efe051ba87270873b709ba410300a30f096eaf24de9721283be31",
     "search-lp": "2c0a965828610517d7e46341bc3707e335cabd984405a084ba002ca8b54a3a4b",
     "search-l1l2": "1473a41a1c4ce805870387675e3a327379cfb7fdeffebb82896642d0f6f1d760",
     "search-sup": "50df225466900d3bc93486738842aef93021b5d8c2192c6e2d7ebfc9b3ca9065",
@@ -121,6 +132,7 @@ def files(tmp_path_factory):
     docs = {"sup": sup.to_json(), "lp": _lp_form().to_json(),
             "sup3": _sup3_form().to_json(), "l1l2": _l1l2_form().to_json(),
             "sup_complex": _sup_complex_form().to_json(), "beta": _beta(),
+            "seq": _seq().to_json(),
             "family": _family(sup).to_json(),
             "head": TestFamily(_family(sup).columns[:1]).to_json()}
     paths = {}
@@ -140,7 +152,7 @@ def test_report_digest(name, files, capsys):
     assert digest == DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(set(COMMANDS) - {"demos"}))
+@pytest.mark.parametrize("name", sorted(set(COMMANDS) - PLAIN))
 def test_config_echoes_the_options_of_its_command(name, files, capsys):
     # every option the command takes, under its dest name, but its output
     # and its paths (positional files, --beta), and for a verify suite given
