@@ -259,8 +259,7 @@ def cmd_mixed(args) -> int:
 
 
 def cmd_weak(args) -> int:
-    est = weak_lp_norm(load_vector_seq(args.file), _parse_exponent(args.p),
-                       starts=args.starts, seed=args.seed)
+    est = weak_lp_norm(load_vector_seq(args.file), _parse_exponent(args.p))
     return _print_norm("weak", est.value, "exact" if est.exact else "lower-bound")
 
 
@@ -272,7 +271,7 @@ def cmd_rad(args) -> int:
 
 
 def cmd_opnorm(args) -> int:
-    est = op_norm(load_form(args.file), starts=args.starts, seed=args.seed)
+    est = op_norm(load_form(args.file))
     return _print_norm("opnorm", est.value, "exact" if est.exact else "lower-bound")
 
 
@@ -483,10 +482,6 @@ def cmd_experiment(args) -> int:
 # parser
 
 
-_STARTS_HELP = ("random starts of the alternating maximization, used where a "
-                "norm has neither an exact plan nor a roots-of-unity grid on "
-                "its complex sup slots")
-
 # every option of every command; a command names the ones its handler reads
 # and may change their settings (its own default, say)
 _OPTIONS = {
@@ -506,7 +501,6 @@ _OPTIONS = {
     "--count": dict(type=_count, default=5, help="number of random forms"),
     "--mode": dict(choices=["exact", "mc"], default="exact"),
     "--samples": dict(type=_count, default=100_000),
-    "--starts": dict(type=_at_least(1), default=32, help=_STARTS_HELP),
     "--out": dict(help="report file (stdout when omitted)"),
     "--format": dict(choices=["json", "csv"], default="json"),
 }
@@ -538,10 +532,10 @@ def build_parser() -> Parser:
     norm = sub.add_parser("norm", help="compute one norm from a file").add_subparsers(
         required=True)
     for kind, handler, options in [("lp", cmd_lp, "--p"), ("mixed", cmd_mixed, "--p --q"),
-                                   ("weak", cmd_weak, "--p --starts --seed"),
+                                   ("weak", cmd_weak, "--p"),
                                    ("rad", cmd_rad, "--p --mode --samples --seed")]:
         _command(norm, kind, handler, options).add_argument("file")
-    _command(sub, "opnorm", cmd_opnorm, "--starts --seed",
+    _command(sub, "opnorm", cmd_opnorm, "",
              help="operator norm of a form file").add_argument("file")
 
     verify = sub.add_parser("verify", help="run an inequality suite").add_subparsers(

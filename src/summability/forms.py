@@ -55,6 +55,8 @@ _PHASES = 8
 _GRID_CAP = 1 << 17
 # the best grid points of each item that start the alternating maximizer
 _GRID_STARTS = 8
+# the random starts, drawn from seed 0, of an item with neither an exact plan nor a grid
+_STARTS = 32
 # 1 / |a| overflows at and below this modulus
 _PHASE_LOW = 2.0 ** -1024
 # the most S * prod(dims) of a padded batch of the alternating maximizer:
@@ -166,7 +168,7 @@ def compose_beta(beta, a) -> np.ndarray:
     return b @ m
 
 
-def op_norm(A: FormTensor, *, starts: int = 32, seed: int = 0) -> NormEstimate:
+def op_norm(A: FormTensor) -> NormEstimate:
     """Supremum of |A(x1, ..., xn)| over the product of unit balls.
 
     Exact when every slot but one has a finite norming set (see
@@ -175,11 +177,10 @@ def op_norm(A: FormTensor, *, starts: int = 32, seed: int = 0) -> NormEstimate:
     column (:func:`_closed_form`); otherwise a lower bound flagged
     ``exact=False``: alternating maximization
     from the best points of the roots-of-unity grid on complex sup slots
-    where that grid fits in ``_GRID_CAP``, else from ``starts`` random starts
-    drawn from ``seed``.
+    where that grid fits in ``_GRID_CAP``, else from ``_STARTS`` random starts.
     """
     balls = tuple(d.exponent for d in A.domains)
-    return _one(_ball_sup(A.coeffs[None], balls, starts=starts, seed=seed))
+    return _one(_ball_sup(A.coeffs[None], balls))
 
 
 def _op_norms(forms) -> list[NormEstimate]:
@@ -264,8 +265,6 @@ def _ball_sup(
     items,
     balls: tuple[Exponent, ...],
     *,
-    starts: int = 32,
-    seed: int = 0,
     witness: bool = True,
     floors=None,
 ) -> tuple[np.ndarray, list[bool], list | None]:
@@ -285,12 +284,11 @@ def _ball_sup(
     a lower bound within sec(pi/8)^k of the supremum, k the number of phase
     slots; the ``_GRID_STARTS`` best grid points start alternating
     maximization, and the item's value is the larger of the polished value
-    and L. Without a plan, alternating maximization from ``starts`` random
-    starts drawn from ``seed`` gives each item a lower bound (``starts`` and
-    ``seed`` act on this path alone). The alternating maximization of all
-    inexact items runs on one batch axis (:func:`_polish`). Each item gets
-    the value it gets alone. Returns the T values, per item whether its value
-    is exact, and per item the maximizing vectors (None for
+    and L. Without a plan, alternating maximization from ``_STARTS`` random
+    starts drawn from seed 0 gives each item a lower bound. The alternating
+    maximization of all inexact items runs on one batch axis (:func:`_polish`).
+    Each item gets the value it gets alone. Returns the T values, per item
+    whether its value is exact, and per item the maximizing vectors (None for
     ``witness=False``). The field is that of the arrays (complex128 exactly
     for complex data). It runs with numpy's over-, underflow and
     invalid-value warnings off: a value that is 0, not finite or outside
@@ -309,7 +307,7 @@ def _ball_sup(
     :func:`_ball_sup_end`, let a caller read each item's exact value or grid
     maximum (:func:`_lower_bounds`) before it sets the floors.
     """
-    return _ball_sup_end(_ball_sup_start(items, balls, starts, seed, witness), floors)
+    return _ball_sup_end(_ball_sup_start(items, balls, witness), floors)
 
 
 class _Started(NamedTuple):
@@ -321,14 +319,12 @@ class _Started(NamedTuple):
 
     items: object
     balls: tuple
-    starts: int
-    seed: int
     witness: bool
     result: tuple
     jobs: list
 
 
-def _ball_sup_start(items, balls, starts=32, seed=0, witness=True) -> _Started:
+def _ball_sup_start(items, balls, witness=True) -> _Started:
     """The first half of :func:`_ball_sup`: plans, exact enumerations,
     closed forms, and the grid or random starts of every other item. It
     runs in the caller's numpy error state, which should be that of
@@ -351,7 +347,7 @@ def _ball_sup_start(items, balls, starts=32, seed=0, witness=True) -> _Started:
                 if plan:
                     vectors, result[0][k], result[2][k] = _grid_starts(a, balls, plan)
                 else:
-                    vectors = _random_starts(a, balls, is_complex, starts, seed)
+                    vectors = _random_starts(a, balls, is_complex)
                 jobs.append((k, a, vectors, plan is not None))
             continue
         for lo in range(0, len(stack), plan.chunk):  # at most _ENUM_BUDGET work at a time
@@ -359,7 +355,7 @@ def _ball_sup_start(items, balls, starts=32, seed=0, witness=True) -> _Started:
             _put(result, idx[lo:lo + plan.chunk], np.maximum.reduce(points, axis=1), [
                 tuple(v[0] for v in _grid_points(tk, [flat], plan, balls))
                 for tk, flat in zip(t, points.argmax(axis=1))] if witness else None)
-    return _Started(items, balls, starts, seed, witness, result, jobs)
+    return _Started(items, balls, witness, result, jobs)
 
 
 def _put(result, idx, values, found) -> None:
@@ -389,10 +385,10 @@ def _ball_sup_end(started: _Started, floors=None):
     values, exact, witnesses = _polished(started, floors)
     for k, v in enumerate(values.tolist()):
         if not _SAFE_LOW <= v <= _SAFE_HIGH:
-            items, balls, starts, seed, witness = started[:5]
+            items, balls, witness = started[:3]
 
             def again(c):
-                redone = _polished(_ball_sup_start(c[None], balls, starts, seed, witness))
+                redone = _polished(_ball_sup_start(c[None], balls, witness))
                 witnesses[k] = redone[2][0]
                 return redone[0].item(0)
             values[k] = _rescaled(v, again, items[k])
@@ -665,21 +661,19 @@ def _dual_step(c: np.ndarray, s: Exponent) -> np.ndarray:
     return out
 
 
-def _random_starts(coeffs: np.ndarray, balls: tuple[Exponent, ...], is_complex: bool,
-                   starts: int, seed: int) -> list[np.ndarray]:
-    """max(2, starts) start vectors per slot: the flat vectors, the basis
-    vectors of the largest coefficient, then Gaussian vectors drawn from
-    ``seed``."""
-    S = max(2, starts)
-    if S * sum(coeffs.shape) > _ENUM_BUDGET:
-        raise ValueError(f"{starts} starts on dims {coeffs.shape} exceed the budget of "
+def _random_starts(coeffs: np.ndarray, balls: tuple[Exponent, ...],
+                   is_complex: bool) -> list[np.ndarray]:
+    """``_STARTS`` start vectors per slot: the flat vectors, the basis vectors
+    of the largest coefficient, then Gaussian vectors drawn from seed 0."""
+    if _STARTS * sum(coeffs.shape) > _ENUM_BUDGET:
+        raise ValueError(f"{_STARTS} starts on dims {coeffs.shape} exceed the budget of "
                          f"{_ENUM_BUDGET} start coordinates")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     vectors = []
     argmax_idx = np.unravel_index(int(np.argmax(np.abs(coeffs))), coeffs.shape)
     for i, (m, s) in enumerate(zip(coeffs.shape, balls)):
-        V = _gaussian(rng, (S, m), is_complex)
+        V = _gaussian(rng, (_STARTS, m), is_complex)
         V[0] = 1.0  # flat start
         V[1] = 0.0
         V[1, argmax_idx[i]] = 1.0  # largest-coefficient start
@@ -697,7 +691,7 @@ def _polish(jobs, balls, floors=None) -> list[tuple[float, tuple]]:
     groups: dict = {}
     for j, (a, vectors) in enumerate(jobs):
         S = len(vectors[0])
-        groups.setdefault((S, a.dtype, _pad_key(a.shape, S)), []).append(j)
+        groups.setdefault((S, a.dtype, _pad_key(a.shape)), []).append(j)
     out = [None] * len(jobs)
     for (S, dtype, _), members in groups.items():
         members.sort(key=lambda j: jobs[j][0].shape)
@@ -716,15 +710,14 @@ def _polish(jobs, balls, floors=None) -> list[tuple[float, tuple]]:
     return out
 
 
-def _pad_key(dims, S: int):
+def _pad_key(dims):
     """Jobs of one key can be zero-padded to common dims without changing a
     bit of their results: each axis stays in its summation class
     (:func:`norms._sum_class`), as the norm of a slot (numpy's pairwise sum)
     and a contraction over the last axis (einsum's vector lanes) add in
     blocks of 8. einsum orders its loops by the dims where an axis has
-    length 1 and for a full contraction with two starts, so such jobs are
-    not padded."""
-    if 1 in dims or S < 3:
+    length 1, so such jobs are not padded."""
+    if 1 in dims:
         return "shape", dims
     return "class", tuple(map(_sum_class, dims))
 

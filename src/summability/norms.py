@@ -210,8 +210,7 @@ class VectorSeq:
         return cls(vectors, space)
 
 
-def weak_lp_norm(seq: VectorSeq, p: ExponentLike, *, starts: int = 32,
-                 seed: int = 0) -> NormEstimate:
+def weak_lp_norm(seq: VectorSeq, p: ExponentLike) -> NormEstimate:
     """sup over the dual unit ball of (sum_j |phi(x_j)|^p)^(1/p).
 
     For p >= 1 this is the norm of the coefficient matrix X (one row per
@@ -224,8 +223,8 @@ def weak_lp_norm(seq: VectorSeq, p: ExponentLike, *, starts: int = 32,
     case: the unit vectors of l_s^m have weak-l_p norm
     m^max(0, 1/p - 1/s')); otherwise an alternating-maximization lower
     bound, started from the kernel's roots-of-unity grid for complex
-    sequences where it fits and from ``starts`` random starts drawn from
-    ``seed`` elsewhere. Weak norms carry no witness.
+    sequences where it fits and from the kernel's fixed random starts
+    elsewhere. Weak norms carry no witness.
 
     For p < 1 (no longer a bilinear norm) the value is the best over the
     coordinate functionals of sup-norm spaces and the sign functionals of
@@ -241,8 +240,7 @@ def weak_lp_norm(seq: VectorSeq, p: ExponentLike, *, starts: int = 32,
     s = seq.space.exponent
 
     if pe.recip.numerator <= pe.recip.denominator:  # p >= 1
-        return forms._one(forms._ball_sup(X[None], (pe.dual, s.dual),
-                                          starts=starts, seed=seed, witness=False))
+        return forms._one(forms._ball_sup(X[None], (pe.dual, s.dual), witness=False))
 
     if s.is_inf or (s.recip == 1 and not seq.is_complex
                     and (1 << seq.dim) <= _ENUM_BUDGET):
@@ -250,8 +248,7 @@ def weak_lp_norm(seq: VectorSeq, p: ExponentLike, *, starts: int = 32,
         return NormEstimate(float(_axis_norms(np.abs(V), pe, axis=0).max()), True)
     if seq.length == 1:
         return NormEstimate(lp_norm(X[0], s), True)
-    phi = forms._one(forms._ball_sup(X[None], (INF, s.dual),
-                                     starts=starts, seed=seed)).witness[1]
+    phi = forms._one(forms._ball_sup(X[None], (INF, s.dual))).witness[1]
     return NormEstimate(lp_norm(X @ phi, pe), False)
 
 

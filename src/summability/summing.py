@@ -206,12 +206,20 @@ def random_form(
     return FormTensor(coeffs, domains, field)
 
 
+def _entry_draws(field: ScalarField) -> tuple[int, type]:
+    """How a search draws each entry of a family: the normal numbers it takes
+    (a real part, then for complex forms an imaginary part), and the dtype
+    they are read as."""
+    return (2, complex) if field.is_complex else (1, float)
+
+
 def _columns(A: FormTensor, lengths, starts, flat) -> list[np.ndarray]:
     """Per slot, the columns of the draws of ``lengths`` one after another,
     as one (sum of the lengths, m) array: draw t holds its columns from
     ``flat[starts[t]]`` on, slot by slot, each column's entries (real parts,
     then imaginary parts for complex forms), the order in which drawing the
     columns one at a time consumes the stream."""
+    draws, dtype = _entry_draws(A.field)
     at = starts  # per draw, where its next column starts in flat
     columns = []
     for m in A.dims:
@@ -219,10 +227,10 @@ def _columns(A: FormTensor, lengths, starts, flat) -> list[np.ndarray]:
         # per entry, where it is in flat: its draw's column start plus its place in it
         idx = np.repeat(at - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
         at = at + sizes
-        if A.field.is_complex:  # (real, imaginary) pairs, read as complex numbers
+        if draws == 2:  # (real, imaginary) pairs, the imaginary parts a column later
             idx = np.stack([idx, idx + np.repeat(sizes, sizes)], axis=1)
             at = at + sizes
-        columns.append(flat[idx].view(complex if A.field.is_complex else float).reshape(-1, m))
+        columns.append(flat[idx].view(dtype).reshape(-1, m))
     return columns
 
 
@@ -233,7 +241,7 @@ def _as_family(A: FormTensor, columns) -> TestFamily:
 def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestFamily:
     """A random family's length J, then all its entries from one normal draw."""
     J = int(rng.integers(1, j_max + 1))
-    flat = rng.standard_normal((2 if A.field.is_complex else 1) * J * sum(A.dims))
+    flat = rng.standard_normal(_entry_draws(A.field)[0] * J * sum(A.dims))
     return _as_family(A, _columns(A, np.array([J]), np.array([0]), flat))
 
 
@@ -299,7 +307,7 @@ def random_family_search(
     certified, by :func:`summing_lower_bound`: once per search of up to
     ``_SEARCH_CHUNK`` trials.
     """
-    per = (2 if A.field.is_complex else 1) * sum(A.dims)  # numbers per vector of a family
+    per = _entry_draws(A.field)[0] * sum(A.dims)  # numbers per vector of a family
     _refuse_search(budget, j_max, per)
     structured = _structured_families(A, j_max)
     best = None  # the certificate of the first maximal ratio so far
@@ -1124,7 +1132,7 @@ def summing_experiment(
     A ``budget`` or ``j_max`` that the searches refuse (:func:`random_family_search`)
     is refused before any form is drawn.
     """
-    _refuse_search(budget, j_max, (2 if field.is_complex else 1) * 2 * m)
+    _refuse_search(budget, j_max, _entry_draws(field)[0] * 2 * m)
     dp, dq = Exponent.of(domain_p), Exponent.of(domain_q)
     exps = ExponentTuple(dp, (_TWO, _ONE))
     seeds = np.random.SeedSequence(seed).spawn(count)

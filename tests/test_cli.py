@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -268,8 +269,6 @@ def test_negative_count_exits_3(argv, capsys):
     (["verify", "dv", "--random", "1", "--jmax", "0"], "--jmax", 1),
     (["verify", "littlewood", "--random", "1", "--m", "1"], "--m", 2),
     (["experiment", "--m", "0"], "--m", 1),
-    (["opnorm", "form.json", "--starts", "-5"], "--starts", 1),
-    (["norm", "weak", "seq.json", "--starts", "0"], "--starts", 1),
 ])
 def test_option_below_its_least_value_exits_3(argv, option, low, capsys):
     # the parser rejects it, before numpy fails with "low >= high"
@@ -278,6 +277,19 @@ def test_option_below_its_least_value_exits_3(argv, option, low, capsys):
     assert exc.value.code == 3
     err = capsys.readouterr().err
     assert f"argument {option}: expected an integer >= {low}" in err
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["opnorm", "form.json", "--starts", "4"], "--starts"),
+    (["norm", "weak", "seq.json", "--seed", "1"], "--seed"),
+])
+def test_start_options_are_rejected(argv, option, capsys):
+    # the random starts of the ascent are a constant, not options
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"unrecognized arguments: {option}" in captured.err
 
 
 def test_norm_rad_zero_samples_exits_3(tmp_path, capsys):
@@ -333,18 +345,27 @@ def test_forms_of_many_slots(tmp_path, capsys, n, code):
 
 
 def test_starts_past_the_budget_exit_3(tmp_path, capsys):
-    # numpy's allocation of 10^13 start vectors failed with _ArrayMemoryError
-    form = FormTensor(np.arange(6.0).reshape(2, 3), (SpaceSpec.lp(2, 2), SpaceSpec.lp(3, 3)))
-    seq = VectorSeq(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]]), SpaceSpec.lp(3, 3))
-    huge = "10000000000000"
-    for argv in (["opnorm", write_json(tmp_path / "form.json", form.to_json()),
-                  "--starts", huge],
+    # 32 starts on dims that sum past 2^17: refused before a start vector,
+    # or anything the size of the coefficients, is allocated
+    coeffs = np.random.default_rng(36).standard_normal((2, 131071))
+    form = FormTensor(coeffs, (SpaceSpec.lp(2, 3), SpaceSpec.lp(131071, 3)))
+    seq = VectorSeq(coeffs, SpaceSpec.lp(131071, 3))
+    for argv in (["opnorm", write_json(tmp_path / "form.json", form.to_json())],
                  ["norm", "weak", write_json(tmp_path / "seq.json", seq.to_json()),
-                  "--p", "2", "--starts", huge]):
+                  "--p", "2"]):
         assert main(argv) == 3, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "10000000000000 starts on dims" in captured.err
+        assert "32 starts on dims (2, 131071) exceed the budget" in captured.err
+    for call in (lambda: summability.op_norm(form), lambda: summability.weak_lp_norm(seq, 2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="32 starts on dims"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < coeffs.nbytes
 
 
 def test_usage_error_exits_3(capsys):

@@ -136,7 +136,6 @@ OPTIONS = {  # every option of the CLI, with (valid, invalid) values
     "--count": _counts(0, 2),
     "--mode": (st.sampled_from(["exact", "mc"]), st.just("bogus")),
     "--samples": _counts(1, 40),
-    "--starts": _counts(1, 8),
     "--format": (st.sampled_from(["json", "csv"]), st.just("xml")),
 }
 SEEDED = "--m --seed --field --format"
@@ -152,9 +151,9 @@ VERIFY = {  # suite -> (options always given, options sometimes given)
 COMMANDS = {
     "norm lp SEQ": ("", "--p"),
     "norm mixed MATRIX": ("", "--p --q"),
-    "norm weak SEQ": ("", "--p --starts --seed"),
+    "norm weak SEQ": ("", "--p"),
     "norm rad SEQ": ("--samples", "--p --mode --seed"),
-    "opnorm FORM": ("", "--starts --seed"),
+    "opnorm FORM": ("", ""),
     **{f"verify {suite}": options for suite, options in VERIFY.items()},
     **{f"verify {suite} FORM": VERIFY[suite] for suite in [
         "littlewood", "general", "bh", "extended"]},
@@ -177,7 +176,7 @@ def command(draw, head):
         if draw(st.booleans()):
             argv += [name, draw(OPTIONS[name][0])]
     options = always + sometimes
-    if draw(st.integers(0, 3)) == 3:  # one invalid value; the last one given wins
+    if options and draw(st.integers(0, 3)) == 3:  # one invalid value; the last given wins
         name = draw(st.sampled_from(options))
         argv += [name, draw(OPTIONS[name][1])]
     # an option of another command, a prefix of one of its own among them

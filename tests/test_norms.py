@@ -187,7 +187,7 @@ def test_ascent_matches_exact_formulas():
         exact = weak_lp_norm(seq, p)
         pe = Exponent.of(p)
         balls = (pe.dual, space.exponent.dual)
-        starts = forms._random_starts(seq.vectors, balls, False, 32, 0)
+        starts = forms._random_starts(seq.vectors, balls, False)
         ascent, _ = forms._polish([(seq.vectors, starts)], balls)[0]
         assert exact.exact
         assert ascent == pytest.approx(exact.value, rel=1e-8)

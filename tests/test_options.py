@@ -48,7 +48,7 @@ OPTIONS = {
     "lift_family": [],
     "lp_norm": [],
     "mixed_norm": [],
-    "op_norm": ["starts", "seed"],
+    "op_norm": [],
     "rad_p_norm": ["p", "mode", "samples", "seed"],
     "rademacher_average": ["mode", "samples", "seed"],
     "random_family_search": ["budget", "seed", "j_max"],
@@ -62,7 +62,7 @@ OPTIONS = {
     "verify_extended_littlewood": ["opn"],
     "verify_general_littlewood": ["opn"],
     "verify_littlewood_43": ["opn"],
-    "weak_lp_norm": ["starts", "seed"],
+    "weak_lp_norm": [],
 }
 
 
@@ -86,15 +86,15 @@ def test_public_options_are_pinned():
 
 REPORT = ["--out", "--format"]
 SEEDED = ["--random", "--m", "--seed", "--field"]
-CLI_OPTIONS = {  # 72 (command, option) pairs
+CLI_OPTIONS = {  # 68 (command, option) pairs
     "demos": [],
     "experiment": ["--p", "--q", "--m", "--count", "--seed", "--budget", "--jmax", "--field",
                    *REPORT],
     "norm lp": ["--p"],
     "norm mixed": ["--p", "--q"],
     "norm rad": ["--p", "--mode", "--samples", "--seed"],
-    "norm weak": ["--p", "--starts", "--seed"],
-    "opnorm": ["--starts", "--seed"],
+    "norm weak": ["--p"],
+    "opnorm": [],
     "search": ["--p", "--qs", "--seed", "--budget", "--jmax", *REPORT],
     "verify almost": ["--curry", *REPORT],
     "verify bh": ["--random", "--m", "--order", "--seed", "--field", *REPORT],
@@ -127,7 +127,7 @@ def cli_options(parser) -> list[str]:
 
 def test_cli_options_are_pinned():
     assert {name: cli_options(parser) for name, parser in commands()} == CLI_OPTIONS
-    assert sum(map(len, CLI_OPTIONS.values())) == 72
+    assert sum(map(len, CLI_OPTIONS.values())) == 68
 
 
 def test_readme_option_table_matches_the_parser():
