@@ -137,13 +137,12 @@ def _at_least(low: int):
         except ValueError:
             value = low - 1
         if value < low:
-            wanted = "a non-negative integer" if low == 0 else f"an integer >= {low}"
-            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
         return value
     return parse
 
 
-_count = _at_least(0)  # instance, record and sample counts
+_count = _at_least(0)  # instance, record and sample counts, and seeds
 
 
 def _parse_exponent(text: str) -> Exponent:
@@ -489,7 +488,7 @@ _OPTIONS = {
                      help="number of seeded random instances when no files are given"),
     "--m": dict(type=_at_least(2), default=4, help="largest dimension"),
     "--order": dict(type=int, default=3, help="form order of the random instances"),
-    "--seed": dict(type=int, default=0, help="master seed"),
+    "--seed": dict(type=_count, default=0, help="master seed"),
     "--field": dict(choices=["real", "complex"], help="scalar field of the random forms"),
     "--jmax": dict(type=_at_least(1), default=16, help="largest random family length"),
     "--p": dict(default="2", help="exponent (decimal or fraction)"),

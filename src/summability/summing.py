@@ -153,12 +153,16 @@ def summing_lower_bound(
     fam: TestFamily,
 ) -> RatioCertificate:
     """Evaluate one family: lhs at the outer exponent over weak norms at the inner ones."""
-    if exps.n != A.order:
-        raise ValueError(f"exponent tuple has {exps.n} slots, form has {A.order}")
+    _require_slots(A, exps)
     values = fam.values(A)
     lhs = lp_norm(values, exps.p)
     rhs = tuple(weak_lp_norm(col, q) for col, q in zip(fam.columns, exps.qs))
     return RatioCertificate(lhs, rhs, fam, exps)
+
+
+def _require_slots(A: FormTensor, exps: ExponentTuple) -> None:
+    if exps.n != A.order:
+        raise ValueError(f"exponent tuple has {exps.n} slots, form has {A.order}")
 
 
 def _structured_families(A: FormTensor, j_max: int) -> list[list[np.ndarray]]:
@@ -245,7 +249,6 @@ def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestF
     return _as_family(A, _columns(A, np.array([J]), np.array([0]), flat))
 
 
-_SEARCH_STREAMS = 8
 _SEARCH_CHUNK = 1 << 10  # random trials scored at once
 _SEARCH_BUDGET = _ENUM_BUDGET  # trials; a search holds 24 bytes a trial before scoring any
 
@@ -275,50 +278,52 @@ def random_family_search(
 ) -> RatioCertificate:
     """Best ratio certificate over structured plus seeded random families.
 
-    The random budget is split over a fixed number of streams seeded from
-    the master seed (the first ``budget % streams`` streams take one trial
-    more). The structured families (:func:`_structured_families`) are tried
-    first, then each stream in order, and the first maximal ratio wins, so
-    the result depends only on the seed and the budget. Each stream draws
-    all its lengths, then its trials (:func:`_chunks_drawn`); a budget over
+    One generator seeded by ``seed`` draws the lengths of all ``budget``
+    trials, then their entries (:func:`_chunks_drawn`). The structured
+    families (:func:`_structured_families`) are tried first, then the trials
+    in the order drawn, and the first maximal ratio wins, so the result
+    depends only on the form, the exponents, the seed, the budget and
+    ``j_max``, not on how the trials are chunked. A budget over
     ``_SEARCH_BUDGET`` trials, and a ``j_max`` at which one trial may draw
     more than ``_ENUM_BUDGET`` normal numbers (j_max * sum(dims), doubled
     for complex forms), are refused before any draw. The trials are scored
     in chunks of at most ``_SEARCH_CHUNK`` trials and ``_ENUM_BUDGET`` drawn
     numbers, in a fixed number of passes (:func:`_family_ratios`): one
-    gather per column, one contraction for the trials of length 3 or more,
-    and per length class (:func:`norms._sum_class`, zero-padded to the
-    longest length present) one call of the rule of :func:`lp_norm` for
-    their lhs and, per column where the plan is exact, one kernel call for
-    their weak norms; the heuristic weak norms of a chunk take one kernel
-    call per column, whose ascent pads within the same classes
-    (:func:`forms._pad_key`). The structured families join the first
-    chunk's pass, each contracted alone, and score their certificates'
-    ratios to the bit, in either field. A trial's score is its certificate's
-    ratio to the bit, except for bilinear families of one or two vectors,
-    which einsum sums in another order when stacked (230 of 4 447 seeded
-    ones score up to 12 ulps off, none of 20 753 other trials). Heuristic
-    ascents stop at a floor set from the best ratio so far, the incumbent
-    (in the first chunk, that of the structured families),
-    once a trial's ratio can no longer exceed it: such a trial scores below
-    the incumbent, and since a chunk's best replaces the incumbent only when
-    strictly greater, it never wins, and the result is the one full ascents
-    give. Only the best family of a chunk that improves on the incumbent is
-    certified, by :func:`summing_lower_bound`: once per search of up to
-    ``_SEARCH_CHUNK`` trials.
+    gather per column, one contraction, and per length class
+    (:func:`norms._sum_class`, zero-padded to the longest length present)
+    one call of the rule of :func:`lp_norm` for their lhs and, per column
+    where the plan is exact, one kernel call for their weak norms; the
+    heuristic weak norms of a chunk take one kernel call per column, whose
+    ascent pads within the same classes (:func:`forms._pad_key`). The
+    structured families join the first chunk's pass. Heuristic ascents stop
+    at a floor set from the best ratio so far, the incumbent (in the first
+    chunk, that of the structured families), once a trial's ratio can no
+    longer exceed it: such a trial scores below the incumbent, and since a
+    chunk's best replaces the incumbent only when strictly greater, it never
+    wins, and the result is the one full ascents give.
+
+    The certificate is the winner's score: its lhs, weak norms and exact
+    flags are those the scorer computed, and its ratio is the score to the
+    bit. They are those of :func:`summing_lower_bound` on the winning family,
+    except the lhs of a drawn bilinear family of one or two vectors, which
+    einsum sums alone in another order than in the scorer's stack (up to 12
+    ulps, for shapes such as (2, 2) and (2, 3)).
     """
     per = _entry_draws(A.field)[0] * sum(A.dims)  # numbers per vector of a family
     _refuse_search(budget, j_max, per)
+    _require_slots(A, exps)
     structured = _structured_families(A, j_max)
     best = None  # the certificate of the first maximal ratio so far
     for lengths, starts, flat in _chunks_drawn(seed, budget, j_max, per):
-        ratios = _family_ratios(A, exps, lengths, starts, flat,
-                                -math.inf if best is None else best.ratio, structured)
+        ratios, lhs, weak, exact = _family_ratios(
+            A, exps, lengths, starts, flat, -math.inf if best is None else best.ratio, structured)
         k = int(np.argmax(np.where(np.isnan(ratios), -np.inf, ratios)))  # NaN never wins
         if best is None or ratios[k] > best.ratio:
             t = k - len(structured)  # the families scored come first, then the trials
             columns = structured[k] if t < 0 else _columns(A, lengths[[t]], starts[[t]], flat)
-            best = summing_lower_bound(A, exps, _as_family(A, columns))
+            best = RatioCertificate(lhs.item(k), tuple(map(NormEstimate, weak[:, k].tolist(),
+                                                           exact[:, k].tolist())),
+                                    _as_family(A, columns), exps)
         structured = []  # scored with the first chunk
     return best
 
@@ -336,58 +341,50 @@ def _refuse_search(budget: int, j_max: int, per: int) -> None:
 
 def _chunks_drawn(seed: int, budget: int, j_max: int, per: int):
     """The random trials in chunks (lengths, starts, flat) of at most ``_SEARCH_CHUNK``
-    trials and ``_ENUM_BUDGET`` numbers, one trial at least. A stream draws its lengths
-    in one call, then its trials' numbers per chunk; how calls split a draw moves no number.
-    Only the streams with trials get a generator: a spawn of k children gives the
-    first k of a larger spawn."""
-    S = _SEARCH_STREAMS
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(min(S, budget))]
-    edges = [w * (budget // S) + min(w, budget % S) for w in range(S + 1)]  # stream w's trials
-    lengths = np.concatenate([rng.integers(1, j_max + 1, size=b - a)
-                              for rng, a, b in zip(rngs, edges, edges[1:])])
+    trials and ``_ENUM_BUDGET`` numbers, one trial at least, from one generator: the
+    lengths of all trials in one call, then each chunk's numbers in one call. How calls
+    split a draw moves no number, so a trial's numbers do not depend on the chunks."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, j_max + 1, size=budget)
     ends = np.concatenate(([0], np.cumsum(lengths) * per))  # trial t: ends[t]:ends[t + 1]
     lo = 0
     while lo < budget:
         hi = int(np.searchsorted(ends, ends[lo] + _ENUM_BUDGET, "right")) - 1
         hi = max(lo + 1, min(hi, lo + _SEARCH_CHUNK))
         at = ends[lo:hi + 1] - ends[lo]  # the chunk's trials in flat
-        flat = np.empty(at[-1])
-        for rng, a, b in zip(rngs, edges, edges[1:]):
-            if max(a, lo) < min(b, hi):
-                rng.standard_normal(out=flat[at[max(a, lo) - lo]:at[min(b, hi) - lo]])
-        yield lengths[lo:hi], at[:-1], flat
+        yield lengths[lo:hi], at[:-1], rng.standard_normal(int(at[-1]))
         lo = hi
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # ratios may over- or underflow
 def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
-                   incumbent: float, structured=()) -> np.ndarray:
+                   incumbent: float, structured=()) -> tuple[np.ndarray, ...]:
     """The ratio lhs / prod(weak norms) of each of the ``structured``
     families (the column arrays of :func:`_structured_families`), then of
-    each family drawn (:func:`_columns`), or, for a drawn family whose
-    ratio cannot exceed the incumbent, the larger of ``incumbent`` and the
-    structured families' ratios, possibly a number below the incumbent
-    instead.
+    each family drawn (:func:`_columns`), in the order drawn, or, for a drawn
+    family whose ratio cannot exceed the incumbent, the larger of
+    ``incumbent`` and the structured families' ratios, possibly a number
+    below the incumbent instead; with them, per family, its lhs, its weak
+    norms and their exact flags (one row per column).
 
-    A ratio is computed as its certificate computes it: the lhs by
-    :func:`norms._lp_rows`, the rule of :func:`lp_norm`, and the weak norms
-    multiplied into the denominator in column order. Only the values of
-    drawn bilinear families of one or two vectors may differ, as einsum sums
-    them in another order on the chunk's stack than alone (the rule
-    :func:`forms._pad_key` names): in a seeded sample of order-2 and order-3
-    families at p in {4/3, 3/2, 3}, real and complex, 230 of 4 447 such
-    trials score up to 12 ulps off their certificate, none of 20 753 others.
-    Each structured family is contracted alone, as its certificate is, so
-    its score is its certificate's ratio to the bit. Its columns are real
-    arrays in either field: where they join a complex stack, the exact plan
-    on (J, m) has a basis slot only, the plan the real kernel takes, and
-    |x + 0j| = |x|; the others go to the kernel on their own, as real arrays.
+    A ratio is computed as :class:`RatioCertificate` computes it from the
+    lhs and weak norms, the weak norms multiplied into the denominator in
+    column order, so a certificate built from them has the ratio to the bit.
+    The lhs is the rule of :func:`lp_norm` (:func:`norms._lp_rows`) on the
+    moduli of the family's values. The values of all drawn families come
+    from one contraction of at least three rows, as einsum sums a stack of
+    one or two vectors in another order than a longer one for some shapes
+    (the rule :func:`forms._pad_key` names), so a trial's values do not
+    depend on the other trials of its chunk. Each structured family is
+    contracted alone, as :func:`summing_lower_bound` contracts it. Its
+    columns are real arrays in either field: where they join a complex
+    stack, the exact plan on (J, m) has a basis slot only, the plan the real
+    kernel takes, and |x + 0j| = |x|; the others go to the kernel on their
+    own, as real arrays. A weak norm and its flag are those
+    :func:`weak_lp_norm` gives the column, except in a retired family.
 
     The trials are taken in order of length, and each column of all of them
-    is gathered once (:func:`_columns`). One contraction gives the values of
-    every trial of length 3 or more, and one each those of lengths 1 and 2,
-    whose stacks einsum sums in another order. The lhs take one
+    is gathered once (:func:`_columns`). The lhs take one
     :func:`_lp_rows` call per length class (:func:`norms._sum_class`), the
     trials and structured families of the class zero-padded to the longest
     length present, and a column's weak norms (q >= 1) one kernel call per
@@ -456,29 +453,28 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
         return np.divide(lhs[at], denominator, out=np.zeros(len(lhs[at])),
                          where=denominator > 0)
 
-    # the rows of lengths 1, 2 and 3 or more: einsum sums a stack of one or
-    # two vectors in another order than a longer one, for some shapes
-    cuts = [0] + [heads[int(np.searchsorted(lengths, J))] for J in (2, 3)] + [heads[-1]]
-    values = np.concatenate([_batch_contract(A.coeffs, [c[lo:hi] for c in columns])
-                             for lo, hi in zip(cuts, cuts[1:]) if hi > lo])
-    moduli = np.abs(values)
+    # one contraction of at least three rows: einsum sums a stack of one or two
+    # vectors in another order than a longer one, for some shapes
+    moduli = np.abs(_batch_contract(A.coeffs, [np.pad(c, ((0, 2), (0, 0))) if heads[-1] < 3
+                                               else c for c in columns])[:heads[-1]])
     own_moduli = [np.abs(_batch_contract(A.coeffs, family)) for family in structured]
     lhs = np.empty(S + T)
     for _, lo, hi, members, L in runs([_sum_class(J) for J in distinct]):
         put(lhs, lo, hi, members, _lp_rows(padded(moduli[heads[lo]:heads[hi]], lo, hi, L,
                                                   [own_moduli[s] for s in members]), exps.p))
-    weak = np.empty((A.order, S + T))
+    weak, exact = np.empty((A.order, S + T)), np.ones((A.order, S + T), bool)
     pending = [([], []) for _ in A.domains]  # per column: trial positions, inexact items
     ahead = [[] for _ in A.domains]  # per column: structured families without an exact plan
     for i, (col, ball, q, d) in enumerate(zip(columns, balls, exps.qs, A.domains)):
         if ball is None:
-            weak[i] = [weak_lp_norm(VectorSeq(X, d), q).value for X in
-                       [family[i] for family in structured]
-                       + [col[a:b] for a, b in zip(heads, heads[1:])]]
+            norms = [weak_lp_norm(VectorSeq(X, d), q) for X in
+                     [family[i] for family in structured]
+                     + [col[a:b] for a, b in zip(heads, heads[1:])]]
+            weak[i], exact[i] = [w.value for w in norms], [w.exact for w in norms]
             continue
-        for exact, lo, hi, members, L in runs(_weak_classes(tuple(distinct), d.dim, ball,
-                                                            A.field.is_complex)):
-            if exact:
+        for key, lo, hi, members, L in runs(_weak_classes(tuple(distinct), d.dim, ball,
+                                                          A.field.is_complex)):
+            if key is not None:
                 put(weak[i], lo, hi, members, _ball_sup(
                     padded(col[heads[lo]:heads[hi]], lo, hi, L,
                            [structured[s][i] for s in members]), ball, witness=False)[0])
@@ -488,8 +484,8 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
                 pending[i][1].extend(col[a:b] for a, b in zip(heads[lo:hi], heads[lo + 1:]))
     for i, members in enumerate(ahead):  # the structured families end first, unfloored
         if members:
-            weak[i, members] = _ball_sup([structured[s][i] for s in members], balls[i],
-                                         witness=False)[0]
+            weak[i, members], exact[i, members], _ = _ball_sup(
+                [structured[s][i] for s in members], balls[i], witness=False)
     started = {i: (idx, _ball_sup_start(items, balls[i], witness=False))
                for i, (idx, items) in enumerate(pending) if items}
     if started and S:  # the structured families, scored by now, set the trials' floors
@@ -500,10 +496,10 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
     for i in sorted(started, key=lambda i: np.count_nonzero(low[i, started[i][0]])):
         idx, st = started[i]
         floors = _floors(lhs[idx], low[:, idx], i, incumbent)
-        low[i, idx] = weak[i, idx] = _ball_sup_end(st, floors)[0]
-    scores = ratios(slice(None))
-    scores[S + order] = scores[S:].copy()
-    return scores
+        values, exact[i, idx], _ = _ball_sup_end(st, floors)
+        low[i, idx] = weak[i, idx] = values
+    back = np.concatenate((np.arange(S), S + np.argsort(order)))  # the trials in draw order
+    return ratios(back), lhs[back], weak[:, back], exact[:, back]
 
 
 @functools.lru_cache(maxsize=1 << 10)

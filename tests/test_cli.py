@@ -260,7 +260,25 @@ def test_negative_count_exits_3(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
-    assert "non-negative" in capsys.readouterr().err
+    assert "expected an integer >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "form.json", "--p", "1", "--qs", "2,1"],
+    ["experiment"],
+    ["verify", "littlewood"],
+    ["verify", "dv"],
+    ["verify", "inclusion"],
+    ["norm", "rad", "seq.json"],
+])
+def test_negative_seed_exits_3_at_the_parser(argv, capsys):
+    # the parser names the option, before numpy refuses the seed
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seed: expected an integer >= 0, got '-1'" in captured.err
 
 
 @pytest.mark.parametrize("argv,option,low", [

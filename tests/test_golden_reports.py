@@ -120,8 +120,8 @@ DIGESTS = {
     "opnorm": "36461216413efe051ba87270873b709ba410300a30f096eaf24de9721283be31",
     "search-lp": "2c0a965828610517d7e46341bc3707e335cabd984405a084ba002ca8b54a3a4b",
     "search-l1l2": "1473a41a1c4ce805870387675e3a327379cfb7fdeffebb82896642d0f6f1d760",
-    "search-sup": "50df225466900d3bc93486738842aef93021b5d8c2192c6e2d7ebfc9b3ca9065",
-    "search-sup3-complex": "1484a98c1dd99238d35b9e8976f09a030cb8ab773ae7e8edce4b78ccf12170a5",
+    "search-sup": "2305fa47562f138537cd1f1824d8471885646a9b567bfedf8aaaea57c42a3f90",
+    "search-sup3-complex": "0bee8c8b5bc883c3c9b16388f5fc456c629cbf01039a4bb82c45df581efe0ca2",
 }
 
 

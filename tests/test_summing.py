@@ -112,12 +112,15 @@ def test_search_deterministic(littlewood):
 
 
 def test_search_golden_certificate():
-    # the structured flat family of length 1 beats every random one; budget
-    # 37 splits unevenly over the streams
+    # a drawn family of one vector per slot beats the best structured one,
+    # the flat family of length 1
     A = random_form(np.random.default_rng(1), (2, 2, 2), ScalarField.COMPLEX)
-    cert = random_family_search(A, ExponentTuple(2, (2, 2, 2)), budget=37, seed=9)
-    assert cert.ratio.hex() == "0x1.a7346ff5267aap+0"
-    assert all(np.array_equal(c.vectors, np.ones((1, 2))) for c in cert.family.columns)
+    exps = ExponentTuple(2, (2, 2, 2))
+    cert = random_family_search(A, exps, budget=37, seed=9)
+    assert cert.ratio.hex() == "0x1.d5a77a4f5c36ap+0"
+    assert cert.family.length == 1 and cert.exact
+    flat = summing_lower_bound(A, exps, _structured(A, 16)[3])
+    assert flat.ratio.hex() == "0x1.a7346ff5267aap+0"
 
 
 def _structured(A, j_max):
@@ -126,23 +129,22 @@ def _structured(A, j_max):
 
 
 def _reference_search(A, exps, budget, seed, j_max):
-    """The search as a plain loop: each stream draws the lengths of all its
+    """The search as a plain loop: one generator draws the lengths of all
     trials, then each family column by column, certified through
-    summing_lower_bound, the structured families first, then the 8 streams
-    in order; the first maximal ratio wins."""
-    streams = np.random.SeedSequence(seed).spawn(8)
+    summing_lower_bound, the structured families first, then the trials in
+    order; the first maximal ratio wins."""
+    rng = np.random.default_rng(seed)
 
     def families():
         yield from _structured(A, j_max)
-        for w, rng in enumerate(map(np.random.default_rng, streams)):
-            for J in rng.integers(1, j_max + 1, size=budget // 8 + (w < budget % 8)).tolist():
-                columns = []
-                for d in A.domains:
-                    x = rng.standard_normal((J, d.dim))
-                    if A.field.is_complex:
-                        x = x + 1j * rng.standard_normal((J, d.dim))
-                    columns.append(VectorSeq(x, d))
-                yield TestFamily(tuple(columns))
+        for J in rng.integers(1, j_max + 1, size=budget).tolist():
+            columns = []
+            for d in A.domains:
+                x = rng.standard_normal((J, d.dim))
+                if A.field.is_complex:
+                    x = x + 1j * rng.standard_normal((J, d.dim))
+                columns.append(VectorSeq(x, d))
+            yield TestFamily(tuple(columns))
 
     best = None
     for fam in families():
@@ -150,6 +152,22 @@ def _reference_search(A, exps, budget, seed, j_max):
         if best is None or cert.ratio > best.ratio:
             best = cert
     return best
+
+
+def _assert_is_the_loops(got, ref):
+    """The search's certificate is the reference loop's: the same family,
+    weak norms and flags, and the same lhs and ratio, within 16 ulps for a
+    bilinear family of one or two vectors, which einsum sums alone in
+    another order than in the scorer's stack."""
+    assert got.family.length == ref.family.length
+    for a, b in zip(got.family.columns, ref.family.columns):
+        assert a.space == b.space and np.array_equal(a.vectors, b.vectors)
+    assert [(w.value, w.exact) for w in got.rhs_norms] == \
+        [(w.value, w.exact) for w in ref.rhs_norms]
+    assert got.lhs_exact == ref.lhs_exact and got.exponents == ref.exponents
+    ulps = 16 if ref.family.n == 2 and ref.family.length <= 2 else 0
+    assert abs(got.lhs - ref.lhs) <= ulps * math.ulp(ref.lhs)
+    assert abs(got.ratio - ref.ratio) <= ulps * math.ulp(ref.ratio)
 
 
 _SEARCH_FORMS = [
@@ -176,6 +194,9 @@ _SEARCH_FORMS = [
     (ScalarField.REAL, (3, 1, 2), ("inf", 2, 1), 1, (2, 1, 2), 1.0),
     # real l_3 x l_3: heuristic columns, the structured families among them
     (ScalarField.REAL, (3, 3), (3, 3), 1, (2, 2), 1.0),
+    # shapes (2, 2) and (2, 3): einsum sums one or two vectors alone in another order
+    (ScalarField.COMPLEX, (2, 2), ("inf", "inf"), 1, (2, 2), 1.0),
+    (ScalarField.REAL, (2, 3), (1, 2), "4/3", (2, 1), 1.0),
 ]
 
 
@@ -194,14 +215,7 @@ def test_search_matches_the_family_loop(case, budget, j_max):
     A, exps = _search_case(case)
     seed = 100 * case + budget + j_max
     got = random_family_search(A, exps, budget=budget, seed=seed, j_max=j_max)
-    ref = _reference_search(A, exps, budget, seed, j_max)
-    assert got.ratio == ref.ratio and got.lhs == ref.lhs
-    assert [w.value for w in got.rhs_norms] == [w.value for w in ref.rhs_norms]
-    assert [w.exact for w in got.rhs_norms] == [w.exact for w in ref.rhs_norms]
-    assert got.lhs_exact == ref.lhs_exact and got.exponents == ref.exponents
-    assert got.family.length == ref.family.length
-    for a, b in zip(got.family.columns, ref.family.columns):
-        assert a.space == b.space and np.array_equal(a.vectors, b.vectors)
+    _assert_is_the_loops(got, _reference_search(A, exps, budget, seed, j_max))
 
 
 @pytest.mark.parametrize("case", [0, 4, 7])
@@ -210,10 +224,7 @@ def test_search_chunks_keep_the_first_maximum(case, monkeypatch):
     monkeypatch.setattr(summing, "_SEARCH_CHUNK", 4)
     A, exps = _search_case(case)
     got = random_family_search(A, exps, budget=37, seed=case, j_max=6)
-    ref = _reference_search(A, exps, 37, case, 6)
-    assert got.ratio == ref.ratio and got.lhs == ref.lhs
-    assert all(np.array_equal(a.vectors, b.vectors)
-               for a, b in zip(got.family.columns, ref.family.columns))
+    _assert_is_the_loops(got, _reference_search(A, exps, 37, case, 6))
 
 
 @pytest.mark.parametrize("case", [0, 7])
@@ -233,10 +244,7 @@ def test_search_chunks_cut_at_the_draw_budget_keep_the_first_maximum(case, monke
     assert all(len(lengths) == 1 or flat.size <= 64 for lengths, flat, _ in chunks)
     structured = [count for _, _, count in chunks]
     assert structured == [5] + [0] * (len(chunks) - 1)
-    ref = _reference_search(A, exps, 37, case, 5)
-    assert got.ratio == ref.ratio and got.lhs == ref.lhs
-    assert all(np.array_equal(a.vectors, b.vectors)
-               for a, b in zip(got.family.columns, ref.family.columns))
+    _assert_is_the_loops(got, _reference_search(A, exps, 37, case, 5))
 
 
 class _RecordingGenerator:
@@ -256,33 +264,33 @@ class _RecordingGenerator:
 @pytest.mark.parametrize("budget", [3, 37, 300])
 @pytest.mark.parametrize("case", [0, 7])
 def test_search_draws_each_stream_in_few_bounded_calls(case, budget, monkeypatch):
-    # a generator for each stream with trials (3 of 8 at budget 3), one
-    # integers call per stream for all its lengths, then normal draws of at
-    # most 64 numbers (the draw budget) or one trial, whichever is more
+    # one generator from the seed, one integers call for the lengths of all
+    # trials, then one normal draw per chunk, of at most 64 numbers (the
+    # draw budget) or one trial, whichever is more
     A, exps = _search_case(case)
-    ref = _reference_search(A, exps, budget, case, 5)
+    seed = 100 + case  # the kernel's random starts draw from seed 0
+    ref = _reference_search(A, exps, budget, seed, 5)
+    lengths = np.random.default_rng(seed).integers(1, 6, size=budget)
     monkeypatch.setattr(summing, "_ENUM_BUDGET", 64)
-    streams, make = [], np.random.default_rng
+    made, make = [], np.random.default_rng
 
-    def recording(seed=None):
-        rng = make(seed)
-        if isinstance(seed, np.random.SeedSequence):  # a search stream
-            streams.append(_RecordingGenerator(rng))
-            return streams[-1]
+    def recording(seed_given=None):
+        rng = make(seed_given)
+        if isinstance(seed_given, int) and seed_given == seed:  # the search's generator
+            made.append(_RecordingGenerator(rng))
+            return made[-1]
         return rng
 
     monkeypatch.setattr(np.random, "default_rng", recording)
-    got = random_family_search(A, exps, budget=budget, seed=case, j_max=5)
+    got = random_family_search(A, exps, budget=budget, seed=seed, j_max=5)
     per = (2 if A.field.is_complex else 1) * sum(A.dims)
-    assert len(streams) == min(8, budget)
-    for w, stream in enumerate(streams):
-        (first, trials), *normal = stream.calls
-        assert (first, trials) == ("integers", budget // 8 + (w < budget % 8))
-        assert {name for name, _ in normal} <= {"standard_normal"}
-        assert all(size <= max(64, 5 * per) for _, size in normal)
-    assert got.ratio == ref.ratio and got.lhs == ref.lhs
-    assert all(np.array_equal(a.vectors, b.vectors)
-               for a, b in zip(got.family.columns, ref.family.columns))
+    generator, = made
+    (first, trials), *normal = generator.calls
+    assert (first, trials) == ("integers", budget)
+    assert {name for name, _ in normal} == {"standard_normal"}
+    assert all(size <= max(64, 5 * per) for _, size in normal)
+    assert sum(size for _, size in normal) == lengths.sum() * per
+    _assert_is_the_loops(got, ref)
 
 
 @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
@@ -324,8 +332,9 @@ def _draws(rng, A, j_max, count):
     ((2, 2, 3), (2, "inf", 1)),
 ])
 def test_search_scores_are_the_certificate_ratios(dims, domains, field, p):
-    # one l_p rule for both; bilinear families of one or two vectors are
-    # left out, as einsum sums their values in another order
+    # one l_p rule for both, and the weak norms and flags of weak_lp_norm;
+    # bilinear families of one or two vectors are left out, as einsum sums
+    # their values alone in another order than in the scorer's stack
     rng = np.random.default_rng([*dims, int(field.is_complex), Exponent.of(p).recip.numerator])
     A = random_form(rng, dims, field, exponents=domains)
     exps = ExponentTuple(p, (2,) * len(dims))
@@ -333,10 +342,13 @@ def test_search_scores_are_the_certificate_ratios(dims, domains, field, p):
     keep = (lengths >= 3) | (len(dims) > 2)
     lengths, starts = lengths[keep], starts[keep]
     # an incumbent of 0 sets no floors
-    ratios = summing._family_ratios(A, exps, lengths, starts, flat, 0.0)
-    for k, ratio in enumerate(ratios.tolist()):
+    ratios, lhs, weak, exact = summing._family_ratios(A, exps, lengths, starts, flat, 0.0)
+    for k in range(len(lengths)):
         fam = summing._as_family(A, summing._columns(A, lengths[[k]], starts[[k]], flat))
-        assert ratio == summing_lower_bound(A, exps, fam).ratio
+        cert = summing_lower_bound(A, exps, fam)
+        assert (ratios[k], lhs[k]) == (cert.ratio, cert.lhs)
+        assert weak[:, k].tolist() == [w.value for w in cert.rhs_norms]
+        assert exact[:, k].tolist() == [w.exact for w in cert.rhs_norms]
 
 
 def _kernel_calls(A, exps, monkeypatch):
@@ -388,7 +400,7 @@ def _assert_structured_scores_are_their_certificates_ratios(A, exps, seed, budge
     per = (2 if A.field.is_complex else 1) * sum(A.dims)
     chunk = next(summing._chunks_drawn(seed, budget, j_max, per))
     structured = _structured_families(A, j_max)
-    scores = summing._family_ratios(A, exps, *chunk, -math.inf, structured)
+    scores = summing._family_ratios(A, exps, *chunk, -math.inf, structured)[0]
     assert len(scores) == len(structured) + len(chunk[0])
     want = [summing_lower_bound(A, exps, fam).ratio for fam in _structured(A, j_max)]
     assert scores[:len(structured)].tolist() == want
@@ -426,33 +438,61 @@ def test_sign_matrix_ties_go_to_the_diagonal():
     A = FormTensor.on_linf([[1.0, 1.0], [1.0, -1.0]])
     exps = ExponentTuple(1, (2, 2))
     chunk = next(summing._chunks_drawn(0, 37, 4, 4))
-    scores = summing._family_ratios(A, exps, *chunk, -math.inf, _structured_families(A, 4))
+    scores = summing._family_ratios(A, exps, *chunk, -math.inf, _structured_families(A, 4))[0]
     assert scores[:5].tolist() == [1.0, 2.0, 1.9999999999999996, 2.0, 2.0]
     cert = random_family_search(A, exps, budget=37, seed=0, j_max=1)
     assert cert.ratio == 2.0
     assert all(np.array_equal(c.vectors, np.eye(2)) for c in cert.family.columns)
 
 
-@pytest.mark.parametrize("field,domains,exps,j_max", [
-    (ScalarField.REAL, (1, 2), ExponentTuple(1, (2, 1)), 16),
-    # complex l_4/3 x l_2: heuristic columns from length 2 on, in the
-    # structured families and the trials; j_max 2 keeps the reference's 512
-    # ascents short
-    (ScalarField.COMPLEX, ("4/3", 2), ExponentTuple("4/3", (2, 1)), 2),
-], ids=["real", "complex"])
-def test_search_certifies_its_winner_alone(field, domains, exps, j_max, monkeypatch):
-    # no weak norm and no certificate for the structured families: the first
-    # chunk scores them, and the one chunk's winner is certified
-    A = random_form(np.random.default_rng(3), (3, 4), field, exponents=domains)
-    calls = []
+@pytest.mark.parametrize("case", range(len(_SEARCH_FORMS)))
+def test_search_certificate_is_the_winners_score(case, monkeypatch):
+    # the scorer's lhs, weak norms and flags make the certificate: no
+    # certificate is computed again, and no weak norm after scoring (for
+    # q < 1 the scorer calls weak_lp_norm, once per family and column)
+    A, exps = _search_case(case)
+    calls, scores, ratios = [], [], summing._family_ratios
     for name in ("weak_lp_norm", "summing_lower_bound"):
         entry = getattr(summing, name)
         monkeypatch.setattr(summing, name, lambda *a, entry=entry, name=name, **k:
                             calls.append(name) or entry(*a, **k))
-    cert = random_family_search(A, exps, budget=512, seed=1, j_max=j_max)
-    assert calls == ["summing_lower_bound"] + ["weak_lp_norm"] * 2
-    ref = _reference_search(A, exps, 512, 1, j_max)
-    assert cert.ratio == ref.ratio and cert.lhs == ref.lhs
+    monkeypatch.setattr(summing, "_family_ratios", lambda *a: scores.append(
+        scored := ratios(*a)) or calls.append("scored") or scored)
+    cert = random_family_search(A, exps, budget=37, seed=case, j_max=6)
+    weak_calls = (len(_structured_families(A, 6)) + 37) * sum(q.recip > 1 for q in exps.qs)
+    assert calls == ["weak_lp_norm"] * weak_calls + ["scored"]
+    # its ratio is the best score to the bit
+    best = np.concatenate([ratio for ratio, *_ in scores])
+    assert cert.ratio == np.max(np.where(np.isnan(best), -np.inf, best))
+    # its lhs is that of independent numpy, its weak norms those of weak_lp_norm
+    letters = "abc"[:A.order]
+    values = np.einsum(f"{letters},{','.join('j' + c for c in letters)}->j", A.coeffs,
+                       *[c.vectors for c in cert.family.columns])
+    p = float(exps.p.recip) ** -1
+    assert math.isclose(cert.lhs, float((np.abs(values) ** p).sum() ** (1 / p)), rel_tol=1e-9)
+    assert [(w.value, w.exact) for w in cert.rhs_norms] == [
+        (w.value, w.exact) for w in map(weak_lp_norm, cert.family.columns, exps.qs)]
+
+
+# (case, budget, seed) where the winner, a drawn bilinear family of one or two
+# vectors, scored otherwise alone in its chunk while the scorer contracted the
+# trials of lengths 1 and 2 apart from the longer ones
+_CHUNK_SENSITIVE = [(13, 37, 35), (16, 37, 12), (17, 37, 7), (17, 5, 34)]
+
+
+@pytest.mark.parametrize("case,budget,seed", [
+    (case, budget, 10 * case + budget)
+    for case in range(len(_SEARCH_FORMS)) for budget in (1, 5, 8, 37)] + _CHUNK_SENSITIVE)
+def test_search_results_do_not_depend_on_the_chunks(case, budget, seed, monkeypatch):
+    # chunks of one trial, of four and of at most 64 drawn numbers move the
+    # incumbent and the stacks the scorer contracts, not the certificate
+    A, exps = _search_case(case)
+    want = random_family_search(A, exps, budget=budget, seed=seed, j_max=4).to_dict()
+    for name, value in [("_SEARCH_CHUNK", 1), ("_SEARCH_CHUNK", 4), ("_ENUM_BUDGET", 64)]:
+        with monkeypatch.context() as patched:
+            patched.setattr(summing, name, value)
+            got = random_family_search(A, exps, budget=budget, seed=seed, j_max=4)
+            assert got.to_dict() == want, (name, value)
 
 
 def test_first_chunk_floors_are_set_from_the_structured_families(monkeypatch):
@@ -468,8 +508,7 @@ def test_first_chunk_floors_are_set_from_the_structured_families(monkeypatch):
     got = random_family_search(A, exps, budget=64, seed=5, j_max=6)
     best = max(summing_lower_bound(A, exps, fam).ratio for fam in _structured(A, 6))
     assert incumbents == [best, best]  # two heuristic columns, one chunk
-    ref = _reference_search(A, exps, 64, 5, 6)
-    assert got.ratio == ref.ratio and got.lhs == ref.lhs
+    _assert_is_the_loops(got, _reference_search(A, exps, 64, 5, 6))
 
 
 @pytest.mark.parametrize("case", [k for k, form in enumerate(_SEARCH_FORMS)
@@ -587,9 +626,10 @@ _SCORER_FORMS = [
 @np.errstate(over="ignore", under="ignore", invalid="ignore")
 def _reference_ratios(A, exps, lengths, starts, flat, incumbent):
     """The scorer one pass per distinct length: each length's draws split
-    into (trials, J, m) columns, one contraction, one lp rule and, per
-    column, one kernel call where the kernel is exact; the other items of
-    each column in one call, in two halves, with the floors of _floors."""
+    into (trials, J, m) columns, one contraction of at least three rows
+    (einsum sums one or two in another order), one lp rule and, per column,
+    one kernel call where the kernel is exact; the other items of each
+    column in one call, in two halves, with the floors of _floors."""
     balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
              for q, d in zip(exps.qs, A.domains)]
     lhs, weak = np.empty(len(lengths)), np.empty((A.order, len(lengths)))
@@ -605,7 +645,8 @@ def _reference_ratios(A, exps, lengths, starts, flat, incumbent):
                 col = col + 1j * g[:, at:at + J * m].reshape(len(idx), J, m)
                 at += J * m
             stacks.append(col)
-        values = forms._batch_contract(A.coeffs, [s.reshape(-1, s.shape[2]) for s in stacks])
+        rows = [np.pad(s.reshape(-1, s.shape[2]), ((0, 2), (0, 0))) for s in stacks]
+        values = forms._batch_contract(A.coeffs, rows)[:len(idx) * J]
         lhs[idx] = summing._lp_rows(np.abs(values.reshape(len(idx), J)), exps.p)
         for i, (stack, q, d) in enumerate(zip(stacks, exps.qs, A.domains)):
             if balls[i] is None:
@@ -646,7 +687,7 @@ def test_scores_are_those_of_one_pass_per_length(case, monkeypatch):
     assert 0 < finite < math.inf
     for incumbent in (0.0, finite):
         calls.clear()
-        got = summing._family_ratios(A, exps, *draws, incumbent)
+        got = summing._family_ratios(A, exps, *draws, incumbent)[0]
         assert got.tobytes() == _reference_ratios(A, exps, *draws, incumbent).tobytes()
         if all(d.exponent.is_inf for d in A.domains):  # every column exact, one key per class
             classes = {_sum_class(J) for J in draws[0].tolist()}
@@ -654,7 +695,7 @@ def test_scores_are_those_of_one_pass_per_length(case, monkeypatch):
     lengths, starts, flat = draws
     for lo in range(0, len(lengths), 4):  # chunks of 4: stacks of one or two vectors
         chunk = lengths[lo:lo + 4], starts[lo:lo + 4], flat
-        assert summing._family_ratios(A, exps, *chunk, 0.0).tobytes() == \
+        assert summing._family_ratios(A, exps, *chunk, 0.0)[0].tobytes() == \
             _reference_ratios(A, exps, *chunk, 0.0).tobytes()
 
 
@@ -695,7 +736,7 @@ def test_scores_across_the_length_128_are_their_certificates_ratios():
     lengths = np.array(list(range(120, 136)) * 2)
     starts = _starts(A, lengths)
     flat = rng.standard_normal(2 * sum(A.dims) * lengths.sum())
-    ratios = summing._family_ratios(A, exps, lengths, starts, flat, 0.0)
+    ratios = summing._family_ratios(A, exps, lengths, starts, flat, 0.0)[0]
     for k, ratio in enumerate(ratios.tolist()):
         fam = summing._as_family(A, summing._columns(A, lengths[[k]], starts[[k]], flat))
         assert ratio == summing_lower_bound(A, exps, fam).ratio, lengths[k]
@@ -704,11 +745,11 @@ def test_scores_across_the_length_128_are_their_certificates_ratios():
 # (field, dims, domain exponents, p, qs, seed) with heuristic columns where a
 # random family beats the structured ones
 _RANDOM_WINS = [
-    (ScalarField.COMPLEX, (3, 3), ("4/3", 2), "4/3", (2, 1), 12),  # random-start, grid
+    (ScalarField.COMPLEX, (3, 3), ("4/3", 2), "4/3", (2, 1), 13),  # random-start, grid
     (ScalarField.REAL, (3, 3), ("4/3", 2), "4/3", (2, 1), 22),  # random-start, exact
-    (ScalarField.COMPLEX, (2, 3, 2), ("inf", "4/3", "inf"), 1, (2, 2, 2), 12),
+    (ScalarField.COMPLEX, (2, 3, 2), ("inf", "4/3", "inf"), 1, (2, 2, 2), 2),
     (ScalarField.REAL, (3, 3), (3, 3), 1, (2, 2), 2),  # two random-start columns
-    (ScalarField.COMPLEX, (2, 3), (3, "4/3"), 2, (2, 1), 6),
+    (ScalarField.COMPLEX, (2, 3), (3, "4/3"), 2, (2, 1), 1),
 ]
 
 
@@ -726,10 +767,7 @@ def test_search_with_floors_keeps_a_random_winner(case, chunk, monkeypatch):
     ref = _reference_search(A, exps, 37, seed, 6)
     structured = max(summing_lower_bound(A, exps, fam).ratio for fam in _structured(A, 6))
     assert ref.ratio > structured
-    assert got.ratio == ref.ratio and got.lhs == ref.lhs
-    assert [w.value for w in got.rhs_norms] == [w.value for w in ref.rhs_norms]
-    assert all(np.array_equal(a.vectors, b.vectors)
-               for a, b in zip(got.family.columns, ref.family.columns))
+    _assert_is_the_loops(got, ref)
 
 
 def test_search_retires_most_floored_trials_at_their_floor(monkeypatch):
@@ -751,8 +789,7 @@ def test_search_retires_most_floored_trials_at_their_floor(monkeypatch):
     monkeypatch.setattr(forms, "_ascend", counting)
     cert = random_family_search(A, exps, budget=64, seed=3, j_max=6)
     assert sum(floored) >= 32 and sum(retired) > 0.9 * sum(floored)
-    ref = _reference_search(A, exps, 64, 3, 6)
-    assert cert.ratio == ref.ratio and cert.lhs == ref.lhs
+    _assert_is_the_loops(cert, _reference_search(A, exps, 64, 3, 6))
 
 
 # ---------------------------------------------------------------------------
