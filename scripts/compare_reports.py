@@ -12,7 +12,7 @@ package, then with the new one, and prints:
 
 - per workload, how many commands give identical exit code, stdout and
   stderr, and per command kind how many do not;
-- every report whose ``status`` changed;
+- every report or claim whose ``status`` changed;
 - per key path (``config.seed``, ``reports[].field``), how many bodies lost
   or gained the key, and how many bodies changed a string there from one
   value to another (``status`` aside, listed above);
@@ -102,7 +102,10 @@ def _walk(old, new, path: str, key: str, exact: bool, out: list, changes: set) -
 
 
 def _statuses(doc) -> list:
-    return [r.get("status") for r in doc.get("reports", [])] if isinstance(doc, dict) else []
+    """The status of each report, then of each claim (``demos``), of a document."""
+    if not isinstance(doc, dict):
+        return []
+    return [r.get("status") for key in ("reports", "claims") for r in doc.get(key, [])]
 
 
 def compare(old: dict, new: dict) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from ._codec import decode_values
 from ._signs import _ENUM_BUDGET
-from .demos import run_demos
+from .demos import evaluate_claims
 from .forms import FormTensor, _gaussian, _op_norms, op_norm
 from .norms import VectorSeq, lp_norm, mixed_norm, weak_lp_norm
 from .rademacher import rad_p_norm
@@ -448,7 +448,7 @@ def _certificate_report(check: str, A: FormTensor,
 
 
 # ---------------------------------------------------------------------------
-# search and experiment commands
+# search, experiment and demos commands
 
 
 def cmd_search(args) -> int:
@@ -477,6 +477,14 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def cmd_demos(args) -> int:
+    rows = evaluate_claims()
+    failed = sum(row["status"] == "fail" for row in rows)
+    _emit({**_header(args), "claims": rows,
+           "summary": {"total": len(rows), "pass": len(rows) - failed, "fail": failed}}, args)
+    return EXIT_FAIL if failed else EXIT_OK
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -487,7 +495,7 @@ _OPTIONS = {
     "--random": dict(type=_count, default=100,
                      help="number of seeded random instances when no files are given"),
     "--m": dict(type=_at_least(2), default=4, help="largest dimension"),
-    "--order": dict(type=int, default=3, help="form order of the random instances"),
+    "--order": dict(type=_at_least(2), default=3, help="form order of the random instances"),
     "--seed": dict(type=_count, default=0, help="master seed"),
     "--field": dict(choices=["real", "complex"], help="scalar field of the random forms"),
     "--jmax": dict(type=_at_least(1), default=16, help="largest random family length"),
@@ -562,8 +570,9 @@ def build_parser() -> Parser:
              help="empirical (p;2,1) ratios on l_p x l_q domains", p={"default": "4/3"},
              m={"type": _at_least(1), "default": 3}, field={"default": "complex"})
 
-    p_demos = sub.add_parser("demos", help="run the built-in worked examples")
-    p_demos.set_defaults(handler=lambda a: EXIT_FAIL if run_demos() else EXIT_OK)
+    _command(sub, "demos", cmd_demos, "",
+             help="each sharp constant measured at the input that attains it").set_defaults(
+        format="json", out=None)
 
     return parser
 

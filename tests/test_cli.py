@@ -15,7 +15,7 @@ import pytest
 
 import summability
 from summability import FormTensor, ScalarField, SpaceSpec, TestFamily, VectorSeq
-from summability import cli, summing
+from summability import cli, demos, summing
 from summability.cli import main
 
 
@@ -287,6 +287,8 @@ def test_negative_seed_exits_3_at_the_parser(argv, capsys):
     (["verify", "dv", "--random", "1", "--jmax", "0"], "--jmax", 1),
     (["verify", "littlewood", "--random", "1", "--m", "1"], "--m", 2),
     (["experiment", "--m", "0"], "--m", 1),
+    (["verify", "bh", "--random", "1", "--order", "1"], "--order", 2),
+    (["verify", "dv", "--random", "0", "--order", "0"], "--order", 2),
 ])
 def test_option_below_its_least_value_exits_3(argv, option, low, capsys):
     # the parser rejects it, before numpy fails with "low >= high"
@@ -798,10 +800,32 @@ def test_experiment_csv(tmp_path, capsys):
         assert row == [str(v) for v in rec.values()]
 
 
+def _strict(text):
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_demos_command(capsys):
     assert main(["demos"]) == 0
-    out = capsys.readouterr().out
-    assert "demos passed" in out
+    doc = _strict(capsys.readouterr().out)
+    assert doc["command"] == "demos" and doc["config"] == {}
+    assert doc["summary"] == {"total": len(doc["claims"]), "pass": len(doc["claims"]), "fail": 0}
+    assert all(row["exact"] and row["status"] == "pass" for row in doc["claims"])
+
+
+def test_demos_fails_a_claim_one_ulp_past_its_margin(capsys, monkeypatch):
+    main(["demos"])
+    row = _strict(capsys.readouterr().out)["claims"][1]  # T_3, a margin of 1 ulp
+    assert row["margin_ulps"] == 1
+    target = row["value"] + (row["margin_ulps"] + 1) * math.ulp(row["target"])
+    claims = list(demos.CLAIMS)
+    claims[1] = claims[1]._replace(target=target)
+    monkeypatch.setattr(demos, "CLAIMS", claims)
+    assert main(["demos"]) == 2
+    doc = _strict(capsys.readouterr().out)
+    assert [r["status"] for r in doc["claims"]].count("fail") == doc["summary"]["fail"] == 1
+    assert doc["claims"][1]["status"] == "fail"
 
 
 def test_fail_exit_code(tmp_path, monkeypatch):

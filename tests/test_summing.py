@@ -936,7 +936,7 @@ def test_extended_littlewood_identity_beta(littlewood_complex):
     assert rep.ratio == pytest.approx(1.0, abs=1e-6)  # equality case
 
     rep = verify_extended_littlewood(littlewood_complex, np.eye(2), 1)
-    assert rep.q == "2"
+    assert rep.status == "pass" and rep.q == "2"
     assert rep.lhs == pytest.approx(2 * SQRT2, abs=1e-12)
     assert rep.rhs == pytest.approx(1.40491 * 2 * SQRT2, abs=1e-6)
 
@@ -1188,7 +1188,7 @@ def test_tensor_weak_l1_basis_pairs():
     space = SpaceSpec.lp(2, 1)
     seq = VectorSeq(np.eye(2), space)
     est = tensor_weak_norm_estimate(seq, seq, 1)
-    assert est.value >= 2.0 - 1e-12
+    assert est.value == 2.0  # the sign sum e_1 (x) e_1 + e_2 (x) e_2
     assert est.exact
 
 
@@ -1302,6 +1302,9 @@ def test_coincidence_examples():
     assert not coincidence_region("dv2", 2, p=1, qs=[2, 2])
     assert coincidence_region(
         "inclusion", 2, source=(1, (2, 2)), target=(2, (2, 2))
+    )
+    assert not coincidence_region(
+        "inclusion", 2, source=(2, (2, 2)), target=(1, (2, 2))
     )
 
 
