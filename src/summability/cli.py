@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from ._codec import decode_values
-from ._signs import _ENUM_BUDGET
+from ._signs import _ENUM_BUDGET, sign_count
 from .demos import evaluate_claims
 from .forms import FormTensor, _gaussian, _op_norms, op_norm
 from .norms import VectorSeq, lp_norm, mixed_norm, weak_lp_norm
@@ -368,8 +368,8 @@ def cmd_dv(args) -> int:
             raise SchemaError("dv expects a form file and a family file")
         return _report(args, [verify_defant_voigt(load_form(args.files[0]),
                                                   load_family(args.files[1]))])
-    if args.jmax > math.log2(_ENUM_BUDGET):  # dv checks a family over every sign pattern
-        raise SchemaError(f"--jmax {args.jmax}: a family may have 2^{args.jmax} sign "
+    if sign_count(min(args.jmax, 64)) > _ENUM_BUDGET:  # min: a huge --jmax stays cheap
+        raise SchemaError(f"--jmax {args.jmax}: a family may have 2^{args.jmax - 1} sign "
                           f"patterns, over the budget {_ENUM_BUDGET}")
     field = ScalarField(args.field)
 

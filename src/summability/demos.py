@@ -89,6 +89,10 @@ CLAIMS = [
     Claim("real BH n = 4 ratio = 2^(3/4), the published lower bound",
           _DMPS, "T_4 (8, 8, 2, 2)",
           lambda: _verified(verify_bh(_t(4))), 2 ** 0.75, 0),
+    # 2 ** 0.8 is 2^(4/5) rounded to nearest, 1 ulp above the ratio
+    Claim("real BH n = 5 ratio = 2^(4/5), the published lower bound",
+          _DMPS, "T_5 (16, 16, 2, 2, 2)",
+          lambda: _verified(verify_bh(_t(5))), 2 ** 0.8, 1),
     Claim("real mixed (l_1, l_2) ratio = sqrt 2 = 1/A_1, the optimal constant",
           "Szarek 1976", "T_2 (2, 2)",
           lambda: _verified(verify_general_littlewood(_t(2))), SQRT2, 0),

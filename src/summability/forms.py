@@ -6,21 +6,21 @@ for a batch of arrays, of one shape or of several; it serves operator norms
 here and weak norms in ``norms`` (the weak-l_p norm of a sequence in l_s is
 the norm of its coefficient matrix on l_p' x l_s'). It is exact when all
 slots but one have a finite norming set (basis vectors of dim-1 and l_1
-balls, sign vectors of real sup balls) and the remaining slot is solved in
-closed form. Two-slot arrays without such a plan are also exact on a pair of
-l_2 balls (the largest singular value) and when every row, or every column,
-has at most one nonzero (Hölder's equality case), as for the unit vectors of
-the search's structured families. A complex sup slot has no finite norming
-set, but its ball lies within sec(pi/8) of the vectors of 8th roots of
-unity: when neither fits, and the enumeration with such phase slots does at
-most ``_GRID_CAP`` units of work, the kernel enumerates them and polishes
-its best grid points by alternating maximization, a lower bound. Otherwise
-alternating maximization from random starts gives a lower bound. The
-alternating maximization of all inexact items of a call runs on one batch
-axis, and each item gets the bits it gets alone; an item given a floor
-stops early once its grid maximum or its running best reaches it. Every
-result is flagged with its provenance, and a result that over- or
-underflowed is redone on rescaled coefficients.
+balls, the sign vectors with first sign +1 of real sup balls) and the
+remaining slot is solved in closed form. Two-slot arrays without such a plan
+are also exact on a pair of l_2 balls (the largest singular value) and when
+every row, or every column, has at most one nonzero (Hölder's equality case),
+as for the unit vectors of the search's structured families. A complex sup
+slot has no finite norming set, but its ball lies within sec(pi/8) of the
+vectors of 8th roots of unity: when neither fits, and the enumeration with
+such phase slots does at most ``_GRID_CAP`` units of work, the kernel
+enumerates them and polishes its best grid points by alternating
+maximization, a lower bound. Otherwise alternating maximization from random
+starts gives a lower bound. The alternating maximization of all inexact items
+of a call runs on one batch axis, and each item gets the bits it gets alone;
+an item given a floor stops early once its grid maximum or its running best
+reaches it. Every result is flagged with its provenance, and a result that
+over- or underflowed is redone on rescaled coefficients.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ except ImportError:  # numpy < 2
     _einsum = np.einsum
 
 from ._codec import decode_values, encode_values
-from ._signs import _ENUM_BUDGET, sign_matrix
+from ._signs import _ENUM_BUDGET, sign_count, sign_rows
 from .norms import (_SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _ldexp, _rescaled,
                     _sum_class)
 from .spaces import Exponent, ScalarField, SpaceSpec
@@ -198,18 +198,13 @@ def _op_norms(forms) -> list[NormEstimate]:
 
 
 def _candidate_count(dim: int, ball: Exponent, is_complex: bool) -> int | None:
-    """Extreme points enumerated for one slot, or None when it has no finite set.
-
-    Basis vectors (count ``dim``) norm a dim-1 ball and an l_1 ball of either
-    field, their phases being absorbed by |.|; sign vectors (count 2^dim)
-    norm a real sup ball. A complex sup ball is approximated by its phase
-    vectors, 1 then roots of unity (count _PHASES^(dim-1); |.| absorbs a
-    common rotation).
-    """
-    if dim == 1 or ball.recip == 1:
-        return dim
+    """Extreme points enumerated for a slot that is not a basis slot (see
+    :func:`_plan`), or None when it has no finite set: the sign vectors with
+    first sign +1 (count 2^(dim-1)) norm a real sup ball, and a complex sup
+    ball is approximated by its phase vectors, 1 then roots of unity (count
+    _PHASES^(dim-1)); |.| absorbs a common sign or rotation."""
     if ball.is_inf:
-        return _PHASES ** (dim - 1) if is_complex else 1 << dim
+        return _PHASES ** (dim - 1) if is_complex else sign_count(dim)
     return None
 
 
@@ -222,19 +217,7 @@ def _contract_rows(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _rows(dim: int, is_complex: bool) -> np.ndarray:
     """The enumerated vectors of a sup slot: phase vectors for complex, sign vectors for real."""
-    return _phase_rows(dim) if is_complex else _sign_rows(dim)
-
-
-def _sign_rows(dim: int) -> np.ndarray:
-    """All 2^dim sign vectors; the small tables are kept, read-only."""
-    return _small_sign_rows(dim) if dim <= 12 else sign_matrix(dim)
-
-
-@functools.lru_cache(maxsize=None)
-def _small_sign_rows(dim: int) -> np.ndarray:
-    rows = sign_matrix(dim)
-    rows.setflags(write=False)
-    return rows
+    return _phase_rows(dim) if is_complex else sign_rows(dim)
 
 
 @functools.lru_cache(maxsize=None)  # _GRID_CAP bounds the dims
@@ -435,8 +418,12 @@ def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool):
     the contracted slots first, then the free and the basis slots, whether it
     is exact (no phase slots), and how many items it enumerates at once
     within ``_ENUM_BUDGET``."""
-    counts = [_candidate_count(m, b, is_complex) for m, b in zip(dims, balls)]
-    exact_counts = [None if is_complex and c != m else c for m, c in zip(dims, counts)]
+    # basis vectors norm a dim-1 or l_1 ball of either field (|.| absorbs their
+    # phases); told by the ball, as a real sup slot of dim 2 also has 2 candidates
+    is_basis = [m == 1 or b.recip == 1 for m, b in zip(dims, balls)]
+    counts = [m if at else _candidate_count(m, b, is_complex)
+              for m, b, at in zip(dims, balls, is_basis)]
+    exact_counts = [c if at or not is_complex else None for c, at in zip(counts, is_basis)]
     free = _cheapest_free(dims, exact_counts, _ENUM_BUDGET)
     if free is None:
         free = _cheapest_free(dims, counts, _GRID_CAP)
@@ -445,8 +432,8 @@ def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool):
     if free is None:
         return None
     others = [i for i in range(len(dims)) if i != free]
-    basis = tuple(i for i in others if counts[i] == dims[i])
-    contracted = tuple(i for i in others if counts[i] != dims[i])
+    basis = tuple(i for i in others if is_basis[i])
+    contracted = tuple(i for i in others if not is_basis[i])
     order = (0,) + tuple(1 + i for i in contracted + (free,) + basis)
     work = dims[free] * math.prod(counts[i] for i in others)
     return _Plan(dims, free, basis, contracted, order, not (is_complex and contracted),

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from ._codec import decode_values, encode_values
-from ._signs import _ENUM_BUDGET
+from ._signs import _ENUM_BUDGET, sign_count, sign_rows
 from .spaces import INF, Exponent, ExponentLike, ScalarField, SpaceSpec
 
 __all__ = ["lp_norm", "mixed_norm", "weak_lp_norm", "NormEstimate", "VectorSeq"]
@@ -243,8 +243,8 @@ def weak_lp_norm(seq: VectorSeq, p: ExponentLike) -> NormEstimate:
         return forms._one(forms._ball_sup(X[None], (pe.dual, s.dual), witness=False))
 
     if s.is_inf or (s.recip == 1 and not seq.is_complex
-                    and (1 << seq.dim) <= _ENUM_BUDGET):
-        V = X if s.is_inf else forms._contract_rows(X.T[None], forms._sign_rows(seq.dim))[0]
+                    and sign_count(seq.dim) <= _ENUM_BUDGET):
+        V = X if s.is_inf else forms._contract_rows(X.T[None], sign_rows(seq.dim))[0]
         return NormEstimate(float(_axis_norms(np.abs(V), pe, axis=0).max()), True)
     if seq.length == 1:
         return NormEstimate(lp_norm(X[0], s), True)

@@ -2,16 +2,18 @@
 
 For a finite sequence the defining supremum collapses to a single term, so
 the exact value is the plain average over all 2^n sign patterns (each dyadic
-cell of the unit interval realizes one pattern with equal weight). Monte
-Carlo sampling draws seeded patterns from a counter-based generator. Both
-modes reduce the pattern norms the same way: the maximum for p = inf, an
-exactly rounded sum of the p-th powers otherwise. An average that over- or
+cell of the unit interval realizes one pattern with equal weight), which is
+that over the 2^(n-1) with first sign +1, a norm being even. Monte Carlo
+sampling draws seeded patterns from a counter-based generator. Both modes
+reduce the pattern norms the same way: the maximum for p = inf, an exactly
+rounded sum of the p-th powers otherwise. An average that over- or
 underflowed is computed again on rescaled items, which the positive
 homogeneity of the norm allows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._signs import _ENUM_BUDGET, sign_block
+from ._signs import _ENUM_BUDGET, sign_count, sign_rows
 from .norms import VectorSeq, _axis_norms, _rescaled
 from .spaces import Exponent, ExponentLike
 
@@ -47,7 +49,7 @@ class SignPattern:
 
     @classmethod
     def from_index(cls, index: int, n: int) -> "SignPattern":
-        row = sign_block(n, index, 1)[0]
+        row = sign_rows(n + 1, index, 1)[0, 1:]  # +1, then all of length n in order
         return cls(tuple(int(s) for s in row))
 
 
@@ -66,13 +68,14 @@ def rademacher_average(
     ``items`` has one summand per leading index; ``norm_fn`` maps a batch of
     sign combinations (same trailing shape) to their norms and must be
     positively homogeneous, norm_fn(c v) = c norm_fn(v) for c > 0: a result
-    that over- or underflowed is computed again on the items scaled by a
-    power of two and scaled back (``norms._rescaled``), so it runs with
-    numpy's over-, underflow and invalid-value warnings off. Exact mode runs
-    all 2^n patterns (refused above ``_ENUM_BUDGET``), mc mode ``samples``
-    seeded patterns, in blocks. For p = inf the result is the largest norm;
-    otherwise the norm^p terms go into one exactly rounded sum, so the block
-    size cannot change it.
+    that over- or underflowed is computed again on the items scaled by a power
+    of two and scaled back (``norms._rescaled``), so it runs with numpy's
+    over-, underflow and invalid-value warnings off. It must be even,
+    norm_fn(-v) = norm_fn(v): exact mode runs the 2^(n-1) patterns with first
+    sign +1 (refused above ``_ENUM_BUDGET``), half the terms of all 2^n to the
+    bit; mc mode runs ``samples`` seeded patterns, in blocks. For p = inf the
+    result is the largest norm; otherwise the norm^p terms go into one exactly
+    rounded sum, so the block size cannot change it.
     """
     v = np.asarray(items)
     n = v.shape[0]
@@ -82,14 +85,11 @@ def rademacher_average(
     flat = v.reshape(n, -1)
 
     if mode == "exact":
-        count = 1 << n
+        count = sign_count(n)
         if count > _ENUM_BUDGET:
-            raise ValueError(
-                f"exact mode needs 2^{n} patterns, over the budget {_ENUM_BUDGET}"
-            )
-
-        def block(start, size):
-            return sign_block(n, start, size)
+            raise ValueError(f"exact mode needs 2^{n - 1} patterns, over the budget "
+                             f"{_ENUM_BUDGET}")
+        block = functools.partial(sign_rows, n)
     elif mode == "mc":
         if samples < 1:
             raise ValueError("mc mode needs at least one sample")
@@ -125,10 +125,10 @@ def rad_p_norm(seq: VectorSeq, p: ExponentLike = 2, mode: str = "exact", *,
                samples: int = 100_000, seed: int = 0) -> float:
     """Rad_p norm of a vector sequence in its own space norm.
 
-    Exact mode averages over all 2^n sign patterns (n = sequence length and
-    2^n <= ``_ENUM_BUDGET``); for p = inf it is the worst-case sign
-    combination. mc mode is the empirical mean over ``samples`` seeded
-    patterns.
+    Exact mode averages over all 2^n sign patterns, as the mean over the
+    2^(n-1) with first sign +1 (n = sequence length and 2^(n-1) <=
+    ``_ENUM_BUDGET``); for p = inf it is the worst-case sign combination. mc
+    mode is the empirical mean over ``samples`` seeded patterns.
     """
     s = seq.space.exponent
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._signs import _ENUM_BUDGET, sign_matrix
+from ._signs import _ENUM_BUDGET, sign_count, sign_rows
 from .forms import (FormTensor, _ball_sup, _ball_sup_end, _ball_sup_start, _batch_contract,
                     _exact, _gaussian, _lower_bounds, _plan, _polar, compose_beta, curry, op_norm)
 from .norms import (NormEstimate, VectorSeq, _axis_norms, _lp_rows, _sum_class, lp_norm,
@@ -875,8 +875,6 @@ def verify_defant_voigt(
     if A.order < 2:
         raise ValueError("verify_defant_voigt needs a form of order at least 2")
     fam.check_against(A)
-    if (1 << fam.length) > _ENUM_BUDGET:
-        raise ValueError("family too long for exact Rademacher averaging")
     lhs = float(np.abs(fam.values(A)).sum())
     rads = [rad_p_norm(col, _TWO, "exact") for col in fam.columns]
     report = _versus_op_norm("defant_voigt", A, opn, lhs, 1.0, "1", "2",
@@ -959,8 +957,8 @@ def tensor_weak_norm_estimate(seq1: VectorSeq, seq2: VectorSeq,
     - p = inf or J = 1, either field: exact, max_j ||x_j|| ||y_j||, since the
       projective norm is a cross norm.
     - real data, p = 1, a pair with a closed-form projective norm (l_1 (x) F,
-      F (x) l_1 or l_2 (x) l_2, see :func:`_projective_norm`) and 2^J within
-      ``_ENUM_BUDGET``: exact, the largest ||sum_j eps_j x_j (x) y_j||_pi
+      F (x) l_1 or l_2 (x) l_2, see :func:`_projective_norm`) and 2^(J-1)
+      within ``_ENUM_BUDGET``: exact, the largest ||sum_j eps_j x_j (x) y_j||_pi
       over all sign vectors eps.
     - otherwise a lower bound, ``exact=False`` (:func:`_candidate_bound`).
     """
@@ -981,7 +979,7 @@ def tensor_weak_norm_estimate(seq1: VectorSeq, seq2: VectorSeq,
         return NormEstimate(float(cross.max()), True)
     U = X1[:, :, None] * X2[:, None, :]  # the tensors x_j (x) y_j as matrices
     norm = None if U.dtype.kind == "c" or pe.recip != 1 else _projective_norm(*balls)
-    if norm is not None and (1 << seq1.length) <= _ENUM_BUDGET:
+    if norm is not None and sign_count(seq1.length) <= _ENUM_BUDGET:
         return NormEstimate(rademacher_average(U, norm, INF, "exact"), True)
     return NormEstimate(_candidate_bound(U, balls, pe), False)
 
@@ -989,14 +987,15 @@ def tensor_weak_norm_estimate(seq1: VectorSeq, seq2: VectorSeq,
 def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
                      pe: Exponent) -> float:
     """The best (sum_j |B(U_j)|^p)^(1/p) / N(B) over seeded bilinear forms B:
-    the basis matrices, every sign matrix (256 random ones above 16 entries),
-    the identity and 64 Gaussian matrices. N(B) >= ||B|| is the kernel's
-    norm where it is exact (:func:`forms._exact`), else the coefficient sum."""
+    the basis matrices, every sign matrix with first entry +1 (B and -B tie;
+    256 random ones above 16 entries), the identity and 64 Gaussian matrices.
+    N(B) >= ||B|| is the kernel's norm where it is exact (:func:`forms._exact`),
+    else the coefficient sum."""
     J, m1, m2 = U.shape
     is_complex = U.dtype.kind == "c"
     rng = np.random.default_rng(0)
     if m1 * m2 <= 16:
-        signs = sign_matrix(m1 * m2).reshape(-1, m1, m2)
+        signs = sign_rows(m1 * m2).reshape(-1, m1, m2)
     else:
         signs = [rng.choice([-1.0, 1.0], size=(m1, m2)) for _ in range(256)]
     B = np.concatenate([np.eye(m1 * m2).reshape(-1, m1, m2), signs, np.eye(m1, m2)[None],

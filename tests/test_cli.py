@@ -540,7 +540,8 @@ def test_verify_dv_needs_two_files(littlewood_file, family_file, capsys, count):
 
 
 def test_verify_dv_draws_families_up_to_its_jmax(monkeypatch, capsys):
-    # 2^23 sign patterns are refused before anything is drawn
+    # 2^23 sign patterns (those with first sign +1 of 24 signs) are refused
+    # before anything is drawn
     lengths, draw = [], cli._random_family
 
     def recorded(rng, A, j_max):
@@ -550,11 +551,11 @@ def test_verify_dv_draws_families_up_to_its_jmax(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "_random_family", recorded)
     base = ["verify", "dv", "--order", "2", "--m", "2"]
-    assert main(base + ["--random", "4", "--jmax", "23"]) == 3
+    assert main(base + ["--random", "4", "--jmax", "24"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "--jmax 23" in captured.err and "budget" in captured.err
+    assert captured.out == "" and "--jmax 24" in captured.err and "budget" in captured.err
     assert lengths == []
-    assert main(base + ["--random", "0", "--jmax", "22"]) == 0
+    assert main(base + ["--random", "0", "--jmax", "23"]) == 0
     capsys.readouterr()
     assert main(base + ["--random", "12", "--jmax", "12", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["config"]["jmax"] == 12

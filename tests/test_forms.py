@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -56,6 +57,21 @@ def test_op_norm_littlewood_exact(littlewood):
     assert est.exact and est.value == 2.0
     # witness reproduces the value
     assert abs(evaluate(littlewood, est.witness)) == pytest.approx(2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3, 2), (2, 2, 2, 2)])
+def test_real_sup_op_norm_is_the_maximum_over_every_sign_vector(shape):
+    # the kernel enumerates the sign vectors with first sign +1 of every slot
+    # but one, 2 of them on a slot of dim 2, which is still no basis slot;
+    # the reference loops over all sign vectors of every slot
+    rng = np.random.default_rng(len(shape))
+    signs = [list(itertools.product((1.0, -1.0), repeat=m)) for m in shape]
+    for _ in range(10):
+        A = FormTensor.on_linf(rng.standard_normal(shape))
+        want = max(abs(evaluate(A, xs)) for xs in itertools.product(*signs))
+        est = op_norm(A)
+        assert est.exact and est.value == pytest.approx(want, rel=1e-14)
+        assert abs(evaluate(A, est.witness)) == pytest.approx(est.value, rel=1e-14)
 
 
 def test_op_norm_complex_littlewood(littlewood_complex):
@@ -120,7 +136,7 @@ def test_op_norm_mixed_l1_linf_enumeration():
 
 
 def test_op_norm_budget():
-    # 24 * 2^24 sign patterns are over the enumeration budget: the fallback
+    # 24 * 2^23 sign patterns are over the enumeration budget: the fallback
     # is the alternating lower bound, here the exact 24 * 24
     A = FormTensor.on_linf(np.ones((24, 24)))
     est = op_norm(A)

@@ -105,7 +105,7 @@ DIGESTS = {
     "almost-files": "5f50428bb680d4e4628887ea86287dbab14ef53d06187b23725e00260c7e6476",
     "bh": "62593c323e6a1426d14014921b5c4ea0cfc6c0bd1613751329b178fdab2a3321",
     "bh-files": "ebc7e50a7340cdd87ffc9967091692fe01ff507daf1bf2feb197d9edf16336d3",
-    "demos": "839b3a2cbd3da1d1eeb40316fb0a7c648f1f603e436813098c0226a4940e527d",
+    "demos": "b8c2c40e41b73fab39962eb35036da860cddd1d1c56516f0ed5472ffbf647b22",
     "dv": "fd032abcae5b1ac4859d7b8eea18e3d260cb48232e58b18e60b9514a342af5b8",
     "dv-files": "c8f5db666318b710011262e2727b58a5b7d5654a939984cb6b21949356d3b0e5",
     "experiment": "6884ad20e6995bfb3d47490182ae7e1014483a75c4ef19e219eef4ce9610b065",

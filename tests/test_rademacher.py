@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,11 +15,17 @@ from summability import (
     rad_p_norm,
     weak_lp_norm,
 )
-from summability._signs import sign_matrix
+from summability.norms import _axis_norms
+from summability.spaces import Exponent
 
 
 def scalar_seq(values):
     return VectorSeq(np.asarray(values, dtype=float)[:, None], SpaceSpec.linf(1))
+
+
+def all_signs(n):
+    """All 2^n sign vectors, lexicographic with +1 before -1."""
+    return np.array(list(itertools.product((1.0, -1.0), repeat=n)))
 
 
 def test_rad_examples():
@@ -38,8 +45,9 @@ def test_rad_single_vector_any_p():
 
 
 def test_rad_budget_error():
-    # 2^23 exact patterns are over the enumeration budget
-    seq = VectorSeq(np.ones((23, 1)), SpaceSpec.linf(1))
+    # 2^23 exact patterns (those with first sign +1 of n = 24) are over the
+    # enumeration budget
+    seq = VectorSeq(np.ones((24, 1)), SpaceSpec.linf(1))
     with pytest.raises(ValueError, match="over the budget"):
         rad_p_norm(seq, 2)
 
@@ -80,7 +88,7 @@ def test_mc_reproducible_and_close():
     assert mc1 == mc2
     # compare mean-space values against five standard errors of the
     # population of squared norms (computable exactly at this size)
-    signs = sign_matrix(6)
+    signs = all_signs(6)
     pops = np.abs(signs @ seq.vectors).max(axis=1) ** 2
     se = pops.std() / math.sqrt(100_000)
     assert abs(mc1 ** 2 - exact ** 2) < 5 * se
@@ -151,7 +159,27 @@ def test_exact_average_matches_rational_mean(n, p):
     # reference: the exact rational mean of the same float terms, then the root
     rng = np.random.default_rng(16)
     seq = VectorSeq(rng.standard_normal((n, 2)), SpaceSpec.lp(2, 2))
-    norms = np.sqrt(((sign_matrix(n) @ seq.vectors) ** 2).sum(axis=1))
+    norms = np.sqrt(((all_signs(n) @ seq.vectors) ** 2).sum(axis=1))
     mean = sum(map(Fraction, (norms ** p).tolist())) / (1 << n)
     want = float(mean) ** (1.0 / p)
     assert abs(rad_p_norm(seq, p) - want) <= np.spacing(want)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_exact_average_is_the_mean_over_all_patterns_to_the_bit(is_complex):
+    # exact mode runs the 2^(n-1) patterns with first sign +1; the reference
+    # runs all 2^n with the same arithmetic per pattern: its norm, its p-th
+    # power, then the exactly rounded sum divided by 2^n and the root
+    rng = np.random.default_rng(22)
+    for n in range(1, 13):
+        X = rng.standard_normal((n, 3))
+        if is_complex:
+            X = X + 1j * rng.standard_normal((n, 3))
+        for s in (1, 2, "inf"):
+            seq = VectorSeq(X, SpaceSpec.lp(3, s))
+            norms = _axis_norms(np.abs(all_signs(n) @ X), seq.space.exponent, axis=1)
+            for p in (1, "4/3", 2, 3, "inf"):
+                pv = Exponent.of(p).value
+                want = (float(norms.max()) if pv == math.inf else
+                        (math.fsum((norms ** pv).tolist()) / (1 << n)) ** (1.0 / pv))
+                assert rad_p_norm(seq, p) == want, (n, s, p)
