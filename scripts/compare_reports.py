@@ -12,7 +12,9 @@ package, then with the new one, and prints:
 
 - per workload, how many commands give identical exit code, stdout and
   stderr, and per command kind how many do not;
-- every report or claim whose ``status`` changed;
+- every report or claim whose ``status`` changed, and apart from them every
+  report or claim one side has and the other has not (reports are matched
+  by their place in the list, claims by their ``claim`` text);
 - per key path (``config.seed``, ``reports[].field``), how many bodies lost
   or gained the key, and how many bodies changed a string there from one
   value to another (``status`` aside, listed above);
@@ -20,7 +22,8 @@ package, then with the new one, and prints:
   rise and fall; numbers of a record flagged exact are counted apart;
 - last, one line saying whether every body is identical.
 
-It exits 1 when a status changed or an exit code differs, else 0. Run it
+It exits 1 when a status changed or an exit code differs, else 0: an added
+or removed report or claim is listed, but changes no status. Run it
 with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``) for the same
 bytes the benchmark sees.
 """
@@ -101,17 +104,22 @@ def _walk(old, new, path: str, key: str, exact: bool, out: list, changes: set) -
         changes.add((path, f"{old!r} -> {new!r}"))
 
 
-def _statuses(doc) -> list:
-    """The status of each report, then of each claim (``demos``), of a document."""
+def _statuses(doc) -> dict:
+    """The status of each report, keyed by ("reports", its place), and of
+    each claim (``demos``), keyed by ("claims", its claim text), of a document."""
     if not isinstance(doc, dict):
-        return []
-    return [r.get("status") for key in ("reports", "claims") for r in doc.get(key, [])]
+        return {}
+    rows = {("reports", i): r.get("status") for i, r in enumerate(doc.get("reports", []))}
+    rows.update((("claims", r.get("claim", i)), r.get("status"))
+                for i, r in enumerate(doc.get("claims", [])))
+    return rows
 
 
 def compare(old: dict, new: dict) -> int:
     identical = defaultdict(lambda: [0, 0])
     changed = defaultdict(int)
     status_changes, code_changes, drifts = [], [], []
+    added, removed = [], []  # (body, kind, row) of the rows one side lacks
     key_changes = Counter()  # (key path, change) -> bodies
     for cid, (code, text, err, kind) in old.items():
         ncode, ntext, nerr, _ = new[cid]
@@ -126,8 +134,11 @@ def compare(old: dict, new: dict) -> int:
             a, b = json.loads(text), json.loads(ntext)
         except json.JSONDecodeError:
             continue
-        if _statuses(a) != _statuses(b):
-            status_changes.append((cid, kind, _statuses(a), _statuses(b)))
+        rows, nrows = _statuses(a), _statuses(b)
+        status_changes.extend((cid, kind, row, rows[row], nrows[row])
+                              for row in rows.keys() & nrows.keys() if rows[row] != nrows[row])
+        added.extend((cid, kind, row) for row in nrows.keys() - rows.keys())
+        removed.extend((cid, kind, row) for row in rows.keys() - nrows.keys())
         changes = set()
         _walk(a, b, "", "", False, drifts, changes)
         key_changes.update(changes)
@@ -142,6 +153,10 @@ def compare(old: dict, new: dict) -> int:
     print(f"status changes: {len(status_changes)}")
     for change in status_changes:
         print("  ", *change)
+    for what, rows in (("added", added), ("removed", removed)):
+        print(f"rows {what}: {len(rows)}")
+        for row in rows:
+            print("  ", *row)
     print(f"key changes: {len(key_changes)}")
     for (path, change), count in sorted(key_changes.items()):
         print(f"  {path}: {change} in {count} bodies")

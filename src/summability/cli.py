@@ -41,7 +41,7 @@ from .summing import (
     VerificationReport,
     _chunks,
     _random_family,
-    lift_family,
+    lift_families,
     random_family_search,
     random_form,
     summing_experiment,
@@ -60,6 +60,9 @@ EXIT_SCHEMA = 3
 # random verify suites draw at most this many coefficients per form, and
 # hold at most this many in a chunk of drawn instances
 RANDOM_COEFF_BUDGET = 1 << 22
+# verify inclusion lifts at most this many instances at once: each holds its
+# families and certificates (about 3 KB) until its chunk is lifted
+LIFT_CHUNK = 1 << 10
 
 CSV_COLUMNS = ["check", "field", "p", "q", "lhs", "rhs", "ratio", "bound",
                "exact_norm", "status"]
@@ -389,8 +392,12 @@ def cmd_almost(args) -> int:
 
 def cmd_inclusion(args) -> int:
     """Random certificate lifts; status is the monotonicity of the lift. A lift
-    below its source rests on a heuristic weak norm (``lift_family`` raises
-    when every weak norm is exact), so it is inconclusive, never a fail."""
+    below its source rests on a heuristic weak norm (``lift_families`` raises
+    when every weak norm is exact), so it is inconclusive, never a fail. The
+    instances are lifted in chunks of at most RANDOM_COEFF_BUDGET form
+    coefficients and LIFT_CHUNK instances (and at least one instance), one
+    ``lift_families`` call a chunk; a lift does not depend on the others of
+    its chunk."""
     source = ExponentTuple(2, (2, 2))
     target = ExponentTuple(1, (Exponent.of(1), Exponent.of(2)))
 
@@ -398,23 +405,25 @@ def cmd_inclusion(args) -> int:
         A = random_form(rng, _random_dims(rng, 2, args.m), ScalarField.REAL)
         return A, _random_family(rng, A, 4)
 
-    reports = []
-    for i, (A, fam) in enumerate(_seeded(args, 2, draw)):
-        res = lift_family(A, fam, source, target)
-        reports.append(VerificationReport(
-            check="inclusion_lift",
-            field=str(A.field),
-            p=str(source),
-            q=str(target),
-            lhs=res.source.ratio,
-            rhs=res.derived.ratio,
-            ratio=(res.derived.ratio / res.source.ratio
-                   if res.source.ratio > 0 else None),
-            bound=None,
-            exact_norm=res.source.exact and res.derived.exact,
-            status="pass" if res.monotone else "inconclusive",
-            witness={"instance": i, "length": fam.length},
-        ))
+    p, q, reports = str(source), str(target), []
+    least = RANDOM_COEFF_BUDGET // LIFT_CHUNK  # an instance counts as at least this many
+    for chunk in _chunks(_seeded(args, 2, draw), lambda pair: max(pair[0].coeffs.size, least),
+                         RANDOM_COEFF_BUDGET):
+        for (A, fam), res in zip(chunk, lift_families(chunk, source, target)):
+            reports.append(VerificationReport(
+                check="inclusion_lift",
+                field=str(A.field),
+                p=p,
+                q=q,
+                lhs=res.source.ratio,
+                rhs=res.derived.ratio,
+                ratio=(res.derived.ratio / res.source.ratio
+                       if res.source.ratio > 0 else None),
+                bound=None,
+                exact_norm=res.source.exact and res.derived.exact,
+                status="pass" if res.monotone else "inconclusive",
+                witness={"instance": len(reports), "length": fam.length},
+            ))
     return _report(args, reports)
 
 

@@ -584,12 +584,22 @@ def _polar(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|a|, u) with a = |a| u and |u| = 1: u = 1 where a = 0; real u is -1
     where a < 0 and +1 elsewhere. numpy divides a complex a by |a| as
     a * (1/|a|), which overflows for |a| <= 2^-1024: the phase of such an
-    entry is taken on 2^600 a."""
+    entry is taken on 2^600 a. Without such entries u is a / |a|, the
+    zeros (of padded coordinates, say) divided by 1 and then set to 1."""
     mag = np.abs(a)
     if a.dtype.kind != "c":
         return mag, np.where(a < 0, -1.0, 1.0)
-    if mag.size and np.minimum.reduce(mag, axis=None) > _PHASE_LOW:
-        return mag, a / mag
+    if mag.size:
+        low = np.minimum.reduce(mag, axis=None)
+        if low > _PHASE_LOW:
+            return mag, a / mag
+        if low == 0:
+            zero = mag == 0
+            safe = mag + zero
+            if np.minimum.reduce(safe, axis=None) > _PHASE_LOW:
+                u = a / safe
+                np.copyto(u, 1, where=zero)
+                return mag, u
     u = np.empty_like(a)
     u.fill(1)
     large = mag > _PHASE_LOW

@@ -98,14 +98,6 @@ class TestFamily:
         self.check_against(A)
         return _batch_contract(A.coeffs, [c.vectors for c in self.columns])
 
-    def scaled(self, factors) -> "TestFamily":
-        """Scale column i row-wise by factors[i]."""
-        if len(factors) != self.n:
-            raise ValueError("need one factor sequence per column")
-        return TestFamily(
-            tuple(col.scaled(f) for col, f in zip(self.columns, factors))
-        )
-
     def to_json(self) -> dict:
         return {"columns": [c.to_json() for c in self.columns]}
 
@@ -154,10 +146,7 @@ def summing_lower_bound(
 ) -> RatioCertificate:
     """Evaluate one family: lhs at the outer exponent over weak norms at the inner ones."""
     _require_slots(A, exps)
-    values = fam.values(A)
-    lhs = lp_norm(values, exps.p)
-    rhs = tuple(weak_lp_norm(col, q) for col, q in zip(fam.columns, exps.qs))
-    return RatioCertificate(lhs, rhs, fam, exps)
+    return _certificates([fam], [fam.values(A)], exps)[0]
 
 
 def _require_slots(A: FormTensor, exps: ExponentTuple) -> None:
@@ -204,10 +193,14 @@ def random_form(
     """Gaussian-coefficient form; sup-norm domains unless exponents given."""
     shape = tuple(int(m) for m in dims)
     coeffs = _gaussian(rng, shape, field.is_complex)
-    if exponents is None:
-        exponents = [INF] * len(shape)
-    domains = tuple(SpaceSpec(m, Exponent.of(s)) for m, s in zip(shape, exponents))
-    return FormTensor(coeffs, domains, field)
+    exponents = (INF,) * len(shape) if exponents is None else tuple(map(Exponent.of, exponents))
+    return FormTensor(coeffs, _domains(shape, exponents), field)
+
+
+@functools.lru_cache(maxsize=1 << 8)
+def _domains(shape: tuple[int, ...], exponents: tuple[Exponent, ...]) -> tuple[SpaceSpec, ...]:
+    """The spaces l_s^m of a form's slots, shared between forms (they are frozen)."""
+    return tuple(SpaceSpec(m, s) for m, s in zip(shape, exponents))
 
 
 def _entry_draws(field: ScalarField) -> tuple[int, type]:
@@ -595,16 +588,36 @@ def lift_family(
     source: ExponentTuple,
     target: ExponentTuple,
 ) -> LiftResult:
-    """Transport a ratio certificate from a weaker exponent tuple to a stronger one.
+    """Transport a ratio certificate from a weaker exponent tuple to a
+    stronger one: :func:`lift_families` of the one pair (A, fam)."""
+    return lift_families([(A, fam)], source, target)[0]
+
+
+def lift_families(pairs, source: ExponentTuple, target: ExponentTuple) -> list[LiftResult]:
+    """Transport the ratio certificate of each (form, family) pair of
+    ``pairs`` from a weaker exponent tuple to a stronger one.
 
     Requires componentwise target <= source and a target defect no larger
-    than the source defect. The value sequence is turned into a unit-norm
-    scalar sequence alpha with ||(alpha_j A_j)||_q = ||(A_j)||_p, alpha is
-    factored across the slots, and the scaled family certifies a ratio at
-    the target tuple at least the source ratio (up to a rounding slack of
-    1e-10).
+    than the source defect. A pair's value sequence is turned into a
+    unit-norm scalar sequence alpha with ||(alpha_j A_j)||_q = ||(A_j)||_p,
+    alpha is factored across the slots, and the scaled family certifies a
+    ratio at the target tuple at least the source ratio (up to a rounding
+    slack of 1e-10). A pair whose values are all zero keeps its family. An
+    ArithmeticError names the first pair, in order, whose lift is smaller
+    with every weak norm exact.
+
+    Each pair gets the result it gets alone. The checks and the exponent
+    arithmetic run once per call. Each family's values come from its own
+    contraction (einsum sums a stack of one or two vectors in another order
+    than a longer one). The phases, alpha, its factors and the scaled
+    columns are elementwise, so they are taken on the concatenated rows of
+    the pairs whose values and columns have the same dtypes; the norm that
+    scales alpha is the source lhs. The certificates take their lhs and
+    weak norms from :func:`_certificates`: one :func:`norms._lp_rows` call
+    per length class, and one kernel call per column (and ball) where q >= 1.
     """
-    if source.n != target.n or source.n != A.order:
+    pairs = list(pairs)
+    if source.n != target.n or any(A.order != source.n for A, _ in pairs):
         raise ValueError("exponent tuples must match the form order")
     if target.p > source.p:
         raise ValueError("target outer exponent must satisfy q <= p")
@@ -616,46 +629,128 @@ def lift_family(
             "inadmissible lift: target defect exceeds source defect "
             f"({target.defect()} > {source.defect()})"
         )
-
-    source_cert = summing_lower_bound(A, source, fam)
-    mag, phase = _polar(fam.values(A))
     recip_r = target.p.recip - source.p.recip
-
-    if not np.any(mag > 0):
-        derived_cert = summing_lower_bound(A, target, fam)
-        return LiftResult(fam, source_cert, derived_cert, True)
-
-    align = np.conj(phase)
-
-    if recip_r == 0:
-        alpha = np.ones_like(mag)
-    elif source.p.is_inf:
-        alpha = np.zeros(len(mag), dtype=align.dtype)
-        j = int(np.argmax(mag))
-        alpha[j] = align[j]
-    else:
-        p_over_r = float(recip_r / source.p.recip)
-        norm_p = lp_norm(mag, source.p)
-        alpha = align * (mag / norm_p) ** p_over_r
-
     slot_recips = [qt.recip - qs_.recip for qt, qs_ in zip(target.qs, source.qs)]
     total = sum(slot_recips)
-    if recip_r == 0 or total == 0:
-        factors = [alpha] + [np.ones_like(mag)] * (A.order - 1)
-    else:
+    split = None  # the factor exponents, None where alpha goes to the first slot whole
+    if recip_r != 0 and total != 0:
         scale = recip_r / total
         split = [Exponent(rc * scale) for rc in slot_recips]
-        factors = factor_sequence(alpha, Exponent(recip_r), split)
+    p_over_r = None if recip_r == 0 or source.p.is_inf else float(recip_r / source.p.recip)
+    if not pairs:
+        return []
 
-    derived_fam = fam.scaled(factors)
-    derived_cert = summing_lower_bound(A, target, derived_fam)
-    monotone = derived_cert.ratio >= source_cert.ratio - 1e-10
-    if not monotone and source_cert.exact and derived_cert.exact:
-        raise ArithmeticError(
-            "lift produced a smaller ratio with exact weak norms: "
-            f"{derived_cert.ratio} < {source_cert.ratio}"
-        )
-    return LiftResult(derived_fam, source_cert, derived_cert, monotone)
+    families = [fam for _, fam in pairs]
+    values = [fam.values(A) for A, fam in pairs]
+    sources = _certificates(families, values, source)
+    lengths = np.array([len(v) for v in values], int)
+    live = np.logical_or.reduceat(_moduli(values) > 0, _heads(lengths))
+    derived = list(families)  # the families of the target certificates
+    groups: dict = {}  # the live pairs by the dtypes of their values and columns
+    for k, (fam, v) in enumerate(zip(families, values)):
+        if live[k]:
+            groups.setdefault((v.dtype,) + tuple(c.vectors.dtype for c in fam.columns),
+                              []).append(k)
+    for at in groups.values():
+        J = lengths[at]
+        mag, phase = _polar(np.concatenate([values[k] for k in at]))
+        align = np.conj(phase)
+        if recip_r == 0:
+            alpha = np.ones_like(mag)
+        elif source.p.is_inf:
+            alpha = np.zeros(len(mag), dtype=align.dtype)
+            for lo, hi in zip(_heads(J).tolist(), np.cumsum(J).tolist()):
+                j = lo + int(np.argmax(mag[lo:hi]))  # the pair's first largest value
+                alpha[j] = align[j]
+        else:
+            norm_p = np.repeat([sources[k].lhs for k in at], J)
+            alpha = align * (mag / norm_p) ** p_over_r
+        if split is None:
+            factors = [alpha] + [np.ones_like(mag)] * (source.n - 1)
+        else:
+            factors = factor_sequence(alpha, Exponent(recip_r), split)
+        columns = [_scaled_rows([families[k].columns[i].vectors for k in at], f, J)
+                   for i, f in enumerate(factors)]
+        for k, arrays in zip(at, zip(*columns)):
+            derived[k] = TestFamily(tuple(VectorSeq(X, c.space)
+                                          for X, c in zip(arrays, families[k].columns)))
+    targets = _certificates(derived, [fam.values(A) if live[k] else values[k]
+                                      for k, ((A, _), fam) in enumerate(zip(pairs, derived))],
+                            target)
+    results = []
+    for k, (fam, src, tgt) in enumerate(zip(derived, sources, targets)):
+        monotone = not live[k] or tgt.ratio >= src.ratio - 1e-10
+        if not monotone and src.exact and tgt.exact:
+            raise ArithmeticError(
+                f"the lift of pair {k} produced a smaller ratio with exact weak norms: "
+                f"{tgt.ratio} < {src.ratio}"
+            )
+        results.append(LiftResult(fam, src, tgt, monotone))
+    return results
+
+
+def _heads(lengths: np.ndarray) -> np.ndarray:
+    """The first row of each of consecutive runs of ``lengths`` rows."""
+    return np.cumsum(lengths) - lengths
+
+
+def _moduli(values) -> np.ndarray:
+    """The moduli of the concatenated value sequences; a real sequence
+    joining complex ones keeps its moduli, as |x + 0j| = |x|."""
+    return np.abs(np.concatenate(values))
+
+
+def _scaled_rows(arrays, f: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
+    """``a * f[rows of a][:, None]`` of each array a of ``arrays`` (one dtype,
+    lengths[k] rows for array k; f holds their rows' factors one after
+    another), as one product over the concatenated entries: a product of
+    two numbers does not depend on the entries around it."""
+    dims = np.array([a.shape[1] for a in arrays], int)
+    flat = np.concatenate([a.ravel() for a in arrays]) * np.repeat(f, np.repeat(dims, lengths))
+    sizes = lengths * dims
+    return [flat[lo:lo + n].reshape(-1, m)
+            for lo, n, m in zip(_heads(sizes).tolist(), sizes.tolist(), dims.tolist())]
+
+
+def _certificates(families, values, exps: ExponentTuple) -> list[RatioCertificate]:
+    """The ratio certificate of each family, given its value sequence: the
+    lhs is :func:`lp_norm` of the values to the bit, from one
+    :func:`_lp_rows` call per length class (:func:`norms._sum_class`,
+    zero-padded to the longest length present), and a weak norm is
+    :func:`weak_lp_norm`'s to the bit, those of a column at q >= 1 from one
+    kernel call per ball and dtype, where each item gets the value it gets
+    alone."""
+    weak = [_weak_norms([fam.columns[i] for fam in families], q) for i, q in enumerate(exps.qs)]
+    lengths = np.array([len(v) for v in values], int)
+    lhs, moduli = np.empty(len(values)), _moduli(values)
+    classes = [_sum_class(J) for J in lengths.tolist()]
+    for c in set(classes):
+        at = np.array([x == c for x in classes])
+        J = lengths[at]
+        L = int(J.max())
+        rows = np.zeros((len(J), L))
+        rows[np.arange(L) < J[:, None]] = moduli[np.repeat(at, lengths)]
+        lhs[at] = _lp_rows(rows, exps.p)
+    return [RatioCertificate(x, norms, fam, exps)
+            for x, norms, fam in zip(lhs.tolist(), zip(*weak), families)]
+
+
+def _weak_norms(columns, q: Exponent) -> list[NormEstimate]:
+    """:func:`weak_lp_norm` of each column at ``q``, to the bit."""
+    if q.recip > 1:
+        return [weak_lp_norm(col, q) for col in columns]
+    groups: dict = {}
+    for k, col in enumerate(columns):
+        if col.length == 0:
+            raise ValueError("empty sequence")
+        groups.setdefault((col.space.exponent, col.vectors.dtype), []).append(k)
+    out = [None] * len(columns)
+    for (s, _), at in groups.items():
+        values, exact, _ = _ball_sup([columns[k].vectors for k in at], (q.dual, s.dual),
+                                     witness=False)
+        for k, value, flag in zip(at, values.tolist(), exact):
+            out[k] = NormEstimate(value, flag)
+    return out
 
 
 # ---------------------------------------------------------------------------

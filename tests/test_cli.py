@@ -603,6 +603,28 @@ def test_verify_chunks_give_the_body_of_one_chunk(monkeypatch, capsys):
     assert all(len(c) == 1 or sum(c) <= 30 for c in chunks)
 
 
+
+def test_inclusion_chunks_give_the_body_of_one_chunk(monkeypatch, capsys):
+    # lifts are taken in chunks of at most RANDOM_COEFF_BUDGET coefficients
+    # and LIFT_CHUNK instances; chunking changes no byte
+    argv = ["verify", "inclusion", "--random", "9", "--m", "4", "--seed", "3"]
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    chunks, lift = [], cli.lift_families
+    monkeypatch.setattr(cli, "RANDOM_COEFF_BUDGET", 20)
+    monkeypatch.setattr(cli, "lift_families", lambda pairs, *args: (
+        chunks.append([A.coeffs.size for A, _ in pairs]), lift(pairs, *args))[1])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert sum(map(len, chunks)) == 9 and len(chunks) > 1
+    assert all(len(c) == 1 or sum(c) <= 20 for c in chunks)
+    chunks.clear()  # and at most LIFT_CHUNK instances
+    monkeypatch.setattr(cli, "RANDOM_COEFF_BUDGET", 1 << 22)
+    monkeypatch.setattr(cli, "LIFT_CHUNK", 4)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert [len(c) for c in chunks] == [4, 4, 1]
+
 @pytest.mark.parametrize("suite,name,extra", [
     ("littlewood", "verify_littlewood_43", []),
     ("general", "verify_general_littlewood", []),
@@ -656,14 +678,14 @@ def test_verify_inclusion_battery(tmp_path):
 
 
 def test_inclusion_lift_below_its_source_is_inconclusive(monkeypatch, capsys):
-    lift = cli.lift_family
+    lift = cli.lift_families
 
     def short(*args):  # as if a heuristic weak norm had come out too low
-        res = lift(*args)
-        return dataclasses.replace(
+        return [dataclasses.replace(
             res, derived=dataclasses.replace(res.derived, lhs_exact=False), monotone=False)
+            for res in lift(*args)]
 
-    monkeypatch.setattr(cli, "lift_family", short)
+    monkeypatch.setattr(cli, "lift_families", short)
     assert main(["verify", "inclusion", "--random", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [(r["status"], r["exact_norm"]) for r in doc["reports"]] == [("inconclusive", False)] * 2

@@ -246,3 +246,36 @@ def test_complex_polar_matches_the_guarded_division_bit_for_bit():
     assert phase.dtype == want.dtype
     assert np.array_equal(phase.view(np.float64), want.view(np.float64))
     assert np.all(phase[0] == 1.0)
+
+
+def _masked_polar(a):
+    """The masked rule of forms._polar: a / |a| where |a| > 2^-1024, the
+    phase of 2^600 a at the other nonzero entries, 1 at the zeros."""
+    mag = np.abs(a)
+    u = np.ones_like(a)
+    large = mag > forms._PHASE_LOW
+    np.divide(a, mag, out=u, where=large)
+    small = (mag != 0) & ~large
+    scaled = np.ldexp(a.real[small], 600) + 1j * np.ldexp(a.imag[small], 600)
+    u[small] = scaled / np.abs(scaled)
+    return mag, u
+
+
+@pytest.mark.parametrize("case", ["zeros", "subnormal", "negative zero reals", "no zeros"])
+def test_complex_polar_gives_the_bits_of_the_masked_rule(case):
+    # the fast paths (no zeros, or zeros divided by 1 and set to 1) and the
+    # masked one agree bit for bit
+    rng = np.random.default_rng(52)
+    a = rng.standard_normal((7, 6)) + 1j * rng.standard_normal((7, 6))
+    if case != "no zeros":
+        a[0, :3] = [0j, complex(-0.0, 0.0), complex(0.0, -0.0)]
+        a[4, 4] = complex(-0.0, -0.0)
+    if case == "subnormal":
+        a[2, 1], a[3, 5] = 1e-320, complex(-2e-320, 3e-321)
+    if case == "negative zero reals":
+        a[1, :] = -0.0 + 1j * rng.standard_normal(6)
+    mag, phase = forms._polar(a)
+    want_mag, want = _masked_polar(a)
+    assert np.array_equal(mag, want_mag)
+    assert phase.dtype == want.dtype
+    assert np.array_equal(phase.view(np.float64), want.view(np.float64))

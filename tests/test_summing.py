@@ -892,6 +892,78 @@ def test_lift_rejects_inadmissible(littlewood, diag_family):
                     ExponentTuple(1, (2, 2)))
 
 
+def _lift_chunk(seed: int, order: int) -> list:
+    """Seeded (form, family) pairs of one order: dims 2 to 4, lengths 1 to 4,
+    sup, l_1 and l_2 slots, real and complex forms and columns, and one
+    all-zero family."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(12):
+        dims = tuple(int(rng.integers(2, 5)) for _ in range(order))
+        doms = tuple(SpaceSpec(m, ["inf", "inf", 1, 2][int(rng.integers(0, 4))]) for m in dims)
+        field = ScalarField.COMPLEX if rng.random() < 0.4 else ScalarField.REAL
+        A = FormTensor(_gaussian(rng, dims, field.is_complex), doms, field)
+        J = int(rng.integers(1, 5))
+        fam = TestFamily(tuple(VectorSeq(_gaussian(rng, (J, d.dim), rng.random() < 0.3), d)
+                               for d in doms))
+        if k == 5:
+            fam = TestFamily(tuple(VectorSeq(np.zeros((J, d.dim)), d) for d in doms))
+        pairs.append((A, fam))
+    return pairs
+
+
+def _bits(x: float) -> str:
+    return float(x).hex()
+
+
+@pytest.mark.parametrize("source,target", [
+    (ExponentTuple(2, (2, 2)), ExponentTuple(1, (1, 2))),
+    (ExponentTuple("inf", (2, 2)), ExponentTuple(2, (1, 2))),  # source p = inf
+    (ExponentTuple(2, (2, 2)), ExponentTuple(2, (2, 2))),  # 1/r = 0
+    (ExponentTuple(1, (1, 1)), ExponentTuple("1/2", ("1/2", 1))),  # a weak norm at q < 1
+    (ExponentTuple(2, (2, 2, 2)), ExponentTuple(1, (1, 2, 2))),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lift_families_give_each_pair_its_lift_alone(source, target, seed):
+    pairs = _lift_chunk(seed, source.n)
+    whole = summing.lift_families(pairs, source, target)
+    assert len(whole) == len(pairs)
+    for (A, fam), res in zip(pairs, whole):
+        alone = lift_family(A, fam, source, target)
+        for got, want in ((res.source, alone.source), (res.derived, alone.derived)):
+            assert _bits(got.lhs) == _bits(want.lhs)
+            assert _bits(got.ratio) == _bits(want.ratio)
+            assert [(_bits(w.value), w.exact) for w in got.rhs_norms] == \
+                [(_bits(w.value), w.exact) for w in want.rhs_norms]
+            assert got.exact is want.exact
+        assert res.monotone is alone.monotone
+        for got, want in zip(res.family.columns, alone.family.columns):
+            assert got.vectors.dtype == want.vectors.dtype
+            assert got.vectors.tobytes() == want.vectors.tobytes()
+    assert whole[5].family is pairs[5][1] and whole[5].monotone  # the all-zero family
+
+
+def test_lift_families_name_the_first_pair_whose_exact_lift_is_smaller(monkeypatch):
+    # zeroed factors give the lifted families ratio 0 with exact (sup-norm)
+    # weak norms; the pairs of a zero form keep their families and pass
+    zero = FormTensor.on_linf(np.zeros((2, 3)))
+    forms_ = [zero, zero, FormTensor.on_linf(np.ones((2, 2))),
+              FormTensor.on_linf(np.arange(1.0, 5.0).reshape(2, 2))]
+    pairs = [(A, basis_family(2, A.dims[0])) if A.dims[0] == A.dims[1] else
+             (A, TestFamily((VectorSeq(np.eye(2), SpaceSpec.linf(2)),
+                             VectorSeq(np.eye(3)[:2], SpaceSpec.linf(3)))))
+             for A in forms_]
+    source, target = ExponentTuple(2, (2, 2)), ExponentTuple(1, (1, 2))
+    assert all(res.monotone for res in summing.lift_families(pairs, source, target))
+    split = summing.factor_sequence
+    monkeypatch.setattr(summing, "factor_sequence",
+                        lambda *args: [np.zeros_like(f) for f in split(*args)])
+    with pytest.raises(ArithmeticError, match="pair 2 "):
+        summing.lift_families(pairs, source, target)
+    with pytest.raises(ArithmeticError, match="pair 0 "):
+        lift_family(*pairs[3], source, target)
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 
