@@ -18,8 +18,9 @@ package, then with the new one, and prints:
 - per key path (``config.seed``, ``reports[].field``), how many bodies lost
   or gained the key, and how many bodies changed a string there from one
   value to another (``status`` aside, listed above);
-- per JSON key, how many numbers went up and down, and the largest relative
-  rise and fall; numbers of a record flagged exact are counted apart;
+- per JSON key, how many numbers went up and down, the largest relative
+  rise and fall, and the largest change in ulps (the doubles from the old
+  number to the new one); numbers of a record flagged exact are counted apart;
 - last, one line saying whether every body is identical.
 
 It exits 1 when a status changed or an exit code differs, else 0: an added
@@ -34,6 +35,8 @@ import argparse
 import contextlib
 import io
 import json
+import math
+import struct
 import sys
 import tempfile
 from collections import Counter, defaultdict
@@ -160,21 +163,32 @@ def compare(old: dict, new: dict) -> int:
     print(f"key changes: {len(key_changes)}")
     for (path, change), count in sorted(key_changes.items()):
         print(f"  {path}: {change} in {count} bodies")
-    per_key = defaultdict(lambda: [0, 0, 0.0, 0.0])
+    per_key = defaultdict(lambda: [0, 0, 0.0, 0.0, 0])
     flagged_exact = 0
     for key, a, b, exact in drifts:
         flagged_exact += exact
-        rel = (b - a) / abs(a) if a else float("inf")
+        rel = (b - a) / abs(a) if a else math.copysign(math.inf, b - a)
         row = per_key[key]
-        row[0 if rel > 0 else 1] += 1
+        row[0 if b > a else 1] += 1
         row[2], row[3] = max(row[2], rel), min(row[3], rel)
+        row[4] = max(row[4], ulps(a, b))
     print(f"changed numbers: {len(drifts)}, of them flagged exact: {flagged_exact}")
-    for key, (up, down, rise, fall) in sorted(per_key.items()):
-        print(f"  {key}: {up} up (largest {rise:+.3e}), {down} down (largest {fall:+.3e})")
+    for key, (up, down, rise, fall, most) in sorted(per_key.items()):
+        print(f"  {key}: {up} up (largest {rise:+.3e}), {down} down (largest {fall:+.3e}),"
+              f" largest {most} ulps")
     same = sum(s for s, _ in identical.values())
     total = sum(t for _, t in identical.values())
     print(f"every body identical: {'yes' if same == total else 'no'} ({same}/{total})")
     return 1 if status_changes or code_changes else 0
+
+
+def ulps(a: float, b: float) -> int:
+    """How many doubles lie from ``a`` up or down to ``b``: 1 for neighbours,
+    also across a power of two or across zero (0.0 and -0.0 are one)."""
+    def ordinal(x: float) -> int:
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(bits + 2 ** 63)
+    return abs(ordinal(b) - ordinal(a))
 
 
 def _seeds(text: str) -> tuple[int, ...]:

@@ -3,6 +3,7 @@ whose status differs; rows one side lacks are listed apart."""
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_reports.py"
@@ -37,3 +38,30 @@ def test_a_flipped_status_exits_1(capsys):
     out = capsys.readouterr().out
     assert "status changes: 1" in out and "('reports', 1) pass fail" in out
     assert "rows added: 1" in out
+
+
+def test_ulps_counts_the_doubles_between_two_numbers():
+    ulps = compare_reports.ulps
+    assert ulps(1.0, 1.0) == 0
+    assert ulps(1.0, math.nextafter(1.0, 2)) == 1
+    # the spacing halves below a power of two, and the count follows it
+    below = math.nextafter(math.nextafter(2.0, 0), 0)
+    assert ulps(2.0, below) == ulps(below, 2.0) == 2
+    assert ulps(-1.0, math.nextafter(-1.0, -2)) == 1
+    assert ulps(math.nextafter(0.0, -1), math.nextafter(0.0, 1)) == 2
+
+
+def test_per_key_line_gives_the_largest_change_in_ulps(capsys):
+    one_up = math.nextafter(1.5, 2)
+    old = {"reports": [{"status": "pass", "op_norm": 1.5, "rhs": 2.0},
+                       {"status": "pass", "op_norm": -3.0, "rhs": 0.0}]}
+    new = {"reports": [{"status": "pass", "op_norm": one_up, "rhs": 2.0},
+                       {"status": "pass", "op_norm": math.nextafter(math.nextafter(-3.0, -4), -4),
+                        "rhs": -1e-300}]}
+    assert compare_reports.compare(_bodies(old), _bodies(new)) == 0
+    out = capsys.readouterr().out
+    assert "changed numbers: 3, of them flagged exact: 0" in out
+    assert "  op_norm: 1 up (largest +1.480e-16), 1 down (largest -2.961e-16), largest 2 ulps" in out
+    # a number that leaves zero is a fall of unbounded relative size
+    rhs = next(line for line in out.splitlines() if line.startswith("  rhs:"))
+    assert rhs.startswith("  rhs: 0 up (largest +0.000e+00), 1 down (largest -inf)")

@@ -104,20 +104,20 @@ DIGESTS = {
     "almost-curry-files": "a1fe271546aaa69c7fb3eb7d010a7d745fddd4bf2f0d5f299202dadc339c40fc",
     "almost-files": "5f50428bb680d4e4628887ea86287dbab14ef53d06187b23725e00260c7e6476",
     "bh": "62593c323e6a1426d14014921b5c4ea0cfc6c0bd1613751329b178fdab2a3321",
-    "bh-files": "ebc7e50a7340cdd87ffc9967091692fe01ff507daf1bf2feb197d9edf16336d3",
+    "bh-files": "0f4acb4b8a411625717f3d84a6c3cda1e7184fa7f63bd8a3b107a0d522a21d2b",
     "demos": "b8c2c40e41b73fab39962eb35036da860cddd1d1c56516f0ed5472ffbf647b22",
     "dv": "fd032abcae5b1ac4859d7b8eea18e3d260cb48232e58b18e60b9514a342af5b8",
     "dv-files": "c8f5db666318b710011262e2727b58a5b7d5654a939984cb6b21949356d3b0e5",
-    "experiment": "6884ad20e6995bfb3d47490182ae7e1014483a75c4ef19e219eef4ce9610b065",
-    "extended": "05698e7e31686709bc2e8d574c25711af66b464b4566b2872b3d685318ecbbf7",
-    "extended-files": "e0360d0ca5bfb3b8345b77582c697ef93186ad3b22fb42a78f8278ed9c018cf6",
-    "general": "bcb186127c16988ce1229db5ddeb9bdfaa4e86309413cbdd693e054c6e5fee70",
+    "experiment": "e00d068193bf72d02d2974e0011141931b3591e589cf0e00aa9fefe126ec925b",
+    "extended": "4fb9e311abbb53cdc21e017c609c002444e6a009bfd7e1c609447a370f13921c",
+    "extended-files": "13b659b0810081f63e035832aeea9b8bd3a5fd4073f39b15c2821344c8c60417",
+    "general": "b56c67f4237e0658a295f054ac7a79d17240dc6a760237727cd29de12849680f",
     "general-files": "ce139d0dadf8866d3ac046cdc6570185e7ecd2e1b69066f30b59aba2ba024e36",
     "inclusion": "0650e25ddc6b6074db82e4322cda53cc7171abeeeef25e608257ffc0ce41b1ed",
     "littlewood": "90653045fb4822cb2b926600f84b9b5f056a721067bfbeade3393bc1d19edd8b",
     "littlewood-files": "73ca7cedf53ae398c9f427a52c9a3303db00d4c6e9c8a91035f23735c2ad4c39",
-    "norm-weak": "cac45003ac62a7b6bcd309fe72a63ef4d6ea27ce148e68ec3aa7fc7340cd0bcd",
-    "opnorm": "36461216413efe051ba87270873b709ba410300a30f096eaf24de9721283be31",
+    "norm-weak": "c50b490bafe4c6a6e57b672e8616bd69a74654abf7e701b9836b5d3758c2b42d",
+    "opnorm": "1c344f694ff1106c1bda7ca40d022b1b53e4974b6cc316f21a946bf31b94e2a2",
     "search-lp": "2c0a965828610517d7e46341bc3707e335cabd984405a084ba002ca8b54a3a4b",
     "search-l1l2": "1473a41a1c4ce805870387675e3a327379cfb7fdeffebb82896642d0f6f1d760",
     "search-sup": "2305fa47562f138537cd1f1824d8471885646a9b567bfedf8aaaea57c42a3f90",
