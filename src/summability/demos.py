@@ -1,8 +1,31 @@
 """The claims table of the ``demos`` command: each sharp constant behind the
 4/3 inequality and its relatives, measured at the input that attains it.
 
-A row passes when its value is exact and lies within ``margin_ulps`` ulps of
-its target. "=" is the only relation a row states.
+"=" is the only relation a row states. A row of an exact value passes when
+the value is exact and lies within ``margin_ulps`` ulps of its target. A row
+of a heuristic lower bound, one with ``margin_rel > 0``, needs no exact flag:
+it passes when its value lies in [target·(1 − margin_rel), target +
+``margin_ulps`` ulps]. The relative margin bounds how far the alternating
+maximizer may stop short of the maximum; the ulps bound its overshoot by
+rounding.
+
+The rows and their sources:
+
+- real 4/3 (BH n = 2) ratio = √2 at T_2: Littlewood 1930;
+- real BH n = 3, 4, 5 ratios = 2^(1 − 1/n) at T_3, T_4, T_5: Diniz,
+  Muñoz-Fernández, Pellegrino, Seoane-Sepúlveda, Proc. AMS 2014;
+- real mixed (l_1, l_2) ratio = √2 at T_2: Szarek 1976;
+- Kahane Rad_2 / Rad_1 = √2 at the scalars (1, 1): Latała–Oleszkiewicz 1994;
+- (1; 2, 2) ratio over the norm of the diagonal form with the basis family,
+  1 on l_inf^4 (the paper) and 4 on l_2^4 (by hand);
+- curried almost-summing ratio of T_2 = 2: the paper;
+- Defant–Voigt lhs / rhs = 1 at T_2: Defant–Voigt;
+- ||F_m|| = m^(3/2) for the m x m DFT matrix F_m on complex
+  l_inf^m x l_inf^m, m = 3, 5 (grid plans) and 6, 7 (random starts), the
+  heuristic rows: Cauchy–Schwarz and Parseval give
+  sum_k |(F y)_k| <= sqrt(m)·||F y||_2 = m·||y||_2 <= m^(3/2), and the
+  Zadoff–Chu vector (Chu 1972), y_k = exp(i pi k^2 / m) for even m and
+  exp(i pi k (k + 1) / m) for odd m, attains it, as |F y| is flat.
 """
 
 from __future__ import annotations
@@ -15,7 +38,7 @@ import numpy as np
 from .forms import FormTensor, op_norm
 from .norms import VectorSeq
 from .rademacher import kahane_ratio
-from .spaces import ExponentTuple, SpaceSpec
+from .spaces import ExponentTuple, ScalarField, SpaceSpec
 from .summing import (
     RatioCertificate,
     TestFamily,
@@ -43,6 +66,17 @@ def _t(n: int) -> FormTensor:
         out[:d, :d], out[d:, d:] = c[..., None] * _T2[0], c[..., None] * _T2[1]
         c = out
     return FormTensor.on_linf(c)
+
+
+def _dft(m: int) -> FormTensor:
+    """F_m = (exp(-2 pi i jk / m))_(j, k) on complex l_inf^m x l_inf^m."""
+    k = np.arange(m)
+    return FormTensor.on_linf(np.exp(-2j * np.pi * np.outer(k, k) / m), ScalarField.COMPLEX)
+
+
+def _norm(A: FormTensor) -> tuple[float, bool]:
+    norm = op_norm(A)
+    return norm.value, norm.exact
 
 
 def _basis(space: SpaceSpec, n: int = 2) -> TestFamily:
@@ -74,6 +108,7 @@ class Claim(NamedTuple):
     measure: Callable[[], tuple[float, bool]]  # the value and its exact flag
     target: float
     margin_ulps: int
+    margin_rel: float = 0.0  # > 0 on a heuristic lower bound, which needs no exact flag
 
 
 _DMPS = "Diniz, Muñoz-Fernández, Pellegrino, Seoane-Sepúlveda, Proc. AMS 2014"
@@ -116,17 +151,33 @@ CLAIMS = [
     Claim("Defant–Voigt product bound lhs / rhs = 1, its equality case",
           "Defant–Voigt", "T_2 (2, 2), basis family",
           lambda: _verified(verify_defant_voigt(_t(2), _basis(SpaceSpec.linf(2)))), 1.0, 0),
+] + [
+    # The ascent's value is a lower bound: it may stop short of the maximum, by
+    # at most 2e-11 relative, the bound its stop rule was accepted with. It may
+    # overshoot by rounding, as its phases have norms of 1 plus rounding: F_6
+    # reads 4 ulps above m^(3/2).
+    Claim(f"||F_{m}|| = {m}^(3/2) on complex l_inf^{m} x l_inf^{m}",
+          "Cauchy–Schwarz and Parseval (<=); the Zadoff–Chu vector, Chu 1972 (=)",
+          f"F_{m}, the {m} x {m} DFT matrix, {plan}",
+          lambda m=m: _norm(_dft(m)), m ** 1.5, 4, 2e-11)
+    for m, plan in [(3, "grid plan"), (5, "grid plan"), (6, "random starts"),
+                    (7, "random starts")]
 ]
 
 
 def evaluate_claims() -> list[dict]:
     """Each row of ``CLAIMS`` measured: its value and exact flag, and
-    ``pass`` when the value is exact and within the row's margin."""
+    ``pass`` when the value meets the row's margins (see the module)."""
     rows = []
     for c in CLAIMS:
         value, exact = c.measure()
-        met = exact and abs(value - c.target) <= c.margin_ulps * math.ulp(c.target)
+        slack = c.margin_ulps * math.ulp(c.target)
+        if c.margin_rel:
+            met = c.target * (1 - c.margin_rel) <= value <= c.target + slack
+        else:
+            met = exact and abs(value - c.target) <= slack
         rows.append({"claim": c.claim, "source": c.source, "input": c.input,
                      "value": value, "exact": exact, "target": c.target,
-                     "margin_ulps": c.margin_ulps, "status": "pass" if met else "fail"})
+                     "margin_ulps": c.margin_ulps, "margin_rel": c.margin_rel,
+                     "status": "pass" if met else "fail"})
     return rows

@@ -15,7 +15,7 @@ import pytest
 
 import summability
 from summability import FormTensor, ScalarField, SpaceSpec, TestFamily, VectorSeq
-from summability import cli, demos, summing
+from summability import cli, demos, forms, summing
 from summability.cli import main
 
 
@@ -834,7 +834,38 @@ def test_demos_command(capsys):
     doc = _strict(capsys.readouterr().out)
     assert doc["command"] == "demos" and doc["config"] == {}
     assert doc["summary"] == {"total": len(doc["claims"]), "pass": len(doc["claims"]), "fail": 0}
-    assert all(row["exact"] and row["status"] == "pass" for row in doc["claims"])
+    assert all(row["status"] == "pass" for row in doc["claims"])
+    # a row without a relative margin states an exact value
+    assert all(row["exact"] for row in doc["claims"] if not row["margin_rel"])
+    heuristic = [row for row in doc["claims"] if row["margin_rel"]]
+    assert [row["input"][:3] for row in heuristic] == ["F_3", "F_5", "F_6", "F_7"]
+    assert not any(row["exact"] for row in heuristic)
+
+
+def _one_sweep(monkeypatch):
+    monkeypatch.setattr(forms, "_SWEEPS", 1)
+
+
+def _polish_to_zero(monkeypatch):
+    monkeypatch.setattr(forms, "_polish", lambda jobs, balls, floors=None: [
+        (0.0, tuple(v[0] for v in vectors)) for _, vectors in jobs])
+
+
+def _end_scaled_down(monkeypatch):
+    end = forms._ball_sup_end
+
+    def scaled(started, floors=None):
+        values, exact, witnesses = end(started, floors)
+        return values * (1 - 1e-9), exact, witnesses
+    monkeypatch.setattr(forms, "_ball_sup_end", scaled)
+    monkeypatch.setattr(summing, "_ball_sup_end", scaled)
+
+
+@pytest.mark.parametrize("plant", [_one_sweep, _polish_to_zero, _end_scaled_down])
+def test_demos_fails_a_planted_kernel_defect(plant, monkeypatch):
+    assert all(row["status"] == "pass" for row in demos.evaluate_claims())
+    plant(monkeypatch)
+    assert "fail" in [row["status"] for row in demos.evaluate_claims()]
 
 
 def test_demos_fails_a_claim_one_ulp_past_its_margin(capsys, monkeypatch):

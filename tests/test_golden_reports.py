@@ -105,7 +105,7 @@ DIGESTS = {
     "almost-files": "5f50428bb680d4e4628887ea86287dbab14ef53d06187b23725e00260c7e6476",
     "bh": "62593c323e6a1426d14014921b5c4ea0cfc6c0bd1613751329b178fdab2a3321",
     "bh-files": "0f4acb4b8a411625717f3d84a6c3cda1e7184fa7f63bd8a3b107a0d522a21d2b",
-    "demos": "b8c2c40e41b73fab39962eb35036da860cddd1d1c56516f0ed5472ffbf647b22",
+    "demos": "838a0ccaa016f8c339a94e6d2ce8ceb2cbf5191b42441fca74aff26413fd420a",
     "dv": "fd032abcae5b1ac4859d7b8eea18e3d260cb48232e58b18e60b9514a342af5b8",
     "dv-files": "c8f5db666318b710011262e2727b58a5b7d5654a939984cb6b21949356d3b0e5",
     "experiment": "e00d068193bf72d02d2974e0011141931b3591e589cf0e00aa9fefe126ec925b",
