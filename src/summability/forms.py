@@ -17,9 +17,11 @@ such phase slots does at most ``_GRID_CAP`` units of work, the kernel
 enumerates them and polishes its best grid points by alternating
 maximization, a lower bound. Otherwise alternating maximization from random
 starts gives a lower bound. The alternating maximization of all inexact items
-of a call runs on one batch axis, and each item gets the bits it gets alone;
-an item given a floor stops early once its grid maximum or its running best
-reaches it. Its sweeps contract each slot by one batched matmul with the
+of a call runs on one batch axis, and each item gets the bits it gets alone.
+An item stops after the first sweep in which its running best over all its
+starts gains at most 1e-12 relative, however much a lower start still
+climbs; an item given a floor stops early once its grid maximum or its
+running best reaches it. Its sweeps contract each slot by one batched matmul with the
 starts as the output columns, and take a sweep's value as the dual norm of
 its last partial contraction (see :func:`_ascend`). Every result is flagged
 with its provenance, and a result that over- or underflowed is redone on
@@ -744,12 +746,18 @@ def _runs(shapes, S: int):
 def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list, floors=None):
     """Alternating maximization of each array of a (T, *M) stack from its
     (T, S, M_i) start vectors of each slot, which it overwrites: a sweep sets
-    each slot in turn to its closed-form maximizer. An item stops after a
-    sweep that gains at most 1e-12 relative on it, after a sweep whose
-    running best over its starts reaches its entry of ``floors`` (T floors,
-    NaN for none, or None), or after _SWEEPS, and leaves the batch: each
-    item stops at the sweep it stops at alone. Returns the T values and per
-    item the vectors of its best start.
+    each slot in turn to its closed-form maximizer. An item stops after the
+    first sweep in which its running best over all its starts gains at most
+    1e-12 relative, after a sweep whose running best reaches its entry of
+    ``floors`` (T floors, NaN for none, or None), or after _SWEEPS, and
+    leaves the batch: each item stops at the sweep it stops at alone.
+    Returns the T values and per item the vectors of its best start.
+
+    The stop rule looks at the best start only: a lower start that still
+    climbs does not keep the item sweeping. The value is a lower bound
+    either way; waiting for every start to stop gaining took about twice
+    the sweeps and raised no value of the seeded verify suites by more than
+    1.1e-11 relative.
 
     Slot i is contracted against a copy of the stack with slot i first and
     the last other slot last, made once per call: one batched matmul
@@ -763,7 +771,7 @@ def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list, floo
     T, S = vectors[0].shape[:2]
     values, best = np.empty(T), [None] * T
     live = np.arange(T)
-    prev = np.zeros((T, S))
+    prev, last = np.zeros((T, S)), np.zeros(T)
     others = [[j for j in range(len(balls)) if j != i] for i in range(len(balls))]
     stacks = [coeffs.transpose([0, 1 + i] + [1 + j for j in rest]).reshape(
         T, -1, coeffs.shape[1 + rest[-1]]) for i, rest in enumerate(others)]
@@ -775,10 +783,10 @@ def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list, floo
                 t = np.add.reduce(t.reshape(len(t), -1, *v.shape[1:]) * v[:, None], axis=2)
             vectors[i], mag = _dual_step(t.transpose(0, 2, 1), s)
         now = _axis_norms(mag, balls[-1].dual, axis=-1)
-        gain = np.maximum.reduce(now - prev, axis=1)
         prev = np.maximum(prev, now)
         top = np.maximum.reduce(prev, axis=1)
-        done = gain <= 1e-12 * np.maximum(top, 1e-300)
+        done = top - last <= 1e-12 * np.maximum(top, 1e-300)
+        last = top
         if floors is not None:
             done |= top >= floors
         if sweep == _SWEEPS - 1:
@@ -794,7 +802,8 @@ def _ascend(coeffs: np.ndarray, balls: tuple[Exponent, ...], vectors: list, floo
         if len(finished) == len(live):
             break
         keep = ~done
-        live, prev, stacks = live[keep], prev[keep], [a[keep] for a in stacks]
+        live, prev, last = live[keep], prev[keep], last[keep]
+        stacks = [a[keep] for a in stacks]
         if floors is not None:
             floors = floors[keep]
         vectors = [v[keep] for v in vectors]

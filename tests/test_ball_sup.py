@@ -19,9 +19,9 @@ from summability import (
     op_norm,
     weak_lp_norm,
 )
-from summability.forms import (_ball_sup, _ball_sup_end, _ball_sup_start, _lower_bounds, _one,
-                               _op_norms, _pad_key, _plan, _polar, _polish, _random_starts,
-                               _runs)
+from summability.forms import (_ascend, _ball_sup, _ball_sup_end, _ball_sup_start, _dual_step,
+                               _lower_bounds, _one, _op_norms, _pad_key, _plan, _polar, _polish,
+                               _random_starts, _runs)
 from summability.spaces import Exponent
 
 
@@ -485,6 +485,35 @@ def test_polish_splits_a_group_past_the_pad_work(field):
         (alone, best), = _polish([job(a)], balls)
         assert value == alone
         assert all(np.array_equal(x, y) for x, y in zip(vectors, best))
+
+
+def test_ascent_stops_when_its_best_start_stops_gaining(monkeypatch):
+    # on l_2 x l_2 a sweep is a step of the power method: start 0 lies near the
+    # top singular vector of diag(2, 1) and converges within a few sweeps, start
+    # 1 near the lower one, and it still climbs then. The item leaves after the
+    # first sweep in which the running best over its starts gains at most 1e-12
+    # of itself, though its lower start has not stopped gaining.
+    balls = (Exponent.of(2), Exponent.of(2))
+    last = []
+
+    def step(c, s):
+        x, mag = _dual_step(c, s)
+        last.append(mag)
+        return x, mag
+    monkeypatch.setattr("summability.forms._dual_step", step)
+    starts = np.array([[1.0, 1e-3], [1e-3, 1.0]])
+    starts /= np.linalg.norm(starts, axis=1)[:, None]
+    values, best = _ascend(np.diag([2.0, 1.0])[None], balls, [starts[None], starts[None]])
+    assert len(last) % 2 == 0
+    now = np.linalg.norm(np.concatenate(last[1::2]), axis=-1)  # (sweeps, starts)
+    top = np.maximum.accumulate(now.max(axis=1))
+    still = np.diff(top, prepend=0.0) > 1e-12 * top
+    stop = int(np.argmin(still))
+    assert not still[stop] and still[:stop].all() and stop >= 2
+    assert len(last) == 2 * (stop + 1)
+    assert now[stop, 1] < top[stop] and now[stop, 1] - now[stop - 1, 1] > 1e-12 * top[stop]
+    assert values[0] == top[stop] == now[:, 0].max()
+    assert np.allclose(np.abs(best[0]), [[1, 0], [1, 0]], atol=1e-6)
 
 
 @pytest.mark.parametrize("shapes", [[(5, 5), (6, 6)], [(3, 2, 3), (3, 3, 3)]])

@@ -104,20 +104,20 @@ DIGESTS = {
     "almost-curry-files": "a1fe271546aaa69c7fb3eb7d010a7d745fddd4bf2f0d5f299202dadc339c40fc",
     "almost-files": "5f50428bb680d4e4628887ea86287dbab14ef53d06187b23725e00260c7e6476",
     "bh": "62593c323e6a1426d14014921b5c4ea0cfc6c0bd1613751329b178fdab2a3321",
-    "bh-files": "0f4acb4b8a411625717f3d84a6c3cda1e7184fa7f63bd8a3b107a0d522a21d2b",
-    "demos": "838a0ccaa016f8c339a94e6d2ce8ceb2cbf5191b42441fca74aff26413fd420a",
+    "bh-files": "409d9f99c7208ca9c1686ab69b6b06ebc9535a0aac7ce9b369f63e68691b144f",
+    "demos": "fe78f0b8f969e26412880ac57d4682654d9794fa197fa6bfe9748461191e8dd8",
     "dv": "fd032abcae5b1ac4859d7b8eea18e3d260cb48232e58b18e60b9514a342af5b8",
     "dv-files": "c8f5db666318b710011262e2727b58a5b7d5654a939984cb6b21949356d3b0e5",
-    "experiment": "e00d068193bf72d02d2974e0011141931b3591e589cf0e00aa9fefe126ec925b",
-    "extended": "4fb9e311abbb53cdc21e017c609c002444e6a009bfd7e1c609447a370f13921c",
-    "extended-files": "13b659b0810081f63e035832aeea9b8bd3a5fd4073f39b15c2821344c8c60417",
-    "general": "b56c67f4237e0658a295f054ac7a79d17240dc6a760237727cd29de12849680f",
+    "experiment": "e34ace4a5f91016168ad62110f7beb4b6fded09893cb1b1601811a9ff04c1d37",
+    "extended": "56f77d34be0621f464a5b90a8524bb0173f1e272a41b8f7a0c5ac9b8bff5a893",
+    "extended-files": "5887499eb7a73aa04d07d29217da71389921aae84165eb6de7ab9ac3a33876d6",
+    "general": "a7ed1eae3be9a870d6aaf5e037fae629e0657c150977ec83942e414bfeb96754",
     "general-files": "ce139d0dadf8866d3ac046cdc6570185e7ecd2e1b69066f30b59aba2ba024e36",
     "inclusion": "0650e25ddc6b6074db82e4322cda53cc7171abeeeef25e608257ffc0ce41b1ed",
     "littlewood": "90653045fb4822cb2b926600f84b9b5f056a721067bfbeade3393bc1d19edd8b",
     "littlewood-files": "73ca7cedf53ae398c9f427a52c9a3303db00d4c6e9c8a91035f23735c2ad4c39",
-    "norm-weak": "c50b490bafe4c6a6e57b672e8616bd69a74654abf7e701b9836b5d3758c2b42d",
-    "opnorm": "1c344f694ff1106c1bda7ca40d022b1b53e4974b6cc316f21a946bf31b94e2a2",
+    "norm-weak": "b829e227012e215cea99218123331c7df28ad7bc3eec2eb9a0aea8ac7de7cfa7",
+    "opnorm": "cb2ae9dcbe05253e6f66e3fe2e404f36e4297bfd2727036d1ba9234f65ff2c86",
     "search-lp": "2c0a965828610517d7e46341bc3707e335cabd984405a084ba002ca8b54a3a4b",
     "search-l1l2": "1473a41a1c4ce805870387675e3a327379cfb7fdeffebb82896642d0f6f1d760",
     "search-sup": "2305fa47562f138537cd1f1824d8471885646a9b567bfedf8aaaea57c42a3f90",
