@@ -21,9 +21,9 @@ of a call runs on one batch axis, and each item gets the bits it gets alone.
 An item stops after the first sweep in which its running best over all its
 starts gains at most 1e-12 relative, however much a lower start still
 climbs; an item given a floor stops early once its grid maximum or its
-running best reaches it. Its sweeps contract each slot by one batched matmul with the
-starts as the output columns, and take a sweep's value as the dual norm of
-its last partial contraction (see :func:`_ascend`). Every result is flagged
+running best reaches it. Its sweeps contract each slot by one batched
+matmul with the starts as the output columns, and take a sweep's value as
+the dual norm of its last partial contraction (see :func:`_ascend`). Every result is flagged
 with its provenance, and a result that over- or underflowed is redone on
 rescaled coefficients.
 """

