@@ -252,7 +252,6 @@ def _ball_sup(
     balls: tuple[Exponent, ...],
     *,
     witness: bool = True,
-    floors=None,
 ) -> tuple[np.ndarray, list[bool], list | None]:
     """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of
     l_(balls[k]), for each array a of ``items``: a stack of shape (T, *dims),
@@ -281,21 +280,11 @@ def _ball_sup(
     for complex data). It runs with numpy's over-, underflow and
     invalid-value warnings off: a value that is 0, not finite or outside
     [2^-500, 2^500] is computed again, alone, on its item scaled by a power
-    of two (:func:`norms._rescaled`).
-
-    ``floors`` (one per item, or None) lets an item whose value only matters
-    below some level stop early: an inexact item leaves the alternating
-    maximizer after the first sweep whose running best reaches its floor
-    (:func:`_ascend`), and a grid-plan item whose grid maximum reaches it is
-    not polished. An item that stops early gets a value at least its floor
-    and at most its value without one. Exact plans and closed forms ignore
-    floors, and so does the computation again of a value out of range; that
-    item, and an item that never reaches its floor, keeps every bit. A floor
-    that is not finite and positive is none. The two halves, :func:`_ball_sup_start` and
-    :func:`_ball_sup_end`, let a caller read each item's exact value or grid
-    maximum (:func:`_lower_bounds`) before it sets the floors.
+    of two (:func:`norms._rescaled`). The two halves, :func:`_ball_sup_start`
+    and :func:`_ball_sup_end`, let a caller read each item's exact value or
+    grid maximum (:func:`_lower_bounds`) before it sets floors.
     """
-    return _ball_sup_end(_ball_sup_start(items, balls, witness), floors)
+    return _ball_sup_end(_ball_sup_start(items, balls, witness))
 
 
 class _Started(NamedTuple):
@@ -369,7 +358,17 @@ def _ball_sup_end(started: _Started, floors=None):
     the started batch, with ``floors``, then the rescaled computation of every
     value out of range, without them; it fills the batch's result, so a
     batch is ended once. It runs in the caller's numpy error state, which
-    should be that of :func:`_ball_sup`."""
+    should be that of :func:`_ball_sup`.
+
+    ``floors`` (one per item, or None) lets an item whose value only matters
+    below some level stop early: an inexact item leaves the alternating
+    maximizer after the first sweep whose running best reaches its floor
+    (:func:`_ascend`), and a grid-plan item whose grid maximum reaches it is
+    not polished. An item that stops early gets a value at least its floor
+    and at most its value without one. Exact plans and closed forms ignore
+    floors, and so does the computation again of a value out of range; that
+    item, and an item that never reaches its floor, keeps every bit. A floor
+    that is not finite and positive is none."""
     values, exact, witnesses = _polished(started, floors)
     for k, v in enumerate(values.tolist()):
         if not _SAFE_LOW <= v <= _SAFE_HIGH:

@@ -3,7 +3,9 @@
 A test family (one finite vector sequence per slot) witnesses a ratio
 lhs / prod(weak norms) that certifies a lower bound on the corresponding
 summing norm whenever every weak norm on the right is exact or an
-over-estimate. The coefficient verifiers (the 4/3 inequality, its general
+over-estimate. One scorer (:func:`_scores`) computes the lhs and the weak
+norms of every such certificate: the search's, :func:`summing_lower_bound`'s
+and the lifts'. The coefficient verifiers (the 4/3 inequality, its general
 and mixed-norm forms, Bohnenblust-Hille) compute their coefficient side and
 hand it to one check against their fixed row of ``_CONSTANTS`` times the
 operator norm. A check fails only when the operator norm is exact; a
@@ -281,19 +283,14 @@ def random_family_search(
     more than ``_ENUM_BUDGET`` normal numbers (j_max * sum(dims), doubled
     for complex forms), are refused before any draw. The trials are scored
     in chunks of at most ``_SEARCH_CHUNK`` trials and ``_ENUM_BUDGET`` drawn
-    numbers, in a fixed number of passes (:func:`_family_ratios`): one
-    gather per column, one contraction, and per length class
-    (:func:`norms._sum_class`, zero-padded to the longest length present)
-    one call of the rule of :func:`lp_norm` for their lhs and, per column
-    where the plan is exact, one kernel call for their weak norms; the
-    heuristic weak norms of a chunk take one kernel call per column, whose
-    ascent pads within the same classes (:func:`forms._pad_key`). The
-    structured families join the first chunk's pass. Heuristic ascents stop
-    at a floor set from the best ratio so far, the incumbent (in the first
-    chunk, that of the structured families), once a trial's ratio can no
-    longer exceed it: such a trial scores below the incumbent, and since a
-    chunk's best replaces the incumbent only when strictly greater, it never
-    wins, and the result is the one full ascents give.
+    numbers (:func:`_family_ratios`, by the passes of the scorer
+    :func:`_scores`), and the structured families join the first chunk.
+    Heuristic ascents stop at a floor set from the best ratio so far, the
+    incumbent (in the first chunk, that of the structured families), once a
+    trial's ratio can no longer exceed it: such a trial scores below the
+    incumbent, and since a chunk's best replaces the incumbent only when
+    strictly greater, it never wins, and the result is the one full ascents
+    give.
 
     The certificate is the winner's score: its lhs, weak norms and exact
     flags are those the scorer computed, and its ratio is the score to the
@@ -358,87 +355,38 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
     family whose ratio cannot exceed the incumbent, the larger of
     ``incumbent`` and the structured families' ratios, possibly a number
     below the incumbent instead; with them, per family, its lhs, its weak
-    norms and their exact flags (one row per column).
+    norms and their exact flags (one row per column), those of
+    :func:`_scores`.
 
     A ratio is computed as :class:`RatioCertificate` computes it from the
     lhs and weak norms, the weak norms multiplied into the denominator in
     column order, so a certificate built from them has the ratio to the bit.
-    The lhs is the rule of :func:`lp_norm` (:func:`norms._lp_rows`) on the
-    moduli of the family's values. The values of all drawn families come
-    from one contraction of at least three rows, as einsum sums a stack of
-    one or two vectors in another order than a longer one for some shapes
-    (the rule :func:`forms._pad_key` names), so a trial's values do not
-    depend on the other trials of its chunk. Each structured family is
-    contracted alone, as :func:`summing_lower_bound` contracts it. Its
-    columns are real arrays in either field: where they join a complex
-    stack, the exact plan on (J, m) has a basis slot only, the plan the real
-    kernel takes, and |x + 0j| = |x|; the others go to the kernel on their
-    own, as real arrays. A weak norm and its flag are those
-    :func:`weak_lp_norm` gives the column, except in a retired family.
-
     The trials are taken in order of length, and each column of all of them
-    is gathered once (:func:`_columns`). The lhs take one
-    :func:`_lp_rows` call per length class (:func:`norms._sum_class`), the
-    trials and structured families of the class zero-padded to the longest
-    length present, and a column's weak norms (q >= 1) one kernel call per
-    class where the kernel is exact (:func:`_weak_classes`); padding keeps
-    every bit. The other weak norms of the structured families take one
-    kernel call per column, without floors, and set the incumbent. Those of
-    the trials go to one kernel call per column, in two halves: the grid
-    stages of all such columns first, then their ascents, the columns with
-    the fewest lower bounds (random starts) first, each item with the floor
-    of :func:`_floors`. A family with an item that stopped at its floor (a
-    retired family) gets a number below the incumbent in place of its
-    ratio, and its ratio without floors is no larger, as every weak norm
-    without floors is at least the one with; every other family gets its
-    ratio as above."""
-    # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
-    balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
-             for q, d in zip(exps.qs, A.domains)]
-    S, T, order = len(structured), len(lengths), np.argsort(lengths, kind="stable")
+    is gathered once. Their values come from one contraction of at least
+    three rows, as einsum sums a stack of one or two vectors in another
+    order than a longer one for some shapes (the rule :func:`forms._pad_key`
+    names), so a trial's values do not depend on the other trials of its
+    chunk. Each structured family is contracted alone, as
+    :func:`summing_lower_bound` contracts it, and joins the trials' length
+    classes in the scorer, whose ascents of its weak norms, without floors,
+    set the incumbent. The trials' heuristic weak norms end here, the
+    columns with the fewest lower bounds (random starts) first, each item
+    with the floor of :func:`_floors`. A family with an item that stopped at
+    its floor (a retired family) gets a number below the incumbent in place
+    of its ratio, and its ratio without floors is no larger, as every weak
+    norm without floors is at least the one with; every other family gets
+    its ratio as above."""
+    S, order = len(structured), np.argsort(lengths, kind="stable")
     lengths = lengths[order]  # the trials by length; their scores follow the S structured ones
     columns = _columns(A, lengths, starts[order], flat)
-    heads = np.concatenate(([0], np.cumsum(lengths))).tolist()  # each trial's first row
-    own = [len(family[0]) for family in structured]
-    distinct = sorted(set(lengths.tolist()).union(own))
-    # the trials of length distinct[k] are bounds[k]:bounds[k + 1]
-    bounds = np.searchsorted(lengths, distinct).tolist() + [T]
-    classes = [distinct.index(J) for J in own]
-
-    def runs(keys):
-        """Per run of consecutive distinct lengths of one key (``keys`` holds
-        one per length): the key, the run's trials lo:hi, its structured
-        families and its longest length."""
-        at = 0
-        for k, key in enumerate(keys):
-            if k + 1 == len(keys) or key != keys[k + 1]:
-                members = [s for s, c in enumerate(classes) if at <= c <= k]
-                yield key, bounds[at], bounds[k + 1], members, distinct[k]
-                at = k + 1
-
-    def padded(rows, lo, hi, L, extra):
-        """The rows of trials lo:hi, then the arrays of ``extra``, as one stack
-        (hi - lo + len(extra), L, ...), zero-padded to length L."""
-        shape = (hi - lo, L) + rows.shape[1:]
-        full = hi == lo or lengths[lo] == L  # no trial to pad
-        if full and not extra:
-            return rows.reshape(shape)
-        out = np.zeros((hi - lo + len(extra),) + shape[1:], rows.dtype)
-        if full:
-            out[:hi - lo] = rows.reshape(shape)
-        else:
-            w = math.prod(rows.shape[1:])
-            out[:hi - lo].reshape(hi - lo, L * w)[
-                np.arange(L * w) < w * lengths[lo:hi, None]] = rows.ravel()
-        for item, a in zip(out[hi - lo:], extra):
-            item[:len(a)] = a
-        return out
-
-    def put(scores, lo, hi, members, values):
-        """Write the values of a stack of :func:`padded` into ``scores``."""
-        scores[S + lo:S + hi] = values[:hi - lo]
-        if members:
-            scores[members] = values[hi - lo:]
+    rows = int(lengths.sum())
+    # one contraction of at least three rows: einsum sums a stack of one or two
+    # vectors in another order than a longer one, for some shapes
+    moduli = np.abs(_batch_contract(A.coeffs, [np.pad(c, ((0, 2), (0, 0))) if rows < 3
+                                               else c for c in columns])[:rows])
+    lhs, weak, exact, started = _scores(
+        exps, A.domains, lengths, moduli, columns,
+        [(np.abs(_batch_contract(A.coeffs, family)), family) for family in structured])
 
     def ratios(at):
         """The ratios of the families at ``at`` among the scores."""
@@ -446,41 +394,6 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
         return np.divide(lhs[at], denominator, out=np.zeros(len(lhs[at])),
                          where=denominator > 0)
 
-    # one contraction of at least three rows: einsum sums a stack of one or two
-    # vectors in another order than a longer one, for some shapes
-    moduli = np.abs(_batch_contract(A.coeffs, [np.pad(c, ((0, 2), (0, 0))) if heads[-1] < 3
-                                               else c for c in columns])[:heads[-1]])
-    own_moduli = [np.abs(_batch_contract(A.coeffs, family)) for family in structured]
-    lhs = np.empty(S + T)
-    for _, lo, hi, members, L in runs([_sum_class(J) for J in distinct]):
-        put(lhs, lo, hi, members, _lp_rows(padded(moduli[heads[lo]:heads[hi]], lo, hi, L,
-                                                  [own_moduli[s] for s in members]), exps.p))
-    weak, exact = np.empty((A.order, S + T)), np.ones((A.order, S + T), bool)
-    pending = [([], []) for _ in A.domains]  # per column: trial positions, inexact items
-    ahead = [[] for _ in A.domains]  # per column: structured families without an exact plan
-    for i, (col, ball, q, d) in enumerate(zip(columns, balls, exps.qs, A.domains)):
-        if ball is None:
-            norms = [weak_lp_norm(VectorSeq(X, d), q) for X in
-                     [family[i] for family in structured]
-                     + [col[a:b] for a, b in zip(heads, heads[1:])]]
-            weak[i], exact[i] = [w.value for w in norms], [w.exact for w in norms]
-            continue
-        for key, lo, hi, members, L in runs(_weak_classes(tuple(distinct), d.dim, ball,
-                                                          A.field.is_complex)):
-            if key is not None:
-                put(weak[i], lo, hi, members, _ball_sup(
-                    padded(col[heads[lo]:heads[hi]], lo, hi, L,
-                           [structured[s][i] for s in members]), ball, witness=False)[0])
-            else:
-                ahead[i].extend(members)
-                pending[i][0].extend(range(S + lo, S + hi))
-                pending[i][1].extend(col[a:b] for a, b in zip(heads[lo:hi], heads[lo + 1:]))
-    for i, members in enumerate(ahead):  # the structured families end first, unfloored
-        if members:
-            weak[i, members], exact[i, members], _ = _ball_sup(
-                [structured[s][i] for s in members], balls[i], witness=False)
-    started = {i: (idx, _ball_sup_start(items, balls[i], witness=False))
-               for i, (idx, items) in enumerate(pending) if items}
     if started and S:  # the structured families, scored by now, set the trials' floors
         incumbent = max(incumbent, float(np.max(ratios(slice(0, S)))))
     low = weak.copy()  # per trial and column, what its weak norm will be at least
@@ -493,6 +406,112 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
         low[i, idx] = weak[i, idx] = values
     back = np.concatenate((np.arange(S), S + np.argsort(order)))  # the trials in draw order
     return ratios(back), lhs[back], weak[:, back], exact[:, back]
+
+
+def _scores(exps: ExponentTuple, domains, lengths, moduli, columns, extra=()) -> tuple:
+    """The one scorer of ratio certificates: per family its lhs, its weak
+    norms and their exact flags (one row per column), the ``extra``
+    families first, then the trials, and the started kernel batches of the
+    trials' weak norms without an exact plan, {column: (positions, batch)},
+    whose entries of the weak norms and flags the caller fills when it ends
+    them (:func:`forms._ball_sup_end`). The trials' lengths are ``lengths``,
+    in ascending order, and their rows lie one after another in ``moduli``,
+    the moduli of their values, and in ``columns``, one (rows, m) array per
+    slot, in ``domains``; an extra family, a pair (moduli, columns), joins
+    the trials of its length class. It runs in the caller's numpy error
+    state, which should be that of :func:`forms._ball_sup`.
+
+    The lhs is the rule of :func:`lp_norm` (:func:`norms._lp_rows`) on the
+    moduli, and a weak norm and its flag are those :func:`weak_lp_norm`
+    gives the column, to the bit. The lhs take one :func:`_lp_rows` call per
+    length class (:func:`norms._sum_class`), the families of the class
+    zero-padded to the longest length present, and a column's weak norms
+    (q >= 1) one kernel call per class where the kernel is exact
+    (:func:`_weak_classes`, which reads the field off the column's dtype);
+    padding keeps every bit. A real column of an extra family joins a
+    complex stack only where the plan has a basis slot and no phase slot,
+    the plan the real kernel takes, and |x + 0j| = |x|. The other weak norms
+    of the extra families take one kernel call per column, without floors,
+    and those of the trials one started batch per column, whose ascents pad
+    within the same classes (:func:`forms._pad_key`); for q < 1, each
+    column's weak norm is :func:`weak_lp_norm`'s."""
+    # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
+    balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
+             for q, d in zip(exps.qs, domains)]
+    S, T = len(extra), len(lengths)
+    heads = np.concatenate(([0], np.cumsum(lengths))).tolist()  # each trial's first row
+    own = [len(m) for m, _ in extra]
+    distinct = sorted(set(lengths.tolist()).union(own))
+    # the trials of length distinct[k] are bounds[k]:bounds[k + 1]
+    bounds = np.searchsorted(lengths, distinct).tolist() + [T]
+    classes = [distinct.index(J) for J in own]
+
+    def runs(keys):
+        """Per run of consecutive distinct lengths of one key (``keys`` holds
+        one per length): the key, the run's trials lo:hi, its extra
+        families and its longest length."""
+        at = 0
+        for k, key in enumerate(keys):
+            if k + 1 == len(keys) or key != keys[k + 1]:
+                members = [s for s, c in enumerate(classes) if at <= c <= k]
+                yield key, bounds[at], bounds[k + 1], members, distinct[k]
+                at = k + 1
+
+    def padded(rows, lo, hi, L, joined):
+        """The rows of trials lo:hi, then the arrays of ``joined``, as one
+        stack (hi - lo + len(joined), L, ...), zero-padded to length L."""
+        shape = (hi - lo, L) + rows.shape[1:]
+        full = hi == lo or lengths[lo] == L  # no trial to pad
+        if full and not joined:
+            return rows.reshape(shape)
+        out = np.zeros((hi - lo + len(joined),) + shape[1:], rows.dtype)
+        if full:
+            out[:hi - lo] = rows.reshape(shape)
+        else:
+            w = math.prod(rows.shape[1:])
+            out[:hi - lo].reshape(hi - lo, L * w)[
+                np.arange(L * w) < w * lengths[lo:hi, None]] = rows.ravel()
+        for item, a in zip(out[hi - lo:], joined):
+            item[:len(a)] = a
+        return out
+
+    def put(scores, lo, hi, members, values):
+        """Write the values of a stack of :func:`padded` into ``scores``."""
+        scores[S + lo:S + hi] = values[:hi - lo]
+        if members:
+            scores[members] = values[hi - lo:]
+
+    lhs = np.empty(S + T)
+    for _, lo, hi, members, L in runs([_sum_class(J) for J in distinct]):
+        put(lhs, lo, hi, members, _lp_rows(padded(moduli[heads[lo]:heads[hi]], lo, hi, L,
+                                                  [extra[s][0] for s in members]), exps.p))
+    weak, exact = np.empty((len(domains), S + T)), np.ones((len(domains), S + T), bool)
+    pending = [([], []) for _ in domains]  # per column: trial positions, inexact items
+    ahead = [[] for _ in domains]  # per column: extra families without an exact plan
+    for i, (col, ball, q, d) in enumerate(zip(columns, balls, exps.qs, domains)):
+        if ball is None:
+            norms = [weak_lp_norm(VectorSeq(X, d), q) for X in
+                     [family[i] for _, family in extra]
+                     + [col[a:b] for a, b in zip(heads, heads[1:])]]
+            weak[i], exact[i] = [w.value for w in norms], [w.exact for w in norms]
+            continue
+        for key, lo, hi, members, L in runs(_weak_classes(tuple(distinct), d.dim, ball,
+                                                          col.dtype.kind == "c")):
+            if key is not None:
+                put(weak[i], lo, hi, members, _ball_sup(
+                    padded(col[heads[lo]:heads[hi]], lo, hi, L,
+                           [extra[s][1][i] for s in members]), ball, witness=False)[0])
+            else:
+                ahead[i].extend(members)
+                pending[i][0].extend(range(S + lo, S + hi))
+                pending[i][1].extend(col[a:b] for a, b in zip(heads[lo:hi], heads[lo + 1:]))
+    for i, members in enumerate(ahead):  # the extra families end first, unfloored
+        if members:
+            weak[i, members], exact[i, members], _ = _ball_sup(
+                [extra[s][1][i] for s in members], balls[i], witness=False)
+    started = {i: (idx, _ball_sup_start(items, balls[i], witness=False))
+               for i, (idx, items) in enumerate(pending) if items}
+    return lhs, weak, exact, started
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -613,8 +632,7 @@ def lift_families(pairs, source: ExponentTuple, target: ExponentTuple) -> list[L
     columns are elementwise, so they are taken on the concatenated rows of
     the pairs whose values and columns have the same dtypes; the norm that
     scales alpha is the source lhs. The certificates take their lhs and
-    weak norms from :func:`_certificates`: one :func:`norms._lp_rows` call
-    per length class, and one kernel call per column (and ball) where q >= 1.
+    weak norms from :func:`_certificates`, through the search's scorer.
     """
     pairs = list(pairs)
     if source.n != target.n or any(A.order != source.n for A, _ in pairs):
@@ -644,7 +662,7 @@ def lift_families(pairs, source: ExponentTuple, target: ExponentTuple) -> list[L
     values = [fam.values(A) for A, fam in pairs]
     sources = _certificates(families, values, source)
     lengths = np.array([len(v) for v in values], int)
-    live = np.logical_or.reduceat(_moduli(values) > 0, _heads(lengths))
+    live = np.logical_or.reduceat(np.abs(np.concatenate(values)) > 0, _heads(lengths))
     derived = list(families)  # the families of the target certificates
     groups: dict = {}  # the live pairs by the dtypes of their values and columns
     for k, (fam, v) in enumerate(zip(families, values)):
@@ -694,12 +712,6 @@ def _heads(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(lengths) - lengths
 
 
-def _moduli(values) -> np.ndarray:
-    """The moduli of the concatenated value sequences; a real sequence
-    joining complex ones keeps its moduli, as |x + 0j| = |x|."""
-    return np.abs(np.concatenate(values))
-
-
 def _scaled_rows(arrays, f: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
     """``a * f[rows of a][:, None]`` of each array a of ``arrays`` (one dtype,
     lengths[k] rows for array k; f holds their rows' factors one after
@@ -712,45 +724,31 @@ def _scaled_rows(arrays, f: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]
             for lo, n, m in zip(_heads(sizes).tolist(), sizes.tolist(), dims.tolist())]
 
 
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # that of forms._ball_sup
 def _certificates(families, values, exps: ExponentTuple) -> list[RatioCertificate]:
-    """The ratio certificate of each family, given its value sequence: the
-    lhs is :func:`lp_norm` of the values to the bit, from one
-    :func:`_lp_rows` call per length class (:func:`norms._sum_class`,
-    zero-padded to the longest length present), and a weak norm is
-    :func:`weak_lp_norm`'s to the bit, those of a column at q >= 1 from one
-    kernel call per ball and dtype, where each item gets the value it gets
-    alone."""
-    weak = [_weak_norms([fam.columns[i] for fam in families], q) for i, q in enumerate(exps.qs)]
-    lengths = np.array([len(v) for v in values], int)
-    lhs, moduli = np.empty(len(values)), _moduli(values)
-    classes = [_sum_class(J) for J in lengths.tolist()]
-    for c in set(classes):
-        at = np.array([x == c for x in classes])
-        J = lengths[at]
-        L = int(J.max())
-        rows = np.zeros((len(J), L))
-        rows[np.arange(L) < J[:, None]] = moduli[np.repeat(at, lengths)]
-        lhs[at] = _lp_rows(rows, exps.p)
-    return [RatioCertificate(x, norms, fam, exps)
-            for x, norms, fam in zip(lhs.tolist(), zip(*weak), families)]
-
-
-def _weak_norms(columns, q: Exponent) -> list[NormEstimate]:
-    """:func:`weak_lp_norm` of each column at ``q``, to the bit."""
-    if q.recip > 1:
-        return [weak_lp_norm(col, q) for col in columns]
+    """The ratio certificate of each family, given its value sequence, from
+    :func:`_scores`: the lhs is :func:`lp_norm` of the values and each weak
+    norm :func:`weak_lp_norm`'s, to the bit. The families of one tuple of
+    column spaces and dtypes are scored together as trials, in order of
+    length, and their heuristic weak norms end without floors."""
+    if any(len(v) == 0 for v in values):
+        raise ValueError("empty sequence")
     groups: dict = {}
-    for k, col in enumerate(columns):
-        if col.length == 0:
-            raise ValueError("empty sequence")
-        groups.setdefault((col.space.exponent, col.vectors.dtype), []).append(k)
-    out = [None] * len(columns)
-    for (s, _), at in groups.items():
-        values, exact, _ = _ball_sup([columns[k].vectors for k in at], (q.dual, s.dual),
-                                     witness=False)
-        for k, value, flag in zip(at, values.tolist(), exact):
-            out[k] = NormEstimate(value, flag)
-    return out
+    for k, fam in enumerate(families):
+        groups.setdefault(tuple((c.space, c.vectors.dtype) for c in fam.columns), []).append(k)
+    certificates = [None] * len(families)
+    for key, at in groups.items():
+        at.sort(key=lambda k: len(values[k]))
+        lhs, weak, exact, started = _scores(
+            exps, [space for space, _ in key], np.array([len(values[k]) for k in at]),
+            np.abs(np.concatenate([values[k] for k in at])),
+            [np.concatenate([families[k].columns[i].vectors for k in at]) for i in range(exps.n)])
+        for i, (idx, st) in started.items():
+            weak[i, idx], exact[i, idx], _ = _ball_sup_end(st)
+        for k, x, w, e in zip(at, lhs.tolist(), weak.T.tolist(), exact.T.tolist()):
+            certificates[k] = RatioCertificate(x, tuple(map(NormEstimate, w, e)), families[k],
+                                               exps)
+    return certificates
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,15 @@ def test_lower_bound_shape_errors(littlewood, diag_family):
         summing_lower_bound(littlewood, ExponentTuple(1, (2, 2)), bad)
 
 
+@pytest.mark.parametrize("qs", [(2, 2), (1, "inf"), ("1/2", "1/2"), (2, "1/2")])
+def test_lower_bound_of_an_empty_family_is_refused(littlewood, qs):
+    # a family of no vectors has no weak norm, at q >= 1 (a kernel norm) and
+    # at q < 1 alike
+    empty = TestFamily(tuple(VectorSeq(np.zeros((0, 2)), SpaceSpec.linf(2)) for _ in qs))
+    with pytest.raises(ValueError, match="^empty sequence$"):
+        summing_lower_bound(littlewood, ExponentTuple(1, qs), empty)
+
+
 def test_family_validation():
     space = SpaceSpec.linf(2)
     with pytest.raises(ValueError):
@@ -740,6 +749,40 @@ def test_scores_across_the_length_128_are_their_certificates_ratios():
     for k, ratio in enumerate(ratios.tolist()):
         fam = summing._as_family(A, summing._columns(A, lengths[[k]], starts[[k]], flat))
         assert ratio == summing_lower_bound(A, exps, fam).ratio, lengths[k]
+
+
+# lengths on either side of the class boundaries 8, 16 and 128 (norms._sum_class)
+_CROSSING_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 127, 128, 130]
+
+
+@pytest.mark.parametrize("q", ["1/2", 1, "4/3", 2])
+def test_certificates_across_length_classes_are_those_of_single_norms(q):
+    # the families of one tuple of column spaces and dtypes are scored
+    # together and padded within their length classes; each lhs is lp_norm's
+    # and each weak norm weak_lp_norm's to the bit, with its flag: sup and
+    # l_1 slots (exact), l_2 and l_3 slots (closed forms and ascents), real,
+    # complex and mixed columns
+    recip = Exponent.of(q).recip
+    rng = np.random.default_rng([13, recip.numerator, recip.denominator])
+    exps = ExponentTuple("4/3", (q, q))
+    families, values = [], []
+    for spaces in [(SpaceSpec(2, "inf"), SpaceSpec(3, 1)), (SpaceSpec(4, 2), SpaceSpec(3, 3))]:
+        for kinds in [(False, False), (True, True), (False, True)]:
+            field = ScalarField.COMPLEX if any(kinds) else ScalarField.REAL
+            A = FormTensor(_gaussian(rng, [d.dim for d in spaces], field.is_complex), spaces,
+                           field)
+            for J in rng.permutation(_CROSSING_LENGTHS).tolist():
+                fam = TestFamily(tuple(VectorSeq(_gaussian(rng, (J, d.dim), c), d)
+                                       for d, c in zip(spaces, kinds)))
+                families.append(fam)
+                values.append(fam.values(A))
+    certs = summing._certificates(families, values, exps)
+    for fam, v, cert in zip(families, values, certs):
+        assert _bits(cert.lhs) == _bits(lp_norm(v, exps.p)), fam.length
+        assert [(_bits(w.value), w.exact) for w in cert.rhs_norms] == [
+            (_bits(w.value), w.exact) for w in (weak_lp_norm(c, q) for c in fam.columns)], \
+            fam.length
+    assert not all(cert.exact for cert in certs)
 
 
 # (field, dims, domain exponents, p, qs, seed) with heuristic columns where a
