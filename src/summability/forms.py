@@ -188,12 +188,12 @@ def op_norm(A: FormTensor) -> NormEstimate:
 
 def _op_norms(forms) -> list[NormEstimate]:
     """``op_norm(A)`` of each form, bit for bit but with no witness, from one
-    kernel call per tuple of domain exponents and field; shapes may differ."""
+    kernel call per tuple of domain exponents; shapes and fields may differ."""
     groups: dict = {}
     for k, A in enumerate(forms):
-        groups.setdefault((tuple(d.exponent for d in A.domains), A.field), []).append(k)
+        groups.setdefault(tuple(d.exponent for d in A.domains), []).append(k)
     estimates = [None] * len(forms)
-    for (balls, _), idx in groups.items():
+    for balls, idx in groups.items():
         result = _ball_sup([forms[k].coeffs for k in idx], balls, witness=False)
         for j, k in enumerate(idx):
             estimates[k] = _one(result, j)
@@ -255,34 +255,34 @@ def _ball_sup(
 ) -> tuple[np.ndarray, list[bool], list | None]:
     """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of
     l_(balls[k]), for each array a of ``items``: a stack of shape (T, *dims),
-    or a list of T arrays of one order and one dtype whose shapes may differ.
+    or a list of T arrays of one order whose shapes and dtypes may differ.
 
-    Enumeration (:func:`_plan`, one plan per shape): every slot but one
-    ("free") is enumerated over its candidate vectors and the free slot is
+    Enumeration (:func:`_plan`, one plan per shape and field): every slot but
+    one ("free") is enumerated over its candidate vectors and the free slot is
     the dual norm of the partial contraction. With basis and sign slots only
-    the plan is exact and runs on the items of a shape together, at most
-    ``_ENUM_BUDGET`` units of work at a time. The items of a shape without an
-    exact plan first try :func:`_closed_form`, exact on two slots for a pair
-    of l_2 balls and for arrays with at most one nonzero in every row or every
-    column; the rest go on as follows. With phase slots (complex sup
-    slots on the grid of 8th roots of unity) the grid maximum L of an item is
-    a lower bound within sec(pi/8)^k of the supremum, k the number of phase
-    slots; the ``_GRID_STARTS`` best grid points start alternating
-    maximization, and the item's value is the larger of the polished value
-    and L. Without a plan, alternating maximization from ``_STARTS`` random
-    starts drawn from seed 0 gives each item a lower bound. The alternating
-    maximization of all inexact items runs on one batch axis (:func:`_polish`),
-    one batched matmul per slot and sweep (:func:`_ascend`); a sweep's value
-    is the dual norm of its last partial contraction, so a polished value
-    equals |A(witness)| up to a few ulps. Each item gets the value it gets
-    alone. Returns the T values, per item whether its value is exact, and per
-    item the maximizing vectors (None for ``witness=False``). The field is that of the arrays (complex128 exactly
-    for complex data). It runs with numpy's over-, underflow and
-    invalid-value warnings off: a value that is 0, not finite or outside
-    [2^-500, 2^500] is computed again, alone, on its item scaled by a power
-    of two (:func:`norms._rescaled`). The two halves, :func:`_ball_sup_start`
-    and :func:`_ball_sup_end`, let a caller read each item's exact value or
-    grid maximum (:func:`_lower_bounds`) before it sets floors.
+    the plan is exact and runs on the items of a shape and dtype together, at
+    most ``_ENUM_BUDGET`` units of work at a time. The others first try
+    :func:`_closed_form`, exact on two slots for a pair of l_2 balls and for
+    arrays with at most one nonzero in every row or every column; the rest go
+    on as follows. With phase slots (complex sup slots on the grid of 8th roots
+    of unity) the grid maximum L of an item is a lower bound within sec(pi/8)^k
+    of the supremum, k the number of phase slots; the ``_GRID_STARTS`` best
+    grid points start alternating maximization, and the item's value is the
+    larger of the polished value and L. Without a plan, alternating
+    maximization from ``_STARTS`` random starts drawn from seed 0 gives each
+    item a lower bound. The alternating maximization of all inexact items runs
+    on one batch axis (:func:`_polish`), one batched matmul per slot and sweep
+    (:func:`_ascend`); a sweep's value is the dual norm of its last partial
+    contraction, so a polished value equals |A(witness)| up to a few ulps. Each
+    item gets the value it gets alone. Returns the T values, per item whether
+    its value is exact, and per item the maximizing vectors (None for
+    ``witness=False``). An item's field is its dtype's (complex128 exactly for
+    complex data). It runs with numpy's over-, underflow and invalid-value
+    warnings off: a value that is 0, not finite or outside [2^-500, 2^500] is
+    computed again, alone, on its item scaled by a power of two
+    (:func:`norms._rescaled`). The two halves, :func:`_ball_sup_start` and
+    :func:`_ball_sup_end`, let a caller read each item's exact value or grid
+    maximum (:func:`_lower_bounds`) before it sets floors.
     """
     return _ball_sup_end(_ball_sup_start(items, balls, witness))
 
@@ -533,12 +533,12 @@ def _monomial_sup(stack: np.ndarray, balls, witness: bool):
 
 def _by_shape(items) -> tuple:
     """The indices (an index array) and the (T, *dims) stack of the items of
-    each shape; a stack is one group as it is."""
+    each shape and dtype; a stack is one group as it is."""
     if isinstance(items, np.ndarray):
         return ((np.arange(len(items)), items),)
     groups: dict = {}
     for k, a in enumerate(items):
-        groups.setdefault(a.shape, []).append(k)
+        groups.setdefault((a.shape, a.dtype), []).append(k)
     return tuple((np.array(idx), np.stack([items[k] for k in idx])) for idx in groups.values())
 
 

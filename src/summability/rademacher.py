@@ -49,6 +49,10 @@ class SignPattern:
 
     @classmethod
     def from_index(cls, index: int, n: int) -> "SignPattern":
+        """Pattern ``index`` of the 2^n patterns of n signs, in lexicographic
+        order with +1 before -1; an index outside 0 <= index < 2^n is refused."""
+        if not 0 <= index < 1 << n:
+            raise ValueError(f"sign pattern index {index} outside 0 <= index < 2^{n}")
         row = sign_rows(n + 1, index, 1)[0, 1:]  # +1, then all of length n in order
         return cls(tuple(int(s) for s in row))
 

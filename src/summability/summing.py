@@ -367,9 +367,9 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
     order than a longer one for some shapes (the rule :func:`forms._pad_key`
     names), so a trial's values do not depend on the other trials of its
     chunk. Each structured family is contracted alone, as
-    :func:`summing_lower_bound` contracts it, and joins the trials' length
-    classes in the scorer, whose ascents of its weak norms, without floors,
-    set the incumbent. The trials' heuristic weak norms end here, the
+    :func:`summing_lower_bound` contracts it, and joins the trials' stacks
+    of its length class in the scorer, whose ascents of its weak norms,
+    without floors, set the incumbent. The trials' heuristic weak norms end here, the
     columns with the fewest lower bounds (random starts) first, each item
     with the floor of :func:`_floors`. A family with an item that stopped at
     its floor (a retired family) gets a number below the incumbent in place
@@ -385,7 +385,7 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
     moduli = np.abs(_batch_contract(A.coeffs, [np.pad(c, ((0, 2), (0, 0))) if rows < 3
                                                else c for c in columns])[:rows])
     lhs, weak, exact, started = _scores(
-        exps, A.domains, lengths, moduli, columns,
+        exps, tuple(d.exponent for d in A.domains), lengths, moduli, columns,
         [(np.abs(_batch_contract(A.coeffs, family)), family) for family in structured])
 
     def ratios(at):
@@ -408,7 +408,7 @@ def _family_ratios(A: FormTensor, exps: ExponentTuple, lengths, starts, flat,
     return ratios(back), lhs[back], weak[:, back], exact[:, back]
 
 
-def _scores(exps: ExponentTuple, domains, lengths, moduli, columns, extra=()) -> tuple:
+def _scores(exps: ExponentTuple, exponents, lengths, moduli, columns, extra=()) -> tuple:
     """The one scorer of ratio certificates: per family its lhs, its weak
     norms and their exact flags (one row per column), the ``extra``
     families first, then the trials, and the started kernel batches of the
@@ -417,27 +417,28 @@ def _scores(exps: ExponentTuple, domains, lengths, moduli, columns, extra=()) ->
     them (:func:`forms._ball_sup_end`). The trials' lengths are ``lengths``,
     in ascending order, and their rows lie one after another in ``moduli``,
     the moduli of their values, and in ``columns``, one (rows, m) array per
-    slot, in ``domains``; an extra family, a pair (moduli, columns), joins
-    the trials of its length class. It runs in the caller's numpy error
-    state, which should be that of :func:`forms._ball_sup`.
+    slot (all empty for no trials); an extra family is a pair (moduli,
+    columns). Slot i's space is l_s^m, s = ``exponents[i]`` and m read off
+    each array. It runs in the caller's numpy error state, which should be
+    that of :func:`forms._ball_sup`.
 
     The lhs is the rule of :func:`lp_norm` (:func:`norms._lp_rows`) on the
     moduli, and a weak norm and its flag are those :func:`weak_lp_norm`
     gives the column, to the bit. The lhs take one :func:`_lp_rows` call per
     length class (:func:`norms._sum_class`), the families of the class
-    zero-padded to the longest length present, and a column's weak norms
-    (q >= 1) one kernel call per class where the kernel is exact
+    zero-padded to the longest length present, and the trials' weak norms
+    (q >= 1) one kernel call per column and class where the kernel is exact
     (:func:`_weak_classes`, which reads the field off the column's dtype);
-    padding keeps every bit. A real column of an extra family joins a
-    complex stack only where the plan has a basis slot and no phase slot,
-    the plan the real kernel takes, and |x + 0j| = |x|. The other weak norms
-    of the extra families take one kernel call per column, without floors,
-    and those of the trials one started batch per column, whose ascents pad
-    within the same classes (:func:`forms._pad_key`); for q < 1, each
-    column's weak norm is :func:`weak_lp_norm`'s."""
+    padding keeps every bit. An extra family joins such a stack of its
+    class, whose column sizes it has; a real column joins a complex stack
+    only where the plan has a basis slot and no phase slot, the plan the
+    real kernel takes, and |x + 0j| = |x|. The other weak norms of the extra
+    families take one kernel call per column, of any shapes and dtypes,
+    without floors, and those of the trials one started batch per column,
+    whose ascents pad within the same classes (:func:`forms._pad_key`); for
+    q < 1, each column's weak norm is :func:`weak_lp_norm`'s."""
     # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
-    balls = [(q.dual, d.exponent.dual) if q.recip <= 1 else None
-             for q, d in zip(exps.qs, domains)]
+    balls = [(q.dual, e.dual) if q.recip <= 1 else None for q, e in zip(exps.qs, exponents)]
     S, T = len(extra), len(lengths)
     heads = np.concatenate(([0], np.cumsum(lengths))).tolist()  # each trial's first row
     own = [len(m) for m, _ in extra]
@@ -485,26 +486,27 @@ def _scores(exps: ExponentTuple, domains, lengths, moduli, columns, extra=()) ->
     for _, lo, hi, members, L in runs([_sum_class(J) for J in distinct]):
         put(lhs, lo, hi, members, _lp_rows(padded(moduli[heads[lo]:heads[hi]], lo, hi, L,
                                                   [extra[s][0] for s in members]), exps.p))
-    weak, exact = np.empty((len(domains), S + T)), np.ones((len(domains), S + T), bool)
-    pending = [([], []) for _ in domains]  # per column: trial positions, inexact items
-    ahead = [[] for _ in domains]  # per column: extra families without an exact plan
-    for i, (col, ball, q, d) in enumerate(zip(columns, balls, exps.qs, domains)):
+    weak, exact = np.empty((exps.n, S + T)), np.ones((exps.n, S + T), bool)
+    pending = [([], []) for _ in balls]  # per column: trial positions, inexact items
+    ahead = [[] for _ in balls]  # per column: extra families in no stack of trials
+    for i, (ball, q, e) in enumerate(zip(balls, exps.qs, exponents)):
         if ball is None:
-            norms = [weak_lp_norm(VectorSeq(X, d), q) for X in
+            norms = [weak_lp_norm(VectorSeq(X, _domains(X.shape[1:], (e,))[0]), q) for X in
                      [family[i] for _, family in extra]
-                     + [col[a:b] for a, b in zip(heads, heads[1:])]]
+                     + [columns[i][a:b] for a, b in zip(heads, heads[1:])]]
             weak[i], exact[i] = [w.value for w in norms], [w.exact for w in norms]
             continue
-        for key, lo, hi, members, L in runs(_weak_classes(tuple(distinct), d.dim, ball,
-                                                          col.dtype.kind == "c")):
-            if key is not None:
+        keys = (_weak_classes(tuple(distinct), columns[i].shape[1], ball,
+                              columns[i].dtype.kind == "c") if T else [None] * len(distinct))
+        for key, lo, hi, members, L in runs(keys):
+            if key is not None and lo < hi:
                 put(weak[i], lo, hi, members, _ball_sup(
-                    padded(col[heads[lo]:heads[hi]], lo, hi, L,
+                    padded(columns[i][heads[lo]:heads[hi]], lo, hi, L,
                            [extra[s][1][i] for s in members]), ball, witness=False)[0])
-            else:
-                ahead[i].extend(members)
-                pending[i][0].extend(range(S + lo, S + hi))
-                pending[i][1].extend(col[a:b] for a, b in zip(heads[lo:hi], heads[lo + 1:]))
+                continue
+            ahead[i].extend(members)  # no stack: the trials (key None) go to the ascent
+            pending[i][0].extend(range(S + lo, S + hi))
+            pending[i][1].extend(columns[i][a:b] for a, b in zip(heads[lo:hi], heads[lo + 1:]))
     for i, members in enumerate(ahead):  # the extra families end first, unfloored
         if members:
             weak[i, members], exact[i, members], _ = _ball_sup(
@@ -628,11 +630,12 @@ def lift_families(pairs, source: ExponentTuple, target: ExponentTuple) -> list[L
     Each pair gets the result it gets alone. The checks and the exponent
     arithmetic run once per call. Each family's values come from its own
     contraction (einsum sums a stack of one or two vectors in another order
-    than a longer one). The phases, alpha, its factors and the scaled
-    columns are elementwise, so they are taken on the concatenated rows of
-    the pairs whose values and columns have the same dtypes; the norm that
-    scales alpha is the source lhs. The certificates take their lhs and
-    weak norms from :func:`_certificates`, through the search's scorer.
+    than a longer one). The phases, alpha and its factors are elementwise,
+    so they are taken on the concatenated values of the pairs whose values
+    have the same dtype, and each pair's columns are scaled by its own rows
+    of the factors; the norm that scales alpha is the source lhs. The
+    certificates take their lhs and weak norms from :func:`_certificates`,
+    through the search's scorer.
     """
     pairs = list(pairs)
     if source.n != target.n or any(A.order != source.n for A, _ in pairs):
@@ -664,20 +667,20 @@ def lift_families(pairs, source: ExponentTuple, target: ExponentTuple) -> list[L
     lengths = np.array([len(v) for v in values], int)
     live = np.logical_or.reduceat(np.abs(np.concatenate(values)) > 0, _heads(lengths))
     derived = list(families)  # the families of the target certificates
-    groups: dict = {}  # the live pairs by the dtypes of their values and columns
-    for k, (fam, v) in enumerate(zip(families, values)):
+    groups: dict = {}  # the live pairs by the dtype of their values
+    for k, v in enumerate(values):
         if live[k]:
-            groups.setdefault((v.dtype,) + tuple(c.vectors.dtype for c in fam.columns),
-                              []).append(k)
+            groups.setdefault(v.dtype, []).append(k)
     for at in groups.values():
         J = lengths[at]
+        rows = list(zip(_heads(J).tolist(), np.cumsum(J).tolist()))  # each pair's, in order
         mag, phase = _polar(np.concatenate([values[k] for k in at]))
         align = np.conj(phase)
         if recip_r == 0:
             alpha = np.ones_like(mag)
         elif source.p.is_inf:
             alpha = np.zeros(len(mag), dtype=align.dtype)
-            for lo, hi in zip(_heads(J).tolist(), np.cumsum(J).tolist()):
+            for lo, hi in rows:
                 j = lo + int(np.argmax(mag[lo:hi]))  # the pair's first largest value
                 alpha[j] = align[j]
         else:
@@ -687,11 +690,9 @@ def lift_families(pairs, source: ExponentTuple, target: ExponentTuple) -> list[L
             factors = [alpha] + [np.ones_like(mag)] * (source.n - 1)
         else:
             factors = factor_sequence(alpha, Exponent(recip_r), split)
-        columns = [_scaled_rows([families[k].columns[i].vectors for k in at], f, J)
-                   for i, f in enumerate(factors)]
-        for k, arrays in zip(at, zip(*columns)):
-            derived[k] = TestFamily(tuple(VectorSeq(X, c.space)
-                                          for X, c in zip(arrays, families[k].columns)))
+        for k, (lo, hi) in zip(at, rows):
+            derived[k] = TestFamily(tuple(VectorSeq(c.vectors * f[lo:hi, None], c.space)
+                                          for c, f in zip(families[k].columns, factors)))
     targets = _certificates(derived, [fam.values(A) if live[k] else values[k]
                                       for k, ((A, _), fam) in enumerate(zip(pairs, derived))],
                             target)
@@ -712,39 +713,23 @@ def _heads(lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(lengths) - lengths
 
 
-def _scaled_rows(arrays, f: np.ndarray, lengths: np.ndarray) -> list[np.ndarray]:
-    """``a * f[rows of a][:, None]`` of each array a of ``arrays`` (one dtype,
-    lengths[k] rows for array k; f holds their rows' factors one after
-    another), as one product over the concatenated entries: a product of
-    two numbers does not depend on the entries around it."""
-    dims = np.array([a.shape[1] for a in arrays], int)
-    flat = np.concatenate([a.ravel() for a in arrays]) * np.repeat(f, np.repeat(dims, lengths))
-    sizes = lengths * dims
-    return [flat[lo:lo + n].reshape(-1, m)
-            for lo, n, m in zip(_heads(sizes).tolist(), sizes.tolist(), dims.tolist())]
-
-
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # that of forms._ball_sup
 def _certificates(families, values, exps: ExponentTuple) -> list[RatioCertificate]:
     """The ratio certificate of each family, given its value sequence, from
     :func:`_scores`: the lhs is :func:`lp_norm` of the values and each weak
     norm :func:`weak_lp_norm`'s, to the bit. The families of one tuple of
-    column spaces and dtypes are scored together as trials, in order of
-    length, and their heuristic weak norms end without floors."""
+    column exponents, whatever their column sizes and fields, are the extra
+    families of one scorer call without trials, so their heuristic weak
+    norms end there, without floors."""
     if any(len(v) == 0 for v in values):
         raise ValueError("empty sequence")
     groups: dict = {}
     for k, fam in enumerate(families):
-        groups.setdefault(tuple((c.space, c.vectors.dtype) for c in fam.columns), []).append(k)
+        groups.setdefault(tuple(c.space.exponent for c in fam.columns), []).append(k)
     certificates = [None] * len(families)
-    for key, at in groups.items():
-        at.sort(key=lambda k: len(values[k]))
-        lhs, weak, exact, started = _scores(
-            exps, [space for space, _ in key], np.array([len(values[k]) for k in at]),
-            np.abs(np.concatenate([values[k] for k in at])),
-            [np.concatenate([families[k].columns[i].vectors for k in at]) for i in range(exps.n)])
-        for i, (idx, st) in started.items():
-            weak[i, idx], exact[i, idx], _ = _ball_sup_end(st)
+    for exponents, at in groups.items():
+        lhs, weak, exact, _ = _scores(exps, exponents, np.empty(0, int), np.empty(0), (), [
+            (np.abs(values[k]), [c.vectors for c in families[k].columns]) for k in at])
         for k, x, w, e in zip(at, lhs.tolist(), weak.T.tolist(), exact.T.tolist()):
             certificates[k] = RatioCertificate(x, tuple(map(NormEstimate, w, e)), families[k],
                                                exps)

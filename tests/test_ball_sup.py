@@ -550,6 +550,7 @@ RAGGED = [  # (dims, exponents, field, scale) of one _op_norms call
     ((5, 2), ("inf", "inf"), R, 2.0 ** 600),
     ((2, 3, 3), ("inf", "inf", "inf"), R, 1.0),
     ((2, 3), ("inf", "inf"), C, 1.0),  # complex grid plans
+    ((2, 3), ("inf", "inf"), R, 1.0),  # the shape of a complex item: sign vectors, exact
     ((4, 5), ("inf", "inf"), C, 2.0 ** -600),
     ((5, 4), ("inf", "inf"), C, 1.0),
     ((3, 2, 3), ("inf", "inf", "inf"), C, 1.0),
@@ -596,11 +597,11 @@ def test_ragged_batch_gives_each_item_its_value_alone():
         assert est.value == alone.value and est.exact == alone.exact
         assert est.witness is None
     # the kernel asked for witnesses gives each item those it gets alone,
-    # on the ragged batches _op_norms makes (one per exponents and field)
+    # on the ragged batches _op_norms makes (one per exponents, both fields)
     groups = {}
     for A in forms:
-        groups.setdefault((tuple(d.exponent for d in A.domains), A.field), []).append(A)
-    for (balls, _), group in groups.items():
+        groups.setdefault(tuple(d.exponent for d in A.domains), []).append(A)
+    for balls, group in groups.items():
         result = _ball_sup([A.coeffs for A in group], balls, witness=True)
         for j, A in enumerate(group):
             est, alone = _one(result, j), op_norm(A)

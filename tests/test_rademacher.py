@@ -153,6 +153,13 @@ def test_sign_pattern():
         SignPattern((1, 0))
 
 
+@pytest.mark.parametrize("index, n", [(8, 3), (4096, 12), (4097, 12), (-1, 12)])
+def test_sign_pattern_index_out_of_range_is_refused(index, n):
+    with pytest.raises(ValueError, match="outside"):
+        SignPattern.from_index(index, n)
+    assert SignPattern.from_index(2 ** n - 1, n).signs == (-1,) * n  # the last pattern
+
+
 @pytest.mark.parametrize("n", [9, 12])  # 2^12 patterns span several blocks
 @pytest.mark.parametrize("p", [1, 2])
 def test_exact_average_matches_rational_mean(n, p):

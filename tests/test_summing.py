@@ -757,11 +757,12 @@ _CROSSING_LENGTHS = [1, 2, 7, 8, 9, 15, 16, 127, 128, 130]
 
 @pytest.mark.parametrize("q", ["1/2", 1, "4/3", 2])
 def test_certificates_across_length_classes_are_those_of_single_norms(q):
-    # the families of one tuple of column spaces and dtypes are scored
-    # together and padded within their length classes; each lhs is lp_norm's
-    # and each weak norm weak_lp_norm's to the bit, with its flag: sup and
-    # l_1 slots (exact), l_2 and l_3 slots (closed forms and ascents), real,
-    # complex and mixed columns
+    # the families of one tuple of column exponents are scored in one
+    # scorer call, their lhs padded within their length classes and their
+    # weak norms grouped by shape and dtype; each lhs is lp_norm's and each
+    # weak norm weak_lp_norm's to the bit, with its flag: sup and l_1 slots
+    # (exact), l_2 and l_3 slots (closed forms and ascents), real, complex
+    # and mixed columns
     recip = Exponent.of(q).recip
     rng = np.random.default_rng([13, recip.numerator, recip.denominator])
     exps = ExponentTuple("4/3", (q, q))
@@ -984,6 +985,34 @@ def test_lift_families_give_each_pair_its_lift_alone(source, target, seed):
             assert got.vectors.dtype == want.vectors.dtype
             assert got.vectors.tobytes() == want.vectors.tobytes()
     assert whole[5].family is pairs[5][1] and whole[5].monotone  # the all-zero family
+
+
+def test_lift_families_score_each_certificate_batch_in_one_scorer_call(monkeypatch):
+    # 20 real pairs on sup-norm slots of dims 2 to 4: one scorer call per
+    # batch of certificates, whatever the column sizes, and each pair its
+    # lift alone
+    rng = np.random.default_rng(34)
+    pairs = []
+    for _ in range(20):
+        A = random_form(rng, rng.integers(2, 5, size=2))
+        J = int(rng.integers(1, 5))
+        pairs.append((A, TestFamily(tuple(VectorSeq(rng.standard_normal((J, d.dim)), d)
+                                          for d in A.domains))))
+    assert len({A.dims for A, _ in pairs}) > 4
+    source, target = ExponentTuple(2, (2, 2)), ExponentTuple(1, (1, 2))
+    alone = [lift_family(A, fam, source, target) for A, fam in pairs]
+    calls, scores, certificates = [], summing._scores, summing._certificates
+    monkeypatch.setattr(summing, "_scores", lambda *args: calls.append("scores")
+                        or scores(*args))
+    monkeypatch.setattr(summing, "_certificates", lambda *args: calls.append("certificates")
+                        or certificates(*args))
+    whole = summing.lift_families(pairs, source, target)
+    assert calls == ["certificates", "scores"] * 2
+    for res, want in zip(whole, alone):
+        for got, cert in ((res.source, want.source), (res.derived, want.derived)):
+            assert _bits(got.lhs) == _bits(cert.lhs) and _bits(got.ratio) == _bits(cert.ratio)
+            assert [(_bits(w.value), w.exact) for w in got.rhs_norms] == \
+                [(_bits(w.value), w.exact) for w in cert.rhs_norms]
 
 
 def test_lift_families_name_the_first_pair_whose_exact_lift_is_smaller(monkeypatch):
