@@ -142,16 +142,15 @@ class FormTensor:
 
 
 def _contract_head(A: FormTensor, xs, count: int) -> np.ndarray:
-    """Contract the first ``count`` slots of ``A`` with the vectors ``xs``."""
+    """Contract the first ``count`` slots of ``A`` with the vectors ``xs``,
+    one per slot and of its dim, as a batch of one (:func:`_batch_contract`)."""
     if len(xs) != count:
         raise ValueError(f"expected {count} vectors, got {len(xs)}")
-    t = A.coeffs
     for i, x in enumerate(xs):
-        v = np.asarray(x)
-        if v.shape != (A.dims[i],):
-            raise ValueError(f"slot {i}: vector shape {v.shape} != ({A.dims[i]},)")
-        t = np.tensordot(t, v, axes=([0], [0]))
-    return t
+        if np.shape(x) != (A.dims[i],):
+            raise ValueError(f"slot {i}: vector shape {np.shape(x)} != ({A.dims[i]},)")
+    return _batch_contract(A.coeffs, [np.asarray(x)[None] for x in xs],
+                           keep=range(count, A.order))[0]
 
 
 def evaluate(A: FormTensor, xs) -> float | complex:
@@ -291,8 +290,7 @@ class _Started(NamedTuple):
     """A batch of :func:`_ball_sup` up to the alternating maximizer: its
     arguments, its result (values, exact flags, witnesses), which holds every
     exact value and grid maximum and 0 for the other items, and a job (index,
-    array, start vectors, whether the item holds a grid maximum) per inexact
-    item."""
+    array, start vectors) per inexact item."""
 
     items: object
     balls: tuple
@@ -325,7 +323,7 @@ def _ball_sup_start(items, balls, witness=True) -> _Started:
                     vectors, result[0][k], result[2][k] = _grid_starts(a, balls, plan)
                 else:
                     vectors = _random_starts(a, balls, is_complex)
-                jobs.append((k, a, vectors, plan is not None))
+                jobs.append((k, a, vectors))
             continue
         for lo in range(0, len(stack), plan.chunk):  # at most _ENUM_BUDGET work at a time
             t, points = _enumerate(stack[lo:lo + plan.chunk], balls, plan)
@@ -366,43 +364,34 @@ def _ball_sup_end(started: _Started, floors=None):
     (:func:`_ascend`), and a grid-plan item whose grid maximum reaches it is
     not polished. An item that stops early gets a value at least its floor
     and at most its value without one. Exact plans and closed forms ignore
-    floors, and so does the computation again of a value out of range; that
-    item, and an item that never reaches its floor, keeps every bit. A floor
-    that is not finite and positive is none."""
-    values, exact, witnesses = _polished(started, floors)
-    for k, v in enumerate(values.tolist()):
-        if not _SAFE_LOW <= v <= _SAFE_HIGH:
-            items, balls, witness = started[:3]
-
-            def again(c):
-                redone = _polished(_ball_sup_start(c[None], balls, witness))
-                witnesses[k] = redone[2][0]
-                return redone[0].item(0)
-            values[k] = _rescaled(v, again, items[k])
-    return values, exact, witnesses if started.witness else None
-
-
-def _polished(started: _Started, floors=None):
-    """The result of a started batch once its jobs are polished, before any
-    rescaling: a grid-plan item keeps its grid maximum when that reaches its
-    floor or beats the polished value."""
-    balls, result, jobs = started.balls, started.result, started.jobs
-    if not jobs:
-        return result
-    values, _, witnesses = result
+    floors, and so does the computation again of a value out of range, by
+    :func:`_ball_sup`; that item, and an item that never reaches its floor,
+    keeps every bit. A floor that is not finite and positive is none."""
+    items, balls, witness, (values, exact, witnesses), jobs = started
     if floors is not None:
         floors = np.asarray(floors, float)
         floors = np.where((floors > 0) & (floors < math.inf), floors, math.nan)
         if np.isnan(floors).all():
             floors = None
         else:
-            jobs = [job for job in jobs if not (job[3] and values[job[0]] >= floors[job[0]])]
-    polished = _polish([(a, vectors) for _, a, vectors, _ in jobs], balls,
+            jobs = [job for job in jobs if not values[job[0]] >= floors[job[0]]]
+    # an item keeps its grid maximum when that reaches its floor or beats the
+    # polished value; a random-start item holds 0 until it is polished, so
+    # both rules hold for every job
+    polished = _polish([job[1:] for job in jobs], balls,
                        None if floors is None else [floors[k] for k, *_ in jobs])
-    for (k, _, _, has_grid), (value, vectors) in zip(jobs, polished):
-        if not has_grid or value >= values[k]:
+    for (k, *_), (value, vectors) in zip(jobs, polished):
+        if value >= values[k]:
             values[k], witnesses[k] = value, vectors
-    return result
+    for k, v in enumerate(values.tolist()):
+        if not _SAFE_LOW <= v <= _SAFE_HIGH:
+
+            def again(c):
+                redone = _one(_ball_sup(c[None], balls, witness=witness))
+                witnesses[k] = redone.witness
+                return redone.value
+            values[k] = _rescaled(v, again, items[k])
+    return values, exact, witnesses if witness else None
 
 
 def _one(result, k: int = 0) -> NormEstimate:
@@ -452,14 +441,6 @@ def _cheapest_free(dims, counts, budget: int) -> int | None:
         if None not in rest and m * math.prod(rest) < least:
             free, least = i, m * math.prod(rest)
     return free
-
-
-def _exact(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool) -> bool:
-    """Whether :func:`_ball_sup` has an exact plan for arrays of shape
-    ``dims``: the shape rule, which holds for every such array. An item of a
-    shape without one may still come back exact (:func:`_closed_form`)."""
-    plan = _plan(dims, balls, is_complex)
-    return plan is not None and plan.exact
 
 
 def _closed_form(stack: np.ndarray, balls, witness: bool):
@@ -721,6 +702,24 @@ def _pad_key(dims):
     if 1 in dims:
         return "shape", dims
     return "class", tuple(map(_sum_class, dims))
+
+
+@functools.lru_cache(maxsize=None)
+def _stack_key(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool):
+    """Arrays of one key, zero-padded to common dims, get every bit of their
+    :func:`_ball_sup` values and exact flags in one exact kernel call; None
+    for a shape without an exact plan, the shape rule of exactness (an item
+    of such a shape may still come back exact, :func:`_closed_form`). The
+    key holds the plan's free and basis slots, the dims of its contracted
+    (sign) slots, whose enumeration padding would change, and the summation
+    class (:func:`norms._sum_class`) of every other dim: along the free slot
+    the values are norms and over a basis slot maxima, which padding leaves
+    alone."""
+    plan = _plan(dims, balls, is_complex)
+    if plan is None or not plan.exact:
+        return None
+    return plan.free, plan.basis, tuple(m if i in plan.contracted else _sum_class(m)
+                                        for i, m in enumerate(dims))
 
 
 def _runs(shapes, S: int):

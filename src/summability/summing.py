@@ -23,7 +23,7 @@ import numpy as np
 
 from ._signs import _ENUM_BUDGET, sign_count, sign_rows
 from .forms import (FormTensor, _ball_sup, _ball_sup_end, _ball_sup_start, _batch_contract,
-                    _exact, _gaussian, _lower_bounds, _plan, _polar, compose_beta, curry, op_norm)
+                    _gaussian, _lower_bounds, _polar, _stack_key, compose_beta, curry, op_norm)
 from .norms import (NormEstimate, VectorSeq, _axis_norms, _lp_rows, _sum_class, lp_norm,
                     mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
@@ -87,13 +87,16 @@ class TestFamily:
         return self.columns[0].length
 
     def check_against(self, A: FormTensor) -> None:
-        if self.n != A.order:
-            raise ValueError(f"family has {self.n} columns, form has {A.order} slots")
-        for i, (col, dom) in enumerate(zip(self.columns, A.domains)):
+        """Refuse a family that does not feed every slot of ``A`` (:meth:`_fits`)."""
+        self._fits(A.domains)
+
+    def _fits(self, domains) -> None:
+        """Refuse a family whose columns are not, one for one, in ``domains``."""
+        if self.n != len(domains):
+            raise ValueError(f"family has {self.n} columns for {len(domains)} slots")
+        for i, (col, dom) in enumerate(zip(self.columns, domains)):
             if col.space != dom:
-                raise ValueError(
-                    f"column {i} lives in {col.space}, form slot needs {dom}"
-                )
+                raise ValueError(f"column {i} lives in {col.space}, form slot needs {dom}")
 
     def values(self, A: FormTensor) -> np.ndarray:
         """The value sequence (A(x_j^1, ..., x_j^n))_j."""
@@ -427,16 +430,17 @@ def _scores(exps: ExponentTuple, exponents, lengths, moduli, columns, extra=()) 
     gives the column, to the bit. The lhs take one :func:`_lp_rows` call per
     length class (:func:`norms._sum_class`), the families of the class
     zero-padded to the longest length present, and the trials' weak norms
-    (q >= 1) one kernel call per column and class where the kernel is exact
-    (:func:`_weak_classes`, which reads the field off the column's dtype);
-    padding keeps every bit. An extra family joins such a stack of its
-    class, whose column sizes it has; a real column joins a complex stack
-    only where the plan has a basis slot and no phase slot, the plan the
-    real kernel takes, and |x + 0j| = |x|. The other weak norms of the extra
-    families take one kernel call per column, of any shapes and dtypes,
-    without floors, and those of the trials one started batch per column,
-    whose ascents pad within the same classes (:func:`forms._pad_key`); for
-    q < 1, each column's weak norm is :func:`weak_lp_norm`'s."""
+    (q >= 1) one kernel call per column and run of lengths of one stacking
+    key (:func:`forms._stack_key` of each length, the field read off the
+    column's dtype; a length without a key has no exact plan); padding keeps
+    every bit. An extra family joins such a stack of its lengths, whose
+    column sizes it has; a real column joins a complex stack only where the
+    plan has a basis slot and no phase slot, the plan the real kernel takes,
+    and |x + 0j| = |x|. The other weak norms of the extra families take one
+    kernel call per column, of any shapes and dtypes, without floors, and
+    those of the trials one started batch per column, whose ascents pad
+    within the classes of :func:`forms._pad_key`; for q < 1, each column's
+    weak norm is :func:`weak_lp_norm`'s."""
     # per column, the balls of the kernel's weak norms (None for q < 1, not a kernel norm)
     balls = [(q.dual, e.dual) if q.recip <= 1 else None for q, e in zip(exps.qs, exponents)]
     S, T = len(extra), len(lengths)
@@ -496,8 +500,8 @@ def _scores(exps: ExponentTuple, exponents, lengths, moduli, columns, extra=()) 
                      + [columns[i][a:b] for a, b in zip(heads, heads[1:])]]
             weak[i], exact[i] = [w.value for w in norms], [w.exact for w in norms]
             continue
-        keys = (_weak_classes(tuple(distinct), columns[i].shape[1], ball,
-                              columns[i].dtype.kind == "c") if T else [None] * len(distinct))
+        keys = [_stack_key((J, columns[i].shape[1]), ball, columns[i].dtype.kind == "c")
+                if T else None for J in distinct]
         for key, lo, hi, members, L in runs(keys):
             if key is not None and lo < hi:
                 put(weak[i], lo, hi, members, _ball_sup(
@@ -514,28 +518,6 @@ def _scores(exps: ExponentTuple, exponents, lengths, moduli, columns, extra=()) 
     started = {i: (idx, _ball_sup_start(items, balls[i], witness=False))
                for i, (idx, items) in enumerate(pending) if items}
     return lhs, weak, exact, started
-
-
-@functools.lru_cache(maxsize=1 << 10)
-def _weak_classes(lengths: tuple[int, ...], m: int, balls: tuple[Exponent, Exponent],
-                  is_complex: bool) -> tuple:
-    """Per length J of ``lengths``, how the kernel scores the weak norms of
-    a column of J vectors in dimension m: None where it has no exact plan
-    (the items go to the ascent, unpadded), else a key, and columns of one
-    key are zero-padded to the longest length among them. The key is the
-    length class and the plan's free and basis slots: its values are norms
-    along the length slot or maxima over it, which padding leaves alone; a
-    plan that enumerates the length slot (sign vectors) keeps its length."""
-    keys = []
-    for J in lengths:
-        plan = _plan((J, m), balls, is_complex)
-        if plan is None or not plan.exact:
-            keys.append(None)
-        elif 0 in plan.contracted:
-            keys.append((J,))
-        else:
-            keys.append((_sum_class(J), plan.free, plan.basis))
-    return tuple(keys)
 
 
 @np.errstate(divide="ignore")  # no bound known gives an infinite floor, i.e. none
@@ -618,14 +600,16 @@ def lift_families(pairs, source: ExponentTuple, target: ExponentTuple) -> list[L
     """Transport the ratio certificate of each (form, family) pair of
     ``pairs`` from a weaker exponent tuple to a stronger one.
 
-    Requires componentwise target <= source and a target defect no larger
-    than the source defect. A pair's value sequence is turned into a
-    unit-norm scalar sequence alpha with ||(alpha_j A_j)||_q = ||(A_j)||_p,
-    alpha is factored across the slots, and the scaled family certifies a
-    ratio at the target tuple at least the source ratio (up to a rounding
-    slack of 1e-10). A pair whose values are all zero keeps its family. An
-    ArithmeticError names the first pair, in order, whose lift is smaller
-    with every weak norm exact.
+    Requires that the class at ``target`` embeds in the one at ``source``
+    (:func:`_embeds`, the rule of ``coincidence_region("inclusion")``):
+    componentwise target <= source and a target defect no larger than the
+    source defect, else a ValueError names both tuples. A pair's value
+    sequence is turned into a unit-norm scalar sequence alpha with
+    ||(alpha_j A_j)||_q = ||(A_j)||_p, alpha is factored across the slots,
+    and the scaled family certifies a ratio at the target tuple at least the
+    source ratio (up to a rounding slack of 1e-10). A pair whose values are
+    all zero keeps its family. An ArithmeticError names the first pair, in
+    order, whose lift is smaller with every weak norm exact.
 
     Each pair gets the result it gets alone. The checks and the exponent
     arithmetic run once per call. Each family's values come from its own
@@ -640,16 +624,9 @@ def lift_families(pairs, source: ExponentTuple, target: ExponentTuple) -> list[L
     pairs = list(pairs)
     if source.n != target.n or any(A.order != source.n for A, _ in pairs):
         raise ValueError("exponent tuples must match the form order")
-    if target.p > source.p:
-        raise ValueError("target outer exponent must satisfy q <= p")
-    for qt, qs_ in zip(target.qs, source.qs):
-        if qt > qs_:
-            raise ValueError("target inner exponents must satisfy q_i <= p_i")
-    if target.defect() > source.defect():
-        raise ValueError(
-            "inadmissible lift: target defect exceeds source defect "
-            f"({target.defect()} > {source.defect()})"
-        )
+    if not _embeds(target, source):
+        raise ValueError(f"inadmissible lift: the class at {target} does not embed in "
+                         f"the one at {source}")
     recip_r = target.p.recip - source.p.recip
     slot_recips = [qt.recip - qs_.recip for qt, qs_ in zip(target.qs, source.qs)]
     total = sum(slot_recips)
@@ -952,7 +929,6 @@ def verify_defant_voigt(
     """
     if A.order < 2:
         raise ValueError("verify_defant_voigt needs a form of order at least 2")
-    fam.check_against(A)
     lhs = float(np.abs(fam.values(A)).sum())
     rads = [rad_p_norm(col, _TWO, "exact") for col in fam.columns]
     report = _versus_op_norm("defant_voigt", A, opn, lhs, 1.0, "1", "2",
@@ -980,11 +956,7 @@ def verify_almost_summing(
     are scalars measured by |.|.
     """
     k = A.order if k is None else curry(A, k).k  # curry checks 1 <= k < order
-    if fam.n != k:
-        raise ValueError(f"head family needs {k} columns, got {fam.n}")
-    for i, col in enumerate(fam.columns):
-        if col.space != A.domains[i]:
-            raise ValueError(f"column {i} does not match head domain")
+    fam._fits(A.domains[:k])
     tails = _batch_contract(A.coeffs, [c.vectors for c in fam.columns],
                             keep=range(k, A.order))
     balls = tuple(d.exponent for d in A.domains[k:])
@@ -1067,8 +1039,8 @@ def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
     """The best (sum_j |B(U_j)|^p)^(1/p) / N(B) over seeded bilinear forms B:
     the basis matrices, every sign matrix with first entry +1 (B and -B tie;
     256 random ones above 16 entries), the identity and 64 Gaussian matrices.
-    N(B) >= ||B|| is the kernel's norm where it is exact (:func:`forms._exact`),
-    else the coefficient sum."""
+    N(B) >= ||B|| is the kernel's norm where it has an exact plan
+    (:func:`forms._stack_key`), else the coefficient sum."""
     J, m1, m2 = U.shape
     is_complex = U.dtype.kind == "c"
     rng = np.random.default_rng(0)
@@ -1078,7 +1050,7 @@ def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
         signs = [rng.choice([-1.0, 1.0], size=(m1, m2)) for _ in range(256)]
     B = np.concatenate([np.eye(m1 * m2).reshape(-1, m1, m2), signs, np.eye(m1, m2)[None],
                         [_gaussian(rng, (m1, m2), is_complex) for _ in range(64)]])
-    if _exact((m1, m2), balls, is_complex):
+    if _stack_key((m1, m2), balls, is_complex) is not None:
         norms = _ball_sup(B, balls, witness=False)[0]
     else:  # the coefficient sum bounds the norm on any domains
         norms = np.abs(B).sum(axis=(1, 2))
@@ -1099,6 +1071,14 @@ def _as_exponent_tuple(x, n: int | None = None) -> ExponentTuple:
     if n is not None and t.n != n:
         raise ValueError(f"expected {n} inner exponents, got {t.n}")
     return t
+
+
+def _embeds(source: ExponentTuple, target: ExponentTuple) -> bool:
+    """Whether the summing class at ``source`` embeds in the one at
+    ``target``: source <= target componentwise, and the defect sum 1/q_i -
+    1/p does not decrease."""
+    return (source.p <= target.p and all(a <= b for a, b in zip(source.qs, target.qs))
+            and source.defect() <= target.defect())
 
 
 def coincidence_region(
@@ -1139,13 +1119,7 @@ def coincidence_region(
     if rule == "inclusion":
         if source is None or target is None:
             raise ValueError("inclusion needs source and target tuples")
-        src = _as_exponent_tuple(source, n)
-        tgt = _as_exponent_tuple(target, n)
-        if src.p > tgt.p:
-            return False
-        if any(a > b for a, b in zip(src.qs, tgt.qs)):
-            return False
-        return src.defect() <= tgt.defect()
+        return _embeds(_as_exponent_tuple(source, n), _as_exponent_tuple(target, n))
 
     if rule == "cotype2":
         if k is None or p is None or q is None or qs is None:

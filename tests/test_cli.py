@@ -349,6 +349,23 @@ def test_malformed_input_exits_3(tmp_path, capsys):
     assert main(["opnorm", schema]) == 3
 
 
+def test_norm_mixed_of_a_three_slot_form_file_exits_3(tmp_path, capsys):
+    path = write_json(tmp_path / "f3.json", FormTensor.on_linf(np.ones((2, 2, 2))).to_json())
+    assert main(["norm", "mixed", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad matrix: matrix file must be 2-d" in captured.err
+
+
+def test_report_to_a_missing_directory_exits_3(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["verify", "littlewood", "--random", "1", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write {out}" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("n,code", [(27, 0), (51, 0), (52, 3)])
 def test_forms_of_many_slots(tmp_path, capsys, n, code):
     # the einsum subscripts of the slots ran out after 26 letters: IndexError

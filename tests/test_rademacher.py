@@ -52,6 +52,15 @@ def test_rad_budget_error():
         rad_p_norm(seq, 2)
 
 
+def test_rad_exact_sum_that_overflows_is_taken_on_rescaled_vectors():
+    # the pattern terms 1.44e308 and 0.36e308 overflow math.fsum; the value
+    # is that of the vectors scaled by 2^-600, scaled back
+    X = np.array([[0.9e154], [0.3e154]])
+    scaled = rad_p_norm(VectorSeq(np.ldexp(X, -600), SpaceSpec.linf(1)), 2)
+    value = rad_p_norm(VectorSeq(X, SpaceSpec.linf(1)), 2)
+    assert value == math.ldexp(scaled, 600) == 9.486832980505138e+153
+
+
 def test_rad_empty_error():
     with pytest.raises(ValueError):
         rad_p_norm(VectorSeq(np.zeros((0, 1)), SpaceSpec.linf(1)), 2)

@@ -74,6 +74,9 @@ def test_lower_bound_shape_errors(littlewood, diag_family):
     bad = TestFamily((diag_family.columns[0],))
     with pytest.raises(ValueError):
         summing_lower_bound(littlewood, ExponentTuple(1, (2, 2)), bad)
+    wrong = TestFamily((diag_family.columns[0], VectorSeq(np.eye(2), SpaceSpec.lp(2, 2))))
+    with pytest.raises(ValueError, match=r"^column 1 lives in l_2\^2, form slot needs l_inf\^2$"):
+        summing_lower_bound(littlewood, ExponentTuple(1, (2, 2)), wrong)
 
 
 @pytest.mark.parametrize("qs", [(2, 2), (1, "inf"), ("1/2", "1/2"), (2, "1/2")])
@@ -587,33 +590,6 @@ def test_zero_padding_within_a_length_class_keeps_the_lp_bits(p):
                                   summing._lp_rows(rows, Exponent.of(2))), J
 
 
-@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
-@pytest.mark.parametrize("s", ["inf", 1, 2])
-def test_zero_padding_within_a_weak_class_keeps_the_kernel_bits(s, field):
-    # weak norms of columns of every J <= 20 in l_s^3 at q in {1, 4/3, 2, 3,
-    # inf}, wherever the kernel is exact without enumerating the length slot
-    rng = np.random.default_rng([int(field.is_complex), 0 if s == "inf" else s])
-    dual = Exponent.of(s).dual
-    padded_any = 0
-    for q in ["1", "4/3", "2", "3", "inf"]:
-        balls = (Exponent.of(q).dual, dual)
-        for J in range(1, 21):
-            key, = summing._weak_classes((J,), 3, balls, field.is_complex)
-            if key is None or key == (J,):
-                continue
-            stack = _gaussian(rng, (12, J, 3), field.is_complex)
-            stack[:2] *= 2.0 ** 600
-            stack[2:4] *= 2.0 ** -600
-            want, exact, _ = forms._ball_sup(stack, balls, witness=False)
-            for L in _class_lengths(J):
-                if summing._weak_classes((L,), 3, balls, field.is_complex) != (key,):
-                    continue
-                got, got_exact, _ = forms._ball_sup(_padded(stack, L), balls, witness=False)
-                assert np.array_equal(got, want) and got_exact == exact, (q, J, L)
-                padded_any += L > J
-    assert padded_any > 20
-
-
 # (field, dims, domain exponents, p, qs, j_max): the scorer's forms
 _SCORER_FORMS = [
     (ScalarField.REAL, (3, 4), ("inf", "inf"), 1, (2, 2), 20),
@@ -660,7 +636,7 @@ def _reference_ratios(A, exps, lengths, starts, flat, incumbent):
         for i, (stack, q, d) in enumerate(zip(stacks, exps.qs, A.domains)):
             if balls[i] is None:
                 weak[i, idx] = [summing.weak_lp_norm(VectorSeq(X, d), q).value for X in stack]
-            elif forms._exact(stack.shape[1:], balls[i], A.field.is_complex):
+            elif forms._stack_key(stack.shape[1:], balls[i], A.field.is_complex) is not None:
                 weak[i, idx] = forms._ball_sup(stack, balls[i], witness=False)[0]
             else:
                 pending[i][0].extend(idx.tolist())
@@ -878,6 +854,12 @@ def test_factor_phase_on_first_factor():
     assert np.allclose(f1 * f2, alpha)
 
 
+def test_factor_of_an_infinite_exponent_puts_alpha_in_the_first_factor():
+    alpha = np.array([3.0, -2j, 0.0])
+    f1, f2 = factor_sequence(alpha, "inf", ["inf", "inf"])
+    assert np.array_equal(f1, alpha) and np.array_equal(f2, np.ones(3))
+
+
 def test_factor_identity_violation():
     with pytest.raises(ValueError):
         factor_sequence([1.0], 1, [2, 3])
@@ -900,6 +882,10 @@ def test_lift_zero_values(diag_family):
                       ExponentTuple(1, (1, 2)))
     assert res.source.ratio == res.derived.ratio == 0.0
     assert res.family is diag_family
+
+
+def test_lift_of_no_pairs_is_empty():
+    assert summing.lift_families([], ExponentTuple(2, (2, 2)), ExponentTuple(1, (2, 2))) == []
 
 
 def test_lift_monotone_random_exact_domains():
@@ -1117,6 +1103,11 @@ def test_bh_examples():
     assert rep.ratio == pytest.approx(2 ** (-1 / 3), rel=1e-9)
 
 
+def test_bh_refuses_a_linear_form():
+    with pytest.raises(ValueError, match="order at least 2"):
+        verify_bh(FormTensor.on_linf([1.0, 2.0]))
+
+
 def test_bh_order_two_matches_littlewood_exponent(littlewood):
     rep = verify_bh(littlewood)
     assert rep.p == "4/3"
@@ -1309,6 +1300,9 @@ def test_almost_summing_tails_match_a_loop(field, scale):
 def test_almost_summing_head_mismatch(littlewood, diag_family):
     with pytest.raises(ValueError):
         verify_almost_summing(littlewood, diag_family, k=1)
+    head = TestFamily((VectorSeq(np.eye(2), SpaceSpec.lp(2, 1)),))
+    with pytest.raises(ValueError, match="^column 0 "):
+        verify_almost_summing(littlewood, head, k=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1341,6 +1335,12 @@ def test_tensor_weak_budget():
     seq = VectorSeq(np.zeros((1, 9)), SpaceSpec.linf(9))
     with pytest.raises(ValueError):
         tensor_weak_norm_estimate(seq, seq, 1)
+
+
+def test_tensor_weak_refuses_unequal_lengths():
+    space = SpaceSpec.linf(2)
+    with pytest.raises(ValueError, match="common length"):
+        tensor_weak_norm_estimate(VectorSeq(np.eye(2), space), VectorSeq(np.eye(2)[:1], space), 1)
 
 
 def _worst_sign_sum(X, Y, norm):
