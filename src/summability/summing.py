@@ -1098,8 +1098,8 @@ def coincidence_region(
     dv2:       every form is (p; q_1, ..., q_n)-summing when
                sum 1/q_i - 1/p >= n - 1 (floors: p, q_i >= 1).
     inclusion: the summing class at ``source`` embeds in the one at
-               ``target`` when source <= target componentwise fails nowhere
-               and the defect sum 1/q_i - 1/q does not decrease.
+               ``target`` (:func:`_embeds`) when source <= target
+               componentwise and the defect sum 1/q_i - 1/p does not decrease.
     cotype2:   exchange identity on k cotype-2 slots,
                sum_{i<=k} 1/q_i - 1/q = k - 1/p with p <= q, 1 <= q_i <= 2.
     even_odd:  lifted tuple of a bilinear (1; r, r) coincidence,

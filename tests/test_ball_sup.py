@@ -566,7 +566,6 @@ def test_padded_jobs_of_other_output_dims_get_their_bits_alone(shapes, S, sup, f
         assert all(np.array_equal(x, y) for x, y in zip(vectors, best))
 
 
-
 @pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
 @pytest.mark.parametrize("s", ["inf", 1, 2])
 def test_zero_padding_within_a_stack_key_keeps_the_kernel_bits(s, field):
@@ -594,6 +593,7 @@ def test_zero_padding_within_a_stack_key_keeps_the_kernel_bits(s, field):
                 assert np.array_equal(got, want) and got_exact == exact, (q, J, L)
                 padded_any += 1
     assert padded_any > 20
+
 
 R, C = ScalarField.REAL, ScalarField.COMPLEX
 RAGGED = [  # (dims, exponents, field, scale) of one _op_norms call
