@@ -69,7 +69,8 @@ _PHASE_LOW = 2.0 ** -1024
 _PAD_WORK = 1 << 12
 # einsum subscripts of the slots; S is the batch axis of _batch_contract
 _SLOTS = string.ascii_letters.replace("S", "")
-_HALF = Fraction(1, 2)
+# the l_2 exponent, which _closed_form tells by identity
+_L2 = Exponent.of(2)
 _NONE = np.empty(0, int)
 
 
@@ -453,7 +454,7 @@ def _closed_form(stack: np.ndarray, balls, witness: bool):
     stack without a zero entry costs one count of nonzeros."""
     if stack.ndim != 3:
         return _NONE, None, None
-    if balls[0].recip == balls[1].recip == _HALF:
+    if balls[0] is balls[1] is _L2:
         values = np.linalg.svd(stack, compute_uv=False)[:, 0]
         found = None
         if witness:

@@ -4,7 +4,8 @@ Exponents live in reciprocal space: an :class:`Exponent` stores ``1/s`` as an
 exact :class:`fractions.Fraction`, with ``Fraction(0)`` encoding ``s = inf``.
 The linear exponent identities used throughout the package (duality,
 interpolation, summability defects) are then exact instead of holding only up
-to rounding error.
+to rounding error. There is one :class:`Exponent` object per value, so equal
+exponents are the same object and compare and hash by identity.
 """
 
 from __future__ import annotations
@@ -44,35 +45,46 @@ class ScalarField(Enum):
         return self.value
 
 
+# the one instance of each exponent, by the numerator and denominator of 1/s:
+# a pair of ints hashes and compares in C, where a Fraction key runs Python code
+_INSTANCES: dict[tuple[int, int], "Exponent"] = {}
+
+
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Exponent:
     """An exponent s in (0, inf], stored as the exact reciprocal 1/s.
 
     ``recip == 0`` encodes infinity, so ``1/inf == 0`` holds by construction
-    and no caller has to special-case sup norms.
+    and no caller has to special-case sup norms. Each value has one instance:
+    ``Exponent(recip)`` checks the reciprocal and computes its float the first
+    time, and returns that same object ever after, also from pickling,
+    copying and :func:`dataclasses.replace`. Exponents therefore compare and
+    hash by identity, the cheapest key the kernel's caches can have.
     """
 
     recip: Fraction
 
-    def __post_init__(self):
-        if not isinstance(self.recip, Fraction):
-            object.__setattr__(self, "recip", Fraction(self.recip))
-        if self.recip < 0:
-            raise ValueError(f"exponent reciprocal must be >= 0, got {self.recip}")
-        # the float is read in every norm kernel; compute it once
-        try:
-            value = math.inf if self.recip == 0 else float(1 / self.recip)
-        except OverflowError:
-            raise ValueError("exponent too large for a float; use inf") from None
-        object.__setattr__(self, "_value", value)
+    def __new__(cls, recip):
+        recip = recip if isinstance(recip, Fraction) else Fraction(recip)
+        key = recip.as_integer_ratio()
+        self = _INSTANCES.get(key)
+        if self is None:
+            if recip < 0:
+                raise ValueError(f"exponent reciprocal must be >= 0, got {recip}")
+            # the float is read in every norm kernel; compute it once
+            try:
+                value = math.inf if recip == 0 else float(1 / recip)
+            except OverflowError:
+                raise ValueError("exponent too large for a float; use inf") from None
+            self = object.__new__(cls)
+            object.__setattr__(self, "recip", recip)
+            object.__setattr__(self, "_value", value)
+            self = _INSTANCES.setdefault(key, self)
+        return self
 
-    @cached_property
-    def _hash(self) -> int:  # the kernel's plan cache hashes exponents on every call
-        return hash(self.recip)
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self):
+        return Exponent, (self.recip,)
 
     @classmethod
     def of(cls, s: "ExponentLike") -> "Exponent":

@@ -771,8 +771,8 @@ def _require_sup_bilinear(A: FormTensor, who: str) -> None:
         raise ValueError(f"{who} expects sup-norm domains")
 
 
-# module constants: Exponent.of costs Fraction arithmetic, and the plan
-# cache of the kernel finds the same exponent object fastest
+# module constants: Exponent.of costs Fraction arithmetic (parsing, then the
+# lookup of the one object per value that every exponent is)
 _ONE, _TWO, _FOUR_THIRDS = Exponent.of(1), Exponent.of(2), Exponent(Fraction(3, 4))
 
 # The constant each coefficient check asserts, by (check, field): sqrt(2), the
@@ -1062,15 +1062,17 @@ def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
 # coincidence arithmetic
 
 
-def _as_exponent_tuple(x, n: int | None = None) -> ExponentTuple:
-    if isinstance(x, ExponentTuple):
-        t = x
-    else:
-        p, qs = x
-        t = ExponentTuple(Exponent.of(p), tuple(Exponent.of(q) for q in qs))
-    if n is not None and t.n != n:
-        raise ValueError(f"expected {n} inner exponents, got {t.n}")
-    return t
+def _inner(qs, count) -> tuple[Exponent, ...]:
+    """The inner exponents ``qs``, refused unless there are ``count`` of them."""
+    qes = tuple(Exponent.of(q) for q in qs)
+    if len(qes) != count:
+        raise ValueError(f"expected {count} inner exponents, got {len(qes)}")
+    return qes
+
+
+def _as_exponent_tuple(x, n: int) -> ExponentTuple:
+    p, qs = (x.p, x.qs) if isinstance(x, ExponentTuple) else x
+    return ExponentTuple(Exponent.of(p), _inner(qs, n))
 
 
 def _embeds(source: ExponentTuple, target: ExponentTuple) -> bool:
@@ -1079,6 +1081,15 @@ def _embeds(source: ExponentTuple, target: ExponentTuple) -> bool:
     1/p does not decrease."""
     return (source.p <= target.p and all(a <= b for a, b in zip(source.qs, target.qs))
             and source.defect() <= target.defect())
+
+
+# the arguments each rule of coincidence_region reads
+_RULE_ARGS = {
+    "dv2": ("p", "qs"),
+    "inclusion": ("source", "target"),
+    "cotype2": ("k", "p", "q", "qs"),
+    "even_odd": ("r", "p", "qs"),
+}
 
 
 def coincidence_region(
@@ -1099,62 +1110,43 @@ def coincidence_region(
                sum 1/q_i - 1/p >= n - 1 (floors: p, q_i >= 1).
     inclusion: the summing class at ``source`` embeds in the one at
                ``target`` (:func:`_embeds`) when source <= target
-               componentwise and the defect sum 1/q_i - 1/p does not decrease.
+               componentwise and the defect sum 1/q_i - 1/p does not decrease;
+               each is an :class:`ExponentTuple` or a pair (p, qs).
     cotype2:   exchange identity on k cotype-2 slots,
-               sum_{i<=k} 1/q_i - 1/q = k - 1/p with p <= q, 1 <= q_i <= 2.
-    even_odd:  lifted tuple of a bilinear (1; r, r) coincidence,
+               sum_{i<=k} 1/q_i - 1/q = k - 1/p with 1 <= q_i <= 2 and
+               1 <= k <= n; as 1/q_i <= 1 it forces p <= q.
+    even_odd:  lifted tuple of a bilinear (1; r, r) coincidence, 1 <= r <= 2:
                (1; r, ..., r) for even n and (r; r, ..., r) for odd n >= 3.
+
+    A rule refuses a call without one of the arguments it reads, and one with
+    other than k inner exponents (cotype2) or n (every other rule).
     """
-    if rule == "dv2":
-        if p is None or qs is None:
-            raise ValueError("dv2 needs p and qs")
-        pe = Exponent.of(p)
-        qes = [Exponent.of(x) for x in qs]
-        if len(qes) != n:
-            raise ValueError(f"expected {n} inner exponents")
-        if pe.recip > 1 or any(x.recip > 1 for x in qes):
-            raise ValueError("dv2 applies for exponents >= 1")
-        return sum(x.recip for x in qes) - pe.recip >= n - 1
-
+    names = _RULE_ARGS.get(rule) if isinstance(rule, str) else None
+    if names is None:
+        raise ValueError(f"unknown rule {rule!r}")
+    given = {"p": p, "q": q, "qs": qs, "k": k, "r": r, "source": source, "target": target}
+    if any(given[name] is None for name in names):
+        raise ValueError(f"{rule} needs {', '.join(names[:-1])} and {names[-1]}")
     if rule == "inclusion":
-        if source is None or target is None:
-            raise ValueError("inclusion needs source and target tuples")
         return _embeds(_as_exponent_tuple(source, n), _as_exponent_tuple(target, n))
-
+    if rule == "cotype2" and not 1 <= k <= n:
+        raise ValueError("k must lie in 1..n")
+    r, p, q = (Exponent.of(given[name]) if name in names else None for name in ("r", "p", "q"))
+    qes = _inner(qs, k if rule == "cotype2" else n)
+    total = sum(x.recip for x in qes)
+    if rule == "dv2":
+        if p.recip > 1 or any(x.recip > 1 for x in qes):
+            raise ValueError("dv2 applies for exponents >= 1")
+        return total - p.recip >= n - 1
     if rule == "cotype2":
-        if k is None or p is None or q is None or qs is None:
-            raise ValueError("cotype2 needs k, p, q and qs")
-        if not 1 <= k <= n:
-            raise ValueError("k must lie in 1..n")
-        pe, qe = Exponent.of(p), Exponent.of(q)
-        qes = [Exponent.of(x) for x in qs]
-        if len(qes) != k:
-            raise ValueError(f"expected {k} inner exponents")
-        if any(not Fraction(1, 2) <= x.recip <= 1 for x in qes):
+        if any(not _TWO.recip <= x.recip <= 1 for x in qes):
             raise ValueError("cotype2 applies for 1 <= q_i <= 2")
-        if pe > qe:
-            return False
-        return sum(x.recip for x in qes) - qe.recip == k - pe.recip
-
-    if rule == "even_odd":
-        if r is None or p is None or qs is None:
-            raise ValueError("even_odd needs r, p and qs")
-        re_ = Exponent.of(r)
-        pe = Exponent.of(p)
-        qes = [Exponent.of(x) for x in qs]
-        if len(qes) != n:
-            raise ValueError(f"expected {n} inner exponents")
-        if not Fraction(1, 2) <= re_.recip <= 1:
-            raise ValueError("even_odd applies for 1 <= r <= 2")
-        if n < 2:
-            raise ValueError("even_odd needs n >= 2")
-        if any(x != re_ for x in qes):
-            return False
-        if n % 2 == 0:
-            return pe.recip == 1
-        return n >= 3 and pe == re_
-
-    raise ValueError(f"unknown rule {rule!r}")
+        return total - q.recip == k - p.recip
+    if not _TWO.recip <= r.recip <= 1:
+        raise ValueError("even_odd applies for 1 <= r <= 2")
+    if n < 2:
+        raise ValueError("even_odd needs n >= 2")
+    return all(x is r for x in qes) and (p.recip == 1 if n % 2 == 0 else p is r)
 
 
 # ---------------------------------------------------------------------------

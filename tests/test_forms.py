@@ -168,6 +168,13 @@ def test_compose_examples():
         compose_beta(np.ones((2, 3)), np.ones((2, 2)))
 
 
+def test_compose_refuses_a_non_matrix():
+    with pytest.raises(ValueError, match="two matrices"):
+        compose_beta(np.ones(2), np.eye(2))
+    with pytest.raises(ValueError, match="two matrices"):
+        compose_beta(np.eye(2), np.ones((2, 2, 2)))
+
+
 def test_curry_roundtrip_and_composition():
     rng = np.random.default_rng(11)
     A = FormTensor.on_linf(rng.standard_normal((2, 3, 2)))

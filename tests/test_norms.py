@@ -134,6 +134,20 @@ def test_vector_seq_validation():
     assert seq.length == 1 and seq.dim == 3
 
 
+def test_vector_seq_refuses_a_3d_array_and_a_wrong_scaling():
+    space = SpaceSpec.linf(2)
+    with pytest.raises(ValueError, match="2-d array"):
+        VectorSeq(np.zeros((2, 2, 2)), space)
+    seq = VectorSeq(np.eye(2), space)
+    with pytest.raises(ValueError, match="one coefficient per vector"):
+        seq.scaled([1.0, 2.0, 3.0])
+    assert np.array_equal(seq.scaled([1.0, -2.0]).vectors, [[1.0, 0.0], [0.0, -2.0]])
+
+
+def test_norm_estimate_converts_to_its_value():
+    assert float(norms.NormEstimate(1.5, True)) == 1.5
+
+
 def test_weak_norm_sup_space_examples():
     m = 4
     basis = VectorSeq(np.eye(m), SpaceSpec.linf(m))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from summability import (
+    ContractionCheck,
     SignPattern,
     SpaceSpec,
     VectorSeq,
@@ -137,6 +138,13 @@ def test_contraction_validation():
         contraction_check(seq, [2.0, 0.0], 2)
     with pytest.raises(ValueError, match="exact mode expects real multipliers"):
         contraction_check(seq, np.array([1j, 0]), 2)
+    with pytest.raises(ValueError, match="one multiplier per vector"):
+        contraction_check(seq, [1.0], 2)
+
+
+def test_contraction_check_is_true_when_it_passes():
+    assert bool(contraction_check(scalar_seq([1.0, 1.0]), [1.0, 0.0], 2))
+    assert not bool(ContractionCheck(False, 2.0, 1.0))
 
 
 def test_kahane_examples():

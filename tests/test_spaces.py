@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -11,6 +14,7 @@ from summability import (
     dual_exponent,
     interpolation_exponents,
 )
+from summability import spaces
 
 
 def test_dual_examples():
@@ -47,6 +51,55 @@ def test_exponent_rejects_bad_values():
     for bad in (0, -1, "0", float("nan")):
         with pytest.raises(ValueError):
             Exponent.of(bad)
+
+
+def test_exponent_takes_a_reciprocal_that_is_not_a_fraction():
+    assert Exponent(1).recip == Fraction(1) and type(Exponent(1).recip) is Fraction
+    assert Exponent(0.25).recip == Fraction(1, 4) and Exponent(0.25).value == 4.0
+
+
+def test_exponent_refuses_a_negative_or_too_small_reciprocal():
+    with pytest.raises(ValueError, match=">= 0"):
+        Exponent(Fraction(-1, 2))
+    with pytest.raises(ValueError, match="too large for a float"):
+        Exponent(Fraction(1, 10**400))
+
+
+def test_exponent_json_is_a_float_beyond_denominator_10000():
+    assert Exponent(Fraction(3, 10_000)).to_json() == "10000/3"
+    value = Exponent(Fraction(10_001, 7)).to_json()
+    assert type(value) is float and value == 7 / 10_001
+    assert Exponent(Fraction(10_001)).to_json() == 1 / 10_001
+
+
+def test_each_exponent_value_is_one_object():
+    assert Exponent.of("4/3") is Exponent(Fraction(3, 4))
+    assert Exponent(0.5) is Exponent.of(2) is dual_exponent(2) is SpaceSpec.lp(3, 2.0).exponent
+    e = Exponent.of("4/3")
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy(e) is e and copy.copy(e) is e
+    assert pickle.loads(pickle.dumps(SpaceSpec.lp(2, e))).exponent is e
+    assert dataclasses.replace(e) is e
+    assert dataclasses.replace(e, recip=Fraction(1, 2)) is Exponent.of(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.recip = Fraction(1, 2)
+    assert e.recip == Fraction(3, 4) and hash(e) == object.__hash__(e)
+
+
+@given(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(1000)))
+def test_exponents_parsed_from_any_form_are_one_object(v):
+    e = Exponent(1 / v)
+    assert Exponent.of(str(v)) is Exponent.of(v) is e
+    assert Exponent(Fraction(v.denominator, v.numerator)) is e
+
+
+def test_a_refused_exponent_leaves_no_table_entry():
+    before = dict(spaces._INSTANCES)
+    for bad in (Fraction(-1, 2), Fraction(1, 10**400)):
+        with pytest.raises(ValueError):
+            Exponent(bad)
+    assert spaces._INSTANCES == before
+    assert (-1, 2) not in spaces._INSTANCES
 
 
 def test_exponent_ordering():

@@ -865,6 +865,11 @@ def test_factor_identity_violation():
         factor_sequence([1.0], 1, [2, 3])
 
 
+def test_factor_refuses_no_factor_exponents():
+    with pytest.raises(ValueError, match="at least one factor exponent"):
+        factor_sequence([1.0], 1, [])
+
+
 def test_lift_alpha_arithmetic(diag_family):
     # identity form, basis diagonal, p=2 -> q=1 gives r=2,
     # alpha = (1/sqrt2, 1/sqrt2) and ||(alpha_j A_j)||_1 = ||(A_j)||_2
@@ -886,6 +891,14 @@ def test_lift_zero_values(diag_family):
 
 def test_lift_of_no_pairs_is_empty():
     assert summing.lift_families([], ExponentTuple(2, (2, 2)), ExponentTuple(1, (2, 2))) == []
+
+
+def test_lift_families_refuse_tuples_of_another_order(littlewood, diag_family):
+    three = ExponentTuple(2, (2, 2, 2))
+    with pytest.raises(ValueError, match="must match the form order"):
+        summing.lift_families([(littlewood, diag_family)], three, ExponentTuple(1, (2, 2, 2)))
+    with pytest.raises(ValueError, match="must match the form order"):
+        summing.lift_families([(littlewood, diag_family)], ExponentTuple(2, (2, 2)), three)
 
 
 def test_lift_monotone_random_exact_domains():
@@ -1343,6 +1356,13 @@ def test_tensor_weak_refuses_unequal_lengths():
         tensor_weak_norm_estimate(VectorSeq(np.eye(2), space), VectorSeq(np.eye(2)[:1], space), 1)
 
 
+def test_tensor_weak_refuses_empty_sequences():
+    empty = VectorSeq(np.empty((0, 2)), SpaceSpec.linf(2))
+    assert empty.length == 0
+    with pytest.raises(ValueError, match="empty sequence"):
+        tensor_weak_norm_estimate(empty, empty, 1)
+
+
 def _worst_sign_sum(X, Y, norm):
     """max over every sign vector eps of norm(sum_j eps_j x_j (x) y_j), by a plain loop."""
     return max(norm(sum(e * np.outer(x, y) for e, x, y in zip(eps, X, Y)))
@@ -1464,6 +1484,52 @@ def test_coincidence_malformed():
         coincidence_region("nonsense", 2, p=1, qs=[1, 1])
     with pytest.raises(ValueError):
         coincidence_region("even_odd", 2, r=3, p=1, qs=[3, 3])
+
+
+@pytest.mark.parametrize("rule, kwargs", [
+    ("dv2", dict(p=1, qs=[1, 1])),
+    ("inclusion", dict(source=(1, (2, 2)), target=(2, (2, 2)))),
+    ("cotype2", dict(k=2, p=1, q=1, qs=[1, 1])),
+    ("even_odd", dict(r=2, p=1, qs=[2, 2])),
+])
+def test_coincidence_refuses_each_missing_argument(rule, kwargs):
+    assert coincidence_region(rule, 2, **kwargs) is True
+    for name in kwargs:
+        rest = {key: value for key, value in kwargs.items() if key != name}
+        with pytest.raises(ValueError, match=f"^{rule} needs "):
+            coincidence_region(rule, 2, **rest)
+
+
+def test_coincidence_cotype2_refusals_and_p_above_q():
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="k must lie in 1..n"):
+            coincidence_region("cotype2", 2, k=k, p=1, q=1, qs=[1] * max(k, 1))
+    with pytest.raises(ValueError, match="expected 2 inner exponents"):
+        coincidence_region("cotype2", 3, k=2, p=1, q=1, qs=[1, 1, 1])
+    # 1/q_i <= 1 makes sum 1/q_i - k <= 0, so the identity needs 1/q <= 1/p
+    assert coincidence_region("cotype2", 2, k=1, p=1, q=1, qs=[1]) is True
+    assert coincidence_region("cotype2", 2, k=1, p=2, q=1, qs=[1]) is False
+    assert coincidence_region("cotype2", 2, k=1, p=4, q=2, qs=["4/3"]) is False
+
+
+def test_coincidence_even_odd_refusals_and_unequal_inner_exponents():
+    with pytest.raises(ValueError, match="expected 3 inner exponents"):
+        coincidence_region("even_odd", 3, r=2, p=2, qs=[2, 2])
+    with pytest.raises(ValueError, match="even_odd needs n >= 2"):
+        coincidence_region("even_odd", 1, r=2, p=2, qs=[2])
+    assert coincidence_region("even_odd", 3, r="4/3", p="4/3", qs=["4/3"] * 3) is True
+    assert coincidence_region("even_odd", 3, r=2, p=2, qs=[2, 2, 1]) is False
+    assert coincidence_region("even_odd", 2, r=2, p=1, qs=[1, 2]) is False
+
+
+def test_coincidence_inclusion_takes_exponent_tuples_of_n_inner_exponents():
+    source, target = ExponentTuple(1, (2, 2)), ExponentTuple(2, (2, 2))
+    assert coincidence_region("inclusion", 2, source=source, target=target) is True
+    assert coincidence_region("inclusion", 2, source=target, target=source) is False
+    with pytest.raises(ValueError, match="expected 3 inner exponents"):
+        coincidence_region("inclusion", 3, source=source, target=(2, (2, 2, 2)))
+    with pytest.raises(ValueError, match="expected 2 inner exponents"):
+        coincidence_region("inclusion", 2, source=(1, (2, 2, 2)), target=target)
 
 
 # ---------------------------------------------------------------------------
