@@ -771,8 +771,8 @@ def _require_sup_bilinear(A: FormTensor, who: str) -> None:
         raise ValueError(f"{who} expects sup-norm domains")
 
 
-# module constants: Exponent.of costs Fraction arithmetic (parsing, then the
-# lookup of the one object per value that every exponent is)
+# module constants: Exponent.of parses with Fraction arithmetic on every call,
+# though the object it returns for a value is always the same one
 _ONE, _TWO, _FOUR_THIRDS = Exponent.of(1), Exponent.of(2), Exponent(Fraction(3, 4))
 
 # The constant each coefficient check asserts, by (check, field): sqrt(2), the
