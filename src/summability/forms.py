@@ -4,28 +4,24 @@ A form is held as its coefficient tensor A(e_i1, ..., e_in). One kernel,
 ``_ball_sup``, computes the supremum of |form| over a product of unit balls
 for a batch of arrays, of one shape or of several; it serves operator norms
 here and weak norms in ``norms`` (the weak-l_p norm of a sequence in l_s is
-the norm of its coefficient matrix on l_p' x l_s'). It is exact when all
-slots but one have a finite norming set (basis vectors of dim-1 and l_1
-balls, the sign vectors with first sign +1 of real sup balls) and the
-remaining slot is solved in closed form. Two-slot arrays without such a plan
-are also exact on a pair of l_2 balls (the largest singular value) and when
-every row, or every column, has at most one nonzero (Hölder's equality case),
-as for the unit vectors of the search's structured families. A complex sup
-slot has no finite norming set, but its ball lies within sec(pi/8) of the
-vectors of 8th roots of unity: when neither fits, and the enumeration with
-such phase slots does at most ``_GRID_CAP`` units of work, the kernel
-enumerates them and polishes its best grid points by alternating
-maximization, a lower bound. Otherwise alternating maximization from random
-starts gives a lower bound. The alternating maximization of all inexact items
-of a call runs on one batch axis, and each item gets the bits it gets alone.
-An item stops after the first sweep in which its running best over all its
-starts gains at most 1e-12 relative, however much a lower start still
-climbs; an item given a floor stops early once its grid maximum or its
-running best reaches it. Its sweeps contract each slot by one batched
-matmul with the starts as the output columns, and take a sweep's value as
-the dual norm of its last partial contraction (see :func:`_ascend`). Every result is flagged
-with its provenance, and a result that over- or underflowed is redone on
-rescaled coefficients.
+the norm of its coefficient matrix on l_p' x l_s'). One plan per shape and
+field (:func:`_plan`) names the method that solves it: ``enumeration`` of
+finite norming sets and ``l2-pair`` (the largest singular value) are exact;
+``grid``, the best points of a roots-of-unity grid on complex sup slots, and
+``random``, random starts, are lower bounds polished by alternating
+maximization. Under the last two, a two-slot array with at most one nonzero
+in every row, or every column, is exact all the same (Hölder's equality
+case), as for the unit vectors of the search's structured families. The
+alternating maximization of all inexact items of a call runs on one batch
+axis, and each item gets the bits it gets alone. An item stops after the
+first sweep in which its running best over all its starts gains at most
+1e-12 relative, however much a lower start still climbs; an item given a
+floor stops early once its grid maximum or its running best reaches it. Its
+sweeps contract each slot by one batched matmul with the starts as the
+output columns, and take a sweep's value as the dual norm of its last
+partial contraction (see :func:`_ascend`). Every result is flagged with its
+provenance, and a result that over- or underflowed is redone on rescaled
+coefficients.
 """
 
 from __future__ import annotations
@@ -46,8 +42,8 @@ except ImportError:  # numpy < 2
 
 from ._codec import decode_values, encode_values
 from ._signs import _ENUM_BUDGET, sign_count, sign_rows
-from .norms import (_SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _ldexp, _rescaled,
-                    _sum_class)
+from .norms import (_L1, _L2, _SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _ldexp,
+                    _rescaled, _sum_class)
 from .spaces import Exponent, ScalarField, SpaceSpec
 
 __all__ = ["FormTensor", "CurriedForm", "evaluate", "op_norm", "compose_beta", "curry"]
@@ -56,11 +52,11 @@ __all__ = ["FormTensor", "CurriedForm", "evaluate", "op_norm", "compose_beta", "
 _SWEEPS = 200
 # a complex sup slot is enumerated over the vectors of _PHASES-th roots of unity
 _PHASES = 8
-# the most work, dim(free) * prod(candidate counts), of a plan with phase slots
+# the most work, dim(free) * prod(candidate counts), of a grid plan
 _GRID_CAP = 1 << 17
 # the best grid points of each item that start the alternating maximizer
 _GRID_STARTS = 8
-# the random starts, drawn from seed 0, of an item with neither an exact plan nor a grid
+# the random starts, drawn from seed 0, of an inexact item of a random plan
 _STARTS = 32
 # 1 / |a| overflows at and below this modulus
 _PHASE_LOW = 2.0 ** -1024
@@ -69,8 +65,6 @@ _PHASE_LOW = 2.0 ** -1024
 _PAD_WORK = 1 << 12
 # einsum subscripts of the slots; S is the batch axis of _batch_contract
 _SLOTS = string.ascii_letters.replace("S", "")
-# the l_2 exponent, which _closed_form tells by identity
-_L2 = Exponent.of(2)
 _NONE = np.empty(0, int)
 
 
@@ -174,13 +168,10 @@ def compose_beta(beta, a) -> np.ndarray:
 def op_norm(A: FormTensor) -> NormEstimate:
     """Supremum of |A(x1, ..., xn)| over the product of unit balls.
 
-    Exact when every slot but one has a finite norming set (see
-    :func:`_ball_sup`) and the enumeration fits in ``_ENUM_BUDGET``, and for
-    two slots on l_2 x l_2 or with at most one nonzero in every row or every
-    column (:func:`_closed_form`); otherwise a lower bound flagged
-    ``exact=False``: alternating maximization
-    from the best points of the roots-of-unity grid on complex sup slots
-    where that grid fits in ``_GRID_CAP``, else from ``_STARTS`` random starts.
+    Exact where the plan of its shape (:func:`_plan`) is ``enumeration`` or
+    ``l2-pair``, and for two slots with at most one nonzero in every row or
+    every column (:func:`_closed_form`); otherwise, under ``grid`` or
+    ``random``, a lower bound flagged ``exact=False``.
     """
     balls = tuple(d.exponent for d in A.domains)
     return _one(_ball_sup(A.coeffs[None], balls))
@@ -198,17 +189,6 @@ def _op_norms(forms) -> list[NormEstimate]:
         for j, k in enumerate(idx):
             estimates[k] = _one(result, j)
     return estimates
-
-
-def _candidate_count(dim: int, ball: Exponent, is_complex: bool) -> int | None:
-    """Extreme points enumerated for a slot that is not a basis slot (see
-    :func:`_plan`), or None when it has no finite set: the sign vectors with
-    first sign +1 (count 2^(dim-1)) norm a real sup ball, and a complex sup
-    ball is approximated by its phase vectors, 1 then roots of unity (count
-    _PHASES^(dim-1)); |.| absorbs a common sign or rotation."""
-    if ball.is_inf:
-        return _PHASES ** (dim - 1) if is_complex else sign_count(dim)
-    return None
 
 
 def _contract_rows(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -235,15 +215,18 @@ def _phase_rows(dim: int) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """How :func:`_ball_sup` enumerates arrays of one shape (see :func:`_plan`)."""
+    """How :func:`_ball_sup` solves arrays of one shape and field (see
+    :func:`_plan`); the enumeration fields are those of ``enumeration`` and
+    ``grid`` plans."""
 
+    method: str
     dims: tuple[int, ...]
-    free: int
-    basis: tuple[int, ...]
-    contracted: tuple[int, ...]
-    order: tuple[int, ...]
-    exact: bool
-    chunk: int
+    free: int | None = None
+    basis: tuple[int, ...] = ()
+    contracted: tuple[int, ...] = ()
+    order: tuple[int, ...] = ()
+    chunk: int = 0
+    stack_key: tuple | None = None
 
 
 @np.errstate(over="ignore", under="ignore", invalid="ignore")  # see the range check
@@ -257,32 +240,25 @@ def _ball_sup(
     l_(balls[k]), for each array a of ``items``: a stack of shape (T, *dims),
     or a list of T arrays of one order whose shapes and dtypes may differ.
 
-    Enumeration (:func:`_plan`, one plan per shape and field): every slot but
-    one ("free") is enumerated over its candidate vectors and the free slot is
-    the dual norm of the partial contraction. With basis and sign slots only
-    the plan is exact and runs on the items of a shape and dtype together, at
-    most ``_ENUM_BUDGET`` units of work at a time. The others first try
-    :func:`_closed_form`, exact on two slots for a pair of l_2 balls and for
-    arrays with at most one nonzero in every row or every column; the rest go
-    on as follows. With phase slots (complex sup slots on the grid of 8th roots
-    of unity) the grid maximum L of an item is a lower bound within sec(pi/8)^k
-    of the supremum, k the number of phase slots; the ``_GRID_STARTS`` best
-    grid points start alternating maximization, and the item's value is the
-    larger of the polished value and L. Without a plan, alternating
-    maximization from ``_STARTS`` random starts drawn from seed 0 gives each
-    item a lower bound. The alternating maximization of all inexact items runs
-    on one batch axis (:func:`_polish`), one batched matmul per slot and sweep
-    (:func:`_ascend`); a sweep's value is the dual norm of its last partial
-    contraction, so a polished value equals |A(witness)| up to a few ulps. Each
-    item gets the value it gets alone. Returns the T values, per item whether
-    its value is exact, and per item the maximizing vectors (None for
-    ``witness=False``). An item's field is its dtype's (complex128 exactly for
-    complex data). It runs with numpy's over-, underflow and invalid-value
-    warnings off: a value that is 0, not finite or outside [2^-500, 2^500] is
-    computed again, alone, on its item scaled by a power of two
-    (:func:`norms._rescaled`). The two halves, :func:`_ball_sup_start` and
-    :func:`_ball_sup_end`, let a caller read each item's exact value or grid
-    maximum (:func:`_lower_bounds`) before it sets floors.
+    Each shape and field is solved by the method of its plan (:func:`_plan`).
+    ``enumeration`` runs on the items of a shape and dtype together, at most
+    ``_ENUM_BUDGET`` units of work at a time, and ``l2-pair`` in one SVD
+    call. Under ``grid`` and ``random`` the items that :func:`_closed_form`
+    solves are exact; each other item gets its starts and, under ``grid``,
+    its grid maximum as the value to beat. The alternating maximization of
+    all inexact items runs on one batch axis (:func:`_polish`), one batched
+    matmul per slot and sweep (:func:`_ascend`); a sweep's value is the dual
+    norm of its last partial contraction, so a polished value equals
+    |A(witness)| up to a few ulps. Each item gets the value it gets alone.
+    Returns the T values, per item whether its value is exact, and per item
+    the maximizing vectors (None for ``witness=False``). An item's field is
+    its dtype's (complex128 exactly for complex data). It runs with numpy's
+    over-, underflow and invalid-value warnings off: a value that is 0, not
+    finite or outside [2^-500, 2^500] is computed again, alone, on its item
+    scaled by a power of two (:func:`norms._rescaled`). The two halves,
+    :func:`_ball_sup_start` and :func:`_ball_sup_end`, let a caller read each
+    item's exact value or grid maximum (:func:`_lower_bounds`) before it sets
+    floors.
     """
     return _ball_sup_end(_ball_sup_start(items, balls, witness))
 
@@ -301,36 +277,37 @@ class _Started(NamedTuple):
 
 
 def _ball_sup_start(items, balls, witness=True) -> _Started:
-    """The first half of :func:`_ball_sup`: plans, exact enumerations,
-    closed forms, and the grid or random starts of every other item. It
-    runs in the caller's numpy error state, which should be that of
-    :func:`_ball_sup`."""
+    """The first half of :func:`_ball_sup`: per shape its plan, then the
+    values of the exact methods and of the closed forms, and the starts of
+    every other item. It runs in the caller's numpy error state, which should
+    be that of :func:`_ball_sup`."""
     T = len(items)
     result, jobs = (np.zeros(T), [True] * T, [None] * T), []
     for idx, stack in _by_shape(items):
-        is_complex = stack.dtype.kind == "c"
-        plan = _plan(stack.shape[1:], balls, is_complex)
-        if plan is None or not plan.exact:
+        plan = _plan(stack.shape[1:], balls, stack.dtype.kind == "c")
+        if plan.method == "enumeration":
+            for lo in range(0, len(stack), plan.chunk):  # at most _ENUM_BUDGET work at a time
+                t, points = _enumerate(stack[lo:lo + plan.chunk], balls, plan)
+                _put(result, idx[lo:lo + plan.chunk], np.maximum.reduce(points, axis=1), [
+                    tuple(v[0] for v in _grid_points(tk, [flat], plan, balls))
+                    for tk, flat in zip(t, points.argmax(axis=1))] if witness else None)
+        elif plan.method == "l2-pair":
+            found = None
+            if witness:
+                u, _, vh = np.linalg.svd(stack)
+                found = list(zip(u[:, :, 0].conj(), vh[:, 0].conj()))
+            _put(result, idx, np.linalg.svd(stack, compute_uv=False)[:, 0], found)
+        else:
             at, values, found = _closed_form(stack, balls, witness)
             if len(at):
                 _put(result, idx[at], values, found)
-                if len(at) == len(stack):
-                    continue
-                rest = np.setdiff1d(np.arange(len(stack)), at)
+                rest = np.ones(len(stack), bool)
+                rest[at] = False
                 idx, stack = idx[rest], stack[rest]
             for k, a in zip(idx.tolist(), stack):
                 result[1][k] = False
-                if plan:
-                    vectors, result[0][k], result[2][k] = _grid_starts(a, balls, plan)
-                else:
-                    vectors = _random_starts(a, balls, is_complex)
+                vectors, result[0][k], result[2][k] = _starts(a, balls, plan)
                 jobs.append((k, a, vectors))
-            continue
-        for lo in range(0, len(stack), plan.chunk):  # at most _ENUM_BUDGET work at a time
-            t, points = _enumerate(stack[lo:lo + plan.chunk], balls, plan)
-            _put(result, idx[lo:lo + plan.chunk], np.maximum.reduce(points, axis=1), [
-                tuple(v[0] for v in _grid_points(tk, [flat], plan, balls))
-                for tk, flat in zip(t, points.argmax(axis=1))] if witness else None)
     return _Started(items, balls, witness, result, jobs)
 
 
@@ -345,9 +322,10 @@ def _put(result, idx, values, found) -> None:
 def _lower_bounds(started: _Started) -> np.ndarray:
     """Per item of a started batch, a number that its :func:`_ball_sup_end`
     value is at least, whatever the floors: its exact value, or the grid
-    maximum of a grid-plan item; 0 for a random-start item and where that
-    number is outside [2^-500, 2^500], as the value may be computed again
-    on rescaled coefficients."""
+    maximum of an inexact item of a ``grid`` plan (:func:`_plan`); 0 for an
+    inexact item of a ``random`` plan and where that number is outside
+    [2^-500, 2^500], as the value may be computed again on rescaled
+    coefficients."""
     values = started.result[0]
     return np.where((values >= _SAFE_LOW) & (values <= _SAFE_HIGH), values, 0.0)
 
@@ -362,9 +340,9 @@ def _ball_sup_end(started: _Started, floors=None):
     ``floors`` (one per item, or None) lets an item whose value only matters
     below some level stop early: an inexact item leaves the alternating
     maximizer after the first sweep whose running best reaches its floor
-    (:func:`_ascend`), and a grid-plan item whose grid maximum reaches it is
+    (:func:`_ascend`), and a ``grid`` item whose grid maximum reaches it is
     not polished. An item that stops early gets a value at least its floor
-    and at most its value without one. Exact plans and closed forms ignore
+    and at most its value without one. Exact methods and closed forms ignore
     floors, and so does the computation again of a value out of range, by
     :func:`_ball_sup`; that item, and an item that never reaches its floor,
     keeps every bit. A floor that is not finite and positive is none."""
@@ -377,7 +355,7 @@ def _ball_sup_end(started: _Started, floors=None):
         else:
             jobs = [job for job in jobs if not values[job[0]] >= floors[job[0]]]
     # an item keeps its grid maximum when that reaches its floor or beats the
-    # polished value; a random-start item holds 0 until it is polished, so
+    # polished value; a random item holds 0 until it is polished, so
     # both rules hold for every job
     polished = _polish([job[1:] for job in jobs], balls,
                        None if floors is None else [floors[k] for k, *_ in jobs])
@@ -402,36 +380,66 @@ def _one(result, k: int = 0) -> NormEstimate:
 
 
 @functools.lru_cache(maxsize=None)
-def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool):
-    """The enumeration plan of :func:`_ball_sup` for arrays of shape ``dims``,
-    or None: the exact plan when one fits in ``_ENUM_BUDGET``, else a plan
-    with phase slots when one fits in ``_GRID_CAP``. A plan holds the dims,
-    the free slot (the least work dim(free) * prod(counts of the others), the
-    lowest index on ties), the basis slots, which are indexed, the sign or
-    phase slots, which are contracted, the axis order of a stack that puts
-    the contracted slots first, then the free and the basis slots, whether it
-    is exact (no phase slots), and how many items it enumerates at once
-    within ``_ENUM_BUDGET``."""
-    # basis vectors norm a dim-1 or l_1 ball of either field (|.| absorbs their
-    # phases); told by the ball, as a real sup slot of dim 2 also has 2 candidates
-    is_basis = [m == 1 or b.recip == 1 for m, b in zip(dims, balls)]
-    counts = [m if at else _candidate_count(m, b, is_complex)
-              for m, b, at in zip(dims, balls, is_basis)]
+def _plan(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool) -> _Plan:
+    """How :func:`_ball_sup` solves arrays of shape ``dims``: the first of
+    four methods that applies.
+
+    - ``enumeration``, exact: every slot but one ("free") has a finite
+      norming set, enumerated within ``_ENUM_BUDGET`` units of work,
+      dim(free) * prod(counts of the others); the free slot of each point is
+      the dual norm of its partial contraction. The sets are the basis
+      vectors of a dim-1 or l_1 ball of either field, and the 2^(dim-1) sign
+      vectors with first sign +1 of a real sup ball; |.| absorbs a common
+      sign or phase.
+    - ``l2-pair``, exact: two slots on l_2 balls; the value is the largest
+      singular value, with the top singular pair (conj(u), v) as witness.
+    - ``grid``, a lower bound within sec(pi/8)^k of the supremum: as
+      enumeration within ``_GRID_CAP``, but each of the k complex sup
+      ("phase") slots runs over the _PHASES^(dim-1) vectors (1, w_2, ...,
+      w_dim) of 8th roots of unity, whose convex hull holds the ball shrunk
+      by cos(pi/8). The ``_GRID_STARTS`` best grid points start alternating
+      maximization, and the item's value is the larger of the polished value
+      and the grid maximum.
+    - ``random``: alternating maximization from ``_STARTS`` random starts
+      drawn from seed 0, a lower bound.
+
+    In the last two an item of two slots whose every row, or every column,
+    has at most one nonzero is exact all the same (:func:`_closed_form`).
+    The record holds the method and the dims; for ``enumeration`` and
+    ``grid`` also the free slot (the least work, the lowest index on ties),
+    the basis slots, which are indexed, the sign or phase slots, which are
+    contracted, the axis order of a stack that puts the contracted slots
+    first, then the free and the basis slots, and how many items it
+    enumerates at once within ``_ENUM_BUDGET``. ``enumeration`` plans also
+    hold a ``stack_key`` (None for the others): arrays of one key,
+    zero-padded to common dims, get every bit of their values and exact flags
+    in one kernel call. The key holds the free and basis slots, the dims of
+    the contracted (sign) slots, whose enumeration padding would change, and
+    the summation class (:func:`norms._sum_class`) of every other dim: along
+    the free slot the values are norms and over a basis slot maxima, which
+    padding leaves alone."""
+    # a basis slot is told by the ball, as a real sup slot of dim 2 also has 2 candidates
+    is_basis = [m == 1 or b is _L1 for m, b in zip(dims, balls)]
+    counts = [m if at else None if not b.is_inf else _PHASES ** (m - 1) if is_complex
+              else sign_count(m) for m, b, at in zip(dims, balls, is_basis)]
     exact_counts = [c if at or not is_complex else None for c, at in zip(counts, is_basis)]
-    free = _cheapest_free(dims, exact_counts, _ENUM_BUDGET)
-    if free is None:
-        free = _cheapest_free(dims, counts, _GRID_CAP)
-    else:
+    method, free = "enumeration", _cheapest_free(dims, exact_counts, _ENUM_BUDGET)
+    if free is not None:
         counts = exact_counts
-    if free is None:
-        return None
+    elif len(dims) == 2 and balls[0] is balls[1] is _L2:
+        return _Plan("l2-pair", dims)
+    else:
+        method, free = "grid", _cheapest_free(dims, counts, _GRID_CAP)
+        if free is None:
+            return _Plan("random", dims)
     others = [i for i in range(len(dims)) if i != free]
     basis = tuple(i for i in others if is_basis[i])
     contracted = tuple(i for i in others if not is_basis[i])
     order = (0,) + tuple(1 + i for i in contracted + (free,) + basis)
     work = dims[free] * math.prod(counts[i] for i in others)
-    return _Plan(dims, free, basis, contracted, order, not (is_complex and contracted),
-                 max(1, _ENUM_BUDGET // work))
+    key = None if method == "grid" else (free, basis, tuple(
+        m if i in contracted else _sum_class(m) for i, m in enumerate(dims)))
+    return _Plan(method, dims, free, basis, contracted, order, max(1, _ENUM_BUDGET // work), key)
 
 
 def _cheapest_free(dims, counts, budget: int) -> int | None:
@@ -445,22 +453,14 @@ def _cheapest_free(dims, counts, budget: int) -> int | None:
 
 
 def _closed_form(stack: np.ndarray, balls, witness: bool):
-    """The items of a stack without an exact plan whose supremum has a closed
-    form: their positions in the stack (ascending), their values and their
-    witnesses (None for ``witness=False``). Two slots only: on a pair of l_2
-    balls every item's value is its largest singular value, with the top
-    singular pair (conj(u), v) as witness; otherwise an item whose every row,
-    or every column, has at most one nonzero takes :func:`_monomial_sup`. A
-    stack without a zero entry costs one count of nonzeros."""
+    """The items of a ``grid`` or ``random`` stack (:func:`_plan`) that are
+    exact all the same: of two slots, with at most one nonzero in every row,
+    or every column, they take :func:`_monomial_sup`. Returns their positions
+    in the stack (ascending), their values and their witnesses (None for
+    ``witness=False``). A stack without a zero entry costs one count of
+    nonzeros."""
     if stack.ndim != 3:
         return _NONE, None, None
-    if balls[0] is balls[1] is _L2:
-        values = np.linalg.svd(stack, compute_uv=False)[:, 0]
-        found = None
-        if witness:
-            u, _, vh = np.linalg.svd(stack)
-            found = list(zip(u[:, :, 0].conj(), vh[:, 0].conj()))
-        return np.arange(len(stack)), values, found
     if min(stack.shape[1:]) > 1 and np.count_nonzero(stack) == stack.size:
         return _NONE, None, None  # every item dense
     nonzero = stack != 0
@@ -534,9 +534,13 @@ def _enumerate(stack, balls, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
     return t, _axis_norms(np.abs(t), balls[plan.free].dual, axis=1).reshape(len(t), -1)
 
 
-def _grid_starts(a: np.ndarray, balls, plan: _Plan) -> tuple[list, float, tuple]:
-    """The vectors of the ``_GRID_STARTS`` best grid points of one array, as
-    (S, m_i) start vectors per slot, the grid maximum and its vectors."""
+def _starts(a: np.ndarray, balls, plan: _Plan) -> tuple[list, float, tuple | None]:
+    """The start vectors of one array of a ``grid`` or ``random`` plan, as
+    (S, m_i) vectors per slot, and the value and vectors it holds until it is
+    polished: the ``_GRID_STARTS`` best grid points, the grid maximum and its
+    vectors; or :func:`_random_starts`, 0 and None."""
+    if plan.method == "random":
+        return _random_starts(a, balls, a.dtype.kind == "c"), 0.0, None
     t, values = (r[0] for r in _enumerate(a[None], balls, plan))
     top = np.argpartition(-values, min(_GRID_STARTS, len(values)) - 1)[:_GRID_STARTS]
     points = _grid_points(t, top, plan, balls)
@@ -703,24 +707,6 @@ def _pad_key(dims):
     if 1 in dims:
         return "shape", dims
     return "class", tuple(map(_sum_class, dims))
-
-
-@functools.lru_cache(maxsize=None)
-def _stack_key(dims: tuple[int, ...], balls: tuple[Exponent, ...], is_complex: bool):
-    """Arrays of one key, zero-padded to common dims, get every bit of their
-    :func:`_ball_sup` values and exact flags in one exact kernel call; None
-    for a shape without an exact plan, the shape rule of exactness (an item
-    of such a shape may still come back exact, :func:`_closed_form`). The
-    key holds the plan's free and basis slots, the dims of its contracted
-    (sign) slots, whose enumeration padding would change, and the summation
-    class (:func:`norms._sum_class`) of every other dim: along the free slot
-    the values are norms and over a basis slot maxima, which padding leaves
-    alone."""
-    plan = _plan(dims, balls, is_complex)
-    if plan is None or not plan.exact:
-        return None
-    return plan.free, plan.basis, tuple(m if i in plan.contracted else _sum_class(m)
-                                        for i, m in enumerate(dims))
 
 
 def _runs(shapes, S: int):

@@ -25,6 +25,9 @@ from .spaces import INF, Exponent, ExponentLike, ScalarField, SpaceSpec
 
 __all__ = ["lp_norm", "mixed_norm", "weak_lp_norm", "NormEstimate", "VectorSeq"]
 
+# the l_1 and l_2 exponents, which the package tells by identity
+_L1, _L2 = Exponent.of(1), Exponent.of(2)
+
 
 def lp_norm(v, p: ExponentLike) -> float:
     """(sum |v_i|^p)^(1/p); max |v_i| for p = inf: :func:`_lp_rows` of the
@@ -242,7 +245,7 @@ def weak_lp_norm(seq: VectorSeq, p: ExponentLike) -> NormEstimate:
     if pe.recip.numerator <= pe.recip.denominator:  # p >= 1
         return forms._one(forms._ball_sup(X[None], (pe.dual, s.dual), witness=False))
 
-    if s.is_inf or (s.recip == 1 and not seq.is_complex
+    if s.is_inf or (s is _L1 and not seq.is_complex
                     and sign_count(seq.dim) <= _ENUM_BUDGET):
         V = X if s.is_inf else forms._contract_rows(X.T[None], sign_rows(seq.dim))[0]
         return NormEstimate(float(_axis_norms(np.abs(V), pe, axis=0).max()), True)

@@ -23,9 +23,9 @@ import numpy as np
 
 from ._signs import _ENUM_BUDGET, sign_count, sign_rows
 from .forms import (FormTensor, _ball_sup, _ball_sup_end, _ball_sup_start, _batch_contract,
-                    _gaussian, _lower_bounds, _polar, _stack_key, compose_beta, curry, op_norm)
-from .norms import (NormEstimate, VectorSeq, _axis_norms, _lp_rows, _sum_class, lp_norm,
-                    mixed_norm, weak_lp_norm)
+                    _gaussian, _lower_bounds, _plan, _polar, compose_beta, curry, op_norm)
+from .norms import (_L1, _L2, NormEstimate, VectorSeq, _axis_norms, _lp_rows, _sum_class,
+                    lp_norm, mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
     Exponent,
@@ -415,7 +415,8 @@ def _scores(exps: ExponentTuple, exponents, lengths, moduli, columns, extra=()) 
     """The one scorer of ratio certificates: per family its lhs, its weak
     norms and their exact flags (one row per column), the ``extra``
     families first, then the trials, and the started kernel batches of the
-    trials' weak norms without an exact plan, {column: (positions, batch)},
+    trials' weak norms whose lengths take no ``enumeration`` plan
+    (:func:`forms._plan`), {column: (positions, batch)},
     whose entries of the weak norms and flags the caller fills when it ends
     them (:func:`forms._ball_sup_end`). The trials' lengths are ``lengths``,
     in ascending order, and their rows lie one after another in ``moduli``,
@@ -431,10 +432,10 @@ def _scores(exps: ExponentTuple, exponents, lengths, moduli, columns, extra=()) 
     length class (:func:`norms._sum_class`), the families of the class
     zero-padded to the longest length present, and the trials' weak norms
     (q >= 1) one kernel call per column and run of lengths of one stacking
-    key (:func:`forms._stack_key` of each length, the field read off the
-    column's dtype; a length without a key has no exact plan); padding keeps
-    every bit. An extra family joins such a stack of its lengths, whose
-    column sizes it has; a real column joins a complex stack only where the
+    key (the ``stack_key`` of each length's :func:`forms._plan`, the field
+    read off the column's dtype; only ``enumeration`` plans have one);
+    padding keeps every bit. An extra family joins such a stack of its
+    lengths, whose column sizes it has; a real column joins a complex stack only where the
     plan has a basis slot and no phase slot, the plan the real kernel takes,
     and |x + 0j| = |x|. The other weak norms of the extra families take one
     kernel call per column, of any shapes and dtypes, without floors, and
@@ -500,7 +501,7 @@ def _scores(exps: ExponentTuple, exponents, lengths, moduli, columns, extra=()) 
                      + [columns[i][a:b] for a, b in zip(heads, heads[1:])]]
             weak[i], exact[i] = [w.value for w in norms], [w.exact for w in norms]
             continue
-        keys = [_stack_key((J, columns[i].shape[1]), ball, columns[i].dtype.kind == "c")
+        keys = [_plan((J, columns[i].shape[1]), ball, columns[i].dtype.kind == "c").stack_key
                 if T else None for J in distinct]
         for key, lo, hi, members, L in runs(keys):
             if key is not None and lo < hi:
@@ -771,9 +772,9 @@ def _require_sup_bilinear(A: FormTensor, who: str) -> None:
         raise ValueError(f"{who} expects sup-norm domains")
 
 
-# module constants: Exponent.of parses with Fraction arithmetic on every call,
+# a module constant: Exponent.of parses with Fraction arithmetic on every call,
 # though the object it returns for a value is always the same one
-_ONE, _TWO, _FOUR_THIRDS = Exponent.of(1), Exponent.of(2), Exponent(Fraction(3, 4))
+_FOUR_THIRDS = Exponent(Fraction(3, 4))
 
 # The constant each coefficient check asserts, by (check, field): sqrt(2), the
 # optimal real 4/3 constant, attained by [[1, 1], [1, -1]], and the published
@@ -857,7 +858,7 @@ def verify_general_littlewood(
 ) -> VerificationReport:
     """sum_k (sum_j |a_jk|^2)^{1/2} <= K_G ||A|| (the p = 1, q = 2 case)."""
     _require_sup_bilinear(A, "verify_general_littlewood")
-    lhs = mixed_norm(A.coeffs, _ONE, _TWO)
+    lhs = mixed_norm(A.coeffs, _L1, _L2)
     return _versus_op_norm("general_littlewood", A, opn, lhs,
                            _CONSTANTS["general_littlewood", A.field], "1", "2")
 
@@ -882,7 +883,7 @@ def verify_extended_littlewood(
     qe = Exponent(Fraction(1, 2) + (1 - pe.recip))
     b = np.asarray(beta)
     lhs = mixed_norm(compose_beta(b, A.coeffs), pe, qe)
-    beta_norm = mixed_norm(b, INF, _TWO)
+    beta_norm = mixed_norm(b, INF, _L2)
     report = _versus_op_norm("extended_littlewood", A, opn, lhs,
                              _CONSTANTS["extended_littlewood", A.field], str(pe), str(qe),
                              factor=beta_norm, beta_norm=beta_norm)
@@ -930,10 +931,10 @@ def verify_defant_voigt(
     if A.order < 2:
         raise ValueError("verify_defant_voigt needs a form of order at least 2")
     lhs = float(np.abs(fam.values(A)).sum())
-    rads = [rad_p_norm(col, _TWO, "exact") for col in fam.columns]
+    rads = [rad_p_norm(col, _L2, "exact") for col in fam.columns]
     report = _versus_op_norm("defant_voigt", A, opn, lhs, 1.0, "1", "2",
                              factor=math.prod(rads), rad2_norms=rads)
-    weak1 = [weak_lp_norm(col, _ONE) for col in fam.columns]
+    weak1 = [weak_lp_norm(col, _L1) for col in fam.columns]
     weak_rhs = report.witness["op_norm"] * math.prod(w.value for w in weak1)
     weak_exact = report.exact_norm and all(w.exact for w in weak1)
     report.witness["weak_l1_rhs"] = weak_rhs
@@ -969,9 +970,9 @@ def verify_almost_summing(
         flags.append(all(exact))
         return values
 
-    rad = rademacher_average(tails, norm_fn, _TWO, "exact")
-    rhs = tuple(weak_lp_norm(col, _TWO) for col in fam.columns)
-    exps = ExponentTuple(_TWO, (_TWO,) * fam.n)
+    rad = rademacher_average(tails, norm_fn, _L2, "exact")
+    rhs = tuple(weak_lp_norm(col, _L2) for col in fam.columns)
+    exps = ExponentTuple(_L2, (_L2,) * fam.n)
     return RatioCertificate(rad, rhs, fam, exps, lhs_exact=all(flags))
 
 
@@ -983,11 +984,11 @@ def _projective_norm(s1: Exponent, s2: Exponent):
     """The norm of l_s1 (x)_pi l_s2 on a stack of coefficient matrices, where it
     has a closed form, else None: l_1(l_s2) takes the l_1 sum of the rows'
     norms, l_s1 (x) l_1 that of the columns', l_2 (x) l_2 the nuclear norm."""
-    if s1.recip == 1:
+    if s1 is _L1:
         return lambda U: _axis_norms(np.abs(U), s2, axis=2).sum(axis=1)
-    if s2.recip == 1:
+    if s2 is _L1:
         return lambda U: _axis_norms(np.abs(U), s1, axis=1).sum(axis=1)
-    if s1 == s2 == _TWO:
+    if s1 is s2 is _L2:
         return lambda U: np.linalg.svd(U, compute_uv=False).sum(axis=1)
     return None
 
@@ -1028,7 +1029,7 @@ def tensor_weak_norm_estimate(seq1: VectorSeq, seq2: VectorSeq,
                  * _axis_norms(np.abs(X2), balls[1], axis=1))
         return NormEstimate(float(cross.max()), True)
     U = X1[:, :, None] * X2[:, None, :]  # the tensors x_j (x) y_j as matrices
-    norm = None if U.dtype.kind == "c" or pe.recip != 1 else _projective_norm(*balls)
+    norm = None if U.dtype.kind == "c" or pe is not _L1 else _projective_norm(*balls)
     if norm is not None and sign_count(seq1.length) <= _ENUM_BUDGET:
         return NormEstimate(rademacher_average(U, norm, INF, "exact"), True)
     return NormEstimate(_candidate_bound(U, balls, pe), False)
@@ -1039,8 +1040,8 @@ def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
     """The best (sum_j |B(U_j)|^p)^(1/p) / N(B) over seeded bilinear forms B:
     the basis matrices, every sign matrix with first entry +1 (B and -B tie;
     256 random ones above 16 entries), the identity and 64 Gaussian matrices.
-    N(B) >= ||B|| is the kernel's norm where it has an exact plan
-    (:func:`forms._stack_key`), else the coefficient sum."""
+    N(B) >= ||B|| is the kernel's norm where its plan is ``enumeration``
+    (:func:`forms._plan`), else the coefficient sum."""
     J, m1, m2 = U.shape
     is_complex = U.dtype.kind == "c"
     rng = np.random.default_rng(0)
@@ -1050,7 +1051,7 @@ def _candidate_bound(U: np.ndarray, balls: tuple[Exponent, Exponent],
         signs = [rng.choice([-1.0, 1.0], size=(m1, m2)) for _ in range(256)]
     B = np.concatenate([np.eye(m1 * m2).reshape(-1, m1, m2), signs, np.eye(m1, m2)[None],
                         [_gaussian(rng, (m1, m2), is_complex) for _ in range(64)]])
-    if _stack_key((m1, m2), balls, is_complex) is not None:
+    if _plan((m1, m2), balls, is_complex).method == "enumeration":
         norms = _ball_sup(B, balls, witness=False)[0]
     else:  # the coefficient sum bounds the norm on any domains
         norms = np.abs(B).sum(axis=(1, 2))
@@ -1139,14 +1140,14 @@ def coincidence_region(
             raise ValueError("dv2 applies for exponents >= 1")
         return total - p.recip >= n - 1
     if rule == "cotype2":
-        if any(not _TWO.recip <= x.recip <= 1 for x in qes):
+        if any(not _L2.recip <= x.recip <= 1 for x in qes):
             raise ValueError("cotype2 applies for 1 <= q_i <= 2")
         return total - q.recip == k - p.recip
-    if not _TWO.recip <= r.recip <= 1:
+    if not _L2.recip <= r.recip <= 1:
         raise ValueError("even_odd applies for 1 <= r <= 2")
     if n < 2:
         raise ValueError("even_odd needs n >= 2")
-    return all(x is r for x in qes) and (p.recip == 1 if n % 2 == 0 else p is r)
+    return all(x is r for x in qes) and (p is _L1 if n % 2 == 0 else p is r)
 
 
 # ---------------------------------------------------------------------------
@@ -1173,7 +1174,7 @@ def summing_experiment(
     """
     _refuse_search(budget, j_max, _entry_draws(field)[0] * 2 * m)
     dp, dq = Exponent.of(domain_p), Exponent.of(domain_q)
-    exps = ExponentTuple(dp, (_TWO, _ONE))
+    exps = ExponentTuple(dp, (_L2, _L1))
     seeds = np.random.SeedSequence(seed).spawn(count)
     records = []
     for i in range(count):

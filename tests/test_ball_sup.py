@@ -5,6 +5,7 @@ evaluated directly."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from summability import (
 )
 from summability.forms import (_ascend, _ball_sup, _ball_sup_end, _ball_sup_start, _dual_step,
                                _gaussian, _lower_bounds, _one, _op_norms, _pad_key, _plan, _polar,
-                               _polish, _random_starts, _runs, _stack_key)
+                               _polish, _random_starts, _runs)
 from summability.spaces import Exponent
 
 
@@ -181,6 +182,52 @@ def test_complex_sup_by_l1_form_keeps_its_exact_plan():
     assert abs(evaluate(A, est.witness)) == pytest.approx(est.value, rel=1e-12)
 
 
+METHODS = [  # (dims, exponents, field, the method of its plan)
+    ((4, 5), ("inf", "inf"), ScalarField.REAL, "enumeration"),
+    ((5, 4), ("inf", 1), ScalarField.COMPLEX, "enumeration"),
+    ((1, 5), (2, 2), ScalarField.COMPLEX, "enumeration"),
+    ((4, 5), ("inf", "inf"), ScalarField.COMPLEX, "grid"),
+    ((3, 2, 3), ("inf", "inf", "inf"), ScalarField.COMPLEX, "grid"),
+    ((7, 7), ("inf", "inf"), ScalarField.COMPLEX, "random"),
+    ((3, 3), (3, 3), ScalarField.REAL, "random"),
+    ((3, 4, 3), (2, 2, 2), ScalarField.REAL, "random"),
+    ((3, 4), (2, 2), ScalarField.REAL, "l2-pair"),
+    ((3, 4), (2, 2), ScalarField.COMPLEX, "l2-pair"),
+]
+
+
+@pytest.mark.parametrize("dims,exps,field,method", METHODS)
+def test_plan_names_the_method_that_solves_its_shape(dims, exps, field, method):
+    # a dense item is exact only under the exact methods; an item with one
+    # nonzero per row is exact under every method when it has two slots
+    balls = tuple(Exponent.of(s) for s in exps)
+    plan = _plan(dims, balls, field.is_complex)
+    assert plan.method == method
+    assert (plan.stack_key is None) == (method != "enumeration")
+    rng = np.random.default_rng(53)
+    dense = _gaussian(rng, dims, field.is_complex)
+    sparse = np.zeros_like(dense)
+    for i in range(dims[0]):
+        at = (i, i % dims[1]) + (0,) * (len(dims) - 2)
+        sparse[at] = dense[at]
+    _, exact, _ = _ball_sup(np.stack([dense, sparse]), balls)
+    exact_method = method in ("enumeration", "l2-pair")
+    assert exact == [exact_method, exact_method or len(dims) == 2]
+
+
+def test_planning_compares_no_fractions(monkeypatch):
+    # exponents are told by identity: a plan made afresh never runs Fraction.__eq__
+    cases = [(dims, tuple(Exponent.of(s) for s in exps), field.is_complex, method)
+             for dims, exps, field, method in METHODS]
+
+    def refuse(self, other):
+        raise AssertionError("a plan compared two fractions")
+    _plan.cache_clear()
+    monkeypatch.setattr(Fraction, "__eq__", refuse)
+    assert [_plan(dims, balls, c).method for dims, balls, c, _ in cases] == \
+        [method for *_, method in cases]
+
+
 # ---------------------------------------------------------------------------
 # witnesses attain the value
 
@@ -221,7 +268,7 @@ def test_ascent_value_is_its_witness_value_within_16_ulps(dims, exps, grid):
     # stayed within 13 ulps on 300 items of each case
     rng = np.random.default_rng(37)
     balls = tuple(Exponent.of(s) for s in exps)
-    assert (_plan(dims, balls, True) is not None) == grid
+    assert (_plan(dims, balls, True).method == "grid") == grid
     stack = rng.standard_normal((8,) + dims) + 1j * rng.standard_normal((8,) + dims)
     values, exact, witnesses = _ball_sup(stack, balls)
     for a, value, flag, w in zip(stack, values.tolist(), exact, witnesses):
@@ -460,7 +507,7 @@ def test_weak_l2_norm_with_overflowing_products():
     ((3, 4), ("inf", "inf"), ScalarField.REAL),  # sign slot, free sup slot
     ((2, 3, 3), ("inf", 1, 2), ScalarField.REAL),  # basis and sign slots
     ((4, 3), (1, "inf"), ScalarField.COMPLEX),  # basis slot only
-    ((3, 3), (2, "4/3"), ScalarField.REAL),  # no plan: alternating
+    ((3, 3), (2, "4/3"), ScalarField.REAL),  # a random plan: alternating
     ((2, 3), ("inf", "inf"), ScalarField.COMPLEX),  # phase slot: grid starts
     ((3, 2, 3), ("inf", "inf", "inf"), ScalarField.COMPLEX),  # two phase slots
     ((3, 2, 3), (1, "inf", "inf"), ScalarField.COMPLEX),  # basis and phase slots
@@ -578,7 +625,7 @@ def test_zero_padding_within_a_stack_key_keeps_the_kernel_bits(s, field):
     for q in ["1", "4/3", "2", "3", "inf"]:
         balls = (Exponent.of(q).dual, dual)
         for J in range(1, 21):
-            key = _stack_key((J, 3), balls, field.is_complex)
+            key = _plan((J, 3), balls, field.is_complex).stack_key
             if key is None:
                 continue
             stack = _gaussian(rng, (12, J, 3), field.is_complex)
@@ -586,7 +633,7 @@ def test_zero_padding_within_a_stack_key_keeps_the_kernel_bits(s, field):
             stack[2:4] *= 2.0 ** -600
             want, exact, _ = _ball_sup(stack, balls, witness=False)
             for L in range(J + 1, 21):
-                if _stack_key((L, 3), balls, field.is_complex) != key:
+                if _plan((L, 3), balls, field.is_complex).stack_key != key:
                     continue
                 padded = np.pad(stack, ((0, 0), (0, L - J), (0, 0)))
                 got, got_exact, _ = _ball_sup(padded, balls, witness=False)
@@ -626,7 +673,7 @@ MONOMIAL_RAGGED = [  # (dims, exponents, field, scale, by columns): closed forms
     ((4, 3), ("4/3", 2), R, 1.0, True),
     ((6, 2), ("4/3", 2), C, 2.0 ** -600, True),  # a shape of its own
     ((5, 4), ("inf", "inf"), C, 1.0, False),  # in a group of grid plans
-    ((7, 7), ("inf", "inf"), C, 1.0, True),  # in a group without a plan
+    ((7, 7), ("inf", "inf"), C, 1.0, True),  # in a group of a random plan
 ]
 
 
@@ -750,7 +797,7 @@ def test_floors_stop_items_between_their_floor_and_their_value(field):
         assert all(type(f) is bool for f in flags)  # reports are strict JSON
         exact = np.array(flags)
         inside = (values >= 2.0 ** -500) & (values <= 2.0 ** 500)
-        grid = np.array([not e and _plan(a.shape, balls, field.is_complex) is not None
+        grid = np.array([not e and _plan(a.shape, balls, field.is_complex).method == "grid"
                          for a, e in zip(batch, flags)])
         assert not inside.all() and grid.any() == field.is_complex
         for shift in range(len(factors) + 1):
