@@ -42,8 +42,7 @@ except ImportError:  # numpy < 2
 
 from ._codec import decode_values, encode_values
 from ._signs import _ENUM_BUDGET, sign_count, sign_rows
-from .norms import (_L1, _L2, _SAFE_HIGH, _SAFE_LOW, NormEstimate, _axis_norms, _ldexp,
-                    _rescaled, _sum_class)
+from .norms import _L1, _L2, NormEstimate, _axis_norms, _ldexp, _sum_class, _unit_scaled
 from .spaces import Exponent, ScalarField, SpaceSpec
 
 __all__ = ["FormTensor", "CurriedForm", "evaluate", "op_norm", "compose_beta", "curry"]
@@ -60,6 +59,8 @@ _GRID_STARTS = 8
 _STARTS = 32
 # 1 / |a| overflows at and below this modulus
 _PHASE_LOW = 2.0 ** -1024
+# a value outside [2^-500, 2^500] may have lost digits to over- or underflow
+_SAFE_LOW, _SAFE_HIGH = 2.0 ** -500, 2.0 ** 500
 # the most S * prod(dims) of a padded batch of the alternating maximizer:
 # beyond it padding costs more arithmetic than the calls it saves
 _PAD_WORK = 1 << 12
@@ -255,10 +256,10 @@ def _ball_sup(
     its dtype's (complex128 exactly for complex data). It runs with numpy's
     over-, underflow and invalid-value warnings off: a value that is 0, not
     finite or outside [2^-500, 2^500] is computed again, alone, on its item
-    scaled by a power of two (:func:`norms._rescaled`). The two halves,
-    :func:`_ball_sup_start` and :func:`_ball_sup_end`, let a caller read each
-    item's exact value or grid maximum (:func:`_lower_bounds`) before it sets
-    floors.
+    scaled by a power of two (:func:`norms._unit_scaled`) and scaled back.
+    The two halves, :func:`_ball_sup_start` and :func:`_ball_sup_end`, let a
+    caller read each item's exact value or grid maximum (:func:`_lower_bounds`)
+    before it sets floors.
     """
     return _ball_sup_end(_ball_sup_start(items, balls, witness))
 
@@ -364,12 +365,11 @@ def _ball_sup_end(started: _Started, floors=None):
             values[k], witnesses[k] = value, vectors
     for k, v in enumerate(values.tolist()):
         if not _SAFE_LOW <= v <= _SAFE_HIGH:
-
-            def again(c):
+            # the exponent is 0 for a zero, non-finite or already scaled item
+            c, shift = _unit_scaled(items[k], np.abs(items[k]).max(initial=0.0))
+            if shift:
                 redone = _one(_ball_sup(c[None], balls, witness=witness))
-                witnesses[k] = redone.witness
-                return redone.value
-            values[k] = _rescaled(v, again, items[k])
+                values[k], witnesses[k] = np.ldexp(redone.value, shift), redone.witness
     return values, exact, witnesses if witness else None
 
 

@@ -12,8 +12,6 @@ certified value or a lower bound.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -42,23 +40,21 @@ def lp_norm(v, p: ExponentLike) -> float:
     return float(_lp_rows(a.ravel(order="K")[None], Exponent.of(p))[0])
 
 
-@np.errstate(over="ignore", under="ignore", invalid="ignore")  # _rescaled mends
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see _unit_scaled
 def _lp_rows(a: np.ndarray, e: Exponent) -> np.ndarray:
     """The l_e norm of each row of a 2-d float64 array of moduli, the one l_p
-    rule of sequences: the powers summed by numpy's reduction, the root taken
-    on a numpy float64 scalar (numpy's array power differs in the last bit on
-    some rows, a Python float raises where numpy gives inf), then
-    :func:`_rescaled` on each row whose norm is out of its range."""
+    rule of sequences: the maximum or the sum of a row for e = inf or 1,
+    otherwise the row scaled by its own power of two (:func:`_unit_scaled`),
+    its powers summed by numpy's reduction, the root taken on a numpy float64
+    scalar (numpy's array power differs in the last bit on some rows) and
+    scaled back. Each is exact under scaling of the row by a power of two,
+    barring under- and overflow."""
     if e.is_inf:
-        values = np.maximum.reduce(a, axis=1)
-    elif (pv := e.value) == 1.0:  # the general formula at p = 1, without the powers
-        values = np.add.reduce(a, axis=1)
-    else:
-        values = np.array([s ** (1.0 / pv) for s in np.add.reduce(a ** pv, axis=1)], float)
-    for k, v in enumerate(values.tolist()):
-        if not _SAFE_LOW <= v <= _SAFE_HIGH:  # a rescaled row is in range
-            values[k] = _rescaled(v, functools.partial(lp_norm, p=e), a[k])
-    return values
+        return np.maximum.reduce(a, axis=1)
+    if (pv := e.value) == 1.0:  # the general formula at p = 1, without the powers
+        return np.add.reduce(a, axis=1)
+    a, k = _unit_scaled(a, np.maximum.reduce(a, axis=1, keepdims=True, initial=0.0))
+    return np.ldexp([s ** (1.0 / pv) for s in np.add.reduce(a ** pv, axis=1)], k[:, 0])
 
 
 def _sum_class(n: int):
@@ -84,20 +80,21 @@ def _axis_norms(a: np.ndarray, e: Exponent, axis: int) -> np.ndarray:
     return np.add.reduce(a ** pv, axis=axis) ** (1.0 / pv)
 
 
-@np.errstate(over="ignore", under="ignore", invalid="ignore")  # _rescaled mends
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see _unit_scaled
 def mixed_norm(M, p: ExponentLike, q: ExponentLike) -> float:
     """Outer p-norm over columns k of the inner q-norms over rows j.
 
     For a matrix m_jk this is (sum_k (sum_j |m_jk|^q)^(p/q))^(1/p), with the
-    infinite exponents handled as suprema, and then :func:`_rescaled` on ``M``.
+    infinite exponents handled as suprema, computed once on the moduli
+    scaled by a power of two (:func:`_unit_scaled`) and scaled back.
     """
     pe, qe = Exponent.of(p), Exponent.of(q)
     A = np.abs(np.asarray(M))
     if A.ndim != 2 or A.size == 0:
         raise ValueError("mixed_norm expects a nonempty 2-d matrix")
-    A = A.astype(np.float64)
-    return _rescaled(lp_norm(_axis_norms(A, qe, axis=0), pe),
-                     lambda a: lp_norm(_axis_norms(a, qe, axis=0), pe), A)
+    A = A.astype(np.float64, copy=False)
+    A, k = _unit_scaled(A, np.maximum.reduce(A, axis=None))
+    return float(np.ldexp(lp_norm(_axis_norms(A, qe, axis=0), pe), k))
 
 
 @dataclass(frozen=True)
@@ -118,38 +115,47 @@ class NormEstimate:
         return self.value
 
 
-# results outside [2^-500, 2^500] may have lost digits to over- or underflow
-_SAFE_LOW, _SAFE_HIGH = 2.0 ** -500, 2.0 ** 500
-
-
-def _ldexp(a: np.ndarray, k: int) -> np.ndarray:
+def _ldexp(a: np.ndarray, k) -> np.ndarray:
     """a * 2^k, exact for both parts of complex entries (barring underflow)."""
     if a.dtype.kind == "c":
         return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
     return np.ldexp(a, k)
 
 
-def _rescaled(result: float, fn, a: np.ndarray) -> float:
-    """``result`` = fn(a) if it is within [2^-500, 2^500], else fn(a)
-    computed again on ``a`` scaled by a power of two, as a result that is 0,
-    not finite or out of that range may have lost its digits to over- or
-    underflow. fn must be positively homogeneous, fn(c a) = c fn(a) for
-    c > 0, as every norm of a form or of a sum of vectors is. It runs on
-    ``a`` times the power of two that brings max |a| into [1/2, 1), and its
-    value is scaled back (to inf if it does not fit in a float).
-    """
-    if _SAFE_LOW <= result <= _SAFE_HIGH:
-        return result
-    a = np.asarray(a)
-    # the exponent is 0 for a zero, non-finite or already scaled array
-    shift = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
-    if shift == 0:
-        return result
-    value = fn(_ldexp(a, -shift))
-    try:
-        return math.ldexp(value, shift)
-    except OverflowError:
-        return math.inf
+def _unit_scaled(a: np.ndarray, top):
+    """``a`` divided by 2^k, the power of two that brings ``top`` into
+    [1/2, 1), and k: ``top`` is the largest modulus of ``a``, or an array of
+    them that broadcasts against it (one per row). k is 0 where ``top`` is 0,
+    not finite or already in range. A positively homogeneous norm,
+    f(c a) = c f(a) for c > 0, computed once on the scaled ``a`` and
+    multiplied back by ``np.ldexp(value, k)`` (inf where that overflows) is
+    exact under scaling of ``a`` by powers of two, barring underflow, and
+    its largest powers and their sums stay far inside the float range."""
+    k = np.frexp(top)[1]
+    return _ldexp(a, -k), k
+
+
+# lhs <= rhs * _SLACK passes a check lhs <= c * ||A|| (summing._status), a
+# relative margin of 2^-46, 64 ulps of 1, that holds for every scale. With
+# u = 2^-53 and ||A|| taken as computed, a true lhs <= rhs is computed at most
+# (D + 20) u above rhs, relatively:
+# - the l_p sum: each power |a_i|^p taken within 4 ulps (8 u); numpy's
+#   reduction of N terms along a contiguous axis takes each through at most
+#   D additions, D = 26 up to 128 terms (8 interleaved partial sums of up to
+#   16 terms, 3 additions to join them, up to 7 left over, the first term
+#   last) and one more per halving above, each within u of a sum of
+#   nonnegative terms: (D + 8) u;
+# - its root to 1/p <= 1 (p >= 1): that error times 1/p, and 4 ulps of its
+#   own: (D + 16) u;
+# - rhs = c * ||A||: c within 1 ulp (2 u), one product and the product by
+#   _SLACK (u each): 4 u.
+# 128 u covers an l_p sum of any length that fits in memory (D <= 66 for
+# N <= 2^47). A mixed norm adds the errors of its two sums, and its inner
+# sums run down the columns one row at a time (D = rows - 1): 128 u covers
+# up to 64 rows and 128 columns. As the norms scale their input by a power
+# of two before the powers (_unit_scaled), the computed lhs and rhs, and so
+# the verdict, do not depend on the scale of the coefficients.
+_SLACK = 1.0 + 2.0 ** -46
 
 
 @dataclass

@@ -6,9 +6,10 @@ cell of the unit interval realizes one pattern with equal weight), which is
 that over the 2^(n-1) with first sign +1, a norm being even. Monte Carlo
 sampling draws seeded patterns from a counter-based generator. Both modes
 reduce the pattern norms the same way: the maximum for p = inf, an exactly
-rounded sum of the p-th powers otherwise. An average that over- or
-underflowed is computed again on rescaled items, which the positive
-homogeneity of the norm allows.
+rounded sum of the p-th powers otherwise. Each runs once, on the items scaled
+by the power of two that brings their largest modulus into [1/2, 1), which
+the positive homogeneity of the norm allows, so an average is exact under
+scaling of the items by powers of two.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._signs import _ENUM_BUDGET, sign_count, sign_rows
-from .norms import VectorSeq, _axis_norms, _rescaled
+from .norms import _SLACK, VectorSeq, _axis_norms, _unit_scaled
 from .spaces import Exponent, ExponentLike
 
 __all__ = [
@@ -57,7 +58,7 @@ class SignPattern:
         return cls(tuple(int(s) for s in row))
 
 
-@np.errstate(over="ignore", under="ignore", invalid="ignore")  # _rescaled mends
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see norms._unit_scaled
 def rademacher_average(
     items: np.ndarray,
     norm_fn: Callable[[np.ndarray], np.ndarray],
@@ -71,9 +72,9 @@ def rademacher_average(
 
     ``items`` has one summand per leading index; ``norm_fn`` maps a batch of
     sign combinations (same trailing shape) to their norms and must be
-    positively homogeneous, norm_fn(c v) = c norm_fn(v) for c > 0: a result
-    that over- or underflowed is computed again on the items scaled by a power
-    of two and scaled back (``norms._rescaled``), so it runs with numpy's
+    positively homogeneous, norm_fn(c v) = c norm_fn(v) for c > 0: it runs
+    once, on the items scaled by a power of two, and the result is scaled
+    back (:func:`norms._unit_scaled`, inf where that overflows), with numpy's
     over-, underflow and invalid-value warnings off. It must be even,
     norm_fn(-v) = norm_fn(v): exact mode runs the 2^(n-1) patterns with first
     sign +1 (refused above ``_ENUM_BUDGET``), half the terms of all 2^n to the
@@ -86,7 +87,6 @@ def rademacher_average(
     if n == 0:
         raise ValueError("empty sequence")
     pe = Exponent.of(p)
-    flat = v.reshape(n, -1)
 
     if mode == "exact":
         count = sign_count(n)
@@ -104,6 +104,8 @@ def rademacher_average(
             return 1.0 - 2.0 * gen.integers(0, 2, size=(size, n)).astype(np.float64)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    v, shift = _unit_scaled(v, np.abs(v).max(initial=0.0))  # after every refusal
+    flat = v.reshape(n, -1)
 
     def block_norms():
         for start in range(0, count, _BLOCK):
@@ -121,8 +123,7 @@ def rademacher_average(
             value = mean ** (1.0 / pv)
         except OverflowError:  # the exact sum or the root leaves the float range
             value = math.inf
-    return _rescaled(value, lambda w: rademacher_average(
-        w, norm_fn, p, mode, samples=samples, seed=seed), v)
+    return float(np.ldexp(value, shift))
 
 
 def rad_p_norm(seq: VectorSeq, p: ExponentLike = 2, mode: str = "exact", *,
@@ -154,7 +155,8 @@ class ContractionCheck:
 
 def contraction_check(seq: VectorSeq, alphas, p: ExponentLike) -> ContractionCheck:
     """Exact Rad_p of (alpha_j x_j) against exact Rad_p of (x_j) for real
-    |alpha_j| <= 1, with a slack of 1e-12."""
+    |alpha_j| <= 1, with the relative margin of ``summing._status``
+    (``norms._SLACK``)."""
     a = np.asarray(alphas)
     if a.shape != (seq.length,):
         raise ValueError("need one multiplier per vector")
@@ -164,7 +166,7 @@ def contraction_check(seq: VectorSeq, alphas, p: ExponentLike) -> ContractionChe
         raise ValueError("exact mode expects real multipliers")
     scaled = rad_p_norm(seq.scaled(a), p)
     unscaled = rad_p_norm(seq, p)
-    return ContractionCheck(scaled <= unscaled + 1e-12, scaled, unscaled)
+    return ContractionCheck(scaled <= unscaled * _SLACK, scaled, unscaled)
 
 
 def kahane_ratio(seq: VectorSeq, p: ExponentLike, q: ExponentLike) -> float:

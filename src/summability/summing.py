@@ -24,8 +24,8 @@ import numpy as np
 from ._signs import _ENUM_BUDGET, sign_count, sign_rows
 from .forms import (FormTensor, _ball_sup, _ball_sup_end, _ball_sup_start, _batch_contract,
                     _gaussian, _lower_bounds, _plan, _polar, compose_beta, curry, op_norm)
-from .norms import (_L1, _L2, NormEstimate, VectorSeq, _axis_norms, _lp_rows, _sum_class,
-                    lp_norm, mixed_norm, weak_lp_norm)
+from .norms import (_L1, _L2, _SLACK, NormEstimate, VectorSeq, _axis_norms, _lp_rows,
+                    _sum_class, lp_norm, mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
     Exponent,
@@ -751,10 +751,12 @@ class VerificationReport:
 
 
 def _status(lhs: float, rhs: float, exact: bool) -> str:
-    """The verdict of lhs <= rhs, where ``exact`` says that rhs rests on exact
-    norms: otherwise rhs may lie below its true value and a violation is not
-    certified."""
-    if lhs <= rhs + 1e-12 * max(1.0, abs(rhs)):
+    """The verdict of lhs <= rhs up to the relative margin 2^-46 that covers
+    the rounding of the l_p sum, its root and the product rhs = c * ||A||
+    (``norms._SLACK``, derived there), at every scale. ``exact`` says that
+    rhs rests on exact norms: otherwise rhs may lie below its true value and
+    a violation is not certified."""
+    if lhs <= rhs * _SLACK:
         return "pass"
     return "fail" if exact else "inconclusive"
 

@@ -103,19 +103,19 @@ PLAIN = {"opnorm", "norm-weak"}
 DIGESTS = {
     "almost-curry-files": "a1fe271546aaa69c7fb3eb7d010a7d745fddd4bf2f0d5f299202dadc339c40fc",
     "almost-files": "5f50428bb680d4e4628887ea86287dbab14ef53d06187b23725e00260c7e6476",
-    "bh": "62593c323e6a1426d14014921b5c4ea0cfc6c0bd1613751329b178fdab2a3321",
-    "bh-files": "409d9f99c7208ca9c1686ab69b6b06ebc9535a0aac7ce9b369f63e68691b144f",
+    "bh": "358afbc9c3275822f3242473ca73b647951a81846d770eda9c2b65d539057558",
+    "bh-files": "1c5c072f68c3c57cb7c08ffa94aa1e7dac24dfec0af36b2c8ba79d5c2147e0d8",
     "demos": "fe78f0b8f969e26412880ac57d4682654d9794fa197fa6bfe9748461191e8dd8",
     "dv": "fd032abcae5b1ac4859d7b8eea18e3d260cb48232e58b18e60b9514a342af5b8",
     "dv-files": "c8f5db666318b710011262e2727b58a5b7d5654a939984cb6b21949356d3b0e5",
     "experiment": "e34ace4a5f91016168ad62110f7beb4b6fded09893cb1b1601811a9ff04c1d37",
-    "extended": "56f77d34be0621f464a5b90a8524bb0173f1e272a41b8f7a0c5ac9b8bff5a893",
+    "extended": "23016ed9cc04f91fdfa6b6c1915377a9210285ca704b9ccf4bf71c3a63b4211e",
     "extended-files": "5887499eb7a73aa04d07d29217da71389921aae84165eb6de7ab9ac3a33876d6",
     "general": "a7ed1eae3be9a870d6aaf5e037fae629e0657c150977ec83942e414bfeb96754",
     "general-files": "ce139d0dadf8866d3ac046cdc6570185e7ecd2e1b69066f30b59aba2ba024e36",
     "inclusion": "0650e25ddc6b6074db82e4322cda53cc7171abeeeef25e608257ffc0ce41b1ed",
-    "littlewood": "90653045fb4822cb2b926600f84b9b5f056a721067bfbeade3393bc1d19edd8b",
-    "littlewood-files": "73ca7cedf53ae398c9f427a52c9a3303db00d4c6e9c8a91035f23735c2ad4c39",
+    "littlewood": "8900a21c4e0cd1e588c049b38d1351dd610eb21ae0b5bacbbc0ddbd22d76b9ae",
+    "littlewood-files": "743a12c16a37c1af73e2b4f6ba75228a8dccbed20fb29fdb101b4f2afd400e99",
     "norm-weak": "b829e227012e215cea99218123331c7df28ad7bc3eec2eb9a0aea8ac7de7cfa7",
     "opnorm": "cb2ae9dcbe05253e6f66e3fe2e404f36e4297bfd2727036d1ba9234f65ff2c86",
     "search-lp": "2c0a965828610517d7e46341bc3707e335cabd984405a084ba002ca8b54a3a4b",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from summability import (Exponent, SpaceSpec, VectorSeq, forms, lp_norm, mixed_norm, norms,
-                         weak_lp_norm)
+                         rademacher, weak_lp_norm)
 
 
 def test_lp_examples():
@@ -40,28 +40,20 @@ def test_lp_monotone_in_p(v, p, q):
 
 
 def _lp_reference(v, p):
-    """lp_norm as one formula: the sum of the powers over all axes, its root
-    taken on a numpy scalar, and, for a value out of [2^-500, 2^500], the
-    same on the moduli scaled by a power of two."""
+    """lp_norm as one formula: for p = inf and 1 the maximum and the sum of
+    the moduli over all axes; otherwise the moduli scaled by the power of two
+    that brings their largest into [1/2, 1), the sum of their powers over all
+    axes, its root taken on a numpy scalar and scaled back."""
     e = Exponent.of(p)
     a = np.abs(np.asarray(v)).astype(np.float64)
-
-    def formula(a):
-        with np.errstate(all="ignore"):
-            if e.is_inf:
-                return float(np.maximum.reduce(a, axis=None))
-            if e.value == 1.0:
-                return float(np.add.reduce(a, axis=None))
-            return float(np.add.reduce(a ** e.value, axis=None) ** (1.0 / e.value))
-
-    value = formula(a)
-    shift = math.frexp(float(a.max()))[1]
-    if 2.0 ** -500 <= value <= 2.0 ** 500 or shift == 0:
-        return value
-    try:
-        return math.ldexp(formula(np.ldexp(a, -shift)), shift)
-    except OverflowError:
-        return math.inf
+    with np.errstate(all="ignore"):
+        if e.is_inf:
+            return float(np.maximum.reduce(a, axis=None))
+        if e.value == 1.0:
+            return float(np.add.reduce(a, axis=None))
+        shift = math.frexp(float(a.max()))[1]
+        root = np.add.reduce(np.ldexp(a, -shift) ** e.value, axis=None) ** (1.0 / e.value)
+        return float(np.ldexp(root, shift))
 
 
 def test_lp_norm_keeps_the_bits_of_its_formula():
@@ -81,22 +73,35 @@ def test_lp_norm_keeps_the_bits_of_its_formula():
             assert got == _lp_reference(v, p), (t, p)
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: numpy's a ** p drifts with the scale "
-                   "of a, about a quarter ulp per binade at p = 4/3")
 def test_lp_norm_scales_by_a_power_of_two_to_the_bit():
-    # ||2^k x||_p = 2^k ||x||_p exactly in real arithmetic; for the entries
-    # of T_2 at p = 4/3 the rounded norm reads +97, +10, -12 and -99 ulps off
-    # at k = -400, -45, 45 and 400 (numpy 2.4), inside [2^-500, 2^500]
-    # where no rescale resets the drift
-    x = np.array([1.0, 1.0, 1.0, -1.0])
-    base = lp_norm(x, "4/3")
-    assert [lp_norm(np.ldexp(x, k), "4/3") for k in (-400, -45, 45, 400)] == \
-        [math.ldexp(base, k) for k in (-400, -45, 45, 400)]
+    # ||2^k x||_p = 2^k ||x||_p exactly in real arithmetic, and so in floats:
+    # each norm scales its input by a power of two before the powers, so
+    # 2^k x and x give one scaled input. Without that, numpy's a ** p drifts
+    # with the scale of a: for the entries of T_2 at p = 4/3 the norm read
+    # +97, +10, -12 and -99 ulps off at k = -400, -45, 45 and 400 (numpy 2.4)
+    rng = np.random.default_rng(37)
+    exps = ("1/2", 1, "4/3", 2, 3, "inf")
+    inputs = [np.array([[1.0, 1.0], [1.0, -1.0]])]
+    for t in range(8):
+        x = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 6))))
+        inputs.append(x + 1j * rng.standard_normal(x.shape) if t % 2 else x)
+    for t, x in enumerate(inputs):
+        s = exps[1 + t % 5]  # the space of the vectors, a norm
+        fns = [lambda x, p: lp_norm(x, p),
+               lambda x, p: mixed_norm(x, p, s),
+               lambda x, p: rademacher.rad_p_norm(VectorSeq(x, SpaceSpec.lp(x.shape[1], s)), p),
+               lambda x, p: rademacher.rad_p_norm(VectorSeq(x, SpaceSpec.lp(x.shape[1], s)), p,
+                                                  "mc", samples=64, seed=t)]
+        for fn in fns:
+            for p in exps:
+                base = fn(x, p)
+                for k in (-1000, -600, -45, 45, 600, 900):
+                    assert fn(x * 2.0 ** k, p) == math.ldexp(base, k), (t, p, k)
 
 
 def test_lp_rows_keeps_the_bits_of_lp_norm_per_row():
-    # stacks of rows in range, out of it and zero: only the rows out of range
-    # are computed again, and every row keeps the bits it has alone
+    # stacks of rows in range, out of it and zero: each row is scaled by its
+    # own power of two, so every row keeps the bits it has alone
     rng = np.random.default_rng(11)
     scales = [0, 1, 2.0 ** 520, 2.0 ** -520, 2.0 ** 1000, 2.0 ** -1060, 2.0 ** 300]
     for t in range(200):

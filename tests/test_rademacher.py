@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from summability import (
     kahane_ratio,
     lp_norm,
     rad_p_norm,
+    rademacher_average,
     weak_lp_norm,
 )
 from summability.norms import _axis_norms
@@ -51,6 +53,22 @@ def test_rad_budget_error():
     seq = VectorSeq(np.ones((24, 1)), SpaceSpec.linf(1))
     with pytest.raises(ValueError, match="over the budget"):
         rad_p_norm(seq, 2)
+
+
+def test_rad_refusals_come_before_the_scaled_copy():
+    # the items are scaled by a power of two only once the call is accepted:
+    # a refused call allocates nothing the size of the items
+    items = np.ones((24, 1 << 15))
+    for mode, samples, match in (("exact", 1, "over the budget"), ("mc", 0, "one sample"),
+                                 ("nonsense", 1, "unknown mode")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=match):
+                rademacher_average(items, lambda v: v, 2, mode, samples=samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < items.nbytes // 4, mode
 
 
 def test_rad_exact_sum_that_overflows_is_taken_on_rescaled_vectors():
@@ -132,6 +150,17 @@ def test_contraction_random():
         assert contraction_check(seq, alphas, 2).passed
 
 
+def test_contraction_verdict_does_not_depend_on_the_scale():
+    # a relative margin: multipliers 1 + 1e-12, which the validation lets
+    # through as rounding, raise Rad_2 by 1e-12 relative, over the margin, at
+    # every scale, where an absolute slack of 1e-12 would pass them at 2^-60
+    X = np.random.default_rng(37).standard_normal((5, 2))
+    for k in (-60, 0, 60):
+        seq = VectorSeq(X * 2.0 ** k, SpaceSpec.lp(2, 1))
+        assert contraction_check(seq, np.linspace(-1, 1, 5), 2).passed, k
+        assert not contraction_check(seq, np.full(5, 1 + 1e-12), 2).passed, k
+
+
 def test_contraction_validation():
     seq = scalar_seq([1.0, 1.0])
     with pytest.raises(ValueError):
@@ -192,18 +221,22 @@ def test_exact_average_matches_rational_mean(n, p):
 @pytest.mark.parametrize("is_complex", [False, True])
 def test_exact_average_is_the_mean_over_all_patterns_to_the_bit(is_complex):
     # exact mode runs the 2^(n-1) patterns with first sign +1; the reference
-    # runs all 2^n with the same arithmetic per pattern: its norm, its p-th
-    # power, then the exactly rounded sum divided by 2^n and the root
+    # runs all 2^n with the same arithmetic per pattern, on the vectors scaled
+    # by the power of two that brings their largest modulus into [1/2, 1):
+    # its norm, its p-th power, then the exactly rounded sum divided by 2^n,
+    # the root, and the scale taken back
     rng = np.random.default_rng(22)
     for n in range(1, 13):
         X = rng.standard_normal((n, 3))
         if is_complex:
             X = X + 1j * rng.standard_normal((n, 3))
+        shift = math.frexp(np.abs(X).max())[1]
         for s in (1, 2, "inf"):
             seq = VectorSeq(X, SpaceSpec.lp(3, s))
-            norms = _axis_norms(np.abs(all_signs(n) @ X), seq.space.exponent, axis=1)
+            norms = _axis_norms(np.abs(all_signs(n) @ (X * 2.0 ** -shift)), seq.space.exponent,
+                                axis=1)
             for p in (1, "4/3", 2, 3, "inf"):
                 pv = Exponent.of(p).value
                 want = (float(norms.max()) if pv == math.inf else
                         (math.fsum((norms ** pv).tolist()) / (1 << n)) ** (1.0 / pv))
-                assert rad_p_norm(seq, p) == want, (n, s, p)
+                assert rad_p_norm(seq, p) == math.ldexp(want, shift), (n, s, p)

@@ -1173,16 +1173,15 @@ def test_real_43_constant_is_pinned_at_its_equality_case(littlewood):
         assert summing._status(rep.lhs, rep.rhs * (1 - 1e-9), True) == "fail"
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: _status passes when lhs <= rhs + "
-                   "1e-12 * max(1, |rhs|), an absolute slack below rhs = 1")
 def test_a_certified_violation_fails_at_every_scale(littlewood, monkeypatch):
-    # with the real 4/3 constant lowered to 0.5, T_2 violates it by a factor
-    # 2.83 on an exact norm: a certified fail whatever the scale, but the
-    # absolute slack reads pass at 2^-900 and 2^-45
+    # T_2 meets the real 4/3 constant sqrt(2) with equality, and violates it
+    # by a factor 2.83 on an exact norm with the constant lowered to 0.5: the
+    # verdicts are pass and fail whatever the scale. An absolute slack of
+    # 1e-12 * max(1, |rhs|) read pass at 2^-900 and 2^-45 on the lowered one
+    scaled = [FormTensor.on_linf(np.ldexp(littlewood.coeffs, k)) for k in (-900, -45, 0, 45, 900)]
+    assert [verify_littlewood_43(A).status for A in scaled] == ["pass"] * 5
     monkeypatch.setitem(summing._CONSTANTS, ("littlewood_43", ScalarField.REAL), 0.5)
-    statuses = [verify_littlewood_43(FormTensor.on_linf(np.ldexp(littlewood.coeffs, k))).status
-                for k in (-900, -45, 0, 45, 900)]
-    assert statuses == ["fail"] * 5
+    assert [verify_littlewood_43(A).status for A in scaled] == ["fail"] * 5
 
 
 def test_bh_coefficient_sum_monotone_in_exponent():
