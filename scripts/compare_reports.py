@@ -21,6 +21,8 @@ package, then with the new one, and prints:
 - per JSON key, how many numbers went up and down, the largest relative
   rise and fall, and the largest change in ulps (the doubles from the old
   number to the new one); numbers of a record flagged exact are counted apart;
+- per (check, field), the largest lhs / rhs of the reports of each side, over
+  every body, changed or not (reports with no positive rhs are left out);
 - last, one line saying whether every body is identical.
 
 It exits 1 when a status changed or an exit code differs, else 0: an added
@@ -176,10 +178,32 @@ def compare(old: dict, new: dict) -> int:
     for key, (up, down, rise, fall, most) in sorted(per_key.items()):
         print(f"  {key}: {up} up (largest {rise:+.3e}), {down} down (largest {fall:+.3e}),"
               f" largest {most} ulps")
+    print("largest lhs/rhs per (check, field), old -> new:")
+    sides = largest_ratios(old), largest_ratios(new)
+    for row in sorted(sides[0].keys() | sides[1].keys()):
+        print(f"  {' '.join(row)}:", " -> ".join(
+            f"{side[row]:.6g}" if row in side else "-" for side in sides))
     same = sum(s for s, _ in identical.values())
     total = sum(t for _, t in identical.values())
     print(f"every body identical: {'yes' if same == total else 'no'} ({same}/{total})")
     return 1 if status_changes or code_changes else 0
+
+
+def largest_ratios(results: dict) -> dict:
+    """(check, field) -> the largest lhs / rhs over the reports of every
+    JSON body of ``results`` whose rhs is a positive number."""
+    largest = {}
+    for _, text, _, _ in results.values():
+        try:
+            reports = json.loads(text).get("reports", [])
+        except (json.JSONDecodeError, AttributeError):
+            continue
+        for r in reports:
+            lhs, rhs = r.get("lhs"), r.get("rhs")
+            if isinstance(lhs, (int, float)) and isinstance(rhs, (int, float)) and rhs > 0:
+                row = (r.get("check"), r.get("field"))
+                largest[row] = max(largest.get(row, -math.inf), lhs / rhs)
+    return largest
 
 
 def ulps(a: float, b: float) -> int:

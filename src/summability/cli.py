@@ -7,12 +7,14 @@ IO or schema errors, negative counts, non-finite input values, a report or
 norm holding a non-finite number (reports are strict JSON), or a random
 suite whose forms could exceed the coefficient budget.
 
-A verify suite runs the summing verifiers on the given files or on seeded
-random instances; instance i of a random suite is drawn from the i-th child
-of the master seed, so ``--random 0`` runs none. Each command, suite and
-norm kind takes only the options its handler reads, and a report's
-``config`` echoes them. Every command writes its document through one
-renderer.
+A verify suite runs the summing verifiers on the given files or checks
+seeded random instances, ``--random`` of them (``--random 0`` runs none):
+two generators seeded from ``--seed`` draw their shapes, then their normal
+numbers, instance after instance, and each chunk of instances is checked
+as stacks, its forms' operator norms from one kernel call. Each command,
+suite and norm kind takes only the options its handler reads, and a
+report's ``config`` echoes them. Every command writes its document through
+one renderer.
 """
 
 from __future__ import annotations
@@ -31,19 +33,22 @@ from . import __version__
 from ._codec import decode_values
 from ._signs import _ENUM_BUDGET, sign_count
 from .demos import evaluate_claims
-from .forms import FormTensor, _gaussian, _op_norms, op_norm
-from .norms import VectorSeq, lp_norm, mixed_norm, weak_lp_norm
+from .forms import FormTensor, _ball_sup, op_norm
+from .norms import (_FOUR_THIRDS, _L1, _L2, NormEstimate, VectorSeq, _lp_rows, _mixed_rows,
+                    lp_norm, mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm
-from .spaces import Exponent, ExponentTuple, ScalarField
+from .spaces import INF, Exponent, ExponentTuple, ScalarField
 from .summing import (
+    _CONSTANTS,
     RatioCertificate,
     TestFamily,
     VerificationReport,
-    _chunks,
-    _random_family,
+    _as_family,
+    _extended_exponents,
+    _extended_report,
+    _versus_op_norm,
     lift_families,
     random_family_search,
-    random_form,
     summing_experiment,
     verify_almost_summing,
     verify_bh,
@@ -281,10 +286,6 @@ def cmd_opnorm(args) -> int:
 # verify commands
 
 
-def _random_dims(rng, order, m):
-    return tuple(int(rng.integers(2, m + 1)) for _ in range(order))
-
-
 def _refuse_over_coefficient_budget(args, order: int) -> None:
     """Refuse forms of ``order`` slots and dims up to ``args.m`` over the coefficient budget."""
     # order * log2(m), not m ** order: a huge --order stays cheap
@@ -295,74 +296,132 @@ def _refuse_over_coefficient_budget(args, order: int) -> None:
             f"budget {RANDOM_COEFF_BUDGET}")
 
 
-def _seeded(args, order: int, draw):
-    """``draw`` of each of ``args.random`` seeded instances, forms of
-    ``order`` slots and dims up to ``args.m``: instance i is ``draw`` run on
-    the i-th child of the master seed. Forms that could exceed the
-    coefficient budget are refused first."""
+def _drawn(args, order: int, field: ScalarField, extra=(), layout=lambda row: [row],
+           least: int = 1):
+    """The ``args.random`` seeded instances of a suite, whose forms have
+    ``order`` slots and dims up to ``args.m``, in chunks of at most
+    RANDOM_COEFF_BUDGET form coefficients (an instance counts as at least
+    ``least``, and a chunk holds one instance at least). Forms that could
+    exceed the budget are refused before any draw.
+
+    Two generators draw them, one per child of ``SeedSequence(args.seed)``.
+    The first draws, in one call, the shape row of every instance in turn:
+    its dims in [2, m], then an integer in [1, high) for each ``high`` of
+    ``extra``. An instance is the arrays of the shapes ``layout(row)``, its
+    form first. The second draws the normal numbers of the instances in
+    turn, a chunk's in one call: the real parts of an instance's arrays, one
+    after another and each in C order, then for a complex ``field`` their
+    imaginary parts. How calls split a draw moves no number, so an instance
+    does not depend on the chunks. Each chunk is a list of groups, one per
+    shape row: the indices of its instances (a list) and, per array, the
+    stack of their arrays."""
     _refuse_over_coefficient_budget(args, order)
-    root = np.random.SeedSequence(args.seed)
-    children = (np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (i,),
-                                       pool_size=root.pool_size)
-                for i in range(args.random))  # root.spawn(args.random)[i], made when needed
-    return (draw(np.random.default_rng(child)) for child in children)
+    shapes, normals = map(np.random.default_rng, np.random.SeedSequence(args.seed).spawn(2))
+    lows, highs = [2] * order + [1] * len(extra), [args.m + 1] * order + list(extra)
+    rows = list(map(tuple, shapes.integers(lows, highs, size=(args.random, len(lows))).tolist()))
+    sizes = {row: [math.prod(shape) for shape in layout(row)] for row in set(rows)}
+    per = 2 if field.is_complex else 1
+    ends = np.cumsum([0] + [per * sum(sizes[row]) for row in rows])  # each instance's first number
+    costs = np.cumsum([0] + [max(math.prod(row[:order]), least) for row in rows])
+    lo = 0
+    while lo < args.random:
+        hi = max(lo + 1, int(np.searchsorted(costs, costs[lo] + RANDOM_COEFF_BUDGET, "right")) - 1)
+        flat = normals.standard_normal(int(ends[hi] - ends[lo]))
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("coefficients must be finite")
+        groups = {}
+        for i in range(lo, hi):
+            groups.setdefault(rows[i], []).append(i)
+        chunk = []
+        for row, idx in groups.items():
+            at = np.cumsum([0] + sizes[row]).tolist()  # each array's first column
+            z = flat[(ends[idx] - ends[lo])[:, None] + np.arange(per * at[-1])]
+            z = z if per == 1 else z[:, :at[-1]] + 1j * z[:, at[-1]:]
+            chunk.append((idx, [z[:, a:b].reshape(len(idx), *shape)
+                                for a, b, shape in zip(at, at[1:], layout(row))]))
+        yield chunk
+        lo = hi
 
 
-def _op_norm_reports(instances, verify) -> list[VerificationReport]:
-    """``verify(*instance, opn=opn)`` of each seeded instance, a tuple that
-    starts with a form whose operator norm is ``opn``, numbered in its
-    witness: instances are taken in chunks of at most RANDOM_COEFF_BUDGET form
-    coefficients (and at least one instance), and the norms of a chunk come
-    from one kernel call."""
-    reports = []
-    for chunk in _chunks(instances, lambda instance: instance[0].coeffs.size,
-                         RANDOM_COEFF_BUDGET):
-        opns = _op_norms([instance[0] for instance in chunk])
-        reports.extend(verify(*instance, opn=opn) for instance, opn in zip(chunk, opns))
-    for i, report in enumerate(reports):
-        report.witness["instance"] = i
+def _drawn_reports(args, order: int, sides, report, **draw) -> list[VerificationReport]:
+    """The report of each seeded instance (:func:`_drawn` with ``draw``),
+    numbered in its witness: ``report(field, opn, *values)``, with ``opn``
+    the operator norm of its form, from one kernel call per chunk, and
+    ``values`` its items of the lists that ``sides(field, *stacks)`` takes
+    from the stacks of its group at once."""
+    field, reports = ScalarField(args.field), [None] * args.random
+    for groups in _drawn(args, order, field, **draw):
+        values, exact, _ = _ball_sup([A for _, (forms, *_) in groups for A in forms],
+                                     (INF,) * order, witness=False)
+        opns = map(NormEstimate, values.tolist(), exact)  # in the order of the groups
+        for idx, stacks in groups:  # zip takes from opns only while idx lasts
+            for i, *items in zip(idx, opns, *sides(field, *stacks)):
+                reports[i] = report(field, *items)
+                reports[i].witness["instance"] = i
     return reports
 
 
-def _coefficient_suite(args, verify, order: int = 2) -> int:
-    """``verify`` of each form file, or of seeded random forms of ``order`` slots."""
+def _coefficient_suite(args, verify, check: str, lhs, p: str, q=None, slots: int = 2,
+                       **witness) -> int:
+    """``verify`` of each form file, or the ``check`` of seeded random forms
+    of ``slots`` slots: ``lhs`` takes the lhs of a group's forms from their
+    stack of moduli at once, and each report asserts the check's row of
+    ``_CONSTANTS`` for bilinear forms and no bound above."""
     if args.files:
         return _report(args, [verify(load_form(path)) for path in args.files])
-    field = ScalarField(args.field)
-    return _report(args, _op_norm_reports(_seeded(args, order, lambda rng: (
-        random_form(rng, _random_dims(rng, order, args.m), field),)), verify))
+    const = _CONSTANTS[check, ScalarField(args.field)] if slots == 2 else None
+    return _report(args, _drawn_reports(
+        args, slots, lambda field, a: (lhs(np.abs(a)).tolist(),),
+        lambda field, opn, side: _versus_op_norm(check, field, opn, side, const, p, q, **witness)))
 
 
 # the handlers look the verifiers up by name when they run, so a rebinding
-# of their module-level names (a tracer's) sees every call
+# of their module-level names (a tracer's) sees every call on files and
+# every seeded dv instance
 def cmd_littlewood(args) -> int:
-    return _coefficient_suite(args, verify_littlewood_43)
+    return _coefficient_suite(args, verify_littlewood_43, "littlewood_43",
+                              lambda a: _lp_rows(a.reshape(len(a), -1), _FOUR_THIRDS), "4/3")
 
 
 def cmd_general(args) -> int:
-    return _coefficient_suite(args, verify_general_littlewood)
+    return _coefficient_suite(args, verify_general_littlewood, "general_littlewood",
+                              lambda a: _mixed_rows(a, _L1, _L2), "1", "2")
 
 
 def cmd_bh(args) -> int:
-    return _coefficient_suite(args, verify_bh, args.order)
+    t = Exponent.of(f"{2 * args.order}/{args.order + 1}")
+    return _coefficient_suite(args, verify_bh, "bohnenblust_hille",
+                              lambda a: _lp_rows(a.reshape(len(a), -1), t), str(t),
+                              slots=args.order, order=args.order)
 
 
 def cmd_extended(args) -> int:
-    verify = functools.partial(verify_extended_littlewood, p=_parse_exponent(args.p))
     if args.files:
+        verify = functools.partial(verify_extended_littlewood, p=_parse_exponent(args.p))
         forms = [(path, load_form(path)) for path in args.files]
         beta = None if args.beta == "identity" else load_matrix(args.beta)
         return _report(args, [verify(A, _beta_for(A, path, beta, args.beta))
                               for path, A in forms])
-    field = ScalarField(args.field)
+    pe, qe = _extended_exponents(_parse_exponent(args.p))
+    # each form's beta has rows in [1, m] and a column per row of the form
+    return _report(args, _drawn_reports(
+        args, 2, lambda field, A, beta: (_mixed_rows(np.abs(beta @ A), pe, qe).tolist(),
+                                         _mixed_rows(np.abs(beta), INF, _L2).tolist()),
+        functools.partial(_extended_report, pe=pe, qe=qe), extra=(args.m + 1,),
+        layout=lambda row: [row[:2], (row[2], row[0])]))
 
-    def draw(rng):
-        dims = _random_dims(rng, 2, args.m)
-        A = random_form(rng, dims, field)
-        rows = int(rng.integers(1, args.m + 1))
-        return A, _gaussian(rng, (rows, dims[0]), field.is_complex)
 
-    return _report(args, _op_norm_reports(_seeded(args, 2, draw), verify))
+def _family_layout(row: tuple) -> list[tuple]:
+    """The arrays of an instance of a form and a family of length J, given
+    its dims and then J: the form, then the family's columns, one (J, m)
+    array per dim m."""
+    return [row[:-1], *((row[-1], m) for m in row[:-1])]
+
+
+def _pairs(field: ScalarField, stacks) -> list[tuple[FormTensor, TestFamily]]:
+    """The (form, family) instances of a group drawn by :func:`_family_layout`."""
+    forms = [FormTensor.on_linf(a, field) for a in stacks[0]]
+    return [(A, _as_family(A, [c[j] for c in stacks[1:]])) for j, A in enumerate(forms)]
 
 
 def cmd_dv(args) -> int:
@@ -374,14 +433,10 @@ def cmd_dv(args) -> int:
     if sign_count(min(args.jmax, 64)) > _ENUM_BUDGET:  # min: a huge --jmax stays cheap
         raise SchemaError(f"--jmax {args.jmax}: a family may have 2^{args.jmax - 1} sign "
                           f"patterns, over the budget {_ENUM_BUDGET}")
-    field = ScalarField(args.field)
-
-    def draw(rng):
-        A = random_form(rng, _random_dims(rng, args.order, args.m), field)
-        return A, _random_family(rng, A, args.jmax)
-
-    return _report(args, _op_norm_reports(_seeded(args, args.order, draw),
-                                          verify_defant_voigt))
+    return _report(args, _drawn_reports(
+        args, args.order, lambda field, *stacks: (_pairs(field, stacks),),
+        lambda field, opn, pair: verify_defant_voigt(*pair, opn=opn), extra=(args.jmax + 1,),
+        layout=_family_layout))
 
 
 def cmd_almost(args) -> int:
@@ -394,36 +449,24 @@ def cmd_inclusion(args) -> int:
     """Random certificate lifts; status is the monotonicity of the lift. A lift
     below its source rests on a heuristic weak norm (``lift_families`` raises
     when every weak norm is exact), so it is inconclusive, never a fail. The
-    instances are lifted in chunks of at most RANDOM_COEFF_BUDGET form
-    coefficients and LIFT_CHUNK instances (and at least one instance), one
-    ``lift_families`` call a chunk; a lift does not depend on the others of
-    its chunk."""
+    instances are real forms and families of length 1 to 4, lifted in chunks
+    of at most RANDOM_COEFF_BUDGET form coefficients and LIFT_CHUNK instances
+    (and at least one instance), one ``lift_families`` call a chunk; a lift
+    does not depend on the others of its chunk."""
     source = ExponentTuple(2, (2, 2))
     target = ExponentTuple(1, (Exponent.of(1), Exponent.of(2)))
-
-    def draw(rng):
-        A = random_form(rng, _random_dims(rng, 2, args.m), ScalarField.REAL)
-        return A, _random_family(rng, A, 4)
-
-    p, q, reports = str(source), str(target), []
-    least = RANDOM_COEFF_BUDGET // LIFT_CHUNK  # an instance counts as at least this many
-    for chunk in _chunks(_seeded(args, 2, draw), lambda pair: max(pair[0].coeffs.size, least),
-                         RANDOM_COEFF_BUDGET):
-        for (A, fam), res in zip(chunk, lift_families(chunk, source, target)):
-            reports.append(VerificationReport(
-                check="inclusion_lift",
-                field=str(A.field),
-                p=p,
-                q=q,
-                lhs=res.source.ratio,
-                rhs=res.derived.ratio,
-                ratio=(res.derived.ratio / res.source.ratio
-                       if res.source.ratio > 0 else None),
-                bound=None,
-                exact_norm=res.source.exact and res.derived.exact,
+    p, q, reports = str(source), str(target), [None] * args.random
+    for groups in _drawn(args, 2, ScalarField.REAL, (5,), _family_layout,
+                         RANDOM_COEFF_BUDGET // LIFT_CHUNK):
+        idx = [i for group, _ in groups for i in group]
+        pairs = [pair for _, stacks in groups for pair in _pairs(ScalarField.REAL, stacks)]
+        for i, (A, fam), res in zip(idx, pairs, lift_families(pairs, source, target)):
+            reports[i] = VerificationReport(
+                "inclusion_lift", str(A.field), p, q, lhs=res.source.ratio, rhs=res.derived.ratio,
+                ratio=res.derived.ratio / res.source.ratio if res.source.ratio > 0 else None,
+                bound=None, exact_norm=res.source.exact and res.derived.exact,
                 status="pass" if res.monotone else "inconclusive",
-                witness={"instance": len(reports), "length": fam.length},
-            ))
+                witness={"instance": i, "length": fam.length})
     return _report(args, reports)
 
 

@@ -178,20 +178,6 @@ def op_norm(A: FormTensor) -> NormEstimate:
     return _one(_ball_sup(A.coeffs[None], balls))
 
 
-def _op_norms(forms) -> list[NormEstimate]:
-    """``op_norm(A)`` of each form, bit for bit but with no witness, from one
-    kernel call per tuple of domain exponents; shapes and fields may differ."""
-    groups: dict = {}
-    for k, A in enumerate(forms):
-        groups.setdefault(tuple(d.exponent for d in A.domains), []).append(k)
-    estimates = [None] * len(forms)
-    for balls, idx in groups.items():
-        result = _ball_sup([forms[k].coeffs for k in idx], balls, witness=False)
-        for j, k in enumerate(idx):
-            estimates[k] = _one(result, j)
-    return estimates
-
-
 def _contract_rows(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Contract axis 1 of a stack ``t`` with every row of ``rows``; the row axis goes last."""
     dim = t.shape[1]

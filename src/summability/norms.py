@@ -23,8 +23,9 @@ from .spaces import INF, Exponent, ExponentLike, ScalarField, SpaceSpec
 
 __all__ = ["lp_norm", "mixed_norm", "weak_lp_norm", "NormEstimate", "VectorSeq"]
 
-# the l_1 and l_2 exponents, which the package tells by identity
-_L1, _L2 = Exponent.of(1), Exponent.of(2)
+# the l_1 and l_2 exponents, which the package tells by identity, and
+# Littlewood's 4/3, made once: Exponent.of parses with Fraction arithmetic
+_L1, _L2, _FOUR_THIRDS = Exponent.of(1), Exponent.of(2), Exponent.of("4/3")
 
 
 def lp_norm(v, p: ExponentLike) -> float:
@@ -80,21 +81,28 @@ def _axis_norms(a: np.ndarray, e: Exponent, axis: int) -> np.ndarray:
     return np.add.reduce(a ** pv, axis=axis) ** (1.0 / pv)
 
 
-@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see _unit_scaled
 def mixed_norm(M, p: ExponentLike, q: ExponentLike) -> float:
     """Outer p-norm over columns k of the inner q-norms over rows j.
 
     For a matrix m_jk this is (sum_k (sum_j |m_jk|^q)^(p/q))^(1/p), with the
-    infinite exponents handled as suprema, computed once on the moduli
-    scaled by a power of two (:func:`_unit_scaled`) and scaled back.
+    infinite exponents handled as suprema: :func:`_mixed_rows` of the moduli
+    of ``M``, as a stack of one.
     """
-    pe, qe = Exponent.of(p), Exponent.of(q)
-    A = np.abs(np.asarray(M))
+    A = np.abs(np.asarray(M)).astype(np.float64, copy=False)
     if A.ndim != 2 or A.size == 0:
         raise ValueError("mixed_norm expects a nonempty 2-d matrix")
-    A = A.astype(np.float64, copy=False)
-    A, k = _unit_scaled(A, np.maximum.reduce(A, axis=None))
-    return float(np.ldexp(lp_norm(_axis_norms(A, qe, axis=0), pe), k))
+    return float(_mixed_rows(A[None], Exponent.of(p), Exponent.of(q))[0])
+
+
+@np.errstate(over="ignore", under="ignore", invalid="ignore")  # see _unit_scaled
+def _mixed_rows(a: np.ndarray, p: Exponent, q: Exponent) -> np.ndarray:
+    """The mixed norm of each matrix of a (T, rows, columns) float64 stack of
+    moduli, the one mixed-norm rule: the matrix scaled by its own power of two
+    (:func:`_unit_scaled`), its inner q-norms down each column, their
+    :func:`_lp_rows` p-norm, scaled back. So a matrix keeps its bits in any
+    stack, and under scaling by a power of two, barring under- and overflow."""
+    a, k = _unit_scaled(a, np.maximum.reduce(a, axis=(1, 2), keepdims=True, initial=0.0))
+    return np.ldexp(_lp_rows(_axis_norms(a, q, axis=1), p), k[:, 0, 0])
 
 
 @dataclass(frozen=True)

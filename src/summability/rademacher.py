@@ -156,7 +156,8 @@ class ContractionCheck:
 def contraction_check(seq: VectorSeq, alphas, p: ExponentLike) -> ContractionCheck:
     """Exact Rad_p of (alpha_j x_j) against exact Rad_p of (x_j) for real
     |alpha_j| <= 1, with the relative margin of ``summing._status``
-    (``norms._SLACK``)."""
+    (``norms._SLACK``). Multipliers up to 1e-12 outside [-1, 1], which the
+    validation lets through as rounding, are clipped to it."""
     a = np.asarray(alphas)
     if a.shape != (seq.length,):
         raise ValueError("need one multiplier per vector")
@@ -164,7 +165,7 @@ def contraction_check(seq: VectorSeq, alphas, p: ExponentLike) -> ContractionChe
         raise ValueError("multipliers must satisfy |alpha_j| <= 1")
     if np.iscomplexobj(a):
         raise ValueError("exact mode expects real multipliers")
-    scaled = rad_p_norm(seq.scaled(a), p)
+    scaled = rad_p_norm(seq.scaled(np.clip(a, -1.0, 1.0)), p)
     unscaled = rad_p_norm(seq, p)
     return ContractionCheck(scaled <= unscaled * _SLACK, scaled, unscaled)
 

@@ -24,8 +24,8 @@ import numpy as np
 from ._signs import _ENUM_BUDGET, sign_count, sign_rows
 from .forms import (FormTensor, _ball_sup, _ball_sup_end, _ball_sup_start, _batch_contract,
                     _gaussian, _lower_bounds, _plan, _polar, compose_beta, curry, op_norm)
-from .norms import (_L1, _L2, _SLACK, NormEstimate, VectorSeq, _axis_norms, _lp_rows,
-                    _sum_class, lp_norm, mixed_norm, weak_lp_norm)
+from .norms import (_FOUR_THIRDS, _L1, _L2, _SLACK, NormEstimate, VectorSeq, _axis_norms,
+                    _lp_rows, _sum_class, lp_norm, mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm, rademacher_average
 from .spaces import (
     Exponent,
@@ -240,30 +240,8 @@ def _as_family(A: FormTensor, columns) -> TestFamily:
     return TestFamily(tuple(VectorSeq(c, d) for c, d in zip(columns, A.domains)))
 
 
-def _random_family(rng: np.random.Generator, A: FormTensor, j_max: int) -> TestFamily:
-    """A random family's length J, then all its entries from one normal draw."""
-    J = int(rng.integers(1, j_max + 1))
-    flat = rng.standard_normal(_entry_draws(A.field)[0] * J * sum(A.dims))
-    return _as_family(A, _columns(A, np.array([J]), np.array([0]), flat))
-
-
 _SEARCH_CHUNK = 1 << 10  # random trials scored at once
 _SEARCH_BUDGET = _ENUM_BUDGET  # trials; a search holds 24 bytes a trial before scoring any
-
-
-def _chunks(items, size, budget: int):
-    """Consecutive items, in chunks whose ``size`` adds up to at most
-    ``budget``, and of at least one item."""
-    chunk, total = [], 0
-    for item in items:
-        n = size(item)
-        if chunk and total + n > budget:
-            yield chunk
-            chunk, total = [], 0
-        chunk.append(item)
-        total += n
-    if chunk:
-        yield chunk
 
 
 def random_family_search(
@@ -774,10 +752,6 @@ def _require_sup_bilinear(A: FormTensor, who: str) -> None:
         raise ValueError(f"{who} expects sup-norm domains")
 
 
-# a module constant: Exponent.of parses with Fraction arithmetic on every call,
-# though the object it returns for a value is always the same one
-_FOUR_THIRDS = Exponent(Fraction(3, 4))
-
 # The constant each coefficient check asserts, by (check, field): sqrt(2), the
 # optimal real 4/3 constant, attained by [[1, 1], [1, -1]], and the published
 # upper bounds of the Grothendieck constant, pi / (2 ln(1 + sqrt(2))) cut to
@@ -797,8 +771,8 @@ _CONSTANTS = {
 
 def _versus_op_norm(
     check: str,
-    A: FormTensor,
-    opn: NormEstimate | None,
+    field: ScalarField,
+    opn: NormEstimate,
     lhs: float,
     const: float | None,
     p: str,
@@ -807,13 +781,12 @@ def _versus_op_norm(
     factor: float = 1.0,
     **witness,
 ) -> VerificationReport:
-    """Report lhs <= const * ||A|| * factor, the shape of every coefficient check.
+    """Report lhs <= const * ||A|| * factor, the shape of every coefficient check,
+    for a form A over ``field`` whose operator norm is ``opn``.
 
-    ``opn`` is ``op_norm(A)``, computed here when None. ``const=None``
-    asserts no bound: the report fails only if lhs or the ratio is not
-    finite. ``witness`` entries follow the operator norm.
+    ``const=None`` asserts no bound: the report fails only if lhs or the
+    ratio is not finite. ``witness`` entries follow the operator norm.
     """
-    opn = op_norm(A) if opn is None else opn
     ratio = _ratio(lhs, opn.value * factor)
     if const is None:
         rhs = None
@@ -823,7 +796,7 @@ def _versus_op_norm(
         status = _status(lhs, rhs, opn.exact)
     return VerificationReport(
         check=check,
-        field=str(A.field),
+        field=str(field),
         p=p,
         q=q,
         lhs=lhs,
@@ -837,8 +810,7 @@ def _versus_op_norm(
 
 
 # Each coefficient verifier takes ``opn``, the operator norm of A, and
-# computes it when None: the seeded suites of the CLI compute the norms of a
-# chunk of instances in one kernel call (``forms._op_norms``).
+# computes it when None.
 
 
 def verify_littlewood_43(
@@ -849,7 +821,7 @@ def verify_littlewood_43(
     """(sum |a_jk|^{4/3})^{3/4} <= c ||A|| with c = sqrt(2) real, K_G complex."""
     _require_sup_bilinear(A, "verify_littlewood_43")
     lhs = lp_norm(A.coeffs.reshape(-1), _FOUR_THIRDS)
-    return _versus_op_norm("littlewood_43", A, opn, lhs,
+    return _versus_op_norm("littlewood_43", A.field, opn or op_norm(A), lhs,
                            _CONSTANTS["littlewood_43", A.field], "4/3", None)
 
 
@@ -861,7 +833,7 @@ def verify_general_littlewood(
     """sum_k (sum_j |a_jk|^2)^{1/2} <= K_G ||A|| (the p = 1, q = 2 case)."""
     _require_sup_bilinear(A, "verify_general_littlewood")
     lhs = mixed_norm(A.coeffs, _L1, _L2)
-    return _versus_op_norm("general_littlewood", A, opn, lhs,
+    return _versus_op_norm("general_littlewood", A.field, opn or op_norm(A), lhs,
                            _CONSTANTS["general_littlewood", A.field], "1", "2")
 
 
@@ -879,17 +851,29 @@ def verify_extended_littlewood(
     always come back "inconclusive".
     """
     _require_sup_bilinear(A, "verify_extended_littlewood")
+    pe, qe = _extended_exponents(p)
+    lhs = mixed_norm(compose_beta(beta, A.coeffs), pe, qe)
+    return _extended_report(A.field, opn or op_norm(A), lhs, mixed_norm(beta, INF, _L2), pe, qe)
+
+
+def _extended_exponents(p: ExponentLike) -> tuple[Exponent, Exponent]:
+    """The outer exponent p of the extended check, refused outside [1, 2],
+    and its inner exponent q: 1/q = 1/2 + 1/p'."""
     pe = Exponent.of(p)
     if not Fraction(1, 2) <= pe.recip <= 1:
         raise ValueError(f"p must lie in [1, 2], got {pe}")
-    qe = Exponent(Fraction(1, 2) + (1 - pe.recip))
-    b = np.asarray(beta)
-    lhs = mixed_norm(compose_beta(b, A.coeffs), pe, qe)
-    beta_norm = mixed_norm(b, INF, _L2)
-    report = _versus_op_norm("extended_littlewood", A, opn, lhs,
-                             _CONSTANTS["extended_littlewood", A.field], str(pe), str(qe),
+    return pe, Exponent(Fraction(1, 2) + (1 - pe.recip))
+
+
+def _extended_report(field: ScalarField, opn: NormEstimate, lhs: float, beta_norm: float,
+                     pe: Exponent, qe: Exponent) -> VerificationReport:
+    """The extended check's report of lhs = ||beta o a||_{l_p(l_q)} against
+    ``opn`` times ``beta_norm`` = ||beta||_{l_inf(l_2)}; a real one is
+    inconclusive whatever its ratio."""
+    report = _versus_op_norm("extended_littlewood", field, opn, lhs,
+                             _CONSTANTS["extended_littlewood", field], str(pe), str(qe),
                              factor=beta_norm, beta_norm=beta_norm)
-    if not A.field.is_complex:
+    if not field.is_complex:
         report.status = "inconclusive"
     return report
 
@@ -913,8 +897,8 @@ def verify_bh(
     t = Exponent(Fraction(n + 1, 2 * n))
     lhs = lp_norm(A.coeffs.reshape(-1), t)
     const = _CONSTANTS["bohnenblust_hille", A.field] if n == 2 else None
-    return _versus_op_norm("bohnenblust_hille", A, opn, lhs, const, str(t), None,
-                           order=n)
+    return _versus_op_norm("bohnenblust_hille", A.field, opn or op_norm(A), lhs, const, str(t),
+                           None, order=n)
 
 
 def verify_defant_voigt(
@@ -934,7 +918,7 @@ def verify_defant_voigt(
         raise ValueError("verify_defant_voigt needs a form of order at least 2")
     lhs = float(np.abs(fam.values(A)).sum())
     rads = [rad_p_norm(col, _L2, "exact") for col in fam.columns]
-    report = _versus_op_norm("defant_voigt", A, opn, lhs, 1.0, "1", "2",
+    report = _versus_op_norm("defant_voigt", A.field, opn or op_norm(A), lhs, 1.0, "1", "2",
                              factor=math.prod(rads), rad2_norms=rads)
     weak1 = [weak_lp_norm(col, _L1) for col in fam.columns]
     weak_rhs = report.witness["op_norm"] * math.prod(w.value for w in weak1)

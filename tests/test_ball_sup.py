@@ -21,7 +21,7 @@ from summability import (
     weak_lp_norm,
 )
 from summability.forms import (_ascend, _ball_sup, _ball_sup_end, _ball_sup_start, _dual_step,
-                               _gaussian, _lower_bounds, _one, _op_norms, _pad_key, _plan, _polar,
+                               _gaussian, _lower_bounds, _one, _pad_key, _plan, _polar,
                                _polish, _random_starts, _runs)
 from summability.spaces import Exponent
 
@@ -643,7 +643,7 @@ def test_zero_padding_within_a_stack_key_keeps_the_kernel_bits(s, field):
 
 
 R, C = ScalarField.REAL, ScalarField.COMPLEX
-RAGGED = [  # (dims, exponents, field, scale) of one _op_norms call
+RAGGED = [  # (dims, exponents, field, scale) of ragged kernel batches
     ((3, 4), ("inf", "inf"), R, 1.0),  # real exact plans
     ((5, 2), ("inf", "inf"), R, 2.0 ** 600),
     ((2, 3, 3), ("inf", "inf", "inf"), R, 1.0),
@@ -690,20 +690,18 @@ def test_ragged_batch_gives_each_item_its_value_alone():
         a = monomial(rng, dims, field.is_complex, by_columns)
         forms.append(FormTensor(scale * a, tuple(SpaceSpec.lp(m, s)
                                                  for m, s in zip(dims, exps)), field))
-    for A, est in zip(forms, _op_norms(forms)):
-        alone = op_norm(A)
-        assert est.value == alone.value and est.exact == alone.exact
-        assert est.witness is None
-    # the kernel asked for witnesses gives each item those it gets alone,
-    # on the ragged batches _op_norms makes (one per exponents, both fields)
+    # one batch per tuple of exponents, of both fields: each item gets the
+    # value and flag it gets alone, and asked for them, its witnesses
     groups = {}
     for A in forms:
         groups.setdefault(tuple(d.exponent for d in A.domains), []).append(A)
     for balls, group in groups.items():
+        values, exact, witnesses = _ball_sup([A.coeffs for A in group], balls, witness=False)
+        assert witnesses is None
         result = _ball_sup([A.coeffs for A in group], balls, witness=True)
         for j, A in enumerate(group):
             est, alone = _one(result, j), op_norm(A)
-            assert est.value == alone.value and est.exact == alone.exact
+            assert est.value == values[j] == alone.value and est.exact == exact[j] == alone.exact
             assert [w.shape for w in est.witness] == [(m,) for m in A.dims]
             assert all(np.array_equal(w, a) for w, a in zip(est.witness, alone.witness))
 

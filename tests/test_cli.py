@@ -528,7 +528,7 @@ def test_constant_options_are_rejected(monkeypatch, capsys, suite, option):
     # the constants are a fixed table, not options: the suites that took
     # them exit 3 before any work
     calls = []
-    monkeypatch.setattr(cli, "_op_norms", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "_ball_sup", lambda *a, **k: calls.append(a))
     with pytest.raises(SystemExit) as exc:
         main(["verify", suite, "--random", "3", option, "1.5"])
     assert exc.value.code == 3
@@ -559,19 +559,15 @@ def test_verify_dv_needs_two_files(littlewood_file, family_file, capsys, count):
 def test_verify_dv_draws_families_up_to_its_jmax(monkeypatch, capsys):
     # 2^23 sign patterns (those with first sign +1 of 24 signs) are refused
     # before anything is drawn
-    lengths, draw = [], cli._random_family
-
-    def recorded(rng, A, j_max):
-        fam = draw(rng, A, j_max)
-        lengths.append(fam.length)
-        return fam
-
-    monkeypatch.setattr(cli, "_random_family", recorded)
+    lengths, draws, verify, drawn = [], [], cli.verify_defant_voigt, cli._drawn
+    monkeypatch.setattr(cli, "_drawn", lambda *a, **k: (draws.append(a), drawn(*a, **k))[1])
+    monkeypatch.setattr(cli, "verify_defant_voigt", lambda A, fam, **k: (
+        lengths.append(fam.length), verify(A, fam, **k))[1])
     base = ["verify", "dv", "--order", "2", "--m", "2"]
     assert main(base + ["--random", "4", "--jmax", "24"]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "--jmax 24" in captured.err and "budget" in captured.err
-    assert lengths == []
+    assert draws == [] and lengths == []
     assert main(base + ["--random", "0", "--jmax", "23"]) == 0
     capsys.readouterr()
     assert main(base + ["--random", "12", "--jmax", "12", "--seed", "1"]) == 0
@@ -603,51 +599,83 @@ def test_verify_random_coefficient_budget(suite, capsys):
     assert main(base + ["--random", "0", "--order", "22"]) == 0
 
 
+# every seeded suite, with instances that take several chunks of 30 coefficients
+# (dims up to 5, so that a budget of 30 refuses none)
+SEEDED = {
+    "littlewood": ["verify", "littlewood", "--random", "7", "--m", "5", "--seed", "4"],
+    "littlewood-complex": ["verify", "littlewood", "--field", "complex", "--random", "7",
+                           "--m", "5", "--seed", "4"],
+    "general": ["verify", "general", "--random", "6", "--m", "5", "--seed", "5"],
+    "general-complex": ["verify", "general", "--field", "complex", "--random", "6",
+                        "--m", "4", "--seed", "6"],
+    "bh-order2": ["verify", "bh", "--order", "2", "--random", "6", "--m", "5", "--seed", "7"],
+    "bh-order3-complex": ["verify", "bh", "--order", "3", "--field", "complex", "--random",
+                          "5", "--m", "3", "--seed", "8"],
+    "extended": ["verify", "extended", "--random", "6", "--m", "5", "--seed", "9"],
+    "extended-real": ["verify", "extended", "--field", "real", "--random", "5", "--m", "5",
+                      "--seed", "10"],
+    "dv": ["verify", "dv", "--order", "2", "--random", "6", "--m", "5", "--seed", "11"],
+    "dv-order3-complex": ["verify", "dv", "--field", "complex", "--random", "4", "--m", "3",
+                          "--jmax", "4", "--seed", "12"],
+    "inclusion": ["verify", "inclusion", "--random", "9", "--m", "4", "--seed", "3"],
+}
+
+
 def test_verify_chunks_give_the_body_of_one_chunk(monkeypatch, capsys):
     # drawn instances are measured in chunks of at most RANDOM_COEFF_BUDGET
-    # coefficients (at least one instance); chunking changes no byte
-    argv = ["verify", "littlewood", "--field", "complex", "--random", "7",
-            "--m", "5", "--seed", "4"]
-    assert main(argv) == 0
-    whole = capsys.readouterr().out
-    chunks, op_norms = [], cli._op_norms
-    monkeypatch.setattr(cli, "RANDOM_COEFF_BUDGET", 30)
-    monkeypatch.setattr(cli, "_op_norms", lambda forms: (
-        chunks.append([A.coeffs.size for A in forms]), op_norms(forms))[1])
-    assert main(argv) == 0
-    assert capsys.readouterr().out == whole
-    assert sum(map(len, chunks)) == 7 and len(chunks) > 1
-    assert all(len(c) == 1 or sum(c) <= 30 for c in chunks)
+    # coefficients (at least one instance), the forms of a chunk in one kernel
+    # call (inclusion lifts them instead); chunking changes no byte
+    for name, argv in SEEDED.items():
+        assert main(argv) == 0, name
+        whole = capsys.readouterr().out
+        chunks, calls, drawn, ball_sup = [], [], cli._drawn, cli._ball_sup
 
+        def recorded(*args, **kwargs):
+            for groups in drawn(*args, **kwargs):
+                chunks.append(sorted(A.size for _, (forms, *_) in groups for A in forms))
+                yield groups
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "RANDOM_COEFF_BUDGET", 30)
+            patch.setattr(cli, "_drawn", recorded)
+            patch.setattr(cli, "_ball_sup", lambda items, balls, witness: (
+                calls.append(sorted(A.size for A in items)),
+                ball_sup(items, balls, witness=witness))[1])
+            assert main(argv) == 0
+        assert capsys.readouterr().out == whole, name
+        assert sum(map(len, chunks)) == int(argv[argv.index("--random") + 1]) and len(chunks) > 1
+        assert all(len(c) == 1 or sum(c) <= 30 for c in chunks), name
+        assert calls == ([] if name == "inclusion" else chunks), name
 
 
 def test_inclusion_chunks_give_the_body_of_one_chunk(monkeypatch, capsys):
     # lifts are taken in chunks of at most RANDOM_COEFF_BUDGET coefficients
-    # and LIFT_CHUNK instances; chunking changes no byte
-    argv = ["verify", "inclusion", "--random", "9", "--m", "4", "--seed", "3"]
-    assert main(argv) == 0
-    whole = capsys.readouterr().out
+    # and LIFT_CHUNK instances; chunking changes no byte, and LIFT_CHUNK
+    # chunks no other suite
+    bodies = {}
+    for name, argv in SEEDED.items():
+        assert main(argv) == 0
+        bodies[name] = capsys.readouterr().out
     chunks, lift = [], cli.lift_families
     monkeypatch.setattr(cli, "RANDOM_COEFF_BUDGET", 20)
     monkeypatch.setattr(cli, "lift_families", lambda pairs, *args: (
         chunks.append([A.coeffs.size for A, _ in pairs]), lift(pairs, *args))[1])
-    assert main(argv) == 0
-    assert capsys.readouterr().out == whole
+    assert main(SEEDED["inclusion"]) == 0
+    assert capsys.readouterr().out == bodies["inclusion"]
     assert sum(map(len, chunks)) == 9 and len(chunks) > 1
     assert all(len(c) == 1 or sum(c) <= 20 for c in chunks)
     chunks.clear()  # and at most LIFT_CHUNK instances
     monkeypatch.setattr(cli, "RANDOM_COEFF_BUDGET", 1 << 22)
     monkeypatch.setattr(cli, "LIFT_CHUNK", 4)
-    assert main(argv) == 0
-    assert capsys.readouterr().out == whole
+    for name, argv in SEEDED.items():
+        assert main(argv) == 0
+        assert capsys.readouterr().out == bodies[name], name
     assert [len(c) for c in chunks] == [4, 4, 1]
 
+
 @pytest.mark.parametrize("suite,name,extra", [
-    ("littlewood", "verify_littlewood_43", []),
-    ("general", "verify_general_littlewood", []),
-    ("bh", "verify_bh", ["--order", "3", "--m", "3"]),
-    ("extended", "verify_extended_littlewood", []),
-    ("dv", "verify_defant_voigt", ["--order", "2"]),
+    pytest.param("dv", "verify_defant_voigt", ["--order", "2"],
+                 id="dv-verify_defant_voigt-extra4"),
 ])
 def test_seeded_suites_call_the_verifiers_by_name(monkeypatch, capsys, suite, name, extra):
     # a rebinding of the module-level name (the benchmark's tracer) sees every instance
@@ -655,6 +683,63 @@ def test_seeded_suites_call_the_verifiers_by_name(monkeypatch, capsys, suite, na
     monkeypatch.setattr(cli, name, lambda *a, **k: (calls.append(k["opn"]), verifier(*a, **k))[1])
     assert main(["verify", suite, "--random", "3", *extra]) == 0
     assert len(calls) == 3 and None not in calls
+
+
+def _redrawn(seed, count, slots, m, is_complex, high=None, tail=lambda dims, e: []):
+    """The instances of a seeded suite drawn again one at a time: the first
+    child of SeedSequence(seed) draws each instance's dims in [2, m], then
+    an integer e in [1, high); the second draws its arrays, the form's of
+    those dims and those of the shapes tail(dims, e): their real parts, then
+    their imaginary parts."""
+    shapes, normals = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+    rows = [(tuple(int(shapes.integers(2, m + 1)) for _ in range(slots)),
+             None if high is None else int(shapes.integers(1, high))) for _ in range(count)]
+    instances = []
+    for dims, e in rows:
+        real = [normals.standard_normal(shape) for shape in [dims, *tail(dims, e)]]
+        instances.append([a + 1j * normals.standard_normal(a.shape) for a in real]
+                         if is_complex else real)
+    return instances
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_seeded_reports_are_the_verifiers_reports_on_their_instances(capsys, name):
+    # each report is the public verifier's (inclusion: lift_family's) on its
+    # instance drawn again, bit for bit, but for its number
+    argv = SEEDED[name]
+    args = cli.build_parser().parse_args(argv)
+    assert main(argv) == 0
+    reports = json.loads(capsys.readouterr().out)["reports"]
+    field = ScalarField(getattr(args, "field", "real"))
+    slots = args.order if args.command in ("verify bh", "verify dv") else 2
+    families = (args.jmax + 1 if args.command == "verify dv" else 5,
+                lambda dims, J: [(J, m) for m in dims])
+    high, tail = {"verify extended": (args.m + 1, lambda dims, rows: [(rows, dims[0])]),
+                  "verify dv": families, "verify inclusion": families}.get(args.command,
+                                                                           (None, lambda *_: []))
+    instances = _redrawn(args.seed, args.random, slots, args.m, field.is_complex, high, tail)
+    assert len(reports) == len(instances)
+    for i, (report, (coeffs, *arrays)) in enumerate(zip(reports, instances)):
+        assert report["witness"].pop("instance") == i
+        A = FormTensor.on_linf(coeffs, field)
+        if args.command in ("verify dv", "verify inclusion"):
+            fam = TestFamily(tuple(VectorSeq(c, d) for c, d in zip(arrays, A.domains)))
+        if args.command == "verify inclusion":
+            res = summing.lift_family(A, fam, summing.ExponentTuple(2, (2, 2)),
+                                      summing.ExponentTuple(1, (1, 2)))
+            assert (report["lhs"], report["rhs"], report["exact_norm"], report["status"]) == (
+                res.source.ratio, res.derived.ratio, res.source.exact and res.derived.exact,
+                "pass" if res.monotone else "inconclusive")
+            assert report["witness"] == {"length": fam.length}
+            continue
+        expected = {
+            "verify littlewood": lambda: summing.verify_littlewood_43(A),
+            "verify general": lambda: summing.verify_general_littlewood(A),
+            "verify bh": lambda: summing.verify_bh(A),
+            "verify extended": lambda: summing.verify_extended_littlewood(A, arrays[0], args.p),
+            "verify dv": lambda: summing.verify_defant_voigt(A, fam),
+        }[args.command]()
+        assert report == json.loads(json.dumps(expected.to_dict())), (name, i)
 
 
 def test_verify_almost_files(littlewood_file, family_file, tmp_path):

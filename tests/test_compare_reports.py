@@ -65,3 +65,19 @@ def test_per_key_line_gives_the_largest_change_in_ulps(capsys):
     # a number that leaves zero is a fall of unbounded relative size
     rhs = next(line for line in out.splitlines() if line.startswith("  rhs:"))
     assert rhs.startswith("  rhs: 0 up (largest +0.000e+00), 1 down (largest -inf)")
+
+
+def test_largest_ratio_per_check_and_field_on_each_side(capsys):
+    def report(check, field, lhs, rhs):
+        return {"check": check, "field": field, "lhs": lhs, "rhs": rhs, "status": "pass"}
+
+    old = {"reports": [report("a", "real", 1.0, 4.0), report("a", "real", 3.0, 4.0),
+                       report("b", "complex", 1.0, None), report("b", "real", 2.0, 0.0)]}
+    new = {"reports": [report("a", "real", 1.0, 2.0), report("a", "complex", 1.0, 8.0)]}
+    bodies = {("demos", 0, 0): (0, json.dumps(old), "", "demos"),
+              ("demos", 0, 1): (0, "not json", "", "demos")}
+    assert compare_reports.largest_ratios(bodies) == {("a", "real"): 0.75}
+    assert compare_reports.compare(_bodies(old), _bodies(new)) == 0
+    out = capsys.readouterr().out
+    assert "largest lhs/rhs per (check, field), old -> new:\n" in out
+    assert "  a complex: - -> 0.125\n  a real: 0.75 -> 0.5\n" in out

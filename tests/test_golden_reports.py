@@ -103,18 +103,18 @@ PLAIN = {"opnorm", "norm-weak"}
 DIGESTS = {
     "almost-curry-files": "a1fe271546aaa69c7fb3eb7d010a7d745fddd4bf2f0d5f299202dadc339c40fc",
     "almost-files": "5f50428bb680d4e4628887ea86287dbab14ef53d06187b23725e00260c7e6476",
-    "bh": "358afbc9c3275822f3242473ca73b647951a81846d770eda9c2b65d539057558",
+    "bh": "6518a0872f4cb7422e80f806eec86d138081c90b6b92ad45cf5c6ee0c115f6e2",
     "bh-files": "1c5c072f68c3c57cb7c08ffa94aa1e7dac24dfec0af36b2c8ba79d5c2147e0d8",
     "demos": "fe78f0b8f969e26412880ac57d4682654d9794fa197fa6bfe9748461191e8dd8",
-    "dv": "fd032abcae5b1ac4859d7b8eea18e3d260cb48232e58b18e60b9514a342af5b8",
+    "dv": "adf00facb54ff3b699357cab5f52d41b611b38ae978d4c031547b53a6b1e4be0",
     "dv-files": "c8f5db666318b710011262e2727b58a5b7d5654a939984cb6b21949356d3b0e5",
     "experiment": "e34ace4a5f91016168ad62110f7beb4b6fded09893cb1b1601811a9ff04c1d37",
-    "extended": "23016ed9cc04f91fdfa6b6c1915377a9210285ca704b9ccf4bf71c3a63b4211e",
+    "extended": "40731f629480202a3757219189f50b8b8db4627b73041949d9c583d7c360ecee",
     "extended-files": "5887499eb7a73aa04d07d29217da71389921aae84165eb6de7ab9ac3a33876d6",
-    "general": "a7ed1eae3be9a870d6aaf5e037fae629e0657c150977ec83942e414bfeb96754",
+    "general": "0ec5f5170df9b93d04ec46189b783d2601dc531b45f07e401b3447300ab038ae",
     "general-files": "ce139d0dadf8866d3ac046cdc6570185e7ecd2e1b69066f30b59aba2ba024e36",
-    "inclusion": "0650e25ddc6b6074db82e4322cda53cc7171abeeeef25e608257ffc0ce41b1ed",
-    "littlewood": "8900a21c4e0cd1e588c049b38d1351dd610eb21ae0b5bacbbc0ddbd22d76b9ae",
+    "inclusion": "7e6fc93a805c1a6024c0e2f4648cb100a924f4cb753f86ddde80d8cc324cdd98",
+    "littlewood": "665991a7cf50c57ca6a57a3fa13414dfe8ec16780e750c203fc0b3dbdabd57c9",
     "littlewood-files": "743a12c16a37c1af73e2b4f6ba75228a8dccbed20fb29fdb101b4f2afd400e99",
     "norm-weak": "b829e227012e215cea99218123331c7df28ad7bc3eec2eb9a0aea8ac7de7cfa7",
     "opnorm": "cb2ae9dcbe05253e6f66e3fe2e404f36e4297bfd2727036d1ba9234f65ff2c86",

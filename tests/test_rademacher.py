@@ -151,14 +151,15 @@ def test_contraction_random():
 
 
 def test_contraction_verdict_does_not_depend_on_the_scale():
-    # a relative margin: multipliers 1 + 1e-12, which the validation lets
-    # through as rounding, raise Rad_2 by 1e-12 relative, over the margin, at
-    # every scale, where an absolute slack of 1e-12 would pass them at 2^-60
+    # a relative margin, and multipliers 1 + 1e-12, which the validation lets
+    # through as rounding, clipped to 1: unclipped they raise Rad_2 by 1e-12
+    # relative, over the margin, and would fail at every scale
     X = np.random.default_rng(37).standard_normal((5, 2))
     for k in (-60, 0, 60):
         seq = VectorSeq(X * 2.0 ** k, SpaceSpec.lp(2, 1))
         assert contraction_check(seq, np.linspace(-1, 1, 5), 2).passed, k
-        assert not contraction_check(seq, np.full(5, 1 + 1e-12), 2).passed, k
+        check = contraction_check(seq, np.full(5, 1 + 1e-12), 2)
+        assert check.passed and check.scaled == check.unscaled, k
 
 
 def test_contraction_validation():

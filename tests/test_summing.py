@@ -324,8 +324,8 @@ def _starts(A, lengths):
 
 
 def _draws(rng, A, j_max, count):
-    """``count`` families drawn one after another as summing._random_family
-    draws one, its length and then its entries: (lengths, starts, flat)."""
+    """``count`` families drawn one after another, each its length and then
+    its entries: (lengths, starts, flat)."""
     lengths, flat = [], []
     for _ in range(count):
         lengths.append(int(rng.integers(1, j_max + 1)))
