@@ -752,20 +752,32 @@ def _require_sup_bilinear(A: FormTensor, who: str) -> None:
         raise ValueError(f"{who} expects sup-norm domains")
 
 
-# The constant each coefficient check asserts, by (check, field): sqrt(2), the
-# optimal real 4/3 constant, attained by [[1, 1], [1, -1]], and the published
-# upper bounds of the Grothendieck constant, pi / (2 ln(1 + sqrt(2))) cut to
-# 1.78221 real (Krivine 1979) and 1.40491 complex (Haagerup 1987). The
-# Bohnenblust-Hille rows are for order 2; above it nothing is asserted.
+# The constant each coefficient check asserts, by (check, field), and its
+# source. The Bohnenblust-Hille rows are for order 2, where the check is the
+# 4/3 inequality; above it nothing is asserted.
+# - real littlewood_43 and bohnenblust_hille: sqrt(2), the optimal real 4/3
+#   constant (Littlewood 1930), attained by [[1, 1], [1, -1]];
+# - real general_littlewood: sqrt(2) = 1/A_1, from Khintchine's inequality
+#   with its optimal real constant A_1 = 1/sqrt(2) (Szarek 1976), attained by
+#   the same form: sum_k (sum_j |a_jk|^2)^(1/2) <= A_1^-1 sum_k E|sum_j e_j a_jk|
+#   <= A_1^-1 ||A||;
+# - complex general_littlewood: 2/sqrt(pi) = 1/A_1, by the same proof with
+#   Steinhaus variables, whose optimal A_1 is sqrt(pi)/2 (Sawa 1985);
+# - complex littlewood_43 and bohnenblust_hille: 2/sqrt(pi), by Blei's
+#   inequality ||a||_{4/3} <= (||a||_{l_1(l_2)} ||a^T||_{l_1(l_2)})^(1/2) and
+#   the complex general_littlewood bound on both factors;
+# - extended_littlewood: the published upper bounds of the Grothendieck
+#   constant, pi / (2 ln(1 + sqrt(2))) cut to 1.78221 real (Krivine 1979), and
+#   1.40491 complex (Haagerup 1987).
 _CONSTANTS = {
     ("littlewood_43", ScalarField.REAL): math.sqrt(2.0),
-    ("littlewood_43", ScalarField.COMPLEX): 1.40491,
-    ("general_littlewood", ScalarField.REAL): 1.78221,
-    ("general_littlewood", ScalarField.COMPLEX): 1.40491,
+    ("littlewood_43", ScalarField.COMPLEX): 2.0 / math.sqrt(math.pi),
+    ("general_littlewood", ScalarField.REAL): math.sqrt(2.0),
+    ("general_littlewood", ScalarField.COMPLEX): 2.0 / math.sqrt(math.pi),
     ("extended_littlewood", ScalarField.REAL): 1.78221,
     ("extended_littlewood", ScalarField.COMPLEX): 1.40491,
     ("bohnenblust_hille", ScalarField.REAL): math.sqrt(2.0),
-    ("bohnenblust_hille", ScalarField.COMPLEX): 1.40491,
+    ("bohnenblust_hille", ScalarField.COMPLEX): 2.0 / math.sqrt(math.pi),
 }
 
 
@@ -818,7 +830,7 @@ def verify_littlewood_43(
     *,
     opn: NormEstimate | None = None,
 ) -> VerificationReport:
-    """(sum |a_jk|^{4/3})^{3/4} <= c ||A|| with c = sqrt(2) real, K_G complex."""
+    """(sum |a_jk|^{4/3})^{3/4} <= c ||A|| with c = sqrt(2) real, 2/sqrt(pi) complex."""
     _require_sup_bilinear(A, "verify_littlewood_43")
     lhs = lp_norm(A.coeffs.reshape(-1), _FOUR_THIRDS)
     return _versus_op_norm("littlewood_43", A.field, opn or op_norm(A), lhs,
@@ -830,7 +842,8 @@ def verify_general_littlewood(
     *,
     opn: NormEstimate | None = None,
 ) -> VerificationReport:
-    """sum_k (sum_j |a_jk|^2)^{1/2} <= K_G ||A|| (the p = 1, q = 2 case)."""
+    """sum_k (sum_j |a_jk|^2)^{1/2} <= c ||A|| (the p = 1, q = 2 case), with
+    c = sqrt(2) real, 2/sqrt(pi) complex."""
     _require_sup_bilinear(A, "verify_general_littlewood")
     lhs = mixed_norm(A.coeffs, _L1, _L2)
     return _versus_op_norm("general_littlewood", A.field, opn or op_norm(A), lhs,

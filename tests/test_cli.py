@@ -537,6 +537,14 @@ def test_constant_options_are_rejected(monkeypatch, capsys, suite, option):
     assert calls == []
 
 
+def test_verify_general_meets_sqrt2_at_the_sign_matrix(littlewood_file, capsys):
+    # the real mixed (l_1, l_2) row is the sharp sqrt(2), which [[1, 1], [1, -1]] attains
+    assert main(["verify", "general", littlewood_file]) == 0
+    rep, = json.loads(capsys.readouterr().out)["reports"]
+    assert rep["status"] == "pass" and rep["exact_norm"]
+    assert rep["ratio"] == rep["bound"] == math.sqrt(2) and rep["lhs"] == rep["rhs"]
+
+
 def test_verify_dv_files(littlewood_file, family_file, tmp_path, capsys):
     out = tmp_path / "dv.json"
     assert main(["verify", "dv", littlewood_file, family_file,

@@ -111,8 +111,8 @@ DIGESTS = {
     "experiment": "e34ace4a5f91016168ad62110f7beb4b6fded09893cb1b1601811a9ff04c1d37",
     "extended": "40731f629480202a3757219189f50b8b8db4627b73041949d9c583d7c360ecee",
     "extended-files": "5887499eb7a73aa04d07d29217da71389921aae84165eb6de7ab9ac3a33876d6",
-    "general": "0ec5f5170df9b93d04ec46189b783d2601dc531b45f07e401b3447300ab038ae",
-    "general-files": "ce139d0dadf8866d3ac046cdc6570185e7ecd2e1b69066f30b59aba2ba024e36",
+    "general": "c4e61bfcdb7ae962317f52ba62b53b713038ec706d0d82f860b9cd138a97408c",
+    "general-files": "f3b666db57081357f0502077eac18978e703be99f3a71837400d4c10361ce2c4",
     "inclusion": "7e6fc93a805c1a6024c0e2f4648cb100a924f4cb753f86ddde80d8cc324cdd98",
     "littlewood": "665991a7cf50c57ca6a57a3fa13414dfe8ec16780e750c203fc0b3dbdabd57c9",
     "littlewood-files": "743a12c16a37c1af73e2b4f6ba75228a8dccbed20fb29fdb101b4f2afd400e99",

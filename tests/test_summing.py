@@ -1067,7 +1067,7 @@ def test_general_littlewood_examples(littlewood):
     assert rep.lhs == pytest.approx(2 * SQRT2, abs=1e-12)
     assert rep.ratio == pytest.approx(SQRT2, abs=1e-12)
     rep = verify_general_littlewood(FormTensor.on_linf(np.ones((2, 2))))
-    assert rep.status == "pass" and rep.rhs == pytest.approx(1.78221 * 4)
+    assert rep.status == "pass" and rep.rhs == pytest.approx(SQRT2 * 4)
     rep = verify_general_littlewood(FormTensor.on_linf(np.eye(2)))
     assert rep.lhs == pytest.approx(2.0, abs=1e-14)
 
@@ -1130,17 +1130,20 @@ def test_bh_order_two_matches_littlewood_exponent(littlewood):
 
 
 def test_constants_table_holds_the_published_values():
-    # sqrt(2), the optimal real 4/3 constant; the Grothendieck upper bounds
-    # of Krivine (real) and Haagerup (complex)
+    # sqrt(2), the optimal real 4/3 and mixed constant; 2/sqrt(pi), 1/A_1 for
+    # Steinhaus variables, complex; the Grothendieck upper bounds of Krivine
+    # (real) and Haagerup (complex) for the extended check
     R, C = ScalarField.REAL, ScalarField.COMPLEX
+    steinhaus = 2 / math.sqrt(math.pi)
     assert summing._CONSTANTS == {
-        ("littlewood_43", R): SQRT2, ("littlewood_43", C): 1.40491,
-        ("general_littlewood", R): 1.78221, ("general_littlewood", C): 1.40491,
+        ("littlewood_43", R): SQRT2, ("littlewood_43", C): steinhaus,
+        ("general_littlewood", R): SQRT2, ("general_littlewood", C): steinhaus,
         ("extended_littlewood", R): 1.78221, ("extended_littlewood", C): 1.40491,
-        ("bohnenblust_hille", R): SQRT2, ("bohnenblust_hille", C): 1.40491,
+        ("bohnenblust_hille", R): SQRT2, ("bohnenblust_hille", C): steinhaus,
     }
     assert 1.78221 == pytest.approx(math.pi / (2 * math.log(1 + SQRT2)), abs=1e-5)
-    assert 1.40491 < SQRT2  # the complex rows are below the real 4/3 constant
+    assert steinhaus == pytest.approx(1.1283791670955126, abs=1e-15)
+    assert steinhaus < 1.40491 < SQRT2  # each sharp row is below the bound it replaced
 
 
 _VERIFIERS = {  # check -> its verifier on a bilinear form
@@ -1171,6 +1174,15 @@ def test_real_43_constant_is_pinned_at_its_equality_case(littlewood):
         assert rep.bound == SQRT2 and rep.exact_norm
         assert rep.status == "pass" and rep.lhs == rep.rhs and rep.ratio == SQRT2
         assert summing._status(rep.lhs, rep.rhs * (1 - 1e-9), True) == "fail"
+
+
+def test_sharp_mixed_constant_is_pinned_at_its_equality_case(littlewood):
+    # [[1, 1], [1, -1]] meets the real mixed (l_1, l_2) constant sqrt(2)
+    # exactly, and a constant lower by a relative 1e-9 fails it
+    rep = verify_general_littlewood(littlewood)
+    assert rep.bound == SQRT2 and rep.exact_norm
+    assert rep.status == "pass" and rep.lhs == rep.rhs and rep.ratio == SQRT2
+    assert summing._status(rep.lhs, rep.rhs * (1 - 1e-9), True) == "fail"
 
 
 def test_a_certified_violation_fails_at_every_scale(littlewood, monkeypatch):
