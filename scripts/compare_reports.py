@@ -1,14 +1,16 @@
 """Compare the report bodies of two source trees over the benchmark's commands.
 
     python3 scripts/compare_reports.py OLD_SRC NEW_SRC [--seeds 1,2,...,10]
+        [--workloads verify-sweep,...]
 
 OLD_SRC and NEW_SRC are directories that hold a ``summability`` package
 (for example ``src`` of two checkouts). The script runs the seeded batches of
-every workload for the seeds of ``--seeds`` (a comma-separated list, by
-default 1 to 10: 2901 bodies, about 50 s on one core), from
-``perfbench/workloads.py`` (read, never edited), and ``summability demos``
-through ``summability.cli.main`` in this process, first with the old
-package, then with the new one, and prints:
+the workloads of ``--workloads`` (a comma-separated list of names, by
+default every workload) for the seeds of ``--seeds`` (a comma-separated
+list, by default 1 to 10: 2901 bodies over every workload, about 50 s on
+one core), from ``perfbench/workloads.py`` (read, never edited), and
+``summability demos`` through ``summability.cli.main`` in this process,
+first with the old package, then with the new one, and prints:
 
 - per workload, how many commands give identical exit code, stdout and
   stderr, and per command kind how many do not;
@@ -50,9 +52,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 
-def run_all(src: Path, seeds, workdir: Path) -> dict:
+def run_all(src: Path, seeds, workdir: Path, workloads) -> dict:
     """(workload, seed, index) -> (exit code, stdout, stderr, kind) with the
-    package in ``src``; ``demos`` is the workload "demos" of seed 0."""
+    package in ``src``, over the workloads named in ``workloads``; ``demos``
+    is the workload "demos" of seed 0."""
     for name in [m for m in sys.modules if m == "summability" or m.startswith("summability.")]:
         del sys.modules[name]
     sys.path.insert(0, str(src))
@@ -61,9 +64,9 @@ def run_all(src: Path, seeds, workdir: Path) -> dict:
         if Path(cli.__file__).resolve().parent.parent != src.resolve():
             raise SystemExit(f"{src} holds no summability package")
         results = {("demos", 0, 0): _run(cli, ["demos"]) + ("demos",)}
-        for wname, workload in WORKLOADS.items():
+        for wname in workloads:
             for seed in seeds:
-                for i, cmd in enumerate(workload.batch(seed)):
+                for i, cmd in enumerate(WORKLOADS[wname].batch(seed)):
                     for fname, doc in cmd.files.items():
                         (workdir / fname).write_text(json.dumps(doc), encoding="utf-8")
                     argv = [str(workdir / a) if a in cmd.files else a for a in cmd.argv]
@@ -225,17 +228,29 @@ def _seeds(text: str) -> tuple[int, ...]:
     return seeds
 
 
+def _workloads(text: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown workload {unknown[0]!r}; the workloads are {', '.join(WORKLOADS)}")
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"repeated workload in {text!r}")
+    return names
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
     parser.add_argument("--seeds", type=_seeds, default=tuple(range(1, 11)),
                         help="comma-separated workload seeds (default 1 to 10)")
+    parser.add_argument("--workloads", type=_workloads, default=tuple(WORKLOADS),
+                        help="comma-separated workload names (default every workload)")
     args = parser.parse_args(argv)
-    seeds = args.seeds
     with tempfile.TemporaryDirectory() as tmp:
-        old = run_all(args.old_src, seeds, Path(tmp))
-        new = run_all(args.new_src, seeds, Path(tmp))
+        old = run_all(args.old_src, args.seeds, Path(tmp), args.workloads)
+        new = run_all(args.new_src, args.seeds, Path(tmp), args.workloads)
     return compare(old, new)
 
 

@@ -11,7 +11,8 @@ A verify suite runs the summing verifiers on the given files or checks
 seeded random instances, ``--random`` of them (``--random 0`` runs none):
 two generators seeded from ``--seed`` draw their shapes, then their normal
 numbers, instance after instance, and each chunk of instances is checked
-as stacks, its forms' operator norms from one kernel call. Each command,
+as stacks, its forms' operator norms from one kernel call and its lhs from
+one call per padding class. Each command,
 suite and norm kind takes only the options its handler reads, and a
 report's ``config`` echoes them. Every command writes its document through
 one renderer.
@@ -23,6 +24,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -35,7 +37,7 @@ from ._signs import _ENUM_BUDGET, sign_count
 from .demos import evaluate_claims
 from .forms import FormTensor, _ball_sup, op_norm
 from .norms import (_FOUR_THIRDS, _L1, _L2, NormEstimate, VectorSeq, _lp_rows, _mixed_rows,
-                    lp_norm, mixed_norm, weak_lp_norm)
+                    _sum_class, lp_norm, mixed_norm, weak_lp_norm)
 from .rademacher import rad_p_norm
 from .spaces import INF, Exponent, ExponentTuple, ScalarField
 from .summing import (
@@ -314,14 +316,21 @@ def _drawn(args, order: int, field: ScalarField, extra=(), layout=lambda row: [r
     imaginary parts. How calls split a draw moves no number, so an instance
     does not depend on the chunks. Each chunk is a list of groups, one per
     shape row: the indices of its instances (a list) and, per array, the
-    stack of their arrays."""
+    stack of their arrays. One gather takes the real parts of every group
+    of a chunk from its draw, and one more their imaginary parts; the
+    stacks are views of what they gather. The gathers move no number, and
+    neither does padding them by class later (:func:`_per_class`), so
+    instance i is still the numbers after those of instances 0 to i - 1."""
     _refuse_over_coefficient_budget(args, order)
     shapes, normals = map(np.random.default_rng, np.random.SeedSequence(args.seed).spawn(2))
     lows, highs = [2] * order + [1] * len(extra), [args.m + 1] * order + list(extra)
     rows = list(map(tuple, shapes.integers(lows, highs, size=(args.random, len(lows))).tolist()))
-    sizes = {row: [math.prod(shape) for shape in layout(row)] for row in set(rows)}
+    # per shape row, each array's first column among the real parts of an instance
+    cols = {row: list(itertools.accumulate(map(math.prod, layout(row)), initial=0))
+            for row in set(rows)}
+    reals = np.array([cols[row][-1] for row in rows], int)
     per = 2 if field.is_complex else 1
-    ends = np.cumsum([0] + [per * sum(sizes[row]) for row in rows])  # each instance's first number
+    ends = np.concatenate(([0], np.cumsum(per * reals)))  # each instance's first number
     costs = np.cumsum([0] + [max(math.prod(row[:order]), least) for row in rows])
     lo = 0
     while lo < args.random:
@@ -332,47 +341,93 @@ def _drawn(args, order: int, field: ScalarField, extra=(), layout=lambda row: [r
         groups = {}
         for i in range(lo, hi):
             groups.setdefault(rows[i], []).append(i)
-        chunk = []
+        # the real parts of the chunk's instances, group after group
+        by_group = np.array([i for idx in groups.values() for i in idx])
+        n = reals[by_group]
+        take = np.repeat(ends[by_group] - ends[lo] - (np.cumsum(n) - n), n) + np.arange(n.sum())
+        z = flat[take] if per == 1 else flat[take] + 1j * flat[take + np.repeat(n, n)]
+        chunk, head = [], 0
         for row, idx in groups.items():
-            at = np.cumsum([0] + sizes[row]).tolist()  # each array's first column
-            z = flat[(ends[idx] - ends[lo])[:, None] + np.arange(per * at[-1])]
-            z = z if per == 1 else z[:, :at[-1]] + 1j * z[:, at[-1]:]
-            chunk.append((idx, [z[:, a:b].reshape(len(idx), *shape)
+            at = cols[row]
+            block = z[head:head + len(idx) * at[-1]].reshape(len(idx), at[-1])
+            head += len(idx) * at[-1]
+            chunk.append((idx, [block[:, a:b].reshape(len(idx), *shape)
                                 for a, b, shape in zip(at, at[1:], layout(row))]))
         yield chunk
         lo = hi
 
 
+def _per_class(stacks, rule) -> list:
+    """``rule`` of the moduli of each item of ``stacks``, (T, *dims) stacks
+    of one order and dtype, in one call per summation class of the last dim
+    (:func:`norms._sum_class`): the stacks of a class are zero-padded at the
+    end of each axis to its largest dims and taken at once. Padding moves
+    no bit of an l_p or mixed norm (:func:`_lp_rows`, :func:`_mixed_rows`)
+    whose outer sum runs along the last axis and whose inner sums run down
+    a middle axis, in order. Returns the items' values in the order of the
+    stacks."""
+    heads = np.cumsum([0] + [len(a) for a in stacks]).tolist()
+    classes, out = {}, np.empty(heads[-1])
+    for g, a in enumerate(stacks):
+        classes.setdefault(_sum_class(a.shape[-1]), []).append(g)
+    for members in classes.values():
+        at = [k for g in members for k in range(heads[g], heads[g + 1])]  # the class's items
+        padded = stacks[members[0]]
+        if len(members) > 1:
+            dims = tuple(map(max, *(stacks[g].shape[1:] for g in members)))
+            padded, lo = np.zeros((len(at),) + dims, padded.dtype), 0
+            for g in members:
+                a = stacks[g]
+                padded[(slice(lo, lo + len(a)),) + tuple(map(slice, a.shape[1:]))] = a
+                lo += len(a)
+        out[at] = rule(np.abs(padded))
+    return out.tolist()
+
+
 def _drawn_reports(args, order: int, sides, report, **draw) -> list[VerificationReport]:
     """The report of each seeded instance (:func:`_drawn` with ``draw``),
     numbered in its witness: ``report(field, opn, *values)``, with ``opn``
-    the operator norm of its form, from one kernel call per chunk, and
-    ``values`` its items of the lists that ``sides(field, *stacks)`` takes
-    from the stacks of its group at once."""
+    the operator norm of its form, from one kernel call per chunk on the
+    stacks of its groups, and ``values`` its items of the lists that
+    ``sides(field, stacks)`` takes at once from the chunk's list of stacks
+    per group, in the order of the groups."""
     field, reports = ScalarField(args.field), [None] * args.random
     for groups in _drawn(args, order, field, **draw):
-        values, exact, _ = _ball_sup([A for _, (forms, *_) in groups for A in forms],
-                                     (INF,) * order, witness=False)
-        opns = map(NormEstimate, values.tolist(), exact)  # in the order of the groups
-        for idx, stacks in groups:  # zip takes from opns only while idx lasts
-            for i, *items in zip(idx, opns, *sides(field, *stacks)):
-                reports[i] = report(field, *items)
-                reports[i].witness["instance"] = i
+        stacks = [arrays for _, arrays in groups]
+        values, exact, _ = _ball_sup([forms for forms, *_ in stacks], (INF,) * order,
+                                     witness=False)
+        idx = [i for group, _ in groups for i in group]
+        for i, *items in zip(idx, map(NormEstimate, values.tolist(), exact),
+                             *sides(field, stacks)):
+            reports[i] = report(field, *items)
+            reports[i].witness["instance"] = i
     return reports
 
 
 def _coefficient_suite(args, verify, check: str, lhs, p: str, q=None, slots: int = 2,
                        **witness) -> int:
     """``verify`` of each form file, or the ``check`` of seeded random forms
-    of ``slots`` slots: ``lhs`` takes the lhs of a group's forms from their
-    stack of moduli at once, and each report asserts the check's row of
+    of ``slots`` slots: ``lhs`` takes the lhs of a chunk's forms from their
+    stacks at once, and each report asserts the check's row of
     ``_CONSTANTS`` for bilinear forms and no bound above."""
     if args.files:
         return _report(args, [verify(load_form(path)) for path in args.files])
     const = _CONSTANTS[check, ScalarField(args.field)] if slots == 2 else None
     return _report(args, _drawn_reports(
-        args, slots, lambda field, a: (lhs(np.abs(a)).tolist(),),
+        args, slots, lambda field, stacks: (lhs([forms for forms, in stacks]),),
         lambda field, opn, side: _versus_op_norm(check, field, opn, side, const, p, q, **witness)))
+
+
+def _lp_lhs(e: Exponent):
+    """The l_e norm of the coefficients of each form of a list of stacks
+    (:func:`_per_class` of their rows of coefficients)."""
+    return lambda stacks: _per_class([a.reshape(len(a), -1) for a in stacks],
+                                     lambda a: _lp_rows(a, e))
+
+
+def _mixed_lhs(p: Exponent, q: Exponent):
+    """The l_p(l_q) mixed norm of each matrix of a list of stacks (:func:`_per_class`)."""
+    return lambda stacks: _per_class(stacks, lambda a: _mixed_rows(a, p, q))
 
 
 # the handlers look the verifiers up by name when they run, so a rebinding
@@ -380,18 +435,17 @@ def _coefficient_suite(args, verify, check: str, lhs, p: str, q=None, slots: int
 # every seeded dv instance
 def cmd_littlewood(args) -> int:
     return _coefficient_suite(args, verify_littlewood_43, "littlewood_43",
-                              lambda a: _lp_rows(a.reshape(len(a), -1), _FOUR_THIRDS), "4/3")
+                              _lp_lhs(_FOUR_THIRDS), "4/3")
 
 
 def cmd_general(args) -> int:
     return _coefficient_suite(args, verify_general_littlewood, "general_littlewood",
-                              lambda a: _mixed_rows(a, _L1, _L2), "1", "2")
+                              _mixed_lhs(_L1, _L2), "1", "2")
 
 
 def cmd_bh(args) -> int:
     t = Exponent.of(f"{2 * args.order}/{args.order + 1}")
-    return _coefficient_suite(args, verify_bh, "bohnenblust_hille",
-                              lambda a: _lp_rows(a.reshape(len(a), -1), t), str(t),
+    return _coefficient_suite(args, verify_bh, "bohnenblust_hille", _lp_lhs(t), str(t),
                               slots=args.order, order=args.order)
 
 
@@ -404,9 +458,11 @@ def cmd_extended(args) -> int:
                               for path, A in forms])
     pe, qe = _extended_exponents(_parse_exponent(args.p))
     # each form's beta has rows in [1, m] and a column per row of the form
+    # beta @ A per group: padding could move the bits of the products
     return _report(args, _drawn_reports(
-        args, 2, lambda field, A, beta: (_mixed_rows(np.abs(beta @ A), pe, qe).tolist(),
-                                         _mixed_rows(np.abs(beta), INF, _L2).tolist()),
+        args, 2, lambda field, stacks: (
+            _mixed_lhs(pe, qe)([beta @ A for A, beta in stacks]),
+            _mixed_lhs(INF, _L2)([beta for _, beta in stacks])),
         functools.partial(_extended_report, pe=pe, qe=qe), extra=(args.m + 1,),
         layout=lambda row: [row[:2], (row[2], row[0])]))
 
@@ -434,7 +490,8 @@ def cmd_dv(args) -> int:
         raise SchemaError(f"--jmax {args.jmax}: a family may have 2^{args.jmax - 1} sign "
                           f"patterns, over the budget {_ENUM_BUDGET}")
     return _report(args, _drawn_reports(
-        args, args.order, lambda field, *stacks: (_pairs(field, stacks),),
+        args, args.order, lambda field, stacks: (
+            [pair for arrays in stacks for pair in _pairs(field, arrays)],),
         lambda field, opn, pair: verify_defant_voigt(*pair, opn=opn), extra=(args.jmax + 1,),
         layout=_family_layout))
 

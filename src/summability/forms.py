@@ -225,10 +225,14 @@ def _ball_sup(
 ) -> tuple[np.ndarray, list[bool], list | None]:
     """sup |sum a_(i1..in) x1_i1 ... xn_in| over x_k in the unit ball of
     l_(balls[k]), for each array a of ``items``: a stack of shape (T, *dims),
-    or a list of T arrays of one order whose shapes and dtypes may differ.
+    a list of T arrays of one order whose shapes and dtypes may differ, or a
+    list of such stacks, whose T items are those of the first stack, then of
+    the second, and so on. A stack is solved as it is, without a copy (the
+    seeded verify suites pass a chunk's stacks, one per shape); the arrays
+    of a list are stacked per shape and dtype first.
 
     Each shape and field is solved by the method of its plan (:func:`_plan`).
-    ``enumeration`` runs on the items of a shape and dtype together, at most
+    ``enumeration`` runs on the items of a stack together, at most
     ``_ENUM_BUDGET`` units of work at a time, and ``l2-pair`` in one SVD
     call. Under ``grid`` and ``random`` the items that :func:`_closed_form`
     solves are exact; each other item gets its starts and, under ``grid``,
@@ -252,11 +256,12 @@ def _ball_sup(
 
 class _Started(NamedTuple):
     """A batch of :func:`_ball_sup` up to the alternating maximizer: its
-    arguments, its result (values, exact flags, witnesses), which holds every
-    exact value and grid maximum and 0 for the other items, and a job (index,
-    array, start vectors) per inexact item."""
+    items as :func:`_by_shape` groups them, its other arguments, its result
+    (values, exact flags, witnesses), which holds every exact value and grid
+    maximum and 0 for the other items, and a job (index, array, start
+    vectors) per inexact item."""
 
-    items: object
+    groups: tuple
     balls: tuple
     witness: bool
     result: tuple
@@ -268,9 +273,9 @@ def _ball_sup_start(items, balls, witness=True) -> _Started:
     values of the exact methods and of the closed forms, and the starts of
     every other item. It runs in the caller's numpy error state, which should
     be that of :func:`_ball_sup`."""
-    T = len(items)
+    T, groups = _by_shape(items, len(balls))
     result, jobs = (np.zeros(T), [True] * T, [None] * T), []
-    for idx, stack in _by_shape(items):
+    for idx, stack in groups:
         plan = _plan(stack.shape[1:], balls, stack.dtype.kind == "c")
         if plan.method == "enumeration":
             for lo in range(0, len(stack), plan.chunk):  # at most _ENUM_BUDGET work at a time
@@ -295,7 +300,7 @@ def _ball_sup_start(items, balls, witness=True) -> _Started:
                 result[1][k] = False
                 vectors, result[0][k], result[2][k] = _starts(a, balls, plan)
                 jobs.append((k, a, vectors))
-    return _Started(items, balls, witness, result, jobs)
+    return _Started(groups, balls, witness, result, jobs)
 
 
 def _put(result, idx, values, found) -> None:
@@ -314,7 +319,13 @@ def _lower_bounds(started: _Started) -> np.ndarray:
     [2^-500, 2^500], as the value may be computed again on rescaled
     coefficients."""
     values = started.result[0]
-    return np.where((values >= _SAFE_LOW) & (values <= _SAFE_HIGH), values, 0.0)
+    return np.where(_out_of_range(values), 0.0, values)
+
+
+def _out_of_range(values: np.ndarray) -> np.ndarray:
+    """Per value, whether it lies outside [2^-500, 2^500] or is NaN: whether
+    clamping it to that range (which keeps a NaN) changes it."""
+    return np.minimum(np.maximum(values, _SAFE_LOW), _SAFE_HIGH) != values
 
 
 def _ball_sup_end(started: _Started, floors=None):
@@ -333,7 +344,7 @@ def _ball_sup_end(started: _Started, floors=None):
     floors, and so does the computation again of a value out of range, by
     :func:`_ball_sup`; that item, and an item that never reaches its floor,
     keeps every bit. A floor that is not finite and positive is none."""
-    items, balls, witness, (values, exact, witnesses), jobs = started
+    groups, balls, witness, (values, exact, witnesses), jobs = started
     if floors is not None:
         floors = np.asarray(floors, float)
         floors = np.where((floors > 0) & (floors < math.inf), floors, math.nan)
@@ -349,11 +360,13 @@ def _ball_sup_end(started: _Started, floors=None):
     for (k, *_), (value, vectors) in zip(jobs, polished):
         if value >= values[k]:
             values[k], witnesses[k] = value, vectors
-    for k, v in enumerate(values.tolist()):
-        if not _SAFE_LOW <= v <= _SAFE_HIGH:
+    redo = _out_of_range(values).nonzero()[0]
+    for idx, stack in groups if len(redo) else ():
+        for j in np.flatnonzero(np.isin(idx, redo)).tolist():
             # the exponent is 0 for a zero, non-finite or already scaled item
-            c, shift = _unit_scaled(items[k], np.abs(items[k]).max(initial=0.0))
+            c, shift = _unit_scaled(stack[j], np.abs(stack[j]).max(initial=0.0))
             if shift:
+                k = idx[j]
                 redone = _one(_ball_sup(c[None], balls, witness=witness))
                 values[k], witnesses[k] = np.ldexp(redone.value, shift), redone.witness
     return values, exact, witnesses if witness else None
@@ -499,15 +512,23 @@ def _monomial_sup(stack: np.ndarray, balls, witness: bool):
     return values, list(zip(x, y))
 
 
-def _by_shape(items) -> tuple:
-    """The indices (an index array) and the (T, *dims) stack of the items of
-    each shape and dtype; a stack is one group as it is."""
+def _by_shape(items, order: int) -> tuple:
+    """The number of the items of :func:`_ball_sup`, arrays of ``order``
+    axes, and per group of them its indices (an index array) and its stack:
+    a stack is one group as it is, and so is each stack of a list of them;
+    the arrays of a list of arrays are grouped by shape and dtype and
+    stacked."""
     if isinstance(items, np.ndarray):
-        return ((np.arange(len(items)), items),)
+        return len(items), ((np.arange(len(items)), items),)
+    if items and items[0].ndim > order:
+        heads = np.cumsum([0] + [len(stack) for stack in items]).tolist()
+        return heads[-1], tuple((np.arange(lo, hi), stack)
+                                for lo, hi, stack in zip(heads, heads[1:], items) if hi > lo)
     groups: dict = {}
     for k, a in enumerate(items):
         groups.setdefault((a.shape, a.dtype), []).append(k)
-    return tuple((np.array(idx), np.stack([items[k] for k in idx])) for idx in groups.values())
+    return len(items), tuple((np.array(idx), np.stack([items[k] for k in idx]))
+                             for idx in groups.values())
 
 
 def _enumerate(stack, balls, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:

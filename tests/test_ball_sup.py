@@ -706,6 +706,36 @@ def test_ragged_batch_gives_each_item_its_value_alone():
             assert all(np.array_equal(w, a) for w, a in zip(est.witness, alone.witness))
 
 
+@pytest.mark.parametrize("exps", [("inf", "inf"), ("4/3", 3)])
+@pytest.mark.parametrize("field", [ScalarField.REAL, ScalarField.COMPLEX])
+def test_list_of_stacks_gives_each_item_its_value_alone(field, exps):
+    # stacks of several shapes, two of one shape, each taken as it is: every
+    # item gets the value, flag and witness it gets alone, to the bit; the
+    # item scaled by 2^600 is computed again on rescaled coefficients, taken
+    # from its own stack, and a monomial item takes the closed form
+    rng = np.random.default_rng(36)
+    balls = tuple(Exponent.of(s) for s in exps)
+
+    def draw(count, dims):
+        a = rng.standard_normal((count, *dims))
+        return a + 1j * rng.standard_normal(a.shape) if field.is_complex else a
+
+    stacks = [draw(3, (2, 3)), draw(2, (4, 4)), draw(1, (3, 2)), draw(4, (2, 3)),
+              draw(2, (6, 5))]
+    stacks[3][2] *= 2.0 ** 600
+    stacks[1][1] = monomial(rng, (4, 4), field.is_complex)
+    items = [a for stack in stacks for a in stack]
+    values, exact, witnesses = _ball_sup(stacks, balls)
+    quiet, quiet_exact, none = _ball_sup(stacks, balls, witness=False)
+    assert none is None and len(values) == len(items) == 12
+    assert np.array_equal(quiet, values) and quiet_exact == exact
+    for k, a in enumerate(items):
+        alone = _one(_ball_sup(a[None], balls))
+        assert values[k] == alone.value and exact[k] == alone.exact, k
+        assert all(np.array_equal(x, y) for x, y in zip(witnesses[k], alone.witness)), k
+    assert values[8] > 2.0 ** 500 and exact[4]
+
+
 def test_ragged_batch_across_the_length_128_gives_each_item_its_value_alone():
     # numpy sums 128 entries in 8 partial sums and 129 or more in two halves:
     # an item of length 128 is not padded to a longer one

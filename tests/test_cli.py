@@ -17,6 +17,7 @@ import summability
 from summability import FormTensor, ScalarField, SpaceSpec, TestFamily, VectorSeq
 from summability import cli, demos, forms, summing
 from summability.cli import main
+from summability.norms import _sum_class
 
 
 def write_json(path, data):
@@ -629,31 +630,83 @@ SEEDED = {
 }
 
 
+# per coefficient suite, the padding classes of the lhs calls of an instance
+# (its arrays): l_p rows by their length, mixed norms by their column count
+# (extended: of beta o a and of beta)
+LHS_CLASSES = {
+    "littlewood": lambda a: {("lp", _sum_class(a[0].size))},
+    "bh": lambda a: {("lp", _sum_class(a[0].size))},
+    "general": lambda a: {("mixed", _sum_class(a[0].shape[1]))},
+    "extended": lambda a: {("mixed", _sum_class(a[0].shape[1])),
+                           ("beta", _sum_class(a[1].shape[1]))},
+}
+
+
+def _recording(monkeypatch, budget=None):
+    """Patch the CLI to record per chunk drawn: the sizes of its forms; the
+    padding classes of its instances' lhs calls (LHS_CLASSES); the sizes of
+    the forms of the stacks its kernel call takes; how many items each of
+    its lhs calls takes; and its number of shape groups."""
+    chunks, classes, calls, lhs, shapes = [], [], [], [], []
+    drawn, ball_sup, lp_rows, mixed_rows = cli._drawn, cli._ball_sup, cli._lp_rows, cli._mixed_rows
+
+    def recorded(args, *rest, **kwargs):
+        for groups in drawn(args, *rest, **kwargs):
+            chunks.append(sorted(A.size for _, (forms, *_) in groups for A in forms))
+            suite = LHS_CLASSES.get(args.command.split()[1], lambda a: set())
+            classes.append(set().union(*(suite([a[j] for a in arrays]) for idx, arrays in groups
+                                         for j in range(len(idx)))))
+            lhs.append([])
+            shapes.append(len(groups))
+            yield groups
+
+    if budget is not None:
+        monkeypatch.setattr(cli, "RANDOM_COEFF_BUDGET", budget)
+    monkeypatch.setattr(cli, "_drawn", recorded)
+    monkeypatch.setattr(cli, "_ball_sup", lambda stacks, balls, witness: (
+        calls.append(sorted(A.size for stack in stacks for A in stack)),
+        ball_sup(stacks, balls, witness=witness))[1])
+    monkeypatch.setattr(cli, "_lp_rows", lambda a, e: (lhs[-1].append(len(a)),
+                                                      lp_rows(a, e))[1])
+    monkeypatch.setattr(cli, "_mixed_rows", lambda a, p, q: (lhs[-1].append(len(a)),
+                                                            mixed_rows(a, p, q))[1])
+    return chunks, classes, calls, lhs, shapes
+
+
 def test_verify_chunks_give_the_body_of_one_chunk(monkeypatch, capsys):
     # drawn instances are measured in chunks of at most RANDOM_COEFF_BUDGET
     # coefficients (at least one instance), the forms of a chunk in one kernel
-    # call (inclusion lifts them instead); chunking changes no byte
+    # call on its stacks (inclusion lifts them instead), and their lhs in one
+    # call per padding class (per side for extended); chunking changes no byte
     for name, argv in SEEDED.items():
         assert main(argv) == 0, name
         whole = capsys.readouterr().out
-        chunks, calls, drawn, ball_sup = [], [], cli._drawn, cli._ball_sup
-
-        def recorded(*args, **kwargs):
-            for groups in drawn(*args, **kwargs):
-                chunks.append(sorted(A.size for _, (forms, *_) in groups for A in forms))
-                yield groups
-
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "RANDOM_COEFF_BUDGET", 30)
-            patch.setattr(cli, "_drawn", recorded)
-            patch.setattr(cli, "_ball_sup", lambda items, balls, witness: (
-                calls.append(sorted(A.size for A in items)),
-                ball_sup(items, balls, witness=witness))[1])
+            chunks, classes, calls, lhs, _ = _recording(patch, budget=30)
             assert main(argv) == 0
         assert capsys.readouterr().out == whole, name
         assert sum(map(len, chunks)) == int(argv[argv.index("--random") + 1]) and len(chunks) > 1
         assert all(len(c) == 1 or sum(c) <= 30 for c in chunks), name
         assert calls == ([] if name == "inclusion" else chunks), name
+        sides = 2 if name.startswith("extended") else 1 if argv[1] in LHS_CLASSES else 0
+        for chunk, own, taken in zip(chunks, classes, lhs):
+            assert len(taken) <= len(own) and sum(taken) == sides * len(chunk), name
+
+
+@pytest.mark.parametrize("suite", sorted(LHS_CLASSES))
+def test_seeded_lhs_take_one_call_per_padding_class(monkeypatch, capsys, suite):
+    # 40 instances of dims up to 8 fall in about 27 shapes, but in at most 9
+    # length classes (64 coefficients or fewer) or 2 column classes (8
+    # columns or fewer) per side
+    argv = ["verify", suite, "--random", "40", "--m", "8", "--seed", "1"]
+    argv += ["--order", "2"] if suite == "bh" else []
+    assert main(argv) == 0
+    whole = capsys.readouterr().out
+    chunks, classes, calls, lhs, shapes = _recording(monkeypatch)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == whole
+    assert len(chunks) == 1 and len(lhs[0]) == len(classes[0]) and shapes[0] > 20
+    assert len(lhs[0]) <= {"general": 2, "extended": 4}.get(suite, 9)
 
 
 def test_inclusion_chunks_give_the_body_of_one_chunk(monkeypatch, capsys):

@@ -4,7 +4,11 @@ whose status differs; rows one side lacks are listed apart."""
 import importlib.util
 import json
 import math
+import sys
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "compare_reports.py"
 spec = importlib.util.spec_from_file_location("compare_reports", SCRIPT)
@@ -81,3 +85,37 @@ def test_largest_ratio_per_check_and_field_on_each_side(capsys):
     out = capsys.readouterr().out
     assert "largest lhs/rhs per (check, field), old -> new:\n" in out
     assert "  a complex: - -> 0.125\n  a real: 0.75 -> 0.5\n" in out
+
+
+class _Workload:
+    """A workload of two seeded littlewood commands per seed."""
+
+    def __init__(self, m):
+        self.m = m
+
+    def batch(self, seed):
+        return [SimpleNamespace(kind="verify littlewood", files={}, argv=[
+            "verify", "littlewood", "--random", "2", "--m", str(self.m), "--seed", str(seed + k)])
+                for k in range(2)]
+
+
+def test_workloads_option_diffs_only_the_named_workloads(monkeypatch, capsys):
+    # the script imports the package again from each tree: the modules of
+    # this session are put back after the test
+    for name, module in list(sys.modules.items()):
+        if name == "summability" or name.startswith("summability."):
+            monkeypatch.setitem(sys.modules, name, module)
+    monkeypatch.setattr(compare_reports, "WORKLOADS", {"a": _Workload(3), "b": _Workload(4)})
+    src = str(SCRIPT.parent.parent / "src")
+    assert compare_reports.main([src, src, "--seeds", "1,2", "--workloads", "b"]) == 0
+    out = capsys.readouterr().out
+    assert "b: 4/4 bodies identical" in out and "a:" not in out
+    assert "every body identical: yes (5/5)" in out  # and demos
+    assert compare_reports.main([src, src, "--seeds", "1"]) == 0  # every workload by default
+    out = capsys.readouterr().out
+    assert "a: 2/2 bodies identical" in out and "b: 2/2 bodies identical" in out
+    for bad in ("c", "a,a", "a,"):
+        with pytest.raises(SystemExit) as exc:
+            compare_reports.main([src, src, "--workloads", bad])
+        assert exc.value.code == 2
+    assert "unknown workload 'c'" in capsys.readouterr().err
